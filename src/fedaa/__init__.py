@@ -16,98 +16,7 @@ from .errors import (
     ParseError,
     SimulationError,
 )
-from .seeding import derive_seed, splitmix64, stream
-from .nn import (
-    ArchSpec,
-    MlpModel,
-    SgdConfig,
-    backward_ce,
-    backward_from_output,
-    ce_loss_from_logits,
-    flatten,
-    forward,
-    forward_cached,
-    forward_logits,
-    init_params,
-    layer_slices,
-    log_softmax,
-    param_count,
-    sgd_epoch,
-    softmax,
-    unflatten,
-)
-from .data import (
-    ClientPartition,
-    LabeledDataset,
-    SyntheticGenerator,
-    SyntheticSpec,
-    build_validation_set,
-    dirichlet_partition,
-    draw_synthetic_generators,
-    extract_server_pool,
-    feature_scales,
-    generate_synthetic,
-    load_csv,
-    load_idx,
-    lognormal_sizes,
-    sample_from_generator,
-)
-from .clients import (
-    ATTACK_KINDS,
-    AttackSpec,
-    ClientRecord,
-    assign_roles,
-    attack_gaussian,
-    attack_ipm,
-    attack_same_value,
-    attack_sign_flip,
-    local_update,
-    same_value_message,
-    sign_flip_message,
-)
-from .selection import SelectionResult, normalize_state, select_clients, top_count
-from .ddpg import (
-    DdpgAgent,
-    ReplayBuffer,
-    Transition,
-    act,
-    critic_target,
-    exploration_sigma,
-    load_agent,
-    make_agent,
-    save_agent,
-    soft_update,
-    update_actor,
-    update_critic,
-)
-from .config import (
-    DatasetConfig,
-    DdpgConfig,
-    ExperimentConfig,
-    ValidationConfig,
-    config_hash,
-    emit_config,
-    parse_config,
-    parse_config_text,
-)
-from .orchestrator import (
-    FairnessMetrics,
-    RoundRecord,
-    aggregate,
-    build_experiment,
-    evaluate_fairness,
-    evaluate_reward,
-    run_experiment,
-    run_fedavg_baseline,
-    sample_participants,
-    subsystem_seeds,
-)
-from .results import (
-    RunManifest,
-    emit_results,
-    records_to_rows,
-    render_curves_svg,
-    write_manifest,
-)
+from .data import lognormal_sizes
+from .seeding import stream
 
 __version__ = "0.1.0"

@@ -8,13 +8,15 @@ ranges. ``emit_config`` renders a config back to canonical text (sorted
 keys, every applicable key present), and ``parse . emit`` is the
 identity; the canonical text is also what the run manifest hashes.
 
-The full key table with defaults and ranges is reproduced in README.md.
+``KEYS`` is the one table of keys; README.md lists them with their
+defaults and ranges, and a test keeps the two in step.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable
 
 from .errors import ConfigError, ParseError
@@ -23,7 +25,8 @@ from .nn import SgdConfig
 from .selection import SCOPES
 
 SYNTHETIC_KINDS = ("synthetic00", "synthetic11", "synthetic")
-DATASET_KINDS = SYNTHETIC_KINDS + ("synthetic_dirichlet", "csv", "idx")
+PARTITIONED_KINDS = ("synthetic_dirichlet", "csv", "idx")
+DATASET_KINDS = SYNTHETIC_KINDS + PARTITIONED_KINDS
 AGGREGATORS = ("fedaa", "fedavg")
 
 
@@ -81,16 +84,14 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def _int(lo: int | None = None, hi: int | None = None) -> Callable[[str], int]:
+def _int(lo: int) -> Callable[[str], int]:
     def parse(raw: str) -> int:
         try:
             value = int(raw)
         except ValueError:
             raise ValueError(f"not an integer: {raw!r}") from None
-        if lo is not None and value < lo:
+        if value < lo:
             raise ValueError(f"must be >= {lo}")
-        if hi is not None and value > hi:
-            raise ValueError(f"must be <= {hi}")
         return value
 
     return parse
@@ -143,64 +144,86 @@ def _intlist(min_value: int) -> Callable[[str], tuple[int, ...]]:
     return parse
 
 
-def _sizes(raw: str) -> int | tuple[int, ...] | str:
-    if raw == "lognormal":
-        return raw
-    parsed = _intlist(5)(raw)
-    if not parsed:
-        raise ValueError("expected 'lognormal', an integer, or a comma list")
-    return parsed[0] if len(parsed) == 1 and "," not in raw else parsed
+def _counts(min_value: int, *words: str) -> Callable[[str], int | tuple[int, ...] | str]:
+    """An integer, a comma list of integers, or one of ``words``."""
+    def parse(raw: str) -> int | tuple[int, ...] | str:
+        if raw in words:
+            return raw
+        parsed = _intlist(min_value)(raw)
+        if not parsed:
+            choices = "".join(f"{word!r}, " for word in words)
+            raise ValueError(f"expected {choices}an integer, or a comma list")
+        return parsed[0] if len(parsed) == 1 and "," not in raw else parsed
+
+    return parse
 
 
-def _classcounts(raw: str) -> int | tuple[int, ...]:
-    parsed = _intlist(1)(raw)
-    if not parsed:
-        raise ValueError("expected an integer or a comma list")
-    return parsed[0] if len(parsed) == 1 and "," not in raw else parsed
+_string = str  # paths and other free text are taken verbatim
+
+ALL_ATTACKS = ("none",) + ATTACK_KINDS
+# ipm scales the benign mean by its epsilon and has no tau
+TAU_ATTACKS = tuple(kind for kind in ATTACK_KINDS if kind != "ipm")
+# synthetic00 and synthetic11 fix both spread parameters to one value
+PINNED_SPREAD = {"synthetic00": 0.0, "synthetic11": 1.0}
 
 
-def _string(raw: str) -> str:
-    return raw
+@dataclass(frozen=True)
+class Key:
+    """One config key. It is accepted and emitted only under the listed
+    dataset and attack kinds; ``field`` is its path in ExperimentConfig
+    when that differs from the key name."""
+
+    name: str
+    parse: Callable[[str], object]
+    datasets: tuple[str, ...] = DATASET_KINDS
+    attacks: tuple[str, ...] = ALL_ATTACKS
+    field: str = ""
 
 
-SCHEMA: dict[str, Callable[[str], object]] = {
-    "dataset": _choice(*DATASET_KINDS),
-    "dataset.num_clients": _int(lo=2),
-    "dataset.alpha": _float(lo=0.0),
-    "dataset.beta": _float(lo=0.0),
-    "dataset.samples_per_client": _sizes,
-    "dataset.total_samples": _int(lo=100),
-    "dataset.dirichlet_concentration": _float(lo=0.0, lo_open=True),
-    "dataset.csv_path": _string,
-    "dataset.idx_images": _string,
-    "dataset.idx_labels": _string,
-    "model.hidden": _intlist(1),
-    "malicious_fraction": _float(lo=0.0, hi=0.5, hi_open=True),
-    "attack": _choice("none", *ATTACK_KINDS),
-    "attack.tau": _float(lo=0.0, lo_open=True),
-    "attack.ipm_epsilon": _float(lo=0.0, lo_open=True),
-    "m_percent": _float(lo=0.0, hi=100.0, lo_open=True),
-    "participation_ratio": _float(lo=0.0, hi=1.0, lo_open=True),
-    "rounds": _int(lo=1),
-    "local.lr": _float(lo=0.0),
-    "local.weight_decay": _float(lo=0.0),
-    "local.batch_size": _int(lo=1),
-    "local.epochs": _int(lo=1),
-    "ddpg.gamma": _float(lo=0.0, hi=1.0, lo_open=True),
-    "ddpg.epsilon_soft": _float(lo=0.0, hi=1.0, lo_open=True),
-    "ddpg.actor_lr": _float(lo=0.0),
-    "ddpg.critic_lr": _float(lo=0.0),
-    "ddpg.weight_decay": _float(lo=0.0),
-    "ddpg.hidden": _int(lo=1),
-    "ddpg.buffer_capacity": _int(lo=1),
-    "ddpg.batch_size": _int(lo=1),
-    "ddpg.warmup": _int(lo=1),
-    "ddpg.noise_sigma": _float(lo=0.0),
-    "ddpg.noise_sigma_end": _float(lo=0.0),
-    "distance_scope": _choice(*SCOPES),
-    "validation.per_class": _classcounts,
-    "aggregator": _choice(*AGGREGATORS),
-    "seed": _int(lo=0),
+KEYS = (
+    Key("dataset", _choice(*DATASET_KINDS), field="dataset.kind"),
+    Key("dataset.num_clients", _int(lo=2)),
+    Key("dataset.alpha", _float(lo=0.0), datasets=("synthetic",)),
+    Key("dataset.beta", _float(lo=0.0), datasets=("synthetic",)),
+    Key("dataset.samples_per_client", _counts(5, "lognormal"), datasets=SYNTHETIC_KINDS),
+    Key("dataset.total_samples", _int(lo=100), datasets=("synthetic_dirichlet",)),
+    Key("dataset.dirichlet_concentration", _float(lo=0.0, lo_open=True), datasets=PARTITIONED_KINDS),
+    Key("dataset.csv_path", _string, datasets=("csv",)),
+    Key("dataset.idx_images", _string, datasets=("idx",)),
+    Key("dataset.idx_labels", _string, datasets=("idx",)),
+    Key("model.hidden", _intlist(1), field="model_hidden"),
+    Key("malicious_fraction", _float(lo=0.0, hi=0.5, hi_open=True)),
+    Key("attack", _choice(*ALL_ATTACKS), field="attack.kind"),
+    Key("attack.tau", _float(lo=0.0, lo_open=True), attacks=TAU_ATTACKS),
+    Key("attack.ipm_epsilon", _float(lo=0.0, lo_open=True), attacks=("ipm",)),
+    Key("m_percent", _float(lo=0.0, hi=100.0, lo_open=True)),
+    Key("participation_ratio", _float(lo=0.0, hi=1.0, lo_open=True)),
+    Key("rounds", _int(lo=1)),
+    Key("local.lr", _float(lo=0.0), field="local.learning_rate"),
+    Key("local.weight_decay", _float(lo=0.0)),
+    Key("local.batch_size", _int(lo=1)),
+    Key("local.epochs", _int(lo=1)),
+    Key("ddpg.gamma", _float(lo=0.0, hi=1.0, lo_open=True)),
+    Key("ddpg.epsilon_soft", _float(lo=0.0, hi=1.0, lo_open=True)),
+    Key("ddpg.actor_lr", _float(lo=0.0)),
+    Key("ddpg.critic_lr", _float(lo=0.0)),
+    Key("ddpg.weight_decay", _float(lo=0.0)),
+    Key("ddpg.hidden", _int(lo=1)),
+    Key("ddpg.buffer_capacity", _int(lo=1)),
+    Key("ddpg.batch_size", _int(lo=1)),
+    Key("ddpg.warmup", _int(lo=1)),
+    Key("ddpg.noise_sigma", _float(lo=0.0)),
+    Key("ddpg.noise_sigma_end", _float(lo=0.0)),
+    Key("distance_scope", _choice(*SCOPES)),
+    # the synthetic kinds build the reward set from client uploads
+    Key("validation.per_class", _counts(1), datasets=PARTITIONED_KINDS),
+    Key("aggregator", _choice(*AGGREGATORS)),
+    Key("seed", _int(lo=0)),
+)
+SCHEMA: dict[str, Callable[[str], object]] = {key.name: key.parse for key in KEYS}
+# each section of the key paths is an ExperimentConfig field holding a dataclass
+SECTIONS = {
+    f.name: f.default_factory for f in fields(ExperimentConfig) if f.default_factory is not MISSING
 }
 
 
@@ -243,137 +266,65 @@ def parse_config(path: str) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+def _applies(key: Key, kinds: tuple[str, str]) -> bool:
+    return kinds[0] in key.datasets and kinds[1] in key.attacks
+
+
+def _scope_error(key: Key, kinds: tuple[str, str]) -> str:
+    """Why ``key`` is rejected, naming with it the keys of its section
+    that share its scope (``dataset.alpha/beta``)."""
+    section, _, _ = key.name.rpartition(".")
+    peers = [
+        k.name.rpartition(".")[2]
+        for k in KEYS
+        if k.name.startswith(section + ".")
+        and (k.datasets, k.attacks) == (key.datasets, key.attacks)
+    ]
+    names = f"{section}.{'/'.join(peers)} {'apply' if len(peers) > 1 else 'applies'}"
+    if kinds[0] not in key.datasets:
+        return f"{names} only to dataset = {', '.join(key.datasets)}"
+    if kinds[1] == "none":
+        return f"{names} only with an attack; keys in {section}.* require an attack"
+    return f"{names} only to attack = {', '.join(key.attacks)}"
 
 
 def build_config(values: dict[str, object]) -> ExperimentConfig:
-    """Assemble and cross-validate a config from parsed key values."""
-    present = set(values)
+    """Assemble and cross-validate a config from parsed key values.
 
-    def get(key: str, default):
-        return values.get(key, default)
-
-    kind = get("dataset", "synthetic00")
-    _require(
-        not ({"dataset.alpha", "dataset.beta"} & present) or kind == "synthetic",
-        "dataset.alpha/beta apply only to dataset = synthetic",
+    Keys left out take the dataclass defaults.
+    """
+    by_section: dict[str, dict[str, object]] = defaultdict(dict)
+    for key in KEYS:
+        if key.name in values:
+            section, _, attr = (key.field or key.name).rpartition(".")
+            by_section[section][attr] = values[key.name]
+    attack = by_section.pop("attack", {})
+    kinds = by_section["dataset"].get("kind", DatasetConfig.kind), attack.get("kind", "none")
+    for key in KEYS:
+        if key.name in values and not _applies(key, kinds):
+            raise ConfigError(_scope_error(key, kinds))
+    if kinds[0] in PINNED_SPREAD:
+        spread = PINNED_SPREAD[kinds[0]]
+        by_section["dataset"].update(alpha=spread, beta=spread)
+    # a file-backed kind needs every path key that belongs to it alone
+    missing = [
+        key.name
+        for key in KEYS
+        if key.parse is _string and key.datasets == kinds[:1] and not values.get(key.name)
+    ]
+    if missing:
+        raise ConfigError(f"dataset = {kinds[0]} requires {' and '.join(missing)}")
+    cfg = ExperimentConfig(
+        attack=None if kinds[1] == "none" else AttackSpec(**attack),
+        **by_section.pop("", {}),
+        **{section: SECTIONS[section](**kw) for section, kw in by_section.items()},
     )
-    _require(
-        "dataset.samples_per_client" not in present or kind in SYNTHETIC_KINDS,
-        "dataset.samples_per_client applies only to the synthetic dataset kinds",
-    )
-    _require(
-        "dataset.total_samples" not in present or kind == "synthetic_dirichlet",
-        "dataset.total_samples applies only to dataset = synthetic_dirichlet",
-    )
-    _require(
-        "dataset.dirichlet_concentration" not in present
-        or kind in ("synthetic_dirichlet", "csv", "idx"),
-        "dataset.dirichlet_concentration applies only to partitioned dataset kinds",
-    )
-    for key, owner in (
-        ("dataset.csv_path", "csv"),
-        ("dataset.idx_images", "idx"),
-        ("dataset.idx_labels", "idx"),
-    ):
-        _require(key not in present or kind == owner, f"{key} applies only to dataset = {owner}")
-    if kind == "csv":
-        _require(bool(get("dataset.csv_path", "")), "dataset = csv requires dataset.csv_path")
-    if kind == "idx":
-        _require(
-            bool(get("dataset.idx_images", "")) and bool(get("dataset.idx_labels", "")),
-            "dataset = idx requires dataset.idx_images and dataset.idx_labels",
-        )
-    alpha, beta = {
-        "synthetic00": (0.0, 0.0),
-        "synthetic11": (1.0, 1.0),
-    }.get(kind, (get("dataset.alpha", 0.0), get("dataset.beta", 0.0)))
-    dataset = DatasetConfig(
-        kind=kind,
-        num_clients=get("dataset.num_clients", 100),
-        alpha=float(alpha),
-        beta=float(beta),
-        samples_per_client=get("dataset.samples_per_client", "lognormal"),
-        total_samples=get("dataset.total_samples", 5000),
-        dirichlet_concentration=get("dataset.dirichlet_concentration", 0.1),
-        csv_path=get("dataset.csv_path", ""),
-        idx_images=get("dataset.idx_images", ""),
-        idx_labels=get("dataset.idx_labels", ""),
-    )
-    sizes = dataset.samples_per_client
-    if isinstance(sizes, tuple):
-        _require(
-            len(sizes) == dataset.num_clients,
-            f"dataset.samples_per_client lists {len(sizes)} sizes for "
-            f"{dataset.num_clients} clients",
-        )
-
-    attack_kind = get("attack", "none")
-    if attack_kind == "none":
-        _require(
-            not ({"attack.tau", "attack.ipm_epsilon"} & present),
-            "attack.tau / attack.ipm_epsilon require an attack",
-        )
-        attack = None
-    else:
-        _require(
-            "attack.ipm_epsilon" not in present or attack_kind == "ipm",
-            "attack.ipm_epsilon applies only to attack = ipm",
-        )
-        attack = AttackSpec(
-            kind=attack_kind,
-            tau=get("attack.tau", None),
-            ipm_epsilon=get("attack.ipm_epsilon", 0.5),
-        )
-    malicious_fraction = get("malicious_fraction", 0.0)
-    _require(
-        malicious_fraction == 0.0 or attack is not None,
-        "malicious_fraction > 0 requires an attack",
-    )
-
-    validation = ValidationConfig(per_class=get("validation.per_class", None))
-    _require(
-        validation.per_class is None or kind not in SYNTHETIC_KINDS,
-        "validation.per_class conflicts with the synthetic kinds, which build "
-        "the reward set from client uploads",
-    )
-
-    local = SgdConfig(
-        learning_rate=get("local.lr", 0.1),
-        weight_decay=get("local.weight_decay", 0.0),
-        batch_size=get("local.batch_size", 64),
-        epochs=get("local.epochs", 20),
-    )
-    ddpg = DdpgConfig(
-        gamma=get("ddpg.gamma", 0.99),
-        epsilon_soft=get("ddpg.epsilon_soft", 0.001),
-        actor_lr=get("ddpg.actor_lr", 0.01),
-        critic_lr=get("ddpg.critic_lr", 0.01),
-        weight_decay=get("ddpg.weight_decay", 1e-05),
-        hidden=get("ddpg.hidden", 256),
-        buffer_capacity=get("ddpg.buffer_capacity", 10000),
-        batch_size=get("ddpg.batch_size", 64),
-        warmup=get("ddpg.warmup", 10),
-        noise_sigma=get("ddpg.noise_sigma", 0.1),
-        noise_sigma_end=get("ddpg.noise_sigma_end", 0.01),
-    )
-    return ExperimentConfig(
-        dataset=dataset,
-        model_hidden=get("model.hidden", ()),
-        malicious_fraction=float(malicious_fraction),
-        attack=attack,
-        m_percent=float(get("m_percent", 30.0)),
-        participation_ratio=float(get("participation_ratio", 1.0)),
-        rounds=get("rounds", 50),
-        local=local,
-        ddpg=ddpg,
-        distance_scope=get("distance_scope", "all_layers"),
-        validation=validation,
-        aggregator=get("aggregator", "fedaa"),
-        seed=get("seed", 0),
-    )
+    sizes, count = cfg.dataset.samples_per_client, cfg.dataset.num_clients
+    if isinstance(sizes, tuple) and len(sizes) != count:
+        raise ConfigError(f"dataset.samples_per_client lists {len(sizes)} sizes for {count} clients")
+    if cfg.malicious_fraction != 0.0 and cfg.attack is None:
+        raise ConfigError("malicious_fraction > 0 requires an attack")
+    return cfg
 
 
 def _fmt(value: object) -> str:
@@ -384,58 +335,24 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _value(cfg: ExperimentConfig, path: str) -> object:
+    """The value at a dotted field path; under no attack, the attack
+    fields read as "none"."""
+    value: object = cfg
+    for attr in path.split("."):
+        if value is None:
+            return "none"
+        value = getattr(value, attr)
+    return value
+
+
 def emit_config(cfg: ExperimentConfig) -> str:
     """Canonical text: sorted keys, every applicable key spelled out."""
-    pairs: dict[str, object] = {
-        "aggregator": cfg.aggregator,
-        "attack": cfg.attack.kind if cfg.attack else "none",
-        "dataset": cfg.dataset.kind,
-        "dataset.num_clients": cfg.dataset.num_clients,
-        "distance_scope": cfg.distance_scope,
-        "m_percent": cfg.m_percent,
-        "malicious_fraction": cfg.malicious_fraction,
-        "model.hidden": cfg.model_hidden,
-        "participation_ratio": cfg.participation_ratio,
-        "rounds": cfg.rounds,
-        "seed": cfg.seed,
-        "local.lr": cfg.local.learning_rate,
-        "local.weight_decay": cfg.local.weight_decay,
-        "local.batch_size": cfg.local.batch_size,
-        "local.epochs": cfg.local.epochs,
-        "ddpg.gamma": cfg.ddpg.gamma,
-        "ddpg.epsilon_soft": cfg.ddpg.epsilon_soft,
-        "ddpg.actor_lr": cfg.ddpg.actor_lr,
-        "ddpg.critic_lr": cfg.ddpg.critic_lr,
-        "ddpg.weight_decay": cfg.ddpg.weight_decay,
-        "ddpg.hidden": cfg.ddpg.hidden,
-        "ddpg.buffer_capacity": cfg.ddpg.buffer_capacity,
-        "ddpg.batch_size": cfg.ddpg.batch_size,
-        "ddpg.warmup": cfg.ddpg.warmup,
-        "ddpg.noise_sigma": cfg.ddpg.noise_sigma,
-        "ddpg.noise_sigma_end": cfg.ddpg.noise_sigma_end,
-    }
-    if cfg.attack is not None:
-        pairs["attack.tau"] = float(cfg.attack.tau)
-        if cfg.attack.kind == "ipm":
-            pairs["attack.ipm_epsilon"] = cfg.attack.ipm_epsilon
-    kind = cfg.dataset.kind
-    if kind == "synthetic":
-        pairs["dataset.alpha"] = cfg.dataset.alpha
-        pairs["dataset.beta"] = cfg.dataset.beta
-    if kind in SYNTHETIC_KINDS:
-        pairs["dataset.samples_per_client"] = cfg.dataset.samples_per_client
-    if kind == "synthetic_dirichlet":
-        pairs["dataset.total_samples"] = cfg.dataset.total_samples
-    if kind in ("synthetic_dirichlet", "csv", "idx"):
-        pairs["dataset.dirichlet_concentration"] = cfg.dataset.dirichlet_concentration
-    if kind == "csv":
-        pairs["dataset.csv_path"] = cfg.dataset.csv_path
-    if kind == "idx":
-        pairs["dataset.idx_images"] = cfg.dataset.idx_images
-        pairs["dataset.idx_labels"] = cfg.dataset.idx_labels
-    if cfg.validation.per_class is not None:
-        pairs["validation.per_class"] = cfg.validation.per_class
-    return "".join(f"{key} = {_fmt(pairs[key])}\n" for key in sorted(pairs))
+    kinds = cfg.dataset.kind, _value(cfg, "attack.kind")
+    pairs = {key.name: _value(cfg, key.field or key.name) for key in KEYS if _applies(key, kinds)}
+    return "".join(
+        f"{name} = {_fmt(pairs[name])}\n" for name in sorted(pairs) if pairs[name] is not None
+    )
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

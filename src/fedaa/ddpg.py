@@ -10,13 +10,12 @@ of both networks track the mains through soft updates.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, InternalError, NumericError
+from .errors import ConfigError, InternalError, NumericError
 from .nn import (
     ArchSpec,
     MlpModel,
@@ -200,104 +199,3 @@ def exploration_sigma(
         return start
     frac = min(max(round_index / (total_rounds - 1), 0.0), 1.0)
     return start * (1.0 - frac) + end * frac
-
-
-_MAGIC = b"FEDAAAG1"
-_HEAD_CODES = {"logits": 0, "softmax_simplex": 1, "scalar": 2}
-_CODE_HEADS = {v: k for k, v in _HEAD_CODES.items()}
-
-
-def _pack_net(model: MlpModel) -> bytes:
-    arch = model.arch
-    parts = [struct.pack("<II", arch.input_dim, len(arch.hidden_dims))]
-    parts.append(struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims))
-    parts.append(struct.pack("<II", arch.output_dim, _HEAD_CODES[arch.output_head]))
-    parts.append(struct.pack("<Q", model.params.size))
-    parts.append(model.params.astype("<f8").tobytes())
-    return b"".join(parts)
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob, self.path, self.offset = blob, path, 0
-
-    def take(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        if self.offset + size > len(self.blob):
-            raise IngestionError(f"{self.path}: truncated at byte {self.offset}")
-        out = struct.unpack_from(fmt, self.blob, self.offset)
-        self.offset += size
-        return out
-
-    def take_floats(self, count: int) -> np.ndarray:
-        size = 8 * count
-        if self.offset + size > len(self.blob):
-            raise IngestionError(f"{self.path}: truncated at byte {self.offset}")
-        arr = np.frombuffer(self.blob, dtype="<f8", count=count, offset=self.offset)
-        self.offset += size
-        return arr.astype(np.float64)
-
-
-def _unpack_net(reader: _Reader) -> MlpModel:
-    input_dim, n_hidden = reader.take("<II")
-    hidden = reader.take(f"<{n_hidden}I") if n_hidden else ()
-    output_dim, head_code = reader.take("<II")
-    if head_code not in _CODE_HEADS:
-        raise IngestionError(f"{reader.path}: unknown head code {head_code}")
-    arch = ArchSpec(input_dim, tuple(hidden), output_dim, output_head=_CODE_HEADS[head_code])
-    (count,) = reader.take("<Q")
-    params = reader.take_floats(count)
-    return MlpModel(arch, params)
-
-
-def save_agent(agent: DdpgAgent, path: str) -> None:
-    """Binary checkpoint; layout documented in README (all little-endian)."""
-    parts = [
-        _MAGIC,
-        struct.pack("<I", 1),
-        struct.pack("<Q", agent.update_counter),
-        struct.pack(
-            "<6d",
-            agent.gamma,
-            agent.epsilon_soft,
-            agent.actor_lr,
-            agent.critic_lr,
-            agent.weight_decay,
-            agent.noise_sigma,
-        ),
-    ]
-    for net in (agent.actor, agent.critic, agent.target_actor, agent.target_critic):
-        parts.append(_pack_net(net))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-
-
-def load_agent(path: str) -> DdpgAgent:
-    """Rebuild an agent from save_agent output; validates magic and version."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise IngestionError(f"{path}: bad magic at byte 0")
-    reader = _Reader(blob, path)
-    reader.offset = len(_MAGIC)
-    (version,) = reader.take("<I")
-    if version != 1:
-        raise IngestionError(f"{path}: unsupported checkpoint version {version}")
-    (counter,) = reader.take("<Q")
-    gamma, eps, actor_lr, critic_lr, wd, sigma = reader.take("<6d")
-    nets = [_unpack_net(reader) for _ in range(4)]
-    if reader.offset != len(blob):
-        raise IngestionError(f"{path}: {len(blob) - reader.offset} trailing bytes")
-    return DdpgAgent(
-        actor=nets[0],
-        critic=nets[1],
-        target_actor=nets[2],
-        target_critic=nets[3],
-        gamma=gamma,
-        epsilon_soft=eps,
-        actor_lr=actor_lr,
-        critic_lr=critic_lr,
-        weight_decay=wd,
-        noise_sigma=sigma,
-        update_counter=counter,
-    )

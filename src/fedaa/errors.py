@@ -18,7 +18,7 @@ class NumericError(FedaaError):
 
 
 class IngestionError(FedaaError):
-    """External file (dataset, checkpoint) failed structural validation."""
+    """External dataset file failed structural validation."""
 
 
 class SimulationError(FedaaError):

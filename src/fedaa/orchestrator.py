@@ -8,8 +8,9 @@ ones first, so reference-point attacks can read their uploads); the new
 uploads go through distance selection, producing the next state; the
 transition lands in the replay buffer; actor and critic take one SGD
 step each once the buffer has warmed up, and the targets soft-update
-every second round. The baseline aggregator replaces all of this with
-size-weighted averaging over every participant.
+every second round. The baseline aggregator runs the same loop but
+merges every upload with size weights, and skips selection and the
+policy.
 
 Randomness is split into named substreams of the config seed, so the
 schedule of one subsystem never perturbs another. Two runs of the same
@@ -40,7 +41,7 @@ from .ddpg import (
 )
 from .nn import ArchSpec, MlpModel, ce_loss_from_logits, forward, init_params
 from .seeding import derive_seed, stream
-from .selection import select_clients, top_count
+from .selection import SelectionResult, select_clients, top_count
 
 SUBSYSTEM_LABELS = (
     "data",
@@ -297,30 +298,23 @@ def _collect_uploads(
     cfg = exp.cfg
     uploads: dict[int, np.ndarray] = {}
     benign_vecs: list[np.ndarray] = []
-    for cid in participants:
+    for cid in sorted(participants, key=lambda c: exp.clients[c].role != "benign"):
         client = exp.clients[cid]
-        if client.role != "benign":
-            continue
         rng = stream(cfg.seed, "local", round_index, cid)
-        uploads[cid] = local_update(client, global_params, cfg.local, rng)
-        benign_vecs.append(uploads[cid])
-    for cid in participants:
-        client = exp.clients[cid]
+        try:
+            uploads[cid] = local_update(
+                client, global_params, cfg.local, rng, benign_uploads=benign_vecs
+            )
+        except FedaaError as exc:
+            raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc
         if client.role == "benign":
-            continue
-        rng = stream(cfg.seed, "local", round_index, cid)
-        uploads[cid] = local_update(
-            client, global_params, cfg.local, rng, benign_uploads=benign_vecs
-        )
+            benign_vecs.append(uploads[cid])
     return uploads
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundRecord]:
     """Full run under the configured aggregator; one record per round."""
-    exp = build_experiment(cfg)
-    if cfg.aggregator == "fedavg":
-        return _run_fedavg(exp)
-    return _run_fedaa(exp)
+    return run_rounds(build_experiment(cfg))
 
 
 def run_fedavg_baseline(cfg: ExperimentConfig) -> list[RoundRecord]:
@@ -328,73 +322,42 @@ def run_fedavg_baseline(cfg: ExperimentConfig) -> list[RoundRecord]:
     return run_experiment(replace(cfg, aggregator="fedavg"))
 
 
-def _run_fedaa(exp: Experiment) -> list[RoundRecord]:
-    cfg = exp.cfg
-    agent, buffer = exp.agent, exp.buffer
+def _select(exp: Experiment, uploads: dict[int, np.ndarray]) -> SelectionResult | None:
+    """Distance selection under fedaa; fedavg keeps every upload."""
+    if exp.agent is None:
+        return None
+    return select_clients(uploads, exp.cfg.m_percent, exp.cfg.distance_scope, exp.arch)
+
+
+def run_rounds(exp: Experiment) -> list[RoundRecord]:
+    """The round loop for both aggregators; one record per round.
+
+    fedavg has no agent: it merges every upload with train-size weights
+    and learns nothing from the round.
+    """
+    cfg, agent, buffer = exp.cfg, exp.agent, exp.buffer
     part_rng = stream(cfg.seed, "participation")
     explore_rng = stream(cfg.seed, "exploration")
     buffer_rng = stream(cfg.seed, "buffer")
     global_params = exp.initial_params.copy()
-    # round 0 selection sees unattacked broadcast copies: no training has
-    # happened yet, so there is nothing for an attacker to distort
+    # round 0 merges unattacked broadcast copies: no training has happened
+    # yet, so there is nothing for an attacker to distort
     participants = sample_participants(cfg.dataset.num_clients, cfg.participation_ratio, part_rng)
     uploads = {cid: global_params.copy() for cid in participants}
-    sel = select_clients(uploads, cfg.m_percent, cfg.distance_scope, exp.arch)
+    sel = _select(exp, uploads)
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):
         try:
-            agent.noise_sigma = exploration_sigma(
-                t, cfg.rounds, cfg.ddpg.noise_sigma, cfg.ddpg.noise_sigma_end
-            )
-            action = act(agent, sel.state, explore=True, rng=explore_rng)
-            global_params = aggregate([uploads[c] for c in sel.selected_ids], action)
-            global_model = MlpModel(exp.arch, global_params)
-            reward, per_class = evaluate_reward(global_model, exp.val_set)
-            participants = sample_participants(
-                cfg.dataset.num_clients, cfg.participation_ratio, part_rng
-            )
-            uploads = _collect_uploads(exp, participants, global_params, t)
-            fairness = evaluate_fairness(exp.clients, global_model)
-            next_sel = select_clients(uploads, cfg.m_percent, cfg.distance_scope, exp.arch)
-            records.append(
-                RoundRecord(
-                    round=t,
-                    reward=reward,
-                    mean_benign_acc=fairness.mean_acc,
-                    acc_std=fairness.acc_std,
-                    acc_var=fairness.acc_std**2,
-                    loss_std=fairness.loss_std,
-                    mean_global_acc=fairness.mean_global_acc,
-                    selected_ids=list(sel.selected_ids),
-                    action=[float(a) for a in action],
-                    per_class_val_acc=[float(a) for a in per_class],
+            if agent is None:
+                ids = sorted(uploads)
+                sizes = np.asarray([len(exp.clients[c].train) for c in ids], dtype=np.float64)
+                action = sizes / sizes.sum()
+            else:
+                agent.noise_sigma = exploration_sigma(
+                    t, cfg.rounds, cfg.ddpg.noise_sigma, cfg.ddpg.noise_sigma_end
                 )
-            )
-            buffer.push(Transition(sel.state, action, reward, next_sel.state))
-            if len(buffer) >= cfg.ddpg.warmup:
-                batch = buffer.sample(min(cfg.ddpg.batch_size, len(buffer)), buffer_rng)
-                update_critic(agent, batch)
-                update_actor(agent, batch)
-            if t % 2 == 0:
-                soft_update(agent)
-            sel = next_sel
-        except FedaaError as exc:
-            raise type(exc)(f"round {t}: {exc}") from exc
-    return records
-
-
-def _run_fedavg(exp: Experiment) -> list[RoundRecord]:
-    cfg = exp.cfg
-    part_rng = stream(cfg.seed, "participation")
-    global_params = exp.initial_params.copy()
-    participants = sample_participants(cfg.dataset.num_clients, cfg.participation_ratio, part_rng)
-    uploads = {cid: global_params.copy() for cid in participants}
-    records: list[RoundRecord] = []
-    for t in range(cfg.rounds):
-        try:
-            ids = sorted(uploads)
-            sizes = np.asarray([len(exp.clients[c].train) for c in ids], dtype=np.float64)
-            action = sizes / sizes.sum()
+                ids = list(sel.selected_ids)
+                action = act(agent, sel.state, explore=True, rng=explore_rng)
             global_params = aggregate([uploads[c] for c in ids], action)
             global_model = MlpModel(exp.arch, global_params)
             reward, per_class = evaluate_reward(global_model, exp.val_set)
@@ -403,6 +366,7 @@ def _run_fedavg(exp: Experiment) -> list[RoundRecord]:
             )
             uploads = _collect_uploads(exp, participants, global_params, t)
             fairness = evaluate_fairness(exp.clients, global_model)
+            next_sel = _select(exp, uploads)
             records.append(
                 RoundRecord(
                     round=t,
@@ -417,6 +381,15 @@ def _run_fedavg(exp: Experiment) -> list[RoundRecord]:
                     per_class_val_acc=[float(a) for a in per_class],
                 )
             )
+            if agent is not None:
+                buffer.push(Transition(sel.state, action, reward, next_sel.state))
+                if len(buffer) >= cfg.ddpg.warmup:
+                    batch = buffer.sample(min(cfg.ddpg.batch_size, len(buffer)), buffer_rng)
+                    update_critic(agent, batch)
+                    update_actor(agent, batch)
+                if t % 2 == 0:
+                    soft_update(agent)
+            sel = next_sel
         except FedaaError as exc:
             raise type(exc)(f"round {t}: {exc}") from exc
     return records

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from fedaa import config, results
 from fedaa.errors import ConfigError, FedaaError, ParseError
 from fedaa.orchestrator import RoundRecord
+from fedaa.selection import SCOPES
 
 
 def make_record(rnd=0, reward=0.5, **overrides):
@@ -99,6 +102,8 @@ def test_cross_validation_errors():
         config.parse_config_text(
             "malicious_fraction = 0.2\nattack = gaussian\nattack.ipm_epsilon = 0.4\n"
         )
+    with pytest.raises(ConfigError, match="attack.tau applies only to attack = same_value"):
+        config.parse_config_text("malicious_fraction = 0.2\nattack = ipm\nattack.tau = 3\n")
     with pytest.raises(ConfigError, match="lists 3 sizes for 4 clients"):
         config.parse_config_text(
             "dataset.num_clients = 4\ndataset.samples_per_client = 10,10,10\n"
@@ -176,6 +181,89 @@ def test_emit_is_sorted_and_complete():
     # inapplicable keys stay out of the canonical text
     assert "attack.tau" not in canonical
     assert "dataset.csv_path" not in canonical
+
+
+def _config_values(st):
+    """Parsed key values of configs of every dataset and attack kind. Each
+    key that applies may appear, with a value text that the key's own
+    parser accepts: one of a fixed set of examples, or a random number or
+    list."""
+    examples = config.DATASET_KINDS + config.ALL_ATTACKS + SCOPES + config.AGGREGATORS + (
+        "lognormal", "data.csv", "", "0", "0.5", "1", "7", "120", "5000", "10,20", "30,40,50",
+    )
+    numbers = st.one_of(
+        st.integers(0, 300).map(str),
+        st.integers(100, 10**4).map(str),
+        st.floats(0.0, 2.0).map(repr),
+        st.floats(0.0, 1e4).map(repr),
+        st.lists(st.integers(0, 120), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    )
+
+    def accepts(key, text):
+        try:
+            key.parse(text)
+        except ValueError:
+            return False
+        return True
+
+    fixed = {key.name: [text for text in examples if accepts(key, text)] for key in config.KEYS}
+
+    @st.composite
+    def values(draw):
+        kinds = (
+            draw(st.sampled_from(config.DATASET_KINDS)),
+            draw(st.sampled_from(config.ALL_ATTACKS)),
+        )
+        out = {"dataset": kinds[0], "attack": kinds[1]}
+        for key in config.KEYS:
+            if key.name in out or not config._applies(key, kinds):
+                continue
+            text = draw(st.one_of(st.sampled_from(fixed[key.name]), numbers, st.none()))
+            if text is not None and accepts(key, text):
+                out[key.name] = key.parse(text)
+        sizes = out.get("dataset.samples_per_client")
+        if isinstance(sizes, tuple) and len(sizes) >= 2:
+            out["dataset.num_clients"] = len(sizes)
+        return out
+
+    return values()
+
+
+def test_emit_parse_round_trip_generated():
+    hypothesis = pytest.importorskip("hypothesis")
+    seen_keys, seen_kinds = set(), set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_config_values(hypothesis.strategies))
+    def check(values):
+        try:
+            cfg = config.build_config(values)
+        except ConfigError:
+            hypothesis.reject()
+        seen_keys.update(values)
+        seen_kinds.update((values["dataset"], values["attack"]))
+        canonical = config.emit_config(cfg)
+        again = config.parse_config_text(canonical)
+        assert again == cfg
+        assert config.emit_config(again) == canonical
+
+    check()
+    assert seen_keys == set(config.SCHEMA)
+    assert seen_kinds == set(config.DATASET_KINDS + config.ALL_ATTACKS)
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config reference", 1)[1].split("\n## ", 1)[0]
+    # the first cell may name several keys: `ddpg.actor_lr` / `ddpg.critic_lr`
+    keys = [
+        key
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for key in re.findall(r"`([^`]+)`", line.split("|")[1])
+    ]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(config.SCHEMA)
 
 
 def test_config_hash_tracks_content():

@@ -1,11 +1,11 @@
-"""Actor-critic machinery: targets, updates, soft updates, checkpoints."""
+"""Actor-critic machinery: targets, updates, soft updates."""
 
 import numpy as np
 import pytest
 
 from conftest import central_diff, rel_err
 from fedaa import ddpg, nn
-from fedaa.errors import ConfigError, IngestionError, InternalError
+from fedaa.errors import ConfigError, InternalError
 
 
 def tiny_agent(state_dim=2, action_dim=2, hidden=4, seed=0, **hyper):
@@ -288,47 +288,3 @@ def test_exploration_sigma_schedule():
     assert abs(mid - (0.1 + (0.01 - 0.1) * 24 / 49)) < 1e-12
     assert ddpg.exploration_sigma(0, 1) == 0.1
     assert ddpg.exploration_sigma(10, 5) == 0.01  # clamps past the end
-
-
-# ------------------------------------------------------------ checkpoints
-
-
-def test_checkpoint_round_trip(tmp_path):
-    agent = tiny_agent(3, 4, hidden=6, seed=19, gamma=0.9, epsilon_soft=0.01,
-                       actor_lr=0.02, critic_lr=0.03, weight_decay=1e-4,
-                       noise_sigma=0.05)
-    ddpg.update_critic(agent, random_batch(agent, 3, seed=20))
-    path = str(tmp_path / "agent.bin")
-    ddpg.save_agent(agent, path)
-    loaded = ddpg.load_agent(path)
-    for name in ("actor", "critic", "target_actor", "target_critic"):
-        ours = getattr(agent, name)
-        theirs = getattr(loaded, name)
-        assert ours.arch == theirs.arch
-        assert ours.params.tobytes() == theirs.params.tobytes()
-    assert loaded.gamma == 0.9
-    assert loaded.epsilon_soft == 0.01
-    assert loaded.actor_lr == 0.02
-    assert loaded.critic_lr == 0.03
-    assert loaded.weight_decay == 1e-4
-    assert loaded.noise_sigma == 0.05
-    assert loaded.update_counter == 1
-
-
-def test_checkpoint_corruption_detected(tmp_path):
-    agent = tiny_agent(seed=21)
-    path = str(tmp_path / "agent.bin")
-    ddpg.save_agent(agent, path)
-    blob = open(path, "rb").read()
-    bad_magic = tmp_path / "bad_magic.bin"
-    bad_magic.write_bytes(b"X" + blob[1:])
-    with pytest.raises(IngestionError, match="magic"):
-        ddpg.load_agent(str(bad_magic))
-    truncated = tmp_path / "short.bin"
-    truncated.write_bytes(blob[:-10])
-    with pytest.raises(IngestionError, match="truncated"):
-        ddpg.load_agent(str(truncated))
-    padded = tmp_path / "padded.bin"
-    padded.write_bytes(blob + b"\x00\x00")
-    with pytest.raises(IngestionError, match="trailing"):
-        ddpg.load_agent(str(padded))

@@ -218,14 +218,14 @@ def test_fedavg_weights_proportional_to_sizes():
 def test_buffer_grows_one_transition_per_round():
     cfg = small_cfg(rounds=5)
     exp = orchestrator.build_experiment(cfg)
-    orchestrator._run_fedaa(exp)
+    orchestrator.run_rounds(exp)
     assert len(exp.buffer) == 5
 
 
 def test_agent_updates_after_warmup():
     cfg = small_cfg(rounds=5, ddpg=config.DdpgConfig(hidden=16, warmup=3, batch_size=4))
     exp = orchestrator.build_experiment(cfg)
-    orchestrator._run_fedaa(exp)
+    orchestrator.run_rounds(exp)
     # rounds 2, 3, 4 reach the warmup threshold (buffer sizes 3, 4, 5)
     assert exp.agent.update_counter == 3
 
@@ -237,7 +237,7 @@ def test_errors_carry_round_prefix():
         local=nn.SgdConfig(learning_rate=1e200, batch_size=8, epochs=2),
     )
     with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NumericError, match="^round 0:"):
+        with pytest.raises(NumericError, match=r"^round 0: client \d+ \(benign\): non-finite loss"):
             orchestrator.run_experiment(cfg)
 
 
