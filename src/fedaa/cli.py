@@ -16,6 +16,7 @@ from .config import (
     config_hash,
     emit_config,
     parse_config_values,
+    read_config_text,
 )
 from .orchestrator import run_experiment, subsystem_seeds
 from .results import (
@@ -29,15 +30,6 @@ from .results import (
     write_manifest,
 )
 from .selftest import run_selftest
-
-
-def _load_values(path: str) -> dict[str, object]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_values(text)
 
 
 def _plot_records(rows: list[dict], out_dir: str) -> list[str]:
@@ -59,7 +51,7 @@ def _plot_records(rows: list[dict], out_dir: str) -> list[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    values = _load_values(args.config)
+    values = parse_config_values(read_config_text(args.config))
     if args.seed is not None:
         values["seed"] = args.seed
     cfg = build_config(values)
@@ -147,7 +139,7 @@ def _sweep_one(task: tuple[int, int, ExperimentConfig]) -> tuple[int, int, dict]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    base = _load_values(args.config)
+    base = parse_config_values(read_config_text(args.config))
     axes = _parse_vary(args.vary or [])
     cells = _grid(axes)
     base_seed = int(base.get("seed", 0))

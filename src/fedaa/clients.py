@@ -87,11 +87,16 @@ def attack_gaussian(dim: int, tau: float, rng: np.random.Generator) -> np.ndarra
     return rng.normal(0.0, tau, size=dim)
 
 
-def attack_ipm(benign_uploads: list[np.ndarray], epsilon: float) -> np.ndarray:
-    """Negative scaled mean of this round's benign uploads."""
+def mean_upload(benign_uploads: list[np.ndarray]) -> np.ndarray:
+    """Mean of this round's benign uploads: the ipm reference point."""
     if not benign_uploads:
         raise SimulationError("ipm attack requires at least one benign upload")
-    return -epsilon * np.mean(np.stack(benign_uploads), axis=0)
+    return np.mean(np.stack(benign_uploads), axis=0)
+
+
+def attack_ipm(benign_uploads: list[np.ndarray], epsilon: float) -> np.ndarray:
+    """Negative scaled mean of this round's benign uploads."""
+    return -epsilon * mean_upload(benign_uploads)
 
 
 def local_update(
@@ -99,14 +104,15 @@ def local_update(
     global_params: np.ndarray,
     cfg: SgdConfig,
     rng: np.random.Generator,
-    benign_uploads: list[np.ndarray] | None = None,
+    benign_mean: np.ndarray | None = None,
 ) -> np.ndarray:
     """One client round: adopt the broadcast, train or attack, return the upload.
 
     Benign clients (and sign flippers, whose message needs the honest
     result) train from the broadcast and store the trained model.
     same_value/gaussian/ipm clients skip training; their stored model
-    keeps the broadcast parameters.
+    keeps the broadcast parameters. An ipm client needs ``benign_mean``,
+    the ``mean_upload`` of this round's benign uploads.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
     if global_params.shape != client.local_model.params.shape:
@@ -132,7 +138,7 @@ def local_update(
         return attack_same_value(global_params.size, client.attack.tau, rng)
     if kind == "gaussian":
         return attack_gaussian(global_params.size, client.attack.tau, rng)
-    # ipm: all attackers send the same vector derived from benign uploads
-    if benign_uploads is None:
-        raise SimulationError("ipm attack needs this round's benign uploads")
-    return attack_ipm(benign_uploads, client.attack.ipm_epsilon)
+    # ipm: all attackers send the same vector, each in an array of its own
+    if benign_mean is None:
+        raise SimulationError("ipm attack needs this round's benign mean upload")
+    return -client.attack.ipm_epsilon * benign_mean

@@ -15,6 +15,7 @@ defaults and ranges, and a test keeps the two in step.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable
@@ -108,6 +109,8 @@ def _float(
             value = float(raw)
         except ValueError:
             raise ValueError(f"not a number: {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {raw!r}")
         if lo is not None and (value <= lo if lo_open else value < lo):
             raise ValueError(f"must be {'>' if lo_open else '>='} {lo}")
         if hi is not None and (value >= hi if hi_open else value > hi):
@@ -257,13 +260,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return build_config(parse_config_values(text))
 
 
-def parse_config(path: str) -> ExperimentConfig:
+def read_config_text(path: str) -> str:
+    """The text of a config file; ConfigError if it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text)
+
+
+def parse_config(path: str) -> ExperimentConfig:
+    return parse_config_text(read_config_text(path))
 
 
 def _applies(key: Key, kinds: tuple[str, str]) -> bool:

@@ -212,17 +212,34 @@ def backward_from_output(
     return grad, dinput
 
 
-def _first_nonfinite_layer(cache: _ForwardCache) -> int:
-    for index, z in enumerate(cache.pre):
-        if not np.isfinite(z).all():
-            return index
-    return len(cache.pre) - 1
-
-
 def ce_loss_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of integer labels under the given logits."""
     logp = log_softmax(logits)
     return float(-logp[np.arange(labels.size), labels].mean())
+
+
+def _finite_ce_loss(pre: list[np.ndarray], labels: np.ndarray) -> float:
+    """Loss of the logits ``pre[-1]``; NumericError naming the first layer
+    with non-finite activations if it is not finite."""
+    loss = ce_loss_from_logits(pre[-1], labels)
+    if not math.isfinite(loss):
+        layer = next(
+            (index for index, z in enumerate(pre) if not np.isfinite(z).all()), len(pre) - 1
+        )
+        raise NumericError(f"non-finite loss; first non-finite activations at layer {layer}")
+    return loss
+
+
+def _ce_labels(arch: ArchSpec, labels: np.ndarray) -> np.ndarray:
+    """Labels for a cross-entropy objective, checked against the head."""
+    if arch.output_head != "logits":
+        raise ConfigError("cross-entropy backward requires the logits head")
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size == 0:
+        raise ConfigError("labels must be a non-empty 1-D integer array")
+    if labels.min() < 0 or labels.max() >= arch.output_dim:
+        raise ConfigError("label out of range for the output dimension")
+    return labels
 
 
 def backward_ce(
@@ -233,22 +250,11 @@ def backward_ce(
     Requires the ``logits`` head; raises NumericError naming the first
     offending layer if the loss is not finite.
     """
-    if model.arch.output_head != "logits":
-        raise ConfigError("cross-entropy backward requires the logits head")
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ConfigError("labels must be a non-empty 1-D integer array")
-    if labels.min() < 0 or labels.max() >= model.arch.output_dim:
-        raise ConfigError("label out of range for the output dimension")
+    labels = _ce_labels(model.arch, labels)
     out, cache = forward_cached(model, batch)
     if labels.size != out.shape[0]:
         raise ConfigError(f"{out.shape[0]} rows but {labels.size} labels")
-    loss = ce_loss_from_logits(out, labels)
-    if not math.isfinite(loss):
-        raise NumericError(
-            f"non-finite loss; first non-finite activations at layer "
-            f"{_first_nonfinite_layer(cache)}"
-        )
+    loss = _finite_ce_loss(cache.pre, labels)
     probs = softmax(out)
     dz = probs.copy()
     dz[np.arange(labels.size), labels] -= 1.0
@@ -284,18 +290,75 @@ def sgd_epoch(
 
     Each epoch reshuffles; the short final batch is used as is. The
     update is params -= lr * (grad + weight_decay * params).
+
+    Each step makes the floating-point operations of a ``backward_ce``
+    step on the batch (the update only swaps the operands of its sums
+    and products), so the result is bit-identical to a loop of
+    ``backward_ce`` steps; ``fedaa selftest`` checks this on the
+    installed numpy and BLAS. Inputs are checked and the layer views
+    built once per call, and the loss is computed only when the logits
+    could make it non-finite.
     """
-    features = _check_batch(model.arch, features)
+    arch = model.arch
+    features = _check_batch(arch, features)
     n = features.shape[0]
     if n == 0:
         raise ConfigError("cannot train on an empty dataset")
-    labels = np.asarray(labels)
     params = model.params.copy()
-    work = MlpModel(model.arch, params)
+    if cfg.epochs == 0:
+        return MlpModel(arch, params)
+    labels = _ce_labels(arch, labels)
+    if labels.size != n:
+        raise ConfigError(f"{n} rows but {labels.size} labels")
+    # the labels index one-hot rows, where a boolean array would be a mask
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ConfigError("labels must be a non-empty 1-D integer array")
+    layers = unflatten(arch, params)
+    grad = np.empty_like(params)
+    grads = unflatten(arch, grad)
+    step = np.empty_like(params)
+    targets = np.eye(arch.output_dim)[labels]
+    last = len(layers) - 1
+    # Exact guard for a finite loss. If every shifted logit z - max(row)
+    # is finite and above -bound, each log-probability lies in
+    # [-(bound + log C), 0], and their mean over at most batch_size rows
+    # cannot overflow, since batch_size * bound <= 1e307. A NaN or an
+    # infinite logit makes the minimum NaN or -inf and fails the guard.
+    # When it fails, the loss is computed and checked as backward_ce does.
+    floor = -min(1e300, 1e307 / cfg.batch_size)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        x_epoch, t_epoch = features[order], targets[order]
         for start in range(0, n, cfg.batch_size):
-            take = order[start : start + cfg.batch_size]
-            _, grad = backward_ce(work, features[take], labels[take])
-            params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
-    return work
+            stop = start + cfg.batch_size
+            inputs = [x_epoch[start:stop]]
+            pre = []
+            for index, (weight, bias) in enumerate(layers):
+                z = inputs[index] @ weight
+                z += bias
+                pre.append(z)
+                if index < last:
+                    inputs.append(np.maximum(z, 0.0))
+            # ufunc reductions are what ndarray.max/min/sum call, without
+            # their Python wrappers
+            dz = pre[-1] - np.maximum.reduce(pre[-1], axis=1, keepdims=True)
+            if not np.minimum.reduce(dz, axis=None) > floor:
+                _finite_ce_loss(pre, labels[order[start:stop]])
+            np.exp(dz, out=dz)
+            dz /= np.add.reduce(dz, axis=1, keepdims=True)
+            # subtracts 1.0 at each label, as backward_ce does; the other
+            # entries lose 0.0, which leaves every float as it is
+            dz -= t_epoch[start:stop]
+            dz /= len(dz)
+            for index in range(last, -1, -1):
+                weight_grad, bias_grad = grads[index]
+                np.matmul(inputs[index].T, dz, out=weight_grad)
+                np.add.reduce(dz, axis=0, out=bias_grad)
+                if index > 0:
+                    dz = dz @ layers[index][0].T
+                    dz *= pre[index - 1] > 0.0
+            np.multiply(params, cfg.weight_decay, out=step)
+            step += grad
+            step *= cfg.learning_rate
+            params -= step
+    return MlpModel(arch, params)

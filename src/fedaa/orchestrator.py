@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, FedaaError, InternalError
 from . import data as datamod
-from .clients import ClientRecord, assign_roles, local_update
+from .clients import ClientRecord, assign_roles, local_update, mean_upload
 from .config import ExperimentConfig, SYNTHETIC_KINDS
 from .data import LabeledDataset, round_half_up
 from .ddpg import (
@@ -298,12 +298,16 @@ def _collect_uploads(
     cfg = exp.cfg
     uploads: dict[int, np.ndarray] = {}
     benign_vecs: list[np.ndarray] = []
+    benign_mean = None
     for cid in sorted(participants, key=lambda c: exp.clients[c].role != "benign"):
         client = exp.clients[cid]
         rng = stream(cfg.seed, "local", round_index, cid)
         try:
+            if benign_mean is None and client.attack is not None and client.attack.kind == "ipm":
+                # every ipm attacker scales the same mean; take it once a round
+                benign_mean = mean_upload(benign_vecs)
             uploads[cid] = local_update(
-                client, global_params, cfg.local, rng, benign_uploads=benign_vecs
+                client, global_params, cfg.local, rng, benign_mean=benign_mean
             )
         except FedaaError as exc:
             raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc

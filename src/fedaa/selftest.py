@@ -6,7 +6,17 @@ import numpy as np
 
 from . import data as datamod
 from .ddpg import ReplayBuffer, Transition, make_agent, act, soft_update
-from .nn import ArchSpec, MlpModel, backward_ce, flatten, init_params, param_count, unflatten
+from .nn import (
+    ArchSpec,
+    MlpModel,
+    SgdConfig,
+    backward_ce,
+    flatten,
+    init_params,
+    param_count,
+    sgd_epoch,
+    unflatten,
+)
 from .orchestrator import aggregate
 from .selection import select_clients
 
@@ -92,6 +102,29 @@ def _check_gradient() -> None:
         )
 
 
+def _check_sgd_matches_reference() -> None:
+    # byte-identical results rest on sgd_epoch doing exactly the arithmetic
+    # of backward_ce steps on this numpy and BLAS
+    rng = np.random.default_rng(13)
+    arch = ArchSpec(6, (8, 5), 3)
+    start = init_params(arch, rng)
+    x = rng.normal(size=(23, 6))
+    y = rng.integers(0, 3, 23)
+    cfg = SgdConfig(learning_rate=0.2, weight_decay=1e-3, batch_size=8, epochs=2)
+    trained = sgd_epoch(MlpModel(arch, start), x, y, cfg, np.random.default_rng(14))
+    params = start.copy()
+    order_rng = np.random.default_rng(14)
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(len(y))
+        for lo in range(0, len(y), cfg.batch_size):
+            take = order[lo : lo + cfg.batch_size]
+            _, grad = backward_ce(MlpModel(arch, params), x[take], y[take])
+            params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
+    assert np.array_equal(trained.params, params), (
+        "sgd_epoch differs from a replay of backward_ce steps"
+    )
+
+
 CHECKS = (
     ("simplex_actions", _check_simplex_actions),
     ("soft_update_arithmetic", _check_soft_update),
@@ -101,6 +134,7 @@ CHECKS = (
     ("aggregation_convex_hull", _check_aggregate_hull),
     ("flatten_round_trip", _check_flatten_round_trip),
     ("gradient_check", _check_gradient),
+    ("sgd_matches_reference", _check_sgd_matches_reference),
 )
 
 

@@ -182,7 +182,7 @@ def test_ipm_client_uses_benign_uploads():
     benign = [np.ones(610), 3.0 * np.ones(610)]
     upload = clients.local_update(
         client, np.zeros(610), nn.SgdConfig(epochs=1), np.random.default_rng(14),
-        benign_uploads=benign,
+        benign_mean=clients.mean_upload(benign),
     )
     assert np.allclose(upload, -1.0)
     with pytest.raises(SimulationError):

@@ -85,6 +85,14 @@ def test_parse_errors_carry_line_numbers():
         config.parse_config_text("m_percent = 0\n")
 
 
+@pytest.mark.parametrize("key", ["m_percent", "local.lr"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_floats_rejected_with_line(key, raw):
+    # m_percent is bounded on both sides, local.lr only from below
+    with pytest.raises(ParseError, match=f"line 2: {key}: not a finite number: '{raw}'"):
+        config.parse_config_text(f"seed = 1\n{key} = {raw}\n")
+
+
 def test_cross_validation_errors():
     with pytest.raises(ConfigError, match="require an attack"):
         config.parse_config_text("attack.tau = 5\n")

@@ -317,14 +317,85 @@ def test_sgd_short_final_batch_used():
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=4, epochs=1)
     start = nn.init_params(arch, np.random.default_rng(3))
     trained = nn.sgd_epoch(nn.MlpModel(arch, start), x, y, cfg, np.random.default_rng(9))
-    # replay: same shuffle stream, manual updates
+    # replay: same shuffle stream, the update sgd_epoch makes
     order = np.random.default_rng(9).permutation(5)
     params = start.copy()
     for lo in (0, 4):
         take = order[lo : lo + 4]
         _, grad = nn.backward_ce(nn.MlpModel(arch, params), x[take], y[take])
-        params -= 0.1 * grad
-    assert np.allclose(trained.params, params, atol=1e-15)
+        params -= 0.1 * (grad + 0.0 * params)
+    assert np.array_equal(trained.params, params)
+
+
+def replay_backward_ce(model, x, y, cfg, rng):
+    """The straightforward SGD loop: one backward_ce call per minibatch."""
+    params = model.params.copy()
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        for lo in range(0, len(y), cfg.batch_size):
+            take = order[lo : lo + cfg.batch_size]
+            _, grad = nn.backward_ce(nn.MlpModel(model.arch, params), x[take], y[take])
+            params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
+    return params
+
+
+def test_sgd_matches_backward_ce_replay_generated():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        n=st.integers(1, 40),
+        batch_size=st.integers(1, 48),
+        epochs=st.integers(0, 3),
+        weight_decay=st.sampled_from([0.0, 1e-3, 0.3]),
+        classes=st.integers(2, 5),
+        hidden=st.sampled_from([(), (6,), (5, 3)]),
+        seed=st.integers(0, 2**16),
+    )
+    def check(n, batch_size, epochs, weight_decay, classes, hidden, seed):
+        rng = np.random.default_rng(seed)
+        arch = nn.ArchSpec(3, hidden, classes)
+        model = nn.MlpModel(arch, nn.init_params(arch, rng))
+        x = rng.normal(size=(n, 3))
+        y = rng.integers(0, classes, size=n)
+        cfg = nn.SgdConfig(learning_rate=0.5, weight_decay=weight_decay,
+                           batch_size=batch_size, epochs=epochs)
+        trained = nn.sgd_epoch(model, x, y, cfg, np.random.default_rng(seed))
+        expected = replay_backward_ce(model, x, y, cfg, np.random.default_rng(seed))
+        assert np.array_equal(trained.params, expected)
+        seen.update({("hidden", hidden), ("epochs", epochs), ("decay", weight_decay > 0)})
+        seen.add("batch > n" if batch_size > n else "short final batch" if n % batch_size else "")
+
+    check()
+    assert seen >= {("hidden", ()), ("hidden", (6,)), ("hidden", (5, 3)), ("epochs", 0),
+                    ("epochs", 3), ("decay", True), ("decay", False), "batch > n",
+                    "short final batch"}
+
+
+def test_sgd_nonfinite_start_params_raise_naming_the_layer():
+    model = small_model()
+    model.params[0] = np.inf
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(6, 4))
+    y = rng.integers(0, 3, size=6)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 0"):
+        nn.sgd_epoch(model, x, y, nn.SgdConfig(epochs=1), rng)
+
+
+def test_sgd_label_validation():
+    model = small_model()
+    x = np.zeros((4, 4))
+    cfg = nn.SgdConfig(epochs=1, batch_size=2)
+    for labels in (np.array([0, 1, 2, 3]), np.array([0, -1, 1, 1]), np.array([0, 1, 2]),
+                   np.array([0, 1, 2, 0, 1]), np.zeros((4, 1), dtype=int),
+                   np.array([0.0, 1.0, 2.0, 0.0]), np.array([True, False, True, False])):
+        with pytest.raises(ConfigError):
+            nn.sgd_epoch(model, x, labels, cfg, np.random.default_rng(0))
+    head = small_model(arch=nn.ArchSpec(4, (), 3, output_head="softmax_simplex"))
+    with pytest.raises(ConfigError, match="logits head"):
+        nn.sgd_epoch(head, x, np.zeros(4, dtype=int), cfg, np.random.default_rng(0))
 
 
 def test_sgd_empty_dataset_rejected():

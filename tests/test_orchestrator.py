@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from fedaa import config, nn, orchestrator
+from fedaa import clients, config, nn, orchestrator
 from fedaa.data import LabeledDataset
 from fedaa.clients import ClientRecord
-from fedaa.errors import ConfigError, InternalError, NumericError
+from fedaa.errors import ConfigError, InternalError, NumericError, SimulationError
 from fedaa.selection import top_count
 
 
@@ -239,6 +239,30 @@ def test_errors_carry_round_prefix():
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericError, match=r"^round 0: client \d+ \(benign\): non-finite loss"):
             orchestrator.run_experiment(cfg)
+
+
+def test_ipm_uploads_equal_attack_ipm_of_the_benign_uploads():
+    cfg = small_cfg(
+        malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
+    )
+    exp = orchestrator.build_experiment(cfg)
+    uploads = orchestrator._collect_uploads(exp, list(range(6)), exp.initial_params, 0)
+    benign = [uploads[c.id] for c in exp.clients if c.role == "benign"]
+    attackers = [uploads[c.id] for c in exp.clients if c.role == "malicious"]
+    assert len(attackers) == 2
+    expected = clients.attack_ipm(benign, 0.7)
+    for upload in attackers:
+        assert np.array_equal(upload, expected)
+    # each attacker holds an array of its own
+    assert not np.shares_memory(attackers[0], attackers[1])
+
+
+def test_ipm_round_without_benign_uploads_fails():
+    cfg = small_cfg(malicious_fraction=0.4, attack=clients.AttackSpec("ipm"))
+    exp = orchestrator.build_experiment(cfg)
+    attackers = [c.id for c in exp.clients if c.role == "malicious"]
+    with pytest.raises(SimulationError, match=r"client \d+ \(malicious\): ipm attack requires"):
+        orchestrator._collect_uploads(exp, attackers, exp.initial_params, 0)
 
 
 def test_malicious_roles_materialized():
