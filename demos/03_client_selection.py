@@ -21,20 +21,21 @@ uploads = {cid: rng.normal(0.0, 0.1, dim) for cid in range(8)}
 uploads[8] = attack_same_value(dim, 100.0, rng)
 uploads[9] = attack_same_value(dim, 100.0, rng)
 
-result = selection.select_clients(uploads, 50.0, "all_layers", keep_matrix=True)
+result = selection.select_clients(uploads, 50.0, "all_layers")
 
-print("client  row sum of distances")
-for cid, row_sum in zip(sorted(uploads), result.raw_row_sums):
-    tag = " <- selected" if cid in result.selected_ids else ""
+print("kept client  row sum of distances")
+for cid, row_sum in zip(result.selected_ids, result.raw_row_sums):
     kind = "attacker" if cid >= 8 else "honest"
-    print(f"  {cid} ({kind:8s}) {row_sum:12.2f}{tag}")
+    print(f"  {cid} ({kind:8s}) {row_sum:12.2f}")
+dropped = sorted(set(uploads) - set(result.selected_ids))
+print(f"dropped clients: {dropped} (attackers are 8 and 9)")
 
 print(f"\nkept the closest 50%: clients {result.selected_ids}")
 print(f"normalized state fed to the policy: "
       f"{np.array2string(result.state, precision=3)}")
 
-# the same scoring can run on just the last hidden layer's parameters,
-# which is how large models keep the distance matrix cheap
-arch_scope = selection.select_clients(uploads, 50.0, "all_layers")
-print(f"\nselection is scale-free: {arch_scope.selected_ids} "
-      f"(same members, any upload scale)")
+# scaling every upload by one constant scales every distance by it, so the
+# kept clients and the min-max normalized state stay the same
+scaled = selection.select_clients({cid: 1000.0 * v for cid, v in uploads.items()}, 50.0)
+print(f"\nuploads scaled by 1000: kept {scaled.selected_ids}, state "
+      f"{np.array2string(scaled.state, precision=3)} (selection is scale-free)")

@@ -32,28 +32,41 @@ from .results import (
 from .selftest import run_selftest
 
 
+# (file, title, y label, ((legend, results column), ...)): the charts that
+# `run --plot` and `report` draw, and the columns `report` reads
+CHARTS = (
+    (
+        "curves.svg",
+        "accuracy curves",
+        "accuracy",
+        (
+            ("reward", "reward"),
+            ("mean benign acc", "mean_benign_acc"),
+            ("mean global acc", "mean_global_acc"),
+        ),
+    ),
+    ("spread.svg", "client spread", "spread", (("acc std", "acc_std"), ("loss std", "loss_std"))),
+)
+
+
 def _plot_records(rows: list[dict], out_dir: str) -> list[str]:
     rounds = [float(r["round"]) for r in rows]
-    curves = [
-        ("reward", rounds, [r["reward"] for r in rows]),
-        ("mean benign acc", rounds, [r["mean_benign_acc"] for r in rows]),
-        ("mean global acc", rounds, [r["mean_global_acc"] for r in rows]),
-    ]
-    spread = [
-        ("acc std", rounds, [r["acc_std"] for r in rows]),
-        ("loss std", rounds, [r["loss_std"] for r in rows]),
-    ]
-    curves_path = os.path.join(out_dir, "curves.svg")
-    spread_path = os.path.join(out_dir, "spread.svg")
-    render_curves_svg(curves, curves_path, title="accuracy curves", y_label="accuracy")
-    render_curves_svg(spread, spread_path, title="client spread", y_label="spread")
-    return [curves_path, spread_path]
+    paths = []
+    for name, title, y_label, curves in CHARTS:
+        series = [(legend, rounds, [r[col] for r in rows]) for legend, col in curves]
+        path = os.path.join(out_dir, name)
+        render_curves_svg(series, path, title=title, y_label=y_label)
+        paths.append(path)
+    return paths
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     values = parse_config_values(read_config_text(args.config))
     if args.seed is not None:
-        values["seed"] = args.seed
+        try:
+            values["seed"] = SCHEMA["seed"](args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     cfg = build_config(values)
     os.makedirs(args.out, exist_ok=True)
     started = utc_now()
@@ -139,6 +152,8 @@ def _sweep_one(task: tuple[int, int, ExperimentConfig]) -> tuple[int, int, dict]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1 (got {args.seeds})")
     base = parse_config_values(read_config_text(args.config))
     axes = _parse_vary(args.vary or [])
     cells = _grid(axes)
@@ -191,24 +206,19 @@ def _read_results_csv(path: str) -> list[dict]:
     if not lines:
         raise ConfigError(f"{path}: empty results file")
     header = lines[0].split(",")
-    needed = {"round", "reward", "mean_benign_acc", "mean_global_acc", "acc_std", "loss_std"}
-    if not needed.issubset(header):
-        raise ConfigError(f"{path}: missing columns {sorted(needed - set(header))}")
+    columns = [col for *_, curves in CHARTS for _, col in curves]
+    missing = {"round", *columns} - set(header)
+    if missing:
+        raise ConfigError(f"{path}: missing columns {sorted(missing)}")
     if len(lines) == 1:
         raise ConfigError(f"{path}: no data rows")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=1):
         cells = dict(zip(header, line.split(",")))
-        rows.append(
-            {
-                "round": int(cells["round"]),
-                "reward": float(cells["reward"]),
-                "mean_benign_acc": float(cells["mean_benign_acc"]),
-                "mean_global_acc": float(cells["mean_global_acc"]),
-                "acc_std": float(cells["acc_std"]),
-                "loss_std": float(cells["loss_std"]),
-            }
-        )
+        try:
+            rows.append({"round": int(cells["round"]), **{c: float(cells[c]) for c in columns}})
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{path}: data row {number}: unreadable cell {exc}") from None
     return rows
 
 
@@ -233,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("--config", required=True, help="path to a key=value config file")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_run.add_argument("--seed", default=None, help="override the config seed")
     p_run.add_argument("--out", default="out", help="output directory (default: out)")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--plot", action="store_true", help="also write SVG curves")

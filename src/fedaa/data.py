@@ -63,7 +63,6 @@ class ClientPartition:
     """
 
     clients: list[tuple[LabeledDataset, LabeledDataset]]
-    provenance: str
     source_indices: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     @property
@@ -194,8 +193,7 @@ def generate_synthetic(spec: SyntheticSpec, rng: np.random.Generator) -> ClientP
                 LabeledDataset(x[test_idx], y[test_idx], spec.num_classes),
             )
         )
-    tag = f"synthetic(alpha={spec.alpha}, beta={spec.beta}, clients={spec.num_clients})"
-    return ClientPartition(clients, tag)
+    return ClientPartition(clients)
 
 
 def dirichlet_partition(
@@ -241,8 +239,7 @@ def dirichlet_partition(
         train_pos, test_pos = stratified_split(labels, rng)
         clients.append((source.subset(idx[train_pos]), source.subset(idx[test_pos])))
         indices.append((idx[train_pos], idx[test_pos]))
-    tag = f"dirichlet(concentration={concentration}, clients={num_clients})"
-    return ClientPartition(clients, tag, indices)
+    return ClientPartition(clients, indices)
 
 
 def build_validation_set(
@@ -303,7 +300,7 @@ def extract_server_pool(
         pool_y.append(train.labels[pick])
         clients.append((train.subset(keep), test))
     pool = LabeledDataset(np.vstack(pool_x), np.concatenate(pool_y), num_classes)
-    return pool, ClientPartition(clients, partition.provenance + "+server-pool")
+    return pool, ClientPartition(clients)
 
 
 def lognormal_sizes(

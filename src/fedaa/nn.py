@@ -32,7 +32,6 @@ class ArchSpec:
     input_dim: int
     hidden_dims: tuple[int, ...] = ()
     output_dim: int = 1
-    hidden_activation: str = "relu"
     output_head: str = "logits"
 
     def __post_init__(self) -> None:
@@ -41,8 +40,6 @@ class ArchSpec:
             raise ConfigError("input_dim and output_dim must be positive")
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigError("hidden layer widths must be positive")
-        if self.hidden_activation != "relu":
-            raise ConfigError(f"unsupported hidden activation: {self.hidden_activation!r}")
         if self.output_head not in HEADS:
             raise ConfigError(f"unsupported output head: {self.output_head!r}")
         if self.output_head == "scalar" and self.output_dim != 1:

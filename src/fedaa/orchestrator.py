@@ -65,6 +65,9 @@ def subsystem_seeds(master: int) -> dict[str, int]:
 
 @dataclass
 class RoundRecord:
+    """One round's results: the fields, in order, are the results columns;
+    ``int`` cells stay integers and every other cell is a checked float."""
+
     round: int
     reward: float
     mean_benign_acc: float

@@ -8,26 +8,17 @@ byte. List-valued cells join with '|' in CSV and stay lists in JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import FedaaError
 from .orchestrator import RoundRecord
 
-ROUND_COLUMNS = (
-    "round",
-    "reward",
-    "mean_benign_acc",
-    "acc_std",
-    "acc_var",
-    "loss_std",
-    "mean_global_acc",
-    "selected_ids",
-    "action",
-    "per_class_val_acc",
-)
+ROUND_COLUMNS = tuple(f.name for f in fields(RoundRecord))
+_COLUMN_TYPES = get_type_hints(RoundRecord)
 
 SWEEP_COLUMNS = (
     "method",
@@ -55,27 +46,25 @@ def _checked(x: float, field: str, rnd: int) -> float:
     return sig6(x)
 
 
+def _value(kind, value, field: str, rnd: int):
+    """One cell by its RoundRecord type: ints stay ints, floats are checked."""
+    if get_origin(kind) is list:
+        (item,) = get_args(kind)
+        return [_value(item, v, field, rnd) for v in value]
+    if kind is int:
+        return int(value)
+    return _checked(value, field, rnd)
+
+
 def records_to_rows(records: list[RoundRecord]) -> list[dict]:
     """Round records as plain dicts with rounded floats; rejects non-finite cells."""
-    rows = []
-    for rec in records:
-        rows.append(
-            {
-                "round": rec.round,
-                "reward": _checked(rec.reward, "reward", rec.round),
-                "mean_benign_acc": _checked(rec.mean_benign_acc, "mean_benign_acc", rec.round),
-                "acc_std": _checked(rec.acc_std, "acc_std", rec.round),
-                "acc_var": _checked(rec.acc_var, "acc_var", rec.round),
-                "loss_std": _checked(rec.loss_std, "loss_std", rec.round),
-                "mean_global_acc": _checked(rec.mean_global_acc, "mean_global_acc", rec.round),
-                "selected_ids": [int(c) for c in rec.selected_ids],
-                "action": [_checked(a, "action", rec.round) for a in rec.action],
-                "per_class_val_acc": [
-                    _checked(a, "per_class_val_acc", rec.round) for a in rec.per_class_val_acc
-                ],
-            }
-        )
-    return rows
+    return [
+        {
+            col: _value(_COLUMN_TYPES[col], getattr(rec, col), col, rec.round)
+            for col in ROUND_COLUMNS
+        }
+        for rec in records
+    ]
 
 
 def _cell(value) -> str:

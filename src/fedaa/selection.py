@@ -26,7 +26,6 @@ class SelectionResult:
     selected_ids: list[int]          # ascending client ids
     state: np.ndarray                # normalized row sums, aligned with selected_ids
     raw_row_sums: np.ndarray         # unnormalized, aligned with selected_ids
-    distance_matrix: np.ndarray | None = None  # full matrix, debug only
 
 
 def top_count(m_percent: float, n_participants: int) -> int:
@@ -81,7 +80,6 @@ def select_clients(
     m_percent: float,
     scope: str = "all_layers",
     arch: ArchSpec | None = None,
-    keep_matrix: bool = False,
 ) -> SelectionResult:
     """Keep the m_percent of uploads with the smallest summed distances.
 
@@ -101,17 +99,10 @@ def select_clients(
         raise SimulationError(
             f"only {int(finite.sum())} finite uploads for a selection of {count}"
         )
-    matrix = np.zeros((n, n))
     good = np.flatnonzero(finite)
-    if good.size >= 2:
-        matrix[np.ix_(good, good)] = squareform(pdist(x[good]))
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
-        matrix[bad, :] = np.inf
-        matrix[:, bad] = np.inf
-        np.fill_diagonal(matrix, 0.0)
     sums = np.full(n, np.inf)
-    sums[good] = matrix[np.ix_(good, good)].sum(axis=1)
+    # a single finite upload gives squareform's [[0.]], a zero sum
+    sums[good] = squareform(pdist(x[good])).sum(axis=1)
     ids_arr = np.asarray(ids)
     order = np.lexsort((ids_arr, sums))  # row sum first, id breaks ties
     chosen = np.sort(ids_arr[order[:count]])
@@ -121,5 +112,4 @@ def select_clients(
         selected_ids=[int(c) for c in chosen],
         state=normalize_state(raw),
         raw_row_sums=raw,
-        distance_matrix=matrix if keep_matrix else None,
     )

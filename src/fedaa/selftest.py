@@ -60,10 +60,14 @@ def _check_partition_complete() -> None:
 def _check_distance_symmetry() -> None:
     rng = np.random.default_rng(10)
     uploads = {i: rng.normal(size=20) for i in range(6)}
-    res = select_clients(uploads, 50.0, keep_matrix=True)
-    c = res.distance_matrix
+    x = np.stack([uploads[i] for i in range(6)])
+    c = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
     assert np.allclose(c, c.T, atol=1e-12) and np.all(np.diag(c) == 0.0), (
         "distance matrix must be symmetric with a zero diagonal"
+    )
+    res = select_clients(uploads, 50.0)
+    assert np.allclose(res.raw_row_sums, c[res.selected_ids].sum(axis=1), rtol=1e-12), (
+        "selection row sums must equal the distance matrix's row sums"
     )
 
 

@@ -70,6 +70,14 @@ def test_run_seed_override_changes_results(cfg_path, tmp_path):
     assert bytes_a != bytes_b
 
 
+def test_run_rejects_negative_seed(cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--config", cfg_path, "--out", out, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "fedaa: error: ConfigError: --seed: must be >= 0" in err
+    assert not os.path.exists(os.path.join(out, "config.txt"))
+
+
 def test_run_json_format(cfg_path, tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["run", "--config", cfg_path, "--out", out, "--format", "json"]) == 0
@@ -151,6 +159,14 @@ def test_sweep_parallel_matches_serial(cfg_path, tmp_path):
     )
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_sweep_rejects_fewer_than_one_seed(cfg_path, tmp_path, capsys, seeds):
+    out = str(tmp_path / "sweep")
+    assert cli.main(["sweep", "--config", cfg_path, "--out", out, "--seeds", seeds]) == 1
+    assert "--seeds must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "sweep.csv"))
+
+
 def test_sweep_vary_validation(cfg_path, capsys):
     assert cli.main(["sweep", "--config", cfg_path, "--vary", "bogus=1"]) == 1
     assert "unknown key" in capsys.readouterr().err
@@ -173,6 +189,15 @@ def test_report_rejects_missing_columns(tmp_path, capsys):
     path.write_text("round,reward\n0,0.5\n")
     assert cli.main(["report", "--input", str(path)]) == 1
     assert "missing columns" in capsys.readouterr().err
+
+
+def test_report_rejects_unreadable_cell(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "round,reward,mean_benign_acc,acc_std,loss_std,mean_global_acc\n0,0.5,x,0.1,0.2,0.3\n"
+    )
+    assert cli.main(["report", "--input", str(path)]) == 1
+    assert "data row 1: unreadable cell" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

@@ -1,5 +1,6 @@
 """Config parsing, canonical emission, and result serialization."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -284,6 +285,29 @@ def test_config_hash_tracks_content():
 
 
 # ------------------------------------------------------------ results
+
+
+def test_readme_results_schema_lists_every_column():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Results schema", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    listed = [tuple(re.findall(r"[a-z_]+", block)) for block in blocks]
+    assert listed == [results.ROUND_COLUMNS, results.SWEEP_COLUMNS]
+
+
+def test_round_columns_are_the_record_fields():
+    assert results.ROUND_COLUMNS == tuple(f.name for f in dataclasses.fields(RoundRecord))
+    record = make_record(
+        rnd=np.int64(2),
+        selected_ids=[np.int64(1), np.int64(4)],
+        per_class_val_acc=[0.1234567, np.float64(0.5)],
+    )
+    row = results.records_to_rows([record])[0]
+    assert tuple(row) == results.ROUND_COLUMNS
+    assert type(row["round"]) is int and [type(c) for c in row["selected_ids"]] == [int, int]
+    assert row["per_class_val_acc"] == [0.123457, 0.5]
+    with pytest.raises(FedaaError, match="'per_class_val_acc' at round 2"):
+        results.records_to_rows([make_record(rnd=2, per_class_val_acc=[0.5, math.nan])])
 
 
 def test_records_to_rows_rounds_floats():

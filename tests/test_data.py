@@ -237,7 +237,7 @@ def test_extract_server_pool_upload_rule():
         ds = data.LabeledDataset(rng.normal(size=(total, 4)), labels, 3)
         train, test = data.split_train_test(total, rng)
         clients.append((ds.subset(train), ds.subset(test)))
-    part = data.ClientPartition(clients, "manual")
+    part = data.ClientPartition(clients)
     pool, trimmed = data.extract_server_pool(part, np.random.default_rng(26))
     # smallest client holds 50 samples: every client uploads round(5.0) = 5
     assert len(pool) == 15
@@ -253,7 +253,7 @@ def test_extract_server_pool_rejects_tiny_trains():
     rng = np.random.default_rng(27)
     ds = data.LabeledDataset(rng.normal(size=(40, 2)), rng.integers(0, 2, 40), 2)
     # train split of 2 cannot spare round(0.1*40)=4 uploads
-    part = data.ClientPartition([(ds.subset(np.arange(2)), ds.subset(np.arange(2, 40)))], "m")
+    part = data.ClientPartition([(ds.subset(np.arange(2)), ds.subset(np.arange(2, 40)))])
     with pytest.raises(ConfigError):
         data.extract_server_pool(part, np.random.default_rng(28))
 

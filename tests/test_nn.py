@@ -46,8 +46,6 @@ def test_arch_validation():
     with pytest.raises(ConfigError):
         nn.ArchSpec(3, (0,), 2)
     with pytest.raises(ConfigError):
-        nn.ArchSpec(3, (), 2, hidden_activation="tanh")
-    with pytest.raises(ConfigError):
         nn.ArchSpec(3, (), 2, output_head="sigmoid")
     with pytest.raises(ConfigError):
         nn.ArchSpec(3, (), 2, output_head="scalar")  # scalar needs output_dim 1

@@ -88,22 +88,16 @@ def test_distance_matrix_matches_oracle():
     rng = np.random.default_rng(30)
     vectors = [rng.normal(size=12) for _ in range(7)]
     uploads = {i: v for i, v in enumerate(vectors)}
-    res = selection.select_clients(uploads, 50.0, keep_matrix=True)
+    res = selection.select_clients(uploads, 50.0)
     oracle = pairwise_oracle(vectors)
-    assert np.allclose(res.distance_matrix, oracle, atol=1e-12)
-    assert np.allclose(res.distance_matrix, res.distance_matrix.T, atol=1e-12)
-    assert np.all(np.diag(res.distance_matrix) == 0.0)
+    assert np.allclose(oracle, oracle.T, atol=1e-12)
+    assert np.all(np.diag(oracle) == 0.0)
     # row sums align with the oracle for the selected ids
     sums = oracle.sum(axis=1)
     order = np.lexsort((np.arange(7), sums))
     expect = sorted(order[:4].tolist())
     assert res.selected_ids == expect
-    assert np.allclose(res.raw_row_sums, sums[expect])
-
-
-def test_matrix_only_kept_on_request():
-    uploads = {i: np.full(3, float(i)) for i in range(4)}
-    assert selection.select_clients(uploads, 50.0).distance_matrix is None
+    assert np.allclose(res.raw_row_sums, sums[expect], rtol=1e-12, atol=0.0)
 
 
 def test_permutation_equivariance():
@@ -145,13 +139,10 @@ def test_nan_upload_never_selected():
     uploads = {i: rng.normal(size=5) for i in range(5)}
     uploads[2] = uploads[2].copy()
     uploads[2][3] = np.nan
-    res = selection.select_clients(uploads, 80.0, keep_matrix=True)
+    res = selection.select_clients(uploads, 80.0)
     assert 2 not in res.selected_ids
     assert len(res.selected_ids) == 4
-    # matrix rows touching the bad client are +inf, symmetric, zero diagonal
-    assert np.all(np.isinf(res.distance_matrix[2, [0, 1, 3, 4]]))
-    assert np.all(np.isinf(res.distance_matrix[[0, 1, 3, 4], 2]))
-    assert res.distance_matrix[2, 2] == 0.0
+    assert np.all(np.isfinite(res.raw_row_sums))
     # finite clients' row sums ignore the quarantined one
     finite = [0, 1, 3, 4]
     oracle = pairwise_oracle([uploads[i] for i in finite])
@@ -185,14 +176,12 @@ def test_last_hidden_layer_scope_slices_correct_block():
     c = base.copy()
     c[wsl.start] += 1.0
     uploads = {0: a, 1: b, 2: c}
-    res = selection.select_clients(
-        uploads, 67.0, scope="last_hidden_layer", arch=arch, keep_matrix=True
-    )
-    assert res.distance_matrix[0, 1] == 0.0
-    assert abs(res.distance_matrix[0, 2] - 1.0) < 1e-12
-    # under the full-vector scope client 1 is the outlier instead
-    full = selection.select_clients(uploads, 67.0, keep_matrix=True)
-    assert full.distance_matrix[0, 1] == 50.0
+    res = selection.select_clients(uploads, 67.0, scope="last_hidden_layer", arch=arch)
+    # scoped distances: d(0, 1) = 0 and d(0, 2) = d(1, 2) = 1
+    assert np.allclose(res.raw_row_sums, [1.0, 1.0], rtol=0.0, atol=1e-12)
+    # under the full-vector scope client 1 is the outlier instead: d(0, 1) = 50
+    full = selection.select_clients(uploads, 67.0)
+    assert np.allclose(full.raw_row_sums, [51.0, 1.0 + math.sqrt(2501.0)], rtol=0.0, atol=1e-9)
     assert full.selected_ids == [0, 2]
     assert res.selected_ids == [0, 1]
 
