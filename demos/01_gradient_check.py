@@ -11,7 +11,7 @@ import numpy as np
 from fedaa import nn
 
 # a 12-sample batch through a 20 -> 16 -> 10 network
-arch = nn.ArchSpec(20, (16,), 10, output_head="logits")
+arch = nn.ArchSpec(20, (16,), 10)
 rng = np.random.default_rng(7)
 params = nn.init_params(arch, rng)
 features = rng.normal(size=(12, 20))

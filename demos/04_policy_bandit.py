@@ -12,10 +12,9 @@ from fedaa import ddpg
 from fedaa.seeding import stream
 
 k, target, steps = 5, 2, 400
-agent = ddpg.make_agent(
-    k, k, stream(0, "bandit-agent"), hidden=64, gamma=0.0,
-    actor_lr=0.1, critic_lr=0.2, weight_decay=0.001, noise_sigma=1.5,
-)
+hyper = ddpg.DdpgConfig(hidden=64, gamma=0.0, actor_lr=0.1, critic_lr=0.2,
+                        weight_decay=0.001, noise_sigma=1.5)
+agent = ddpg.make_agent(k, k, hyper, stream(0, "bandit-agent"))
 explore = stream(0, "bandit-explore")
 buf_rng = stream(0, "bandit-buffer")
 buffer = ddpg.ReplayBuffer(10000)
@@ -23,7 +22,7 @@ state = np.full(k, 1.0)
 
 print(f"reward = action[{target}]; watching the greedy mass on arm {target}\n")
 for t in range(steps):
-    action = ddpg.act(agent, state, explore=True, rng=explore)
+    action = ddpg.act(agent, state, agent.cfg.noise_sigma, explore)
     buffer.push(ddpg.Transition(state, action, float(action[target]), state))
     if len(buffer) >= 64:
         batch = buffer.sample(64, buf_rng)

@@ -18,8 +18,8 @@ from .nn import MlpModel, SgdConfig, sgd_epoch
 
 ATTACK_KINDS = ("same_value", "sign_flip", "gaussian", "ipm")
 
-# scale conventions per attack; ipm uses epsilon instead
-_DEFAULT_TAU = {"same_value": 100.0, "sign_flip": 10.0, "gaussian": 100.0, "ipm": 1.0}
+# scale conventions per attack; ipm has no tau and scales by its epsilon
+_DEFAULT_TAU = {"same_value": 100.0, "sign_flip": 10.0, "gaussian": 100.0}
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,12 @@ class AttackSpec:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ConfigError(f"unknown attack kind: {self.kind!r}")
-        if self.tau is None:
+        if self.kind == "ipm":
+            if self.tau is not None:
+                raise ConfigError("the ipm attack takes no tau; ipm_epsilon sets its scale")
+        elif self.tau is None:
             object.__setattr__(self, "tau", _DEFAULT_TAU[self.kind])
-        if self.tau <= 0:
+        elif self.tau <= 0:
             raise ConfigError("attack tau must be positive")
         if self.ipm_epsilon <= 0:
             raise ConfigError("ipm epsilon must be positive")

@@ -22,6 +22,7 @@ from typing import Callable
 
 from .errors import ConfigError, ParseError
 from .clients import ATTACK_KINDS, AttackSpec
+from .ddpg import DdpgConfig
 from .nn import SgdConfig
 from .selection import SCOPES
 
@@ -44,21 +45,6 @@ class DatasetConfig:
     csv_path: str = ""
     idx_images: str = ""
     idx_labels: str = ""
-
-
-@dataclass(frozen=True)
-class DdpgConfig:
-    gamma: float = 0.99
-    epsilon_soft: float = 0.001
-    actor_lr: float = 0.01
-    critic_lr: float = 0.01
-    weight_decay: float = 1e-05
-    hidden: int = 256
-    buffer_capacity: int = 10000
-    batch_size: int = 64
-    warmup: int = 10
-    noise_sigma: float = 0.1
-    noise_sigma_end: float = 0.01
 
 
 @dataclass(frozen=True)

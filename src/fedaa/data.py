@@ -111,8 +111,6 @@ class SyntheticGenerator:
     weight: np.ndarray  # (num_classes, input_dim)
     bias: np.ndarray    # (num_classes,)
     center: float       # v_k, shared mean of every feature coordinate
-    model_mean: float   # u_k, mean of the weight/bias draws
-    center_mean: float  # mu_k, mean of the center draw
 
 
 def draw_synthetic_generators(
@@ -126,7 +124,7 @@ def draw_synthetic_generators(
         bias = rng.normal(u, 1.0, size=spec.num_classes)
         mu = float(rng.normal(0.0, math.sqrt(spec.beta)))
         v = float(rng.normal(mu, 1.0))
-        out.append(SyntheticGenerator(weight, bias, v, u, mu))
+        out.append(SyntheticGenerator(weight, bias, v))
     return out
 
 

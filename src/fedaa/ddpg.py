@@ -1,11 +1,14 @@
 """Deterministic-policy actor-critic over aggregation weights.
 
-The actor maps the selection state to a weight vector on the simplex
-(softmax head). The critic scores a (state, action) pair with a scalar
-head on the concatenated input. Updates are plain SGD with decoupled
-weight decay: the critic descends the mean squared Bellman residual,
-the actor ascends the critic's value of its own actions. Target copies
-of both networks track the mains through soft updates.
+The actor maps the selection state to logits, and the softmax of the
+logits is the weight vector on the simplex; this module applies that
+softmax and, in the actor update, its Jacobian. The critic scores a
+(state, action) pair with the single output of a network on the
+concatenated input. Updates are plain SGD with decoupled weight decay:
+the critic descends the mean squared Bellman residual, the actor
+ascends the critic's value of its own actions. Target copies of both
+networks track the mains through soft updates. ``DdpgConfig`` holds
+every hyperparameter.
 """
 
 from __future__ import annotations
@@ -22,10 +25,26 @@ from .nn import (
     backward_from_output,
     forward,
     forward_cached,
-    forward_logits,
     init_params,
     softmax,
 )
+
+
+@dataclass(frozen=True)
+class DdpgConfig:
+    """Policy hyperparameters; the defaults are those of the ``ddpg.*`` config keys."""
+
+    gamma: float = 0.99
+    epsilon_soft: float = 0.001
+    actor_lr: float = 0.01
+    critic_lr: float = 0.01
+    weight_decay: float = 1e-05
+    hidden: int = 256
+    buffer_capacity: int = 10000
+    batch_size: int = 64
+    warmup: int = 10
+    noise_sigma: float = 0.1
+    noise_sigma_end: float = 0.01
 
 
 @dataclass
@@ -75,13 +94,7 @@ class DdpgAgent:
     critic: MlpModel
     target_actor: MlpModel
     target_critic: MlpModel
-    gamma: float = 0.99
-    epsilon_soft: float = 0.001
-    actor_lr: float = 0.01
-    critic_lr: float = 0.01
-    weight_decay: float = 1e-5
-    noise_sigma: float = 0.1
-    update_counter: int = 0
+    cfg: DdpgConfig
 
     @property
     def state_dim(self) -> int:
@@ -93,17 +106,13 @@ class DdpgAgent:
 
 
 def make_agent(
-    state_dim: int,
-    action_dim: int,
-    rng: np.random.Generator,
-    hidden: int = 256,
-    **hyper,
+    state_dim: int, action_dim: int, cfg: DdpgConfig, rng: np.random.Generator
 ) -> DdpgAgent:
     """Fresh agent; targets start as exact copies of the mains."""
     if state_dim < 1 or action_dim < 1:
         raise ConfigError("state_dim and action_dim must be positive")
-    actor_arch = ArchSpec(state_dim, (hidden,), action_dim, output_head="softmax_simplex")
-    critic_arch = ArchSpec(state_dim + action_dim, (hidden,), 1, output_head="scalar")
+    actor_arch = ArchSpec(state_dim, (cfg.hidden,), action_dim)
+    critic_arch = ArchSpec(state_dim + action_dim, (cfg.hidden,), 1)
     actor = MlpModel(actor_arch, init_params(actor_arch, rng))
     critic = MlpModel(critic_arch, init_params(critic_arch, rng))
     return DdpgAgent(
@@ -111,25 +120,26 @@ def make_agent(
         critic=critic,
         target_actor=MlpModel(actor_arch, actor.params.copy()),
         target_critic=MlpModel(critic_arch, critic.params.copy()),
-        **hyper,
+        cfg=cfg,
     )
 
 
 def act(
     agent: DdpgAgent,
     state: np.ndarray,
-    explore: bool = False,
+    sigma: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Policy action for one state; exploration perturbs the pre-softmax logits."""
+    """Policy action for one state: greedy without ``sigma``; with it,
+    N(0, sigma^2) noise from ``rng`` perturbs the pre-softmax logits."""
     state = np.asarray(state, dtype=np.float64)
     if state.ndim != 1 or state.size != agent.state_dim:
         raise ConfigError(f"state has shape {state.shape}, expected ({agent.state_dim},)")
-    logits = forward_logits(agent.actor, state[None, :])
-    if explore:
+    logits = forward(agent.actor, state[None, :])
+    if sigma is not None:
         if rng is None:
             raise ConfigError("exploration requires an rng")
-        logits = logits + rng.normal(0.0, agent.noise_sigma, size=logits.shape)
+        logits = logits + rng.normal(0.0, sigma, size=logits.shape)
     return softmax(logits)[0]
 
 
@@ -146,9 +156,9 @@ def _stack(transitions: list[Transition]) -> tuple[np.ndarray, np.ndarray, np.nd
 def critic_target(agent: DdpgAgent, transitions: list[Transition]) -> np.ndarray:
     """Bellman targets y = r + gamma * Q'(s', pi'(s')) from the target nets."""
     _, _, rewards, next_states = _stack(transitions)
-    next_actions = forward(agent.target_actor, next_states)
+    next_actions = softmax(forward(agent.target_actor, next_states))
     q_next = forward(agent.target_critic, np.hstack([next_states, next_actions]))[:, 0]
-    return rewards + agent.gamma * q_next
+    return rewards + agent.cfg.gamma * q_next
 
 
 def update_critic(agent: DdpgAgent, transitions: list[Transition]) -> float:
@@ -162,15 +172,16 @@ def update_critic(agent: DdpgAgent, transitions: list[Transition]) -> float:
         raise NumericError("critic loss is not finite")
     dout = (2.0 / residual.size) * residual[:, None]
     grad, _ = backward_from_output(agent.critic, cache, dout)
-    agent.critic.params -= agent.critic_lr * (grad + agent.weight_decay * agent.critic.params)
-    agent.update_counter += 1
+    cfg = agent.cfg
+    agent.critic.params -= cfg.critic_lr * (grad + cfg.weight_decay * agent.critic.params)
     return loss
 
 
 def update_actor(agent: DdpgAgent, transitions: list[Transition]) -> float:
     """One ascent step on mean Q(s, pi(s)); returns the pre-step objective."""
     states, _, _, _ = _stack(transitions)
-    actions, actor_cache = forward_cached(agent.actor, states)
+    logits, actor_cache = forward_cached(agent.actor, states)
+    actions = softmax(logits)
     q, critic_cache = forward_cached(agent.critic, np.hstack([states, actions]))
     objective = float(np.mean(q[:, 0]))
     if not np.isfinite(objective):
@@ -178,24 +189,25 @@ def update_actor(agent: DdpgAgent, transitions: list[Transition]) -> float:
     dq = np.full((states.shape[0], 1), 1.0 / states.shape[0])
     _, dinput = backward_from_output(agent.critic, critic_cache, dq)
     d_action = dinput[:, agent.state_dim :]
-    grad, _ = backward_from_output(agent.actor, actor_cache, d_action)
-    agent.actor.params += agent.actor_lr * (grad - agent.weight_decay * agent.actor.params)
+    # through the softmax: d_logits = (d_action - <d_action, a>) * a, row by row
+    d_logits = (d_action - (d_action * actions).sum(axis=1, keepdims=True)) * actions
+    grad, _ = backward_from_output(agent.actor, actor_cache, d_logits)
+    cfg = agent.cfg
+    agent.actor.params += cfg.actor_lr * (grad - cfg.weight_decay * agent.actor.params)
     return objective
 
 
 def soft_update(agent: DdpgAgent) -> None:
     """targets <- epsilon * mains + (1 - epsilon) * targets, both networks."""
-    eps = agent.epsilon_soft
+    eps = agent.cfg.epsilon_soft
     for main, target in ((agent.actor, agent.target_actor), (agent.critic, agent.target_critic)):
         target.params *= 1.0 - eps
         target.params += eps * main.params
 
 
-def exploration_sigma(
-    round_index: int, total_rounds: int, start: float = 0.1, end: float = 0.01
-) -> float:
-    """Linear decay from start at round 0 to end at the final round."""
+def exploration_sigma(round_index: int, total_rounds: int, cfg: DdpgConfig) -> float:
+    """Linear decay from noise_sigma at round 0 to noise_sigma_end at the final round."""
     if total_rounds <= 1:
-        return start
+        return cfg.noise_sigma
     frac = min(max(round_index / (total_rounds - 1), 0.0), 1.0)
-    return start * (1.0 - frac) + end * frac
+    return cfg.noise_sigma * (1.0 - frac) + cfg.noise_sigma_end * frac

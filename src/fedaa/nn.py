@@ -1,16 +1,17 @@
 """Dense feed-forward networks on flat float64 parameter vectors.
 
 A model is a value: an architecture plus one flat vector. The flat
-layout is fixed and relied on by serialization and by the parameter
-distance computations elsewhere in the package:
+layout is fixed and relied on by the parameter distance computations
+elsewhere in the package:
 
     layer 0 weight (fan_in x fan_out, row-major), layer 0 bias,
     layer 1 weight, layer 1 bias, ...
 
-Hidden layers use ReLU. Output heads: ``logits`` (raw affine output),
-``softmax_simplex`` (rows on the probability simplex), and ``scalar``
-(single raw output, used for value functions). All arithmetic is
-float64; nothing here depends on global random state.
+Hidden layers use ReLU, and every network returns the raw affine
+output of its last layer: class logits for the client models, and for
+the policy networks the actor's logits (``ddpg`` applies their softmax)
+and the critic's value. All arithmetic is float64; nothing here
+depends on global random state.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 
-HEADS = ("logits", "softmax_simplex", "scalar")
-
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -32,7 +31,6 @@ class ArchSpec:
     input_dim: int
     hidden_dims: tuple[int, ...] = ()
     output_dim: int = 1
-    output_head: str = "logits"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
@@ -40,10 +38,6 @@ class ArchSpec:
             raise ConfigError("input_dim and output_dim must be positive")
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigError("hidden layer widths must be positive")
-        if self.output_head not in HEADS:
-            raise ConfigError(f"unsupported output head: {self.output_head!r}")
-        if self.output_head == "scalar" and self.output_dim != 1:
-            raise ConfigError("scalar head requires output_dim == 1")
 
     def layer_dims(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per affine layer, input to output."""
@@ -132,12 +126,11 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 class _ForwardCache:
     """Activations kept for one backward pass."""
 
-    __slots__ = ("inputs", "pre", "out")
+    __slots__ = ("inputs", "pre")
 
-    def __init__(self, inputs: np.ndarray, pre: list[np.ndarray], out: np.ndarray):
+    def __init__(self, inputs: list[np.ndarray], pre: list[np.ndarray]):
         self.inputs = inputs  # inputs[l] feeds affine layer l
         self.pre = pre        # pre[l] is the affine output of layer l
-        self.out = out        # post-head output
 
 
 def _check_batch(arch: ArchSpec, batch: np.ndarray) -> np.ndarray:
@@ -160,38 +153,25 @@ def forward_cached(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, _For
         pre.append(z)
         if index < len(layers) - 1:
             h = np.maximum(z, 0.0)
-    out = softmax(pre[-1]) if model.arch.output_head == "softmax_simplex" else pre[-1]
-    return out, _ForwardCache(inputs, pre, out)
+    return pre[-1], _ForwardCache(inputs, pre)
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
-    """Post-head output for a 2-D batch, shape (n, output_dim)."""
+    """Affine output of the last layer for a 2-D batch, shape (n, output_dim)."""
     return forward_cached(model, batch)[0]
-
-
-def forward_logits(model: MlpModel, batch: np.ndarray) -> np.ndarray:
-    """Pre-head affine output; equals forward() for logits/scalar heads."""
-    return forward_cached(model, batch)[1].pre[-1]
 
 
 def backward_from_output(
     model: MlpModel, cache: _ForwardCache, dout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backpropagate d(objective)/d(head output).
+    """Backpropagate d(objective)/d(network output).
 
     Returns (flat parameter gradient, gradient w.r.t. the input batch).
-    The head Jacobian is applied here, so ``dout`` is always taken
-    against the post-head output.
     """
     arch = model.arch
-    dout = np.asarray(dout, dtype=np.float64)
-    if dout.shape != cache.out.shape:
-        raise ConfigError(f"dout shape {dout.shape} != output shape {cache.out.shape}")
-    if arch.output_head == "softmax_simplex":
-        y = cache.out
-        dz = (dout - (dout * y).sum(axis=1, keepdims=True)) * y
-    else:
-        dz = dout
+    dz = np.asarray(dout, dtype=np.float64)
+    if dz.shape != cache.pre[-1].shape:
+        raise ConfigError(f"dout shape {dz.shape} != output shape {cache.pre[-1].shape}")
     grad = np.empty(param_count(arch))
     slices = layer_slices(arch)
     layers = unflatten(arch, model.params)
@@ -228,9 +208,7 @@ def _finite_ce_loss(pre: list[np.ndarray], labels: np.ndarray) -> float:
 
 
 def _ce_labels(arch: ArchSpec, labels: np.ndarray) -> np.ndarray:
-    """Labels for a cross-entropy objective, checked against the head."""
-    if arch.output_head != "logits":
-        raise ConfigError("cross-entropy backward requires the logits head")
+    """Labels for a cross-entropy objective, checked against the output."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ConfigError("labels must be a non-empty 1-D integer array")
@@ -244,15 +222,15 @@ def backward_ce(
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy loss and its flat parameter gradient.
 
-    Requires the ``logits`` head; raises NumericError naming the first
-    offending layer if the loss is not finite.
+    The network output is taken as logits; raises NumericError naming
+    the first offending layer if the loss is not finite.
     """
     labels = _ce_labels(model.arch, labels)
-    out, cache = forward_cached(model, batch)
-    if labels.size != out.shape[0]:
-        raise ConfigError(f"{out.shape[0]} rows but {labels.size} labels")
+    logits, cache = forward_cached(model, batch)
+    if labels.size != logits.shape[0]:
+        raise ConfigError(f"{logits.shape[0]} rows but {labels.size} labels")
     loss = _finite_ce_loss(cache.pre, labels)
-    probs = softmax(out)
+    probs = softmax(logits)
     dz = probs.copy()
     dz[np.arange(labels.size), labels] -= 1.0
     dz /= labels.size

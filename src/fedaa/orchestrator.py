@@ -242,7 +242,7 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     val_set, partition = _materialize_data(cfg)
     num_classes = val_set.num_classes
     input_dim = val_set.features.shape[1]
-    arch = ArchSpec(input_dim, tuple(cfg.model_hidden), num_classes, output_head="logits")
+    arch = ArchSpec(input_dim, tuple(cfg.model_hidden), num_classes)
     initial = init_params(arch, stream(cfg.seed, "model-init"))
     malicious = set(assign_roles(cfg.dataset.num_clients, cfg.malicious_fraction, stream(cfg.seed, "roles")))
     clients = []
@@ -265,18 +265,7 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         if cohort < 2:
             raise ConfigError("the distance selector needs a cohort of at least 2")
         m_count = top_count(cfg.m_percent, cohort)
-        agent = make_agent(
-            state_dim=m_count,
-            action_dim=m_count,
-            rng=stream(cfg.seed, "agent-init"),
-            hidden=cfg.ddpg.hidden,
-            gamma=cfg.ddpg.gamma,
-            epsilon_soft=cfg.ddpg.epsilon_soft,
-            actor_lr=cfg.ddpg.actor_lr,
-            critic_lr=cfg.ddpg.critic_lr,
-            weight_decay=cfg.ddpg.weight_decay,
-            noise_sigma=cfg.ddpg.noise_sigma,
-        )
+        agent = make_agent(m_count, m_count, cfg.ddpg, stream(cfg.seed, "agent-init"))
         buffer = ReplayBuffer(cfg.ddpg.buffer_capacity)
     return Experiment(
         cfg=cfg,
@@ -360,11 +349,9 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
                 sizes = np.asarray([len(exp.clients[c].train) for c in ids], dtype=np.float64)
                 action = sizes / sizes.sum()
             else:
-                agent.noise_sigma = exploration_sigma(
-                    t, cfg.rounds, cfg.ddpg.noise_sigma, cfg.ddpg.noise_sigma_end
-                )
                 ids = list(sel.selected_ids)
-                action = act(agent, sel.state, explore=True, rng=explore_rng)
+                sigma = exploration_sigma(t, cfg.rounds, cfg.ddpg)
+                action = act(agent, sel.state, sigma, explore_rng)
             global_params = aggregate([uploads[c] for c in ids], action)
             global_model = MlpModel(exp.arch, global_params)
             reward, per_class = evaluate_reward(global_model, exp.val_set)

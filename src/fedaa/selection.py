@@ -16,7 +16,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from .errors import ConfigError, SimulationError
 from .data import round_half_up
-from .nn import ArchSpec, layer_slices
+from .nn import ArchSpec, layer_slices, param_count
 
 SCOPES = ("all_layers", "last_hidden_layer")
 
@@ -63,7 +63,7 @@ def _scoped_vectors(
     if scope == "last_hidden_layer":
         if arch is None:
             raise ConfigError("last_hidden_layer scope requires the model architecture")
-        if size != sum(fi * fo + fo for fi, fo in arch.layer_dims()):
+        if size != param_count(arch):
             raise ConfigError("uploads do not match the given architecture")
         if arch.hidden_dims:
             # weight and bias of the final hidden layer are adjacent in the flat layout

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import data as datamod
-from .ddpg import ReplayBuffer, Transition, make_agent, act, soft_update
+from .ddpg import DdpgConfig, ReplayBuffer, Transition, make_agent, act, soft_update
 from .nn import (
     ArchSpec,
     MlpModel,
@@ -23,15 +23,15 @@ from .selection import select_clients
 
 def _check_simplex_actions() -> None:
     rng = np.random.default_rng(7)
-    agent = make_agent(4, 4, rng, hidden=16)
+    agent = make_agent(4, 4, DdpgConfig(hidden=16), rng)
     for trial in range(20):
-        a = act(agent, rng.uniform(0, 1, 4), explore=True, rng=rng)
+        a = act(agent, rng.uniform(0, 1, 4), 0.1, rng)
         assert abs(a.sum() - 1.0) < 1e-9 and a.min() >= 0.0, "action off the simplex"
 
 
 def _check_soft_update() -> None:
     rng = np.random.default_rng(8)
-    agent = make_agent(3, 3, rng, hidden=8, epsilon_soft=1.0)
+    agent = make_agent(3, 3, DdpgConfig(hidden=8, epsilon_soft=1.0), rng)
     soft_update(agent)
     assert np.array_equal(agent.target_actor.params, agent.actor.params), (
         "epsilon 1 must overwrite the target"

@@ -48,7 +48,7 @@ def test_gradients_match_central_differences():
     coord_rng = np.random.default_rng(0)
 
     # client model: cross-entropy through a relu hidden layer
-    arch = nn.ArchSpec(20, (16,), 10, output_head="logits")
+    arch = nn.ArchSpec(20, (16,), 10)
     params = nn.init_params(arch, np.random.default_rng(1))
     batch_rng = np.random.default_rng(2)
     features = batch_rng.normal(size=(12, 20))
@@ -65,8 +65,8 @@ def test_gradients_match_central_differences():
     assert worst_client < 1e-4
 
     # agent: unit learning rates make one update step expose the gradient
-    agent = ddpg.make_agent(6, 6, np.random.default_rng(3), hidden=16,
-                            actor_lr=1.0, critic_lr=1.0, weight_decay=0.0)
+    hyper = ddpg.DdpgConfig(hidden=16, actor_lr=1.0, critic_lr=1.0, weight_decay=0.0)
+    agent = ddpg.make_agent(6, 6, hyper, np.random.default_rng(3))
     tr_rng = np.random.default_rng(4)
     batch = []
     for _ in range(8):
@@ -100,7 +100,7 @@ def test_gradients_match_central_differences():
     actor_before = agent.actor.params.copy()
 
     def actor_objective(p):
-        acts = nn.forward(nn.MlpModel(agent.actor.arch, p), states)
+        acts = nn.softmax(nn.forward(nn.MlpModel(agent.actor.arch, p), states))
         return float(np.mean(nn.forward(agent.critic, np.hstack([states, acts]))[:, 0]))
 
     ddpg.update_actor(agent, batch)
@@ -193,17 +193,16 @@ def test_policy_concentrates_on_rewarded_arm():
     t0 = time.perf_counter()
     k, target, steps = 5, 2, 500
     for seed in range(5):
-        agent = ddpg.make_agent(
-            k, k, stream(seed, "bandit-agent"), hidden=64, gamma=0.0,
-            actor_lr=0.1, critic_lr=0.2, weight_decay=0.001, noise_sigma=1.5,
-        )
+        hyper = ddpg.DdpgConfig(hidden=64, gamma=0.0, actor_lr=0.1, critic_lr=0.2,
+                                weight_decay=0.001, noise_sigma=1.5)
+        agent = ddpg.make_agent(k, k, hyper, stream(seed, "bandit-agent"))
         explore = stream(seed, "bandit-explore")
         buf_rng = stream(seed, "bandit-buffer")
         buffer = ddpg.ReplayBuffer(10000)
         state = np.full(k, 1.0)
         crossed = None
         for t in range(steps):
-            action = ddpg.act(agent, state, explore=True, rng=explore)
+            action = ddpg.act(agent, state, agent.cfg.noise_sigma, explore)
             buffer.push(ddpg.Transition(state, action, float(action[target]), state))
             if len(buffer) >= 64:
                 batch = buffer.sample(min(64, len(buffer)), buf_rng)

@@ -49,6 +49,10 @@ def test_attack_spec_defaults():
         clients.AttackSpec("gaussian", tau=0.0)
     with pytest.raises(ConfigError):
         clients.AttackSpec("ipm", ipm_epsilon=-1.0)
+    # ipm scales by its epsilon; a tau would be silently ignored
+    assert clients.AttackSpec("ipm").tau is None
+    with pytest.raises(ConfigError, match="ipm"):
+        clients.AttackSpec("ipm", tau=5.0)
 
 
 def test_client_record_role_attack_pairing():

@@ -265,14 +265,31 @@ def test_readme_config_table_lists_every_key():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Config reference", 1)[1].split("\n## ", 1)[0]
     # the first cell may name several keys: `ddpg.actor_lr` / `ddpg.critic_lr`
-    keys = [
-        key
+    rows = [
+        (re.findall(r"`([^`]+)`", cells[1]), re.fullmatch(r"`([^`]*)`", cells[2].strip()))
         for line in section.splitlines()
         if line.startswith("| `")
-        for key in re.findall(r"`([^`]+)`", line.split("|")[1])
+        for cells in [line.split("|")]
     ]
+    keys = [key for row_keys, _ in rows for key in row_keys]
     assert len(keys) == len(set(keys))
     assert set(keys) == set(config.SCHEMA)
+    # a literal default reads as the default config emits the key, or, for
+    # a key of another dataset or attack kind, a config that picks that kind
+    emitted = {}
+    for text in ("", "dataset = synthetic\n", "dataset = synthetic_dirichlet\n",
+                 "malicious_fraction = 0.1\nattack = ipm\n"):
+        for line in config.emit_config(config.parse_config_text(text)).splitlines():
+            key, _, value = line.partition(" = ")
+            emitted.setdefault(key, value)
+    for row_keys, default in rows:
+        for key in row_keys if default else ():
+            assert emitted[key] == default.group(1), key
+    # the rows whose default is a path, a word or a rule, not a value
+    assert {key for row_keys, default in rows if not default for key in row_keys} == {
+        "dataset.csv_path", "dataset.idx_images", "dataset.idx_labels",
+        "model.hidden", "attack.tau", "validation.per_class",
+    }
 
 
 def test_config_hash_tracks_content():

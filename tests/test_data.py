@@ -48,8 +48,15 @@ def test_synthetic_spec_validation():
 
 def test_degenerate_means_are_exactly_zero():
     gens = data.draw_synthetic_generators(spec(0.0, 0.0, clients=6), np.random.default_rng(1))
-    assert all(g.model_mean == 0.0 for g in gens)
-    assert all(g.center_mean == 0.0 for g in gens)
+    # zero-variance means are exactly 0.0, so the weights, biases and
+    # centers are the unit normal draws themselves
+    replay = np.random.default_rng(1)
+    for g in gens:
+        replay.normal()  # u_k
+        assert np.array_equal(g.weight, replay.normal(0.0, 1.0, size=g.weight.shape))
+        assert np.array_equal(g.bias, replay.normal(0.0, 1.0, size=g.bias.shape))
+        replay.normal()  # mu_k
+        assert g.center == replay.normal(0.0, 1.0)
     # centers still vary with unit variance around the zero mean
     centers = [g.center for g in gens]
     assert np.std(centers) > 0.0
@@ -60,13 +67,16 @@ def test_alpha_beta_are_variances():
     n = 3000
     big = data.SyntheticSpec(4.0, 9.0, n, (5,) * n)
     gens = data.draw_synthetic_generators(big, np.random.default_rng(2))
-    u = np.array([g.model_mean for g in gens])
-    mu = np.array([g.center_mean for g in gens])
-    assert abs(np.var(u) - 4.0) / 4.0 < 0.15
-    assert abs(np.var(mu) - 9.0) / 9.0 < 0.15
+    # u_k draws every weight and bias at unit variance around it, and
+    # mu_k the center: their spreads add alpha and beta to that noise
+    draws = [np.concatenate([g.weight.ravel(), g.bias]) for g in gens]
+    u_hat = np.array([d.mean() for d in draws])
+    centers = np.array([g.center for g in gens])
+    expected_u = 4.0 + 1.0 / draws[0].size
+    assert abs(np.var(u_hat) - expected_u) / expected_u < 0.15
+    assert abs(np.var(centers) - 10.0) / 10.0 < 0.15
     # weight entries sit at unit variance around u_k
-    w = gens[0].weight
-    assert abs(np.var(w - gens[0].model_mean) - 1.0) < 0.15
+    assert abs(np.var(gens[0].weight) - 1.0) < 0.15
 
 
 def test_feature_scales_follow_power_law():

@@ -1,5 +1,7 @@
 """Actor-critic machinery: targets, updates, soft updates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from fedaa.errors import ConfigError, InternalError
 
 
 def tiny_agent(state_dim=2, action_dim=2, hidden=4, seed=0, **hyper):
-    return ddpg.make_agent(state_dim, action_dim, np.random.default_rng(seed),
-                           hidden=hidden, **hyper)
+    return ddpg.make_agent(state_dim, action_dim, ddpg.DdpgConfig(hidden=hidden, **hyper),
+                           np.random.default_rng(seed))
 
 
 def random_batch(agent, n, seed):
@@ -84,9 +86,9 @@ def test_make_agent_shapes_and_target_copies():
     agent = tiny_agent(3, 5, hidden=8)
     assert agent.actor.arch.input_dim == 3
     assert agent.actor.arch.output_dim == 5
-    assert agent.actor.arch.output_head == "softmax_simplex"
+    assert agent.actor.arch.hidden_dims == agent.critic.arch.hidden_dims == (8,)
     assert agent.critic.arch.input_dim == 8  # state plus action
-    assert agent.critic.arch.output_head == "scalar"
+    assert agent.critic.arch.output_dim == 1
     assert np.array_equal(agent.target_actor.params, agent.actor.params)
     assert np.array_equal(agent.target_critic.params, agent.critic.params)
     # targets are independent copies
@@ -100,25 +102,22 @@ def test_act_simplex_and_determinism():
     a = ddpg.act(agent, state)
     assert abs(a.sum() - 1.0) < 1e-12 and a.min() > 0.0
     # zero noise equals the greedy action exactly
-    agent.noise_sigma = 0.0
-    noisy = ddpg.act(agent, state, explore=True, rng=np.random.default_rng(0))
+    noisy = ddpg.act(agent, state, 0.0, np.random.default_rng(0))
     assert np.array_equal(noisy, ddpg.act(agent, state))
-    agent.noise_sigma = 0.5
-    one = ddpg.act(agent, state, explore=True, rng=np.random.default_rng(4))
-    two = ddpg.act(agent, state, explore=True, rng=np.random.default_rng(4))
+    one = ddpg.act(agent, state, 0.5, np.random.default_rng(4))
+    two = ddpg.act(agent, state, 0.5, np.random.default_rng(4))
     assert np.array_equal(one, two)
     with pytest.raises(ConfigError):
         ddpg.act(agent, np.zeros(3))
     with pytest.raises(ConfigError):
-        ddpg.act(agent, state, explore=True)
+        ddpg.act(agent, state, 0.5)
 
 
 def test_exploration_noise_perturbs_logits():
     agent = tiny_agent()
-    agent.noise_sigma = 1.0
     state = np.array([0.4, 0.6])
     greedy = ddpg.act(agent, state)
-    noisy = ddpg.act(agent, state, explore=True, rng=np.random.default_rng(5))
+    noisy = ddpg.act(agent, state, 1.0, np.random.default_rng(5))
     assert not np.array_equal(greedy, noisy)
     assert abs(noisy.sum() - 1.0) < 1e-12
 
@@ -128,14 +127,14 @@ def test_exploration_noise_perturbs_logits():
 
 def test_critic_target_hand_computed():
     # Q'(s, a) = 0.5 s + 1.0 a + 0.25; single-arm actor always outputs [1]
-    critic_arch = nn.ArchSpec(2, (), 1, output_head="scalar")
-    actor_arch = nn.ArchSpec(1, (), 1, output_head="softmax_simplex")
+    critic_arch = nn.ArchSpec(2, (), 1)
+    actor_arch = nn.ArchSpec(1, (), 1)
     agent = ddpg.DdpgAgent(
         actor=nn.MlpModel(actor_arch, np.zeros(2)),
         critic=nn.MlpModel(critic_arch, np.zeros(3)),
         target_actor=nn.MlpModel(actor_arch, np.zeros(2)),
         target_critic=nn.MlpModel(critic_arch, np.array([0.5, 1.0, 0.25])),
-        gamma=0.99,
+        cfg=ddpg.DdpgConfig(gamma=0.99),
     )
     t = ddpg.Transition(np.array([2.0]), np.array([1.0]), 0.3, np.array([4.0]))
     y = ddpg.critic_target(agent, [t])
@@ -164,11 +163,10 @@ def test_update_critic_loss_and_gradient():
     reported = ddpg.update_critic(agent, batch)
     assert rel_err(reported, loss_at(before)) < 1e-12
     # recover the applied gradient from the parameter step
-    implied = (before - agent.critic.params) / agent.critic_lr
+    implied = (before - agent.critic.params) / agent.cfg.critic_lr
     fd = central_diff(loss_at, before, range(before.size))
     worst = max(rel_err(fd[k], implied[k]) for k in fd)
     assert worst < 1e-5
-    assert agent.update_counter == 1
 
 
 def test_update_critic_weight_decay_enters_step():
@@ -179,7 +177,7 @@ def test_update_critic_weight_decay_enters_step():
     ddpg.update_critic(agent, batch)
     ddpg.update_critic(twin, batch)
     # the decayed step differs from the plain one by lr * wd * params
-    extra = (twin.critic.params - agent.critic.params) / agent.critic_lr
+    extra = (twin.critic.params - agent.critic.params) / agent.cfg.critic_lr
     assert np.allclose(extra, 0.1 * before, atol=1e-12)
 
 
@@ -200,14 +198,16 @@ def test_update_actor_objective_and_gradient():
     states = np.stack([t.state for t in batch])
     before = agent.actor.params.copy()
 
+    # the actor outputs logits; the softmax makes them actions, so this
+    # check also covers the softmax Jacobian that update_actor applies
     def objective_at(p):
-        acts = nn.forward(nn.MlpModel(agent.actor.arch, p), states)
+        acts = nn.softmax(nn.forward(nn.MlpModel(agent.actor.arch, p), states))
         q = nn.forward(agent.critic, np.hstack([states, acts]))
         return float(np.mean(q[:, 0]))
 
     reported = ddpg.update_actor(agent, batch)
     assert rel_err(reported, objective_at(before)) < 1e-12
-    implied = (agent.actor.params - before) / agent.actor_lr  # ascent step
+    implied = (agent.actor.params - before) / agent.cfg.actor_lr  # ascent step
     fd = central_diff(objective_at, before, range(before.size))
     worst = max(rel_err(fd[k], implied[k]) for k in fd)
     assert worst < 1e-4
@@ -217,17 +217,16 @@ def test_update_actor_objective_and_gradient():
 
 def test_update_actor_climbs_hand_built_critic():
     # critic returns exactly the first action weight: Q(s, a) = a[0]
-    critic_arch = nn.ArchSpec(3, (), 1, output_head="scalar")  # state 1 + action 2
+    critic_arch = nn.ArchSpec(3, (), 1)  # state 1 + action 2
     critic = nn.MlpModel(critic_arch, np.array([0.0, 1.0, 0.0, 0.0]))
-    actor_arch = nn.ArchSpec(1, (8,), 2, output_head="softmax_simplex")
+    actor_arch = nn.ArchSpec(1, (8,), 2)
     actor = nn.MlpModel(actor_arch, nn.init_params(actor_arch, np.random.default_rng(15)))
     agent = ddpg.DdpgAgent(
         actor=actor,
         critic=critic,
         target_actor=nn.MlpModel(actor_arch, actor.params.copy()),
         target_critic=nn.MlpModel(critic_arch, critic.params.copy()),
-        actor_lr=0.05,
-        weight_decay=0.0,
+        cfg=ddpg.DdpgConfig(actor_lr=0.05, weight_decay=0.0),
     )
     state = np.array([0.5])
     batch = [ddpg.Transition(state, np.array([0.5, 0.5]), 0.5, state)]
@@ -275,16 +274,21 @@ def test_soft_update_arithmetic():
         agent.target_critic.params, 0.001 * main_c + 0.999, atol=1e-15
     )
     # epsilon 1 overwrites completely
-    agent.epsilon_soft = 1.0
+    agent.cfg = dataclasses.replace(agent.cfg, epsilon_soft=1.0)
     ddpg.soft_update(agent)
     assert np.allclose(agent.target_actor.params, main_a, atol=1e-15)
     assert np.allclose(agent.target_critic.params, main_c, atol=1e-15)
 
 
 def test_exploration_sigma_schedule():
-    assert ddpg.exploration_sigma(0, 50) == 0.1
-    assert ddpg.exploration_sigma(49, 50) == 0.01
-    mid = ddpg.exploration_sigma(24, 50)
+    cfg = ddpg.DdpgConfig()
+    assert ddpg.exploration_sigma(0, 50, cfg) == 0.1
+    assert ddpg.exploration_sigma(49, 50, cfg) == 0.01
+    mid = ddpg.exploration_sigma(24, 50, cfg)
     assert abs(mid - (0.1 + (0.01 - 0.1) * 24 / 49)) < 1e-12
-    assert ddpg.exploration_sigma(0, 1) == 0.1
-    assert ddpg.exploration_sigma(10, 5) == 0.01  # clamps past the end
+    assert ddpg.exploration_sigma(0, 1, cfg) == 0.1
+    assert ddpg.exploration_sigma(10, 5, cfg) == 0.01  # clamps past the end
+    # the endpoints come from the config
+    flat = ddpg.DdpgConfig(noise_sigma=0.4, noise_sigma_end=0.0)
+    assert ddpg.exploration_sigma(0, 50, flat) == 0.4
+    assert ddpg.exploration_sigma(49, 50, flat) == 0.0

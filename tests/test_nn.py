@@ -46,9 +46,7 @@ def test_arch_validation():
     with pytest.raises(ConfigError):
         nn.ArchSpec(3, (0,), 2)
     with pytest.raises(ConfigError):
-        nn.ArchSpec(3, (), 2, output_head="sigmoid")
-    with pytest.raises(ConfigError):
-        nn.ArchSpec(3, (), 2, output_head="scalar")  # scalar needs output_dim 1
+        nn.ArchSpec(3, (), 0)
 
 
 def test_init_params_ranges_and_biases():
@@ -109,7 +107,7 @@ def test_forward_logistic_hand():
 
 
 def test_forward_relu_hand():
-    arch = nn.ArchSpec(2, (2,), 1, output_head="scalar")
+    arch = nn.ArchSpec(2, (2,), 1)
     flat = np.array([1.0, -1.0, 0.0, 1.0,  # W0 rows [1,-1], [0,1]
                      0.0, 0.0,              # b0
                      1.0, 1.0,              # W1
@@ -123,26 +121,12 @@ def test_forward_relu_hand():
     assert np.allclose(out, [[0.25]], atol=1e-15)
 
 
-def test_forward_softmax_head_rows_on_simplex():
-    arch = nn.ArchSpec(3, (4,), 5, output_head="softmax_simplex")
-    model = small_model(arch=arch)
-    out = nn.forward(model, np.random.default_rng(0).normal(size=(9, 3)))
-    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
-    assert out.min() > 0.0
-
-
 def test_forward_batch_shape_error():
     model = small_model()
     with pytest.raises(ConfigError):
         nn.forward(model, np.zeros((2, 7)))
     with pytest.raises(ConfigError):
         nn.forward(model, np.zeros(4))  # 1-D batches are rejected
-
-
-def test_forward_logits_matches_forward_for_logit_head():
-    model = small_model()
-    x = np.random.default_rng(5).normal(size=(6, 4))
-    assert np.array_equal(nn.forward(model, x), nn.forward_logits(model, x))
 
 
 # ---------------------------------------------------------------- loss
@@ -160,13 +144,6 @@ def test_ce_loss_hand_values():
 def test_ce_loss_confident_prediction_tends_to_zero():
     loss = nn.ce_loss_from_logits(np.array([[50.0, 0.0]]), np.array([0]))
     assert 0.0 <= loss < 1e-12
-
-
-def test_backward_ce_requires_logits_head():
-    arch = nn.ArchSpec(3, (), 2, output_head="softmax_simplex")
-    model = small_model(arch=arch)
-    with pytest.raises(ConfigError):
-        nn.backward_ce(model, np.zeros((1, 3)), np.array([0]))
 
 
 def test_backward_ce_label_validation():
@@ -207,7 +184,7 @@ def test_ce_gradient_matches_central_differences():
 
 def test_scalar_head_gradient_matches_central_differences():
     rng = np.random.default_rng(18)
-    arch = nn.ArchSpec(5, (6,), 1, output_head="scalar")
+    arch = nn.ArchSpec(5, (6,), 1)
     model = nn.MlpModel(arch, nn.init_params(arch, rng))
     x = rng.normal(size=(8, 5))
 
@@ -221,25 +198,9 @@ def test_scalar_head_gradient_matches_central_differences():
     assert err < 1e-5
 
 
-def test_softmax_head_gradient_matches_central_differences():
-    rng = np.random.default_rng(19)
-    arch = nn.ArchSpec(3, (4,), 4, output_head="softmax_simplex")
-    model = nn.MlpModel(arch, nn.init_params(arch, rng))
-    x = rng.normal(size=(5, 3))
-    c = rng.normal(size=(5, 4))  # arbitrary downstream weights
-
-    def objective(p):
-        return float((nn.forward(nn.MlpModel(arch, p), x) * c).sum())
-
-    out, cache = nn.forward_cached(model, x)
-    grad, _ = nn.backward_from_output(model, cache, c)
-    err = max_grad_rel_err(objective, model.params, grad, range(model.params.size))
-    assert err < 1e-5
-
-
 def test_input_gradient_matches_central_differences():
     rng = np.random.default_rng(20)
-    arch = nn.ArchSpec(4, (6,), 1, output_head="scalar")
+    arch = nn.ArchSpec(4, (6,), 1)
     model = nn.MlpModel(arch, nn.init_params(arch, rng))
     x = rng.normal(size=(3, 4))
     out, cache = nn.forward_cached(model, x)
@@ -391,9 +352,6 @@ def test_sgd_label_validation():
                    np.array([0.0, 1.0, 2.0, 0.0]), np.array([True, False, True, False])):
         with pytest.raises(ConfigError):
             nn.sgd_epoch(model, x, labels, cfg, np.random.default_rng(0))
-    head = small_model(arch=nn.ArchSpec(4, (), 3, output_head="softmax_simplex"))
-    with pytest.raises(ConfigError, match="logits head"):
-        nn.sgd_epoch(head, x, np.zeros(4, dtype=int), cfg, np.random.default_rng(0))
 
 
 def test_sgd_empty_dataset_rejected():

@@ -48,7 +48,7 @@ def test_aggregate_rejects_bad_weights():
 
 def test_evaluate_reward_hand_oracle():
     # identity-ish logits: class = argmax(W x) with W selecting feature
-    arch = nn.ArchSpec(2, (), 3, output_head="logits")
+    arch = nn.ArchSpec(2, (), 3)
     params = np.zeros(nn.param_count(arch))
     model = nn.MlpModel(arch, params)
     slices = nn.layer_slices(arch)
@@ -65,7 +65,7 @@ def test_evaluate_reward_hand_oracle():
 
 
 def test_evaluate_fairness_hand_oracle():
-    arch = nn.ArchSpec(1, (), 2, output_head="logits")
+    arch = nn.ArchSpec(1, (), 2)
     # model A predicts class 1 iff x > 0 strongly; weights [w00 w01], bias
     always_one = np.array([0.0, 1.0, 0.0, 1.0])  # logit1 = x + 1 > logit0 = 0 for x >= 0
     model = nn.MlpModel(arch, always_one)
@@ -222,12 +222,21 @@ def test_buffer_grows_one_transition_per_round():
     assert len(exp.buffer) == 5
 
 
-def test_agent_updates_after_warmup():
+def test_agent_updates_after_warmup(monkeypatch):
     cfg = small_cfg(rounds=5, ddpg=config.DdpgConfig(hidden=16, warmup=3, batch_size=4))
     exp = orchestrator.build_experiment(cfg)
+    batch_sizes = []
+    update_critic = orchestrator.update_critic
+
+    def counting_update_critic(agent, batch):
+        batch_sizes.append(len(batch))
+        return update_critic(agent, batch)
+
+    monkeypatch.setattr(orchestrator, "update_critic", counting_update_critic)
     orchestrator.run_rounds(exp)
-    # rounds 2, 3, 4 reach the warmup threshold (buffer sizes 3, 4, 5)
-    assert exp.agent.update_counter == 3
+    # rounds 2, 3, 4 reach the warmup threshold (buffer sizes 3, 4, 5),
+    # and each samples min(batch_size, buffer size) transitions
+    assert batch_sizes == [3, 4, 4]
 
 
 def test_errors_carry_round_prefix():
