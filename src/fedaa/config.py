@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable
 
 from .errors import ConfigError, ParseError
-from .clients import ATTACK_KINDS, AttackSpec
+from .clients import ATTACKS, AttackSpec
 from .ddpg import DdpgConfig
 from .nn import SgdConfig
 from .selection import SCOPES
@@ -149,9 +149,8 @@ def _counts(min_value: int, *words: str) -> Callable[[str], int | tuple[int, ...
 
 _string = str  # paths and other free text are taken verbatim
 
-ALL_ATTACKS = ("none",) + ATTACK_KINDS
-# ipm scales the benign mean by its epsilon and has no tau
-TAU_ATTACKS = tuple(kind for kind in ATTACK_KINDS if kind != "ipm")
+ALL_ATTACKS = ("none", *ATTACKS)
+TAU_ATTACKS = tuple(kind for kind, row in ATTACKS.items() if row.default_tau is not None)
 # synthetic00 and synthetic11 fix both spread parameters to one value
 PINNED_SPREAD = {"synthetic00": 0.0, "synthetic11": 1.0}
 

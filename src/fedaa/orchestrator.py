@@ -25,7 +25,14 @@ import numpy as np
 
 from .errors import ConfigError, FedaaError, InternalError
 from . import data as datamod
-from .clients import ClientRecord, assign_roles, local_update, mean_upload
+from .clients import (
+    ClientRecord,
+    assign_roles,
+    local_update,
+    mean_upload,
+    train_lockstep,
+    trains,
+)
 from .config import ExperimentConfig, SYNTHETIC_KINDS
 from .data import LabeledDataset, round_half_up
 from .ddpg import (
@@ -286,20 +293,34 @@ def _collect_uploads(
     round_index: int,
 ) -> dict[int, np.ndarray]:
     """Run local updates for a cohort; benign clients go first so that
-    reference-point attacks can use their uploads."""
+    reference-point attacks can use their uploads.
+
+    Clients that train do so first, in lockstep stacks of equal train
+    size; each draws its permutations from its own stream, which its
+    ``local_update`` then continues (a sign flipper's magnitude draw).
+    """
     cfg = exp.cfg
+    order = sorted(participants, key=lambda c: exp.clients[c].role != "benign")
+    rngs = {cid: stream(cfg.seed, "local", round_index, cid) for cid in order}
+    trained = train_lockstep([exp.clients[c] for c in order], global_params, cfg.local, rngs)
     uploads: dict[int, np.ndarray] = {}
     benign_vecs: list[np.ndarray] = []
     benign_mean = None
-    for cid in sorted(participants, key=lambda c: exp.clients[c].role != "benign"):
+    for cid in order:
         client = exp.clients[cid]
-        rng = stream(cfg.seed, "local", round_index, cid)
+        rng = rngs[cid]
+        if trains(client) and cid not in trained:
+            # its stack failed: it trains alone, replaying its shuffles from a
+            # fresh stream, so the error names the first client, in this
+            # order, whose training fails
+            rng = stream(cfg.seed, "local", round_index, cid)
         try:
             if benign_mean is None and client.attack is not None and client.attack.kind == "ipm":
                 # every ipm attacker scales the same mean; take it once a round
                 benign_mean = mean_upload(benign_vecs)
             uploads[cid] = local_update(
-                client, global_params, cfg.local, rng, benign_mean=benign_mean
+                client, global_params, cfg.local, rng,
+                benign_mean=benign_mean, trained=trained.get(cid),
             )
         except FedaaError as exc:
             raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc

@@ -108,24 +108,30 @@ def _check_gradient() -> None:
 
 def _check_sgd_matches_reference() -> None:
     # byte-identical results rest on sgd_epoch doing exactly the arithmetic
-    # of backward_ce steps on this numpy and BLAS
+    # of backward_ce steps on this numpy and BLAS, alone and in a stack
     rng = np.random.default_rng(13)
     arch = ArchSpec(6, (8, 5), 3)
-    start = init_params(arch, rng)
-    x = rng.normal(size=(23, 6))
-    y = rng.integers(0, 3, 23)
+    starts = [init_params(arch, rng) for _ in range(3)]
+    xs = [rng.normal(size=(23, 6)) for _ in range(3)]
+    ys = [rng.integers(0, 3, 23) for _ in range(3)]
     cfg = SgdConfig(learning_rate=0.2, weight_decay=1e-3, batch_size=8, epochs=2)
-    trained = sgd_epoch(MlpModel(arch, start), x, y, cfg, np.random.default_rng(14))
-    params = start.copy()
-    order_rng = np.random.default_rng(14)
-    for _ in range(cfg.epochs):
-        order = order_rng.permutation(len(y))
-        for lo in range(0, len(y), cfg.batch_size):
-            take = order[lo : lo + cfg.batch_size]
-            _, grad = backward_ce(MlpModel(arch, params), x[take], y[take])
-            params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
-    assert np.array_equal(trained.params, params), (
-        "sgd_epoch differs from a replay of backward_ce steps"
+    alone = sgd_epoch(MlpModel(arch, starts[0]), xs[0], ys[0], cfg, np.random.default_rng(14))
+    stacked = sgd_epoch([MlpModel(arch, p) for p in starts], xs, ys, cfg,
+                        [np.random.default_rng(14 + i) for i in range(3)])
+    for i, (params, x, y, trained) in enumerate(zip(starts, xs, ys, [alone, *stacked[1:]])):
+        params = params.copy()
+        order_rng = np.random.default_rng(14 + i)
+        for _ in range(cfg.epochs):
+            order = order_rng.permutation(len(y))
+            for lo in range(0, len(y), cfg.batch_size):
+                take = order[lo : lo + cfg.batch_size]
+                _, grad = backward_ce(MlpModel(arch, params), x[take], y[take])
+                params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
+        assert np.array_equal(trained.params, params), (
+            f"sgd_epoch differs from a replay of backward_ce steps (client {i})"
+        )
+    assert np.array_equal(stacked[0].params, alone.params), (
+        "a client's result in a stack differs from its result alone"
     )
 
 

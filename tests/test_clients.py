@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedaa import clients, data, nn
+from fedaa import clients, config, data, nn
 from fedaa.errors import ConfigError, SimulationError
 from fedaa.seeding import stream
 
@@ -53,6 +53,17 @@ def test_attack_spec_defaults():
     assert clients.AttackSpec("ipm").tau is None
     with pytest.raises(ConfigError, match="ipm"):
         clients.AttackSpec("ipm", tau=5.0)
+
+
+def test_attack_table_drives_spec_config_and_training():
+    assert tuple(clients.ATTACKS) == ("same_value", "sign_flip", "gaussian", "ipm")
+    assert config.ALL_ATTACKS == ("none", *clients.ATTACKS)
+    for kind, row in clients.ATTACKS.items():
+        assert clients.AttackSpec(kind).tau == row.default_tau
+        assert (kind in config.TAU_ATTACKS) == (row.default_tau is not None)
+        client = make_client(role="malicious", attack=clients.AttackSpec(kind))
+        assert clients.trains(client) == row.trains
+    assert clients.trains(make_client())
 
 
 def test_client_record_role_attack_pairing():

@@ -299,38 +299,98 @@ def replay_backward_ce(model, x, y, cfg, rng):
 
 
 def test_sgd_matches_backward_ce_replay_generated():
+    # a stack of k clients, each with its own start, data and generator,
+    # must give each client exactly its own backward_ce replay
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     seen = set()
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
+        k=st.sampled_from([1, 2, 5]),
         n=st.integers(1, 40),
         batch_size=st.integers(1, 48),
         epochs=st.integers(0, 3),
         weight_decay=st.sampled_from([0.0, 1e-3, 0.3]),
         classes=st.integers(2, 5),
-        hidden=st.sampled_from([(), (6,), (5, 3)]),
+        hidden=st.sampled_from([(), (6,), (5, 3), (1,)]),
         seed=st.integers(0, 2**16),
     )
-    def check(n, batch_size, epochs, weight_decay, classes, hidden, seed):
+    def check(k, n, batch_size, epochs, weight_decay, classes, hidden, seed):
         rng = np.random.default_rng(seed)
         arch = nn.ArchSpec(3, hidden, classes)
-        model = nn.MlpModel(arch, nn.init_params(arch, rng))
-        x = rng.normal(size=(n, 3))
-        y = rng.integers(0, classes, size=n)
+        models = [nn.MlpModel(arch, nn.init_params(arch, rng)) for _ in range(k)]
+        xs = [rng.normal(size=(n, 3)) for _ in range(k)]
+        ys = [rng.integers(0, classes, size=n) for _ in range(k)]
         cfg = nn.SgdConfig(learning_rate=0.5, weight_decay=weight_decay,
                            batch_size=batch_size, epochs=epochs)
-        trained = nn.sgd_epoch(model, x, y, cfg, np.random.default_rng(seed))
-        expected = replay_backward_ce(model, x, y, cfg, np.random.default_rng(seed))
-        assert np.array_equal(trained.params, expected)
-        seen.update({("hidden", hidden), ("epochs", epochs), ("decay", weight_decay > 0)})
+        seeds = [seed + i for i in range(k)]
+        if k == 1:
+            trained = [nn.sgd_epoch(models[0], xs[0], ys[0], cfg, np.random.default_rng(seed))]
+        else:
+            trained = nn.sgd_epoch(models, xs, ys, cfg, [np.random.default_rng(s) for s in seeds])
+        assert len(trained) == k
+        for model, x, y, s, got in zip(models, xs, ys, seeds, trained):
+            expected = replay_backward_ce(model, x, y, cfg, np.random.default_rng(s))
+            assert np.array_equal(got.params, expected)
+        seen.update({("k", k), ("hidden", hidden), ("epochs", epochs), ("decay", weight_decay > 0)})
         seen.add("batch > n" if batch_size > n else "short final batch" if n % batch_size else "")
+        if batch_size < n and n % batch_size == 1:
+            seen.add("final batch of one row")
 
     check()
-    assert seen >= {("hidden", ()), ("hidden", (6,)), ("hidden", (5, 3)), ("epochs", 0),
-                    ("epochs", 3), ("decay", True), ("decay", False), "batch > n",
-                    "short final batch"}
+    assert seen >= {("k", 1), ("k", 2), ("k", 5), ("hidden", ()), ("hidden", (6,)),
+                    ("hidden", (5, 3)), ("hidden", (1,)), ("epochs", 0), ("epochs", 3),
+                    ("decay", True), ("decay", False), "batch > n", "short final batch",
+                    "final batch of one row"}
+
+
+def test_sgd_stack_returns_independent_models():
+    arch = nn.ArchSpec(4, (), 3)
+    start = nn.MlpModel(arch, nn.init_params(arch, np.random.default_rng(0)))
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(6, 4))
+    y = rng.integers(0, 3, size=6)
+    cfg = nn.SgdConfig(epochs=1, batch_size=4)
+    a, b = nn.sgd_epoch([start, start], [x, x], [y, y], cfg,
+                        [np.random.default_rng(2), np.random.default_rng(2)])
+    assert np.array_equal(a.params, b.params)
+    assert not np.shares_memory(a.params, b.params)
+    assert not np.shares_memory(a.params, start.params)
+
+
+def test_sgd_stack_validation():
+    arch = nn.ArchSpec(4, (), 3)
+    model = nn.MlpModel(arch, np.zeros(nn.param_count(arch)))
+    other = nn.MlpModel(nn.ArchSpec(4, (2,), 3), np.zeros(nn.param_count(nn.ArchSpec(4, (2,), 3))))
+    x4, x5 = np.zeros((4, 4)), np.zeros((5, 4))
+    y4, y5 = np.zeros(4, dtype=int), np.zeros(5, dtype=int)
+    cfg = nn.SgdConfig(epochs=1)
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ConfigError, match="one train size"):
+        nn.sgd_epoch([model, model], [x4, x5], [y4, y5], cfg, rngs)
+    with pytest.raises(ConfigError, match="one architecture"):
+        nn.sgd_epoch([model, other], [x4, x4], [y4, y4], cfg, rngs)
+    with pytest.raises(ConfigError, match="per model"):
+        nn.sgd_epoch([model, model], [x4], [y4, y4], cfg, rngs)
+    with pytest.raises(ConfigError, match="per model"):
+        nn.sgd_epoch([], [], [], cfg, [])
+    # each client's labels are checked as a lone client's are
+    with pytest.raises(ConfigError):
+        nn.sgd_epoch([model, model], [x4, x4], [y4, np.array([0, 1, 3, 0])], cfg, rngs)
+
+
+def test_sgd_stack_nonfinite_loss_names_the_layer():
+    arch = nn.ArchSpec(4, (3,), 3)
+    good = nn.MlpModel(arch, nn.init_params(arch, np.random.default_rng(0)))
+    bad = nn.MlpModel(arch, good.params.copy())
+    bad.params[nn.layer_slices(arch)[1][1]] = np.nan  # the output bias
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(6, 4))
+    y = rng.integers(0, 3, size=6)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 1"):
+        nn.sgd_epoch([good, bad], [x, x], [y, y], nn.SgdConfig(epochs=1),
+                     [np.random.default_rng(4), np.random.default_rng(5)])
 
 
 def test_sgd_nonfinite_start_params_raise_naming_the_layer():

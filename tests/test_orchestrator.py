@@ -6,7 +6,8 @@ import pytest
 from fedaa import clients, config, nn, orchestrator
 from fedaa.data import LabeledDataset
 from fedaa.clients import ClientRecord
-from fedaa.errors import ConfigError, InternalError, NumericError, SimulationError
+from fedaa.errors import ConfigError, FedaaError, InternalError, NumericError, SimulationError
+from fedaa.seeding import stream
 from fedaa.selection import top_count
 
 
@@ -272,6 +273,159 @@ def test_ipm_round_without_benign_uploads_fails():
     attackers = [c.id for c in exp.clients if c.role == "malicious"]
     with pytest.raises(SimulationError, match=r"client \d+ \(malicious\): ipm attack requires"):
         orchestrator._collect_uploads(exp, attackers, exp.initial_params, 0)
+
+
+def per_client_uploads(exp, participants, global_params, round_index):
+    """The straightforward round: one local_update per client, benign ones
+    first, each training alone from its own stream."""
+    uploads, benign = {}, []
+    for cid in sorted(participants, key=lambda c: exp.clients[c].role != "benign"):
+        client = exp.clients[cid]
+        ipm = client.attack is not None and client.attack.kind == "ipm"
+        try:
+            uploads[cid] = clients.local_update(
+                client, global_params, exp.cfg.local,
+                stream(exp.cfg.seed, "local", round_index, cid),
+                benign_mean=clients.mean_upload(benign) if ipm else None,
+            )
+        except FedaaError as exc:
+            raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc
+        if client.role == "benign":
+            benign.append(uploads[cid])
+    return uploads
+
+
+def mixed_experiment():
+    # equal and distinct train sizes; benign, sign_flip and ipm clients
+    cfg = small_cfg(
+        dataset=config.DatasetConfig(
+            kind="synthetic00", num_clients=12,
+            samples_per_client=(20, 20, 30, 20, 30, 25, 20, 20, 30, 20, 25, 20),
+        ),
+        malicious_fraction=0.4,
+        attack=clients.AttackSpec("sign_flip"),
+        participation_ratio=0.75,
+        local=nn.SgdConfig(learning_rate=0.05, batch_size=8, epochs=2),
+    )
+    exp = orchestrator.build_experiment(cfg)
+    for client in [c for c in exp.clients if c.role == "malicious"][::2]:
+        client.attack = clients.AttackSpec("ipm")
+    return exp
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 2 * 8 * 610])
+def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
+    if stack_bytes is not None:
+        monkeypatch.setattr(clients, "STACK_BYTES", stack_bytes)
+    widths = []
+
+    def counting_sgd_epoch(model, *args):
+        widths.append(len(model) if isinstance(model, list) else 1)
+        return nn.sgd_epoch(model, *args)
+
+    monkeypatch.setattr(clients, "sgd_epoch", counting_sgd_epoch)
+    lockstep, plain = mixed_experiment(), mixed_experiment()
+    part_rng = stream(lockstep.cfg.seed, "participation")
+    params = lockstep.initial_params
+    kinds = set()
+    for t in range(3):
+        participants = orchestrator.sample_participants(12, 0.75, part_rng)
+        got = orchestrator._collect_uploads(lockstep, participants, params, t)
+        want = per_client_uploads(plain, participants, params, t)
+        assert list(got) == list(want)
+        for cid in want:
+            assert np.array_equal(got[cid], want[cid])
+        for a, b in zip(lockstep.clients, plain.clients):
+            assert np.array_equal(a.local_model.params, b.local_model.params)
+        kinds.update(lockstep.clients[c].attack.kind if lockstep.clients[c].attack else None
+                     for c in participants)
+        params = np.mean([want[c] for c in sorted(want)], axis=0)
+    assert kinds == {None, "sign_flip", "ipm"}
+    assert len(participants) < 12
+    sizes = [len(c.train) for c in lockstep.clients if clients.trains(c)]
+    assert len(set(sizes)) > 1 and len(set(sizes)) < len(sizes)
+    # stacks of several clients, capped at two under the small budget
+    assert max(widths) == 2 if stack_bytes else max(widths) > 2
+
+
+def diverging_experiment(huge_clients, huge_row=None):
+    # benign clients of train sizes 14 and 22, alternating, so that clients
+    # 0, 2, 4 share one stack and 1, 3, 5 another; the clients named get
+    # features scaled to overflow, and client 3 optionally one huge row
+    cfg = small_cfg(
+        dataset=config.DatasetConfig(
+            kind="synthetic00", num_clients=6, samples_per_client=(20, 30, 20, 30, 20, 30)
+        ),
+        model_hidden=(4,),
+    )
+    exp = orchestrator.build_experiment(cfg)
+    assert [len(c.train) for c in exp.clients] == [14, 22] * 3
+    for cid in huge_clients:
+        train = exp.clients[cid].train
+        exp.clients[cid].train = LabeledDataset(
+            train.features * 1e200, train.labels, train.num_classes
+        )
+    if huge_row is not None:
+        train = exp.clients[3].train
+        features = train.features.copy()
+        features[huge_row] = -1e200
+        exp.clients[3].train = LabeledDataset(features, train.labels, train.num_classes)
+    return exp
+
+
+@pytest.mark.parametrize("huge_clients, huge_row, named", [
+    # client 4's stack trains first, but client 3 comes first in the round
+    ((3, 4), None, 3),
+    # both stacks fail; alone, client 3 survives its own shuffles, so the
+    # retry must replay them from a fresh stream
+    ((4, 5), 9, 4),
+])
+def test_diverging_client_in_a_stack_is_named_as_when_training_alone(
+    huge_clients, huge_row, named
+):
+    exp = diverging_experiment(huge_clients, huge_row)
+    plain = diverging_experiment(huge_clients, huge_row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError) as alone:
+            per_client_uploads(plain, range(6), plain.initial_params, 0)
+        with pytest.raises(NumericError) as stacked:
+            orchestrator.run_rounds(exp)
+        if huge_row is not None:
+            # the precondition: client 3 diverges under its next shuffle
+            rng = stream(exp.cfg.seed, "local", 0, 3)
+            rng.permutation(22)
+            with pytest.raises(NumericError):
+                clients.local_update(exp.clients[3], exp.initial_params, exp.cfg.local, rng)
+    prefix = f"client {named} (benign): non-finite loss; first non-finite activations at layer"
+    assert str(alone.value).startswith(prefix)
+    assert str(stacked.value) == f"round 0: {alone.value}"
+
+
+def small_experiment_pair():
+    cfg = small_cfg(malicious_fraction=0.3, attack=clients.AttackSpec("sign_flip"))
+    return orchestrator.build_experiment(cfg), orchestrator.build_experiment(cfg)
+
+
+def test_guard_failing_on_finite_losses_leaves_uploads_unchanged(monkeypatch):
+    # a last-class bias of -1e306 puts the shifted logits far below the
+    # guard floor, while every loss stays finite
+    calls = []
+
+    def counting_loss(pre, labels):
+        calls.append(len(labels))
+        return nn.ce_loss_from_logits(pre[-1], labels)
+
+    exp, plain = small_experiment_pair()
+    params = exp.initial_params.copy()
+    params[nn.layer_slices(exp.arch)[-1][1].stop - 1] = -1e306
+    want = per_client_uploads(plain, range(6), params, 0)
+    monkeypatch.setattr(nn, "_finite_ce_loss", counting_loss)
+    got = orchestrator._collect_uploads(exp, list(range(6)), params, 0)
+    assert calls
+    assert list(got) == list(want)
+    for cid in want:
+        assert got[cid].tobytes() == want[cid].tobytes()
+        assert np.isfinite(got[cid]).all()
 
 
 def test_malicious_roles_materialized():
