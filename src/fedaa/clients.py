@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, FedaaError, SimulationError
+from .errors import ConfigError, InternalError, NumericError, SimulationError
 from .data import LabeledDataset
 from .nn import MlpModel, SgdConfig, sgd_epoch
 
@@ -94,20 +94,12 @@ def assign_roles(
     return sorted(int(i) for i in rng.choice(num_clients, size=count, replace=False))
 
 
-def same_value_message(dim: int, magnitude: float) -> np.ndarray:
-    return np.full(dim, float(magnitude))
-
-
-def sign_flip_message(honest: np.ndarray, magnitude: float) -> np.ndarray:
-    return -abs(float(magnitude)) * np.asarray(honest, dtype=np.float64)
-
-
 def attack_same_value(dim: int, tau: float, rng: np.random.Generator) -> np.ndarray:
-    return same_value_message(dim, rng.normal(0.0, tau))
+    return np.full(dim, float(rng.normal(0.0, tau)))
 
 
 def attack_sign_flip(honest: np.ndarray, tau: float, rng: np.random.Generator) -> np.ndarray:
-    return sign_flip_message(honest, rng.normal(0.0, tau))
+    return -abs(float(rng.normal(0.0, tau))) * np.asarray(honest, dtype=np.float64)
 
 
 def attack_gaussian(dim: int, tau: float, rng: np.random.Generator) -> np.ndarray:
@@ -137,15 +129,14 @@ def train_lockstep(
     global_params: np.ndarray,
     cfg: SgdConfig,
     rngs: dict[int, np.random.Generator],
-) -> dict[int, MlpModel]:
+) -> dict[int, MlpModel | NumericError]:
     """Train the cohort's training clients from the broadcast, in lockstep.
 
     Clients of equal train size share ``sgd_epoch`` stacks of at most
     STACK_BYTES of parameters, and each draws its permutations from its
-    own ``rngs[client.id]``. Returns the trained model per client id. A
-    stack whose call fails (a non-finite loss, bad data) is left out, and
-    ``local_update`` trains its clients one at a time, which raises the
-    error for the client that has it.
+    own ``rngs[client.id]``. Returns, per client id, the trained model or
+    the NumericError of a loss that turned non-finite, the same as the
+    client would get training alone; ``local_update`` raises it.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
     width = max(1, STACK_BYTES // max(global_params.nbytes, 1))
@@ -153,20 +144,17 @@ def train_lockstep(
     for client in cohort:
         if trains(client):
             groups.setdefault(len(client.train), []).append(client)
-    trained: dict[int, MlpModel] = {}
+    trained: dict[int, MlpModel | NumericError] = {}
     for group in groups.values():
         for lo in range(0, len(group), width):
             stack = group[lo : lo + width]
-            try:
-                models = sgd_epoch(
-                    [MlpModel(c.local_model.arch, global_params) for c in stack],
-                    [c.train.features for c in stack],
-                    [c.train.labels for c in stack],
-                    cfg,
-                    [rngs[c.id] for c in stack],
-                )
-            except FedaaError:
-                continue
+            models = sgd_epoch(
+                [MlpModel(c.local_model.arch, global_params) for c in stack],
+                [c.train.features for c in stack],
+                [c.train.labels for c in stack],
+                cfg,
+                [rngs[c.id] for c in stack],
+            )
             trained.update(zip((c.id for c in stack), models))
     return trained
 
@@ -174,20 +162,20 @@ def train_lockstep(
 def local_update(
     client: ClientRecord,
     global_params: np.ndarray,
-    cfg: SgdConfig,
     rng: np.random.Generator,
     benign_mean: np.ndarray | None = None,
-    trained: MlpModel | None = None,
+    trained: MlpModel | NumericError | None = None,
 ) -> np.ndarray:
-    """One client round: adopt the broadcast, train or attack, return the upload.
+    """One client round: adopt the broadcast or the trained model, attack,
+    return the upload.
 
-    Clients that train (see ``trains``; a sign flipper's message needs
-    the honest result) train from the broadcast and store the trained
-    model; ``trained`` is that model if ``train_lockstep`` already made
-    it from the same ``rng``, which then continues after the permutation
-    draws. same_value/gaussian/ipm clients skip training; their stored
-    model keeps the broadcast parameters. An ipm client needs
-    ``benign_mean``, the ``mean_upload`` of this round's benign uploads.
+    A client that trains (see ``trains``; a sign flipper's message needs
+    the honest result) stores ``trained``, its ``train_lockstep`` result
+    from the broadcast and ``rng``, which then continues after the
+    permutation draws; if that result is an error, it is raised here.
+    same_value/gaussian/ipm clients skip training; their stored model
+    keeps the broadcast parameters. An ipm client needs ``benign_mean``,
+    the ``mean_upload`` of this round's benign uploads.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
     if global_params.shape != client.local_model.params.shape:
@@ -197,14 +185,8 @@ def local_update(
         )
     kind = client.attack.kind if client.attack is not None else None
     if trains(client):
-        if trained is None:
-            trained = sgd_epoch(
-                MlpModel(client.local_model.arch, global_params.copy()),
-                client.train.features,
-                client.train.labels,
-                cfg,
-                rng,
-            )
+        if not isinstance(trained, MlpModel):
+            raise trained or InternalError("a client that trains needs its trained model")
         client.local_model = trained
     else:
         client.local_model = MlpModel(client.local_model.arch, global_params.copy())

@@ -256,23 +256,27 @@ class SgdConfig:
 
 
 def sgd_epoch(
-    model: MlpModel | Sequence[MlpModel],
-    features: np.ndarray | Sequence[np.ndarray],
-    labels: np.ndarray | Sequence[np.ndarray],
+    models: Sequence[MlpModel],
+    features: Sequence[np.ndarray],
+    labels: Sequence[np.ndarray],
     cfg: SgdConfig,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> MlpModel | list[MlpModel]:
-    """Run cfg.epochs of shuffled minibatch SGD; returns a new model.
+    rngs: Sequence[np.random.Generator],
+) -> list[MlpModel | NumericError]:
+    """Run cfg.epochs of shuffled minibatch SGD for a stack of k clients.
 
-    Each epoch reshuffles; the short final batch is used as is. The
-    update is params -= lr * (grad + weight_decay * params).
+    Takes k models of one architecture, k feature arrays of one length,
+    k label arrays and k generators, and returns one entry per client:
+    its new model, or the NumericError of the step at which its loss
+    turned non-finite, naming the first layer with non-finite
+    activations. Each epoch reshuffles; the short final batch is used as
+    is. The update is params -= lr * (grad + weight_decay * params).
 
-    Lockstep: given sequences of k models of one architecture, k feature
-    arrays of one length, k label arrays and k generators, the k clients
-    train as one stack, and a list of k new models comes back. Each step
-    then runs every matmul once for the stack, ``(k, batch, fan_in) @
-    (k, fan_in, fan_out)``, and each client draws its permutations from
-    its own generator. A single model is a stack of one.
+    The k clients train as one stack: each step runs every matmul once,
+    ``(k, batch, fan_in) @ (k, fan_in, fan_out)``, and each client draws
+    its permutations from its own generator. A client's rows in the
+    stacked matmuls, reductions and update never meet another client's,
+    so a failing client leaves the others as they are, and every entry
+    is what the client would get training alone.
 
     Each step makes, for every client in the stack, the floating-point
     operations of a ``backward_ce`` step on its batch (the update only
@@ -280,18 +284,13 @@ def sgd_epoch(
     bit-identical to a loop of ``backward_ce`` steps; ``fedaa selftest``
     checks this on the installed numpy and BLAS. Inputs are checked and
     the layer views built once per call, and the losses are computed only
-    when the logits could make one of them non-finite. A non-finite loss
-    raises NumericError naming the first layer with non-finite
-    activations; in a stack, that of the first client with one.
+    when the logits could make one of them non-finite.
     """
-    single = isinstance(model, MlpModel)
-    if single:
-        model, features, labels, rng = [model], [features], [labels], [rng]
-    k = len(model)
-    if k == 0 or not len(features) == len(labels) == len(rng) == k:
+    k = len(models)
+    if k == 0 or not len(features) == len(labels) == len(rngs) == k:
         raise ConfigError("a stack needs one feature array, label array and generator per model")
-    arch = model[0].arch
-    if any(m.arch != arch for m in model):
+    arch = models[0].arch
+    if any(m.arch != arch for m in models):
         raise ConfigError("the models of a stack must share one architecture")
     xs = [_check_batch(arch, x) for x in features]
     n = xs[0].shape[0]
@@ -303,13 +302,14 @@ def sgd_epoch(
     # which live only for this call: allocated after them, the long-lived
     # rows sat above freed memory on the heap, and the peak RSS of the
     # mlp_fedavg_clean bench at times grew by 12 MiB
-    trained = [MlpModel(arch, m.params.copy()) for m in model]
-    if cfg.epochs > 0:
-        params = np.stack([m.params for m in trained])
-        _train_stack(arch, params, xs, [_sgd_labels(arch, y, n) for y in labels], cfg, rng)
-        for m, row in zip(trained, params):
-            m.params[:] = row
-    return trained[0] if single else trained
+    trained = [MlpModel(arch, m.params.copy()) for m in models]
+    if cfg.epochs == 0:
+        return trained
+    params = np.stack([m.params for m in trained])
+    errors = _train_stack(arch, params, xs, [_sgd_labels(arch, y, n) for y in labels], cfg, rngs)
+    for m, row in zip(trained, params):
+        m.params[:] = row
+    return [errors.get(i, m) for i, m in enumerate(trained)]
 
 
 def _sgd_labels(arch: ArchSpec, labels: np.ndarray, n: int) -> np.ndarray:
@@ -329,8 +329,12 @@ def _train_stack(
     labels: list[np.ndarray],
     cfg: SgdConfig,
     rngs: Sequence[np.random.Generator],
-) -> None:
-    """The SGD steps of ``sgd_epoch`` on the (k, d) stack ``params``, in place."""
+) -> dict[int, NumericError]:
+    """The SGD steps of ``sgd_epoch`` on the (k, d) stack ``params``, in
+    place; returns the error of each client whose loss turned non-finite.
+    A failed client's rows run on unchecked, and the call ends once every
+    client has failed.
+    """
     k, n = params.shape[0], features[0].shape[0]
     # stacked layer views: weight (k, fan_in, fan_out), bias (k, 1, fan_out),
     # each client's part laid out as in its own flat vector
@@ -353,9 +357,10 @@ def _train_stack(
     # [-(bound + log C), 0], and their mean over at most batch_size rows
     # cannot overflow, since batch_size * bound <= 1e307. A NaN or an
     # infinite logit makes the minimum NaN or -inf and fails the guard.
-    # When it fails, each client's loss is computed and checked as
-    # backward_ce does.
+    # When it fails, the loss of each client that has not failed yet is
+    # computed and checked as backward_ce does.
     floor = -min(1e300, 1e307 / cfg.batch_size)
+    errors: dict[int, NumericError] = {}
     for _ in range(cfg.epochs):
         orders = [r.permutation(n) for r in rngs]
         for i, order in enumerate(orders):
@@ -377,7 +382,14 @@ def _train_stack(
             dz = pre[-1] - np.maximum.reduce(pre[-1], axis=2, keepdims=True)
             if not np.minimum.reduce(dz, axis=None) > floor:
                 for i, order in enumerate(orders):
-                    _finite_ce_loss([z[i] for z in pre], labels[i][order[start:stop]])
+                    if i in errors:
+                        continue
+                    try:
+                        _finite_ce_loss([z[i] for z in pre], labels[i][order[start:stop]])
+                    except NumericError as exc:
+                        errors[i] = exc
+                if len(errors) == k:
+                    return errors
             np.exp(dz, out=dz)
             dz /= np.add.reduce(dz, axis=2, keepdims=True)
             # subtracts 1.0 at each label, as backward_ce does; the other
@@ -395,3 +407,4 @@ def _train_stack(
             step += grad
             step *= cfg.learning_rate
             params -= step
+    return errors

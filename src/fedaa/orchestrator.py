@@ -19,11 +19,11 @@ config are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, FedaaError, InternalError
+from .errors import ConfigError, FedaaError, InternalError, NumericError
 from . import data as datamod
 from .clients import (
     ClientRecord,
@@ -31,7 +31,6 @@ from .clients import (
     local_update,
     mean_upload,
     train_lockstep,
-    trains,
 )
 from .config import ExperimentConfig, SYNTHETIC_KINDS
 from .data import LabeledDataset, round_half_up
@@ -73,7 +72,8 @@ def subsystem_seeds(master: int) -> dict[str, int]:
 @dataclass
 class RoundRecord:
     """One round's results: the fields, in order, are the results columns;
-    ``int`` cells stay integers and every other cell is a checked float."""
+    ``int`` cells stay integers and every other cell is a float. A
+    non-finite value in any field raises NumericError naming the field."""
 
     round: int
     reward: float
@@ -89,6 +89,9 @@ class RoundRecord:
     def __post_init__(self) -> None:
         if len(self.selected_ids) != len(self.action):
             raise InternalError("one aggregation weight per selected client")
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise NumericError(f"non-finite value in field {f.name!r}")
 
 
 @dataclass
@@ -298,6 +301,8 @@ def _collect_uploads(
     Clients that train do so first, in lockstep stacks of equal train
     size; each draws its permutations from its own stream, which its
     ``local_update`` then continues (a sign flipper's magnitude draw).
+    A client whose training failed raises its error in its turn, so the
+    error names the first such client in this order.
     """
     cfg = exp.cfg
     order = sorted(participants, key=lambda c: exp.clients[c].role != "benign")
@@ -308,18 +313,12 @@ def _collect_uploads(
     benign_mean = None
     for cid in order:
         client = exp.clients[cid]
-        rng = rngs[cid]
-        if trains(client) and cid not in trained:
-            # its stack failed: it trains alone, replaying its shuffles from a
-            # fresh stream, so the error names the first client, in this
-            # order, whose training fails
-            rng = stream(cfg.seed, "local", round_index, cid)
         try:
             if benign_mean is None and client.attack is not None and client.attack.kind == "ipm":
                 # every ipm attacker scales the same mean; take it once a round
                 benign_mean = mean_upload(benign_vecs)
             uploads[cid] = local_update(
-                client, global_params, cfg.local, rng,
+                client, global_params, rngs[cid],
                 benign_mean=benign_mean, trained=trained.get(cid),
             )
         except FedaaError as exc:

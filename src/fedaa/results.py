@@ -12,8 +12,6 @@ from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .errors import FedaaError
 from .orchestrator import RoundRecord
 
@@ -40,29 +38,21 @@ def sig6(x: float) -> float:
     return float(f"{float(x):.6g}")
 
 
-def _checked(x: float, field: str, rnd: int) -> float:
-    if not np.isfinite(x):
-        raise FedaaError(f"non-finite value in field {field!r} at round {rnd}")
-    return sig6(x)
-
-
-def _value(kind, value, field: str, rnd: int):
-    """One cell by its RoundRecord type: ints stay ints, floats are checked."""
+def _value(kind, value):
+    """One cell by its RoundRecord type: ints stay ints, floats are rounded."""
     if get_origin(kind) is list:
         (item,) = get_args(kind)
-        return [_value(item, v, field, rnd) for v in value]
+        return [_value(item, v) for v in value]
     if kind is int:
         return int(value)
-    return _checked(value, field, rnd)
+    return sig6(value)
 
 
 def records_to_rows(records: list[RoundRecord]) -> list[dict]:
-    """Round records as plain dicts with rounded floats; rejects non-finite cells."""
+    """Round records as plain dicts with rounded floats (a RoundRecord
+    holds only finite values)."""
     return [
-        {
-            col: _value(_COLUMN_TYPES[col], getattr(rec, col), col, rec.round)
-            for col in ROUND_COLUMNS
-        }
+        {col: _value(_COLUMN_TYPES[col], getattr(rec, col)) for col in ROUND_COLUMNS}
         for rec in records
     ]
 

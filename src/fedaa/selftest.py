@@ -115,7 +115,8 @@ def _check_sgd_matches_reference() -> None:
     xs = [rng.normal(size=(23, 6)) for _ in range(3)]
     ys = [rng.integers(0, 3, 23) for _ in range(3)]
     cfg = SgdConfig(learning_rate=0.2, weight_decay=1e-3, batch_size=8, epochs=2)
-    alone = sgd_epoch(MlpModel(arch, starts[0]), xs[0], ys[0], cfg, np.random.default_rng(14))
+    (alone,) = sgd_epoch([MlpModel(arch, starts[0])], xs[:1], ys[:1], cfg,
+                         [np.random.default_rng(14)])
     stacked = sgd_epoch([MlpModel(arch, p) for p in starts], xs, ys, cfg,
                         [np.random.default_rng(14 + i) for i in range(3)])
     for i, (params, x, y, trained) in enumerate(zip(starts, xs, ys, [alone, *stacked[1:]])):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedaa import clients, config, data, nn
-from fedaa.errors import ConfigError, SimulationError
+from fedaa.errors import ConfigError, InternalError, NumericError, SimulationError
 from fedaa.seeding import stream
 
 
@@ -15,6 +15,15 @@ def make_client(cid=0, role="benign", attack=None, seed=0, n=40):
     arch = nn.ArchSpec(60, (), 10)
     model = nn.MlpModel(arch, nn.init_params(arch, np.random.default_rng(1)))
     return clients.ClientRecord(cid, role, attack, train, test, model)
+
+
+def update(client, broadcast, cfg, rng, benign_mean=None):
+    """One client's round as the round loop runs it: train_lockstep on a
+    cohort of one, then local_update with its result."""
+    trained = clients.train_lockstep([client], broadcast, cfg, {client.id: rng})
+    return clients.local_update(
+        client, broadcast, rng, benign_mean=benign_mean, trained=trained.get(client.id)
+    )
 
 
 # ------------------------------------------------------------ roles
@@ -77,26 +86,24 @@ def test_client_record_role_attack_pairing():
 
 
 def test_same_value_message_is_constant():
-    msg = clients.same_value_message(5, -3.25)
-    assert np.array_equal(msg, np.full(5, -3.25))
     drawn = clients.attack_same_value(8, 100.0, np.random.default_rng(2))
-    assert np.all(drawn == drawn[0])
+    magnitude = np.random.default_rng(2).normal(0.0, 100.0)
+    assert np.array_equal(drawn, np.full(8, magnitude))
     again = clients.attack_same_value(8, 100.0, np.random.default_rng(2))
     assert np.array_equal(drawn, again)
 
 
 def test_sign_flip_message_flips_and_scales():
     honest = np.array([1.0, -2.0, 0.0, 4.0])
-    assert np.array_equal(
-        clients.sign_flip_message(honest, 3.0), [-3.0, 6.0, 0.0, -12.0]
-    )
-    # the magnitude enters through its absolute value
-    assert np.array_equal(
-        clients.sign_flip_message(honest, -3.0), clients.sign_flip_message(honest, 3.0)
-    )
-    flipped = clients.attack_sign_flip(honest, 10.0, np.random.default_rng(3))
-    nonzero = honest != 0
-    assert np.all(np.sign(flipped[nonzero]) == -np.sign(honest[nonzero]))
+    # seeds whose magnitude draw is positive and negative: the magnitude
+    # enters through its absolute value
+    draws = {seed: np.random.default_rng(seed).normal(0.0, 10.0) for seed in (3, 4)}
+    assert draws[3] > 0 > draws[4]
+    for seed, magnitude in draws.items():
+        flipped = clients.attack_sign_flip(honest, 10.0, np.random.default_rng(seed))
+        assert np.array_equal(flipped, -abs(magnitude) * honest)
+        nonzero = honest != 0
+        assert np.all(np.sign(flipped[nonzero]) == -np.sign(honest[nonzero]))
 
 
 def test_gaussian_message_scale():
@@ -120,13 +127,13 @@ def test_benign_update_matches_direct_sgd():
     client = make_client()
     broadcast = np.zeros(610)
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=16, epochs=2)
-    upload = clients.local_update(client, broadcast, cfg, np.random.default_rng(7))
-    direct = nn.sgd_epoch(
-        nn.MlpModel(client.local_model.arch, broadcast.copy()),
-        client.train.features,
-        client.train.labels,
+    upload = update(client, broadcast, cfg, np.random.default_rng(7))
+    (direct,) = nn.sgd_epoch(
+        [nn.MlpModel(client.local_model.arch, broadcast.copy())],
+        [client.train.features],
+        [client.train.labels],
         cfg,
-        np.random.default_rng(7),
+        [np.random.default_rng(7)],
     )
     assert np.array_equal(upload, direct.params)
     # the client's stored model is the trained one
@@ -140,8 +147,8 @@ def test_identical_clients_produce_identical_uploads():
     a = make_client(seed=9)
     b = make_client(seed=9)
     cfg = nn.SgdConfig(epochs=1, batch_size=8)
-    up_a = clients.local_update(a, np.zeros(610), cfg, np.random.default_rng(3))
-    up_b = clients.local_update(b, np.zeros(610), cfg, np.random.default_rng(3))
+    up_a = update(a, np.zeros(610), cfg, np.random.default_rng(3))
+    up_b = update(b, np.zeros(610), cfg, np.random.default_rng(3))
     assert up_a.tobytes() == up_b.tobytes()
 
 
@@ -150,15 +157,15 @@ def test_sign_flip_trains_then_flips():
     client = make_client(role="malicious", attack=spec)
     broadcast = np.zeros(610)
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=16, epochs=1)
-    upload = clients.local_update(client, broadcast, cfg, np.random.default_rng(8))
+    upload = update(client, broadcast, cfg, np.random.default_rng(8))
     # replay the exact stream: training consumes first, then the magnitude draw
     rng = np.random.default_rng(8)
-    honest = nn.sgd_epoch(
-        nn.MlpModel(client.local_model.arch, broadcast.copy()),
-        client.train.features,
-        client.train.labels,
+    (honest,) = nn.sgd_epoch(
+        [nn.MlpModel(client.local_model.arch, broadcast.copy())],
+        [client.train.features],
+        [client.train.labels],
         cfg,
-        rng,
+        [rng],
     )
     magnitude = rng.normal(0.0, 10.0)
     assert np.array_equal(upload, -abs(magnitude) * honest.params)
@@ -172,8 +179,8 @@ def test_same_value_client_ignores_data_and_skips_training():
     b = make_client(role="malicious", attack=spec, seed=11)  # different data
     broadcast = np.ones(610) * 0.5
     cfg = nn.SgdConfig(epochs=3)
-    up_a = clients.local_update(a, broadcast, cfg, np.random.default_rng(12))
-    up_b = clients.local_update(b, broadcast, cfg, np.random.default_rng(12))
+    up_a = update(a, broadcast, cfg, np.random.default_rng(12))
+    up_b = update(b, broadcast, cfg, np.random.default_rng(12))
     assert np.array_equal(up_a, up_b)
     assert np.all(up_a == up_a[0])
     # stored model adopted the broadcast, untouched by training
@@ -184,9 +191,7 @@ def test_gaussian_client_keeps_broadcast_model():
     spec = clients.AttackSpec("gaussian", tau=100.0)
     client = make_client(role="malicious", attack=spec)
     broadcast = np.full(610, 0.25)
-    upload = clients.local_update(
-        client, broadcast, nn.SgdConfig(epochs=1), np.random.default_rng(13)
-    )
+    upload = update(client, broadcast, nn.SgdConfig(epochs=1), np.random.default_rng(13))
     assert np.array_equal(client.local_model.params, broadcast)
     assert not np.array_equal(upload, broadcast)
 
@@ -196,19 +201,24 @@ def test_ipm_client_uses_benign_uploads():
     client = make_client(role="malicious", attack=spec)
     benign = [np.ones(610), 3.0 * np.ones(610)]
     upload = clients.local_update(
-        client, np.zeros(610), nn.SgdConfig(epochs=1), np.random.default_rng(14),
-        benign_mean=clients.mean_upload(benign),
+        client, np.zeros(610), np.random.default_rng(14), benign_mean=clients.mean_upload(benign)
     )
     assert np.allclose(upload, -1.0)
     with pytest.raises(SimulationError):
-        clients.local_update(
-            client, np.zeros(610), nn.SgdConfig(epochs=1), np.random.default_rng(15)
-        )
+        clients.local_update(client, np.zeros(610), np.random.default_rng(15))
+
+
+def test_training_client_raises_its_stored_error():
+    client = make_client()
+    error = NumericError("non-finite loss; first non-finite activations at layer 0")
+    with pytest.raises(NumericError) as raised:
+        clients.local_update(client, np.zeros(610), np.random.default_rng(17), trained=error)
+    assert raised.value is error
+    with pytest.raises(InternalError):
+        clients.local_update(client, np.zeros(610), np.random.default_rng(17))
 
 
 def test_broadcast_dimension_mismatch():
     client = make_client()
     with pytest.raises(ConfigError):
-        clients.local_update(
-            client, np.zeros(5), nn.SgdConfig(epochs=1), np.random.default_rng(16)
-        )
+        clients.local_update(client, np.zeros(5), np.random.default_rng(16))

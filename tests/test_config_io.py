@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fedaa import config, results
-from fedaa.errors import ConfigError, FedaaError, ParseError
+from fedaa.errors import ConfigError, FedaaError, NumericError, ParseError
 from fedaa.orchestrator import RoundRecord
 from fedaa.selection import SCOPES
 
@@ -323,8 +323,8 @@ def test_round_columns_are_the_record_fields():
     assert tuple(row) == results.ROUND_COLUMNS
     assert type(row["round"]) is int and [type(c) for c in row["selected_ids"]] == [int, int]
     assert row["per_class_val_acc"] == [0.123457, 0.5]
-    with pytest.raises(FedaaError, match="'per_class_val_acc' at round 2"):
-        results.records_to_rows([make_record(rnd=2, per_class_val_acc=[0.5, math.nan])])
+    with pytest.raises(NumericError, match="non-finite value in field 'per_class_val_acc'"):
+        make_record(rnd=2, per_class_val_acc=[0.5, math.nan])
 
 
 def test_records_to_rows_rounds_floats():
@@ -334,12 +334,11 @@ def test_records_to_rows_rounds_floats():
 
 
 def test_records_to_rows_rejects_non_finite():
-    with pytest.raises(FedaaError, match="reward.*round 3"):
-        results.records_to_rows([make_record(rnd=3, reward=math.nan)])
-    with pytest.raises(FedaaError, match="action"):
-        results.records_to_rows(
-            [make_record(action=[math.inf, 1.0], selected_ids=[0, 1])]
-        )
+    # a record holds only finite values, so no row can carry a non-finite cell
+    with pytest.raises(NumericError, match="field 'reward'"):
+        make_record(rnd=3, reward=math.nan)
+    with pytest.raises(NumericError, match="field 'action'"):
+        make_record(action=[math.inf, 1.0], selected_ids=[0, 1])
 
 
 def test_emit_results_csv(tmp_path):

@@ -16,6 +16,12 @@ def small_model(seed=0, arch=None):
     return nn.MlpModel(arch, nn.init_params(arch, rng))
 
 
+def sgd_alone(model, x, y, cfg, rng):
+    """sgd_epoch on a stack of one client: its model or its NumericError."""
+    (trained,) = nn.sgd_epoch([model], [x], [y], cfg, [rng])
+    return trained
+
+
 # ---------------------------------------------------------------- arch
 
 
@@ -227,7 +233,7 @@ def test_sgd_single_step_hand_computed():
     cfg = nn.SgdConfig(learning_rate=0.5, batch_size=4, epochs=1)
     x = np.array([[2.0]])
     y = np.array([0])
-    trained = nn.sgd_epoch(model, x, y, cfg, np.random.default_rng(0))
+    trained = sgd_alone(model, x, y, cfg, np.random.default_rng(0))
     # dW = x^T dz = [-1, 1]; db = [-0.5, 0.5]; step = -lr * grad
     assert np.allclose(trained.params, [0.5, -0.5, 0.25, -0.25], atol=1e-15)
 
@@ -238,7 +244,7 @@ def test_sgd_weight_decay_hand_computed():
     cfg = nn.SgdConfig(learning_rate=0.5, weight_decay=0.1, batch_size=1, epochs=1)
     x = np.array([[0.0]])  # zero input isolates the bias gradient
     y = np.array([0])
-    trained = nn.sgd_epoch(model, x, y, cfg, np.random.default_rng(0))
+    trained = sgd_alone(model, x, y, cfg, np.random.default_rng(0))
     # logits = b = [1,1] -> dz = [-0.5, 0.5]; grads: W 0, b as dz; decay adds 0.1*p
     expected = np.array(
         [1 - 0.5 * 0.1, 1 - 0.5 * 0.1, 1 - 0.5 * (-0.5 + 0.1), 1 - 0.5 * (0.5 + 0.1)]
@@ -252,7 +258,7 @@ def test_sgd_zero_lr_leaves_params_unchanged():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(10, 4))
     y = rng.integers(0, 3, size=10)
-    trained = nn.sgd_epoch(model, x, y, cfg, rng)
+    trained = sgd_alone(model, x, y, cfg, rng)
     assert trained.params.tobytes() == model.params.tobytes()
 
 
@@ -262,7 +268,7 @@ def test_sgd_does_not_mutate_the_input_model():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 3, size=6)
-    nn.sgd_epoch(model, x, y, nn.SgdConfig(epochs=1), rng)
+    sgd_alone(model, x, y, nn.SgdConfig(epochs=1), rng)
     assert np.array_equal(model.params, before)
 
 
@@ -275,7 +281,7 @@ def test_sgd_short_final_batch_used():
     y = rng_data.integers(0, 2, size=5)
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=4, epochs=1)
     start = nn.init_params(arch, np.random.default_rng(3))
-    trained = nn.sgd_epoch(nn.MlpModel(arch, start), x, y, cfg, np.random.default_rng(9))
+    trained = sgd_alone(nn.MlpModel(arch, start), x, y, cfg, np.random.default_rng(9))
     # replay: same shuffle stream, the update sgd_epoch makes
     order = np.random.default_rng(9).permutation(5)
     params = start.copy()
@@ -287,20 +293,26 @@ def test_sgd_short_final_batch_used():
 
 
 def replay_backward_ce(model, x, y, cfg, rng):
-    """The straightforward SGD loop: one backward_ce call per minibatch."""
+    """The straightforward SGD loop: one backward_ce call per minibatch.
+    Returns the params, or the NumericError of a non-finite loss."""
     params = model.params.copy()
     for _ in range(cfg.epochs):
         order = rng.permutation(len(y))
         for lo in range(0, len(y), cfg.batch_size):
             take = order[lo : lo + cfg.batch_size]
-            _, grad = nn.backward_ce(nn.MlpModel(model.arch, params), x[take], y[take])
+            try:
+                _, grad = nn.backward_ce(nn.MlpModel(model.arch, params), x[take], y[take])
+            except NumericError as exc:
+                return exc
             params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
     return params
 
 
 def test_sgd_matches_backward_ce_replay_generated():
     # a stack of k clients, each with its own start, data and generator,
-    # must give each client exactly its own backward_ce replay
+    # must give each client exactly its own backward_ce replay; clients
+    # with features scaled to overflow or a NaN start bias diverge, and
+    # then get the replay's error while the others train on
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     seen = set()
@@ -315,24 +327,37 @@ def test_sgd_matches_backward_ce_replay_generated():
         classes=st.integers(2, 5),
         hidden=st.sampled_from([(), (6,), (5, 3), (1,)]),
         seed=st.integers(0, 2**16),
+        starts=st.lists(st.sampled_from(["", "", "", "huge", "nan"]), min_size=5, max_size=5),
     )
-    def check(k, n, batch_size, epochs, weight_decay, classes, hidden, seed):
+    def check(k, n, batch_size, epochs, weight_decay, classes, hidden, seed, starts):
         rng = np.random.default_rng(seed)
         arch = nn.ArchSpec(3, hidden, classes)
         models = [nn.MlpModel(arch, nn.init_params(arch, rng)) for _ in range(k)]
         xs = [rng.normal(size=(n, 3)) for _ in range(k)]
         ys = [rng.integers(0, classes, size=n) for _ in range(k)]
+        for model, x, start in zip(models, xs, starts):
+            if start == "huge":
+                x *= 1e200
+            elif start == "nan":
+                model.params[nn.layer_slices(arch)[-1][1]] = np.nan
         cfg = nn.SgdConfig(learning_rate=0.5, weight_decay=weight_decay,
                            batch_size=batch_size, epochs=epochs)
         seeds = [seed + i for i in range(k)]
-        if k == 1:
-            trained = [nn.sgd_epoch(models[0], xs[0], ys[0], cfg, np.random.default_rng(seed))]
-        else:
+        with np.errstate(over="ignore", invalid="ignore"):
             trained = nn.sgd_epoch(models, xs, ys, cfg, [np.random.default_rng(s) for s in seeds])
+            expected = [replay_backward_ce(model, x, y, cfg, np.random.default_rng(s))
+                        for model, x, y, s in zip(models, xs, ys, seeds)]
         assert len(trained) == k
-        for model, x, y, s, got in zip(models, xs, ys, seeds, trained):
-            expected = replay_backward_ce(model, x, y, cfg, np.random.default_rng(s))
-            assert np.array_equal(got.params, expected)
+        for i, (got, want) in enumerate(zip(trained, expected)):
+            if isinstance(want, NumericError):
+                assert isinstance(got, NumericError) and str(got) == str(want)
+                seen.add("diverging non-first client" if i else "diverging first client")
+            else:
+                assert np.array_equal(got.params, want, equal_nan=True)
+        if any(isinstance(e, NumericError) for e in expected) and any(
+            isinstance(e, np.ndarray) for e in expected
+        ):
+            seen.add("diverging and surviving clients in one stack")
         seen.update({("k", k), ("hidden", hidden), ("epochs", epochs), ("decay", weight_decay > 0)})
         seen.add("batch > n" if batch_size > n else "short final batch" if n % batch_size else "")
         if batch_size < n and n % batch_size == 1:
@@ -342,7 +367,9 @@ def test_sgd_matches_backward_ce_replay_generated():
     assert seen >= {("k", 1), ("k", 2), ("k", 5), ("hidden", ()), ("hidden", (6,)),
                     ("hidden", (5, 3)), ("hidden", (1,)), ("epochs", 0), ("epochs", 3),
                     ("decay", True), ("decay", False), "batch > n", "short final batch",
-                    "final batch of one row"}
+                    "final batch of one row", "diverging first client",
+                    "diverging non-first client",
+                    "diverging and surviving clients in one stack"}
 
 
 def test_sgd_stack_returns_independent_models():
@@ -388,9 +415,15 @@ def test_sgd_stack_nonfinite_loss_names_the_layer():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 3, size=6)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 1"):
-        nn.sgd_epoch([good, bad], [x, x], [y, y], nn.SgdConfig(epochs=1),
-                     [np.random.default_rng(4), np.random.default_rng(5)])
+    cfg = nn.SgdConfig(epochs=1)
+    with np.errstate(invalid="ignore"):
+        got_good, got_bad = nn.sgd_epoch([good, bad], [x, x], [y, y], cfg,
+                                         [np.random.default_rng(4), np.random.default_rng(5)])
+    assert isinstance(got_bad, NumericError)
+    assert str(got_bad) == "non-finite loss; first non-finite activations at layer 1"
+    # the good client trains on as it would alone
+    alone = sgd_alone(good, x, y, cfg, np.random.default_rng(4))
+    assert np.array_equal(got_good.params, alone.params)
 
 
 def test_sgd_nonfinite_start_params_raise_naming_the_layer():
@@ -399,8 +432,10 @@ def test_sgd_nonfinite_start_params_raise_naming_the_layer():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 3, size=6)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 0"):
-        nn.sgd_epoch(model, x, y, nn.SgdConfig(epochs=1), rng)
+    with np.errstate(invalid="ignore"):
+        got = sgd_alone(model, x, y, nn.SgdConfig(epochs=1), rng)
+    assert isinstance(got, NumericError)
+    assert str(got).endswith("layer 0")
 
 
 def test_sgd_label_validation():
@@ -411,14 +446,14 @@ def test_sgd_label_validation():
                    np.array([0, 1, 2, 0, 1]), np.zeros((4, 1), dtype=int),
                    np.array([0.0, 1.0, 2.0, 0.0]), np.array([True, False, True, False])):
         with pytest.raises(ConfigError):
-            nn.sgd_epoch(model, x, labels, cfg, np.random.default_rng(0))
+            sgd_alone(model, x, labels, cfg, np.random.default_rng(0))
 
 
 def test_sgd_empty_dataset_rejected():
     model = small_model()
     with pytest.raises(ConfigError):
-        nn.sgd_epoch(model, np.zeros((0, 4)), np.array([], dtype=int),
-                     nn.SgdConfig(), np.random.default_rng(0))
+        sgd_alone(model, np.zeros((0, 4)), np.array([], dtype=int),
+                  nn.SgdConfig(), np.random.default_rng(0))
 
 
 def test_sgd_deterministic_under_seed():
@@ -427,8 +462,8 @@ def test_sgd_deterministic_under_seed():
     x = rng_data.normal(size=(20, 4))
     y = rng_data.integers(0, 3, size=20)
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=8, epochs=3)
-    a = nn.sgd_epoch(model, x, y, cfg, np.random.default_rng(11))
-    b = nn.sgd_epoch(model, x, y, cfg, np.random.default_rng(11))
+    a = sgd_alone(model, x, y, cfg, np.random.default_rng(11))
+    b = sgd_alone(model, x, y, cfg, np.random.default_rng(11))
     assert a.params.tobytes() == b.params.tobytes()
 
 
@@ -442,6 +477,6 @@ def test_sgd_learns_separable_blobs():
     for arch in (nn.ArchSpec(2, (), 2), nn.ArchSpec(2, (8,), 2)):
         model = nn.MlpModel(arch, nn.init_params(arch, rng))
         cfg = nn.SgdConfig(learning_rate=0.5, batch_size=16, epochs=30)
-        trained = nn.sgd_epoch(model, x, y, cfg, np.random.default_rng(22))
+        trained = sgd_alone(model, x, y, cfg, np.random.default_rng(22))
         acc = (np.argmax(nn.forward(trained, x), axis=1) == y).mean()
         assert acc >= 0.95

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedaa import clients, config, nn, orchestrator
+from fedaa import clients, config, nn, orchestrator, results
 from fedaa.data import LabeledDataset
 from fedaa.clients import ClientRecord
 from fedaa.errors import ConfigError, FedaaError, InternalError, NumericError, SimulationError
@@ -251,6 +251,40 @@ def test_errors_carry_round_prefix():
             orchestrator.run_experiment(cfg)
 
 
+EXTREME_BASE = """\
+dataset.num_clients = 10
+dataset.samples_per_client = 40
+rounds = 4
+local.epochs = 2
+local.batch_size = 16
+ddpg.warmup = 2
+malicious_fraction = 0.4
+"""
+
+
+def extreme_settings():
+    for kind in clients.ATTACKS:
+        scale = "attack.ipm_epsilon" if kind == "ipm" else "attack.tau"
+        for extra in ((), (f"{scale} = 1e308",), (f"{scale} = 1e200", "m_percent = 100"),
+                      ("local.lr = 50",), ("m_percent = 1",), ("m_percent = 100",),
+                      ("participation_ratio = 0.2",)):
+            yield (f"attack = {kind}", *extra)
+    yield ("attack = sign_flip", "attack.tau = 1e308", "aggregator = fedavg")
+
+
+@pytest.mark.parametrize("settings", extreme_settings(), ids=", ".join)
+def test_extreme_config_finishes_or_fails_typed_in_its_round(settings):
+    cfg = config.parse_config_text(EXTREME_BASE + "\n".join(settings) + "\n")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = orchestrator.run_experiment(cfg)
+    except FedaaError as exc:
+        assert type(exc) is not FedaaError
+        assert str(exc).startswith("round ")
+    else:
+        assert len(results.records_to_rows(records)) == cfg.rounds
+
+
 def test_ipm_uploads_equal_attack_ipm_of_the_benign_uploads():
     cfg = small_cfg(
         malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
@@ -275,6 +309,15 @@ def test_ipm_round_without_benign_uploads_fails():
         orchestrator._collect_uploads(exp, attackers, exp.initial_params, 0)
 
 
+def train_alone(client, global_params, cfg, rng):
+    """The client's training as a stack of one: its model or its error."""
+    (trained,) = nn.sgd_epoch(
+        [nn.MlpModel(client.local_model.arch, global_params.copy())],
+        [client.train.features], [client.train.labels], cfg, [rng],
+    )
+    return trained
+
+
 def per_client_uploads(exp, participants, global_params, round_index):
     """The straightforward round: one local_update per client, benign ones
     first, each training alone from its own stream."""
@@ -282,11 +325,14 @@ def per_client_uploads(exp, participants, global_params, round_index):
     for cid in sorted(participants, key=lambda c: exp.clients[c].role != "benign"):
         client = exp.clients[cid]
         ipm = client.attack is not None and client.attack.kind == "ipm"
+        rng = stream(exp.cfg.seed, "local", round_index, cid)
+        trained = None
+        if clients.trains(client):
+            trained = train_alone(client, global_params, exp.cfg.local, rng)
         try:
             uploads[cid] = clients.local_update(
-                client, global_params, exp.cfg.local,
-                stream(exp.cfg.seed, "local", round_index, cid),
-                benign_mean=clients.mean_upload(benign) if ipm else None,
+                client, global_params, rng,
+                benign_mean=clients.mean_upload(benign) if ipm else None, trained=trained,
             )
         except FedaaError as exc:
             raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc
@@ -319,9 +365,9 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
         monkeypatch.setattr(clients, "STACK_BYTES", stack_bytes)
     widths = []
 
-    def counting_sgd_epoch(model, *args):
-        widths.append(len(model) if isinstance(model, list) else 1)
-        return nn.sgd_epoch(model, *args)
+    def counting_sgd_epoch(models, *args):
+        widths.append(len(models))
+        return nn.sgd_epoch(models, *args)
 
     monkeypatch.setattr(clients, "sgd_epoch", counting_sgd_epoch)
     lockstep, plain = mixed_experiment(), mixed_experiment()
@@ -346,6 +392,37 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
     assert len(set(sizes)) > 1 and len(set(sizes)) < len(sizes)
     # stacks of several clients, capped at two under the small budget
     assert max(widths) == 2 if stack_bytes else max(widths) > 2
+
+
+def test_one_local_update_per_participant_and_stacks_cover_the_trainers(monkeypatch):
+    # the benchmark's tracer counts the calls made through these two names
+    cfg = small_cfg(rounds=4, malicious_fraction=0.3, attack=clients.AttackSpec("gaussian"),
+                    participation_ratio=0.75)
+    rounds = []
+    collect, update, sgd = orchestrator._collect_uploads, orchestrator.local_update, nn.sgd_epoch
+
+    def counting_collect(exp, participants, *args):
+        trainers = sum(clients.trains(exp.clients[c]) for c in participants)
+        rounds.append({"trainers": trainers, "updates": 0, "widths": 0})
+        return collect(exp, participants, *args)
+
+    def counting_update(*args, **kwargs):
+        rounds[-1]["updates"] += 1
+        return update(*args, **kwargs)
+
+    def counting_sgd(models, *args):
+        rounds[-1]["widths"] += len(models)
+        return sgd(models, *args)
+
+    monkeypatch.setattr(orchestrator, "_collect_uploads", counting_collect)
+    monkeypatch.setattr(orchestrator, "local_update", counting_update)
+    monkeypatch.setattr(clients, "sgd_epoch", counting_sgd)
+    orchestrator.run_experiment(cfg)
+    cohort = orchestrator.build_experiment(cfg).cohort_size
+    assert cohort < cfg.dataset.num_clients
+    assert [r["updates"] for r in rounds] == [cohort] * cfg.rounds
+    assert [r["widths"] for r in rounds] == [r["trainers"] for r in rounds]
+    assert min(r["trainers"] for r in rounds) < cohort
 
 
 def diverging_experiment(huge_clients, huge_row=None):
@@ -376,8 +453,8 @@ def diverging_experiment(huge_clients, huge_row=None):
 @pytest.mark.parametrize("huge_clients, huge_row, named", [
     # client 4's stack trains first, but client 3 comes first in the round
     ((3, 4), None, 3),
-    # both stacks fail; alone, client 3 survives its own shuffles, so the
-    # retry must replay them from a fresh stream
+    # both stacks have a failing client; client 3, in the second, survives
+    # its own shuffles
     ((4, 5), 9, 4),
 ])
 def test_diverging_client_in_a_stack_is_named_as_when_training_alone(
@@ -394,8 +471,8 @@ def test_diverging_client_in_a_stack_is_named_as_when_training_alone(
             # the precondition: client 3 diverges under its next shuffle
             rng = stream(exp.cfg.seed, "local", 0, 3)
             rng.permutation(22)
-            with pytest.raises(NumericError):
-                clients.local_update(exp.clients[3], exp.initial_params, exp.cfg.local, rng)
+            trained = train_alone(exp.clients[3], exp.initial_params, exp.cfg.local, rng)
+            assert isinstance(trained, NumericError)
     prefix = f"client {named} (benign): non-finite loss; first non-finite activations at layer"
     assert str(alone.value).startswith(prefix)
     assert str(stacked.value) == f"round 0: {alone.value}"
