@@ -357,8 +357,10 @@ def _train_stack(
     # [-(bound + log C), 0], and their mean over at most batch_size rows
     # cannot overflow, since batch_size * bound <= 1e307. A NaN or an
     # infinite logit makes the minimum NaN or -inf and fails the guard.
-    # When it fails, the loss of each client that has not failed yet is
-    # computed and checked as backward_ce does.
+    # When the stack fails it, the guard is taken per client: the loss of
+    # each client whose own guard fails, and which has not failed yet, is
+    # computed and checked as backward_ce does, so a failed client's NaN
+    # rows make no later step compute a loss.
     floor = -min(1e300, 1e307 / cfg.batch_size)
     errors: dict[int, NumericError] = {}
     for _ in range(cfg.epochs):
@@ -381,11 +383,12 @@ def _train_stack(
             # their Python wrappers
             dz = pre[-1] - np.maximum.reduce(pre[-1], axis=2, keepdims=True)
             if not np.minimum.reduce(dz, axis=None) > floor:
-                for i, order in enumerate(orders):
+                low = np.minimum.reduce(dz, axis=(1, 2))
+                for i in np.flatnonzero(~(low > floor)).tolist():
                     if i in errors:
                         continue
                     try:
-                        _finite_ce_loss([z[i] for z in pre], labels[i][order[start:stop]])
+                        _finite_ce_loss([z[i] for z in pre], labels[i][orders[i][start:stop]])
                     except NumericError as exc:
                         errors[i] = exc
                 if len(errors) == k:

@@ -60,7 +60,8 @@ def _check_partition_complete() -> None:
 def _check_distance_symmetry() -> None:
     rng = np.random.default_rng(10)
     uploads = {i: rng.normal(size=20) for i in range(6)}
-    x = np.stack([uploads[i] for i in range(6)])
+    uploads[6] = uploads[2].copy()  # a repeated upload, measured once by selection
+    x = np.stack([uploads[i] for i in range(7)])
     c = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
     assert np.allclose(c, c.T, atol=1e-12) and np.all(np.diag(c) == 0.0), (
         "distance matrix must be symmetric with a zero diagonal"

@@ -407,23 +407,56 @@ def test_sgd_stack_validation():
         nn.sgd_epoch([model, model], [x4, x4], [y4, np.array([0, 1, 3, 0])], cfg, rngs)
 
 
-def test_sgd_stack_nonfinite_loss_names_the_layer():
+def failing_stack():
+    """Three clients of one stack; the middle one starts with a NaN output
+    bias, so its loss is non-finite at the first step."""
     arch = nn.ArchSpec(4, (3,), 3)
     good = nn.MlpModel(arch, nn.init_params(arch, np.random.default_rng(0)))
     bad = nn.MlpModel(arch, good.params.copy())
     bad.params[nn.layer_slices(arch)[1][1]] = np.nan  # the output bias
+    other = nn.MlpModel(arch, nn.init_params(arch, np.random.default_rng(1)))
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 3, size=6)
-    cfg = nn.SgdConfig(epochs=1)
+    return [good, bad, other], x, y
+
+
+def test_sgd_stack_nonfinite_loss_names_the_layer():
+    models, x, y = failing_stack()
+    # 3 epochs of 3 steps: the survivors train on for 8 steps after the failure
+    cfg = nn.SgdConfig(epochs=3, batch_size=2)
+    seeds = [4, 5, 6]
     with np.errstate(invalid="ignore"):
-        got_good, got_bad = nn.sgd_epoch([good, bad], [x, x], [y, y], cfg,
-                                         [np.random.default_rng(4), np.random.default_rng(5)])
+        got_good, got_bad, got_other = nn.sgd_epoch(
+            models, [x] * 3, [y] * 3, cfg, [np.random.default_rng(s) for s in seeds]
+        )
     assert isinstance(got_bad, NumericError)
     assert str(got_bad) == "non-finite loss; first non-finite activations at layer 1"
-    # the good client trains on as it would alone
-    alone = sgd_alone(good, x, y, cfg, np.random.default_rng(4))
-    assert np.array_equal(got_good.params, alone.params)
+    # each survivor trains on as it would alone
+    for got, model, seed in ((got_good, models[0], 4), (got_other, models[2], 6)):
+        alone = sgd_alone(model, x, y, cfg, np.random.default_rng(seed))
+        assert np.array_equal(got.params, alone.params)
+
+
+def test_sgd_stack_checks_a_failed_clients_loss_once(monkeypatch):
+    # the loss guard is per client: once the failing client has its error,
+    # its NaN rows make no later step compute anyone's loss
+    models, x, y = failing_stack()
+    calls = []
+    finite_ce_loss = nn._finite_ce_loss
+
+    def counting_finite_ce_loss(pre, labels):
+        calls.append(len(labels))
+        return finite_ce_loss(pre, labels)
+
+    monkeypatch.setattr(nn, "_finite_ce_loss", counting_finite_ce_loss)
+    cfg = nn.SgdConfig(epochs=3, batch_size=2)
+    with np.errstate(invalid="ignore"):
+        trained = nn.sgd_epoch(models, [x] * 3, [y] * 3, cfg,
+                               [np.random.default_rng(s) for s in (4, 5, 6)])
+    assert [isinstance(t, NumericError) for t in trained] == [False, True, False]
+    # one call, for the failing client at the first step
+    assert calls == [2]
 
 
 def test_sgd_nonfinite_start_params_raise_naming_the_layer():

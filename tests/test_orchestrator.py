@@ -1,9 +1,11 @@
 """Round loop wiring: aggregation, reward, fairness, full small runs."""
 
+import re
+
 import numpy as np
 import pytest
 
-from fedaa import clients, config, nn, orchestrator, results
+from fedaa import clients, config, nn, orchestrator, results, selection
 from fedaa.data import LabeledDataset
 from fedaa.clients import ClientRecord
 from fedaa.errors import ConfigError, FedaaError, InternalError, NumericError, SimulationError
@@ -272,6 +274,14 @@ def extreme_settings():
     yield ("attack = sign_flip", "attack.tau = 1e308", "aggregator = fedavg")
 
 
+# attacks whose uploads overflow to non-finite values, leaving too few
+# finite uploads for a selection of every participant
+OVERFLOWING_UPLOADS = {
+    ("attack = sign_flip", "attack.tau = 1e200", "m_percent = 100"),
+    ("attack = ipm", "attack.ipm_epsilon = 1e200", "m_percent = 100"),
+}
+
+
 @pytest.mark.parametrize("settings", extreme_settings(), ids=", ".join)
 def test_extreme_config_finishes_or_fails_typed_in_its_round(settings):
     cfg = config.parse_config_text(EXTREME_BASE + "\n".join(settings) + "\n")
@@ -281,8 +291,42 @@ def test_extreme_config_finishes_or_fails_typed_in_its_round(settings):
     except FedaaError as exc:
         assert type(exc) is not FedaaError
         assert str(exc).startswith("round ")
+        if settings in OVERFLOWING_UPLOADS:
+            # the selection error names the clients whose uploads overflowed:
+            # attackers, and only attackers
+            assert isinstance(exc, SimulationError)
+            named = re.fullmatch(
+                r"round \d+: only \d+ finite uploads for a selection of \d+; "
+                r"non-finite uploads from clients ([\d, ]+)", str(exc)
+            )
+            assert named, str(exc)
+            ids = {int(c) for c in named.group(1).split(", ")}
+            exp = orchestrator.build_experiment(cfg)
+            assert ids and ids <= {c.id for c in exp.clients if c.role == "malicious"}
     else:
+        assert settings not in OVERFLOWING_UPLOADS
         assert len(results.records_to_rows(records)) == cfg.rounds
+
+
+def test_selection_measures_each_distinct_upload_once(monkeypatch):
+    # round 0 selects over broadcast copies of one vector, and every later
+    # round over the benign uploads plus the one vector all ipm attackers send
+    cfg = small_cfg(
+        malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
+    )
+    exp = orchestrator.build_experiment(cfg)
+    rows = []
+    pdist = selection.pdist
+
+    def counting_pdist(x):
+        rows.append(len(x))
+        return pdist(x)
+
+    monkeypatch.setattr(selection, "pdist", counting_pdist)
+    orchestrator.run_rounds(exp)
+    benign = sum(c.role == "benign" for c in exp.clients)
+    assert benign == 4
+    assert rows == [1] + [benign + 1] * cfg.rounds
 
 
 def test_ipm_uploads_equal_attack_ipm_of_the_benign_uploads():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from fedaa import selection
 from fedaa.errors import ConfigError, SimulationError
@@ -19,6 +20,24 @@ def pairwise_oracle(vectors):
             if i != j:
                 out[i, j] = math.sqrt(float(np.sum((vectors[i] - vectors[j]) ** 2)))
     return out
+
+
+def all_rows_oracle(uploads, m_percent, scope, arch):
+    """The selection with squareform(pdist(.)) over every finite row, as
+    (selected ids, state, raw row sums); None if too few rows are finite."""
+    ids = sorted(uploads)
+    x = np.stack([uploads[c] for c in ids])
+    if scope == "last_hidden_layer" and arch.hidden_dims:
+        wsl, bsl = layer_slices(arch)[len(arch.hidden_dims) - 1]
+        x = x[:, wsl.start : bsl.stop]
+    finite = np.isfinite(x).all(axis=1)
+    count = selection.top_count(m_percent, len(ids))
+    if finite.sum() < count:
+        return None
+    sums = np.full(len(ids), np.inf)
+    sums[finite] = squareform(pdist(x[finite])).sum(axis=1)
+    keep = np.sort(np.lexsort((ids, sums))[:count])
+    return [ids[i] for i in keep], selection.normalize_state(sums[keep]), sums[keep]
 
 
 # ------------------------------------------------------------ counts
@@ -131,6 +150,111 @@ def test_state_range():
     assert np.all((res.state >= 0.0) & (res.state <= 1.0))
 
 
+def test_selection_equals_the_all_rows_oracle_generated():
+    # repeated rows are measured once; the outputs must still be the
+    # all-rows oracle's, bit for bit
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    arch = ArchSpec(2, (2,), 2)  # 12 parameters; the scoped block is 6 of them
+    size = param_count(arch)
+    value = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 3e5])
+    row = st.one_of(
+        st.lists(value, min_size=size, max_size=size).map(np.array),
+        st.sampled_from(["zero", "-zero", "nan", "inf"]).map(
+            {"zero": np.zeros(size), "-zero": np.full(size, -0.0),
+             "nan": np.full(size, np.nan), "inf": np.r_[np.inf, np.zeros(size - 1)]}.get
+        ),
+    )
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        pool=st.lists(row, min_size=1, max_size=4),
+        swap=st.booleans(),
+        picks=st.lists(st.integers(0, 4), min_size=2, max_size=10),
+        ids=st.lists(st.integers(0, 50), min_size=10, max_size=10, unique=True),
+        m_percent=st.sampled_from([1.0, 30.0, 50.0, 100.0]),
+        scope=st.sampled_from(selection.SCOPES),
+    )
+    def check(pool, swap, picks, ids, m_percent, scope):
+        if swap:
+            # two words swapped: the same wrapping word sum, other bytes
+            pool = [*pool, pool[0][[1, 0, *range(2, size)]]]
+        uploads = {c: pool[p % len(pool)].copy() for c, p in zip(ids, picks)}
+        want = all_rows_oracle(uploads, m_percent, scope, arch)
+        if want is None:
+            with pytest.raises(SimulationError):
+                selection.select_clients(uploads, m_percent, scope, arch)
+            return
+        got = selection.select_clients(uploads, m_percent, scope, arch)
+        assert got.selected_ids == want[0]
+        assert got.state.tobytes() == want[1].tobytes()
+        assert got.raw_row_sums.tobytes() == want[2].tobytes()
+        keys = [v.tobytes() for v in uploads.values() if np.isfinite(v).all()]
+        seen.add(scope)
+        if len(set(keys)) < len(keys):
+            seen.add("repeated rows")
+        if len(keys) < len(uploads):
+            seen.add("non-finite rows")
+        if len(keys) == 1:
+            seen.add("a single finite row")
+        if {np.zeros(size).tobytes(), np.full(size, -0.0).tobytes()} <= set(keys):
+            seen.add("0.0 and -0.0 rows")
+        pair = {pool[0].tobytes(), pool[-1].tobytes()}
+        if swap and len(pair) == 2 and pair <= set(keys):
+            seen.add("rows of one word sum")
+
+    check()
+    assert seen >= {*selection.SCOPES, "repeated rows", "non-finite rows",
+                    "a single finite row", "0.0 and -0.0 rows", "rows of one word sum"}
+
+
+def test_permutation_equivariance_with_repeated_rows_generated():
+    # rows on one axis at integer points have exact distances, so every row
+    # sum is exact in any summation order; relabelling the clients then
+    # keeps each kept client's sum, and only ties at the cut may change
+    # which of the tied clients is kept
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    point = st.one_of(
+        st.integers(-4, 4).map(lambda a: np.array([float(a), 0.0, 0.0])),
+        st.sampled_from([np.full(3, -0.0), np.array([np.nan, 0.0, 0.0])]),
+    )
+    seen = set()
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        data=st.data(),
+        rows=st.lists(point, min_size=2, max_size=9),
+        m_percent=st.sampled_from([30.0, 50.0, 80.0]),
+    )
+    def check(data, rows, m_percent):
+        n = len(rows)
+        perm = data.draw(st.permutations(range(n)))
+        try:
+            base = selection.select_clients(dict(enumerate(rows)), m_percent)
+        except SimulationError:
+            with pytest.raises(SimulationError):
+                selection.select_clients({perm[i]: v for i, v in enumerate(rows)}, m_percent)
+            return
+        moved = selection.select_clients({perm[i]: v for i, v in enumerate(rows)}, m_percent)
+        assert sorted(base.raw_row_sums.tolist()) == sorted(moved.raw_row_sums.tolist())
+        assert sorted(base.state.tolist()) == sorted(moved.state.tolist())
+        cut = base.raw_row_sums.max()
+        moved_sums = dict(zip(moved.selected_ids, moved.raw_row_sums.tolist()))
+        for cid, total in zip(base.selected_ids, base.raw_row_sums.tolist()):
+            if total < cut or perm[cid] in moved_sums:
+                assert moved_sums[perm[cid]] == total
+        keys = [v.tobytes() for v in rows]
+        if len(set(keys)) < len(keys):
+            seen.add("repeated rows")
+        if not all(np.isfinite(v).all() for v in rows):
+            seen.add("non-finite rows")
+
+    check()
+    assert seen == {"repeated rows", "non-finite rows"}
+
+
 # ------------------------------------------------------------ quarantine
 
 
@@ -156,8 +280,11 @@ def test_all_nonfinite_uploads_rejected():
 
 
 def test_too_few_finite_uploads_rejected():
-    uploads = {0: np.zeros(3), 1: np.full(3, np.nan), 2: np.full(3, np.nan)}
-    with pytest.raises(SimulationError):
+    uploads = {0: np.zeros(3), 4: np.full(3, np.nan), 7: np.array([1.0, np.inf, 0.0])}
+    with pytest.raises(
+        SimulationError,
+        match=r"^only 1 finite uploads for a selection of 2; non-finite uploads from clients 4, 7$",
+    ):
         selection.select_clients(uploads, 67.0)  # needs 2, only 1 finite
 
 
