@@ -16,18 +16,20 @@ from fedaa.seeding import stream
 rng = stream(3, "demo")
 dim = 32
 
+# a round's uploads are one matrix, a row per client in ascending id:
 # eight honest uploads near the origin, two constant-vector attackers
-uploads = {cid: rng.normal(0.0, 0.1, dim) for cid in range(8)}
-uploads[8] = attack_same_value(dim, 100.0, rng)
-uploads[9] = attack_same_value(dim, 100.0, rng)
+ids = list(range(10))
+honest = rng.normal(0.0, 0.1, (8, dim))
+attackers = [attack_same_value(dim, 100.0, rng) for _ in range(2)]
+uploads = np.vstack([honest, *attackers])
 
-result = selection.select_clients(uploads, 50.0, "all_layers")
+result = selection.select_clients(ids, uploads, 50.0, "all_layers")
 
 print("kept client  row sum of distances")
 for cid, row_sum in zip(result.selected_ids, result.raw_row_sums):
     kind = "attacker" if cid >= 8 else "honest"
     print(f"  {cid} ({kind:8s}) {row_sum:12.2f}")
-dropped = sorted(set(uploads) - set(result.selected_ids))
+dropped = sorted(set(ids) - set(result.selected_ids))
 print(f"dropped clients: {dropped} (attackers are 8 and 9)")
 
 print(f"\nkept the closest 50%: clients {result.selected_ids}")
@@ -36,6 +38,6 @@ print(f"normalized state fed to the policy: "
 
 # scaling every upload by one constant scales every distance by it, so the
 # kept clients and the min-max normalized state stay the same
-scaled = selection.select_clients({cid: 1000.0 * v for cid, v in uploads.items()}, 50.0)
+scaled = selection.select_clients(ids, 1000.0 * uploads, 50.0)
 print(f"\nuploads scaled by 1000: kept {scaled.selected_ids}, state "
       f"{np.array2string(scaled.state, precision=3)} (selection is scale-free)")

@@ -157,13 +157,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = parse_config_values(read_config_text(args.config))
     axes = _parse_vary(args.vary or [])
     cells = _grid(axes)
-    base_seed = int(base.get("seed", 0))
     tasks = []
     for index, cell in enumerate(cells):
-        for offset in range(args.seeds):
-            values = {**base, **cell, "seed": base_seed + offset}
-            tasks.append((index, base_seed + offset, build_config(values)))
-    workers = max(1, int(os.environ.get("FEDAA_THREADS", "1")))
+        values = {**base, **cell}
+        # a cell's seeds start at its own seed, varied or not
+        start = int(values.get("seed", 0))
+        for seed in range(start, start + args.seeds):
+            tasks.append((index, seed, build_config({**values, "seed": seed})))
+    threads = os.environ.get("FEDAA_THREADS", "1")
+    if not threads.isdecimal() or int(threads) < 1:
+        raise ConfigError(f"FEDAA_THREADS must be an integer >= 1 (got {threads!r})")
+    workers = int(threads)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_one, tasks))

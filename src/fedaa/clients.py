@@ -106,16 +106,11 @@ def attack_gaussian(dim: int, tau: float, rng: np.random.Generator) -> np.ndarra
     return rng.normal(0.0, tau, size=dim)
 
 
-def mean_upload(benign_uploads: list[np.ndarray]) -> np.ndarray:
-    """Mean of this round's benign uploads: the ipm reference point."""
-    if not benign_uploads:
+def mean_upload(benign_uploads: np.ndarray) -> np.ndarray:
+    """Mean of the rows of this round's benign uploads: the ipm reference point."""
+    if len(benign_uploads) == 0:
         raise SimulationError("ipm attack requires at least one benign upload")
-    return np.mean(np.stack(benign_uploads), axis=0)
-
-
-def attack_ipm(benign_uploads: list[np.ndarray], epsilon: float) -> np.ndarray:
-    """Negative scaled mean of this round's benign uploads."""
-    return -epsilon * mean_upload(benign_uploads)
+    return np.mean(benign_uploads, axis=0)
 
 
 def trains(client: ClientRecord) -> bool:

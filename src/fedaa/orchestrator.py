@@ -102,14 +102,15 @@ class FairnessMetrics:
     mean_global_acc: float
 
 
-def aggregate(uploads: list[np.ndarray], action: np.ndarray) -> np.ndarray:
-    """Convex combination of uploads under simplex weights."""
+def aggregate(rows: np.ndarray, action: np.ndarray) -> np.ndarray:
+    """Convex combination of upload rows under simplex weights."""
+    rows = np.asarray(rows, dtype=np.float64)
     weights = np.asarray(action, dtype=np.float64)
-    if len(uploads) != weights.size:
-        raise ConfigError(f"{len(uploads)} uploads but {weights.size} weights")
+    if rows.ndim != 2 or len(rows) != weights.size:
+        raise ConfigError(f"uploads of shape {rows.shape} for {weights.size} weights")
     if weights.min() < -1e-6 or abs(weights.sum() - 1.0) > 1e-6:
         raise InternalError("aggregation weights violate the probability simplex")
-    return weights @ np.stack(uploads)
+    return weights @ rows
 
 
 def evaluate_reward(
@@ -294,9 +295,10 @@ def _collect_uploads(
     participants: list[int],
     global_params: np.ndarray,
     round_index: int,
-) -> dict[int, np.ndarray]:
+) -> np.ndarray:
     """Run local updates for a cohort; benign clients go first so that
-    reference-point attacks can use their uploads.
+    reference-point attacks can use their uploads. Returns the uploads
+    as one row per participant, in ascending client id.
 
     Clients that train do so first, in lockstep stacks of equal train
     size; each draws its permutations from its own stream, which its
@@ -308,23 +310,24 @@ def _collect_uploads(
     order = sorted(participants, key=lambda c: exp.clients[c].role != "benign")
     rngs = {cid: stream(cfg.seed, "local", round_index, cid) for cid in order}
     trained = train_lockstep([exp.clients[c] for c in order], global_params, cfg.local, rngs)
-    uploads: dict[int, np.ndarray] = {}
-    benign_vecs: list[np.ndarray] = []
+    ids = sorted(participants)
+    row_of = {cid: row for row, cid in enumerate(ids)}
+    uploads = np.empty((len(ids), global_params.size))
     benign_mean = None
     for cid in order:
         client = exp.clients[cid]
         try:
             if benign_mean is None and client.attack is not None and client.attack.kind == "ipm":
-                # every ipm attacker scales the same mean; take it once a round
-                benign_mean = mean_upload(benign_vecs)
-            uploads[cid] = local_update(
+                # every ipm attacker scales the same mean; take it once a
+                # round, when every benign row is written
+                benign = np.array([exp.clients[c].role == "benign" for c in ids])
+                benign_mean = mean_upload(uploads[benign])
+            uploads[row_of[cid]] = local_update(
                 client, global_params, rngs[cid],
                 benign_mean=benign_mean, trained=trained.get(cid),
             )
         except FedaaError as exc:
             raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc
-        if client.role == "benign":
-            benign_vecs.append(uploads[cid])
     return uploads
 
 
@@ -338,11 +341,11 @@ def run_fedavg_baseline(cfg: ExperimentConfig) -> list[RoundRecord]:
     return run_experiment(replace(cfg, aggregator="fedavg"))
 
 
-def _select(exp: Experiment, uploads: dict[int, np.ndarray]) -> SelectionResult | None:
+def _select(exp: Experiment, ids: list[int], uploads: np.ndarray) -> SelectionResult | None:
     """Distance selection under fedaa; fedavg keeps every upload."""
     if exp.agent is None:
         return None
-    return select_clients(uploads, exp.cfg.m_percent, exp.cfg.distance_scope, exp.arch)
+    return select_clients(ids, uploads, exp.cfg.m_percent, exp.cfg.distance_scope, exp.arch)
 
 
 def run_rounds(exp: Experiment) -> list[RoundRecord]:
@@ -359,20 +362,23 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
     # round 0 merges unattacked broadcast copies: no training has happened
     # yet, so there is nothing for an attacker to distort
     participants = sample_participants(cfg.dataset.num_clients, cfg.participation_ratio, part_rng)
-    uploads = {cid: global_params.copy() for cid in participants}
-    sel = _select(exp, uploads)
+    uploads = np.tile(global_params, (len(participants), 1))
+    sel = _select(exp, participants, uploads)
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):
         try:
             if agent is None:
-                ids = sorted(uploads)
+                ids, rows = participants, uploads
                 sizes = np.asarray([len(exp.clients[c].train) for c in ids], dtype=np.float64)
                 action = sizes / sizes.sum()
             else:
-                ids = list(sel.selected_ids)
+                ids = sel.selected_ids
+                rows = uploads[np.searchsorted(participants, ids)]
                 sigma = exploration_sigma(t, cfg.rounds, cfg.ddpg)
                 action = act(agent, sel.state, sigma, explore_rng)
-            global_params = aggregate([uploads[c] for c in ids], action)
+            global_params = aggregate(rows, action)
+            # release the spent uploads before the next round's are built
+            del uploads, rows
             global_model = MlpModel(exp.arch, global_params)
             reward, per_class = evaluate_reward(global_model, exp.val_set)
             participants = sample_participants(
@@ -380,7 +386,7 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
             )
             uploads = _collect_uploads(exp, participants, global_params, t)
             fairness = evaluate_fairness(exp.clients, global_model)
-            next_sel = _select(exp, uploads)
+            next_sel = _select(exp, participants, uploads)
             records.append(
                 RoundRecord(
                     round=t,

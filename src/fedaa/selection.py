@@ -48,31 +48,21 @@ def normalize_state(row_sums: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-def _scoped_vectors(
-    uploads: dict[int, np.ndarray], ids: list[int], scope: str, arch: ArchSpec | None
-) -> np.ndarray:
-    vecs = []
-    size = None
-    for cid in ids:
-        v = np.asarray(uploads[cid], dtype=np.float64).ravel()
-        if size is None:
-            size = v.size
-        elif v.size != size:
-            raise ConfigError(f"upload of client {cid} has size {v.size}, expected {size}")
-        vecs.append(v)
+def _scoped_columns(uploads: np.ndarray, scope: str, arch: ArchSpec | None) -> np.ndarray:
+    """The columns of the uploads that the scope measures, as a view."""
     if scope == "last_hidden_layer":
         if arch is None:
             raise ConfigError("last_hidden_layer scope requires the model architecture")
-        if size != param_count(arch):
+        if uploads.shape[1] != param_count(arch):
             raise ConfigError("uploads do not match the given architecture")
         if arch.hidden_dims:
             # weight and bias of the final hidden layer are adjacent in the flat layout
             wsl, bsl = layer_slices(arch)[len(arch.hidden_dims) - 1]
-            vecs = [v[wsl.start : bsl.stop] for v in vecs]
+            return uploads[:, wsl.start : bsl.stop]
         # no hidden layers: the full vector is the only sensible scope
     elif scope != "all_layers":
         raise ConfigError(f"unknown distance scope: {scope!r}")
-    return np.stack(vecs)
+    return uploads
 
 
 def _distinct_rows(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,18 +94,20 @@ def _distinct_rows(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def select_clients(
-    uploads: dict[int, np.ndarray],
+    ids: list[int],
+    uploads: np.ndarray,
     m_percent: float,
     scope: str = "all_layers",
     arch: ArchSpec | None = None,
 ) -> SelectionResult:
     """Keep the m_percent of uploads with the smallest summed distances.
 
-    Clients with non-finite uploads get +inf row sums and are never
-    retained; finite clients' sums are taken over finite peers only.
-    Ties break toward the smaller client id. Raises SimulationError,
-    naming the clients with non-finite uploads, if fewer finite uploads
-    remain than the selection needs.
+    ``uploads`` holds one row per client, the clients ``ids`` in strictly
+    ascending order. Clients with non-finite uploads get +inf row sums
+    and are never retained; finite clients' sums are taken over finite
+    peers only. Ties break toward the smaller client id. Raises
+    SimulationError, naming the clients with non-finite uploads, if fewer
+    finite uploads remain than the selection needs.
 
     Byte-equal uploads (round 0's broadcast copies, the clones an IPM
     attack sends) are measured once: ``pdist`` runs over the distinct
@@ -123,16 +115,21 @@ def select_clients(
     each row sum adds the same floats in the same order as
     ``squareform(pdist(x)).sum(axis=1)`` over every finite row.
     """
-    ids = sorted(int(k) for k in uploads)
-    n = len(ids)
+    ids = np.asarray(ids, dtype=np.int64)
+    uploads = np.asarray(uploads, dtype=np.float64)
+    if uploads.ndim != 2 or ids.shape != uploads.shape[:1]:
+        raise ConfigError(f"{ids.size} client ids for uploads of shape {uploads.shape}")
+    if (np.diff(ids) <= 0).any():
+        raise ConfigError("client ids must be strictly ascending")
+    n = ids.size
     if n < 2:
         raise ConfigError("selection needs at least 2 uploads")
-    x = _scoped_vectors(uploads, ids, scope, arch)
+    x = _scoped_columns(uploads, scope, arch)
     finite = np.isfinite(x).all(axis=1)
     count = top_count(m_percent, n)
     good = np.flatnonzero(finite)
     if good.size < count:
-        bad = ", ".join(str(ids[i]) for i in np.flatnonzero(~finite))
+        bad = ", ".join(str(c) for c in ids[~finite])
         raise SimulationError(
             f"only {good.size} finite uploads for a selection of {count}; "
             f"non-finite uploads from clients {bad}"
@@ -144,13 +141,11 @@ def select_clients(
     # the peak RSS of a 200-client, d = 14,210 run by 7%
     d = squareform(pdist(x[first]))
     sums[good] = d[np.ix_(inverse, inverse)].sum(axis=1)
-    ids_arr = np.asarray(ids)
-    order = np.lexsort((ids_arr, sums))  # row sum first, id breaks ties
-    chosen = np.sort(ids_arr[order[:count]])
-    keep_pos = np.searchsorted(ids_arr, chosen)
-    raw = sums[keep_pos]
+    # a stable sort on the row sums breaks ties toward the smaller id
+    keep = np.sort(np.argsort(sums, kind="stable")[:count])
+    raw = sums[keep]
     return SelectionResult(
-        selected_ids=[int(c) for c in chosen],
+        selected_ids=ids[keep].tolist(),
         state=normalize_state(raw),
         raw_row_sums=raw,
     )

@@ -59,22 +59,20 @@ def _check_partition_complete() -> None:
 
 def _check_distance_symmetry() -> None:
     rng = np.random.default_rng(10)
-    uploads = {i: rng.normal(size=20) for i in range(6)}
-    uploads[6] = uploads[2].copy()  # a repeated upload, measured once by selection
-    x = np.stack([uploads[i] for i in range(7)])
+    x = rng.normal(size=(7, 20))
+    x[6] = x[2]  # a repeated upload, measured once by selection
     c = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
     assert np.allclose(c, c.T, atol=1e-12) and np.all(np.diag(c) == 0.0), (
         "distance matrix must be symmetric with a zero diagonal"
     )
-    res = select_clients(uploads, 50.0)
+    res = select_clients(list(range(7)), x, 50.0)
     assert np.allclose(res.raw_row_sums, c[res.selected_ids].sum(axis=1), rtol=1e-12), (
         "selection row sums must equal the distance matrix's row sums"
     )
 
 
 def _check_aggregate_hull() -> None:
-    uploads = [np.zeros(4), np.ones(4)]
-    merged = aggregate(uploads, np.array([0.25, 0.75]))
+    merged = aggregate(np.array([np.zeros(4), np.ones(4)]), np.array([0.25, 0.75]))
     assert np.allclose(merged, 0.75), "aggregation must stay inside the convex hull"
 
 

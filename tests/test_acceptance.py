@@ -128,10 +128,10 @@ def test_selection_excludes_same_value_attackers():
     clean_trials = 0
     for trial in range(100):
         rng = stream(0, "selection-robustness", trial)
-        uploads = {cid: rng.normal(0.0, 0.1, dim) for cid in range(16)}
-        for cid in range(16, 20):
-            uploads[cid] = attack_same_value(dim, 100.0, rng)
-        sel = selection.select_clients(uploads, 30.0, "all_layers")
+        honest = rng.normal(0.0, 0.1, (16, dim))
+        attackers = [attack_same_value(dim, 100.0, rng) for _ in range(4)]
+        uploads = np.vstack([honest, *attackers])
+        sel = selection.select_clients(list(range(20)), uploads, 30.0, "all_layers")
         if all(cid < 16 for cid in sel.selected_ids):
             clean_trials += 1
     assert clean_trials >= 99

@@ -159,6 +159,26 @@ def test_sweep_parallel_matches_serial(cfg_path, tmp_path):
     )
 
 
+def test_sweep_varied_seed_starts_its_cell(cfg_path, tmp_path):
+    out = str(tmp_path / "sweep")
+    assert cli.main(["sweep", "--config", cfg_path, "--out", out, "--vary", "seed=3,7"]) == 0
+    rows = [line.split(",") for line in open(os.path.join(out, "sweep.csv")).read().splitlines()]
+    header, cells = rows[0], rows[1:]
+    assert [cell[header.index("seed")] for cell in cells] == ["3", "7"]
+    acc = header.index("mean_acc")
+    assert cells[0][acc] != cells[1][acc]
+
+
+@pytest.mark.parametrize("threads", ["abc", "", "1.5", "0", "-1"])
+def test_sweep_rejects_a_bad_thread_count(cfg_path, tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("FEDAA_THREADS", threads)
+    out = str(tmp_path / "sweep")
+    assert cli.main(["sweep", "--config", cfg_path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "fedaa: error: ConfigError: FEDAA_THREADS must be an integer >= 1" in err
+    assert not os.path.exists(os.path.join(out, "sweep.csv"))
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_sweep_rejects_fewer_than_one_seed(cfg_path, tmp_path, capsys, seeds):
     out = str(tmp_path / "sweep")

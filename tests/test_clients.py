@@ -113,11 +113,18 @@ def test_gaussian_message_scale():
 
 
 def test_ipm_message_hand_computed():
-    uploads = [np.array([1.0, 1.0]), np.array([3.0, 3.0])]
-    assert np.allclose(clients.attack_ipm(uploads, 0.5), [-1.0, -1.0])
-    assert np.allclose(clients.attack_ipm(uploads, 2.0), [-4.0, -4.0])
+    # the message is -epsilon times the mean of the benign upload rows
+    benign = np.array([np.ones(610), 3.0 * np.ones(610)])
+    assert np.array_equal(clients.mean_upload(benign), np.full(610, 2.0))
+    for epsilon, expected in ((0.5, -1.0), (2.0, -4.0)):
+        spec = clients.AttackSpec("ipm", ipm_epsilon=epsilon)
+        client = make_client(role="malicious", attack=spec)
+        upload = clients.local_update(
+            client, np.zeros(610), np.random.default_rng(5), benign_mean=clients.mean_upload(benign)
+        )
+        assert np.allclose(upload, expected)
     with pytest.raises(SimulationError):
-        clients.attack_ipm([], 0.5)
+        clients.mean_upload(np.empty((0, 610)))
 
 
 # ------------------------------------------------------------ local updates
@@ -199,7 +206,7 @@ def test_gaussian_client_keeps_broadcast_model():
 def test_ipm_client_uses_benign_uploads():
     spec = clients.AttackSpec("ipm", ipm_epsilon=0.5)
     client = make_client(role="malicious", attack=spec)
-    benign = [np.ones(610), 3.0 * np.ones(610)]
+    benign = np.array([np.ones(610), 3.0 * np.ones(610)])
     upload = clients.local_update(
         client, np.zeros(610), np.random.default_rng(14), benign_mean=clients.mean_upload(benign)
     )

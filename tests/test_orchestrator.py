@@ -32,7 +32,7 @@ def small_cfg(**overrides):
 
 
 def test_aggregate_hand_example():
-    uploads = [np.array([1.0, 2.0]), np.array([3.0, 6.0])]
+    uploads = np.array([[1.0, 2.0], [3.0, 6.0]])
     merged = orchestrator.aggregate(uploads, np.array([0.25, 0.75]))
     assert np.allclose(merged, [2.5, 5.0], atol=1e-15)
     same = orchestrator.aggregate(uploads, np.array([1.0, 0.0]))
@@ -40,13 +40,46 @@ def test_aggregate_hand_example():
 
 
 def test_aggregate_rejects_bad_weights():
-    uploads = [np.zeros(2), np.zeros(2)]
+    uploads = np.zeros((2, 2))
     with pytest.raises(InternalError):
         orchestrator.aggregate(uploads, np.array([0.6, 0.6]))
     with pytest.raises(InternalError):
         orchestrator.aggregate(uploads, np.array([-0.2, 1.2]))
-    with pytest.raises(ConfigError, match="2 uploads but 3 weights"):
+    with pytest.raises(ConfigError, match=r"uploads of shape \(2, 2\) for 3 weights"):
         orchestrator.aggregate(uploads, np.array([0.5, 0.25, 0.25]))
+    # one upload row per weight: a flat vector is not a stack of uploads
+    with pytest.raises(ConfigError, match=r"uploads of shape \(2,\) for 2 weights"):
+        orchestrator.aggregate(np.zeros(2), np.array([0.5, 0.5]))
+
+
+def test_aggregate_stays_inside_the_convex_hull_generated():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.floats(-1e300, 1e300, allow_subnormal=True)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        data=st.data(),
+        m=st.integers(1, 6),
+        d=st.integers(1, 5),
+    )
+    def check(data, m, d):
+        rows = np.array(data.draw(st.lists(
+            st.lists(value, min_size=d, max_size=d), min_size=m, max_size=m
+        )))
+        raw = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        hypothesis.assume(raw.sum() > 0.0)
+        w = raw / raw.sum()
+        merged = orchestrator.aggregate(rows, w)
+        # the stacked-list form the round loop used before uploads were one matrix
+        assert merged.tobytes() == (w @ np.stack([row for row in rows])).tobytes()
+        # each weight and product rounds once, and the sum of m terms m times
+        tiny = np.finfo(np.float64).smallest_subnormal
+        slack = 4 * m * (np.finfo(np.float64).eps * np.abs(rows).max(axis=0) + tiny)
+        assert np.all(merged >= rows.min(axis=0) - slack)
+        assert np.all(merged <= rows.max(axis=0) + slack)
+
+    check()
 
 
 def test_evaluate_reward_hand_oracle():
@@ -329,19 +362,20 @@ def test_selection_measures_each_distinct_upload_once(monkeypatch):
     assert rows == [1] + [benign + 1] * cfg.rounds
 
 
-def test_ipm_uploads_equal_attack_ipm_of_the_benign_uploads():
+def test_ipm_uploads_equal_the_scaled_benign_mean():
     cfg = small_cfg(
         malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
     )
     exp = orchestrator.build_experiment(cfg)
     uploads = orchestrator._collect_uploads(exp, list(range(6)), exp.initial_params, 0)
+    assert uploads.shape == (6, exp.initial_params.size)
     benign = [uploads[c.id] for c in exp.clients if c.role == "benign"]
     attackers = [uploads[c.id] for c in exp.clients if c.role == "malicious"]
     assert len(attackers) == 2
-    expected = clients.attack_ipm(benign, 0.7)
+    expected = -0.7 * np.mean(np.stack(benign), axis=0)
     for upload in attackers:
         assert np.array_equal(upload, expected)
-    # each attacker holds an array of its own
+    # each attacker holds a row of its own
     assert not np.shares_memory(attackers[0], attackers[1])
 
 
@@ -364,7 +398,8 @@ def train_alone(client, global_params, cfg, rng):
 
 def per_client_uploads(exp, participants, global_params, round_index):
     """The straightforward round: one local_update per client, benign ones
-    first, each training alone from its own stream."""
+    first, each training alone from its own stream; the uploads stacked in
+    ascending client id."""
     uploads, benign = {}, []
     for cid in sorted(participants, key=lambda c: exp.clients[c].role != "benign"):
         client = exp.clients[cid]
@@ -376,13 +411,14 @@ def per_client_uploads(exp, participants, global_params, round_index):
         try:
             uploads[cid] = clients.local_update(
                 client, global_params, rng,
-                benign_mean=clients.mean_upload(benign) if ipm else None, trained=trained,
+                benign_mean=clients.mean_upload(np.array(benign)) if ipm else None,
+                trained=trained,
             )
         except FedaaError as exc:
             raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc
         if client.role == "benign":
             benign.append(uploads[cid])
-    return uploads
+    return np.stack([uploads[c] for c in sorted(uploads)])
 
 
 def mixed_experiment():
@@ -422,14 +458,13 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
         participants = orchestrator.sample_participants(12, 0.75, part_rng)
         got = orchestrator._collect_uploads(lockstep, participants, params, t)
         want = per_client_uploads(plain, participants, params, t)
-        assert list(got) == list(want)
-        for cid in want:
-            assert np.array_equal(got[cid], want[cid])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
         for a, b in zip(lockstep.clients, plain.clients):
             assert np.array_equal(a.local_model.params, b.local_model.params)
         kinds.update(lockstep.clients[c].attack.kind if lockstep.clients[c].attack else None
                      for c in participants)
-        params = np.mean([want[c] for c in sorted(want)], axis=0)
+        params = np.mean(want, axis=0)
     assert kinds == {None, "sign_flip", "ipm"}
     assert len(participants) < 12
     sizes = [len(c.train) for c in lockstep.clients if clients.trains(c)]
@@ -543,10 +578,9 @@ def test_guard_failing_on_finite_losses_leaves_uploads_unchanged(monkeypatch):
     monkeypatch.setattr(nn, "_finite_ce_loss", counting_loss)
     got = orchestrator._collect_uploads(exp, list(range(6)), params, 0)
     assert calls
-    assert list(got) == list(want)
-    for cid in want:
-        assert got[cid].tobytes() == want[cid].tobytes()
-        assert np.isfinite(got[cid]).all()
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got).all()
 
 
 def test_malicious_roles_materialized():

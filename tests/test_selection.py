@@ -22,11 +22,10 @@ def pairwise_oracle(vectors):
     return out
 
 
-def all_rows_oracle(uploads, m_percent, scope, arch):
+def all_rows_oracle(ids, uploads, m_percent, scope, arch):
     """The selection with squareform(pdist(.)) over every finite row, as
     (selected ids, state, raw row sums); None if too few rows are finite."""
-    ids = sorted(uploads)
-    x = np.stack([uploads[c] for c in ids])
+    x = uploads
     if scope == "last_hidden_layer" and arch.hidden_dims:
         wsl, bsl = layer_slices(arch)[len(arch.hidden_dims) - 1]
         x = x[:, wsl.start : bsl.stop]
@@ -80,16 +79,12 @@ def test_normalize_state_min_max():
 
 def test_three_client_hand_computed_selection():
     # distances: d(0,1) = 5, d(0,2) = 10, d(1,2) = 5 -> row sums [15, 10, 15]
-    uploads = {
-        0: np.array([0.0, 0.0]),
-        1: np.array([3.0, 4.0]),
-        2: np.array([6.0, 8.0]),
-    }
-    one = selection.select_clients(uploads, 34.0)
+    uploads = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
+    one = selection.select_clients([0, 1, 2], uploads, 34.0)
     assert one.selected_ids == [1]
     assert np.allclose(one.raw_row_sums, [10.0])
     assert np.array_equal(one.state, [0.0])  # single value is degenerate
-    two = selection.select_clients(uploads, 67.0)
+    two = selection.select_clients([0, 1, 2], uploads, 67.0)
     # 1 wins outright; 0 and 2 tie at 15 and the lower id enters
     assert two.selected_ids == [0, 1]
     assert np.allclose(two.raw_row_sums, [15.0, 10.0])
@@ -97,17 +92,15 @@ def test_three_client_hand_computed_selection():
 
 
 def test_identical_uploads_tie_break_by_id():
-    uploads = {i: np.ones(4) for i in range(3)}
-    res = selection.select_clients(uploads, 67.0)
+    res = selection.select_clients([0, 1, 2], np.ones((3, 4)), 67.0)
     assert res.selected_ids == [0, 1]
     assert np.array_equal(res.state, [0.0, 0.0])
 
 
 def test_distance_matrix_matches_oracle():
     rng = np.random.default_rng(30)
-    vectors = [rng.normal(size=12) for _ in range(7)]
-    uploads = {i: v for i, v in enumerate(vectors)}
-    res = selection.select_clients(uploads, 50.0)
+    vectors = rng.normal(size=(7, 12))
+    res = selection.select_clients(list(range(7)), vectors, 50.0)
     oracle = pairwise_oracle(vectors)
     assert np.allclose(oracle, oracle.T, atol=1e-12)
     assert np.all(np.diag(oracle) == 0.0)
@@ -119,23 +112,29 @@ def test_distance_matrix_matches_oracle():
     assert np.allclose(res.raw_row_sums, sums[expect], rtol=1e-12, atol=0.0)
 
 
+def permuted_rows(rows, perm):
+    """Row i moved to row perm[i]: client i relabelled as perm[i], with the
+    ids kept ascending."""
+    moved = np.empty_like(rows)
+    moved[perm] = rows
+    return moved
+
+
 def test_permutation_equivariance():
     rng = np.random.default_rng(31)
-    vectors = [rng.normal(size=9) for _ in range(6)]
-    base = selection.select_clients({i: v for i, v in enumerate(vectors)}, 50.0)
-    # relabel client i as perm[i]
+    vectors = rng.normal(size=(6, 9))
+    ids = list(range(6))
+    base = selection.select_clients(ids, vectors, 50.0)
     perm = [4, 0, 5, 2, 1, 3]
-    shuffled = selection.select_clients(
-        {perm[i]: v for i, v in enumerate(vectors)}, 50.0
-    )
+    shuffled = selection.select_clients(ids, permuted_rows(vectors, perm), 50.0)
     assert sorted(perm[i] for i in base.selected_ids) == shuffled.selected_ids
 
 
 def test_scale_invariance_of_membership_and_state():
     rng = np.random.default_rng(32)
-    uploads = {i: rng.normal(size=10) for i in range(8)}
-    base = selection.select_clients(uploads, 40.0)
-    scaled = selection.select_clients({i: 2.0 * v for i, v in uploads.items()}, 40.0)
+    uploads = rng.normal(size=(8, 10))
+    base = selection.select_clients(list(range(8)), uploads, 40.0)
+    scaled = selection.select_clients(list(range(8)), 2.0 * uploads, 40.0)
     assert base.selected_ids == scaled.selected_ids
     assert np.allclose(base.state, scaled.state, atol=1e-12)
     assert np.allclose(2.0 * base.raw_row_sums, scaled.raw_row_sums, atol=1e-9)
@@ -143,8 +142,7 @@ def test_scale_invariance_of_membership_and_state():
 
 def test_state_range():
     rng = np.random.default_rng(33)
-    uploads = {i: rng.normal(size=6) for i in range(10)}
-    res = selection.select_clients(uploads, 60.0)
+    res = selection.select_clients(list(range(10)), rng.normal(size=(10, 6)), 60.0)
     assert res.state.min() == 0.0
     assert res.state.max() <= 1.0
     assert np.all((res.state >= 0.0) & (res.state <= 1.0))
@@ -180,17 +178,18 @@ def test_selection_equals_the_all_rows_oracle_generated():
         if swap:
             # two words swapped: the same wrapping word sum, other bytes
             pool = [*pool, pool[0][[1, 0, *range(2, size)]]]
-        uploads = {c: pool[p % len(pool)].copy() for c, p in zip(ids, picks)}
-        want = all_rows_oracle(uploads, m_percent, scope, arch)
+        ids = sorted(ids[: len(picks)])
+        uploads = np.array([pool[p % len(pool)] for p in picks])
+        want = all_rows_oracle(ids, uploads, m_percent, scope, arch)
         if want is None:
             with pytest.raises(SimulationError):
-                selection.select_clients(uploads, m_percent, scope, arch)
+                selection.select_clients(ids, uploads, m_percent, scope, arch)
             return
-        got = selection.select_clients(uploads, m_percent, scope, arch)
+        got = selection.select_clients(ids, uploads, m_percent, scope, arch)
         assert got.selected_ids == want[0]
         assert got.state.tobytes() == want[1].tobytes()
         assert got.raw_row_sums.tobytes() == want[2].tobytes()
-        keys = [v.tobytes() for v in uploads.values() if np.isfinite(v).all()]
+        keys = [v.tobytes() for v in uploads if np.isfinite(v).all()]
         seen.add(scope)
         if len(set(keys)) < len(keys):
             seen.add("repeated rows")
@@ -231,13 +230,15 @@ def test_permutation_equivariance_with_repeated_rows_generated():
     def check(data, rows, m_percent):
         n = len(rows)
         perm = data.draw(st.permutations(range(n)))
+        ids = list(range(n))
+        rows = np.array(rows)
         try:
-            base = selection.select_clients(dict(enumerate(rows)), m_percent)
+            base = selection.select_clients(ids, rows, m_percent)
         except SimulationError:
             with pytest.raises(SimulationError):
-                selection.select_clients({perm[i]: v for i, v in enumerate(rows)}, m_percent)
+                selection.select_clients(ids, permuted_rows(rows, perm), m_percent)
             return
-        moved = selection.select_clients({perm[i]: v for i, v in enumerate(rows)}, m_percent)
+        moved = selection.select_clients(ids, permuted_rows(rows, perm), m_percent)
         assert sorted(base.raw_row_sums.tolist()) == sorted(moved.raw_row_sums.tolist())
         assert sorted(base.state.tolist()) == sorted(moved.state.tolist())
         cut = base.raw_row_sums.max()
@@ -260,10 +261,9 @@ def test_permutation_equivariance_with_repeated_rows_generated():
 
 def test_nan_upload_never_selected():
     rng = np.random.default_rng(34)
-    uploads = {i: rng.normal(size=5) for i in range(5)}
-    uploads[2] = uploads[2].copy()
-    uploads[2][3] = np.nan
-    res = selection.select_clients(uploads, 80.0)
+    uploads = rng.normal(size=(5, 5))
+    uploads[2, 3] = np.nan
+    res = selection.select_clients(list(range(5)), uploads, 80.0)
     assert 2 not in res.selected_ids
     assert len(res.selected_ids) == 4
     assert np.all(np.isfinite(res.raw_row_sums))
@@ -274,18 +274,18 @@ def test_nan_upload_never_selected():
 
 
 def test_all_nonfinite_uploads_rejected():
-    uploads = {0: np.full(3, np.nan), 1: np.full(3, np.inf)}
+    uploads = np.array([np.full(3, np.nan), np.full(3, np.inf)])
     with pytest.raises(SimulationError):
-        selection.select_clients(uploads, 50.0)
+        selection.select_clients([0, 1], uploads, 50.0)
 
 
 def test_too_few_finite_uploads_rejected():
-    uploads = {0: np.zeros(3), 4: np.full(3, np.nan), 7: np.array([1.0, np.inf, 0.0])}
+    uploads = np.array([np.zeros(3), np.full(3, np.nan), [1.0, np.inf, 0.0]])
     with pytest.raises(
         SimulationError,
         match=r"^only 1 finite uploads for a selection of 2; non-finite uploads from clients 4, 7$",
     ):
-        selection.select_clients(uploads, 67.0)  # needs 2, only 1 finite
+        selection.select_clients([0, 4, 7], uploads, 67.0)  # needs 2, only 1 finite
 
 
 # ------------------------------------------------------------ scopes
@@ -302,12 +302,12 @@ def test_last_hidden_layer_scope_slices_correct_block():
     b[0] += 50.0  # first-layer weight, invisible to the scoped distance
     c = base.copy()
     c[wsl.start] += 1.0
-    uploads = {0: a, 1: b, 2: c}
-    res = selection.select_clients(uploads, 67.0, scope="last_hidden_layer", arch=arch)
+    uploads = np.array([a, b, c])
+    res = selection.select_clients([0, 1, 2], uploads, 67.0, scope="last_hidden_layer", arch=arch)
     # scoped distances: d(0, 1) = 0 and d(0, 2) = d(1, 2) = 1
     assert np.allclose(res.raw_row_sums, [1.0, 1.0], rtol=0.0, atol=1e-12)
     # under the full-vector scope client 1 is the outlier instead: d(0, 1) = 50
-    full = selection.select_clients(uploads, 67.0)
+    full = selection.select_clients([0, 1, 2], uploads, 67.0)
     assert np.allclose(full.raw_row_sums, [51.0, 1.0 + math.sqrt(2501.0)], rtol=0.0, atol=1e-9)
     assert full.selected_ids == [0, 2]
     assert res.selected_ids == [0, 1]
@@ -316,30 +316,39 @@ def test_last_hidden_layer_scope_slices_correct_block():
 def test_last_hidden_layer_degenerates_for_logistic():
     arch = ArchSpec(5, (), 3)
     rng = np.random.default_rng(36)
-    uploads = {i: rng.normal(size=param_count(arch)) for i in range(4)}
-    scoped = selection.select_clients(uploads, 50.0, scope="last_hidden_layer", arch=arch)
-    full = selection.select_clients(uploads, 50.0)
+    uploads = rng.normal(size=(4, param_count(arch)))
+    ids = [0, 1, 2, 3]
+    scoped = selection.select_clients(ids, uploads, 50.0, scope="last_hidden_layer", arch=arch)
+    full = selection.select_clients(ids, uploads, 50.0)
     assert scoped.selected_ids == full.selected_ids
     assert np.allclose(scoped.state, full.state, atol=1e-15)
 
 
 def test_scope_errors():
-    uploads = {0: np.zeros(4), 1: np.ones(4)}
+    uploads = np.array([np.zeros(4), np.ones(4)])
     with pytest.raises(ConfigError):
-        selection.select_clients(uploads, 50.0, scope="last_hidden_layer")  # no arch
+        selection.select_clients([0, 1], uploads, 50.0, scope="last_hidden_layer")  # no arch
     with pytest.raises(ConfigError):
-        selection.select_clients(uploads, 50.0, scope="first_layer")
+        selection.select_clients([0, 1], uploads, 50.0, scope="first_layer")
     with pytest.raises(ConfigError):
         selection.select_clients(
-            uploads, 50.0, scope="last_hidden_layer", arch=ArchSpec(3, (2,), 2)
+            [0, 1], uploads, 50.0, scope="last_hidden_layer", arch=ArchSpec(3, (2,), 2)
         )  # arch size mismatch
 
 
 def test_input_validation():
-    with pytest.raises(ConfigError):
-        selection.select_clients({0: np.zeros(3)}, 50.0)
-    with pytest.raises(ConfigError):
-        selection.select_clients({0: np.zeros(3), 1: np.zeros(4)}, 50.0)
+    with pytest.raises(ConfigError, match="at least 2 uploads"):
+        selection.select_clients([0], np.zeros((1, 3)), 50.0)
+    # one row per client id, the ids strictly ascending
+    for ids, uploads in [
+        ([0, 1, 2], np.zeros(3)),
+        ([0, 1], np.zeros((3, 2))),
+        ([0, 1, 2], np.zeros((2, 2))),
+        ([1, 0], np.zeros((2, 2))),
+        ([0, 0, 1], np.zeros((3, 2))),
+    ]:
+        with pytest.raises(ConfigError, match="client ids"):
+            selection.select_clients(ids, uploads, 50.0)
 
 
 # ------------------------------------------------------------ robustness
@@ -355,12 +364,10 @@ def test_outlier_exclusion_trials():
         seed = master.integers(0, 2**32)
         rng = np.random.default_rng(seed)
         center = rng.normal(size=30)
-        uploads = {}
-        for i in range(10):
-            uploads[i] = center + rng.normal(0.0, 0.1, size=30)
-        for i in range(10, 13):
-            uploads[i] = np.full(30, rng.normal(0.0, 100.0))
-        res = selection.select_clients(uploads, 30.0)  # keeps 4 of 13
+        uploads = np.empty((13, 30))
+        uploads[:10] = center + rng.normal(0.0, 0.1, size=(10, 30))
+        uploads[10:] = rng.normal(0.0, 100.0, size=(3, 1))
+        res = selection.select_clients(list(range(13)), uploads, 30.0)  # keeps 4 of 13
         if all(c < 10 for c in res.selected_ids):
             hits += 1
     assert hits == trials
