@@ -60,6 +60,15 @@ def _plot_records(rows: list[dict], out_dir: str) -> list[str]:
     return paths
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the output directory; each command calls this before its
+    work, so an unusable --out fails at once and costs none."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: {exc}") from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     values = parse_config_values(read_config_text(args.config))
     if args.seed is not None:
@@ -68,7 +77,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from None
     cfg = build_config(values)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     started = utc_now()
     records = run_experiment(cfg)
     results_path = os.path.join(args.out, f"results.{args.format}")
@@ -168,6 +177,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not threads.isdecimal() or int(threads) < 1:
         raise ConfigError(f"FEDAA_THREADS must be an integer >= 1 (got {threads!r})")
     workers = int(threads)
+    _make_out_dir(args.out)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_one, tasks))
@@ -186,7 +196,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for col in ("mean_acc", "acc_std", "acc_var", "runtime_seconds"):
                 mean_row[col] = sig6(sum(r[col] for r in group) / len(group))
             rows.append(mean_row)
-    os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, "sweep.csv")
     emit_sweep_table(rows, table_path)
     print(f"swept {len(cells)} cells x {args.seeds} seeds -> {table_path}")
@@ -195,7 +204,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     rows = _read_results_csv(args.input)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     for path in _plot_records(rows, args.out):
         print(f"wrote {path}")
     return 0

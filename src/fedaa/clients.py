@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InternalError, NumericError, SimulationError
+from .errors import ConfigError, NumericError, SimulationError
 from .data import LabeledDataset
 from .nn import MlpModel, SgdConfig, sgd_epoch
 
@@ -123,77 +123,78 @@ def train_lockstep(
     cohort: list[ClientRecord],
     global_params: np.ndarray,
     cfg: SgdConfig,
-    rngs: dict[int, np.random.Generator],
-) -> dict[int, MlpModel | NumericError]:
+    rngs: Sequence[np.random.Generator],
+    out: np.ndarray,
+) -> dict[int, NumericError]:
     """Train the cohort's training clients from the broadcast, in lockstep.
 
-    Clients of equal train size share ``sgd_epoch`` stacks of at most
-    STACK_BYTES of parameters, and each draws its permutations from its
-    own ``rngs[client.id]``. Returns, per client id, the trained model or
-    the NumericError of a loss that turned non-finite, the same as the
-    client would get training alone; ``local_update`` raises it.
+    ``cohort[i]`` draws its permutations from ``rngs[i]`` and ends with
+    its trained parameters in row ``out[i]``; the rows of clients that do
+    not train are left as they are. Clients of equal train size share
+    ``sgd_epoch`` stacks of at most STACK_BYTES of parameters. Returns, by
+    row, the NumericError of each client whose loss turned non-finite, the
+    same as the client would get training alone; the round loop raises it.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
     width = max(1, STACK_BYTES // max(global_params.nbytes, 1))
-    groups: dict[int, list[ClientRecord]] = {}
-    for client in cohort:
+    groups: dict[int, list[int]] = {}
+    for row, client in enumerate(cohort):
         if trains(client):
-            groups.setdefault(len(client.train), []).append(client)
-    trained: dict[int, MlpModel | NumericError] = {}
+            groups.setdefault(len(client.train), []).append(row)
+    errors: dict[int, NumericError] = {}
     for group in groups.values():
         for lo in range(0, len(group), width):
-            stack = group[lo : lo + width]
-            models = sgd_epoch(
-                [MlpModel(c.local_model.arch, global_params) for c in stack],
-                [c.train.features for c in stack],
-                [c.train.labels for c in stack],
+            rows = group[lo : lo + width]
+            stack = np.tile(global_params, (len(rows), 1))
+            failed = sgd_epoch(
+                cohort[rows[0]].local_model.arch,
+                stack,
+                [cohort[r].train.features for r in rows],
+                [cohort[r].train.labels for r in rows],
                 cfg,
-                [rngs[c.id] for c in stack],
+                [rngs[r] for r in rows],
             )
-            trained.update(zip((c.id for c in stack), models))
-    return trained
+            out[rows] = stack
+            errors.update((rows[i], exc) for i, exc in failed.items())
+    return errors
 
 
 def local_update(
     client: ClientRecord,
+    row: np.ndarray,
     global_params: np.ndarray,
     rng: np.random.Generator,
     benign_mean: np.ndarray | None = None,
-    trained: MlpModel | NumericError | None = None,
-) -> np.ndarray:
-    """One client round: adopt the broadcast or the trained model, attack,
-    return the upload.
+) -> None:
+    """One client round: store the local model, write the upload into ``row``.
 
     A client that trains (see ``trains``; a sign flipper's message needs
-    the honest result) stores ``trained``, its ``train_lockstep`` result
-    from the broadcast and ``rng``, which then continues after the
-    permutation draws; if that result is an error, it is raised here.
+    the honest result) finds its ``train_lockstep`` result from the
+    broadcast and ``rng`` in ``row``, and keeps a copy of it as its local
+    model; ``rng`` then continues after the permutation draws.
     same_value/gaussian/ipm clients skip training; their stored model
     keeps the broadcast parameters. An ipm client needs ``benign_mean``,
     the ``mean_upload`` of this round's benign uploads.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
-    if global_params.shape != client.local_model.params.shape:
+    if not global_params.shape == row.shape == client.local_model.params.shape:
         raise ConfigError(
-            f"broadcast has {global_params.size} parameters, client model "
-            f"expects {client.local_model.params.size}"
+            f"broadcast has {global_params.size} parameters and the upload row "
+            f"{row.size}, client model expects {client.local_model.params.size}"
         )
     kind = client.attack.kind if client.attack is not None else None
-    if trains(client):
-        if not isinstance(trained, MlpModel):
-            raise trained or InternalError("a client that trains needs its trained model")
-        client.local_model = trained
-    else:
-        client.local_model = MlpModel(client.local_model.arch, global_params.copy())
-    if kind is None:
-        return trained.params.copy()
+    # a copy: a view would keep the whole round's uploads alive
+    client.local_model = MlpModel(
+        client.local_model.arch, (row if trains(client) else global_params).copy()
+    )
     if kind == "sign_flip":
-        return attack_sign_flip(trained.params, client.attack.tau, rng)
-    if kind == "same_value":
-        return attack_same_value(global_params.size, client.attack.tau, rng)
-    if kind == "gaussian":
-        return attack_gaussian(global_params.size, client.attack.tau, rng)
-    # ipm: all attackers send the same vector, each in an array of its own
-    if benign_mean is None:
-        raise SimulationError("ipm attack needs this round's benign mean upload")
-    return -client.attack.ipm_epsilon * benign_mean
+        row[:] = attack_sign_flip(row, client.attack.tau, rng)
+    elif kind == "same_value":
+        row[:] = attack_same_value(row.size, client.attack.tau, rng)
+    elif kind == "gaussian":
+        row[:] = attack_gaussian(row.size, client.attack.tau, rng)
+    elif kind == "ipm":
+        # all attackers send the same vector, each in a row of its own
+        if benign_mean is None:
+            raise SimulationError("ipm attack needs this round's benign mean upload")
+        np.multiply(benign_mean, -client.attack.ipm_epsilon, out=row)

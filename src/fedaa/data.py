@@ -325,14 +325,21 @@ def _read_exact(blob: bytes, fmt: str, offset: int, path: str) -> tuple:
     return struct.unpack_from(fmt, blob, offset)
 
 
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IngestionError(f"{path}: {exc}") from exc
+
+
 def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     """Load a big-endian IDX image/label pair into a flat float dataset.
 
     Pixels are scaled to [0, 1] by dividing by 255; each image flattens
     row-major to rows * cols features.
     """
-    with open(images_path, "rb") as fh:
-        blob = fh.read()
+    blob = _read_bytes(images_path)
     magic, count, rows, cols = _read_exact(blob, ">IIII", 0, images_path)
     if magic != _IMAGE_MAGIC:
         raise IngestionError(
@@ -344,8 +351,7 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     pixels = np.frombuffer(blob, dtype=np.uint8, count=count * rows * cols, offset=16)
     features = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
 
-    with open(labels_path, "rb") as fh:
-        blob = fh.read()
+    blob = _read_bytes(labels_path)
     magic, label_count = _read_exact(blob, ">II", 0, labels_path)
     if magic != _LABEL_MAGIC:
         raise IngestionError(

@@ -256,27 +256,31 @@ class SgdConfig:
 
 
 def sgd_epoch(
-    models: Sequence[MlpModel],
+    arch: ArchSpec,
+    params: np.ndarray,
     features: Sequence[np.ndarray],
     labels: Sequence[np.ndarray],
     cfg: SgdConfig,
     rngs: Sequence[np.random.Generator],
-) -> list[MlpModel | NumericError]:
-    """Run cfg.epochs of shuffled minibatch SGD for a stack of k clients.
+) -> dict[int, NumericError]:
+    """Run cfg.epochs of shuffled minibatch SGD on a stack of k clients, in place.
 
-    Takes k models of one architecture, k feature arrays of one length,
-    k label arrays and k generators, and returns one entry per client:
-    its new model, or the NumericError of the step at which its loss
-    turned non-finite, naming the first layer with non-finite
-    activations. Each epoch reshuffles; the short final batch is used as
-    is. The update is params -= lr * (grad + weight_decay * params).
+    ``params`` is a C-contiguous float64 (k, param_count(arch)) array,
+    one client's flat parameter vector per row; with it come k feature
+    arrays of one length, k label arrays and k generators. Each row
+    trains in place, and the call returns, by row, the NumericError of
+    each client whose loss turned non-finite, naming the first layer with
+    non-finite activations; that client's row then holds whatever its
+    steps left there. Each epoch reshuffles; the short final batch is used
+    as is. The update is params -= lr * (grad + weight_decay * params).
 
     The k clients train as one stack: each step runs every matmul once,
     ``(k, batch, fan_in) @ (k, fan_in, fan_out)``, and each client draws
     its permutations from its own generator. A client's rows in the
     stacked matmuls, reductions and update never meet another client's,
-    so a failing client leaves the others as they are, and every entry
-    is what the client would get training alone.
+    so a failing client leaves the others as they are, and every row ends
+    as the client's would training alone. A failed client's rows run on
+    unchecked, and the call ends once every client has failed.
 
     Each step makes, for every client in the stack, the floating-point
     operations of a ``backward_ce`` step on its batch (the update only
@@ -286,56 +290,26 @@ def sgd_epoch(
     the layer views built once per call, and the losses are computed only
     when the logits could make one of them non-finite.
     """
-    k = len(models)
+    # the layer views below must be views: on any other array, reshape
+    # would train a copy and leave the caller's rows at their start
+    d = param_count(arch)
+    if not (
+        isinstance(params, np.ndarray) and params.dtype == np.float64 and params.ndim == 2
+        and params.shape[1] == d and params.flags.c_contiguous and params.flags.writeable
+    ):
+        raise ConfigError(
+            f"sgd_epoch trains the rows of a writeable C-contiguous float64 (k, {d}) array"
+        )
+    k = params.shape[0]
     if k == 0 or not len(features) == len(labels) == len(rngs) == k:
-        raise ConfigError("a stack needs one feature array, label array and generator per model")
-    arch = models[0].arch
-    if any(m.arch != arch for m in models):
-        raise ConfigError("the models of a stack must share one architecture")
+        raise ConfigError("a stack needs one feature array, label array and generator per row")
     xs = [_check_batch(arch, x) for x in features]
     n = xs[0].shape[0]
     if n == 0:
         raise ConfigError("cannot train on an empty dataset")
     if any(x.shape[0] != n for x in xs):
         raise ConfigError("the clients of a stack must have one train size")
-    # the results are allocated before the stack and its step buffers,
-    # which live only for this call: allocated after them, the long-lived
-    # rows sat above freed memory on the heap, and the peak RSS of the
-    # mlp_fedavg_clean bench at times grew by 12 MiB
-    trained = [MlpModel(arch, m.params.copy()) for m in models]
-    if cfg.epochs == 0:
-        return trained
-    params = np.stack([m.params for m in trained])
-    errors = _train_stack(arch, params, xs, [_sgd_labels(arch, y, n) for y in labels], cfg, rngs)
-    for m, row in zip(trained, params):
-        m.params[:] = row
-    return [errors.get(i, m) for i, m in enumerate(trained)]
-
-
-def _sgd_labels(arch: ArchSpec, labels: np.ndarray, n: int) -> np.ndarray:
-    labels = _ce_labels(arch, labels)
-    if labels.size != n:
-        raise ConfigError(f"{n} rows but {labels.size} labels")
-    # the labels index one-hot rows, where a boolean array would be a mask
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ConfigError("labels must be a non-empty 1-D integer array")
-    return labels
-
-
-def _train_stack(
-    arch: ArchSpec,
-    params: np.ndarray,
-    features: list[np.ndarray],
-    labels: list[np.ndarray],
-    cfg: SgdConfig,
-    rngs: Sequence[np.random.Generator],
-) -> dict[int, NumericError]:
-    """The SGD steps of ``sgd_epoch`` on the (k, d) stack ``params``, in
-    place; returns the error of each client whose loss turned non-finite.
-    A failed client's rows run on unchecked, and the call ends once every
-    client has failed.
-    """
-    k, n = params.shape[0], features[0].shape[0]
+    ys = [_sgd_labels(arch, y, n) for y in labels]
     # stacked layer views: weight (k, fan_in, fan_out), bias (k, 1, fan_out),
     # each client's part laid out as in its own flat vector
     grad = np.empty_like(params)
@@ -347,7 +321,7 @@ def _train_stack(
         grads.append((grad[:, wsl].reshape(k, fan_in, fan_out), grad[:, bsl]))
     back = [weight.transpose(0, 2, 1) for weight, _ in layers]
     step = np.empty_like(params)
-    targets = [np.eye(arch.output_dim)[y] for y in labels]
+    targets = [np.eye(arch.output_dim)[y] for y in ys]
     # each epoch's shuffled rows, gathered once; batches are views of them
     x_epoch = np.empty((k, n, arch.input_dim))
     t_epoch = np.empty((k, n, arch.output_dim))
@@ -367,7 +341,7 @@ def _train_stack(
         orders = [r.permutation(n) for r in rngs]
         for i, order in enumerate(orders):
             # mode="clip" writes straight into out; the rows are all in range
-            features[i].take(order, axis=0, out=x_epoch[i], mode="clip")
+            xs[i].take(order, axis=0, out=x_epoch[i], mode="clip")
             targets[i].take(order, axis=0, out=t_epoch[i], mode="clip")
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
@@ -388,7 +362,7 @@ def _train_stack(
                     if i in errors:
                         continue
                     try:
-                        _finite_ce_loss([z[i] for z in pre], labels[i][orders[i][start:stop]])
+                        _finite_ce_loss([z[i] for z in pre], ys[i][orders[i][start:stop]])
                     except NumericError as exc:
                         errors[i] = exc
                 if len(errors) == k:
@@ -411,3 +385,13 @@ def _train_stack(
             step *= cfg.learning_rate
             params -= step
     return errors
+
+
+def _sgd_labels(arch: ArchSpec, labels: np.ndarray, n: int) -> np.ndarray:
+    labels = _ce_labels(arch, labels)
+    if labels.size != n:
+        raise ConfigError(f"{n} rows but {labels.size} labels")
+    # the labels index one-hot rows, where a boolean array would be a mask
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ConfigError("labels must be a non-empty 1-D integer array")
+    return labels

@@ -301,33 +301,32 @@ def _collect_uploads(
     as one row per participant, in ascending client id.
 
     Clients that train do so first, in lockstep stacks of equal train
-    size; each draws its permutations from its own stream, which its
-    ``local_update`` then continues (a sign flipper's magnitude draw).
-    A client whose training failed raises its error in its turn, so the
-    error names the first such client in this order.
+    size, straight into their rows; each draws its permutations from its
+    own stream, which its ``local_update`` then continues (a sign
+    flipper's magnitude draw). A client whose training failed raises its
+    error in its turn, so the error names the first such client in this
+    order.
     """
     cfg = exp.cfg
-    order = sorted(participants, key=lambda c: exp.clients[c].role != "benign")
-    rngs = {cid: stream(cfg.seed, "local", round_index, cid) for cid in order}
-    trained = train_lockstep([exp.clients[c] for c in order], global_params, cfg.local, rngs)
     ids = sorted(participants)
-    row_of = {cid: row for row, cid in enumerate(ids)}
+    cohort = [exp.clients[c] for c in ids]
+    rngs = [stream(cfg.seed, "local", round_index, cid) for cid in ids]
     uploads = np.empty((len(ids), global_params.size))
+    errors = train_lockstep(cohort, global_params, cfg.local, rngs, uploads)
+    benign = np.array([c.role == "benign" for c in cohort])
     benign_mean = None
-    for cid in order:
-        client = exp.clients[cid]
+    for row in sorted(range(len(ids)), key=lambda r: not benign[r]):
+        client = cohort[row]
         try:
+            if row in errors:
+                raise errors[row]
             if benign_mean is None and client.attack is not None and client.attack.kind == "ipm":
                 # every ipm attacker scales the same mean; take it once a
                 # round, when every benign row is written
-                benign = np.array([exp.clients[c].role == "benign" for c in ids])
                 benign_mean = mean_upload(uploads[benign])
-            uploads[row_of[cid]] = local_update(
-                client, global_params, rngs[cid],
-                benign_mean=benign_mean, trained=trained.get(cid),
-            )
+            local_update(client, uploads[row], global_params, rngs[row], benign_mean=benign_mean)
         except FedaaError as exc:
-            raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc
+            raise type(exc)(f"client {client.id} ({client.role}): {exc}") from exc
     return uploads
 
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import FedaaError
+from .errors import ConfigError
 from .orchestrator import RoundRecord
 
 ROUND_COLUMNS = tuple(f.name for f in fields(RoundRecord))
@@ -80,7 +80,7 @@ def emit_results(records: list[RoundRecord], path: str, fmt: str = "csv") -> Non
             json.dump(rows, fh, indent=2)
             fh.write("\n")
     else:
-        raise FedaaError(f"unknown results format: {fmt!r}")
+        raise ConfigError(f"unknown results format: {fmt!r}")
 
 
 def emit_sweep_table(rows: list[dict], path: str) -> None:
@@ -133,14 +133,14 @@ def render_curves_svg(
 ) -> None:
     """Minimal line-chart SVG: axes, ticks, legend, one polyline per series."""
     if not series:
-        raise FedaaError("need at least one series to plot")
+        raise ConfigError("need at least one series to plot")
     margin_l, margin_r, margin_t, margin_b = 64, 24, 36, 48
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
-        raise FedaaError("series hold no points")
+        raise ConfigError("series hold no points")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -197,7 +197,7 @@ def render_curves_svg(
     )
     for index, (label, xs, ys) in enumerate(series):
         if len(xs) != len(ys):
-            raise FedaaError(f"series {label!r}: {len(xs)} x values, {len(ys)} y values")
+            raise ConfigError(f"series {label!r}: {len(xs)} x values, {len(ys)} y values")
         color = _PALETTE[index % len(_PALETTE)]
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
         parts.append(

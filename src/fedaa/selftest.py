@@ -110,15 +110,14 @@ def _check_sgd_matches_reference() -> None:
     # of backward_ce steps on this numpy and BLAS, alone and in a stack
     rng = np.random.default_rng(13)
     arch = ArchSpec(6, (8, 5), 3)
-    starts = [init_params(arch, rng) for _ in range(3)]
+    starts = np.stack([init_params(arch, rng) for _ in range(3)])
     xs = [rng.normal(size=(23, 6)) for _ in range(3)]
     ys = [rng.integers(0, 3, 23) for _ in range(3)]
     cfg = SgdConfig(learning_rate=0.2, weight_decay=1e-3, batch_size=8, epochs=2)
-    (alone,) = sgd_epoch([MlpModel(arch, starts[0])], xs[:1], ys[:1], cfg,
-                         [np.random.default_rng(14)])
-    stacked = sgd_epoch([MlpModel(arch, p) for p in starts], xs, ys, cfg,
-                        [np.random.default_rng(14 + i) for i in range(3)])
-    for i, (params, x, y, trained) in enumerate(zip(starts, xs, ys, [alone, *stacked[1:]])):
+    alone, stacked = starts[:1].copy(), starts.copy()
+    sgd_epoch(arch, alone, xs[:1], ys[:1], cfg, [np.random.default_rng(14)])
+    sgd_epoch(arch, stacked, xs, ys, cfg, [np.random.default_rng(14 + i) for i in range(3)])
+    for i, (params, x, y, trained) in enumerate(zip(starts, xs, ys, [alone[0], *stacked[1:]])):
         params = params.copy()
         order_rng = np.random.default_rng(14 + i)
         for _ in range(cfg.epochs):
@@ -127,10 +126,10 @@ def _check_sgd_matches_reference() -> None:
                 take = order[lo : lo + cfg.batch_size]
                 _, grad = backward_ce(MlpModel(arch, params), x[take], y[take])
                 params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
-        assert np.array_equal(trained.params, params), (
+        assert np.array_equal(trained, params), (
             f"sgd_epoch differs from a replay of backward_ce steps (client {i})"
         )
-    assert np.array_equal(stacked[0].params, alone.params), (
+    assert np.array_equal(stacked[0], alone[0]), (
         "a client's result in a stack differs from its result alone"
     )
 

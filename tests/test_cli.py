@@ -78,6 +78,39 @@ def test_run_rejects_negative_seed(cfg_path, tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "config.txt"))
 
 
+@pytest.fixture
+def taken_out(tmp_path):
+    """An --out that names an existing file, so no directory can be made there."""
+    path = tmp_path / "taken"
+    path.write_text("")
+    return str(path)
+
+
+def fails_on_out(argv, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fedaa: error: ConfigError: --out ")
+    assert "Traceback" not in err
+
+
+def test_run_rejects_an_unusable_out_before_running(cfg_path, taken_out, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("ran"))
+    fails_on_out(["run", "--config", cfg_path, "--out", taken_out], capsys)
+
+
+def test_sweep_rejects_an_unusable_out_before_any_cell(cfg_path, taken_out, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("ran a cell"))
+    fails_on_out(["sweep", "--config", cfg_path, "--vary", "m_percent=40,60",
+                  "--out", taken_out], capsys)
+
+
+def test_report_rejects_an_unusable_out(cfg_path, tmp_path, taken_out, capsys):
+    run_out = str(tmp_path / "run")
+    assert cli.main(["run", "--config", cfg_path, "--out", run_out]) == 0
+    fails_on_out(["report", "--input", os.path.join(run_out, "results.csv"),
+                  "--out", taken_out], capsys)
+
+
 def test_run_json_format(cfg_path, tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["run", "--config", cfg_path, "--out", out, "--format", "json"]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedaa import clients, config, data, nn
-from fedaa.errors import ConfigError, InternalError, NumericError, SimulationError
+from fedaa.errors import ConfigError, SimulationError
 from fedaa.seeding import stream
 
 
@@ -19,11 +19,20 @@ def make_client(cid=0, role="benign", attack=None, seed=0, n=40):
 
 def update(client, broadcast, cfg, rng, benign_mean=None):
     """One client's round as the round loop runs it: train_lockstep on a
-    cohort of one, then local_update with its result."""
-    trained = clients.train_lockstep([client], broadcast, cfg, {client.id: rng})
-    return clients.local_update(
-        client, broadcast, rng, benign_mean=benign_mean, trained=trained.get(client.id)
-    )
+    cohort of one into its upload row, then local_update on that row.
+    Returns the row."""
+    uploads = np.empty((1, broadcast.size))
+    assert clients.train_lockstep([client], broadcast, cfg, [rng], uploads) == {}
+    clients.local_update(client, uploads[0], broadcast, rng, benign_mean=benign_mean)
+    return uploads[0]
+
+
+def direct_sgd(client, broadcast, cfg, rng):
+    """The client's training as a stack of one, straight from sgd_epoch."""
+    params = np.tile(broadcast, (1, 1))
+    assert nn.sgd_epoch(client.local_model.arch, params, [client.train.features],
+                        [client.train.labels], cfg, [rng]) == {}
+    return params[0]
 
 
 # ------------------------------------------------------------ roles
@@ -119,8 +128,10 @@ def test_ipm_message_hand_computed():
     for epsilon, expected in ((0.5, -1.0), (2.0, -4.0)):
         spec = clients.AttackSpec("ipm", ipm_epsilon=epsilon)
         client = make_client(role="malicious", attack=spec)
-        upload = clients.local_update(
-            client, np.zeros(610), np.random.default_rng(5), benign_mean=clients.mean_upload(benign)
+        upload = np.empty(610)
+        clients.local_update(
+            client, upload, np.zeros(610), np.random.default_rng(5),
+            benign_mean=clients.mean_upload(benign),
         )
         assert np.allclose(upload, expected)
     with pytest.raises(SimulationError):
@@ -135,19 +146,13 @@ def test_benign_update_matches_direct_sgd():
     broadcast = np.zeros(610)
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=16, epochs=2)
     upload = update(client, broadcast, cfg, np.random.default_rng(7))
-    (direct,) = nn.sgd_epoch(
-        [nn.MlpModel(client.local_model.arch, broadcast.copy())],
-        [client.train.features],
-        [client.train.labels],
-        cfg,
-        [np.random.default_rng(7)],
-    )
-    assert np.array_equal(upload, direct.params)
+    direct = direct_sgd(client, broadcast, cfg, np.random.default_rng(7))
+    assert np.array_equal(upload, direct)
     # the client's stored model is the trained one
-    assert np.array_equal(client.local_model.params, direct.params)
-    # and the upload is an independent copy
+    assert np.array_equal(client.local_model.params, direct)
+    # and a copy, independent of the upload row
     upload[0] += 1.0
-    assert client.local_model.params[0] == direct.params[0]
+    assert client.local_model.params[0] == direct[0]
 
 
 def test_identical_clients_produce_identical_uploads():
@@ -167,17 +172,11 @@ def test_sign_flip_trains_then_flips():
     upload = update(client, broadcast, cfg, np.random.default_rng(8))
     # replay the exact stream: training consumes first, then the magnitude draw
     rng = np.random.default_rng(8)
-    (honest,) = nn.sgd_epoch(
-        [nn.MlpModel(client.local_model.arch, broadcast.copy())],
-        [client.train.features],
-        [client.train.labels],
-        cfg,
-        [rng],
-    )
+    honest = direct_sgd(client, broadcast, cfg, rng)
     magnitude = rng.normal(0.0, 10.0)
-    assert np.array_equal(upload, -abs(magnitude) * honest.params)
+    assert np.array_equal(upload, -abs(magnitude) * honest)
     # the stored local model keeps the honest parameters
-    assert np.array_equal(client.local_model.params, honest.params)
+    assert np.array_equal(client.local_model.params, honest)
 
 
 def test_same_value_client_ignores_data_and_skips_training():
@@ -207,25 +206,19 @@ def test_ipm_client_uses_benign_uploads():
     spec = clients.AttackSpec("ipm", ipm_epsilon=0.5)
     client = make_client(role="malicious", attack=spec)
     benign = np.array([np.ones(610), 3.0 * np.ones(610)])
-    upload = clients.local_update(
-        client, np.zeros(610), np.random.default_rng(14), benign_mean=clients.mean_upload(benign)
+    upload = np.empty(610)
+    clients.local_update(
+        client, upload, np.zeros(610), np.random.default_rng(14),
+        benign_mean=clients.mean_upload(benign),
     )
     assert np.allclose(upload, -1.0)
     with pytest.raises(SimulationError):
-        clients.local_update(client, np.zeros(610), np.random.default_rng(15))
-
-
-def test_training_client_raises_its_stored_error():
-    client = make_client()
-    error = NumericError("non-finite loss; first non-finite activations at layer 0")
-    with pytest.raises(NumericError) as raised:
-        clients.local_update(client, np.zeros(610), np.random.default_rng(17), trained=error)
-    assert raised.value is error
-    with pytest.raises(InternalError):
-        clients.local_update(client, np.zeros(610), np.random.default_rng(17))
+        clients.local_update(client, upload, np.zeros(610), np.random.default_rng(15))
 
 
 def test_broadcast_dimension_mismatch():
     client = make_client()
     with pytest.raises(ConfigError):
-        clients.local_update(client, np.zeros(5), np.random.default_rng(16))
+        clients.local_update(client, np.empty(610), np.zeros(5), np.random.default_rng(16))
+    with pytest.raises(ConfigError):
+        clients.local_update(client, np.empty(5), np.zeros(610), np.random.default_rng(16))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fedaa import config, results
-from fedaa.errors import ConfigError, FedaaError, NumericError, ParseError
+from fedaa.errors import ConfigError, NumericError, ParseError
 from fedaa.orchestrator import RoundRecord
 from fedaa.selection import SCOPES
 
@@ -366,8 +366,9 @@ def test_emit_results_json(tmp_path):
     rows = json.load(open(path))
     assert rows[0]["reward"] == 0.5
     assert rows[0]["action"] == [0.25, 0.75]
-    with pytest.raises(FedaaError, match="format"):
-        results.emit_results([], str(tmp_path / "x"), fmt="yaml")
+    for fmt in ("yaml", "xml"):
+        with pytest.raises(ConfigError, match=f"unknown results format: '{fmt}'"):
+            results.emit_results([make_record()], str(tmp_path / "x"), fmt)
 
 
 def test_sig6_examples():
@@ -445,9 +446,11 @@ def test_render_curves_svg_degenerate_series(tmp_path):
 
 
 def test_render_curves_svg_errors(tmp_path):
-    with pytest.raises(FedaaError, match="at least one series"):
+    with pytest.raises(ConfigError, match="at least one series"):
         results.render_curves_svg([], str(tmp_path / "x.svg"))
-    with pytest.raises(FedaaError, match="3 x values, 2 y values"):
+    with pytest.raises(ConfigError, match="no points"):
+        results.render_curves_svg([("empty", [], [])], str(tmp_path / "z.svg"))
+    with pytest.raises(ConfigError, match="3 x values, 2 y values"):
         results.render_curves_svg(
             [("bad", [0, 1, 2], [0.0, 1.0])], str(tmp_path / "y.svg")
         )

@@ -1,5 +1,6 @@
 """Synthetic generator, partitioners, validation sets, file loaders."""
 
+import re
 import struct
 
 import numpy as np
@@ -326,6 +327,18 @@ def test_idx_truncated_payload(tmp_path):
     paths = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1], truncate_images=3)
     with pytest.raises(IngestionError, match="truncated"):
         data.load_idx(*paths)
+
+
+def test_idx_missing_or_unreadable_file(tmp_path):
+    images, labels = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
+    missing = str(tmp_path / "missing.idx")
+    with pytest.raises(IngestionError, match=re.escape(missing)):
+        data.load_idx(missing, labels)
+    with pytest.raises(IngestionError, match=re.escape(missing)):
+        data.load_idx(images, missing)
+    # a directory exists but cannot be read as a file
+    with pytest.raises(IngestionError, match=re.escape(str(tmp_path))):
+        data.load_idx(str(tmp_path), labels)
 
 
 def test_idx_label_count_mismatch(tmp_path):

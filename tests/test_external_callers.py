@@ -9,8 +9,10 @@ import sys
 
 import pytest
 
+import numpy as np
+
 import fedaa
-from fedaa import cli, config, orchestrator
+from fedaa import cli, clients, config, data, nn, orchestrator
 
 ROOT = pathlib.Path(__file__).parents[1]
 # demo 05 is left out: it takes ~10 s on the sign-flip path that the
@@ -41,14 +43,20 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def load_perfbench(name, monkeypatch):
+    """Import perfbench/<name>.py under a private module name, read-only."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_names_resolve(monkeypatch):
     # perfbench/ is read, never edited: its tracer patches these names
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
-    )
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
-    spec.loader.exec_module(tracing)
+    tracing = load_perfbench("tracing", monkeypatch)
     for module_name, attr in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (
             f"{module_name}.{attr}"
@@ -62,3 +70,20 @@ def test_benchmark_names_resolve(monkeypatch):
         fedaa.stream,
     ):
         assert callable(fn)
+
+
+def test_benchmark_trains_the_clients_the_program_trains(monkeypatch):
+    # client_samples_per_s counts the samples of the clients that
+    # perfbench/workloads.trains says train; a new attack kind that trains
+    # must not skew it silently
+    workloads = load_perfbench("workloads", monkeypatch)
+    arch = nn.ArchSpec(2, (), 2)
+    split = data.LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), 2)
+    model = nn.MlpModel(arch, np.zeros(nn.param_count(arch)))
+    benign = clients.ClientRecord(0, "benign", None, split, split, model)
+    attackers = [
+        clients.ClientRecord(1, "malicious", clients.AttackSpec(kind), split, split, model)
+        for kind in clients.ATTACKS
+    ]
+    for client in (benign, *attackers):
+        assert workloads.trains(client) == clients.trains(client), client.attack

@@ -17,9 +17,11 @@ def small_model(seed=0, arch=None):
 
 
 def sgd_alone(model, x, y, cfg, rng):
-    """sgd_epoch on a stack of one client: its model or its NumericError."""
-    (trained,) = nn.sgd_epoch([model], [x], [y], cfg, [rng])
-    return trained
+    """sgd_epoch on a stack of one client, started from a copy of the
+    model's parameters: the trained parameters, or the NumericError."""
+    params = model.params[None].copy()
+    errors = nn.sgd_epoch(model.arch, params, [x], [y], cfg, [rng])
+    return errors.get(0, params[0])
 
 
 # ---------------------------------------------------------------- arch
@@ -235,7 +237,7 @@ def test_sgd_single_step_hand_computed():
     y = np.array([0])
     trained = sgd_alone(model, x, y, cfg, np.random.default_rng(0))
     # dW = x^T dz = [-1, 1]; db = [-0.5, 0.5]; step = -lr * grad
-    assert np.allclose(trained.params, [0.5, -0.5, 0.25, -0.25], atol=1e-15)
+    assert np.allclose(trained, [0.5, -0.5, 0.25, -0.25], atol=1e-15)
 
 
 def test_sgd_weight_decay_hand_computed():
@@ -249,7 +251,7 @@ def test_sgd_weight_decay_hand_computed():
     expected = np.array(
         [1 - 0.5 * 0.1, 1 - 0.5 * 0.1, 1 - 0.5 * (-0.5 + 0.1), 1 - 0.5 * (0.5 + 0.1)]
     )
-    assert np.allclose(trained.params, expected, atol=1e-15)
+    assert np.allclose(trained, expected, atol=1e-15)
 
 
 def test_sgd_zero_lr_leaves_params_unchanged():
@@ -259,17 +261,7 @@ def test_sgd_zero_lr_leaves_params_unchanged():
     x = rng.normal(size=(10, 4))
     y = rng.integers(0, 3, size=10)
     trained = sgd_alone(model, x, y, cfg, rng)
-    assert trained.params.tobytes() == model.params.tobytes()
-
-
-def test_sgd_does_not_mutate_the_input_model():
-    model = small_model(8)
-    before = model.params.copy()
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(6, 4))
-    y = rng.integers(0, 3, size=6)
-    sgd_alone(model, x, y, nn.SgdConfig(epochs=1), rng)
-    assert np.array_equal(model.params, before)
+    assert trained.tobytes() == model.params.tobytes()
 
 
 def test_sgd_short_final_batch_used():
@@ -289,7 +281,7 @@ def test_sgd_short_final_batch_used():
         take = order[lo : lo + 4]
         _, grad = nn.backward_ce(nn.MlpModel(arch, params), x[take], y[take])
         params -= 0.1 * (grad + 0.0 * params)
-    assert np.array_equal(trained.params, params)
+    assert np.array_equal(trained, params)
 
 
 def replay_backward_ce(model, x, y, cfg, rng):
@@ -332,28 +324,31 @@ def test_sgd_matches_backward_ce_replay_generated():
     def check(k, n, batch_size, epochs, weight_decay, classes, hidden, seed, starts):
         rng = np.random.default_rng(seed)
         arch = nn.ArchSpec(3, hidden, classes)
-        models = [nn.MlpModel(arch, nn.init_params(arch, rng)) for _ in range(k)]
+        start_params = np.stack([nn.init_params(arch, rng) for _ in range(k)])
         xs = [rng.normal(size=(n, 3)) for _ in range(k)]
         ys = [rng.integers(0, classes, size=n) for _ in range(k)]
-        for model, x, start in zip(models, xs, starts):
+        for row, x, start in zip(start_params, xs, starts):
             if start == "huge":
                 x *= 1e200
             elif start == "nan":
-                model.params[nn.layer_slices(arch)[-1][1]] = np.nan
+                row[nn.layer_slices(arch)[-1][1]] = np.nan
         cfg = nn.SgdConfig(learning_rate=0.5, weight_decay=weight_decay,
                            batch_size=batch_size, epochs=epochs)
         seeds = [seed + i for i in range(k)]
+        params = start_params.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            trained = nn.sgd_epoch(models, xs, ys, cfg, [np.random.default_rng(s) for s in seeds])
-            expected = [replay_backward_ce(model, x, y, cfg, np.random.default_rng(s))
-                        for model, x, y, s in zip(models, xs, ys, seeds)]
-        assert len(trained) == k
-        for i, (got, want) in enumerate(zip(trained, expected)):
+            errors = nn.sgd_epoch(arch, params, xs, ys, cfg,
+                                  [np.random.default_rng(s) for s in seeds])
+            expected = [replay_backward_ce(nn.MlpModel(arch, start), x, y, cfg,
+                                           np.random.default_rng(s))
+                        for start, x, y, s in zip(start_params, xs, ys, seeds)]
+        assert set(errors) == {i for i, e in enumerate(expected) if isinstance(e, NumericError)}
+        for i, want in enumerate(expected):
             if isinstance(want, NumericError):
-                assert isinstance(got, NumericError) and str(got) == str(want)
+                assert str(errors[i]) == str(want)
                 seen.add("diverging non-first client" if i else "diverging first client")
             else:
-                assert np.array_equal(got.params, want, equal_nan=True)
+                assert np.array_equal(params[i], want, equal_nan=True)
         if any(isinstance(e, NumericError) for e in expected) and any(
             isinstance(e, np.ndarray) for e in expected
         ):
@@ -372,76 +367,112 @@ def test_sgd_matches_backward_ce_replay_generated():
                     "diverging and surviving clients in one stack"}
 
 
-def test_sgd_stack_returns_independent_models():
+def test_sgd_writes_only_its_params_rows():
+    # the stack is rows 1 and 2 of a larger array: training writes those
+    # rows in place, and leaves the other rows, the features and the
+    # labels as they were
     arch = nn.ArchSpec(4, (), 3)
-    start = nn.MlpModel(arch, nn.init_params(arch, np.random.default_rng(0)))
+    start = nn.init_params(arch, np.random.default_rng(0))
+    rows = np.tile(start, (4, 1))
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 3, size=6)
+    x_before, y_before = x.copy(), y.copy()
     cfg = nn.SgdConfig(epochs=1, batch_size=4)
-    a, b = nn.sgd_epoch([start, start], [x, x], [y, y], cfg,
-                        [np.random.default_rng(2), np.random.default_rng(2)])
-    assert np.array_equal(a.params, b.params)
-    assert not np.shares_memory(a.params, b.params)
-    assert not np.shares_memory(a.params, start.params)
+    errors = nn.sgd_epoch(arch, rows[1:3], [x, x], [y, y], cfg,
+                          [np.random.default_rng(2), np.random.default_rng(2)])
+    assert errors == {}
+    alone = sgd_alone(nn.MlpModel(arch, start), x, y, cfg, np.random.default_rng(2))
+    assert not np.array_equal(alone, start)
+    for row in (1, 2):
+        assert np.array_equal(rows[row], alone)
+    for row in (0, 3):
+        assert np.array_equal(rows[row], start)
+    assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
 
 
 def test_sgd_stack_validation():
     arch = nn.ArchSpec(4, (), 3)
-    model = nn.MlpModel(arch, np.zeros(nn.param_count(arch)))
-    other = nn.MlpModel(nn.ArchSpec(4, (2,), 3), np.zeros(nn.param_count(nn.ArchSpec(4, (2,), 3))))
+    d = nn.param_count(arch)
+    params = np.zeros((2, d))
     x4, x5 = np.zeros((4, 4)), np.zeros((5, 4))
     y4, y5 = np.zeros(4, dtype=int), np.zeros(5, dtype=int)
     cfg = nn.SgdConfig(epochs=1)
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     with pytest.raises(ConfigError, match="one train size"):
-        nn.sgd_epoch([model, model], [x4, x5], [y4, y5], cfg, rngs)
-    with pytest.raises(ConfigError, match="one architecture"):
-        nn.sgd_epoch([model, other], [x4, x4], [y4, y4], cfg, rngs)
-    with pytest.raises(ConfigError, match="per model"):
-        nn.sgd_epoch([model, model], [x4], [y4, y4], cfg, rngs)
-    with pytest.raises(ConfigError, match="per model"):
-        nn.sgd_epoch([], [], [], cfg, [])
+        nn.sgd_epoch(arch, params, [x4, x5], [y4, y5], cfg, rngs)
+    with pytest.raises(ConfigError, match="per row"):
+        nn.sgd_epoch(arch, params, [x4], [y4, y4], cfg, rngs)
+    with pytest.raises(ConfigError, match="per row"):
+        nn.sgd_epoch(arch, np.zeros((0, d)), [], [], cfg, [])
     # each client's labels are checked as a lone client's are
     with pytest.raises(ConfigError):
-        nn.sgd_epoch([model, model], [x4, x4], [y4, np.array([0, 1, 3, 0])], cfg, rngs)
+        nn.sgd_epoch(arch, params, [x4, x4], [y4, np.array([0, 1, 3, 0])], cfg, rngs)
+
+
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("params", [
+    # non-contiguous: reshaping its layer views would train a copy
+    np.zeros((2, 2 * 15))[:, ::2],
+    np.asfortranarray(np.zeros((2, 15))),
+    # not float64
+    np.zeros((2, 15), dtype=np.float32),
+    np.zeros((2, 15), dtype=np.int64),
+    # the wrong width or rank
+    np.zeros((2, 14)),
+    np.zeros(15),
+    # read-only
+    read_only(np.zeros((2, 15))),
+], ids=["strided", "fortran", "float32", "int64", "width", "1-d", "read-only"])
+def test_sgd_rejects_params_it_cannot_train_in_place(params):
+    arch = nn.ArchSpec(4, (), 3)
+    assert nn.param_count(arch) == 15
+    x, y = np.zeros((4, 4)), np.zeros(4, dtype=int)
+    with pytest.raises(ConfigError, match="C-contiguous float64"):
+        nn.sgd_epoch(arch, params, [x, x], [y, y], nn.SgdConfig(epochs=1),
+                     [np.random.default_rng(0), np.random.default_rng(1)])
 
 
 def failing_stack():
     """Three clients of one stack; the middle one starts with a NaN output
     bias, so its loss is non-finite at the first step."""
     arch = nn.ArchSpec(4, (3,), 3)
-    good = nn.MlpModel(arch, nn.init_params(arch, np.random.default_rng(0)))
-    bad = nn.MlpModel(arch, good.params.copy())
-    bad.params[nn.layer_slices(arch)[1][1]] = np.nan  # the output bias
-    other = nn.MlpModel(arch, nn.init_params(arch, np.random.default_rng(1)))
+    good = nn.init_params(arch, np.random.default_rng(0))
+    other = nn.init_params(arch, np.random.default_rng(1))
+    params = np.stack([good, good, other])
+    params[1, nn.layer_slices(arch)[1][1]] = np.nan  # the output bias
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 3, size=6)
-    return [good, bad, other], x, y
+    return arch, params, x, y
 
 
 def test_sgd_stack_nonfinite_loss_names_the_layer():
-    models, x, y = failing_stack()
+    arch, params, x, y = failing_stack()
+    starts = params.copy()
     # 3 epochs of 3 steps: the survivors train on for 8 steps after the failure
     cfg = nn.SgdConfig(epochs=3, batch_size=2)
     seeds = [4, 5, 6]
     with np.errstate(invalid="ignore"):
-        got_good, got_bad, got_other = nn.sgd_epoch(
-            models, [x] * 3, [y] * 3, cfg, [np.random.default_rng(s) for s in seeds]
-        )
-    assert isinstance(got_bad, NumericError)
-    assert str(got_bad) == "non-finite loss; first non-finite activations at layer 1"
+        errors = nn.sgd_epoch(arch, params, [x] * 3, [y] * 3, cfg,
+                              [np.random.default_rng(s) for s in seeds])
+    assert list(errors) == [1]
+    assert str(errors[1]) == "non-finite loss; first non-finite activations at layer 1"
     # each survivor trains on as it would alone
-    for got, model, seed in ((got_good, models[0], 4), (got_other, models[2], 6)):
-        alone = sgd_alone(model, x, y, cfg, np.random.default_rng(seed))
-        assert np.array_equal(got.params, alone.params)
+    for row in (0, 2):
+        alone = sgd_alone(nn.MlpModel(arch, starts[row]), x, y, cfg,
+                          np.random.default_rng(seeds[row]))
+        assert np.array_equal(params[row], alone)
 
 
 def test_sgd_stack_checks_a_failed_clients_loss_once(monkeypatch):
     # the loss guard is per client: once the failing client has its error,
     # its NaN rows make no later step compute anyone's loss
-    models, x, y = failing_stack()
+    arch, params, x, y = failing_stack()
     calls = []
     finite_ce_loss = nn._finite_ce_loss
 
@@ -452,9 +483,9 @@ def test_sgd_stack_checks_a_failed_clients_loss_once(monkeypatch):
     monkeypatch.setattr(nn, "_finite_ce_loss", counting_finite_ce_loss)
     cfg = nn.SgdConfig(epochs=3, batch_size=2)
     with np.errstate(invalid="ignore"):
-        trained = nn.sgd_epoch(models, [x] * 3, [y] * 3, cfg,
-                               [np.random.default_rng(s) for s in (4, 5, 6)])
-    assert [isinstance(t, NumericError) for t in trained] == [False, True, False]
+        errors = nn.sgd_epoch(arch, params, [x] * 3, [y] * 3, cfg,
+                              [np.random.default_rng(s) for s in (4, 5, 6)])
+    assert list(errors) == [1]
     # one call, for the failing client at the first step
     assert calls == [2]
 
@@ -497,7 +528,7 @@ def test_sgd_deterministic_under_seed():
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=8, epochs=3)
     a = sgd_alone(model, x, y, cfg, np.random.default_rng(11))
     b = sgd_alone(model, x, y, cfg, np.random.default_rng(11))
-    assert a.params.tobytes() == b.params.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_sgd_learns_separable_blobs():
@@ -511,5 +542,5 @@ def test_sgd_learns_separable_blobs():
         model = nn.MlpModel(arch, nn.init_params(arch, rng))
         cfg = nn.SgdConfig(learning_rate=0.5, batch_size=16, epochs=30)
         trained = sgd_alone(model, x, y, cfg, np.random.default_rng(22))
-        acc = (np.argmax(nn.forward(trained, x), axis=1) == y).mean()
+        acc = (np.argmax(nn.forward(nn.MlpModel(arch, trained), x), axis=1) == y).mean()
         assert acc >= 0.95

@@ -387,32 +387,59 @@ def test_ipm_round_without_benign_uploads_fails():
         orchestrator._collect_uploads(exp, attackers, exp.initial_params, 0)
 
 
-def train_alone(client, global_params, cfg, rng):
-    """The client's training as a stack of one: its model or its error."""
-    (trained,) = nn.sgd_epoch(
-        [nn.MlpModel(client.local_model.arch, global_params.copy())],
-        [client.train.features], [client.train.labels], cfg, [rng],
+def test_training_errors_are_raised_in_their_clients_turn(monkeypatch):
+    # train_lockstep returns each failed client's error by row; the round
+    # raises it in the client's turn, benign clients first, naming it
+    exp = orchestrator.build_experiment(
+        small_cfg(malicious_fraction=0.3, attack=clients.AttackSpec("sign_flip"))
     )
-    return trained
+    (attacker,) = [c.id for c in exp.clients if c.role == "malicious"]
+    last_benign = max(c.id for c in exp.clients if c.role == "benign")
+    assert attacker < last_benign
+    errors = {
+        cid: NumericError(f"non-finite loss; first non-finite activations at layer {cid}")
+        for cid in (attacker, last_benign)
+    }
+    train_lockstep = clients.train_lockstep
+
+    def failing_train_lockstep(cohort, *args):
+        train_lockstep(cohort, *args)
+        return {row: errors[c.id] for row, c in enumerate(cohort) if c.id in errors}
+
+    monkeypatch.setattr(orchestrator, "train_lockstep", failing_train_lockstep)
+    with pytest.raises(NumericError) as raised:
+        orchestrator._collect_uploads(exp, list(range(6)), exp.initial_params, 0)
+    assert str(raised.value) == f"client {last_benign} (benign): {errors[last_benign]}"
+    assert raised.value.__cause__ is errors[last_benign]
+
+
+def train_alone(client, global_params, cfg, rng):
+    """The client's training as a stack of one: its parameters or its error."""
+    params = np.tile(global_params, (1, 1))
+    errors = nn.sgd_epoch(client.local_model.arch, params, [client.train.features],
+                          [client.train.labels], cfg, [rng])
+    return errors.get(0, params[0])
 
 
 def per_client_uploads(exp, participants, global_params, round_index):
     """The straightforward round: one local_update per client, benign ones
-    first, each training alone from its own stream; the uploads stacked in
-    ascending client id."""
+    first, each training alone from its own stream into an upload of its
+    own; the uploads stacked in ascending client id."""
     uploads, benign = {}, []
     for cid in sorted(participants, key=lambda c: exp.clients[c].role != "benign"):
         client = exp.clients[cid]
         ipm = client.attack is not None and client.attack.kind == "ipm"
         rng = stream(exp.cfg.seed, "local", round_index, cid)
-        trained = None
-        if clients.trains(client):
-            trained = train_alone(client, global_params, exp.cfg.local, rng)
+        uploads[cid] = np.empty(global_params.size)
         try:
-            uploads[cid] = clients.local_update(
-                client, global_params, rng,
+            if clients.trains(client):
+                trained = train_alone(client, global_params, exp.cfg.local, rng)
+                if isinstance(trained, NumericError):
+                    raise trained
+                uploads[cid][:] = trained
+            clients.local_update(
+                client, uploads[cid], global_params, rng,
                 benign_mean=clients.mean_upload(np.array(benign)) if ipm else None,
-                trained=trained,
             )
         except FedaaError as exc:
             raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc
@@ -445,9 +472,9 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
         monkeypatch.setattr(clients, "STACK_BYTES", stack_bytes)
     widths = []
 
-    def counting_sgd_epoch(models, *args):
-        widths.append(len(models))
-        return nn.sgd_epoch(models, *args)
+    def counting_sgd_epoch(arch, params, *args):
+        widths.append(len(params))
+        return nn.sgd_epoch(arch, params, *args)
 
     monkeypatch.setattr(clients, "sgd_epoch", counting_sgd_epoch)
     lockstep, plain = mixed_experiment(), mixed_experiment()
@@ -489,9 +516,9 @@ def test_one_local_update_per_participant_and_stacks_cover_the_trainers(monkeypa
         rounds[-1]["updates"] += 1
         return update(*args, **kwargs)
 
-    def counting_sgd(models, *args):
-        rounds[-1]["widths"] += len(models)
-        return sgd(models, *args)
+    def counting_sgd(arch, params, *args):
+        rounds[-1]["widths"] += len(params)
+        return sgd(arch, params, *args)
 
     monkeypatch.setattr(orchestrator, "_collect_uploads", counting_collect)
     monkeypatch.setattr(orchestrator, "local_update", counting_update)
