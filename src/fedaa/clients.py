@@ -119,11 +119,18 @@ def trains(client: ClientRecord) -> bool:
     return client.attack is None or ATTACKS[client.attack.kind].trains
 
 
+def draws(client: ClientRecord) -> bool:
+    """Whether the client draws from its round's local stream: a client
+    that trains draws its shuffles, and an attack that takes a tau draws
+    its magnitudes from it; ipm draws nothing."""
+    return trains(client) or ATTACKS[client.attack.kind].default_tau is not None
+
+
 def train_lockstep(
     cohort: list[ClientRecord],
     global_params: np.ndarray,
     cfg: SgdConfig,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator | None],
     out: np.ndarray,
 ) -> dict[int, NumericError]:
     """Train the cohort's training clients from the broadcast, in lockstep.
@@ -163,7 +170,7 @@ def local_update(
     client: ClientRecord,
     row: np.ndarray,
     global_params: np.ndarray,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     benign_mean: np.ndarray | None = None,
 ) -> None:
     """One client round: store the local model, write the upload into ``row``.
@@ -174,7 +181,8 @@ def local_update(
     model; ``rng`` then continues after the permutation draws.
     same_value/gaussian/ipm clients skip training; their stored model
     keeps the broadcast parameters. An ipm client needs ``benign_mean``,
-    the ``mean_upload`` of this round's benign uploads.
+    the ``mean_upload`` of this round's benign uploads, and no ``rng``
+    (see ``draws``).
     """
     global_params = np.asarray(global_params, dtype=np.float64)
     if not global_params.shape == row.shape == client.local_model.params.shape:

@@ -102,15 +102,6 @@ def unflatten(arch: ArchSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.n
     return layers
 
 
-def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Inverse of unflatten; bit-exact round trip."""
-    parts = []
-    for weight, bias in layers:
-        parts.append(np.asarray(weight, dtype=np.float64).ravel())
-        parts.append(np.asarray(bias, dtype=np.float64).ravel())
-    return np.concatenate(parts)
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction."""
     z = np.asarray(z, dtype=np.float64)

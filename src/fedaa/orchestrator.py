@@ -28,6 +28,7 @@ from . import data as datamod
 from .clients import (
     ClientRecord,
     assign_roles,
+    draws,
     local_update,
     mean_upload,
     train_lockstep,
@@ -303,14 +304,15 @@ def _collect_uploads(
     Clients that train do so first, in lockstep stacks of equal train
     size, straight into their rows; each draws its permutations from its
     own stream, which its ``local_update`` then continues (a sign
-    flipper's magnitude draw). A client whose training failed raises its
+    flipper's magnitude draw); a client that draws nothing (``draws``)
+    gets no stream. A client whose training failed raises its
     error in its turn, so the error names the first such client in this
     order.
     """
     cfg = exp.cfg
     ids = sorted(participants)
     cohort = [exp.clients[c] for c in ids]
-    rngs = [stream(cfg.seed, "local", round_index, cid) for cid in ids]
+    rngs = [stream(cfg.seed, "local", round_index, c.id) if draws(c) else None for c in cohort]
     uploads = np.empty((len(ids), global_params.size))
     errors = train_lockstep(cohort, global_params, cfg.local, rngs, uploads)
     benign = np.array([c.role == "benign" for c in cohort])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from . import data as datamod
 from .ddpg import DdpgConfig, ReplayBuffer, Transition, make_agent, act, soft_update
@@ -11,14 +12,12 @@ from .nn import (
     MlpModel,
     SgdConfig,
     backward_ce,
-    flatten,
     init_params,
     param_count,
     sgd_epoch,
-    unflatten,
 )
 from .orchestrator import aggregate
-from .selection import select_clients
+from .selection import distance_matrix, select_clients
 
 
 def _check_simplex_actions() -> None:
@@ -69,20 +68,18 @@ def _check_distance_symmetry() -> None:
     assert np.allclose(res.raw_row_sums, c[res.selected_ids].sum(axis=1), rtol=1e-12), (
         "selection row sums must equal the distance matrix's row sums"
     )
+    # banded selection is exact only while cdist and pdist share one kernel
+    # on the installed scipy
+    want = squareform(pdist(x)).tobytes()
+    for bands in (2, 3, 4):
+        assert distance_matrix(x, bands).tobytes() == want, (
+            f"the distance matrix in {bands} bands differs from squareform(pdist(.))"
+        )
 
 
 def _check_aggregate_hull() -> None:
     merged = aggregate(np.array([np.zeros(4), np.ones(4)]), np.array([0.25, 0.75]))
     assert np.allclose(merged, 0.75), "aggregation must stay inside the convex hull"
-
-
-def _check_flatten_round_trip() -> None:
-    rng = np.random.default_rng(11)
-    arch = ArchSpec(5, (4,), 3)
-    params = init_params(arch, rng)
-    assert np.array_equal(flatten(unflatten(arch, params)), params), (
-        "flatten(unflatten(.)) must be bit-exact"
-    )
 
 
 def _check_gradient() -> None:
@@ -141,7 +138,6 @@ CHECKS = (
     ("partition_completeness", _check_partition_complete),
     ("distance_symmetry", _check_distance_symmetry),
     ("aggregation_convex_hull", _check_aggregate_hull),
-    ("flatten_round_trip", _check_flatten_round_trip),
     ("gradient_check", _check_gradient),
     ("sgd_matches_reference", _check_sgd_matches_reference),
 )

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fedaa import cli, config
+from fedaa import cli, config, selection
 
 SMALL_CONFIG = """\
 dataset = synthetic00
@@ -200,6 +200,36 @@ def test_sweep_varied_seed_starts_its_cell(cfg_path, tmp_path):
     assert [cell[header.index("seed")] for cell in cells] == ["3", "7"]
     acc = header.index("mean_acc")
     assert cells[0][acc] != cells[1][acc]
+
+
+def test_sweep_workers_select_on_one_band(cfg_path, tmp_path, monkeypatch):
+    # worker processes share the CPUs already, so none spreads its
+    # selections over them; the serial sweep keeps the bands
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer):
+            pools.append(max_workers)
+            initializer()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(selection, "_one_band", False)
+    monkeypatch.setattr(selection.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    args = ["sweep", "--config", cfg_path, "--vary", "seed=0,1"]
+    assert cli.main(args + ["--out", str(tmp_path / "serial")]) == 0
+    assert pools == [] and selection.band_count(121, 14_210) == 2
+    monkeypatch.setenv("FEDAA_THREADS", "2")
+    assert cli.main(args + ["--out", str(tmp_path / "parallel")]) == 0
+    assert pools == [2] and selection.band_count(121, 14_210) == 1
 
 
 @pytest.mark.parametrize("threads", ["abc", "", "1.5", "0", "-1"])

@@ -81,7 +81,10 @@ def test_attack_table_drives_spec_config_and_training():
         assert (kind in config.TAU_ATTACKS) == (row.default_tau is not None)
         client = make_client(role="malicious", attack=clients.AttackSpec(kind))
         assert clients.trains(client) == row.trains
+        # only ipm, which takes no tau and trains not, leaves its local stream alone
+        assert clients.draws(client) == (kind != "ipm")
     assert clients.trains(make_client())
+    assert clients.draws(make_client())
 
 
 def test_client_record_role_attack_pairing():

@@ -500,6 +500,28 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
     assert max(widths) == 2 if stack_bytes else max(widths) > 2
 
 
+def test_local_streams_only_for_clients_that_draw(monkeypatch):
+    # ipm attackers draw nothing, so they get no stream; every other
+    # client's stream, and so every upload, stays as it was (see
+    # test_lockstep_uploads_equal_per_client_updates, whose oracle makes a
+    # stream for every participant)
+    exp = mixed_experiment()
+    exp.clients[1].attack = clients.AttackSpec("gaussian")
+    exp.clients[1].role = "malicious"
+    streamed = []
+
+    def recording_stream(seed, *labels):
+        if labels[0] == "local":
+            streamed.append(labels[2])
+        return stream(seed, *labels)
+
+    monkeypatch.setattr(orchestrator, "stream", recording_stream)
+    orchestrator._collect_uploads(exp, list(range(12)), exp.initial_params, 0)
+    kinds = {c.id: c.attack.kind if c.attack else None for c in exp.clients}
+    assert {"ipm", "sign_flip", "gaussian", None} <= set(kinds.values())
+    assert streamed == [c for c in range(12) if kinds[c] != "ipm"]
+
+
 def test_one_local_update_per_participant_and_stacks_cover_the_trainers(monkeypatch):
     # the benchmark's tracer counts the calls made through these two names
     cfg = small_cfg(rounds=4, malicious_fraction=0.3, attack=clients.AttackSpec("gaussian"),

@@ -1,12 +1,13 @@
 """Distance-based selection: counts, oracles, quarantine, scopes."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from fedaa import selection
+from fedaa import config, selection
 from fedaa.errors import ConfigError, SimulationError
 from fedaa.nn import ArchSpec, layer_slices, param_count
 
@@ -26,7 +27,7 @@ def all_rows_oracle(ids, uploads, m_percent, scope, arch):
     """The selection with squareform(pdist(.)) over every finite row, as
     (selected ids, state, raw row sums); None if too few rows are finite."""
     x = uploads
-    if scope == "last_hidden_layer" and arch.hidden_dims:
+    if scope == "last_hidden_layer":
         wsl, bsl = layer_slices(arch)[len(arch.hidden_dims) - 1]
         x = x[:, wsl.start : bsl.stop]
     finite = np.isfinite(x).all(axis=1)
@@ -256,6 +257,97 @@ def test_permutation_equivariance_with_repeated_rows_generated():
     assert seen == {"repeated rows", "non-finite rows"}
 
 
+# ------------------------------------------------------------ bands
+
+
+def test_banded_distance_matrix_is_pdist_generated():
+    # every band count, over random shapes and repeated rows, gives
+    # squareform(pdist(.)) bit for bit
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        data=st.data(),
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 14), st.integers(1, 40)),
+        bands=st.integers(1, 4),
+        scale=st.sampled_from([1e-300, 1.0, 3e5, 1e150]),
+    )
+    def check(data, shape, bands, scale):
+        distinct, n, cols = shape
+        pool = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
+            scale=scale, size=(distinct, cols)
+        )
+        picks = data.draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+        y = pool[picks]
+        got = selection.distance_matrix(y, bands)
+        assert got.tobytes() == squareform(pdist(y)).tobytes()
+        seen.add(bands)
+        if len(set(picks)) < n:
+            seen.add("repeated rows")
+        if n > bands:
+            seen.add(f"{bands} bands over more rows")
+
+    check()
+    assert seen >= {1, 2, 3, 4, "repeated rows", *(f"{b} bands over more rows" for b in (2, 3, 4))}
+
+
+def test_bands_split_the_pairs_evenly_on_threads(monkeypatch):
+    # band 0 runs on the calling thread, every other band on a worker
+    calls = []
+    for name in ("pdist", "cdist"):
+        kernel = getattr(selection, name)
+
+        def recording(*rows, kernel=kernel, name=name):
+            calls.append((name, len(rows[0]), threading.get_ident()))
+            return kernel(*rows)
+
+        monkeypatch.setattr(selection, name, recording)
+    y = np.random.default_rng(40).normal(size=(60, 5))
+    assert selection.distance_matrix(y, 3).tobytes() == squareform(pdist(y)).tobytes()
+    tops = sorted((c for c in calls if c[0] == "pdist"), key=lambda c: c[1])
+    # 60 rows hold 1,770 pairs i < j: bands of 11, 15 and 34 rows hold 594, 615 and 561
+    assert [c[1] for c in tops] == [11, 15, 34]
+    assert sum(c[0] == "cdist" for c in calls) == 2
+    main = threading.get_ident()
+    assert [c[1] for c in calls if c[2] == main] == [11, 11]  # band 0: rows 0-10
+
+
+def test_band_count_follows_the_work_and_the_cpus(monkeypatch):
+    monkeypatch.setattr(selection, "_one_band", False)
+    monkeypatch.setattr(selection.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert selection.band_count(20, 610) == 1  # a logistic round: below BAND_WORK
+    assert selection.band_count(121, 14_210) == 4
+    assert selection.band_count(3, 1 << 22) == 2  # at most one band per row with pairs
+    monkeypatch.setattr(selection.os, "sched_getaffinity", lambda pid: {5})
+    assert selection.band_count(121, 14_210) == 1
+    monkeypatch.delattr(selection.os, "sched_getaffinity")
+    monkeypatch.setattr(selection.os, "cpu_count", lambda: 2)
+    assert selection.band_count(121, 14_210) == 2
+    selection.one_band_per_process()
+    assert selection.band_count(121, 14_210) == 1
+
+
+@pytest.mark.parametrize("scope", selection.SCOPES)
+def test_selection_is_the_same_in_one_band_and_in_several(monkeypatch, scope):
+    arch = ArchSpec(6, (5,), 3)
+    rng = np.random.default_rng(41)
+    uploads = rng.normal(size=(30, param_count(arch)))
+    uploads[20:26] = uploads[3]  # repeated uploads, measured once
+    uploads[27, 4] = np.nan
+    results = []
+    for bands in (1, 2, 3, 4):
+        monkeypatch.setattr(selection, "band_count", lambda rows, cols, bands=bands: bands)
+        results.append(selection.select_clients(list(range(30)), uploads, 40.0, scope, arch))
+    for res in results[1:]:
+        assert res.selected_ids == results[0].selected_ids
+        assert res.state.tobytes() == results[0].state.tobytes()
+        assert res.raw_row_sums.tobytes() == results[0].raw_row_sums.tobytes()
+    want = all_rows_oracle(list(range(30)), uploads, 40.0, scope, arch)
+    assert results[0].raw_row_sums.tobytes() == want[2].tobytes()
+
+
 # ------------------------------------------------------------ quarantine
 
 
@@ -313,15 +405,18 @@ def test_last_hidden_layer_scope_slices_correct_block():
     assert res.selected_ids == [0, 1]
 
 
-def test_last_hidden_layer_degenerates_for_logistic():
+def test_last_hidden_layer_requires_a_hidden_layer():
+    with pytest.raises(ConfigError, match=r"distance_scope = last_hidden_layer .*model\.hidden"):
+        config.parse_config_text("distance_scope = last_hidden_layer\n")
+    with pytest.raises(ConfigError, match="model.hidden"):
+        config.parse_config_text("distance_scope = last_hidden_layer\nmodel.hidden =\n")
+    assert config.parse_config_text(
+        "distance_scope = last_hidden_layer\nmodel.hidden = 4\n"
+    ).model_hidden == (4,)
     arch = ArchSpec(5, (), 3)
-    rng = np.random.default_rng(36)
-    uploads = rng.normal(size=(4, param_count(arch)))
-    ids = [0, 1, 2, 3]
-    scoped = selection.select_clients(ids, uploads, 50.0, scope="last_hidden_layer", arch=arch)
-    full = selection.select_clients(ids, uploads, 50.0)
-    assert scoped.selected_ids == full.selected_ids
-    assert np.allclose(scoped.state, full.state, atol=1e-15)
+    uploads = np.random.default_rng(36).normal(size=(4, param_count(arch)))
+    with pytest.raises(ConfigError, match="requires a hidden layer"):
+        selection.select_clients([0, 1, 2, 3], uploads, 50.0, scope="last_hidden_layer", arch=arch)
 
 
 def test_scope_errors():
