@@ -173,7 +173,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # a cell's seeds start at its own seed, varied or not
         start = int(values.get("seed", 0))
         for seed in range(start, start + args.seeds):
-            tasks.append((index, seed, build_config({**values, "seed": seed})))
+            try:
+                cfg = build_config({**values, "seed": seed})
+            except ConfigError as exc:
+                overrides = ", ".join(f"{key}={value}" for key, value in cell.items())
+                raise ConfigError(
+                    f"sweep cell {index} ({overrides or 'no overrides'}): {exc}"
+                ) from exc
+            tasks.append((index, seed, cfg))
     threads = os.environ.get("FEDAA_THREADS", "1")
     if not threads.isdecimal() or int(threads) < 1:
         raise ConfigError(f"FEDAA_THREADS must be an integer >= 1 (got {threads!r})")

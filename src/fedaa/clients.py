@@ -1,8 +1,10 @@
-"""Client roles, Byzantine upload attacks, and the local update step.
+"""Client records, Byzantine upload attacks, and the local update step.
 
-Attack messages are what a malicious client sends upward; they never
-touch the client's own stored model. Magnitude draws use the convention
-m ~ N(0, tau^2) with tau the attack scale.
+A client is its data and its attack, and its role follows from the
+attack; its local model is a row of ``Experiment.local_models``. Attack
+messages are what a malicious client writes into its upload row.
+Magnitude draws use the convention m ~ N(0, tau^2) with tau the attack
+scale.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, SimulationError
 from .data import LabeledDataset
-from .nn import MlpModel, SgdConfig, sgd_epoch
+from .nn import ArchSpec, SgdConfig, sgd_epoch
 
 
 class AttackKind(NamedTuple):
@@ -69,17 +71,13 @@ class AttackSpec:
 @dataclass
 class ClientRecord:
     id: int
-    role: str  # "benign" or "malicious"
-    attack: AttackSpec | None
+    attack: AttackSpec | None  # None for a benign client
     train: LabeledDataset
     test: LabeledDataset
-    local_model: MlpModel
 
-    def __post_init__(self) -> None:
-        if self.role not in ("benign", "malicious"):
-            raise ConfigError(f"unknown role: {self.role!r}")
-        if (self.role == "malicious") != (self.attack is not None):
-            raise ConfigError("attack spec must be present exactly for malicious clients")
+    @property
+    def role(self) -> str:
+        return "benign" if self.attack is None else "malicious"
 
 
 def assign_roles(
@@ -127,6 +125,7 @@ def draws(client: ClientRecord) -> bool:
 
 
 def train_lockstep(
+    arch: ArchSpec,
     cohort: list[ClientRecord],
     global_params: np.ndarray,
     cfg: SgdConfig,
@@ -136,8 +135,8 @@ def train_lockstep(
     """Train the cohort's training clients from the broadcast, in lockstep.
 
     ``cohort[i]`` draws its permutations from ``rngs[i]`` and ends with
-    its trained parameters in row ``out[i]``; the rows of clients that do
-    not train are left as they are. Clients of equal train size share
+    its trained parameters, of architecture ``arch``, in row ``out[i]``;
+    the rows of clients that do not train are left as they are. Clients of equal train size share
     ``sgd_epoch`` stacks of at most STACK_BYTES of parameters. Returns, by
     row, the NumericError of each client whose loss turned non-finite, the
     same as the client would get training alone; the round loop raises it.
@@ -154,7 +153,7 @@ def train_lockstep(
             rows = group[lo : lo + width]
             stack = np.tile(global_params, (len(rows), 1))
             failed = sgd_epoch(
-                cohort[rows[0]].local_model.arch,
+                arch,
                 stack,
                 [cohort[r].train.features for r in rows],
                 [cohort[r].train.labels for r in rows],
@@ -169,32 +168,20 @@ def train_lockstep(
 def local_update(
     client: ClientRecord,
     row: np.ndarray,
-    global_params: np.ndarray,
     rng: np.random.Generator | None,
     benign_mean: np.ndarray | None = None,
 ) -> None:
-    """One client round: store the local model, write the upload into ``row``.
+    """One client round: write the client's upload into ``row``.
 
     A client that trains (see ``trains``; a sign flipper's message needs
     the honest result) finds its ``train_lockstep`` result from the
-    broadcast and ``rng`` in ``row``, and keeps a copy of it as its local
-    model; ``rng`` then continues after the permutation draws.
-    same_value/gaussian/ipm clients skip training; their stored model
-    keeps the broadcast parameters. An ipm client needs ``benign_mean``,
-    the ``mean_upload`` of this round's benign uploads, and no ``rng``
-    (see ``draws``).
+    broadcast and ``rng`` in ``row``; ``rng`` then continues after the
+    permutation draws. A benign client's upload is that result, so its
+    row is left as it is. An ipm client needs ``benign_mean``, the
+    ``mean_upload`` of this round's benign uploads, and no ``rng`` (see
+    ``draws``).
     """
-    global_params = np.asarray(global_params, dtype=np.float64)
-    if not global_params.shape == row.shape == client.local_model.params.shape:
-        raise ConfigError(
-            f"broadcast has {global_params.size} parameters and the upload row "
-            f"{row.size}, client model expects {client.local_model.params.size}"
-        )
     kind = client.attack.kind if client.attack is not None else None
-    # a copy: a view would keep the whole round's uploads alive
-    client.local_model = MlpModel(
-        client.local_model.arch, (row if trains(client) else global_params).copy()
-    )
     if kind == "sign_flip":
         row[:] = attack_sign_flip(row, client.attack.tau, rng)
     elif kind == "same_value":

@@ -158,14 +158,19 @@ PINNED_SPREAD = {"synthetic00": 0.0, "synthetic11": 1.0}
 @dataclass(frozen=True)
 class Key:
     """One config key. It is accepted and emitted only under the listed
-    dataset and attack kinds; ``field`` is its path in ExperimentConfig
-    when that differs from the key name."""
+    dataset and attack kinds and aggregators; ``field`` is its path in
+    ExperimentConfig when that differs from the key name."""
 
     name: str
     parse: Callable[[str], object]
     datasets: tuple[str, ...] = DATASET_KINDS
     attacks: tuple[str, ...] = ALL_ATTACKS
+    aggregators: tuple[str, ...] = AGGREGATORS
     field: str = ""
+
+
+# the keys of distance selection and the policy, which fedavg does not run
+FEDAA = ("fedaa",)
 
 
 KEYS = (
@@ -184,25 +189,25 @@ KEYS = (
     Key("attack", _choice(*ALL_ATTACKS), field="attack.kind"),
     Key("attack.tau", _float(lo=0.0, lo_open=True), attacks=TAU_ATTACKS),
     Key("attack.ipm_epsilon", _float(lo=0.0, lo_open=True), attacks=("ipm",)),
-    Key("m_percent", _float(lo=0.0, hi=100.0, lo_open=True)),
+    Key("m_percent", _float(lo=0.0, hi=100.0, lo_open=True), aggregators=FEDAA),
     Key("participation_ratio", _float(lo=0.0, hi=1.0, lo_open=True)),
     Key("rounds", _int(lo=1)),
     Key("local.lr", _float(lo=0.0), field="local.learning_rate"),
     Key("local.weight_decay", _float(lo=0.0)),
     Key("local.batch_size", _int(lo=1)),
     Key("local.epochs", _int(lo=1)),
-    Key("ddpg.gamma", _float(lo=0.0, hi=1.0, lo_open=True)),
-    Key("ddpg.epsilon_soft", _float(lo=0.0, hi=1.0, lo_open=True)),
-    Key("ddpg.actor_lr", _float(lo=0.0)),
-    Key("ddpg.critic_lr", _float(lo=0.0)),
-    Key("ddpg.weight_decay", _float(lo=0.0)),
-    Key("ddpg.hidden", _int(lo=1)),
-    Key("ddpg.buffer_capacity", _int(lo=1)),
-    Key("ddpg.batch_size", _int(lo=1)),
-    Key("ddpg.warmup", _int(lo=1)),
-    Key("ddpg.noise_sigma", _float(lo=0.0)),
-    Key("ddpg.noise_sigma_end", _float(lo=0.0)),
-    Key("distance_scope", _choice(*SCOPES)),
+    Key("ddpg.gamma", _float(lo=0.0, hi=1.0, lo_open=True), aggregators=FEDAA),
+    Key("ddpg.epsilon_soft", _float(lo=0.0, hi=1.0, lo_open=True), aggregators=FEDAA),
+    Key("ddpg.actor_lr", _float(lo=0.0), aggregators=FEDAA),
+    Key("ddpg.critic_lr", _float(lo=0.0), aggregators=FEDAA),
+    Key("ddpg.weight_decay", _float(lo=0.0), aggregators=FEDAA),
+    Key("ddpg.hidden", _int(lo=1), aggregators=FEDAA),
+    Key("ddpg.buffer_capacity", _int(lo=1), aggregators=FEDAA),
+    Key("ddpg.batch_size", _int(lo=1), aggregators=FEDAA),
+    Key("ddpg.warmup", _int(lo=1), aggregators=FEDAA),
+    Key("ddpg.noise_sigma", _float(lo=0.0), aggregators=FEDAA),
+    Key("ddpg.noise_sigma_end", _float(lo=0.0), aggregators=FEDAA),
+    Key("distance_scope", _choice(*SCOPES), aggregators=FEDAA),
     # the synthetic kinds build the reward set from client uploads
     Key("validation.per_class", _counts(1), datasets=PARTITIONED_KINDS),
     Key("aggregator", _choice(*AGGREGATORS)),
@@ -258,26 +263,32 @@ def parse_config(path: str) -> ExperimentConfig:
     return parse_config_text(read_config_text(path))
 
 
-def _applies(key: Key, kinds: tuple[str, str]) -> bool:
-    return kinds[0] in key.datasets and kinds[1] in key.attacks
+def _scope(key: Key) -> tuple[tuple[str, ...], ...]:
+    return key.datasets, key.attacks, key.aggregators
 
 
-def _scope_error(key: Key, kinds: tuple[str, str]) -> str:
+def _applies(key: Key, kinds: tuple[str, str, str]) -> bool:
+    """Whether ``key`` applies under (dataset kind, attack kind, aggregator)."""
+    return all(kind in allowed for kind, allowed in zip(kinds, _scope(key)))
+
+
+def _scope_error(key: Key, kinds: tuple[str, str, str]) -> str:
     """Why ``key`` is rejected, naming with it the keys of its section
     that share its scope (``dataset.alpha/beta``)."""
     section, _, _ = key.name.rpartition(".")
     peers = [
         k.name.rpartition(".")[2]
         for k in KEYS
-        if k.name.startswith(section + ".")
-        and (k.datasets, k.attacks) == (key.datasets, key.attacks)
+        if section and k.name.startswith(section + ".") and _scope(k) == _scope(key)
     ]
-    names = f"{section}.{'/'.join(peers)} {'apply' if len(peers) > 1 else 'applies'}"
+    names = f"{section}.{'/'.join(peers)} apply" if len(peers) > 1 else f"{key.name} applies"
     if kinds[0] not in key.datasets:
         return f"{names} only to dataset = {', '.join(key.datasets)}"
-    if kinds[1] == "none":
+    if kinds[1] == "none" and "none" not in key.attacks:
         return f"{names} only with an attack; keys in {section}.* require an attack"
-    return f"{names} only to attack = {', '.join(key.attacks)}"
+    if kinds[1] not in key.attacks:
+        return f"{names} only to attack = {', '.join(key.attacks)}"
+    return f"{names} only to aggregator = {', '.join(key.aggregators)}"
 
 
 def build_config(values: dict[str, object]) -> ExperimentConfig:
@@ -291,7 +302,11 @@ def build_config(values: dict[str, object]) -> ExperimentConfig:
             section, _, attr = (key.field or key.name).rpartition(".")
             by_section[section][attr] = values[key.name]
     attack = by_section.pop("attack", {})
-    kinds = by_section["dataset"].get("kind", DatasetConfig.kind), attack.get("kind", "none")
+    kinds = (
+        by_section["dataset"].get("kind", DatasetConfig.kind),
+        attack.get("kind", "none"),
+        values.get("aggregator", ExperimentConfig.aggregator),
+    )
     for key in KEYS:
         if key.name in values and not _applies(key, kinds):
             raise ConfigError(_scope_error(key, kinds))
@@ -342,7 +357,7 @@ def _value(cfg: ExperimentConfig, path: str) -> object:
 
 def emit_config(cfg: ExperimentConfig) -> str:
     """Canonical text: sorted keys, every applicable key spelled out."""
-    kinds = cfg.dataset.kind, _value(cfg, "attack.kind")
+    kinds = cfg.dataset.kind, _value(cfg, "attack.kind"), cfg.aggregator
     pairs = {key.name: _value(cfg, key.field or key.name) for key in KEYS if _applies(key, kinds)}
     return "".join(
         f"{name} = {_fmt(pairs[name])}\n" for name in sorted(pairs) if pairs[name] is not None

@@ -345,6 +345,8 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
         raise IngestionError(
             f"{images_path}: bad magic {magic} at byte 0 (expected {_IMAGE_MAGIC})"
         )
+    if count == 0:
+        raise IngestionError(f"{images_path}: holds no images")
     need = 16 + count * rows * cols
     if len(blob) < need:
         raise IngestionError(f"{images_path}: truncated at byte {len(blob)} (needed {need})")
@@ -383,4 +385,8 @@ def load_csv(path: str) -> LabeledDataset:
     labels = labels.astype(np.int64)
     if labels.min() < 0:
         raise IngestionError(f"{path}: negative label")
-    return LabeledDataset(table[:, :-1], labels, max(int(labels.max()) + 1, 2))
+    features = table[:, :-1]
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise IngestionError(f"{path}: data row {bad[0] + 1}: non-finite feature value")
+    return LabeledDataset(features, labels, max(int(labels.max()) + 1, 2))

@@ -132,19 +132,20 @@ def evaluate_reward(
 
 
 def evaluate_fairness(
-    clients: list[ClientRecord], global_model: MlpModel
+    clients: list[ClientRecord], local_models: np.ndarray, global_model: MlpModel
 ) -> FairnessMetrics:
     """Population spread of benign clients' local test performance.
 
-    Accuracy/loss come from each benign client's own stored local model
-    on its own test split; mean_global_acc scores the shared global
-    model on the same splits.
+    Accuracy/loss come from each benign client's own local model, row
+    ``client.id`` of ``local_models``, on its own test split;
+    mean_global_acc scores the shared global model on the same splits.
     """
     accs, losses, global_accs = [], [], []
     for client in clients:
         if client.role != "benign":
             continue
-        logits = forward(client.local_model, client.test.features)
+        local = MlpModel(global_model.arch, local_models[client.id])  # a view, not a copy
+        logits = forward(local, client.test.features)
         accs.append(float((np.argmax(logits, axis=1) == client.test.labels).mean()))
         losses.append(ce_loss_from_logits(logits, client.test.labels))
         g_logits = forward(global_model, client.test.features)
@@ -175,13 +176,19 @@ def sample_participants(
 
 @dataclass
 class Experiment:
-    """Materialized run: clients, validation set, policy, buffers."""
+    """Materialized run: clients, validation set, policy, buffers.
+
+    Row ``c`` of ``local_models`` is benign client ``c``'s last trained
+    upload, or the initial parameters until it first trains; nothing
+    reads an attacker's row, so it stays at the initial parameters.
+    """
 
     cfg: ExperimentConfig
     clients: list[ClientRecord]
     val_set: LabeledDataset
     arch: ArchSpec
     initial_params: np.ndarray
+    local_models: np.ndarray
     cohort_size: int
     agent: DdpgAgent | None
     buffer: ReplayBuffer | None
@@ -257,19 +264,10 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     arch = ArchSpec(input_dim, tuple(cfg.model_hidden), num_classes)
     initial = init_params(arch, stream(cfg.seed, "model-init"))
     malicious = set(assign_roles(cfg.dataset.num_clients, cfg.malicious_fraction, stream(cfg.seed, "roles")))
-    clients = []
-    for cid, (train, test) in enumerate(partition.clients):
-        is_bad = cid in malicious
-        clients.append(
-            ClientRecord(
-                id=cid,
-                role="malicious" if is_bad else "benign",
-                attack=cfg.attack if is_bad else None,
-                train=train,
-                test=test,
-                local_model=MlpModel(arch, initial.copy()),
-            )
-        )
+    clients = [
+        ClientRecord(cid, cfg.attack if cid in malicious else None, train, test)
+        for cid, (train, test) in enumerate(partition.clients)
+    ]
     cohort = round_half_up(cfg.participation_ratio * cfg.dataset.num_clients)
     agent = None
     buffer = None
@@ -285,6 +283,7 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         val_set=val_set,
         arch=arch,
         initial_params=initial,
+        local_models=np.tile(initial, (len(clients), 1)),
         cohort_size=cohort,
         agent=agent,
         buffer=buffer,
@@ -307,14 +306,14 @@ def _collect_uploads(
     flipper's magnitude draw); a client that draws nothing (``draws``)
     gets no stream. A client whose training failed raises its
     error in its turn, so the error names the first such client in this
-    order.
+    order. The benign participants' rows then become their local models.
     """
     cfg = exp.cfg
     ids = sorted(participants)
     cohort = [exp.clients[c] for c in ids]
     rngs = [stream(cfg.seed, "local", round_index, c.id) if draws(c) else None for c in cohort]
     uploads = np.empty((len(ids), global_params.size))
-    errors = train_lockstep(cohort, global_params, cfg.local, rngs, uploads)
+    errors = train_lockstep(exp.arch, cohort, global_params, cfg.local, rngs, uploads)
     benign = np.array([c.role == "benign" for c in cohort])
     benign_mean = None
     for row in sorted(range(len(ids)), key=lambda r: not benign[r]):
@@ -326,9 +325,13 @@ def _collect_uploads(
                 # every ipm attacker scales the same mean; take it once a
                 # round, when every benign row is written
                 benign_mean = mean_upload(uploads[benign])
-            local_update(client, uploads[row], global_params, rngs[row], benign_mean=benign_mean)
+            local_update(client, uploads[row], rngs[row], benign_mean=benign_mean)
         except FedaaError as exc:
             raise type(exc)(f"client {client.id} ({client.role}): {exc}") from exc
+    # row by row: a gather of the benign rows would hold a second copy of
+    # them at the round's peak
+    for row in np.flatnonzero(benign):
+        exp.local_models[ids[row]] = uploads[row]
     return uploads
 
 
@@ -386,7 +389,7 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
                 cfg.dataset.num_clients, cfg.participation_ratio, part_rng
             )
             uploads = _collect_uploads(exp, participants, global_params, t)
-            fairness = evaluate_fairness(exp.clients, global_model)
+            fairness = evaluate_fairness(exp.clients, exp.local_models, global_model)
             next_sel = _select(exp, participants, uploads)
             records.append(
                 RoundRecord(

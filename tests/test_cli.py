@@ -250,6 +250,18 @@ def test_sweep_rejects_fewer_than_one_seed(cfg_path, tmp_path, capsys, seeds):
     assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
 
+def test_sweep_names_the_cell_whose_config_fails_before_any_cell_runs(cfg_path, tmp_path, capsys):
+    # the base config sets m_percent and ddpg keys, which fedavg does not take
+    out = str(tmp_path / "sweep")
+    args = ["sweep", "--config", cfg_path, "--out", out, "--vary", "aggregator=fedaa,fedavg"]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        "fedaa: error: ConfigError: sweep cell 1 (aggregator=fedavg): "
+        "m_percent applies only to aggregator = fedaa\n"
+    )
+    assert not os.path.exists(out)
+
+
 def test_sweep_vary_validation(cfg_path, capsys):
     assert cli.main(["sweep", "--config", cfg_path, "--vary", "bogus=1"]) == 1
     assert "unknown key" in capsys.readouterr().err

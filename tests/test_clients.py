@@ -8,13 +8,14 @@ from fedaa.errors import ConfigError, SimulationError
 from fedaa.seeding import stream
 
 
-def make_client(cid=0, role="benign", attack=None, seed=0, n=40):
+ARCH = nn.ArchSpec(60, (), 10)  # logistic on synthetic features: 610 parameters
+
+
+def make_client(cid=0, attack=None, seed=0, n=40):
     rng = np.random.default_rng(seed)
     spec = data.SyntheticSpec(0.0, 0.0, 1, (n,))
     train, test = data.generate_synthetic(spec, rng).clients[0]
-    arch = nn.ArchSpec(60, (), 10)
-    model = nn.MlpModel(arch, nn.init_params(arch, np.random.default_rng(1)))
-    return clients.ClientRecord(cid, role, attack, train, test, model)
+    return clients.ClientRecord(cid, attack, train, test)
 
 
 def update(client, broadcast, cfg, rng, benign_mean=None):
@@ -22,15 +23,15 @@ def update(client, broadcast, cfg, rng, benign_mean=None):
     cohort of one into its upload row, then local_update on that row.
     Returns the row."""
     uploads = np.empty((1, broadcast.size))
-    assert clients.train_lockstep([client], broadcast, cfg, [rng], uploads) == {}
-    clients.local_update(client, uploads[0], broadcast, rng, benign_mean=benign_mean)
+    assert clients.train_lockstep(ARCH, [client], broadcast, cfg, [rng], uploads) == {}
+    clients.local_update(client, uploads[0], rng, benign_mean=benign_mean)
     return uploads[0]
 
 
 def direct_sgd(client, broadcast, cfg, rng):
     """The client's training as a stack of one, straight from sgd_epoch."""
     params = np.tile(broadcast, (1, 1))
-    assert nn.sgd_epoch(client.local_model.arch, params, [client.train.features],
+    assert nn.sgd_epoch(ARCH, params, [client.train.features],
                         [client.train.labels], cfg, [rng]) == {}
     return params[0]
 
@@ -79,7 +80,7 @@ def test_attack_table_drives_spec_config_and_training():
     for kind, row in clients.ATTACKS.items():
         assert clients.AttackSpec(kind).tau == row.default_tau
         assert (kind in config.TAU_ATTACKS) == (row.default_tau is not None)
-        client = make_client(role="malicious", attack=clients.AttackSpec(kind))
+        client = make_client(attack=clients.AttackSpec(kind))
         assert clients.trains(client) == row.trains
         # only ipm, which takes no tau and trains not, leaves its local stream alone
         assert clients.draws(client) == (kind != "ipm")
@@ -87,11 +88,16 @@ def test_attack_table_drives_spec_config_and_training():
     assert clients.draws(make_client())
 
 
-def test_client_record_role_attack_pairing():
-    with pytest.raises(ConfigError):
-        make_client(role="malicious", attack=None)
-    with pytest.raises(ConfigError):
-        make_client(role="benign", attack=clients.AttackSpec("gaussian"))
+def test_role_follows_from_the_attack():
+    assert make_client().role == "benign"
+    for kind in clients.ATTACKS:
+        client = make_client(attack=clients.AttackSpec(kind))
+        assert client.role == "malicious"
+        client.attack = None
+        assert client.role == "benign"
+    # the role is read, never stored, so it cannot disagree with the attack
+    with pytest.raises(AttributeError):
+        make_client().role = "malicious"
 
 
 # ------------------------------------------------------------ messages
@@ -130,10 +136,10 @@ def test_ipm_message_hand_computed():
     assert np.array_equal(clients.mean_upload(benign), np.full(610, 2.0))
     for epsilon, expected in ((0.5, -1.0), (2.0, -4.0)):
         spec = clients.AttackSpec("ipm", ipm_epsilon=epsilon)
-        client = make_client(role="malicious", attack=spec)
+        client = make_client(attack=spec)
         upload = np.empty(610)
         clients.local_update(
-            client, upload, np.zeros(610), np.random.default_rng(5),
+            client, upload, np.random.default_rng(5),
             benign_mean=clients.mean_upload(benign),
         )
         assert np.allclose(upload, expected)
@@ -151,11 +157,6 @@ def test_benign_update_matches_direct_sgd():
     upload = update(client, broadcast, cfg, np.random.default_rng(7))
     direct = direct_sgd(client, broadcast, cfg, np.random.default_rng(7))
     assert np.array_equal(upload, direct)
-    # the client's stored model is the trained one
-    assert np.array_equal(client.local_model.params, direct)
-    # and a copy, independent of the upload row
-    upload[0] += 1.0
-    assert client.local_model.params[0] == direct[0]
 
 
 def test_identical_clients_produce_identical_uploads():
@@ -169,7 +170,7 @@ def test_identical_clients_produce_identical_uploads():
 
 def test_sign_flip_trains_then_flips():
     spec = clients.AttackSpec("sign_flip", tau=10.0)
-    client = make_client(role="malicious", attack=spec)
+    client = make_client(attack=spec)
     broadcast = np.zeros(610)
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=16, epochs=1)
     upload = update(client, broadcast, cfg, np.random.default_rng(8))
@@ -178,50 +179,43 @@ def test_sign_flip_trains_then_flips():
     honest = direct_sgd(client, broadcast, cfg, rng)
     magnitude = rng.normal(0.0, 10.0)
     assert np.array_equal(upload, -abs(magnitude) * honest)
-    # the stored local model keeps the honest parameters
-    assert np.array_equal(client.local_model.params, honest)
 
 
 def test_same_value_client_ignores_data_and_skips_training():
     spec = clients.AttackSpec("same_value", tau=100.0)
-    a = make_client(role="malicious", attack=spec, seed=10)
-    b = make_client(role="malicious", attack=spec, seed=11)  # different data
+    a = make_client(attack=spec, seed=10)
+    b = make_client(attack=spec, seed=11)  # different data
     broadcast = np.ones(610) * 0.5
     cfg = nn.SgdConfig(epochs=3)
     up_a = update(a, broadcast, cfg, np.random.default_rng(12))
     up_b = update(b, broadcast, cfg, np.random.default_rng(12))
     assert np.array_equal(up_a, up_b)
     assert np.all(up_a == up_a[0])
-    # stored model adopted the broadcast, untouched by training
-    assert np.array_equal(a.local_model.params, broadcast)
 
 
-def test_gaussian_client_keeps_broadcast_model():
+def test_gaussian_client_sends_noise_and_skips_training():
     spec = clients.AttackSpec("gaussian", tau=100.0)
-    client = make_client(role="malicious", attack=spec)
+    client = make_client(attack=spec)
     broadcast = np.full(610, 0.25)
     upload = update(client, broadcast, nn.SgdConfig(epochs=1), np.random.default_rng(13))
-    assert np.array_equal(client.local_model.params, broadcast)
-    assert not np.array_equal(upload, broadcast)
+    # no permutation draws come before the noise
+    assert np.array_equal(upload, clients.attack_gaussian(610, 100.0, np.random.default_rng(13)))
 
 
 def test_ipm_client_uses_benign_uploads():
     spec = clients.AttackSpec("ipm", ipm_epsilon=0.5)
-    client = make_client(role="malicious", attack=spec)
+    client = make_client(attack=spec)
     benign = np.array([np.ones(610), 3.0 * np.ones(610)])
     upload = np.empty(610)
     clients.local_update(
-        client, upload, np.zeros(610), np.random.default_rng(14),
-        benign_mean=clients.mean_upload(benign),
+        client, upload, np.random.default_rng(14), benign_mean=clients.mean_upload(benign),
     )
     assert np.allclose(upload, -1.0)
     with pytest.raises(SimulationError):
-        clients.local_update(client, upload, np.zeros(610), np.random.default_rng(15))
+        clients.local_update(client, upload, np.random.default_rng(15))
 
 
 def test_broadcast_dimension_mismatch():
-    client = make_client()
+    # a broadcast that does not fit the architecture fails before training
     with pytest.raises(ConfigError):
-        clients.local_update(client, np.empty(610), np.zeros(5), np.random.default_rng(16))
-    with pytest.raises(ConfigError):
-        clients.local_update(client, np.empty(5), np.zeros(610), np.random.default_rng(16))
+        update(make_client(), np.zeros(5), nn.SgdConfig(epochs=1), np.random.default_rng(16))

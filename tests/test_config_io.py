@@ -121,6 +121,28 @@ def test_cross_validation_errors():
         config.parse_config_text("dataset.total_samples = 2000\n")
 
 
+def test_fedavg_rejects_and_omits_the_selection_and_policy_keys():
+    # fedavg runs no distance selection and no policy, so their keys would
+    # be accepted and then ignored
+    keys = [key.name for key in config.KEYS if key.aggregators == ("fedaa",)]
+    assert {"m_percent", "distance_scope"} < set(keys) and len(keys) == 13
+    assert {key for key in keys if key.startswith("ddpg.")} == {
+        f"ddpg.{f.name}" for f in dataclasses.fields(config.DdpgConfig)
+    }
+
+    def emitted(text):
+        canonical = config.emit_config(config.parse_config_text(text))
+        return dict(line.split(" = ", 1) for line in canonical.splitlines())
+
+    fedaa, fedavg = emitted(""), emitted("aggregator = fedavg\n")
+    for key in keys:
+        assert key in fedaa and key not in fedavg
+        with pytest.raises(ConfigError, match="only to aggregator = fedaa$"):
+            config.parse_config_text(f"aggregator = fedavg\n{key} = {fedaa[key]}\n")
+    with pytest.raises(ConfigError, match="^m_percent applies only to aggregator = fedaa$"):
+        config.parse_config_text("aggregator = fedavg\nm_percent = 30\n")
+
+
 def test_synthetic_kind_pins_alpha_beta():
     cfg = config.parse_config_text("dataset = synthetic11\n")
     assert cfg.dataset.alpha == 1.0 and cfg.dataset.beta == 1.0
@@ -167,8 +189,10 @@ ROUND_TRIP_TEXTS = [
     "dataset = csv\ndataset.csv_path = /tmp/data.csv\nvalidation.per_class = 20\n",
     "malicious_fraction = 0.25\nattack = ipm\nattack.ipm_epsilon = 0.4\n",
     "malicious_fraction = 0.3\nattack = sign_flip\nattack.tau = 12.5\n",
-    "aggregator = fedavg\nm_percent = 80\nparticipation_ratio = 0.5\n"
-    "model.hidden = 100,100\nrounds = 7\nseed = 11\ndistance_scope = last_hidden_layer\n",
+    "aggregator = fedavg\nparticipation_ratio = 0.5\n"
+    "model.hidden = 100,100\nrounds = 7\nseed = 11\n",
+    "m_percent = 80\nmodel.hidden = 100,100\ndistance_scope = last_hidden_layer\n"
+    "ddpg.hidden = 32\nddpg.warmup = 3\n",
 ]
 
 
@@ -193,7 +217,8 @@ def test_emit_is_sorted_and_complete():
 
 
 def _config_values(st):
-    """Parsed key values of configs of every dataset and attack kind. Each
+    """Parsed key values of configs of every dataset kind, attack kind and
+    aggregator. Each
     key that applies may appear, with a value text that the key's own
     parser accepts: one of a fixed set of examples, or a random number or
     list."""
@@ -222,8 +247,9 @@ def _config_values(st):
         kinds = (
             draw(st.sampled_from(config.DATASET_KINDS)),
             draw(st.sampled_from(config.ALL_ATTACKS)),
+            draw(st.sampled_from(config.AGGREGATORS)),
         )
-        out = {"dataset": kinds[0], "attack": kinds[1]}
+        out = {"dataset": kinds[0], "attack": kinds[1], "aggregator": kinds[2]}
         for key in config.KEYS:
             if key.name in out or not config._applies(key, kinds):
                 continue
@@ -250,7 +276,7 @@ def test_emit_parse_round_trip_generated():
         except ConfigError:
             hypothesis.reject()
         seen_keys.update(values)
-        seen_kinds.update((values["dataset"], values["attack"]))
+        seen_kinds.update((values["dataset"], values["attack"], values["aggregator"]))
         canonical = config.emit_config(cfg)
         again = config.parse_config_text(canonical)
         assert again == cfg
@@ -258,7 +284,7 @@ def test_emit_parse_round_trip_generated():
 
     check()
     assert seen_keys == set(config.SCHEMA)
-    assert seen_kinds == set(config.DATASET_KINDS + config.ALL_ATTACKS)
+    assert seen_kinds == set(config.DATASET_KINDS + config.ALL_ATTACKS + config.AGGREGATORS)
 
 
 def test_readme_config_table_lists_every_key():

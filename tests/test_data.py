@@ -341,6 +341,12 @@ def test_idx_missing_or_unreadable_file(tmp_path):
         data.load_idx(str(tmp_path), labels)
 
 
+def test_idx_pair_without_images(tmp_path):
+    images, labels = write_idx_pair(tmp_path, np.zeros((0, 2, 2), np.uint8), [])
+    with pytest.raises(IngestionError, match=f"^{re.escape(images)}: holds no images$"):
+        data.load_idx(images, labels)
+
+
 def test_idx_label_count_mismatch(tmp_path):
     paths = write_idx_pair(tmp_path, np.zeros((3, 2, 2), np.uint8), [0, 1, 1], label_count=2)
     with pytest.raises(IngestionError, match="2 labels for 3 images"):
@@ -370,4 +376,12 @@ def test_csv_errors(tmp_path):
         data.load_csv(str(path))
     path.write_text("f0,label\n1.0,not_a_number\n")
     with pytest.raises(IngestionError):
+        data.load_csv(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_feature(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,label\n0.5,1.5,0\n1.0,{value},1\n")
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: data row 2: non-finite feature")):
         data.load_csv(str(path))

@@ -12,7 +12,7 @@ import pytest
 import numpy as np
 
 import fedaa
-from fedaa import cli, clients, config, data, nn, orchestrator
+from fedaa import cli, clients, config, data, orchestrator
 
 ROOT = pathlib.Path(__file__).parents[1]
 # demo 05 is left out: it takes ~10 s on the sign-flip path that the
@@ -77,13 +77,29 @@ def test_benchmark_trains_the_clients_the_program_trains(monkeypatch):
     # perfbench/workloads.trains says train; a new attack kind that trains
     # must not skew it silently
     workloads = load_perfbench("workloads", monkeypatch)
-    arch = nn.ArchSpec(2, (), 2)
     split = data.LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), 2)
-    model = nn.MlpModel(arch, np.zeros(nn.param_count(arch)))
-    benign = clients.ClientRecord(0, "benign", None, split, split, model)
+    benign = clients.ClientRecord(0, None, split, split)
     attackers = [
-        clients.ClientRecord(1, "malicious", clients.AttackSpec(kind), split, split, model)
+        clients.ClientRecord(1, clients.AttackSpec(kind), split, split)
         for kind in clients.ATTACKS
     ]
     for client in (benign, *attackers):
         assert workloads.trains(client) == clients.trains(client), client.attack
+
+
+def test_benchmark_reads_the_built_experiment(monkeypatch):
+    # perfbench/workloads.py computes its exact counts, sample counts and
+    # byte counts from build_experiment's result; a reshaped Experiment or
+    # ClientRecord must fail here, not only in a benchmark run
+    workloads = load_perfbench("workloads", monkeypatch)
+    for name, workload in workloads.WORKLOADS.items():
+        exp = orchestrator.build_experiment(
+            config.parse_config_text(workloads.config_text(workload, seed=0))
+        )
+        trainers = [c for c in exp.clients if clients.trains(c)]
+        counts = workloads.expected_counts(exp)
+        assert counts["clients.local_update"] == exp.cfg.rounds * len(exp.clients), name
+        samples = workloads.client_samples(exp)
+        assert samples == exp.cfg.rounds * exp.cfg.local.epochs * sum(len(c.train) for c in trainers)
+        sizes = workloads.computed_bytes(exp)
+        assert sizes["clients.upload_bytes"] == exp.cfg.rounds * exp.local_models.nbytes, name

@@ -1,6 +1,7 @@
 """Round loop wiring: aggregation, reward, fairness, full small runs."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,27 +109,32 @@ def test_evaluate_fairness_hand_oracle():
     feats = np.array([[1.0], [1.0], [1.0], [1.0], [1.0]])
     # client 0: 4/5 labels are 1 -> acc 0.8; client 1: all 1 -> acc 1.0
     c0 = ClientRecord(
-        0, "benign", None,
+        0, None,
         LabeledDataset(feats, np.array([1, 1, 1, 1, 0]), 2),
         LabeledDataset(feats, np.array([1, 1, 1, 1, 0]), 2),
-        model,
     )
     c1 = ClientRecord(
-        1, "benign", None,
+        1, None,
         LabeledDataset(feats, np.ones(5, dtype=int), 2),
         LabeledDataset(feats, np.ones(5, dtype=int), 2),
-        model,
     )
-    metrics = orchestrator.evaluate_fairness([c0, c1], model)
+    metrics = orchestrator.evaluate_fairness([c0, c1], np.tile(always_one, (2, 1)), model)
     assert abs(metrics.mean_acc - 0.9) < 1e-12
     assert abs(metrics.acc_std - 0.1) < 1e-12  # population std of {0.8, 1.0}
     assert abs(metrics.mean_global_acc - 0.9) < 1e-12
     assert metrics.loss_std > 0.0
+    # client c is scored with row c: client 1's local model predicts class 0
+    always_zero = np.array([0.0, 0.0, 1.0, 0.0])
+    metrics = orchestrator.evaluate_fairness([c0, c1], np.stack([always_one, always_zero]), model)
+    assert abs(metrics.mean_acc - 0.4) < 1e-12  # mean of {0.8, 0.0}
+    assert abs(metrics.mean_global_acc - 0.9) < 1e-12
 
 
 def test_fairness_requires_a_benign_client():
     with pytest.raises(ConfigError, match="benign"):
-        orchestrator.evaluate_fairness([], nn.MlpModel(nn.ArchSpec(1, (), 2), np.zeros(4)))
+        orchestrator.evaluate_fairness(
+            [], np.zeros((0, 4)), nn.MlpModel(nn.ArchSpec(1, (), 2), np.zeros(4))
+        )
 
 
 def test_sample_participants():
@@ -177,8 +183,8 @@ def test_build_experiment_shapes():
     assert len(exp.buffer) == 0
     assert all(c.role == "benign" for c in exp.clients)
     # every client's initial local model matches the broadcast parameters
-    for c in exp.clients:
-        assert np.array_equal(c.local_model.params, exp.initial_params)
+    assert exp.local_models.shape == (6, exp.initial_params.size)
+    assert (exp.local_models == exp.initial_params).all()
 
 
 def test_build_experiment_partial_participation_sets_agent_dims():
@@ -292,7 +298,6 @@ dataset.samples_per_client = 40
 rounds = 4
 local.epochs = 2
 local.batch_size = 16
-ddpg.warmup = 2
 malicious_fraction = 0.4
 """
 
@@ -317,7 +322,9 @@ OVERFLOWING_UPLOADS = {
 
 @pytest.mark.parametrize("settings", extreme_settings(), ids=", ".join)
 def test_extreme_config_finishes_or_fails_typed_in_its_round(settings):
-    cfg = config.parse_config_text(EXTREME_BASE + "\n".join(settings) + "\n")
+    # fedavg runs no policy, so it takes no ddpg keys
+    policy = () if "aggregator = fedavg" in settings else ("ddpg.warmup = 2",)
+    cfg = config.parse_config_text(EXTREME_BASE + "\n".join(settings + policy) + "\n")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             records = orchestrator.run_experiment(cfg)
@@ -362,6 +369,45 @@ def test_selection_measures_each_distinct_upload_once(monkeypatch):
     assert rows == [1] + [benign + 1] * cfg.rounds
 
 
+def test_benign_uploads_become_the_local_models():
+    exp = orchestrator.build_experiment(
+        small_cfg(malicious_fraction=0.4, attack=clients.AttackSpec("sign_flip"))
+    )
+    participants = [0, 2, 3, 5]
+    uploads = orchestrator._collect_uploads(exp, participants, exp.initial_params, 0)
+    for row, cid in enumerate(participants):
+        want = uploads[row] if exp.clients[cid].role == "benign" else exp.initial_params
+        assert np.array_equal(exp.local_models[cid], want), cid
+    # only participants train; nothing reads an attacker's row
+    for cid in (1, 4):
+        assert np.array_equal(exp.local_models[cid], exp.initial_params)
+    assert {exp.clients[c].role for c in participants} == {"benign", "malicious"}
+    # the local models are copies, independent of the spent upload matrix
+    assert not np.shares_memory(exp.local_models, uploads)
+
+
+def test_local_models_are_written_without_a_second_upload_matrix(monkeypatch):
+    # 30 benign clients of 7,110 parameters each, trained one per stack so
+    # that no stack comes near the upload matrix in size
+    cfg = small_cfg(
+        dataset=config.DatasetConfig(kind="synthetic00", num_clients=30, samples_per_client=20),
+        model_hidden=(100,),
+    )
+    exp = orchestrator.build_experiment(cfg)
+    monkeypatch.setattr(clients, "STACK_BYTES", exp.initial_params.nbytes)
+    participants = list(range(30))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        uploads = orchestrator._collect_uploads(exp, participants, exp.initial_params, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (exp.local_models == uploads).all()
+    # the upload matrix itself, and no gathered copy of its benign rows
+    assert uploads.nbytes <= peak < 1.5 * uploads.nbytes
+
+
 def test_ipm_uploads_equal_the_scaled_benign_mean():
     cfg = small_cfg(
         malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
@@ -402,8 +448,8 @@ def test_training_errors_are_raised_in_their_clients_turn(monkeypatch):
     }
     train_lockstep = clients.train_lockstep
 
-    def failing_train_lockstep(cohort, *args):
-        train_lockstep(cohort, *args)
+    def failing_train_lockstep(arch, cohort, *args):
+        train_lockstep(arch, cohort, *args)
         return {row: errors[c.id] for row, c in enumerate(cohort) if c.id in errors}
 
     monkeypatch.setattr(orchestrator, "train_lockstep", failing_train_lockstep)
@@ -413,10 +459,10 @@ def test_training_errors_are_raised_in_their_clients_turn(monkeypatch):
     assert raised.value.__cause__ is errors[last_benign]
 
 
-def train_alone(client, global_params, cfg, rng):
+def train_alone(arch, client, global_params, cfg, rng):
     """The client's training as a stack of one: its parameters or its error."""
     params = np.tile(global_params, (1, 1))
-    errors = nn.sgd_epoch(client.local_model.arch, params, [client.train.features],
+    errors = nn.sgd_epoch(arch, params, [client.train.features],
                           [client.train.labels], cfg, [rng])
     return errors.get(0, params[0])
 
@@ -424,7 +470,8 @@ def train_alone(client, global_params, cfg, rng):
 def per_client_uploads(exp, participants, global_params, round_index):
     """The straightforward round: one local_update per client, benign ones
     first, each training alone from its own stream into an upload of its
-    own; the uploads stacked in ascending client id."""
+    own, and a benign client's upload copied as its local model; the
+    uploads stacked in ascending client id."""
     uploads, benign = {}, []
     for cid in sorted(participants, key=lambda c: exp.clients[c].role != "benign"):
         client = exp.clients[cid]
@@ -433,18 +480,19 @@ def per_client_uploads(exp, participants, global_params, round_index):
         uploads[cid] = np.empty(global_params.size)
         try:
             if clients.trains(client):
-                trained = train_alone(client, global_params, exp.cfg.local, rng)
+                trained = train_alone(exp.arch, client, global_params, exp.cfg.local, rng)
                 if isinstance(trained, NumericError):
                     raise trained
                 uploads[cid][:] = trained
             clients.local_update(
-                client, uploads[cid], global_params, rng,
+                client, uploads[cid], rng,
                 benign_mean=clients.mean_upload(np.array(benign)) if ipm else None,
             )
         except FedaaError as exc:
             raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc
         if client.role == "benign":
             benign.append(uploads[cid])
+            exp.local_models[cid] = uploads[cid]
     return np.stack([uploads[c] for c in sorted(uploads)])
 
 
@@ -487,8 +535,7 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
         want = per_client_uploads(plain, participants, params, t)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        for a, b in zip(lockstep.clients, plain.clients):
-            assert np.array_equal(a.local_model.params, b.local_model.params)
+        assert lockstep.local_models.tobytes() == plain.local_models.tobytes()
         kinds.update(lockstep.clients[c].attack.kind if lockstep.clients[c].attack else None
                      for c in participants)
         params = np.mean(want, axis=0)
@@ -507,7 +554,6 @@ def test_local_streams_only_for_clients_that_draw(monkeypatch):
     # stream for every participant)
     exp = mixed_experiment()
     exp.clients[1].attack = clients.AttackSpec("gaussian")
-    exp.clients[1].role = "malicious"
     streamed = []
 
     def recording_stream(seed, *labels):
@@ -599,7 +645,7 @@ def test_diverging_client_in_a_stack_is_named_as_when_training_alone(
             # the precondition: client 3 diverges under its next shuffle
             rng = stream(exp.cfg.seed, "local", 0, 3)
             rng.permutation(22)
-            trained = train_alone(exp.clients[3], exp.initial_params, exp.cfg.local, rng)
+            trained = train_alone(exp.arch, exp.clients[3], exp.initial_params, exp.cfg.local, rng)
             assert isinstance(trained, NumericError)
     prefix = f"client {named} (benign): non-finite loss; first non-finite activations at layer"
     assert str(alone.value).startswith(prefix)
