@@ -17,13 +17,12 @@ params = nn.init_params(arch, rng)
 features = rng.normal(size=(12, 20))
 labels = rng.integers(0, 10, size=12)
 
-model = nn.MlpModel(arch, params)
-loss, grad = nn.backward_ce(model, features, labels)
+loss, grad = nn.backward_ce(arch, params, features, labels)
 print(f"network has {nn.param_count(arch)} parameters, batch loss {loss:.4f}")
 
 
 def loss_at(p):
-    return nn.ce_loss_from_logits(nn.forward(nn.MlpModel(arch, p), features), labels)
+    return nn.ce_loss_from_logits(nn.forward(arch, p, features), labels)
 
 
 # central difference: (f(x + h) - f(x - h)) / 2h, coordinate by coordinate

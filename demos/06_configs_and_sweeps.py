@@ -8,6 +8,7 @@ over a grid and summarize one row per cell per seed.
 
 import json
 import os
+import pathlib
 import tempfile
 
 from fedaa import cli
@@ -33,11 +34,11 @@ out_b = os.path.join(workdir, "run_b")
 cli.main(["run", "--config", cfg_path, "--out", out_a, "--plot"])
 cli.main(["run", "--config", cfg_path, "--out", out_b])
 
-bytes_a = open(os.path.join(out_a, "results.csv"), "rb").read()
-bytes_b = open(os.path.join(out_b, "results.csv"), "rb").read()
+bytes_a = pathlib.Path(out_a, "results.csv").read_bytes()
+bytes_b = pathlib.Path(out_b, "results.csv").read_bytes()
 print(f"\nrerun byte-identical: {bytes_a == bytes_b}")
 
-manifest = json.load(open(os.path.join(out_a, "manifest.json")))
+manifest = json.loads(pathlib.Path(out_a, "manifest.json").read_text())
 print(f"config hash: {manifest['config_hash'][:16]}...")
 print(f"subsystem seeds: {list(manifest['subsystem_seeds'])[:4]} ...")
 
@@ -50,5 +51,5 @@ cli.main(
     ]
 )
 print("\nsweep table:")
-print(open(os.path.join(sweep_out, "sweep.csv")).read())
+print(pathlib.Path(sweep_out, "sweep.csv").read_text())
 print(f"artifacts under {workdir}")

@@ -29,7 +29,6 @@ from .results import (
     utc_now,
     write_manifest,
 )
-from .selection import one_band_per_process
 from .selftest import run_selftest
 
 
@@ -187,8 +186,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     workers = int(threads)
     _make_out_dir(args.out)
     if workers > 1 and len(tasks) > 1:
-        # the workers already share the CPUs, so each selects on one band
-        with ProcessPoolExecutor(max_workers=workers, initializer=one_band_per_process) as pool:
+        # each worker selects on one band by itself (selection.band_count)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_one, tasks))
     else:
         outcomes = [_sweep_one(task) for task in tasks]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -374,9 +375,14 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
 def load_csv(path: str) -> LabeledDataset:
     """Numeric CSV with a header row; the final column is the integer label."""
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty table is reported below, as this loader's own error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (ValueError, OSError) as exc:
         raise IngestionError(f"{path}: {exc}") from exc
+    if table.shape[0] == 0:
+        raise IngestionError(f"{path}: the file has no data rows")
     if table.shape[1] < 2:
         raise IngestionError(f"{path}: need at least one feature column plus labels")
     labels = table[:, -1]

@@ -7,8 +7,9 @@ softmax and, in the actor update, its Jacobian. The critic scores a
 concatenated input. Updates are plain SGD with decoupled weight decay:
 the critic descends the mean squared Bellman residual, the actor
 ascends the critic's value of its own actions. Target copies of both
-networks track the mains through soft updates. ``DdpgConfig`` holds
-every hyperparameter.
+networks track the mains through soft updates. Each network is a flat
+vector under the actor's or the critic's ``ArchSpec``, updated in
+place. ``DdpgConfig`` holds every hyperparameter.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import ConfigError, InternalError, NumericError
 from .nn import (
     ArchSpec,
-    MlpModel,
     backward_from_output,
     forward,
     forward_cached,
@@ -90,19 +90,24 @@ class ReplayBuffer:
 
 @dataclass
 class DdpgAgent:
-    actor: MlpModel
-    critic: MlpModel
-    target_actor: MlpModel
-    target_critic: MlpModel
+    """The four networks as flat vectors, updated in place: the actors
+    under ``actor_arch``, the critics under ``critic_arch``."""
+
+    actor_arch: ArchSpec
+    critic_arch: ArchSpec
+    actor: np.ndarray
+    critic: np.ndarray
+    target_actor: np.ndarray
+    target_critic: np.ndarray
     cfg: DdpgConfig
 
     @property
     def state_dim(self) -> int:
-        return self.actor.arch.input_dim
+        return self.actor_arch.input_dim
 
     @property
     def action_dim(self) -> int:
-        return self.actor.arch.output_dim
+        return self.actor_arch.output_dim
 
 
 def make_agent(
@@ -113,15 +118,9 @@ def make_agent(
         raise ConfigError("state_dim and action_dim must be positive")
     actor_arch = ArchSpec(state_dim, (cfg.hidden,), action_dim)
     critic_arch = ArchSpec(state_dim + action_dim, (cfg.hidden,), 1)
-    actor = MlpModel(actor_arch, init_params(actor_arch, rng))
-    critic = MlpModel(critic_arch, init_params(critic_arch, rng))
-    return DdpgAgent(
-        actor=actor,
-        critic=critic,
-        target_actor=MlpModel(actor_arch, actor.params.copy()),
-        target_critic=MlpModel(critic_arch, critic.params.copy()),
-        cfg=cfg,
-    )
+    actor = init_params(actor_arch, rng)
+    critic = init_params(critic_arch, rng)
+    return DdpgAgent(actor_arch, critic_arch, actor, critic, actor.copy(), critic.copy(), cfg)
 
 
 def act(
@@ -135,7 +134,7 @@ def act(
     state = np.asarray(state, dtype=np.float64)
     if state.ndim != 1 or state.size != agent.state_dim:
         raise ConfigError(f"state has shape {state.shape}, expected ({agent.state_dim},)")
-    logits = forward(agent.actor, state[None, :])
+    logits = forward(agent.actor_arch, agent.actor, state[None, :])
     if sigma is not None:
         if rng is None:
             raise ConfigError("exploration requires an rng")
@@ -156,8 +155,9 @@ def _stack(transitions: list[Transition]) -> tuple[np.ndarray, np.ndarray, np.nd
 def critic_target(agent: DdpgAgent, transitions: list[Transition]) -> np.ndarray:
     """Bellman targets y = r + gamma * Q'(s', pi'(s')) from the target nets."""
     _, _, rewards, next_states = _stack(transitions)
-    next_actions = softmax(forward(agent.target_actor, next_states))
-    q_next = forward(agent.target_critic, np.hstack([next_states, next_actions]))[:, 0]
+    next_actions = softmax(forward(agent.actor_arch, agent.target_actor, next_states))
+    next_inputs = np.hstack([next_states, next_actions])
+    q_next = forward(agent.critic_arch, agent.target_critic, next_inputs)[:, 0]
     return rewards + agent.cfg.gamma * q_next
 
 
@@ -165,35 +165,35 @@ def update_critic(agent: DdpgAgent, transitions: list[Transition]) -> float:
     """One SGD step on the mean squared Bellman residual; returns the pre-step loss."""
     states, actions, _, _ = _stack(transitions)
     targets = critic_target(agent, transitions)
-    out, cache = forward_cached(agent.critic, np.hstack([states, actions]))
+    out, cache = forward_cached(agent.critic_arch, agent.critic, np.hstack([states, actions]))
     residual = out[:, 0] - targets
     loss = float(np.mean(residual**2))
     if not np.isfinite(loss):
         raise NumericError("critic loss is not finite")
     dout = (2.0 / residual.size) * residual[:, None]
-    grad, _ = backward_from_output(agent.critic, cache, dout)
+    grad, _ = backward_from_output(agent.critic_arch, agent.critic, cache, dout)
     cfg = agent.cfg
-    agent.critic.params -= cfg.critic_lr * (grad + cfg.weight_decay * agent.critic.params)
+    agent.critic -= cfg.critic_lr * (grad + cfg.weight_decay * agent.critic)
     return loss
 
 
 def update_actor(agent: DdpgAgent, transitions: list[Transition]) -> float:
     """One ascent step on mean Q(s, pi(s)); returns the pre-step objective."""
     states, _, _, _ = _stack(transitions)
-    logits, actor_cache = forward_cached(agent.actor, states)
+    logits, actor_cache = forward_cached(agent.actor_arch, agent.actor, states)
     actions = softmax(logits)
-    q, critic_cache = forward_cached(agent.critic, np.hstack([states, actions]))
+    q, critic_cache = forward_cached(agent.critic_arch, agent.critic, np.hstack([states, actions]))
     objective = float(np.mean(q[:, 0]))
     if not np.isfinite(objective):
         raise NumericError("actor objective is not finite")
     dq = np.full((states.shape[0], 1), 1.0 / states.shape[0])
-    _, dinput = backward_from_output(agent.critic, critic_cache, dq)
+    _, dinput = backward_from_output(agent.critic_arch, agent.critic, critic_cache, dq)
     d_action = dinput[:, agent.state_dim :]
     # through the softmax: d_logits = (d_action - <d_action, a>) * a, row by row
     d_logits = (d_action - (d_action * actions).sum(axis=1, keepdims=True)) * actions
-    grad, _ = backward_from_output(agent.actor, actor_cache, d_logits)
+    grad, _ = backward_from_output(agent.actor_arch, agent.actor, actor_cache, d_logits)
     cfg = agent.cfg
-    agent.actor.params += cfg.actor_lr * (grad - cfg.weight_decay * agent.actor.params)
+    agent.actor += cfg.actor_lr * (grad - cfg.weight_decay * agent.actor)
     return objective
 
 
@@ -201,8 +201,8 @@ def soft_update(agent: DdpgAgent) -> None:
     """targets <- epsilon * mains + (1 - epsilon) * targets, both networks."""
     eps = agent.cfg.epsilon_soft
     for main, target in ((agent.actor, agent.target_actor), (agent.critic, agent.target_critic)):
-        target.params *= 1.0 - eps
-        target.params += eps * main.params
+        target *= 1.0 - eps
+        target += eps * main
 
 
 def exploration_sigma(round_index: int, total_rounds: int, cfg: DdpgConfig) -> float:

@@ -1,8 +1,12 @@
 """Dense feed-forward networks on flat float64 parameter vectors.
 
-A model is a value: an architecture plus one flat vector. The flat
-layout is fixed and relied on by the parameter distance computations
-elsewhere in the package:
+A network is its architecture and its row: an ``ArchSpec`` plus one
+flat float64 vector, often a row of a larger matrix. Every entry point
+takes the two as ``(arch, params)``, and no object wraps them;
+``unflatten`` checks that the vector is 1-D and of the arch's size, and
+``sgd_epoch`` takes a (k, d) stack of such rows. The flat layout is
+fixed and relied on by the parameter distance computations elsewhere in
+the package:
 
     layer 0 weight (fan_in x fan_out, row-major), layer 0 bias,
     layer 1 weight, layer 1 bias, ...
@@ -63,22 +67,6 @@ def layer_slices(arch: ArchSpec) -> list[tuple[slice, slice]]:
     return slices
 
 
-@dataclass
-class MlpModel:
-    """A network: architecture plus its flat float64 parameter vector."""
-
-    arch: ArchSpec
-    params: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.params = np.asarray(self.params, dtype=np.float64)
-        expected = param_count(self.arch)
-        if self.params.ndim != 1 or self.params.size != expected:
-            raise ConfigError(
-                f"parameter vector has size {self.params.size}, arch needs {expected}"
-            )
-
-
 def init_params(arch: ArchSpec, rng: np.random.Generator) -> np.ndarray:
     """Uniform(-lim, lim) weights with lim = sqrt(6/(fan_in+fan_out)); zero biases."""
     parts = []
@@ -90,11 +78,11 @@ def init_params(arch: ArchSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def unflatten(arch: ArchSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weight matrix, bias vector) views per layer; no copies."""
+    """(weight matrix, bias vector) views per layer of one 1-D vector; no copies."""
     params = np.asarray(params, dtype=np.float64)
-    if params.size != param_count(arch):
+    if params.ndim != 1 or params.size != param_count(arch):
         raise ConfigError(
-            f"parameter vector has size {params.size}, arch needs {param_count(arch)}"
+            f"parameter vector has shape {params.shape}, arch needs ({param_count(arch)},)"
         )
     layers = []
     for (wsl, bsl), (fan_in, fan_out) in zip(layer_slices(arch), arch.layer_dims()):
@@ -134,9 +122,11 @@ def _check_batch(arch: ArchSpec, batch: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward_cached(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, _ForwardCache]:
-    x = _check_batch(model.arch, batch)
-    layers = unflatten(model.arch, model.params)
+def forward_cached(
+    arch: ArchSpec, params: np.ndarray, batch: np.ndarray
+) -> tuple[np.ndarray, _ForwardCache]:
+    x = _check_batch(arch, batch)
+    layers = unflatten(arch, params)
     inputs, pre = [], []
     h = x
     for index, (weight, bias) in enumerate(layers):
@@ -148,25 +138,24 @@ def forward_cached(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, _For
     return pre[-1], _ForwardCache(inputs, pre)
 
 
-def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
+def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """Affine output of the last layer for a 2-D batch, shape (n, output_dim)."""
-    return forward_cached(model, batch)[0]
+    return forward_cached(arch, params, batch)[0]
 
 
 def backward_from_output(
-    model: MlpModel, cache: _ForwardCache, dout: np.ndarray
+    arch: ArchSpec, params: np.ndarray, cache: _ForwardCache, dout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate d(objective)/d(network output).
 
     Returns (flat parameter gradient, gradient w.r.t. the input batch).
     """
-    arch = model.arch
     dz = np.asarray(dout, dtype=np.float64)
     if dz.shape != cache.pre[-1].shape:
         raise ConfigError(f"dout shape {dz.shape} != output shape {cache.pre[-1].shape}")
     grad = np.empty(param_count(arch))
     slices = layer_slices(arch)
-    layers = unflatten(arch, model.params)
+    layers = unflatten(arch, params)
     dinput = np.zeros_like(cache.inputs[0])
     for index in range(len(layers) - 1, -1, -1):
         weight, _ = layers[index]
@@ -210,15 +199,15 @@ def _ce_labels(arch: ArchSpec, labels: np.ndarray) -> np.ndarray:
 
 
 def backward_ce(
-    model: MlpModel, batch: np.ndarray, labels: np.ndarray
+    arch: ArchSpec, params: np.ndarray, batch: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy loss and its flat parameter gradient.
 
     The network output is taken as logits; raises NumericError naming
     the first offending layer if the loss is not finite.
     """
-    labels = _ce_labels(model.arch, labels)
-    logits, cache = forward_cached(model, batch)
+    labels = _ce_labels(arch, labels)
+    logits, cache = forward_cached(arch, params, batch)
     if labels.size != logits.shape[0]:
         raise ConfigError(f"{logits.shape[0]} rows but {labels.size} labels")
     loss = _finite_ce_loss(cache.pre, labels)
@@ -226,7 +215,7 @@ def backward_ce(
     dz = probs.copy()
     dz[np.arange(labels.size), labels] -= 1.0
     dz /= labels.size
-    grad, _ = backward_from_output(model, cache, dz)
+    grad, _ = backward_from_output(arch, params, cache, dz)
     return loss, grad
 
 

@@ -46,7 +46,7 @@ from .ddpg import (
     update_actor,
     update_critic,
 )
-from .nn import ArchSpec, MlpModel, ce_loss_from_logits, forward, init_params
+from .nn import ArchSpec, ce_loss_from_logits, forward, init_params
 from .seeding import derive_seed, stream
 from .selection import SelectionResult, select_clients, top_count
 
@@ -115,13 +115,13 @@ def aggregate(rows: np.ndarray, action: np.ndarray) -> np.ndarray:
 
 
 def evaluate_reward(
-    model: MlpModel, val_set: LabeledDataset
+    arch: ArchSpec, params: np.ndarray, val_set: LabeledDataset
 ) -> tuple[float, np.ndarray]:
     """Accuracy on the validation set, plus per-class accuracies.
 
     Classes absent from the validation set score 0.0 by convention.
     """
-    logits = forward(model, val_set.features)
+    logits = forward(arch, params, val_set.features)
     correct = np.argmax(logits, axis=1) == val_set.labels
     per_class = np.zeros(val_set.num_classes)
     for c in range(val_set.num_classes):
@@ -132,23 +132,26 @@ def evaluate_reward(
 
 
 def evaluate_fairness(
-    clients: list[ClientRecord], local_models: np.ndarray, global_model: MlpModel
+    clients: list[ClientRecord],
+    arch: ArchSpec,
+    local_models: np.ndarray,
+    global_params: np.ndarray,
 ) -> FairnessMetrics:
     """Population spread of benign clients' local test performance.
 
     Accuracy/loss come from each benign client's own local model, row
     ``client.id`` of ``local_models``, on its own test split;
-    mean_global_acc scores the shared global model on the same splits.
+    mean_global_acc scores the shared global model, ``global_params``,
+    on the same splits.
     """
     accs, losses, global_accs = [], [], []
     for client in clients:
         if client.role != "benign":
             continue
-        local = MlpModel(global_model.arch, local_models[client.id])  # a view, not a copy
-        logits = forward(local, client.test.features)
+        logits = forward(arch, local_models[client.id], client.test.features)
         accs.append(float((np.argmax(logits, axis=1) == client.test.labels).mean()))
         losses.append(ce_loss_from_logits(logits, client.test.labels))
-        g_logits = forward(global_model, client.test.features)
+        g_logits = forward(arch, global_params, client.test.features)
         global_accs.append(float((np.argmax(g_logits, axis=1) == client.test.labels).mean()))
     if not accs:
         raise ConfigError("fairness metrics need at least one benign client")
@@ -277,13 +280,21 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         m_count = top_count(cfg.m_percent, cohort)
         agent = make_agent(m_count, m_count, cfg.ddpg, stream(cfg.seed, "agent-init"))
         buffer = ReplayBuffer(cfg.ddpg.buffer_capacity)
+    try:
+        local_models = np.tile(initial, (len(clients), 1))
+    except MemoryError as exc:
+        raise ConfigError(
+            f"dataset.num_clients = {len(clients)} local models of model.hidden = "
+            f"{list(cfg.model_hidden)} ({initial.size} parameters each) need "
+            f"{len(clients) * initial.nbytes / 2**30:.2f} GiB, more than this process can allocate"
+        ) from exc
     return Experiment(
         cfg=cfg,
         clients=clients,
         val_set=val_set,
         arch=arch,
         initial_params=initial,
-        local_models=np.tile(initial, (len(clients), 1)),
+        local_models=local_models,
         cohort_size=cohort,
         agent=agent,
         buffer=buffer,
@@ -383,13 +394,12 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
             global_params = aggregate(rows, action)
             # release the spent uploads before the next round's are built
             del uploads, rows
-            global_model = MlpModel(exp.arch, global_params)
-            reward, per_class = evaluate_reward(global_model, exp.val_set)
+            reward, per_class = evaluate_reward(exp.arch, global_params, exp.val_set)
             participants = sample_participants(
                 cfg.dataset.num_clients, cfg.participation_ratio, part_rng
             )
             uploads = _collect_uploads(exp, participants, global_params, t)
-            fairness = evaluate_fairness(exp.clients, exp.local_models, global_model)
+            fairness = evaluate_fairness(exp.clients, exp.arch, exp.local_models, global_params)
             next_sel = _select(exp, participants, uploads)
             records.append(
                 RoundRecord(

@@ -9,6 +9,7 @@ weight policy.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -26,10 +27,6 @@ SCOPES = ("all_layers", "last_hidden_layer")
 # of 610 (115,900 pair-columns) against 0.09 ms for one, broke even near
 # 3.5e6 and took 24 ms over 121 rows of 14,210 (1.03e8) against 42 ms.
 BAND_WORK = 1 << 22
-
-# fedaa sweep's worker processes share the CPUs between them already, so
-# each keeps its selections at one band (see one_band_per_process)
-_one_band = False
 
 
 @dataclass
@@ -59,16 +56,12 @@ def normalize_state(row_sums: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-def one_band_per_process() -> None:
-    """Keep every later selection in this process at one band."""
-    global _one_band
-    _one_band = True
-
-
 def band_count(rows: int, cols: int) -> int:
     """Bands for the distance matrix of ``rows`` rows of ``cols`` columns:
-    one below BAND_WORK pair-columns, else one per usable CPU."""
-    if _one_band or rows * (rows - 1) // 2 * cols < BAND_WORK:
+    one below BAND_WORK pair-columns, else one per usable CPU. A worker
+    process (a ``fedaa sweep`` worker) shares the CPUs with its siblings
+    already, so it keeps to one band."""
+    if multiprocessing.parent_process() is not None or rows * (rows - 1) // 2 * cols < BAND_WORK:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))

@@ -9,7 +9,6 @@ from . import data as datamod
 from .ddpg import DdpgConfig, ReplayBuffer, Transition, make_agent, act, soft_update
 from .nn import (
     ArchSpec,
-    MlpModel,
     SgdConfig,
     backward_ce,
     init_params,
@@ -32,7 +31,7 @@ def _check_soft_update() -> None:
     rng = np.random.default_rng(8)
     agent = make_agent(3, 3, DdpgConfig(hidden=8, epsilon_soft=1.0), rng)
     soft_update(agent)
-    assert np.array_equal(agent.target_actor.params, agent.actor.params), (
+    assert np.array_equal(agent.target_actor, agent.actor), (
         "epsilon 1 must overwrite the target"
     )
 
@@ -85,17 +84,17 @@ def _check_aggregate_hull() -> None:
 def _check_gradient() -> None:
     rng = np.random.default_rng(12)
     arch = ArchSpec(3, (5,), 2)
-    model = MlpModel(arch, init_params(arch, rng))
+    params = init_params(arch, rng)
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, 2, 6)
-    _, grad = backward_ce(model, x, y)
+    _, grad = backward_ce(arch, params, x, y)
     h = 1e-6
     for k in (0, 7, param_count(arch) - 1):
-        probe = model.params.copy()
+        probe = params.copy()
         probe[k] += h
-        up, _ = backward_ce(MlpModel(arch, probe), x, y)
+        up, _ = backward_ce(arch, probe, x, y)
         probe[k] -= 2 * h
-        down, _ = backward_ce(MlpModel(arch, probe), x, y)
+        down, _ = backward_ce(arch, probe, x, y)
         fd = (up - down) / (2 * h)
         assert abs(fd - grad[k]) <= 1e-4 * max(abs(fd), abs(grad[k]), 1e-8), (
             f"gradient check failed at coordinate {k}"
@@ -121,7 +120,7 @@ def _check_sgd_matches_reference() -> None:
             order = order_rng.permutation(len(y))
             for lo in range(0, len(y), cfg.batch_size):
                 take = order[lo : lo + cfg.batch_size]
-                _, grad = backward_ce(MlpModel(arch, params), x[take], y[take])
+                _, grad = backward_ce(arch, params, x[take], y[take])
                 params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
         assert np.array_equal(trained, params), (
             f"sgd_epoch differs from a replay of backward_ce steps (client {i})"

@@ -8,6 +8,7 @@ inline next to each assertion.
 """
 
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -53,10 +54,10 @@ def test_gradients_match_central_differences():
     batch_rng = np.random.default_rng(2)
     features = batch_rng.normal(size=(12, 20))
     labels = batch_rng.integers(0, 10, size=12)
-    _, grad = nn.backward_ce(nn.MlpModel(arch, params), features, labels)
+    _, grad = nn.backward_ce(arch, params, features, labels)
 
     def client_loss(p):
-        logits = nn.forward(nn.MlpModel(arch, p), features)
+        logits = nn.forward(arch, p, features)
         return nn.ce_loss_from_logits(logits, labels)
 
     coords = coord_rng.choice(params.size, size=120, replace=False)
@@ -81,30 +82,29 @@ def test_gradients_match_central_differences():
     actions = np.stack([t.action for t in batch])
     y = ddpg.critic_target(agent, batch)
 
-    critic_before = agent.critic.params.copy()
+    critic_before = agent.critic.copy()
 
     def critic_loss(p):
-        q = nn.forward(
-            nn.MlpModel(agent.critic.arch, p), np.hstack([states, actions])
-        )[:, 0]
+        q = nn.forward(agent.critic_arch, p, np.hstack([states, actions]))[:, 0]
         return float(np.mean((q - y) ** 2))
 
     ddpg.update_critic(agent, batch)
-    critic_grad = critic_before - agent.critic.params  # descent, lr 1
+    critic_grad = critic_before - agent.critic  # descent, lr 1
     coords = coord_rng.choice(critic_before.size, size=110, replace=False)
     fd = central_diff(critic_loss, critic_before, coords)
     worst_critic = max(rel_err(fd[k], critic_grad[k]) for k in coords)
     assert worst_critic < 1e-4
-    agent.critic.params[:] = critic_before
+    agent.critic[:] = critic_before
 
-    actor_before = agent.actor.params.copy()
+    actor_before = agent.actor.copy()
 
     def actor_objective(p):
-        acts = nn.softmax(nn.forward(nn.MlpModel(agent.actor.arch, p), states))
-        return float(np.mean(nn.forward(agent.critic, np.hstack([states, acts]))[:, 0]))
+        acts = nn.softmax(nn.forward(agent.actor_arch, p, states))
+        q = nn.forward(agent.critic_arch, agent.critic, np.hstack([states, acts]))
+        return float(np.mean(q[:, 0]))
 
     ddpg.update_actor(agent, batch)
-    actor_grad = agent.actor.params - actor_before  # ascent, lr 1
+    actor_grad = agent.actor - actor_before  # ascent, lr 1
     coords = coord_rng.choice(actor_before.size, size=110, replace=False)
     fd = central_diff(actor_objective, actor_before, coords)
     worst_actor = max(rel_err(fd[k], actor_grad[k]) for k in coords)
@@ -263,8 +263,8 @@ def test_rerun_is_byte_identical(tmp_path):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.main(["run", "--config", str(cfg_path), "--out", out_a]) == 0
     assert cli.main(["run", "--config", str(cfg_path), "--out", out_b]) == 0
-    first = open(os.path.join(out_a, "results.csv"), "rb").read()
-    second = open(os.path.join(out_b, "results.csv"), "rb").read()
+    first = pathlib.Path(out_a, "results.csv").read_bytes()
+    second = pathlib.Path(out_b, "results.csv").read_bytes()
     assert first == second
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -35,12 +36,12 @@ def test_run_writes_artifacts(cfg_path, tmp_path, capsys):
     assert cli.main(["run", "--config", cfg_path, "--out", out]) == 0
     captured = capsys.readouterr()
     assert "run finished: 3 rounds" in captured.out
-    results = open(os.path.join(out, "results.csv")).read()
+    results = pathlib.Path(out, "results.csv").read_text()
     assert results.count("\n") == 4  # header plus one line per round
-    canonical = open(os.path.join(out, "config.txt")).read()
+    canonical = pathlib.Path(out, "config.txt").read_text()
     cfg = config.parse_config_text(canonical)
     assert cfg.rounds == 3
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
     assert manifest["config_hash"] == config.config_hash(cfg)
     assert manifest["seed"] == 0
     assert set(manifest["subsystem_seeds"]) >= {"data", "roles", "model-init"}
@@ -54,8 +55,8 @@ def test_run_reruns_byte_identical(cfg_path, tmp_path):
     out_b = str(tmp_path / "b")
     assert cli.main(["run", "--config", cfg_path, "--out", out_a]) == 0
     assert cli.main(["run", "--config", cfg_path, "--out", out_b]) == 0
-    bytes_a = open(os.path.join(out_a, "results.csv"), "rb").read()
-    bytes_b = open(os.path.join(out_b, "results.csv"), "rb").read()
+    bytes_a = pathlib.Path(out_a, "results.csv").read_bytes()
+    bytes_b = pathlib.Path(out_b, "results.csv").read_bytes()
     assert bytes_a == bytes_b
 
 
@@ -64,9 +65,9 @@ def test_run_seed_override_changes_results(cfg_path, tmp_path):
     out_b = str(tmp_path / "b")
     assert cli.main(["run", "--config", cfg_path, "--out", out_a]) == 0
     assert cli.main(["run", "--config", cfg_path, "--out", out_b, "--seed", "5"]) == 0
-    assert json.load(open(os.path.join(out_b, "manifest.json")))["seed"] == 5
-    bytes_a = open(os.path.join(out_a, "results.csv"), "rb").read()
-    bytes_b = open(os.path.join(out_b, "results.csv"), "rb").read()
+    assert json.loads(pathlib.Path(out_b, "manifest.json").read_text())["seed"] == 5
+    bytes_a = pathlib.Path(out_a, "results.csv").read_bytes()
+    bytes_b = pathlib.Path(out_b, "results.csv").read_bytes()
     assert bytes_a != bytes_b
 
 
@@ -114,7 +115,7 @@ def test_report_rejects_an_unusable_out(cfg_path, tmp_path, taken_out, capsys):
 def test_run_json_format(cfg_path, tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["run", "--config", cfg_path, "--out", out, "--format", "json"]) == 0
-    rows = json.load(open(os.path.join(out, "results.json")))
+    rows = json.loads(pathlib.Path(out, "results.json").read_text())
     assert len(rows) == 3
     assert {"round", "reward", "selected_ids", "action"} <= set(rows[0])
 
@@ -152,7 +153,7 @@ def test_sweep_grid_layout(cfg_path, tmp_path):
         ]
     )
     assert code == 0
-    lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+    lines = pathlib.Path(out, "sweep.csv").read_text().splitlines()
     # header + 2 cells x (2 seed rows + 1 mean row)
     assert len(lines) == 1 + 2 * 3
     header = lines[0].split(",")
@@ -166,7 +167,7 @@ def test_sweep_grid_layout(cfg_path, tmp_path):
 def test_sweep_single_seed_has_no_mean_row(cfg_path, tmp_path):
     out = str(tmp_path / "sweep")
     assert cli.main(["sweep", "--config", cfg_path, "--out", out]) == 0
-    lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+    lines = pathlib.Path(out, "sweep.csv").read_text().splitlines()
     assert len(lines) == 2
     assert "mean" not in lines[1]
 
@@ -183,7 +184,7 @@ def test_sweep_parallel_matches_serial(cfg_path, tmp_path):
         del os.environ["FEDAA_THREADS"]
 
     def strip_runtime(path):
-        rows = [line.split(",") for line in open(path).read().splitlines()]
+        rows = [line.split(",") for line in pathlib.Path(path).read_text().splitlines()]
         col = rows[0].index("runtime_seconds")
         return [row[:col] + row[col + 1:] for row in rows]
 
@@ -195,41 +196,20 @@ def test_sweep_parallel_matches_serial(cfg_path, tmp_path):
 def test_sweep_varied_seed_starts_its_cell(cfg_path, tmp_path):
     out = str(tmp_path / "sweep")
     assert cli.main(["sweep", "--config", cfg_path, "--out", out, "--vary", "seed=3,7"]) == 0
-    rows = [line.split(",") for line in open(os.path.join(out, "sweep.csv")).read().splitlines()]
+    rows = [line.split(",") for line in pathlib.Path(out, "sweep.csv").read_text().splitlines()]
     header, cells = rows[0], rows[1:]
     assert [cell[header.index("seed")] for cell in cells] == ["3", "7"]
     acc = header.index("mean_acc")
     assert cells[0][acc] != cells[1][acc]
 
 
-def test_sweep_workers_select_on_one_band(cfg_path, tmp_path, monkeypatch):
-    # worker processes share the CPUs already, so none spreads its
-    # selections over them; the serial sweep keeps the bands
-    pools = []
-
-    class InlinePool:
-        def __init__(self, max_workers, initializer):
-            pools.append(max_workers)
-            initializer()
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(selection, "_one_band", False)
+def test_sweep_workers_select_on_one_band(monkeypatch):
+    # a worker process shares the CPUs with its siblings already, so it
+    # keeps its selections at one band; the main process spreads them
     monkeypatch.setattr(selection.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    args = ["sweep", "--config", cfg_path, "--vary", "seed=0,1"]
-    assert cli.main(args + ["--out", str(tmp_path / "serial")]) == 0
-    assert pools == [] and selection.band_count(121, 14_210) == 2
-    monkeypatch.setenv("FEDAA_THREADS", "2")
-    assert cli.main(args + ["--out", str(tmp_path / "parallel")]) == 0
-    assert pools == [2] and selection.band_count(121, 14_210) == 1
+    assert selection.band_count(121, 14_210) == 2
+    with cli.ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(selection.band_count, 121, 14_210).result() == 1
 
 
 @pytest.mark.parametrize("threads", ["abc", "", "1.5", "0", "-1"])

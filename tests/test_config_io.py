@@ -370,7 +370,7 @@ def test_records_to_rows_rejects_non_finite():
 def test_emit_results_csv(tmp_path):
     path = str(tmp_path / "results.csv")
     results.emit_results([make_record(), make_record(rnd=1, reward=0.25)], path)
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     assert lines[0] == ",".join(results.ROUND_COLUMNS)
     assert len(lines) == 3
     first = lines[1].split(",")
@@ -383,13 +383,13 @@ def test_emit_results_csv(tmp_path):
 def test_emit_results_empty_is_header_only(tmp_path):
     path = str(tmp_path / "results.csv")
     results.emit_results([], path)
-    assert open(path).read() == ",".join(results.ROUND_COLUMNS) + "\n"
+    assert pathlib.Path(path).read_text() == ",".join(results.ROUND_COLUMNS) + "\n"
 
 
 def test_emit_results_json(tmp_path):
     path = str(tmp_path / "results.json")
     results.emit_results([make_record()], path, fmt="json")
-    rows = json.load(open(path))
+    rows = json.loads(pathlib.Path(path).read_text())
     assert rows[0]["reward"] == 0.5
     assert rows[0]["action"] == [0.25, 0.75]
     for fmt in ("yaml", "xml"):
@@ -419,7 +419,7 @@ def test_sweep_table_layout(tmp_path):
     }
     path = str(tmp_path / "sweep.csv")
     results.emit_sweep_table([row], path)
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     assert lines[0] == ",".join(results.SWEEP_COLUMNS)
     assert lines[1].startswith("fedaa,synthetic00,none,0,30,100,0,0.812346")
 
@@ -436,7 +436,7 @@ def test_manifest_round_trip(tmp_path):
     )
     path = str(tmp_path / "manifest.json")
     results.write_manifest(manifest, path)
-    data = json.load(open(path))
+    data = json.loads(pathlib.Path(path).read_text())
     assert data["config_hash"] == "ab" * 32
     assert data["subsystem_seeds"] == {"data": 12, "roles": 99}
     assert data["artifacts"] == ["results.csv"]

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -377,6 +378,19 @@ def test_csv_errors(tmp_path):
     path.write_text("f0,label\n1.0,not_a_number\n")
     with pytest.raises(IngestionError):
         data.load_csv(str(path))
+
+
+@pytest.mark.parametrize("text", ["f0,f1,label\n", "f0,f1,label\n\n\n", ""],
+                         ids=["header", "header-and-blank-lines", "empty"])
+def test_csv_without_data_rows(tmp_path, text):
+    # named as a file without rows, not blamed on its columns, and no
+    # numpy warning escapes
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IngestionError, match=re.escape(f"{path}: the file has no data rows")):
+            data.load_csv(str(path))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

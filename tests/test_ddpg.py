@@ -84,16 +84,16 @@ def test_buffer_sampling():
 
 def test_make_agent_shapes_and_target_copies():
     agent = tiny_agent(3, 5, hidden=8)
-    assert agent.actor.arch.input_dim == 3
-    assert agent.actor.arch.output_dim == 5
-    assert agent.actor.arch.hidden_dims == agent.critic.arch.hidden_dims == (8,)
-    assert agent.critic.arch.input_dim == 8  # state plus action
-    assert agent.critic.arch.output_dim == 1
-    assert np.array_equal(agent.target_actor.params, agent.actor.params)
-    assert np.array_equal(agent.target_critic.params, agent.critic.params)
+    assert agent.actor_arch.input_dim == 3
+    assert agent.actor_arch.output_dim == 5
+    assert agent.actor_arch.hidden_dims == agent.critic_arch.hidden_dims == (8,)
+    assert agent.critic_arch.input_dim == 8  # state plus action
+    assert agent.critic_arch.output_dim == 1
+    assert np.array_equal(agent.target_actor, agent.actor)
+    assert np.array_equal(agent.target_critic, agent.critic)
     # targets are independent copies
-    agent.actor.params[0] += 1.0
-    assert agent.target_actor.params[0] != agent.actor.params[0]
+    agent.actor[0] += 1.0
+    assert agent.target_actor[0] != agent.actor[0]
 
 
 def test_act_simplex_and_determinism():
@@ -130,10 +130,12 @@ def test_critic_target_hand_computed():
     critic_arch = nn.ArchSpec(2, (), 1)
     actor_arch = nn.ArchSpec(1, (), 1)
     agent = ddpg.DdpgAgent(
-        actor=nn.MlpModel(actor_arch, np.zeros(2)),
-        critic=nn.MlpModel(critic_arch, np.zeros(3)),
-        target_actor=nn.MlpModel(actor_arch, np.zeros(2)),
-        target_critic=nn.MlpModel(critic_arch, np.array([0.5, 1.0, 0.25])),
+        actor_arch=actor_arch,
+        critic_arch=critic_arch,
+        actor=np.zeros(2),
+        critic=np.zeros(3),
+        target_actor=np.zeros(2),
+        target_critic=np.array([0.5, 1.0, 0.25]),
         cfg=ddpg.DdpgConfig(gamma=0.99),
     )
     t = ddpg.Transition(np.array([2.0]), np.array([1.0]), 0.3, np.array([4.0]))
@@ -154,16 +156,16 @@ def test_update_critic_loss_and_gradient():
     states = np.stack([t.state for t in batch])
     actions = np.stack([t.action for t in batch])
     y = ddpg.critic_target(agent, batch)
-    before = agent.critic.params.copy()
+    before = agent.critic.copy()
 
     def loss_at(p):
-        q = nn.forward(nn.MlpModel(agent.critic.arch, p), np.hstack([states, actions]))[:, 0]
+        q = nn.forward(agent.critic_arch, p, np.hstack([states, actions]))[:, 0]
         return float(np.mean((q - y) ** 2))
 
     reported = ddpg.update_critic(agent, batch)
     assert rel_err(reported, loss_at(before)) < 1e-12
     # recover the applied gradient from the parameter step
-    implied = (before - agent.critic.params) / agent.cfg.critic_lr
+    implied = (before - agent.critic) / agent.cfg.critic_lr
     fd = central_diff(loss_at, before, range(before.size))
     worst = max(rel_err(fd[k], implied[k]) for k in fd)
     assert worst < 1e-5
@@ -172,12 +174,12 @@ def test_update_critic_loss_and_gradient():
 def test_update_critic_weight_decay_enters_step():
     agent = tiny_agent(seed=9, weight_decay=0.1)
     batch = random_batch(agent, 4, seed=10)
-    before = agent.critic.params.copy()
+    before = agent.critic.copy()
     twin = tiny_agent(seed=9, weight_decay=0.0)
     ddpg.update_critic(agent, batch)
     ddpg.update_critic(twin, batch)
     # the decayed step differs from the plain one by lr * wd * params
-    extra = (twin.critic.params - agent.critic.params) / agent.cfg.critic_lr
+    extra = (twin.critic - agent.critic) / agent.cfg.critic_lr
     assert np.allclose(extra, 0.1 * before, atol=1e-12)
 
 
@@ -196,36 +198,38 @@ def test_update_actor_objective_and_gradient():
     agent = tiny_agent(seed=13, weight_decay=0.0)
     batch = random_batch(agent, 5, seed=14)
     states = np.stack([t.state for t in batch])
-    before = agent.actor.params.copy()
+    before = agent.actor.copy()
 
     # the actor outputs logits; the softmax makes them actions, so this
     # check also covers the softmax Jacobian that update_actor applies
     def objective_at(p):
-        acts = nn.softmax(nn.forward(nn.MlpModel(agent.actor.arch, p), states))
-        q = nn.forward(agent.critic, np.hstack([states, acts]))
+        acts = nn.softmax(nn.forward(agent.actor_arch, p, states))
+        q = nn.forward(agent.critic_arch, agent.critic, np.hstack([states, acts]))
         return float(np.mean(q[:, 0]))
 
     reported = ddpg.update_actor(agent, batch)
     assert rel_err(reported, objective_at(before)) < 1e-12
-    implied = (agent.actor.params - before) / agent.cfg.actor_lr  # ascent step
+    implied = (agent.actor - before) / agent.cfg.actor_lr  # ascent step
     fd = central_diff(objective_at, before, range(before.size))
     worst = max(rel_err(fd[k], implied[k]) for k in fd)
     assert worst < 1e-4
     # a small ascent step improves the objective
-    assert objective_at(agent.actor.params) >= reported
+    assert objective_at(agent.actor) >= reported
 
 
 def test_update_actor_climbs_hand_built_critic():
     # critic returns exactly the first action weight: Q(s, a) = a[0]
     critic_arch = nn.ArchSpec(3, (), 1)  # state 1 + action 2
-    critic = nn.MlpModel(critic_arch, np.array([0.0, 1.0, 0.0, 0.0]))
+    critic = np.array([0.0, 1.0, 0.0, 0.0])
     actor_arch = nn.ArchSpec(1, (8,), 2)
-    actor = nn.MlpModel(actor_arch, nn.init_params(actor_arch, np.random.default_rng(15)))
+    actor = nn.init_params(actor_arch, np.random.default_rng(15))
     agent = ddpg.DdpgAgent(
+        actor_arch=actor_arch,
+        critic_arch=critic_arch,
         actor=actor,
         critic=critic,
-        target_actor=nn.MlpModel(actor_arch, actor.params.copy()),
-        target_critic=nn.MlpModel(critic_arch, critic.params.copy()),
+        target_actor=actor.copy(),
+        target_critic=critic.copy(),
         cfg=ddpg.DdpgConfig(actor_lr=0.05, weight_decay=0.0),
     )
     state = np.array([0.5])
@@ -244,19 +248,19 @@ def test_updates_touch_only_their_network():
     agent = tiny_agent(seed=16)
     batch = random_batch(agent, 4, seed=17)
     snap = {
-        "actor": agent.actor.params.copy(),
-        "t_actor": agent.target_actor.params.copy(),
-        "t_critic": agent.target_critic.params.copy(),
+        "actor": agent.actor.copy(),
+        "t_actor": agent.target_actor.copy(),
+        "t_critic": agent.target_critic.copy(),
     }
     ddpg.update_critic(agent, batch)
-    assert np.array_equal(agent.actor.params, snap["actor"])
-    assert np.array_equal(agent.target_actor.params, snap["t_actor"])
-    assert np.array_equal(agent.target_critic.params, snap["t_critic"])
-    critic_now = agent.critic.params.copy()
+    assert np.array_equal(agent.actor, snap["actor"])
+    assert np.array_equal(agent.target_actor, snap["t_actor"])
+    assert np.array_equal(agent.target_critic, snap["t_critic"])
+    critic_now = agent.critic.copy()
     ddpg.update_actor(agent, batch)
-    assert np.array_equal(agent.critic.params, critic_now)
-    assert np.array_equal(agent.target_actor.params, snap["t_actor"])
-    assert np.array_equal(agent.target_critic.params, snap["t_critic"])
+    assert np.array_equal(agent.critic, critic_now)
+    assert np.array_equal(agent.target_actor, snap["t_actor"])
+    assert np.array_equal(agent.target_critic, snap["t_critic"])
 
 
 # ------------------------------------------------------------ soft update
@@ -264,20 +268,20 @@ def test_updates_touch_only_their_network():
 
 def test_soft_update_arithmetic():
     agent = tiny_agent(seed=18, epsilon_soft=0.001)
-    main_a = agent.actor.params.copy()
-    main_c = agent.critic.params.copy()
-    agent.target_actor.params[:] = 0.0
-    agent.target_critic.params[:] = 1.0
+    main_a = agent.actor.copy()
+    main_c = agent.critic.copy()
+    agent.target_actor[:] = 0.0
+    agent.target_critic[:] = 1.0
     ddpg.soft_update(agent)
-    assert np.allclose(agent.target_actor.params, 0.001 * main_a, atol=1e-15)
+    assert np.allclose(agent.target_actor, 0.001 * main_a, atol=1e-15)
     assert np.allclose(
-        agent.target_critic.params, 0.001 * main_c + 0.999, atol=1e-15
+        agent.target_critic, 0.001 * main_c + 0.999, atol=1e-15
     )
     # epsilon 1 overwrites completely
     agent.cfg = dataclasses.replace(agent.cfg, epsilon_soft=1.0)
     ddpg.soft_update(agent)
-    assert np.allclose(agent.target_actor.params, main_a, atol=1e-15)
-    assert np.allclose(agent.target_critic.params, main_c, atol=1e-15)
+    assert np.allclose(agent.target_actor, main_a, atol=1e-15)
+    assert np.allclose(agent.target_critic, main_c, atol=1e-15)
 
 
 def test_exploration_sigma_schedule():

@@ -1,6 +1,11 @@
 """Round loop wiring: aggregation, reward, fairness, full small runs."""
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -87,14 +92,13 @@ def test_evaluate_reward_hand_oracle():
     # identity-ish logits: class = argmax(W x) with W selecting feature
     arch = nn.ArchSpec(2, (), 3)
     params = np.zeros(nn.param_count(arch))
-    model = nn.MlpModel(arch, params)
     slices = nn.layer_slices(arch)
     w = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # never predicts class 2
     params[slices[0][0]] = w.ravel()
     features = np.array([[2.0, 1.0], [1.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
     labels = np.array([0, 1, 1, 1])  # predictions: 0 1 0 1 -> 3/4 correct
     val = LabeledDataset(features, labels, 3)
-    acc, per_class = orchestrator.evaluate_reward(model, val)
+    acc, per_class = orchestrator.evaluate_reward(arch, params, val)
     assert acc == 0.75
     assert per_class[0] == 1.0
     assert abs(per_class[1] - 2.0 / 3.0) < 1e-12
@@ -105,7 +109,6 @@ def test_evaluate_fairness_hand_oracle():
     arch = nn.ArchSpec(1, (), 2)
     # model A predicts class 1 iff x > 0 strongly; weights [w00 w01], bias
     always_one = np.array([0.0, 1.0, 0.0, 1.0])  # logit1 = x + 1 > logit0 = 0 for x >= 0
-    model = nn.MlpModel(arch, always_one)
     feats = np.array([[1.0], [1.0], [1.0], [1.0], [1.0]])
     # client 0: 4/5 labels are 1 -> acc 0.8; client 1: all 1 -> acc 1.0
     c0 = ClientRecord(
@@ -118,23 +121,25 @@ def test_evaluate_fairness_hand_oracle():
         LabeledDataset(feats, np.ones(5, dtype=int), 2),
         LabeledDataset(feats, np.ones(5, dtype=int), 2),
     )
-    metrics = orchestrator.evaluate_fairness([c0, c1], np.tile(always_one, (2, 1)), model)
+    metrics = orchestrator.evaluate_fairness(
+        [c0, c1], arch, np.tile(always_one, (2, 1)), always_one
+    )
     assert abs(metrics.mean_acc - 0.9) < 1e-12
     assert abs(metrics.acc_std - 0.1) < 1e-12  # population std of {0.8, 1.0}
     assert abs(metrics.mean_global_acc - 0.9) < 1e-12
     assert metrics.loss_std > 0.0
     # client c is scored with row c: client 1's local model predicts class 0
     always_zero = np.array([0.0, 0.0, 1.0, 0.0])
-    metrics = orchestrator.evaluate_fairness([c0, c1], np.stack([always_one, always_zero]), model)
+    metrics = orchestrator.evaluate_fairness(
+        [c0, c1], arch, np.stack([always_one, always_zero]), always_one
+    )
     assert abs(metrics.mean_acc - 0.4) < 1e-12  # mean of {0.8, 0.0}
     assert abs(metrics.mean_global_acc - 0.9) < 1e-12
 
 
 def test_fairness_requires_a_benign_client():
     with pytest.raises(ConfigError, match="benign"):
-        orchestrator.evaluate_fairness(
-            [], np.zeros((0, 4)), nn.MlpModel(nn.ArchSpec(1, (), 2), np.zeros(4))
-        )
+        orchestrator.evaluate_fairness([], nn.ArchSpec(1, (), 2), np.zeros((0, 4)), np.zeros(4))
 
 
 def test_sample_participants():
@@ -704,3 +709,47 @@ def test_run_fedavg_baseline_uses_same_environment():
     helper = orchestrator.run_fedavg_baseline(cfg)
     for ra, rb in zip(direct, helper):
         assert ra == rb
+
+
+# The child limits its own address space to its size after the imports
+# plus 1 GiB, and only then builds a population whose local models need
+# 2.12 GiB; if the limit cannot be set, it exits before building anything.
+TOO_LARGE_FOR_MEMORY = textwrap.dedent("""
+    import resource
+    from fedaa import config, orchestrator
+    from fedaa.errors import ConfigError
+
+    cfg = config.parse_config_text(
+        "dataset = synthetic11\\n"
+        "dataset.num_clients = 200\\n"
+        "dataset.samples_per_client = 20\\n"
+        "model.hidden = 20000\\n"
+    )
+    with open("/proc/self/status") as fh:
+        size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = size * 1024 + (1 << 30)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        orchestrator.build_experiment(cfg)
+    except ConfigError as exc:
+        print(exc)
+""")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_population_too_large_for_memory_fails_typed():
+    pytest.importorskip("resource")
+    src = pathlib.Path(__file__).parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run([sys.executable, "-c", TOO_LARGE_FOR_MEMORY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "dataset.num_clients = 200 local models of model.hidden = [20000] "
+        "(1420010 parameters each) need 2.12 GiB, more than this process can allocate"
+    )

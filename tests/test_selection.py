@@ -315,7 +315,6 @@ def test_bands_split_the_pairs_evenly_on_threads(monkeypatch):
 
 
 def test_band_count_follows_the_work_and_the_cpus(monkeypatch):
-    monkeypatch.setattr(selection, "_one_band", False)
     monkeypatch.setattr(selection.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert selection.band_count(20, 610) == 1  # a logistic round: below BAND_WORK
     assert selection.band_count(121, 14_210) == 4
@@ -325,8 +324,6 @@ def test_band_count_follows_the_work_and_the_cpus(monkeypatch):
     monkeypatch.delattr(selection.os, "sched_getaffinity")
     monkeypatch.setattr(selection.os, "cpu_count", lambda: 2)
     assert selection.band_count(121, 14_210) == 2
-    selection.one_band_per_process()
-    assert selection.band_count(121, 14_210) == 1
 
 
 @pytest.mark.parametrize("scope", selection.SCOPES)
