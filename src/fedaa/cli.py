@@ -186,7 +186,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     workers = int(threads)
     _make_out_dir(args.out)
     if workers > 1 and len(tasks) > 1:
-        # each worker selects on one band by itself (selection.band_count)
+        # each worker selects on one band and trains in one share by itself
+        # (cpus.usable_cpus)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_one, tasks))
     else:

@@ -280,14 +280,10 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         m_count = top_count(cfg.m_percent, cohort)
         agent = make_agent(m_count, m_count, cfg.ddpg, stream(cfg.seed, "agent-init"))
         buffer = ReplayBuffer(cfg.ddpg.buffer_capacity)
-    try:
-        local_models = np.tile(initial, (len(clients), 1))
-    except MemoryError as exc:
-        raise ConfigError(
-            f"dataset.num_clients = {len(clients)} local models of model.hidden = "
-            f"{list(cfg.model_hidden)} ({initial.size} parameters each) need "
-            f"{len(clients) * initial.nbytes / 2**30:.2f} GiB, more than this process can allocate"
-        ) from exc
+    local_models = _param_rows(
+        cfg, len(clients), initial.size, f"dataset.num_clients = {len(clients)} local models"
+    )
+    local_models[:] = initial
     return Experiment(
         cfg=cfg,
         clients=clients,
@@ -298,6 +294,27 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         cohort_size=cohort,
         agent=agent,
         buffer=buffer,
+    )
+
+
+def _param_rows(cfg: ExperimentConfig, count: int, size: int, what: str) -> np.ndarray:
+    """An uninitialized (count, size) float64 matrix of parameter rows; a
+    ConfigError naming ``what`` and the GiB needed if it cannot be had."""
+    try:
+        return np.empty((count, size))
+    except MemoryError as exc:
+        raise ConfigError(
+            f"{what} of model.hidden = {list(cfg.model_hidden)} ({size} parameters each) need "
+            f"{count * size * 8 / 2**30:.2f} GiB, more than this process can allocate"
+        ) from exc
+
+
+def _upload_rows(cfg: ExperimentConfig, count: int, size: int) -> np.ndarray:
+    """A round's (count, size) upload matrix, through ``_param_rows``."""
+    return _param_rows(
+        cfg, count, size,
+        f"{count} uploads of dataset.num_clients = {cfg.dataset.num_clients} at "
+        f"participation_ratio = {cfg.participation_ratio}",
     )
 
 
@@ -312,10 +329,11 @@ def _collect_uploads(
     as one row per participant, in ascending client id.
 
     Clients that train do so first, in lockstep stacks of equal train
-    size, straight into their rows; each draws its permutations from its
-    own stream, which its ``local_update`` then continues (a sign
-    flipper's magnitude draw); a client that draws nothing (``draws``)
-    gets no stream. A client whose training failed raises its
+    size (in per-CPU shares when the round is large; see
+    ``train_lockstep``), straight into their rows; each draws its
+    permutations from its own stream, which its ``local_update`` then
+    continues (a sign flipper's magnitude draw); a client that draws
+    nothing (``draws``) gets no stream. A client whose training failed raises its
     error in its turn, so the error names the first such client in this
     order. The benign participants' rows then become their local models.
     """
@@ -323,7 +341,7 @@ def _collect_uploads(
     ids = sorted(participants)
     cohort = [exp.clients[c] for c in ids]
     rngs = [stream(cfg.seed, "local", round_index, c.id) if draws(c) else None for c in cohort]
-    uploads = np.empty((len(ids), global_params.size))
+    uploads = _upload_rows(cfg, len(ids), global_params.size)
     errors = train_lockstep(exp.arch, cohort, global_params, cfg.local, rngs, uploads)
     benign = np.array([c.role == "benign" for c in cohort])
     benign_mean = None
@@ -377,7 +395,8 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
     # round 0 merges unattacked broadcast copies: no training has happened
     # yet, so there is nothing for an attacker to distort
     participants = sample_participants(cfg.dataset.num_clients, cfg.participation_ratio, part_rng)
-    uploads = np.tile(global_params, (len(participants), 1))
+    uploads = _upload_rows(cfg, len(participants), global_params.size)
+    uploads[:] = global_params
     sel = _select(exp, participants, uploads)
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):

@@ -9,13 +9,12 @@ weight policy.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from .cpus import usable_cpus
 from .errors import ConfigError, SimulationError
 from .data import round_half_up
 from .nn import ArchSpec, layer_slices, param_count
@@ -58,16 +57,11 @@ def normalize_state(row_sums: np.ndarray) -> np.ndarray:
 
 def band_count(rows: int, cols: int) -> int:
     """Bands for the distance matrix of ``rows`` rows of ``cols`` columns:
-    one below BAND_WORK pair-columns, else one per usable CPU. A worker
-    process (a ``fedaa sweep`` worker) shares the CPUs with its siblings
-    already, so it keeps to one band."""
-    if multiprocessing.parent_process() is not None or rows * (rows - 1) // 2 * cols < BAND_WORK:
+    one below BAND_WORK pair-columns, else one per usable CPU
+    (``usable_cpus``, 1 in a worker process)."""
+    if rows * (rows - 1) // 2 * cols < BAND_WORK:
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, rows - 1)
+    return min(usable_cpus(), rows - 1)
 
 
 def distance_matrix(y: np.ndarray, bands: int) -> np.ndarray:

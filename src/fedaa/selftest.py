@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from . import data as datamod
+from .clients import ClientRecord, train_lockstep
 from .ddpg import DdpgConfig, ReplayBuffer, Transition, make_agent, act, soft_update
 from .nn import (
     ArchSpec,
@@ -130,6 +133,38 @@ def _check_sgd_matches_reference() -> None:
     )
 
 
+def _check_parallel_training() -> None:
+    # byte-identical results in per-CPU shares rest on a forked child
+    # training as this process would on the installed numpy and BLAS
+    if not hasattr(os, "fork"):
+        return  # without fork every round trains in one share
+    rng = np.random.default_rng(15)
+    arch = ArchSpec(6, (8, 5), 3)
+    cohort = []
+    # four stacks: the two clients of 23 rows share one; client 4 diverges
+    for cid, (n, scale) in enumerate(((31, 1.0), (23, 1.0), (23, 1.0), (17, 1.0), (9, 1e200))):
+        split = datamod.LabeledDataset(scale * rng.normal(size=(n, 6)), rng.integers(0, 3, n), 3)
+        cohort.append(ClientRecord(cid, None, split, split))
+    broadcast = init_params(arch, rng)
+    cfg = SgdConfig(learning_rate=0.2, weight_decay=1e-3, batch_size=8, epochs=2)
+    runs = {}
+    for shares in (1, 2, 3):
+        rngs = [np.random.default_rng(16 + i) for i in range(len(cohort))]
+        out = np.empty((len(cohort), param_count(arch)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = train_lockstep(arch, cohort, broadcast, cfg, rngs, out, shares=shares)
+        runs[shares] = (
+            out.tobytes(),
+            {row: str(exc) for row, exc in errors.items()},
+            [r.bit_generator.state for r in rngs],
+        )
+    assert list(runs[1][1]) == [4], "the diverging client must fail by its row"
+    for shares in (2, 3):
+        assert runs[shares] == runs[1], (
+            f"training in {shares} shares differs from training in one"
+        )
+
+
 CHECKS = (
     ("simplex_actions", _check_simplex_actions),
     ("soft_update_arithmetic", _check_soft_update),
@@ -139,6 +174,7 @@ CHECKS = (
     ("aggregation_convex_hull", _check_aggregate_hull),
     ("gradient_check", _check_gradient),
     ("sgd_matches_reference", _check_sgd_matches_reference),
+    ("parallel_training", _check_parallel_training),
 )
 
 

@@ -278,6 +278,7 @@ def test_invariant_suite_green():
         "partition_completeness",
         "distance_symmetry",
         "aggregation_convex_hull",
+        "parallel_training",
     )
     for name in needed:
         assert name in outcomes, f"missing invariant check {name}"

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fedaa import cli, config, selection
+from fedaa import cli, clients, config, cpus, selection
 
 SMALL_CONFIG = """\
 dataset = synthetic00
@@ -205,11 +205,14 @@ def test_sweep_varied_seed_starts_its_cell(cfg_path, tmp_path):
 
 def test_sweep_workers_select_on_one_band(monkeypatch):
     # a worker process shares the CPUs with its siblings already, so it
-    # keeps its selections at one band; the main process spreads them
-    monkeypatch.setattr(selection.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # keeps its selections at one band and its training in one share; the
+    # main process spreads both
+    monkeypatch.setattr(cpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert selection.band_count(121, 14_210) == 2
+    assert clients.share_count(clients.SHARE_WORK) == 2
     with cli.ProcessPoolExecutor(max_workers=1) as pool:
         assert pool.submit(selection.band_count, 121, 14_210).result() == 1
+        assert pool.submit(clients.share_count, clients.SHARE_WORK).result() == 1
 
 
 @pytest.mark.parametrize("threads", ["abc", "", "1.5", "0", "-1"])

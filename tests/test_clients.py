@@ -1,5 +1,9 @@
 """Roles, attack messages, and the per-client round step."""
 
+import collections
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -219,3 +223,144 @@ def test_broadcast_dimension_mismatch():
     # a broadcast that does not fit the architecture fails before training
     with pytest.raises(ConfigError):
         update(make_client(), np.zeros(5), nn.SgdConfig(epochs=1), np.random.default_rng(16))
+
+
+# ------------------------------------------------------------ shares
+
+
+def cohort_of(sizes, attacks=(), huge=(), seed=0):
+    """Clients of the given train-plus-test sizes; ``attacks`` maps ids to
+    attack kinds, and the clients in ``huge`` have features scaled to
+    overflow, so their training diverges."""
+    spec = data.SyntheticSpec(0.0, 0.0, len(sizes), tuple(sizes))
+    part = data.generate_synthetic(spec, np.random.default_rng(seed))
+    kinds = dict(attacks)
+    cohort = []
+    for cid, (train, test) in enumerate(part.clients):
+        if cid in huge:
+            train = data.LabeledDataset(train.features * 1e200, train.labels, train.num_classes)
+        attack = clients.AttackSpec(kinds[cid]) if cid in kinds else None
+        cohort.append(clients.ClientRecord(cid, attack, train, test))
+    return cohort
+
+
+def train_round(cohort, shares=None, cfg=nn.SgdConfig(learning_rate=0.5, batch_size=16, epochs=2)):
+    """train_lockstep and then local_update for every client, as the round
+    loop runs them; returns the uploads, the errors by row, and each
+    generator's state afterwards."""
+    broadcast = nn.init_params(ARCH, np.random.default_rng(99))
+    rngs = [stream(4, "local", c.id) if clients.draws(c) else None for c in cohort]
+    out = np.full((len(cohort), broadcast.size), -7.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = clients.train_lockstep(ARCH, cohort, broadcast, cfg, rngs, out, shares=shares)
+    for row, client in enumerate(cohort):
+        if row not in errors and client.attack is not None and client.attack.kind != "ipm":
+            clients.local_update(client, out[row], rngs[row])
+    states = [None if r is None else r.bit_generator.state for r in rngs]
+    return out, {row: str(exc) for row, exc in errors.items()}, states
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Parallel training at any work, and a count of the forks it makes."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(clients, "SHARE_WORK", 0)
+    monkeypatch.setattr(clients.os, "fork", counted)
+    monkeypatch.setattr(clients, "STACK_BYTES", 2 * 610 * 8)  # stacks of two clients
+    return made
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_shares_train_byte_for_byte_as_one(monkeypatch, forks, cpus):
+    monkeypatch.setattr(clients, "usable_cpus", lambda: cpus)
+    sizes = [*data.lognormal_sizes(9, np.random.default_rng(5), median=40.0), 30, 30, 30]
+    cohort = cohort_of(sizes, attacks={1: "sign_flip", 2: "gaussian", 4: "ipm", 9: "sign_flip"},
+                       huge={3, 10})
+    want = train_round(cohort, shares=1)
+    assert not forks
+    got = train_round(cohort)
+    groups = collections.Counter(len(c.train) for c in cohort if clients.trains(c))
+    stacks = sum(-(-k // 2) for k in groups.values())
+    assert len(forks) == min(cpus, stacks) - 1
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1] and set(got[1]) == {3, 10}
+    assert got[2] == want[2]
+    assert_no_child_left()
+
+
+def test_a_diverging_client_in_a_child_is_returned_by_row(monkeypatch, forks):
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+    # the longer stack trains in this process, the shorter in the child
+    cohort = cohort_of([100, 50], huge={1})
+    out, errors, _ = train_round(cohort)
+    assert len(forks) == 1
+    assert list(errors) == [1] and errors[1].startswith("non-finite loss")
+    assert np.isfinite(out[0]).all()
+    assert train_round(cohort, shares=1)[1] == errors
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad", [0, 1], ids=["in this process", "in the child"])
+def test_an_error_in_any_share_comes_back_typed(monkeypatch, forks, bad):
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+    cohort = cohort_of([100, 50])
+    # a train split of the wrong width fails sgd_epoch's checks
+    train = cohort[bad].train
+    cohort[bad].train = data.LabeledDataset(train.features[:, :59], train.labels, train.num_classes)
+    with pytest.raises(ConfigError, match="incompatible with input_dim 60"):
+        train_round(cohort)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_fails_the_round_typed(monkeypatch, forks):
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(clients, "_train_in_child", lambda *args: os._exit(3))
+    with pytest.raises(SimulationError, match="a training child exited without its results"):
+        train_round(cohort_of([100, 50]))
+    assert_no_child_left()
+
+
+def test_a_failed_fork_trains_its_share_here(monkeypatch, forks):
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 3)
+
+    def no_fork():
+        raise BlockingIOError("no more processes")
+
+    monkeypatch.setattr(clients.os, "fork", no_fork)
+    cohort = cohort_of([100, 60, 50], attacks={1: "sign_flip"})
+    got, want = train_round(cohort), train_round(cohort, shares=1)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+    assert_no_child_left()
+
+
+def test_share_count_follows_the_work_the_cpus_and_the_threads(monkeypatch):
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 4)
+    assert clients.share_count(clients.SHARE_WORK - 1) == 1
+    assert clients.share_count(clients.SHARE_WORK) == 4
+    # a fork copies only the calling thread
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert clients.share_count(clients.SHARE_WORK) == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    monkeypatch.delattr(clients.os, "fork")
+    assert clients.share_count(clients.SHARE_WORK) == 1

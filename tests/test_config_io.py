@@ -264,6 +264,31 @@ def _config_values(st):
     return values()
 
 
+# Six configs that hold every key and every dataset kind, attack kind and
+# aggregator between them, so the generated round trip covers them all
+# whatever its derandomized draws reach.
+ROUND_TRIP_EXAMPLES = (
+    "dataset = synthetic\ndataset.alpha = 0.5\ndataset.beta = 1.5\n"
+    "dataset.samples_per_client = 10,20,30\ndataset.num_clients = 3\nmodel.hidden = 4,3\n"
+    "malicious_fraction = 0.3\nattack = gaussian\nattack.tau = 7.5\nm_percent = 60\n"
+    "participation_ratio = 0.5\nrounds = 4\nlocal.lr = 0.2\nlocal.weight_decay = 0.001\n"
+    "local.batch_size = 8\nlocal.epochs = 2\nddpg.gamma = 0.9\nddpg.epsilon_soft = 0.1\n"
+    "ddpg.actor_lr = 0.01\nddpg.critic_lr = 0.02\nddpg.weight_decay = 0.0001\n"
+    "ddpg.hidden = 16\nddpg.buffer_capacity = 50\nddpg.batch_size = 4\nddpg.warmup = 2\n"
+    "ddpg.noise_sigma = 0.3\nddpg.noise_sigma_end = 0.05\n"
+    "distance_scope = last_hidden_layer\naggregator = fedaa\nseed = 7\n",
+    "dataset = synthetic00\ndataset.samples_per_client = lognormal\nattack = sign_flip\n"
+    "malicious_fraction = 0.2\naggregator = fedavg\n",
+    "dataset = synthetic11\nattack = same_value\nmalicious_fraction = 0.1\naggregator = fedaa\n",
+    "dataset = synthetic_dirichlet\ndataset.total_samples = 5000\n"
+    "dataset.dirichlet_concentration = 0.5\nvalidation.per_class = 20\n"
+    "attack = ipm\nattack.ipm_epsilon = 2.0\nmalicious_fraction = 0.4\naggregator = fedavg\n",
+    "dataset = csv\ndataset.csv_path = data.csv\nattack = none\naggregator = fedaa\n",
+    "dataset = idx\ndataset.idx_images = images.idx\ndataset.idx_labels = labels.idx\n"
+    "attack = none\naggregator = fedavg\n",
+)
+
+
 def test_emit_parse_round_trip_generated():
     hypothesis = pytest.importorskip("hypothesis")
     seen_keys, seen_kinds = set(), set()
@@ -282,6 +307,8 @@ def test_emit_parse_round_trip_generated():
         assert again == cfg
         assert config.emit_config(again) == canonical
 
+    for text in ROUND_TRIP_EXAMPLES:
+        check = hypothesis.example(config.parse_config_values(text))(check)
     check()
     assert seen_keys == set(config.SCHEMA)
     assert seen_kinds == set(config.DATASET_KINDS + config.ALL_ATTACKS + config.AGGREGATORS)

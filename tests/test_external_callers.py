@@ -103,3 +103,32 @@ def test_benchmark_reads_the_built_experiment(monkeypatch):
         assert samples == exp.cfg.rounds * exp.cfg.local.epochs * sum(len(c.train) for c in trainers)
         sizes = workloads.computed_bytes(exp)
         assert sizes["clients.upload_bytes"] == exp.cfg.rounds * exp.local_models.nbytes, name
+
+
+def test_benchmark_workloads_fork_only_for_the_mlp(monkeypatch):
+    # signflip_logistic has one stack a round and server_heavy too little
+    # work to pay for a fork, so only mlp_fedavg_clean trains in shares
+    workloads = load_perfbench("workloads", monkeypatch)
+    counts = []
+    share_count = clients.share_count
+
+    def counted(work):
+        counts.append(share_count(work))
+        return counts[-1]
+
+    monkeypatch.setattr(clients, "share_count", counted)
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 4)
+    # the split, not the training, is under test
+    monkeypatch.setattr(clients, "sgd_epoch", lambda *args: {})
+    shares = {}
+    for name, workload in workloads.WORKLOADS.items():
+        exp = orchestrator.build_experiment(
+            config.parse_config_text(workloads.config_text(workload, seed=0))
+        )
+        out = np.empty((len(exp.clients), exp.initial_params.size))
+        rngs = [np.random.default_rng(c.id) for c in exp.clients]
+        assert clients.train_lockstep(
+            exp.arch, exp.clients, exp.initial_params, exp.cfg.local, rngs, out
+        ) == {}
+        shares[name] = counts.pop()
+    assert shares == {"signflip_logistic": 1, "mlp_fedavg_clean": 4, "server_heavy": 1}

@@ -311,9 +311,15 @@ def test_sgd_matches_backward_ce_replay_generated():
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     # the derandomized draws follow this function's source, and need not
-    # reach every hidden layout; a one-unit hidden layer is always checked
+    # reach every category the coverage assertion asks for; these do
     @hypothesis.example(k=2, n=7, batch_size=3, epochs=2, weight_decay=1e-3, classes=3,
                         hidden=(1,), seed=5, starts=["", "nan", "", "", ""])
+    @hypothesis.example(k=1, n=5, batch_size=8, epochs=0, weight_decay=0.0, classes=2,
+                        hidden=(), seed=6, starts=["", "", "", "", ""])
+    @hypothesis.example(k=5, n=10, batch_size=4, epochs=3, weight_decay=0.3, classes=4,
+                        hidden=(6,), seed=7, starts=["nan", "", "huge", "", ""])
+    @hypothesis.example(k=2, n=12, batch_size=4, epochs=1, weight_decay=0.0, classes=5,
+                        hidden=(5, 3), seed=8, starts=["", "", "", "", ""])
     @hypothesis.given(
         k=st.sampled_from([1, 2, 5]),
         n=st.integers(1, 40),

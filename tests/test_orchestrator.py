@@ -712,9 +712,9 @@ def test_run_fedavg_baseline_uses_same_environment():
 
 
 # The child limits its own address space to its size after the imports
-# plus 1 GiB, and only then builds a population whose local models need
-# 2.12 GiB; if the limit cannot be set, it exits before building anything.
-TOO_LARGE_FOR_MEMORY = textwrap.dedent("""
+# plus a margin, and only then builds the population; if the limit cannot
+# be set, it exits before building anything.
+LIMITED_CHILD = textwrap.dedent("""
     import resource
     from fedaa import config, orchestrator
     from fedaa.errors import ConfigError
@@ -723,33 +723,66 @@ TOO_LARGE_FOR_MEMORY = textwrap.dedent("""
         "dataset = synthetic11\\n"
         "dataset.num_clients = 200\\n"
         "dataset.samples_per_client = 20\\n"
-        "model.hidden = 20000\\n"
+        "model.hidden = {hidden}\\n"
     )
     with open("/proc/self/status") as fh:
         size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    limit = size * 1024 + (1 << 30)
+    limit = size * 1024 + ({margin_mib} << 20)
     if hard != resource.RLIM_INFINITY:
         limit = min(limit, hard)
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-    try:
-        orchestrator.build_experiment(cfg)
-    except ConfigError as exc:
-        print(exc)
 """)
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_a_population_too_large_for_memory_fails_typed():
+def run_limited(hidden, margin_mib, body):
+    """stdout of a child that runs ``body`` under LIMITED_CHILD's limit."""
     pytest.importorskip("resource")
     src = pathlib.Path(__file__).parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     ))
-    proc = subprocess.run([sys.executable, "-c", TOO_LARGE_FOR_MEMORY], env=env,
+    script = LIMITED_CHILD.format(hidden=hidden, margin_mib=margin_mib) + textwrap.dedent(body)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == (
+    return proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_population_too_large_for_memory_fails_typed():
+    # 200 clients at model.hidden = 20000 need 2.12 GiB of local models
+    out = run_limited(20000, 1024, """
+        try:
+            orchestrator.build_experiment(cfg)
+        except ConfigError as exc:
+            print(exc)
+    """)
+    assert out.strip() == (
         "dataset.num_clients = 200 local models of model.hidden = [20000] "
         "(1420010 parameters each) need 2.12 GiB, more than this process can allocate"
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_an_upload_matrix_too_large_for_memory_fails_typed():
+    # the 217 MiB of local models fit in the margin, and a round's upload
+    # matrix of the same size does not: round 0's copies of the broadcast
+    # in run_rounds, and each later round's in _collect_uploads
+    out = run_limited(2000, 300, """
+        exp = orchestrator.build_experiment(cfg)
+        for call in (
+            lambda: orchestrator.run_rounds(exp),
+            lambda: orchestrator._collect_uploads(exp, list(range(200)), exp.initial_params, 0),
+        ):
+            try:
+                call()
+            except ConfigError as exc:
+                print(exc)
+    """)
+    message = (
+        "200 uploads of dataset.num_clients = 200 at participation_ratio = 1.0 of "
+        "model.hidden = [2000] (142010 parameters each) need 0.21 GiB, more than this "
+        "process can allocate"
+    )
+    assert out.splitlines() == [message, message]

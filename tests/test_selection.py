@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from fedaa import config, selection
+from fedaa import config, cpus, selection
 from fedaa.errors import ConfigError, SimulationError
 from fedaa.nn import ArchSpec, layer_slices, param_count
 
@@ -165,8 +165,17 @@ def test_selection_equals_the_all_rows_oracle_generated():
         ),
     )
     seen = set()
+    zero, nan = np.zeros(size), np.full(size, np.nan)
+    mixed = np.array([1.0, -2.5, 0.1, 3e5, 1e-300, 0.0, 1.0, -2.5, 0.1, 3e5, 1e-300, 0.0])
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    # each category the coverage assertion asks for, whatever the draws reach
+    @hypothesis.example(pool=[zero, -zero, nan], swap=False, picks=[0, 1, 2, 0],
+                        ids=list(range(10)), m_percent=50.0, scope="all_layers")
+    @hypothesis.example(pool=[mixed, nan], swap=False, picks=[0, 1, 1],
+                        ids=list(range(10)), m_percent=1.0, scope="last_hidden_layer")
+    @hypothesis.example(pool=[mixed], swap=True, picks=[0, 1, 0, 1],
+                        ids=list(range(10)), m_percent=50.0, scope="all_layers")
     @hypothesis.given(
         pool=st.lists(row, min_size=1, max_size=4),
         swap=st.booleans(),
@@ -223,14 +232,20 @@ def test_permutation_equivariance_with_repeated_rows_generated():
     seen = set()
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    # repeated and non-finite rows, whatever the draws reach
+    @hypothesis.example(
+        rows=[np.array([1.0, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0]),
+              np.array([1.0, 0.0, 0.0]), np.array([-2.0, 0.0, 0.0])],
+        order=[8, 3, 1, 0, 2, 7, 4, 6, 5], m_percent=50.0,
+    )
     @hypothesis.given(
-        data=st.data(),
         rows=st.lists(point, min_size=2, max_size=9),
+        order=st.permutations(range(9)),
         m_percent=st.sampled_from([30.0, 50.0, 80.0]),
     )
-    def check(data, rows, m_percent):
+    def check(rows, order, m_percent):
         n = len(rows)
-        perm = data.draw(st.permutations(range(n)))
+        perm = [i for i in order if i < n]  # a uniform permutation of range(n)
         ids = list(range(n))
         rows = np.array(rows)
         try:
@@ -268,18 +283,24 @@ def test_banded_distance_matrix_is_pdist_generated():
     seen = set()
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    # every band count over more rows than bands, and repeated rows,
+    # whatever the draws reach
+    @hypothesis.example(shape=(2, 5, 3), bands=1, seed=0, picks=[0, 1] * 7, scale=1.0)
+    @hypothesis.example(shape=(5, 6, 4), bands=2, seed=1, picks=list(range(14)), scale=3e5)
+    @hypothesis.example(shape=(5, 9, 7), bands=3, seed=2, picks=list(range(14)), scale=1e-300)
+    @hypothesis.example(shape=(5, 14, 40), bands=4, seed=3, picks=list(range(14)), scale=1e150)
     @hypothesis.given(
-        data=st.data(),
         shape=st.tuples(st.integers(1, 5), st.integers(1, 14), st.integers(1, 40)),
         bands=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        # 60 is a multiple of every distinct count, so p % distinct is uniform
+        picks=st.lists(st.integers(0, 59), min_size=14, max_size=14),
         scale=st.sampled_from([1e-300, 1.0, 3e5, 1e150]),
     )
-    def check(data, shape, bands, scale):
+    def check(shape, bands, seed, picks, scale):
         distinct, n, cols = shape
-        pool = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
-            scale=scale, size=(distinct, cols)
-        )
-        picks = data.draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+        pool = np.random.default_rng(seed).normal(scale=scale, size=(distinct, cols))
+        picks = [p % distinct for p in picks[:n]]
         y = pool[picks]
         got = selection.distance_matrix(y, bands)
         assert got.tobytes() == squareform(pdist(y)).tobytes()
@@ -315,14 +336,14 @@ def test_bands_split_the_pairs_evenly_on_threads(monkeypatch):
 
 
 def test_band_count_follows_the_work_and_the_cpus(monkeypatch):
-    monkeypatch.setattr(selection.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(cpus.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert selection.band_count(20, 610) == 1  # a logistic round: below BAND_WORK
     assert selection.band_count(121, 14_210) == 4
     assert selection.band_count(3, 1 << 22) == 2  # at most one band per row with pairs
-    monkeypatch.setattr(selection.os, "sched_getaffinity", lambda pid: {5})
+    monkeypatch.setattr(cpus.os, "sched_getaffinity", lambda pid: {5})
     assert selection.band_count(121, 14_210) == 1
-    monkeypatch.delattr(selection.os, "sched_getaffinity")
-    monkeypatch.setattr(selection.os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(cpus.os, "sched_getaffinity")
+    monkeypatch.setattr(cpus.os, "cpu_count", lambda: 2)
     assert selection.band_count(121, 14_210) == 2
 
 
