@@ -15,6 +15,7 @@ import os
 import pickle
 import signal
 import threading
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
@@ -220,12 +221,12 @@ def train_lockstep(
         return errors
 
     own = list(split[0])
-    children: list[tuple[int, io.FileIO, list[list[int]]]] = []
+    children: list[tuple[int, io.BufferedReader, list[list[int]]]] = []
     try:
         for share in split[1:]:
             read, write = os.pipe()
             try:
-                pid = os.fork()
+                pid = _fork()
             except OSError:  # no process to be had: the share trains here
                 os.close(read)
                 os.close(write)
@@ -235,7 +236,10 @@ def train_lockstep(
                 inherited = [read, *(pipe.fileno() for _, pipe, _ in children)]
                 _train_in_child(train, share, rngs, out, write, inherited)
             os.close(write)
-            children.append((pid, os.fdopen(read, "rb", buffering=0), share))
+            # buffered, so that a read of n bytes returns n bytes or stops at
+            # the end: a raw pipe returns at most what it holds (64 KiB),
+            # which pickle.load takes for a truncated frame
+            children.append((pid, os.fdopen(read, "rb"), share))
         errors = train(own)
         for _, pipe, share in children:
             errors.update(_receive(pipe, share, rngs, out))
@@ -249,6 +253,21 @@ def train_lockstep(
             os.kill(pid, signal.SIGKILL)
         for pid, _, _ in children:
             os.waitpid(pid, 0)
+
+
+def _fork() -> int:
+    """``os.fork``, without the DeprecationWarning that Python 3.12+ gives
+    in a process with more than one OS thread. The fork is safe here:
+    the other OS threads are OpenBLAS's pool, whose fork handler shuts
+    it down before the fork (either process starts it again when next
+    used), and ``share_count`` forks only while no other Python thread
+    runs. Raised as an error, the warning would come after the fork and
+    lose the child."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+        )
+        return os.fork()
 
 
 def _train_in_child(
@@ -286,7 +305,7 @@ def _train_in_child(
 
 
 def _receive(
-    pipe: io.FileIO,
+    pipe: io.BufferedReader,
     share: list[list[int]],
     rngs: Sequence[np.random.Generator | None],
     out: np.ndarray,
@@ -305,13 +324,8 @@ def _receive(
         rngs[row].bit_generator.state = state
     for rows in share:
         for r in rows:
-            view = memoryview(out[r]).cast("B")
-            got = 0
-            while got < len(view):
-                chunk = pipe.readinto(view[got:])
-                if not chunk:
-                    raise lost
-                got += chunk
+            if pipe.readinto(out[r]) != out[r].nbytes:
+                raise lost
     return head[1]
 
 

@@ -3,6 +3,7 @@
 import collections
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,42 @@ def test_shares_train_byte_for_byte_as_one(monkeypatch, forks, cpus):
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1] == want[1] and set(got[1]) == {3, 10}
     assert got[2] == want[2]
+    assert_no_child_left()
+
+
+def test_a_child_share_of_thousands_of_trainers_comes_back_whole(monkeypatch, forks):
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(clients, "STACK_BYTES", 1000 * 610 * 8)  # stacks of a thousand
+    # 2000 generator states in the child's head pickle, well over the
+    # 64 KiB a pipe holds, so it reaches this process in several reads
+    cohort = cohort_of([5] * 4000, attacks={3999: "sign_flip"})
+    got = train_round(cohort)
+    assert len(forks) == 1
+    want = train_round(cohort, shares=1)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+    assert_no_child_left()
+
+
+def test_the_multi_threaded_fork_warning_loses_no_child(monkeypatch, forks):
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+    counted = os.fork
+
+    def warning_fork():
+        # what Python 3.12+ warns in the parent beside OpenBLAS's threads
+        pid = counted()
+        if pid:
+            message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child."
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(clients.os, "fork", warning_fork)
+    cohort = cohort_of([100, 50], attacks={1: "sign_flip"})
+    got = train_round(cohort)
+    assert len(forks) == 1
+    want = train_round(cohort, shares=1)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
     assert_no_child_left()
 
 
