@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import io
 import math
+import mmap
 import os
 import pickle
 import signal
 import threading
-import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .cpus import usable_cpus
-from .errors import ConfigError, NumericError, SimulationError
+from .cpus import quiet_fork, usable_cpus
+from .errors import ConfigError, InternalError, NumericError, SimulationError
 from .data import LabeledDataset
 from .nn import ArchSpec, SgdConfig, sgd_epoch
 
@@ -49,16 +49,21 @@ ATTACKS = {
 # slower than one client at a time in stacks of 0.65 MiB and more, and at
 # least as fast in stacks of up to 0.53 MiB. 512 KiB holds all 20 logistic
 # clients of signflip_logistic (d = 610) and 4 or 3 clients of those MLPs.
+# A round that splits over a pool's processes stacks narrower still (see
+# lockstep_shares), so that its one stack of 20 becomes two of 10.
 STACK_BYTES = 1 << 19
 
-# Sample-parameter steps (epochs x train rows x parameters, summed over a
-# round's trainers) below which a round trains in one share. On a 2-vCPU
-# Xeon a second share cost about 30 ms a round on top of half the serial
-# time (the fork, copy-on-write faults, the rows back through a pipe at
-# about 0.8 GB/s, the child's exit): a 100-client 60-100-100-10 MLP round
-# broke even near 1.8e8 (61 ms either way) and took 85 ms against 103 ms
-# at 3.7e8, while a server_heavy round (2.4e7) took 39 ms against 19 ms.
-SHARE_WORK = 1 << 28
+# sgd_epoch steps a round (epochs x the batches per epoch of its unsplit
+# stacks) below which it trains in one process. A split saves per step: on
+# a 2-vCPU Xeon, with the pool already forked, a round of 20 logistic
+# clients (d = 610) trained in 3.1 ms against 4.0 ms at 18 steps, and in
+# 18 ms against 26 ms at 180 (signflip_logistic). What steps do not see is
+# the price of the first fork in the rest of the run, as the parent then
+# copies each page of its heap that it writes: a server_heavy run (30 steps
+# a round, 134 MiB) forced onto a pool made 12,000 more page faults and ran
+# 0.60 s against 0.56 s (medians of 8 alternating pairs), though its rounds
+# alone trained in 17 ms against 31 ms. 64 lies between the two workloads.
+SPLIT_STEPS = 1 << 6
 
 
 @dataclass(frozen=True)
@@ -140,14 +145,199 @@ def draws(client: ClientRecord) -> bool:
     return trains(client) or ATTACKS[client.attack.kind].default_tau is not None
 
 
-def share_count(work: int) -> int:
-    """Shares for a round's lockstep training of ``work`` sample-parameter
-    steps: one below SHARE_WORK, else one per usable CPU (``usable_cpus``,
-    1 in a worker process). A platform without ``os.fork``, and a process
-    running other threads, which a fork would not copy, train in one."""
-    if work < SHARE_WORK or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return usable_cpus()
+def shared_rows(count: int, size: int) -> np.ndarray:
+    """A zeroed (count, size) float64 matrix in one anonymous ``mmap``.
+    On Unix the mapping is MAP_SHARED, so a process forked after it is
+    made writes into the pages this process reads."""
+    return np.frombuffer(mmap.mmap(-1, count * size * 8), dtype=np.float64).reshape(count, size)
+
+
+def lockstep_shares(
+    cohort: Sequence[ClientRecord], cfg: SgdConfig, size: int, processes: int
+) -> list[list[list[int]]]:
+    """The cohort's training clients as lockstep stacks of rows, in up to
+    ``processes`` shares, share 0 the heaviest.
+
+    Clients of equal train size stack, at most STACK_BYTES of ``size``
+    parameters wide. A round of fewer than SPLIT_STEPS ``sgd_epoch``
+    steps (epochs x the stacks' batches per epoch) is one share; a
+    larger one stacks each group of equal-size clients no wider than
+    the group over ``processes``, and deals the stacks, longest (rows x
+    train size) first, to the least loaded share.
+    """
+    width = max(1, STACK_BYTES // (8 * size))
+    groups: dict[int, list[int]] = {}
+    for row, client in enumerate(cohort):
+        if trains(client):
+            groups.setdefault(len(client.train), []).append(row)
+    steps = cfg.epochs * sum(
+        -(-len(group) // width) * -(-n // cfg.batch_size) for n, group in groups.items()
+    )
+    if steps < SPLIT_STEPS:
+        processes = 1
+    stacks = sorted(
+        (
+            group[lo : lo + w]
+            for group in groups.values()
+            for w in [min(width, -(-len(group) // processes))]
+            for lo in range(0, len(group), w)
+        ),
+        key=lambda rows: len(rows) * len(cohort[rows[0]].train),
+        reverse=True,
+    )
+    shares: list[list[list[int]]] = [[] for _ in range(max(1, min(processes, len(stacks))))]
+    loads = [0] * len(shares)
+    for rows in stacks:
+        least = loads.index(min(loads))
+        shares[least].append(rows)
+        loads[least] += len(rows) * len(cohort[rows[0]].train)
+    return shares
+
+
+def pool_size(clients: Sequence[ClientRecord], cfg: SgdConfig, size: int) -> int:
+    """Processes for the TrainingPool of a run of ``clients``: the shares
+    of a round of the whole population on the usable CPUs (``usable_cpus``,
+    1 in a worker process). No cohort trains in more steps or stacks than
+    the whole population, so a run whose pool size is 1 splits no round."""
+    return len(lockstep_shares(clients, cfg, size, usable_cpus()))
+
+
+class TrainingPool:
+    """The processes that train a run's rounds with this one.
+
+    ``out`` is the run's upload matrix, made with ``shared_rows`` if
+    ``processes`` > 1, and ``clients`` the run's clients,
+    ``clients[c].id == c``. Nothing forks
+    until ``start``, which forks ``processes - 1`` children that inherit
+    both and then wait on their pipes for a share of a round to train
+    into ``out``. ``close`` (or the end of a ``with`` block) stops and
+    reaps them.
+    """
+
+    def __init__(self, clients: Sequence[ClientRecord], out: np.ndarray, processes: int) -> None:
+        self.clients = clients
+        self.out = out
+        self.processes = processes
+        self.children: list[tuple[int, io.BufferedWriter, io.BufferedReader]] = []
+
+    def __enter__(self) -> TrainingPool:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def start(self) -> int:
+        """Fork the children unless they run; returns the processes that
+        train, this one included. A platform without ``os.fork``, and a
+        process running other threads, which a fork would not copy, fork
+        none; a fork that fails ends the forking."""
+        if self.children or self.processes < 2:
+            return 1 + len(self.children)
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return 1
+        for _ in range(self.processes - 1):
+            tasks, task_end = os.pipe()
+            reply_end, replies = os.pipe()
+            try:
+                with quiet_fork():
+                    pid = os.fork()
+            except OSError:  # no process to be had: the rest trains here
+                for fd in (tasks, task_end, reply_end, replies):
+                    os.close(fd)
+                break
+            if pid == 0:
+                inherited = [task_end, reply_end]
+                for _, to_child, from_child in self.children:
+                    inherited += [to_child.fileno(), from_child.fileno()]
+                _serve(self.clients, self.out, tasks, replies, inherited)
+            os.close(tasks)
+            os.close(replies)
+            # buffered, so that a read of n bytes returns n bytes or stops at
+            # the end: a raw pipe returns at most what it holds (64 KiB),
+            # which pickle.load takes for a truncated frame
+            self.children.append((pid, os.fdopen(task_end, "wb"), os.fdopen(reply_end, "rb")))
+        return 1 + len(self.children)
+
+    def close(self) -> None:
+        """Stop and reap the children; a later ``start`` forks anew."""
+        children, self.children = self.children, []
+        # an idle child waits on its pipe, and one still training when this
+        # process raised is stopped, as its rows are no longer wanted
+        for pid, to_child, from_child in children:
+            os.kill(pid, signal.SIGKILL)
+            from_child.close()
+            try:
+                to_child.close()
+            except BrokenPipeError:  # a task left half written
+                pass
+        for pid, _, _ in children:
+            os.waitpid(pid, 0)
+
+
+_LOST = "a training process exited without its results"
+
+
+def _serve(
+    clients: Sequence[ClientRecord],
+    out: np.ndarray,
+    tasks: int,
+    replies: int,
+    inherited: list[int],
+) -> NoReturn:
+    """A pool child's whole life: close the parent's pipe ends it
+    inherited, then until its task pipe ends, read one share of a round,
+    ``(arch, cfg, broadcast, stacks, client ids by row, generators by
+    row)``, train it into ``out`` and reply with one pickle, ``("ok",
+    errors by row, generator states by row)`` or ``("raise",
+    exception)``."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with os.fdopen(tasks, "rb") as inbox, os.fdopen(replies, "wb") as outbox:
+            while True:
+                try:
+                    arch, cfg, broadcast, share, ids, rngs = pickle.load(inbox)
+                except EOFError:
+                    break
+                try:
+                    cohort = {row: clients[cid] for row, cid in ids.items()}
+                    errors = _train(arch, cfg, broadcast, share, cohort, rngs, out)
+                    reply = ("ok", errors, {row: rng.bit_generator.state for row, rng in rngs.items()})
+                except BaseException as exc:  # sent to the parent, which raises it
+                    reply = ("raise", exc)
+                pickle.dump(reply, outbox)
+                outbox.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _train(
+    arch: ArchSpec,
+    cfg: SgdConfig,
+    broadcast: np.ndarray,
+    share: list[list[int]],
+    cohort: Sequence[ClientRecord] | dict[int, ClientRecord],
+    rngs: Sequence[np.random.Generator | None] | dict[int, np.random.Generator],
+    out: np.ndarray,
+) -> dict[int, NumericError]:
+    """Train each stack of rows of ``share`` from the broadcast into its
+    rows of ``out``; returns the errors by row."""
+    errors: dict[int, NumericError] = {}
+    for rows in share:
+        stack = np.tile(broadcast, (len(rows), 1))
+        failed = sgd_epoch(
+            arch,
+            stack,
+            [cohort[r].train.features for r in rows],
+            [cohort[r].train.labels for r in rows],
+            cfg,
+            [rngs[r] for r in rows],
+        )
+        out[rows] = stack
+        errors.update((rows[i], exc) for i, exc in failed.items())
+    return errors
 
 
 def train_lockstep(
@@ -157,7 +347,7 @@ def train_lockstep(
     cfg: SgdConfig,
     rngs: Sequence[np.random.Generator | None],
     out: np.ndarray,
-    shares: int | None = None,
+    pool: TrainingPool | None = None,
 ) -> dict[int, NumericError]:
     """Train the cohort's training clients from the broadcast, in lockstep.
 
@@ -170,163 +360,65 @@ def train_lockstep(
     the same as the client would get training alone; the round loop
     raises it.
 
-    The stacks split into ``shares`` shares (by default ``share_count``
-    of the round's work), balanced by rows x train size, longest stack
-    first. This process trains share 0, and each other share trains in
-    a child made with ``os.fork``, in its own copy of ``out``. The child
-    sends back its errors and its trainers' generator states, then its
-    stacks' rows as raw float64 bytes; they are written into ``out`` and
-    the generators continue as if they had trained here. Every client
-    runs the same ``sgd_epoch`` arithmetic on the same operands in any
-    share, so ``out``, the errors and the generators are bit-identical
-    for every share count. A child's exception is raised here, as it was
-    raised there; a share whose fork fails trains here. No child
-    outlives the call.
+    With a ``pool`` over ``out``, a round of SPLIT_STEPS steps or more
+    trains in shares (``lockstep_shares``) on the pool's processes,
+    which it starts if they do not run. This process trains share 0,
+    and each child one other share: it gets the broadcast, its stacks
+    of rows, their client ids and their generators through its pipe,
+    writes its rows straight into ``out`` and sends back its errors and
+    its generators' states, from which the generators here continue.
+    Every client runs the same ``sgd_epoch`` arithmetic on the same
+    operands in any process, and the rows of a stack never meet, so
+    ``out``, the errors and the generators are bit-identical to one
+    process's; only a failed client's row and generator, which hold
+    whatever its (narrower) stack left and which nothing reads, may
+    differ. A child's exception is raised here, as it was raised there;
+    a share with no child to train it trains here. On any exception the
+    pool is closed.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
-    width = max(1, STACK_BYTES // max(global_params.nbytes, 1))
-    groups: dict[int, list[int]] = {}
-    for row, client in enumerate(cohort):
-        if trains(client):
-            groups.setdefault(len(client.train), []).append(row)
-    stacks = sorted(
-        (group[lo : lo + width] for group in groups.values() for lo in range(0, len(group), width)),
-        key=lambda rows: len(rows) * len(cohort[rows[0]].train),
-        reverse=True,
-    )
-    if shares is None:
-        size = sum(len(cohort[r].train) for rows in stacks for r in rows)
-        shares = share_count(cfg.epochs * size * global_params.size)
-    split: list[list[list[int]]] = [[] for _ in range(max(1, min(shares, len(stacks))))]
-    loads = [0] * len(split)
-    for rows in stacks:
-        least = loads.index(min(loads))
-        split[least].append(rows)
-        loads[least] += len(rows) * len(cohort[rows[0]].train)
-
-    def train(share: list[list[int]]) -> dict[int, NumericError]:
-        errors: dict[int, NumericError] = {}
-        for rows in share:
-            stack = np.tile(global_params, (len(rows), 1))
-            failed = sgd_epoch(
-                arch,
-                stack,
-                [cohort[r].train.features for r in rows],
-                [cohort[r].train.labels for r in rows],
-                cfg,
-                [rngs[r] for r in rows],
-            )
-            out[rows] = stack
-            errors.update((rows[i], exc) for i, exc in failed.items())
-        return errors
-
-    own = list(split[0])
-    children: list[tuple[int, io.BufferedReader, list[list[int]]]] = []
+    shares = lockstep_shares(cohort, cfg, global_params.size, 1 if pool is None else pool.processes)
+    if len(shares) == 1:
+        return _train(arch, cfg, global_params, shares[0], cohort, rngs, out)
+    if pool.out is not out:  # the children would train into another matrix
+        raise InternalError("a training pool trains into its own upload matrix only")
     try:
-        for share in split[1:]:
-            read, write = os.pipe()
+        kept = len(shares) - min(pool.start() - 1, len(shares) - 1)
+        sent = list(zip(pool.children, shares[kept:]))
+        for (_, to_child, _), share in sent:
+            rows = [r for stack in share for r in stack]
+            task = (arch, cfg, global_params, share,
+                    {r: cohort[r].id for r in rows}, {r: rngs[r] for r in rows})
             try:
-                pid = _fork()
-            except OSError:  # no process to be had: the share trains here
-                os.close(read)
-                os.close(write)
-                own += share
-                continue
-            if pid == 0:
-                inherited = [read, *(pipe.fileno() for _, pipe, _ in children)]
-                _train_in_child(train, share, rngs, out, write, inherited)
-            os.close(write)
-            # buffered, so that a read of n bytes returns n bytes or stops at
-            # the end: a raw pipe returns at most what it holds (64 KiB),
-            # which pickle.load takes for a truncated frame
-            children.append((pid, os.fdopen(read, "rb"), share))
-        errors = train(own)
-        for _, pipe, share in children:
-            errors.update(_receive(pipe, share, rngs, out))
+                pickle.dump(task, to_child)
+                to_child.flush()
+            except BrokenPipeError:
+                raise SimulationError(_LOST) from None
+        own = [rows for share in shares[:kept] for rows in share]
+        errors = _train(arch, cfg, global_params, own, cohort, rngs, out)
+        for (_, _, from_child), _ in sent:
+            errors.update(_receive(from_child, rngs))
         return errors
-    finally:
-        # the read ends close first, so that a child blocked on a full pipe
-        # fails its write and exits; a child still training when this
-        # process raised is stopped, as its rows are no longer wanted
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-        for pid, _, _ in children:
-            os.waitpid(pid, 0)
-
-
-def _fork() -> int:
-    """``os.fork``, without the DeprecationWarning that Python 3.12+ gives
-    in a process with more than one OS thread. The fork is safe here:
-    the other OS threads are OpenBLAS's pool, whose fork handler shuts
-    it down before the fork (either process starts it again when next
-    used), and ``share_count`` forks only while no other Python thread
-    runs. Raised as an error, the warning would come after the fork and
-    lose the child."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
-        )
-        return os.fork()
-
-
-def _train_in_child(
-    train: Callable[[list[list[int]]], dict[int, NumericError]],
-    share: list[list[int]],
-    rngs: Sequence[np.random.Generator | None],
-    out: np.ndarray,
-    write: int,
-    inherited: list[int],
-) -> NoReturn:
-    """A forked child's whole life: close the parent's read ends it
-    inherited, train ``share`` into this process's copy of ``out``, and
-    write to the pipe ``write`` one pickle, ``("ok", errors by row,
-    generator states by row)`` or ``("raise", exception)``, then each
-    stack's rows of ``out`` as raw bytes."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        with os.fdopen(write, "wb") as pipe:
-            try:
-                errors = train(share)
-                states = {r: rngs[r].bit_generator.state for rows in share for r in rows}
-                head = ("ok", errors, states)
-            except BaseException as exc:  # sent to the parent, which raises it
-                head = ("raise", exc)
-            pickle.dump(head, pipe)
-            if head[0] == "ok":
-                for rows in share:
-                    for r in rows:
-                        pipe.write(out[r])
-        code = 0
-    finally:
-        os._exit(code)
+    except BaseException:
+        pool.close()
+        raise
 
 
 def _receive(
-    pipe: io.BufferedReader,
-    share: list[list[int]],
-    rngs: Sequence[np.random.Generator | None],
-    out: np.ndarray,
+    from_child: io.BufferedReader, rngs: Sequence[np.random.Generator | None]
 ) -> dict[int, NumericError]:
-    """What ``_train_in_child`` sent for ``share``: raises the child's
-    exception, or sets its trainers' generators to their states, reads
-    its rows into ``out`` and returns its errors by row."""
-    lost = SimulationError("a training child exited without its results")
+    """A child's reply to its share: raises the child's exception, or
+    sets its trainers' generators to their states and returns its errors
+    by row."""
     try:
-        head = pickle.load(pipe)
+        reply = pickle.load(from_child)
     except (EOFError, pickle.UnpicklingError):
-        raise lost from None
-    if head[0] == "raise":
-        raise head[1]
-    for row, state in head[2].items():
+        raise SimulationError(_LOST) from None
+    if reply[0] == "raise":
+        raise reply[1]
+    for row, state in reply[2].items():
         rngs[row].bit_generator.state = state
-    for rows in share:
-        for r in rows:
-            if pipe.readinto(out[r]) != out[r].nbytes:
-                raise lost
-    return head[1]
+    return reply[1]
 
 
 def local_update(

@@ -27,10 +27,13 @@ from .errors import ConfigError, FedaaError, InternalError, NumericError
 from . import data as datamod
 from .clients import (
     ClientRecord,
+    TrainingPool,
     assign_roles,
     draws,
     local_update,
     mean_upload,
+    pool_size,
+    shared_rows,
     train_lockstep,
 )
 from .config import ExperimentConfig, SYNTHETIC_KINDS
@@ -297,24 +300,28 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     )
 
 
-def _param_rows(cfg: ExperimentConfig, count: int, size: int, what: str) -> np.ndarray:
-    """An uninitialized (count, size) float64 matrix of parameter rows; a
-    ConfigError naming ``what`` and the GiB needed if it cannot be had."""
+def _param_rows(
+    cfg: ExperimentConfig, count: int, size: int, what: str, shared: bool = False
+) -> np.ndarray:
+    """A (count, size) float64 matrix of parameter rows, uninitialized or,
+    if ``shared``, zeroed in ``shared_rows``; a ConfigError naming
+    ``what`` and the GiB needed if it cannot be had."""
     try:
-        return np.empty((count, size))
-    except MemoryError as exc:
+        return shared_rows(count, size) if shared else np.empty((count, size))
+    except (MemoryError, OSError) as exc:  # an mmap that fails raises OSError
         raise ConfigError(
             f"{what} of model.hidden = {list(cfg.model_hidden)} ({size} parameters each) need "
             f"{count * size * 8 / 2**30:.2f} GiB, more than this process can allocate"
         ) from exc
 
 
-def _upload_rows(cfg: ExperimentConfig, count: int, size: int) -> np.ndarray:
-    """A round's (count, size) upload matrix, through ``_param_rows``."""
+def _upload_rows(cfg: ExperimentConfig, count: int, size: int, shared: bool = False) -> np.ndarray:
+    """A (count, size) upload matrix, through ``_param_rows``."""
     return _param_rows(
         cfg, count, size,
         f"{count} uploads of dataset.num_clients = {cfg.dataset.num_clients} at "
         f"participation_ratio = {cfg.participation_ratio}",
+        shared,
     )
 
 
@@ -323,13 +330,16 @@ def _collect_uploads(
     participants: list[int],
     global_params: np.ndarray,
     round_index: int,
+    pool: TrainingPool | None = None,
 ) -> np.ndarray:
     """Run local updates for a cohort; benign clients go first so that
     reference-point attacks can use their uploads. Returns the uploads
-    as one row per participant, in ascending client id.
+    as one row per participant, in ascending client id: the rows of
+    ``pool.out``, the run's upload matrix, or of a new matrix without a
+    pool.
 
     Clients that train do so first, in lockstep stacks of equal train
-    size (in per-CPU shares when the round is large; see
+    size (on the pool's processes when the round is large; see
     ``train_lockstep``), straight into their rows; each draws its
     permutations from its own stream, which its ``local_update`` then
     continues (a sign flipper's magnitude draw); a client that draws
@@ -341,8 +351,8 @@ def _collect_uploads(
     ids = sorted(participants)
     cohort = [exp.clients[c] for c in ids]
     rngs = [stream(cfg.seed, "local", round_index, c.id) if draws(c) else None for c in cohort]
-    uploads = _upload_rows(cfg, len(ids), global_params.size)
-    errors = train_lockstep(exp.arch, cohort, global_params, cfg.local, rngs, uploads)
+    uploads = _upload_rows(cfg, len(ids), global_params.size) if pool is None else pool.out
+    errors = train_lockstep(exp.arch, cohort, global_params, cfg.local, rngs, uploads, pool)
     benign = np.array([c.role == "benign" for c in cohort])
     benign_mean = None
     for row in sorted(range(len(ids)), key=lambda r: not benign[r]):
@@ -392,57 +402,62 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
     explore_rng = stream(cfg.seed, "exploration")
     buffer_rng = stream(cfg.seed, "buffer")
     global_params = exp.initial_params.copy()
+    # one upload matrix for the run: every read of a round's uploads ends
+    # before the next round trains into it. The pool's processes, forked at
+    # the first round that splits, write into it, so it is shared if a
+    # round can split; a shared matrix costs more page faults to set up
+    processes = pool_size(exp.clients, cfg.local, global_params.size)
+    uploads = _upload_rows(cfg, exp.cohort_size, global_params.size, shared=processes > 1)
     # round 0 merges unattacked broadcast copies: no training has happened
     # yet, so there is nothing for an attacker to distort
     participants = sample_participants(cfg.dataset.num_clients, cfg.participation_ratio, part_rng)
-    uploads = _upload_rows(cfg, len(participants), global_params.size)
     uploads[:] = global_params
     sel = _select(exp, participants, uploads)
     records: list[RoundRecord] = []
-    for t in range(cfg.rounds):
-        try:
-            if agent is None:
-                ids, rows = participants, uploads
-                sizes = np.asarray([len(exp.clients[c].train) for c in ids], dtype=np.float64)
-                action = sizes / sizes.sum()
-            else:
-                ids = sel.selected_ids
-                rows = uploads[np.searchsorted(participants, ids)]
-                sigma = exploration_sigma(t, cfg.rounds, cfg.ddpg)
-                action = act(agent, sel.state, sigma, explore_rng)
-            global_params = aggregate(rows, action)
-            # release the spent uploads before the next round's are built
-            del uploads, rows
-            reward, per_class = evaluate_reward(exp.arch, global_params, exp.val_set)
-            participants = sample_participants(
-                cfg.dataset.num_clients, cfg.participation_ratio, part_rng
-            )
-            uploads = _collect_uploads(exp, participants, global_params, t)
-            fairness = evaluate_fairness(exp.clients, exp.arch, exp.local_models, global_params)
-            next_sel = _select(exp, participants, uploads)
-            records.append(
-                RoundRecord(
-                    round=t,
-                    reward=reward,
-                    mean_benign_acc=fairness.mean_acc,
-                    acc_std=fairness.acc_std,
-                    acc_var=fairness.acc_std**2,
-                    loss_std=fairness.loss_std,
-                    mean_global_acc=fairness.mean_global_acc,
-                    selected_ids=ids,
-                    action=[float(a) for a in action],
-                    per_class_val_acc=[float(a) for a in per_class],
+    with TrainingPool(exp.clients, uploads, processes) as pool:
+        for t in range(cfg.rounds):
+            try:
+                if agent is None:
+                    ids, rows = participants, uploads
+                    sizes = np.asarray([len(exp.clients[c].train) for c in ids], dtype=np.float64)
+                    action = sizes / sizes.sum()
+                else:
+                    ids = sel.selected_ids
+                    rows = uploads[np.searchsorted(participants, ids)]
+                    sigma = exploration_sigma(t, cfg.rounds, cfg.ddpg)
+                    action = act(agent, sel.state, sigma, explore_rng)
+                global_params = aggregate(rows, action)
+                del rows  # the kept rows' copy, released before the round trains
+                reward, per_class = evaluate_reward(exp.arch, global_params, exp.val_set)
+                participants = sample_participants(
+                    cfg.dataset.num_clients, cfg.participation_ratio, part_rng
                 )
-            )
-            if agent is not None:
-                buffer.push(Transition(sel.state, action, reward, next_sel.state))
-                if len(buffer) >= cfg.ddpg.warmup:
-                    batch = buffer.sample(min(cfg.ddpg.batch_size, len(buffer)), buffer_rng)
-                    update_critic(agent, batch)
-                    update_actor(agent, batch)
-                if t % 2 == 0:
-                    soft_update(agent)
-            sel = next_sel
-        except FedaaError as exc:
-            raise type(exc)(f"round {t}: {exc}") from exc
+                _collect_uploads(exp, participants, global_params, t, pool)
+                fairness = evaluate_fairness(exp.clients, exp.arch, exp.local_models, global_params)
+                next_sel = _select(exp, participants, uploads)
+                records.append(
+                    RoundRecord(
+                        round=t,
+                        reward=reward,
+                        mean_benign_acc=fairness.mean_acc,
+                        acc_std=fairness.acc_std,
+                        acc_var=fairness.acc_std**2,
+                        loss_std=fairness.loss_std,
+                        mean_global_acc=fairness.mean_global_acc,
+                        selected_ids=ids,
+                        action=[float(a) for a in action],
+                        per_class_val_acc=[float(a) for a in per_class],
+                    )
+                )
+                if agent is not None:
+                    buffer.push(Transition(sel.state, action, reward, next_sel.state))
+                    if len(buffer) >= cfg.ddpg.warmup:
+                        batch = buffer.sample(min(cfg.ddpg.batch_size, len(buffer)), buffer_rng)
+                        update_critic(agent, batch)
+                        update_actor(agent, batch)
+                    if t % 2 == 0:
+                        soft_update(agent)
+                sel = next_sel
+            except FedaaError as exc:
+                raise type(exc)(f"round {t}: {exc}") from exc
     return records

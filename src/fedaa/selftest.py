@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from . import data as datamod
-from .clients import ClientRecord, train_lockstep
+from .clients import SPLIT_STEPS, ClientRecord, TrainingPool, shared_rows, train_lockstep
 from .ddpg import DdpgConfig, ReplayBuffer, Transition, make_agent, act, soft_update
 from .nn import (
     ArchSpec,
@@ -134,10 +134,10 @@ def _check_sgd_matches_reference() -> None:
 
 
 def _check_parallel_training() -> None:
-    # byte-identical results in per-CPU shares rest on a forked child
+    # byte-identical results on a training pool rest on a forked child
     # training as this process would on the installed numpy and BLAS
     if not hasattr(os, "fork"):
-        return  # without fork every round trains in one share
+        return  # without fork every round trains in one process
     rng = np.random.default_rng(15)
     arch = ArchSpec(6, (8, 5), 3)
     cohort = []
@@ -146,22 +146,28 @@ def _check_parallel_training() -> None:
         split = datamod.LabeledDataset(scale * rng.normal(size=(n, 6)), rng.integers(0, 3, n), 3)
         cohort.append(ClientRecord(cid, None, split, split))
     broadcast = init_params(arch, rng)
-    cfg = SgdConfig(learning_rate=0.2, weight_decay=1e-3, batch_size=8, epochs=2)
+    # 12 steps an epoch, and epochs enough for the round to split
+    cfg = SgdConfig(learning_rate=0.2, weight_decay=1e-3, batch_size=8,
+                    epochs=max(2, -(-SPLIT_STEPS // 12)))
     runs = {}
-    for shares in (1, 2, 3):
+    for processes in (1, 2, 3):
         rngs = [np.random.default_rng(16 + i) for i in range(len(cohort))]
-        out = np.empty((len(cohort), param_count(arch)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            errors = train_lockstep(arch, cohort, broadcast, cfg, rngs, out, shares=shares)
-        runs[shares] = (
+        out = shared_rows(len(cohort), param_count(arch))
+        with TrainingPool(cohort, out, processes) as pool:
+            with np.errstate(over="ignore", invalid="ignore"):
+                errors = train_lockstep(arch, cohort, broadcast, cfg, rngs, out, pool)
+            assert len(pool.children) == processes - 1, (
+                f"a pool of {processes} processes trained on {len(pool.children) + 1}"
+            )
+        runs[processes] = (
             out.tobytes(),
             {row: str(exc) for row, exc in errors.items()},
             [r.bit_generator.state for r in rngs],
         )
     assert list(runs[1][1]) == [4], "the diverging client must fail by its row"
-    for shares in (2, 3):
-        assert runs[shares] == runs[1], (
-            f"training in {shares} shares differs from training in one"
+    for processes in (2, 3):
+        assert runs[processes] == runs[1], (
+            f"training on a pool of {processes} processes differs from training on one"
         )
 
 

@@ -1,10 +1,16 @@
-"""Shared test helpers: independent finite-difference oracles."""
+"""Shared test helpers: independent finite-difference oracles, and the
+forks of training pools."""
 
 from __future__ import annotations
 
+import os
+import warnings
 from typing import Callable, Iterable
 
 import numpy as np
+import pytest
+
+from fedaa import clients
 
 
 def central_diff(
@@ -38,3 +44,41 @@ def max_grad_rel_err(
 ) -> float:
     fd = central_diff(fn, params, coords, h)
     return max(rel_err(fd[k], grad[k]) for k in fd)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Rounds that split at any number of steps, and the pids of the
+    training processes forked."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(clients, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(clients.os, "fork", counted)
+    return made
+
+
+def warning_fork(fork: Callable[[], int]) -> Callable[[], int]:
+    """``fork`` followed, in the parent, by the DeprecationWarning that
+    Python 3.12+ gives when a process with several OS threads forks
+    (OpenBLAS's threads, here)."""
+
+    def forked() -> int:
+        pid = fork()
+        if pid:
+            message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child."
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return pid
+
+    return forked
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

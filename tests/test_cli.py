@@ -7,7 +7,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fedaa import cli, clients, config, cpus, selection
+from fedaa import cli, config, cpus, selection
+
+from conftest import warning_fork
 
 SMALL_CONFIG = """\
 dataset = synthetic00
@@ -205,14 +207,23 @@ def test_sweep_varied_seed_starts_its_cell(cfg_path, tmp_path):
 
 def test_sweep_workers_select_on_one_band(monkeypatch):
     # a worker process shares the CPUs with its siblings already, so it
-    # keeps its selections at one band and its training in one share; the
-    # main process spreads both
+    # keeps its selections at one band and its training pool at one
+    # process; the main process spreads both
     monkeypatch.setattr(cpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert selection.band_count(121, 14_210) == 2
-    assert clients.share_count(clients.SHARE_WORK) == 2
+    assert cpus.usable_cpus() == 2
     with cli.ProcessPoolExecutor(max_workers=1) as pool:
         assert pool.submit(selection.band_count, 121, 14_210).result() == 1
-        assert pool.submit(clients.share_count, clients.SHARE_WORK).result() == 1
+        # clients.pool_size reads the usable CPUs too
+        assert pool.submit(cpus.usable_cpus).result() == 1
+
+
+def test_sweep_workers_fork_without_the_multi_threaded_warning(cfg_path, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "fork", warning_fork(os.fork))
+    monkeypatch.setenv("FEDAA_THREADS", "2")
+    out = str(tmp_path / "sweep")
+    assert cli.main(["sweep", "--config", cfg_path, "--out", out, "--vary", "seed=0,1"]) == 0
+    assert len(pathlib.Path(out, "sweep.csv").read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize("threads", ["abc", "", "1.5", "0", "-1"])

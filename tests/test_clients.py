@@ -1,9 +1,8 @@
 """Roles, attack messages, and the per-client round step."""
 
-import collections
 import os
+import signal
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +11,11 @@ from fedaa import clients, config, data, nn
 from fedaa.errors import ConfigError, SimulationError
 from fedaa.seeding import stream
 
+from conftest import assert_no_child_left, warning_fork
+
 
 ARCH = nn.ArchSpec(60, (), 10)  # logistic on synthetic features: 610 parameters
+ARCH_SIZE = nn.param_count(ARCH)
 
 
 def make_client(cid=0, attack=None, seed=0, n=40):
@@ -245,159 +247,186 @@ def cohort_of(sizes, attacks=(), huge=(), seed=0):
     return cohort
 
 
-def train_round(cohort, shares=None, cfg=nn.SgdConfig(learning_rate=0.5, batch_size=16, epochs=2)):
+def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_size=16, epochs=2),
+                rounds=1, kill=None):
     """train_lockstep and then local_update for every client, as the round
-    loop runs them; returns the uploads, the errors by row, and each
-    generator's state afterwards."""
+    loop runs them, on a pool of ``processes`` over ``rounds`` rounds from
+    one broadcast; returns the last round's uploads, the errors by row,
+    and each generator's state afterwards. ``kill``, if given, runs on
+    the pool before the last round."""
     broadcast = nn.init_params(ARCH, np.random.default_rng(99))
-    rngs = [stream(4, "local", c.id) if clients.draws(c) else None for c in cohort]
-    out = np.full((len(cohort), broadcast.size), -7.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        errors = clients.train_lockstep(ARCH, cohort, broadcast, cfg, rngs, out, shares=shares)
-    for row, client in enumerate(cohort):
-        if row not in errors and client.attack is not None and client.attack.kind != "ipm":
-            clients.local_update(client, out[row], rngs[row])
+    out = clients.shared_rows(len(cohort), broadcast.size)
+    with clients.TrainingPool(cohort, out, processes) as pool:
+        for index in range(rounds):
+            if kill is not None and index == rounds - 1:
+                kill(pool)
+            rngs = [stream(4, "local", index, c.id) if clients.draws(c) else None for c in cohort]
+            out[:] = -7.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                errors = clients.train_lockstep(ARCH, cohort, broadcast, cfg, rngs, out, pool)
+            for row, client in enumerate(cohort):
+                if row not in errors and client.attack is not None and client.attack.kind != "ipm":
+                    clients.local_update(client, out[row], rngs[row])
     states = [None if r is None else r.bit_generator.state for r in rngs]
-    return out, {row: str(exc) for row, exc in errors.items()}, states
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return out.copy(), {row: str(exc) for row, exc in errors.items()}, states
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Parallel training at any work, and a count of the forks it makes."""
-    made = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(clients, "SHARE_WORK", 0)
-    monkeypatch.setattr(clients.os, "fork", counted)
+def forks(forks, monkeypatch):
     monkeypatch.setattr(clients, "STACK_BYTES", 2 * 610 * 8)  # stacks of two clients
-    return made
+    return forks
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_shares_train_byte_for_byte_as_one(monkeypatch, forks, cpus):
-    monkeypatch.setattr(clients, "usable_cpus", lambda: cpus)
+def settled(result):
+    """A train_round result without the rows and generators of the clients
+    that failed: those hold whatever their stack left, and a split round
+    stacks narrower; nothing reads them, as the round raises the error."""
+    out, errors, states = result
+    kept = [row for row in range(len(out)) if row not in errors]
+    return out[kept].tobytes(), errors, [states[row] for row in kept]
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3, 4])
+def test_a_pool_trains_byte_for_byte_as_one_process(forks, processes):
     sizes = [*data.lognormal_sizes(9, np.random.default_rng(5), median=40.0), 30, 30, 30]
     cohort = cohort_of(sizes, attacks={1: "sign_flip", 2: "gaussian", 4: "ipm", 9: "sign_flip"},
                        huge={3, 10})
-    want = train_round(cohort, shares=1)
+    want = train_round(cohort, rounds=3)
     assert not forks
-    got = train_round(cohort)
-    groups = collections.Counter(len(c.train) for c in cohort if clients.trains(c))
-    stacks = sum(-(-k // 2) for k in groups.values())
-    assert len(forks) == min(cpus, stacks) - 1
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1] == want[1] and set(got[1]) == {3, 10}
-    assert got[2] == want[2]
+    got = train_round(cohort, processes, rounds=3)
+    # forked once for the three rounds
+    assert len(forks) == processes - 1
+    assert set(got[1]) == {3, 10}
+    assert settled(got) == settled(want)
     assert_no_child_left()
 
 
-def test_a_child_share_of_thousands_of_trainers_comes_back_whole(monkeypatch, forks):
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+def test_a_split_round_stacks_each_group_over_the_processes(forks):
+    # 8 clients of one train size and 3 of another; stacks of at most two
+    cohort = cohort_of([50] * 8 + [30] * 3)
+    cfg = nn.SgdConfig(batch_size=16, epochs=2)
+    one = clients.lockstep_shares(cohort, cfg, ARCH_SIZE, 1)
+    assert [[len(rows) for rows in share] for share in one] == [[2, 2, 2, 2, 2, 1]]
+    three = clients.lockstep_shares(cohort, cfg, ARCH_SIZE, 3)
+    # no stack wider than its group over three, nor than two
+    assert sorted(len(rows) for share in three for rows in share) == [1, 1, 1, 2, 2, 2, 2]
+    assert sorted(r for share in three for rows in share for r in rows) == list(range(11))
+    assert len(three) == 3
+
+
+def test_a_pool_has_a_process_per_cpu_where_the_population_splits(monkeypatch):
+    monkeypatch.setattr(clients, "SPLIT_STEPS", 4 * 2)  # two epochs of 4 batches
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 3)
+    cfg = nn.SgdConfig(batch_size=16, epochs=2)
+    assert clients.pool_size(cohort_of([50] * 4), cfg, ARCH_SIZE) == 1
+    assert clients.pool_size(cohort_of([70] * 6), cfg, ARCH_SIZE) == 3
+    # no more processes than stacks
+    assert clients.pool_size(cohort_of([70] * 2), cfg, ARCH_SIZE) == 2
+
+
+def test_a_round_of_few_steps_trains_in_one_process(monkeypatch):
+    monkeypatch.setattr(clients, "SPLIT_STEPS", 4 * 2)  # two epochs of 4 batches
+    cohort = cohort_of([50] * 4)  # 40 train rows: 3 batches of 16
+    cfg = nn.SgdConfig(batch_size=16, epochs=2)
+    assert len(clients.lockstep_shares(cohort, cfg, ARCH_SIZE, 2)) == 1
+    cohort = cohort_of([70] * 4)  # 56 train rows: 4 batches
+    assert [len(s) for s in clients.lockstep_shares(cohort, cfg, ARCH_SIZE, 2)] == [1, 1]
+
+
+def test_a_child_share_of_thousands_of_trainers_comes_back_whole(forks, monkeypatch):
     monkeypatch.setattr(clients, "STACK_BYTES", 1000 * 610 * 8)  # stacks of a thousand
-    # 2000 generator states in the child's head pickle, well over the
-    # 64 KiB a pipe holds, so it reaches this process in several reads
+    # 2000 generators in the child's task and reply pickles, well over
+    # the 64 KiB a pipe holds, so each crosses in several reads
     cohort = cohort_of([5] * 4000, attacks={3999: "sign_flip"})
-    got = train_round(cohort)
+    got = train_round(cohort, 2)
     assert len(forks) == 1
-    want = train_round(cohort, shares=1)
+    want = train_round(cohort)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]
     assert_no_child_left()
 
 
 def test_the_multi_threaded_fork_warning_loses_no_child(monkeypatch, forks):
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
-    counted = os.fork
-
-    def warning_fork():
-        # what Python 3.12+ warns in the parent beside OpenBLAS's threads
-        pid = counted()
-        if pid:
-            message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child."
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-        return pid
-
-    monkeypatch.setattr(clients.os, "fork", warning_fork)
+    monkeypatch.setattr(clients.os, "fork", warning_fork(os.fork))
     cohort = cohort_of([100, 50], attacks={1: "sign_flip"})
-    got = train_round(cohort)
+    got = train_round(cohort, 2)
     assert len(forks) == 1
-    want = train_round(cohort, shares=1)
+    want = train_round(cohort)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]
     assert_no_child_left()
 
 
-def test_a_diverging_client_in_a_child_is_returned_by_row(monkeypatch, forks):
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+def test_a_diverging_client_in_a_child_is_returned_by_row(forks):
     # the longer stack trains in this process, the shorter in the child
     cohort = cohort_of([100, 50], huge={1})
-    out, errors, _ = train_round(cohort)
+    out, errors, _ = train_round(cohort, 2)
     assert len(forks) == 1
     assert list(errors) == [1] and errors[1].startswith("non-finite loss")
     assert np.isfinite(out[0]).all()
-    assert train_round(cohort, shares=1)[1] == errors
+    assert train_round(cohort)[1] == errors
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("bad", [0, 1], ids=["in this process", "in the child"])
-def test_an_error_in_any_share_comes_back_typed(monkeypatch, forks, bad):
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+def test_an_error_in_any_share_comes_back_typed(forks, bad):
     cohort = cohort_of([100, 50])
     # a train split of the wrong width fails sgd_epoch's checks
     train = cohort[bad].train
     cohort[bad].train = data.LabeledDataset(train.features[:, :59], train.labels, train.num_classes)
     with pytest.raises(ConfigError, match="incompatible with input_dim 60"):
-        train_round(cohort)
+        train_round(cohort, 2)
     assert len(forks) == 1
     assert_no_child_left()
 
 
 def test_a_child_that_dies_fails_the_round_typed(monkeypatch, forks):
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(clients, "_train_in_child", lambda *args: os._exit(3))
-    with pytest.raises(SimulationError, match="a training child exited without its results"):
-        train_round(cohort_of([100, 50]))
+    monkeypatch.setattr(clients, "_serve", lambda *args: os._exit(3))
+    with pytest.raises(SimulationError, match="a training process exited without its results"):
+        train_round(cohort_of([100, 50]), 2)
+    assert_no_child_left()
+
+
+def test_a_child_killed_between_rounds_fails_the_round_typed(forks):
+    def kill(pool):
+        # from outside, as the pool reaps its own children
+        for pid, _, _ in pool.children:
+            os.kill(pid, signal.SIGKILL)
+
+    with pytest.raises(SimulationError, match="a training process exited without its results"):
+        train_round(cohort_of([100, 50]), 2, rounds=2, kill=kill)
+    assert len(forks) == 1
     assert_no_child_left()
 
 
 def test_a_failed_fork_trains_its_share_here(monkeypatch, forks):
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 3)
-
     def no_fork():
         raise BlockingIOError("no more processes")
 
     monkeypatch.setattr(clients.os, "fork", no_fork)
     cohort = cohort_of([100, 60, 50], attacks={1: "sign_flip"})
-    got, want = train_round(cohort), train_round(cohort, shares=1)
+    got, want = train_round(cohort, 3), train_round(cohort)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]
     assert_no_child_left()
 
 
-def test_share_count_follows_the_work_the_cpus_and_the_threads(monkeypatch):
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 4)
-    assert clients.share_count(clients.SHARE_WORK - 1) == 1
-    assert clients.share_count(clients.SHARE_WORK) == 4
+def test_a_pool_forks_only_with_processes_fork_and_no_other_threads(monkeypatch, forks):
+    out = clients.shared_rows(1, 1)
+    with clients.TrainingPool([], out, 1) as pool:
+        assert pool.start() == 1
     # a fork copies only the calling thread
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert clients.share_count(clients.SHARE_WORK) == 1
+        with clients.TrainingPool([], out, 4) as pool:
+            assert pool.start() == 1
     finally:
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
     monkeypatch.delattr(clients.os, "fork")
-    assert clients.share_count(clients.SHARE_WORK) == 1
+    with clients.TrainingPool([], out, 4) as pool:
+        assert pool.start() == 1
+    assert not forks

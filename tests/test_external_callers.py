@@ -105,30 +105,31 @@ def test_benchmark_reads_the_built_experiment(monkeypatch):
         assert sizes["clients.upload_bytes"] == exp.cfg.rounds * exp.local_models.nbytes, name
 
 
-def test_benchmark_workloads_fork_only_for_the_mlp(monkeypatch):
-    # signflip_logistic has one stack a round and server_heavy too little
-    # work to pay for a fork, so only mlp_fedavg_clean trains in shares
+def test_benchmark_workloads_split_only_where_a_pool_pays(monkeypatch):
+    # on two CPUs, signflip_logistic's one stack of 20 splits in two and
+    # mlp_fedavg_clean's 3,500 steps split too; server_heavy's 30 steps a
+    # round would pay more for a pool than a second CPU saves it
     workloads = load_perfbench("workloads", monkeypatch)
-    counts = []
-    share_count = clients.share_count
-
-    def counted(work):
-        counts.append(share_count(work))
-        return counts[-1]
-
-    monkeypatch.setattr(clients, "share_count", counted)
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
     # the split, not the training, is under test
     monkeypatch.setattr(clients, "sgd_epoch", lambda *args: {})
-    shares = {}
+    shares, started = {}, {}
     for name, workload in workloads.WORKLOADS.items():
         exp = orchestrator.build_experiment(
             config.parse_config_text(workloads.config_text(workload, seed=0))
         )
-        out = np.empty((len(exp.clients), exp.initial_params.size))
+        out = clients.shared_rows(len(exp.clients), exp.initial_params.size)
         rngs = [np.random.default_rng(c.id) for c in exp.clients]
-        assert clients.train_lockstep(
-            exp.arch, exp.clients, exp.initial_params, exp.cfg.local, rngs, out
-        ) == {}
-        shares[name] = counts.pop()
-    assert shares == {"signflip_logistic": 1, "mlp_fedavg_clean": 4, "server_heavy": 1}
+        processes = clients.pool_size(exp.clients, exp.cfg.local, exp.initial_params.size)
+        with clients.TrainingPool(exp.clients, out, processes) as pool:
+            shares[name] = clients.lockstep_shares(
+                exp.clients, exp.cfg.local, exp.initial_params.size, processes
+            )
+            assert clients.train_lockstep(
+                exp.arch, exp.clients, exp.initial_params, exp.cfg.local, rngs, out, pool
+            ) == {}
+            started[name] = bool(pool.children)
+    assert [[len(rows) for rows in share] for share in shares["signflip_logistic"]] == [[10], [10]]
+    assert len(shares["mlp_fedavg_clean"]) == 2
+    assert len(shares["server_heavy"]) == 1
+    assert started == {"signflip_logistic": True, "mlp_fedavg_clean": True, "server_heavy": False}

@@ -3,6 +3,7 @@
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -17,6 +18,8 @@ from fedaa.clients import ClientRecord
 from fedaa.errors import ConfigError, FedaaError, InternalError, NumericError, SimulationError
 from fedaa.seeding import stream
 from fedaa.selection import top_count
+
+from conftest import assert_no_child_left
 
 
 def small_cfg(**overrides):
@@ -655,6 +658,97 @@ def test_diverging_client_in_a_stack_is_named_as_when_training_alone(
     prefix = f"client {named} (benign): non-finite loss; first non-finite activations at layer"
     assert str(alone.value).startswith(prefix)
     assert str(stacked.value) == f"round 0: {alone.value}"
+
+
+@pytest.fixture
+def pool_forks(forks, monkeypatch):
+    """Runs that train every round on a pool of two processes."""
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+    return forks
+
+
+@pytest.mark.parametrize("aggregator", ["fedaa", "fedavg"])
+@pytest.mark.parametrize("processes", [2, 3])
+def test_a_run_on_a_pool_equals_a_run_on_one_process(monkeypatch, pool_forks, processes, aggregator):
+    # sign flippers, lognormal train sizes and three-quarter cohorts
+    cfg = small_cfg(
+        dataset=config.DatasetConfig(
+            kind="synthetic00", num_clients=12, samples_per_client="lognormal"
+        ),
+        malicious_fraction=0.3,
+        attack=clients.AttackSpec("sign_flip"),
+        participation_ratio=0.75,
+        local=nn.SgdConfig(learning_rate=0.05, batch_size=8, epochs=2),
+        aggregator=aggregator,
+    )
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 1)
+    want = orchestrator.run_experiment(cfg)
+    assert not pool_forks
+    monkeypatch.setattr(clients, "usable_cpus", lambda: processes)
+    assert orchestrator.run_experiment(cfg) == want
+    # forked once for the run's three rounds
+    assert len(pool_forks) == processes - 1
+    assert_no_child_left()
+
+
+def test_a_diverging_client_in_a_child_fails_its_round_by_name(pool_forks):
+    exp, plain = diverging_experiment((5,)), diverging_experiment((5,))
+    # the child trains the second share
+    assert [5] in clients.lockstep_shares(exp.clients, exp.cfg.local, exp.initial_params.size, 2)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError) as alone:
+            per_client_uploads(plain, range(6), plain.initial_params, 0)
+        with pytest.raises(NumericError) as split:
+            orchestrator.run_rounds(exp)
+    assert str(alone.value).startswith("client 5 (benign): non-finite loss")
+    assert str(split.value) == f"round 0: {alone.value}"
+    assert len(pool_forks) == 1
+    assert_no_child_left()
+
+
+def test_an_error_in_this_process_share_stops_the_pool(pool_forks):
+    exp = diverging_experiment(())
+    assert [1, 3] in clients.lockstep_shares(exp.clients, exp.cfg.local, exp.initial_params.size, 2)[0]
+    # a train split of the wrong width fails sgd_epoch's checks
+    train = exp.clients[1].train
+    exp.clients[1].train = LabeledDataset(train.features[:, :-1], train.labels, train.num_classes)
+    with pytest.raises(ConfigError, match=r"^round 0: .*incompatible with input_dim"):
+        orchestrator.run_rounds(exp)
+    assert len(pool_forks) == 1
+    assert_no_child_left()
+
+
+def test_a_child_killed_mid_run_fails_the_next_round_typed(monkeypatch, pool_forks):
+    fairness = orchestrator.evaluate_fairness
+
+    def killing_fairness(*args):
+        for pid in pool_forks:
+            os.kill(pid, signal.SIGKILL)
+        return fairness(*args)
+
+    monkeypatch.setattr(orchestrator, "evaluate_fairness", killing_fairness)
+    with pytest.raises(SimulationError, match=r"^round 1: a training process exited without its results$"):
+        orchestrator.run_experiment(small_cfg())
+    assert len(pool_forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("split_steps, forked", [(None, False), (0, True)])
+def test_only_a_run_that_can_split_forks_and_shares_its_upload_matrix(
+    monkeypatch, split_steps, forked
+):
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+    if split_steps is not None:
+        monkeypatch.setattr(clients, "SPLIT_STEPS", split_steps)
+    made, shared = [], []
+    fork, shared_rows = os.fork, orchestrator.shared_rows
+    monkeypatch.setattr(clients.os, "fork", lambda: made.append(1) or fork())
+    monkeypatch.setattr(orchestrator, "shared_rows", lambda *shape: shared.append(shape) or shared_rows(*shape))
+    exp = orchestrator.build_experiment(small_cfg())
+    orchestrator.run_rounds(exp)
+    # the whole population of 6 trains in 12 steps a round
+    assert bool(made) == bool(shared) == forked
+    assert_no_child_left()
 
 
 def small_experiment_pair():
