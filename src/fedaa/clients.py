@@ -205,13 +205,11 @@ def pool_size(clients: Sequence[ClientRecord], cfg: SgdConfig, size: int) -> int
 class TrainingPool:
     """The processes that train a run's rounds with this one.
 
-    ``out`` is the run's upload matrix, made with ``shared_rows`` if
-    ``processes`` > 1, and ``clients`` the run's clients,
-    ``clients[c].id == c``. Nothing forks
-    until ``start``, which forks ``processes - 1`` children that inherit
-    both and then wait on their pipes for a share of a round to train
-    into ``out``. ``close`` (or the end of a ``with`` block) stops and
-    reaps them.
+    ``out`` is the run's upload matrix, made with ``shared_rows``, and
+    ``clients`` the run's clients, ``clients[c].id == c``. Entering the
+    pool (``with``) forks ``processes - 1`` children that inherit both
+    and then wait on their pipes for a share of a round to train into
+    ``out``; leaving it (or ``close``) stops and reaps them.
     """
 
     def __init__(self, clients: Sequence[ClientRecord], out: np.ndarray, processes: int) -> None:
@@ -221,20 +219,12 @@ class TrainingPool:
         self.children: list[tuple[int, io.BufferedWriter, io.BufferedReader]] = []
 
     def __enter__(self) -> TrainingPool:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def start(self) -> int:
-        """Fork the children unless they run; returns the processes that
-        train, this one included. A platform without ``os.fork``, and a
+        """Fork the children. A platform without ``os.fork``, and a
         process running other threads, which a fork would not copy, fork
-        none; a fork that fails ends the forking."""
-        if self.children or self.processes < 2:
-            return 1 + len(self.children)
-        if not hasattr(os, "fork") or threading.active_count() > 1:
-            return 1
+        none; a fork that fails ends the forking, and rounds split over
+        the processes forked."""
+        if self.processes < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+            return self
         for _ in range(self.processes - 1):
             tasks, task_end = os.pipe()
             reply_end, replies = os.pipe()
@@ -256,10 +246,13 @@ class TrainingPool:
             # the end: a raw pipe returns at most what it holds (64 KiB),
             # which pickle.load takes for a truncated frame
             self.children.append((pid, os.fdopen(task_end, "wb"), os.fdopen(reply_end, "rb")))
-        return 1 + len(self.children)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def close(self) -> None:
-        """Stop and reap the children; a later ``start`` forks anew."""
+        """Stop and reap the children; later rounds train here."""
         children, self.children = self.children, []
         # an idle child waits on its pipe, and one still training when this
         # process raised is stopped, as its rows are no longer wanted
@@ -287,9 +280,9 @@ def _serve(
     """A pool child's whole life: close the parent's pipe ends it
     inherited, then until its task pipe ends, read one share of a round,
     ``(arch, cfg, broadcast, stacks, client ids by row, generators by
-    row)``, train it into ``out`` and reply with one pickle, ``("ok",
-    errors by row, generator states by row)`` or ``("raise",
-    exception)``."""
+    row, numpy error handling)``, train it into ``out`` under that error
+    handling (``np.geterr``) and reply with one pickle, ``("ok", errors
+    by row, generator states by row)`` or ``("raise", exception)``."""
     code = 1
     try:
         for fd in inherited:
@@ -297,12 +290,13 @@ def _serve(
         with os.fdopen(tasks, "rb") as inbox, os.fdopen(replies, "wb") as outbox:
             while True:
                 try:
-                    arch, cfg, broadcast, share, ids, rngs = pickle.load(inbox)
+                    arch, cfg, broadcast, share, ids, rngs, err = pickle.load(inbox)
                 except EOFError:
                     break
                 try:
                     cohort = {row: clients[cid] for row, cid in ids.items()}
-                    errors = _train(arch, cfg, broadcast, share, cohort, rngs, out)
+                    with np.errstate(**err):
+                        errors = _train(arch, cfg, broadcast, share, cohort, rngs, out)
                     reply = ("ok", errors, {row: rng.bit_generator.state for row, rng in rngs.items()})
                 except BaseException as exc:  # sent to the parent, which raises it
                     reply = ("raise", exc)
@@ -361,41 +355,40 @@ def train_lockstep(
     raises it.
 
     With a ``pool`` over ``out``, a round of SPLIT_STEPS steps or more
-    trains in shares (``lockstep_shares``) on the pool's processes,
-    which it starts if they do not run. This process trains share 0,
-    and each child one other share: it gets the broadcast, its stacks
-    of rows, their client ids and their generators through its pipe,
-    writes its rows straight into ``out`` and sends back its errors and
-    its generators' states, from which the generators here continue.
-    Every client runs the same ``sgd_epoch`` arithmetic on the same
-    operands in any process, and the rows of a stack never meet, so
-    ``out``, the errors and the generators are bit-identical to one
-    process's; only a failed client's row and generator, which hold
-    whatever its (narrower) stack left and which nothing reads, may
-    differ. A child's exception is raised here, as it was raised there;
-    a share with no child to train it trains here. On any exception the
-    pool is closed.
+    trains in shares (``lockstep_shares``), one on each of the pool's
+    processes. This process trains share 0, and each child one other
+    share: it gets the broadcast, its stacks of rows, their client ids,
+    their generators and this process's numpy error handling through
+    its pipe, writes its rows straight into ``out`` and sends back its
+    errors and its generators' states, from which the generators here
+    continue. Every client runs the same
+    ``sgd_epoch`` arithmetic on the same operands in any process, and
+    the rows of a stack never meet, so ``out``, the errors and the
+    generators are bit-identical to one process's training the same
+    stacks, and to one process's unsplit round but for a failed
+    client's row and generator: those hold whatever its (narrower)
+    stack left, and nothing reads them. A child's exception is raised
+    here, as it was raised there. On any exception the pool is closed.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
-    shares = lockstep_shares(cohort, cfg, global_params.size, 1 if pool is None else pool.processes)
+    processes = 1 if pool is None else 1 + len(pool.children)
+    shares = lockstep_shares(cohort, cfg, global_params.size, processes)
     if len(shares) == 1:
         return _train(arch, cfg, global_params, shares[0], cohort, rngs, out)
     if pool.out is not out:  # the children would train into another matrix
         raise InternalError("a training pool trains into its own upload matrix only")
     try:
-        kept = len(shares) - min(pool.start() - 1, len(shares) - 1)
-        sent = list(zip(pool.children, shares[kept:]))
+        sent = list(zip(pool.children, shares[1:]))
         for (_, to_child, _), share in sent:
             rows = [r for stack in share for r in stack]
             task = (arch, cfg, global_params, share,
-                    {r: cohort[r].id for r in rows}, {r: rngs[r] for r in rows})
+                    {r: cohort[r].id for r in rows}, {r: rngs[r] for r in rows}, np.geterr())
             try:
                 pickle.dump(task, to_child)
                 to_child.flush()
             except BrokenPipeError:
                 raise SimulationError(_LOST) from None
-        own = [rows for share in shares[:kept] for rows in share]
-        errors = _train(arch, cfg, global_params, own, cohort, rngs, out)
+        errors = _train(arch, cfg, global_params, shares[0], cohort, rngs, out)
         for (_, _, from_child), _ in sent:
             errors.update(_receive(from_child, rngs))
         return errors

@@ -301,13 +301,12 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
 
 
 def _param_rows(
-    cfg: ExperimentConfig, count: int, size: int, what: str, shared: bool = False
+    cfg: ExperimentConfig, count: int, size: int, what: str, allocate=np.empty
 ) -> np.ndarray:
-    """A (count, size) float64 matrix of parameter rows, uninitialized or,
-    if ``shared``, zeroed in ``shared_rows``; a ConfigError naming
-    ``what`` and the GiB needed if it cannot be had."""
+    """``allocate((count, size))``, a float64 matrix of parameter rows; a
+    ConfigError naming ``what`` and the GiB needed if it cannot be had."""
     try:
-        return shared_rows(count, size) if shared else np.empty((count, size))
+        return allocate((count, size))
     except (MemoryError, OSError) as exc:  # an mmap that fails raises OSError
         raise ConfigError(
             f"{what} of model.hidden = {list(cfg.model_hidden)} ({size} parameters each) need "
@@ -315,13 +314,14 @@ def _param_rows(
         ) from exc
 
 
-def _upload_rows(cfg: ExperimentConfig, count: int, size: int, shared: bool = False) -> np.ndarray:
-    """A (count, size) upload matrix, through ``_param_rows``."""
+def _upload_rows(cfg: ExperimentConfig, count: int, size: int) -> np.ndarray:
+    """A (count, size) upload matrix in ``shared_rows``, which a training
+    pool's processes write into, through ``_param_rows``."""
     return _param_rows(
         cfg, count, size,
         f"{count} uploads of dataset.num_clients = {cfg.dataset.num_clients} at "
         f"participation_ratio = {cfg.participation_ratio}",
-        shared,
+        lambda shape: shared_rows(*shape),
     )
 
 
@@ -330,13 +330,12 @@ def _collect_uploads(
     participants: list[int],
     global_params: np.ndarray,
     round_index: int,
-    pool: TrainingPool | None = None,
+    pool: TrainingPool,
 ) -> np.ndarray:
     """Run local updates for a cohort; benign clients go first so that
     reference-point attacks can use their uploads. Returns the uploads
     as one row per participant, in ascending client id: the rows of
-    ``pool.out``, the run's upload matrix, or of a new matrix without a
-    pool.
+    ``pool.out``, the run's upload matrix.
 
     Clients that train do so first, in lockstep stacks of equal train
     size (on the pool's processes when the round is large; see
@@ -351,7 +350,7 @@ def _collect_uploads(
     ids = sorted(participants)
     cohort = [exp.clients[c] for c in ids]
     rngs = [stream(cfg.seed, "local", round_index, c.id) if draws(c) else None for c in cohort]
-    uploads = _upload_rows(cfg, len(ids), global_params.size) if pool is None else pool.out
+    uploads = pool.out
     errors = train_lockstep(exp.arch, cohort, global_params, cfg.local, rngs, uploads, pool)
     benign = np.array([c.role == "benign" for c in cohort])
     benign_mean = None
@@ -402,18 +401,17 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
     explore_rng = stream(cfg.seed, "exploration")
     buffer_rng = stream(cfg.seed, "buffer")
     global_params = exp.initial_params.copy()
-    # one upload matrix for the run: every read of a round's uploads ends
-    # before the next round trains into it. The pool's processes, forked at
-    # the first round that splits, write into it, so it is shared if a
-    # round can split; a shared matrix costs more page faults to set up
-    processes = pool_size(exp.clients, cfg.local, global_params.size)
-    uploads = _upload_rows(cfg, exp.cohort_size, global_params.size, shared=processes > 1)
+    # one upload matrix for the run, which the pool's processes write
+    # into: every read of a round's uploads ends before the next round
+    # trains into it
+    uploads = _upload_rows(cfg, exp.cohort_size, global_params.size)
     # round 0 merges unattacked broadcast copies: no training has happened
     # yet, so there is nothing for an attacker to distort
     participants = sample_participants(cfg.dataset.num_clients, cfg.participation_ratio, part_rng)
     uploads[:] = global_params
     sel = _select(exp, participants, uploads)
     records: list[RoundRecord] = []
+    processes = pool_size(exp.clients, cfg.local, global_params.size)
     with TrainingPool(exp.clients, uploads, processes) as pool:
         for t in range(cfg.rounds):
             try:

@@ -248,12 +248,14 @@ def cohort_of(sizes, attacks=(), huge=(), seed=0):
 
 
 def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_size=16, epochs=2),
-                rounds=1, kill=None):
+                rounds=1, kill=None, stacked_as=None):
     """train_lockstep and then local_update for every client, as the round
     loop runs them, on a pool of ``processes`` over ``rounds`` rounds from
     one broadcast; returns the last round's uploads, the errors by row,
     and each generator's state afterwards. ``kill``, if given, runs on
-    the pool before the last round."""
+    the pool before the last round. With ``stacked_as``, the rounds train
+    here, in turn, the stacks that a pool of that many processes splits
+    them into."""
     broadcast = nn.init_params(ARCH, np.random.default_rng(99))
     out = clients.shared_rows(len(cohort), broadcast.size)
     with clients.TrainingPool(cohort, out, processes) as pool:
@@ -263,7 +265,12 @@ def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_s
             rngs = [stream(4, "local", index, c.id) if clients.draws(c) else None for c in cohort]
             out[:] = -7.0
             with np.errstate(over="ignore", invalid="ignore"):
-                errors = clients.train_lockstep(ARCH, cohort, broadcast, cfg, rngs, out, pool)
+                if stacked_as is None:
+                    errors = clients.train_lockstep(ARCH, cohort, broadcast, cfg, rngs, out, pool)
+                else:
+                    shares = clients.lockstep_shares(cohort, cfg, broadcast.size, stacked_as)
+                    stacks = [rows for share in shares for rows in share]
+                    errors = clients._train(ARCH, cfg, broadcast, stacks, cohort, rngs, out)
             for row, client in enumerate(cohort):
                 if row not in errors and client.attack is not None and client.attack.kind != "ipm":
                     clients.local_update(client, out[row], rngs[row])
@@ -280,7 +287,8 @@ def forks(forks, monkeypatch):
 def settled(result):
     """A train_round result without the rows and generators of the clients
     that failed: those hold whatever their stack left, and a split round
-    stacks narrower; nothing reads them, as the round raises the error."""
+    stacks narrower than an unsplit one; nothing reads them, as the round
+    raises the error."""
     out, errors, states = result
     kept = [row for row in range(len(out)) if row not in errors]
     return out[kept].tobytes(), errors, [states[row] for row in kept]
@@ -291,13 +299,18 @@ def test_a_pool_trains_byte_for_byte_as_one_process(forks, processes):
     sizes = [*data.lognormal_sizes(9, np.random.default_rng(5), median=40.0), 30, 30, 30]
     cohort = cohort_of(sizes, attacks={1: "sign_flip", 2: "gaussian", 4: "ipm", 9: "sign_flip"},
                        huge={3, 10})
-    want = train_round(cohort, rounds=3)
+    same_stacks = train_round(cohort, rounds=3, stacked_as=processes)
+    unsplit = train_round(cohort, rounds=3)
     assert not forks
     got = train_round(cohort, processes, rounds=3)
     # forked once for the three rounds
     assert len(forks) == processes - 1
     assert set(got[1]) == {3, 10}
-    assert settled(got) == settled(want)
+    # every row and generator, the failed clients' too, as its stack
+    # trains in one process; and but for those, as the unsplit round
+    assert got[0].tobytes() == same_stacks[0].tobytes()
+    assert got[1:] == same_stacks[1:]
+    assert settled(got) == settled(unsplit)
     assert_no_child_left()
 
 
@@ -414,19 +427,19 @@ def test_a_failed_fork_trains_its_share_here(monkeypatch, forks):
 def test_a_pool_forks_only_with_processes_fork_and_no_other_threads(monkeypatch, forks):
     out = clients.shared_rows(1, 1)
     with clients.TrainingPool([], out, 1) as pool:
-        assert pool.start() == 1
+        assert not pool.children
     # a fork copies only the calling thread
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
         with clients.TrainingPool([], out, 4) as pool:
-            assert pool.start() == 1
+            assert not pool.children
     finally:
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
     monkeypatch.delattr(clients.os, "fork")
     with clients.TrainingPool([], out, 4) as pool:
-        assert pool.start() == 1
+        assert not pool.children
     assert not forks

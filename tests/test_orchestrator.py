@@ -377,12 +377,19 @@ def test_selection_measures_each_distinct_upload_once(monkeypatch):
     assert rows == [1] + [benign + 1] * cfg.rounds
 
 
+def collect(exp, participants, global_params, round_index):
+    """``_collect_uploads`` on a pool of one process over a new upload matrix."""
+    out = orchestrator._upload_rows(exp.cfg, len(participants), global_params.size)
+    with clients.TrainingPool(exp.clients, out, 1) as pool:
+        return orchestrator._collect_uploads(exp, participants, global_params, round_index, pool)
+
+
 def test_benign_uploads_become_the_local_models():
     exp = orchestrator.build_experiment(
         small_cfg(malicious_fraction=0.4, attack=clients.AttackSpec("sign_flip"))
     )
     participants = [0, 2, 3, 5]
-    uploads = orchestrator._collect_uploads(exp, participants, exp.initial_params, 0)
+    uploads = collect(exp, participants, exp.initial_params, 0)
     for row, cid in enumerate(participants):
         want = uploads[row] if exp.clients[cid].role == "benign" else exp.initial_params
         assert np.array_equal(exp.local_models[cid], want), cid
@@ -404,16 +411,19 @@ def test_local_models_are_written_without_a_second_upload_matrix(monkeypatch):
     exp = orchestrator.build_experiment(cfg)
     monkeypatch.setattr(clients, "STACK_BYTES", exp.initial_params.nbytes)
     participants = list(range(30))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        uploads = orchestrator._collect_uploads(exp, participants, exp.initial_params, 0)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    uploads = orchestrator._upload_rows(cfg, len(participants), exp.initial_params.size)
+    with clients.TrainingPool(exp.clients, uploads, 1) as pool:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            orchestrator._collect_uploads(exp, participants, exp.initial_params, 0, pool)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
     assert (exp.local_models == uploads).all()
-    # the upload matrix itself, and no gathered copy of its benign rows
-    assert uploads.nbytes <= peak < 1.5 * uploads.nbytes
+    # one stack's worth of training buffers, and no gathered copy of the
+    # upload matrix's benign rows (all of them)
+    assert peak < 0.5 * uploads.nbytes
 
 
 def test_ipm_uploads_equal_the_scaled_benign_mean():
@@ -421,7 +431,7 @@ def test_ipm_uploads_equal_the_scaled_benign_mean():
         malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
     )
     exp = orchestrator.build_experiment(cfg)
-    uploads = orchestrator._collect_uploads(exp, list(range(6)), exp.initial_params, 0)
+    uploads = collect(exp, list(range(6)), exp.initial_params, 0)
     assert uploads.shape == (6, exp.initial_params.size)
     benign = [uploads[c.id] for c in exp.clients if c.role == "benign"]
     attackers = [uploads[c.id] for c in exp.clients if c.role == "malicious"]
@@ -438,7 +448,7 @@ def test_ipm_round_without_benign_uploads_fails():
     exp = orchestrator.build_experiment(cfg)
     attackers = [c.id for c in exp.clients if c.role == "malicious"]
     with pytest.raises(SimulationError, match=r"client \d+ \(malicious\): ipm attack requires"):
-        orchestrator._collect_uploads(exp, attackers, exp.initial_params, 0)
+        collect(exp, attackers, exp.initial_params, 0)
 
 
 def test_training_errors_are_raised_in_their_clients_turn(monkeypatch):
@@ -462,7 +472,7 @@ def test_training_errors_are_raised_in_their_clients_turn(monkeypatch):
 
     monkeypatch.setattr(orchestrator, "train_lockstep", failing_train_lockstep)
     with pytest.raises(NumericError) as raised:
-        orchestrator._collect_uploads(exp, list(range(6)), exp.initial_params, 0)
+        collect(exp, list(range(6)), exp.initial_params, 0)
     assert str(raised.value) == f"client {last_benign} (benign): {errors[last_benign]}"
     assert raised.value.__cause__ is errors[last_benign]
 
@@ -539,7 +549,7 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
     kinds = set()
     for t in range(3):
         participants = orchestrator.sample_participants(12, 0.75, part_rng)
-        got = orchestrator._collect_uploads(lockstep, participants, params, t)
+        got = collect(lockstep, participants, params, t)
         want = per_client_uploads(plain, participants, params, t)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -570,7 +580,7 @@ def test_local_streams_only_for_clients_that_draw(monkeypatch):
         return stream(seed, *labels)
 
     monkeypatch.setattr(orchestrator, "stream", recording_stream)
-    orchestrator._collect_uploads(exp, list(range(12)), exp.initial_params, 0)
+    collect(exp, list(range(12)), exp.initial_params, 0)
     kinds = {c.id: c.attack.kind if c.attack else None for c in exp.clients}
     assert {"ipm", "sign_flip", "gaussian", None} <= set(kinds.values())
     assert streamed == [c for c in range(12) if kinds[c] != "ipm"]
@@ -734,20 +744,17 @@ def test_a_child_killed_mid_run_fails_the_next_round_typed(monkeypatch, pool_for
 
 
 @pytest.mark.parametrize("split_steps, forked", [(None, False), (0, True)])
-def test_only_a_run_that_can_split_forks_and_shares_its_upload_matrix(
-    monkeypatch, split_steps, forked
-):
+def test_only_a_run_that_can_split_forks(monkeypatch, split_steps, forked):
     monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
     if split_steps is not None:
         monkeypatch.setattr(clients, "SPLIT_STEPS", split_steps)
-    made, shared = [], []
-    fork, shared_rows = os.fork, orchestrator.shared_rows
+    made = []
+    fork = os.fork
     monkeypatch.setattr(clients.os, "fork", lambda: made.append(1) or fork())
-    monkeypatch.setattr(orchestrator, "shared_rows", lambda *shape: shared.append(shape) or shared_rows(*shape))
     exp = orchestrator.build_experiment(small_cfg())
     orchestrator.run_rounds(exp)
     # the whole population of 6 trains in 12 steps a round
-    assert bool(made) == bool(shared) == forked
+    assert bool(made) == forked
     assert_no_child_left()
 
 
@@ -770,7 +777,7 @@ def test_guard_failing_on_finite_losses_leaves_uploads_unchanged(monkeypatch):
     params[nn.layer_slices(exp.arch)[-1][1].stop - 1] = -1e306
     want = per_client_uploads(plain, range(6), params, 0)
     monkeypatch.setattr(nn, "_finite_ce_loss", counting_loss)
-    got = orchestrator._collect_uploads(exp, list(range(6)), params, 0)
+    got = collect(exp, list(range(6)), params, 0)
     assert calls
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -860,23 +867,17 @@ def test_a_population_too_large_for_memory_fails_typed():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_an_upload_matrix_too_large_for_memory_fails_typed():
-    # the 217 MiB of local models fit in the margin, and a round's upload
-    # matrix of the same size does not: round 0's copies of the broadcast
-    # in run_rounds, and each later round's in _collect_uploads
+    # the 217 MiB of local models fit in the margin, and the run's upload
+    # matrix of the same size, made in run_rounds, does not
     out = run_limited(2000, 300, """
         exp = orchestrator.build_experiment(cfg)
-        for call in (
-            lambda: orchestrator.run_rounds(exp),
-            lambda: orchestrator._collect_uploads(exp, list(range(200)), exp.initial_params, 0),
-        ):
-            try:
-                call()
-            except ConfigError as exc:
-                print(exc)
+        try:
+            orchestrator.run_rounds(exp)
+        except ConfigError as exc:
+            print(exc)
     """)
-    message = (
+    assert out.strip() == (
         "200 uploads of dataset.num_clients = 200 at participation_ratio = 1.0 of "
         "model.hidden = [2000] (142010 parameters each) need 0.21 GiB, more than this "
         "process can allocate"
     )
-    assert out.splitlines() == [message, message]
