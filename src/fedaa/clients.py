@@ -1,10 +1,10 @@
 """Client records, Byzantine upload attacks, and the local update step.
 
 A client is its data and its attack, and its role follows from the
-attack; its local model is a row of ``Experiment.local_models``. Attack
-messages are what a malicious client writes into its upload row.
-Magnitude draws use the convention m ~ N(0, tau^2) with tau the attack
-scale.
+attack. Row ``c`` of a run's parameter matrix is client ``c``'s latest
+upload, and so a benign client's local model; attack messages are what
+a malicious client writes into its row. Magnitude draws use the
+convention m ~ N(0, tau^2) with tau the attack scale.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .cpus import quiet_fork, usable_cpus
-from .errors import ConfigError, InternalError, NumericError, SimulationError
+from .errors import ConfigError, NumericError, SimulationError
 from .data import LabeledDataset
 from .nn import ArchSpec, SgdConfig, sgd_epoch
 
@@ -155,8 +155,8 @@ def shared_rows(count: int, size: int) -> np.ndarray:
 def lockstep_shares(
     cohort: Sequence[ClientRecord], cfg: SgdConfig, size: int, processes: int
 ) -> list[list[list[int]]]:
-    """The cohort's training clients as lockstep stacks of rows, in up to
-    ``processes`` shares, share 0 the heaviest.
+    """The cohort's training clients as lockstep stacks of client ids, in
+    up to ``processes`` shares, share 0 the heaviest.
 
     Clients of equal train size stack, at most STACK_BYTES of ``size``
     parameters wide. A round of fewer than SPLIT_STEPS ``sgd_epoch``
@@ -167,9 +167,9 @@ def lockstep_shares(
     """
     width = max(1, STACK_BYTES // (8 * size))
     groups: dict[int, list[int]] = {}
-    for row, client in enumerate(cohort):
+    for client in cohort:
         if trains(client):
-            groups.setdefault(len(client.train), []).append(row)
+            groups.setdefault(len(client.train), []).append(client.id)
     steps = cfg.epochs * sum(
         -(-len(group) // width) * -(-n // cfg.batch_size) for n, group in groups.items()
     )
@@ -177,20 +177,20 @@ def lockstep_shares(
         processes = 1
     stacks = sorted(
         (
-            group[lo : lo + w]
-            for group in groups.values()
+            (n, group[lo : lo + w])
+            for n, group in groups.items()
             for w in [min(width, -(-len(group) // processes))]
             for lo in range(0, len(group), w)
         ),
-        key=lambda rows: len(rows) * len(cohort[rows[0]].train),
+        key=lambda stack: len(stack[1]) * stack[0],
         reverse=True,
     )
     shares: list[list[list[int]]] = [[] for _ in range(max(1, min(processes, len(stacks))))]
     loads = [0] * len(shares)
-    for rows in stacks:
+    for n, ids in stacks:
         least = loads.index(min(loads))
-        shares[least].append(rows)
-        loads[least] += len(rows) * len(cohort[rows[0]].train)
+        shares[least].append(ids)
+        loads[least] += len(ids) * n
     return shares
 
 
@@ -205,11 +205,12 @@ def pool_size(clients: Sequence[ClientRecord], cfg: SgdConfig, size: int) -> int
 class TrainingPool:
     """The processes that train a run's rounds with this one.
 
-    ``out`` is the run's upload matrix, made with ``shared_rows``, and
-    ``clients`` the run's clients, ``clients[c].id == c``. Entering the
-    pool (``with``) forks ``processes - 1`` children that inherit both
-    and then wait on their pipes for a share of a round to train into
-    ``out``; leaving it (or ``close``) stops and reaps them.
+    ``clients`` are the run's clients, ``clients[c].id == c``, and
+    ``out`` the run's parameter matrix, made with ``shared_rows``, whose
+    row ``c`` is client ``c``'s. Entering the pool (``with``) forks
+    ``processes - 1`` children that inherit both and then wait on their
+    pipes for a share of a round to train into ``out``; leaving it (or
+    ``close``) stops and reaps them. A pool of one process forks nothing.
     """
 
     def __init__(self, clients: Sequence[ClientRecord], out: np.ndarray, processes: int) -> None:
@@ -279,10 +280,10 @@ def _serve(
 ) -> NoReturn:
     """A pool child's whole life: close the parent's pipe ends it
     inherited, then until its task pipe ends, read one share of a round,
-    ``(arch, cfg, broadcast, stacks, client ids by row, generators by
-    row, numpy error handling)``, train it into ``out`` under that error
+    ``(arch, cfg, broadcast, stacks of client ids, generators by id,
+    numpy error handling)``, train it into ``out`` under that error
     handling (``np.geterr``) and reply with one pickle, ``("ok", errors
-    by row, generator states by row)`` or ``("raise", exception)``."""
+    by id, generator states by id)`` or ``("raise", exception)``."""
     code = 1
     try:
         for fd in inherited:
@@ -290,14 +291,13 @@ def _serve(
         with os.fdopen(tasks, "rb") as inbox, os.fdopen(replies, "wb") as outbox:
             while True:
                 try:
-                    arch, cfg, broadcast, share, ids, rngs, err = pickle.load(inbox)
+                    arch, cfg, broadcast, share, rngs, err = pickle.load(inbox)
                 except EOFError:
                     break
                 try:
-                    cohort = {row: clients[cid] for row, cid in ids.items()}
                     with np.errstate(**err):
-                        errors = _train(arch, cfg, broadcast, share, cohort, rngs, out)
-                    reply = ("ok", errors, {row: rng.bit_generator.state for row, rng in rngs.items()})
+                        errors = _train(arch, cfg, broadcast, share, clients, rngs, out)
+                    reply = ("ok", errors, {cid: rng.bit_generator.state for cid, rng in rngs.items()})
                 except BaseException as exc:  # sent to the parent, which raises it
                     reply = ("raise", exc)
                 pickle.dump(reply, outbox)
@@ -312,25 +312,25 @@ def _train(
     cfg: SgdConfig,
     broadcast: np.ndarray,
     share: list[list[int]],
-    cohort: Sequence[ClientRecord] | dict[int, ClientRecord],
-    rngs: Sequence[np.random.Generator | None] | dict[int, np.random.Generator],
+    clients: Sequence[ClientRecord],
+    rngs: dict[int, np.random.Generator | None],
     out: np.ndarray,
 ) -> dict[int, NumericError]:
-    """Train each stack of rows of ``share`` from the broadcast into its
-    rows of ``out``; returns the errors by row."""
+    """Train each stack of client ids of ``share`` from the broadcast into
+    its clients' rows of ``out``; returns the errors by client id."""
     errors: dict[int, NumericError] = {}
-    for rows in share:
-        stack = np.tile(broadcast, (len(rows), 1))
+    for ids in share:
+        stack = np.tile(broadcast, (len(ids), 1))
         failed = sgd_epoch(
             arch,
             stack,
-            [cohort[r].train.features for r in rows],
-            [cohort[r].train.labels for r in rows],
+            [clients[c].train.features for c in ids],
+            [clients[c].train.labels for c in ids],
             cfg,
-            [rngs[r] for r in rows],
+            [rngs[c] for c in ids],
         )
-        out[rows] = stack
-        errors.update((rows[i], exc) for i, exc in failed.items())
+        out[ids] = stack
+        errors.update((ids[i], exc) for i, exc in failed.items())
     return errors
 
 
@@ -339,56 +339,50 @@ def train_lockstep(
     cohort: list[ClientRecord],
     global_params: np.ndarray,
     cfg: SgdConfig,
-    rngs: Sequence[np.random.Generator | None],
-    out: np.ndarray,
-    pool: TrainingPool | None = None,
+    rngs: dict[int, np.random.Generator | None],
+    pool: TrainingPool,
 ) -> dict[int, NumericError]:
-    """Train the cohort's training clients from the broadcast, in lockstep.
+    """Train the cohort's training clients from the broadcast, in lockstep,
+    on ``pool``.
 
-    ``cohort[i]`` draws its permutations from ``rngs[i]`` and ends with
-    its trained parameters, of architecture ``arch``, in row ``out[i]``
-    of the C-contiguous float64 matrix ``out``; the rows of clients that
-    do not train are left as they are. Clients of equal train size share
-    ``sgd_epoch`` stacks of at most STACK_BYTES of parameters. Returns,
-    by row, the NumericError of each client whose loss turned non-finite,
-    the same as the client would get training alone; the round loop
-    raises it.
+    Client ``c`` of the cohort draws its permutations from ``rngs[c]``
+    and ends with its trained parameters, of architecture ``arch``, in
+    row ``c`` of ``pool.out``; the rows of clients that do not train are
+    left as they are. Clients of equal train size share ``sgd_epoch``
+    stacks of at most STACK_BYTES of parameters. Returns, by client id,
+    the NumericError of each client whose loss turned non-finite, the
+    same as the client would get training alone; the round loop raises
+    it.
 
-    With a ``pool`` over ``out``, a round of SPLIT_STEPS steps or more
-    trains in shares (``lockstep_shares``), one on each of the pool's
-    processes. This process trains share 0, and each child one other
-    share: it gets the broadcast, its stacks of rows, their client ids,
-    their generators and this process's numpy error handling through
-    its pipe, writes its rows straight into ``out`` and sends back its
-    errors and its generators' states, from which the generators here
-    continue. Every client runs the same
-    ``sgd_epoch`` arithmetic on the same operands in any process, and
-    the rows of a stack never meet, so ``out``, the errors and the
-    generators are bit-identical to one process's training the same
-    stacks, and to one process's unsplit round but for a failed
-    client's row and generator: those hold whatever its (narrower)
-    stack left, and nothing reads them. A child's exception is raised
-    here, as it was raised there. On any exception the pool is closed.
+    A round of SPLIT_STEPS steps or more trains in shares
+    (``lockstep_shares``), one on each of the pool's processes. This
+    process trains share 0, and each child one other share: it gets the
+    broadcast, its stacks of client ids, their generators and this
+    process's numpy error handling through its pipe, writes its rows
+    straight into ``pool.out`` and sends back its errors and its
+    generators' states, from which the generators here continue. Every
+    client runs the same ``sgd_epoch`` arithmetic on the same operands
+    in any process, and the rows of a stack never meet, so the rows, the
+    errors and the generators are bit-identical to one process's
+    training the same stacks, and to one process's unsplit round but for
+    a failed client's row and generator: those hold whatever its
+    (narrower) stack left, and nothing reads them. A child's exception
+    is raised here, as it was raised there. On any exception the pool is
+    closed.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
-    processes = 1 if pool is None else 1 + len(pool.children)
-    shares = lockstep_shares(cohort, cfg, global_params.size, processes)
-    if len(shares) == 1:
-        return _train(arch, cfg, global_params, shares[0], cohort, rngs, out)
-    if pool.out is not out:  # the children would train into another matrix
-        raise InternalError("a training pool trains into its own upload matrix only")
+    shares = lockstep_shares(cohort, cfg, global_params.size, 1 + len(pool.children))
     try:
         sent = list(zip(pool.children, shares[1:]))
         for (_, to_child, _), share in sent:
-            rows = [r for stack in share for r in stack]
             task = (arch, cfg, global_params, share,
-                    {r: cohort[r].id for r in rows}, {r: rngs[r] for r in rows}, np.geterr())
+                    {c: rngs[c] for ids in share for c in ids}, np.geterr())
             try:
                 pickle.dump(task, to_child)
                 to_child.flush()
             except BrokenPipeError:
                 raise SimulationError(_LOST) from None
-        errors = _train(arch, cfg, global_params, shares[0], cohort, rngs, out)
+        errors = _train(arch, cfg, global_params, shares[0], pool.clients, rngs, pool.out)
         for (_, _, from_child), _ in sent:
             errors.update(_receive(from_child, rngs))
         return errors
@@ -398,19 +392,19 @@ def train_lockstep(
 
 
 def _receive(
-    from_child: io.BufferedReader, rngs: Sequence[np.random.Generator | None]
+    from_child: io.BufferedReader, rngs: dict[int, np.random.Generator | None]
 ) -> dict[int, NumericError]:
     """A child's reply to its share: raises the child's exception, or
     sets its trainers' generators to their states and returns its errors
-    by row."""
+    by client id."""
     try:
         reply = pickle.load(from_child)
     except (EOFError, pickle.UnpicklingError):
         raise SimulationError(_LOST) from None
     if reply[0] == "raise":
         raise reply[1]
-    for row, state in reply[2].items():
-        rngs[row].bit_generator.state = state
+    for cid, state in reply[2].items():
+        rngs[cid].bit_generator.state = state
     return reply[1]
 
 
@@ -420,7 +414,8 @@ def local_update(
     rng: np.random.Generator | None,
     benign_mean: np.ndarray | None = None,
 ) -> None:
-    """One client round: write the client's upload into ``row``.
+    """One client round: write the client's upload into ``row``, its row
+    of the run's parameter matrix.
 
     A client that trains (see ``trains``; a sign flipper's message needs
     the honest result) finds its ``train_lockstep`` result from the

@@ -331,6 +331,11 @@ def build_config(values: dict[str, object]) -> ExperimentConfig:
         raise ConfigError(f"dataset.samples_per_client lists {len(sizes)} sizes for {count} clients")
     if cfg.malicious_fraction != 0.0 and cfg.attack is None:
         raise ConfigError("malicious_fraction > 0 requires an attack")
+    if cfg.ddpg.buffer_capacity < cfg.ddpg.warmup:
+        raise ConfigError(
+            f"ddpg.buffer_capacity = {cfg.ddpg.buffer_capacity} is below ddpg.warmup = "
+            f"{cfg.ddpg.warmup}: the replay buffer never warms up, so the policy never trains"
+        )
     if cfg.distance_scope == "last_hidden_layer" and not cfg.model_hidden:
         raise ConfigError("distance_scope = last_hidden_layer requires a hidden layer in model.hidden")
     return cfg

@@ -137,13 +137,14 @@ def evaluate_reward(
 def evaluate_fairness(
     clients: list[ClientRecord],
     arch: ArchSpec,
-    local_models: np.ndarray,
+    models: np.ndarray,
     global_params: np.ndarray,
 ) -> FairnessMetrics:
     """Population spread of benign clients' local test performance.
 
     Accuracy/loss come from each benign client's own local model, row
-    ``client.id`` of ``local_models``, on its own test split;
+    ``client.id`` of the run's parameter matrix ``models``, on its own
+    test split;
     mean_global_acc scores the shared global model, ``global_params``,
     on the same splits.
     """
@@ -151,7 +152,7 @@ def evaluate_fairness(
     for client in clients:
         if client.role != "benign":
             continue
-        logits = forward(arch, local_models[client.id], client.test.features)
+        logits = forward(arch, models[client.id], client.test.features)
         accs.append(float((np.argmax(logits, axis=1) == client.test.labels).mean()))
         losses.append(ce_loss_from_logits(logits, client.test.labels))
         g_logits = forward(arch, global_params, client.test.features)
@@ -182,19 +183,14 @@ def sample_participants(
 
 @dataclass
 class Experiment:
-    """Materialized run: clients, validation set, policy, buffers.
-
-    Row ``c`` of ``local_models`` is benign client ``c``'s last trained
-    upload, or the initial parameters until it first trains; nothing
-    reads an attacker's row, so it stays at the initial parameters.
-    """
+    """Materialized run: clients, validation set, policy, buffers. The
+    clients' parameters are rows of one matrix that ``run_rounds`` makes."""
 
     cfg: ExperimentConfig
     clients: list[ClientRecord]
     val_set: LabeledDataset
     arch: ArchSpec
     initial_params: np.ndarray
-    local_models: np.ndarray
     cohort_size: int
     agent: DdpgAgent | None
     buffer: ReplayBuffer | None
@@ -283,46 +279,36 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         m_count = top_count(cfg.m_percent, cohort)
         agent = make_agent(m_count, m_count, cfg.ddpg, stream(cfg.seed, "agent-init"))
         buffer = ReplayBuffer(cfg.ddpg.buffer_capacity)
-    local_models = _param_rows(
-        cfg, len(clients), initial.size, f"dataset.num_clients = {len(clients)} local models"
-    )
-    local_models[:] = initial
     return Experiment(
         cfg=cfg,
         clients=clients,
         val_set=val_set,
         arch=arch,
         initial_params=initial,
-        local_models=local_models,
         cohort_size=cohort,
         agent=agent,
         buffer=buffer,
     )
 
 
-def _param_rows(
-    cfg: ExperimentConfig, count: int, size: int, what: str, allocate=np.empty
-) -> np.ndarray:
-    """``allocate((count, size))``, a float64 matrix of parameter rows; a
-    ConfigError naming ``what`` and the GiB needed if it cannot be had."""
+def _client_rows(cfg: ExperimentConfig, size: int) -> np.ndarray:
+    """A run's (N, size) parameter matrix, in ``shared_rows``; a
+    ConfigError naming the GiB needed if it cannot be had."""
+    count = cfg.dataset.num_clients
     try:
-        return allocate((count, size))
+        return shared_rows(count, size)
     except (MemoryError, OSError) as exc:  # an mmap that fails raises OSError
         raise ConfigError(
-            f"{what} of model.hidden = {list(cfg.model_hidden)} ({size} parameters each) need "
+            f"dataset.num_clients = {count} local models of model.hidden = "
+            f"{list(cfg.model_hidden)} ({size} parameters each) need "
             f"{count * size * 8 / 2**30:.2f} GiB, more than this process can allocate"
         ) from exc
 
 
-def _upload_rows(cfg: ExperimentConfig, count: int, size: int) -> np.ndarray:
-    """A (count, size) upload matrix in ``shared_rows``, which a training
-    pool's processes write into, through ``_param_rows``."""
-    return _param_rows(
-        cfg, count, size,
-        f"{count} uploads of dataset.num_clients = {cfg.dataset.num_clients} at "
-        f"participation_ratio = {cfg.participation_ratio}",
-        lambda shape: shared_rows(*shape),
-    )
+def _cohort_rows(models: np.ndarray, ids: list[int]) -> np.ndarray:
+    """The rows of the clients ``ids``, ascending: the matrix itself when
+    every client takes part, else a gathered copy."""
+    return models if len(ids) == len(models) else models[ids]
 
 
 def _collect_uploads(
@@ -331,46 +317,39 @@ def _collect_uploads(
     global_params: np.ndarray,
     round_index: int,
     pool: TrainingPool,
-) -> np.ndarray:
-    """Run local updates for a cohort; benign clients go first so that
-    reference-point attacks can use their uploads. Returns the uploads
-    as one row per participant, in ascending client id: the rows of
-    ``pool.out``, the run's upload matrix.
+) -> None:
+    """Run local updates for a cohort into its clients' rows of
+    ``pool.out``, the run's parameter matrix; benign clients go first so
+    that reference-point attacks can use their uploads.
 
     Clients that train do so first, in lockstep stacks of equal train
     size (on the pool's processes when the round is large; see
     ``train_lockstep``), straight into their rows; each draws its
     permutations from its own stream, which its ``local_update`` then
     continues (a sign flipper's magnitude draw); a client that draws
-    nothing (``draws``) gets no stream. A client whose training failed raises its
-    error in its turn, so the error names the first such client in this
-    order. The benign participants' rows then become their local models.
+    nothing (``draws``) gets no stream. A client whose training failed
+    raises its error in its turn, so the error names the first such
+    client in this order. A benign participant's row is then its local
+    model.
     """
     cfg = exp.cfg
-    ids = sorted(participants)
-    cohort = [exp.clients[c] for c in ids]
-    rngs = [stream(cfg.seed, "local", round_index, c.id) if draws(c) else None for c in cohort]
-    uploads = pool.out
-    errors = train_lockstep(exp.arch, cohort, global_params, cfg.local, rngs, uploads, pool)
-    benign = np.array([c.role == "benign" for c in cohort])
+    cohort = [exp.clients[c] for c in sorted(participants)]
+    rngs = {c.id: stream(cfg.seed, "local", round_index, c.id) if draws(c) else None
+            for c in cohort}
+    errors = train_lockstep(exp.arch, cohort, global_params, cfg.local, rngs, pool)
+    models = pool.out
     benign_mean = None
-    for row in sorted(range(len(ids)), key=lambda r: not benign[r]):
-        client = cohort[row]
+    for client in sorted(cohort, key=lambda c: c.attack is not None):
         try:
-            if row in errors:
-                raise errors[row]
+            if client.id in errors:
+                raise errors[client.id]
             if benign_mean is None and client.attack is not None and client.attack.kind == "ipm":
                 # every ipm attacker scales the same mean; take it once a
                 # round, when every benign row is written
-                benign_mean = mean_upload(uploads[benign])
-            local_update(client, uploads[row], rngs[row], benign_mean=benign_mean)
+                benign_mean = mean_upload(models[[c.id for c in cohort if c.attack is None]])
+            local_update(client, models[client.id], rngs[client.id], benign_mean=benign_mean)
         except FedaaError as exc:
             raise type(exc)(f"client {client.id} ({client.role}): {exc}") from exc
-    # row by row: a gather of the benign rows would hold a second copy of
-    # them at the round's peak
-    for row in np.flatnonzero(benign):
-        exp.local_models[ids[row]] = uploads[row]
-    return uploads
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundRecord]:
@@ -383,15 +362,24 @@ def run_fedavg_baseline(cfg: ExperimentConfig) -> list[RoundRecord]:
     return run_experiment(replace(cfg, aggregator="fedavg"))
 
 
-def _select(exp: Experiment, ids: list[int], uploads: np.ndarray) -> SelectionResult | None:
-    """Distance selection under fedaa; fedavg keeps every upload."""
+def _select(exp: Experiment, ids: list[int], models: np.ndarray) -> SelectionResult | None:
+    """Distance selection over the rows of the clients ``ids`` under
+    fedaa; fedavg keeps every upload."""
     if exp.agent is None:
         return None
-    return select_clients(ids, uploads, exp.cfg.m_percent, exp.cfg.distance_scope, exp.arch)
+    rows = _cohort_rows(models, ids)
+    return select_clients(ids, rows, exp.cfg.m_percent, exp.cfg.distance_scope, exp.arch)
 
 
 def run_rounds(exp: Experiment) -> list[RoundRecord]:
     """The round loop for both aggregators; one record per round.
+
+    The run's parameters are one (N, d) matrix, made here in
+    ``shared_rows`` before the training pool forks, so that the pool's
+    processes write into the pages this process reads. Row ``c`` is
+    client ``c``'s latest upload, the initial parameters until it first
+    takes part, and so a benign client's local model. Every read of a
+    round's rows ends before the next round trains into them.
 
     fedavg has no agent: it merges every upload with train-size weights
     and learns nothing from the round.
@@ -401,38 +389,35 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
     explore_rng = stream(cfg.seed, "exploration")
     buffer_rng = stream(cfg.seed, "buffer")
     global_params = exp.initial_params.copy()
-    # one upload matrix for the run, which the pool's processes write
-    # into: every read of a round's uploads ends before the next round
-    # trains into it
-    uploads = _upload_rows(cfg, exp.cohort_size, global_params.size)
+    models = _client_rows(cfg, global_params.size)
+    models[:] = global_params
     # round 0 merges unattacked broadcast copies: no training has happened
     # yet, so there is nothing for an attacker to distort
     participants = sample_participants(cfg.dataset.num_clients, cfg.participation_ratio, part_rng)
-    uploads[:] = global_params
-    sel = _select(exp, participants, uploads)
+    sel = _select(exp, participants, models)
     records: list[RoundRecord] = []
     processes = pool_size(exp.clients, cfg.local, global_params.size)
-    with TrainingPool(exp.clients, uploads, processes) as pool:
+    with TrainingPool(exp.clients, models, processes) as pool:
         for t in range(cfg.rounds):
             try:
                 if agent is None:
-                    ids, rows = participants, uploads
+                    ids, rows = participants, _cohort_rows(models, participants)
                     sizes = np.asarray([len(exp.clients[c].train) for c in ids], dtype=np.float64)
                     action = sizes / sizes.sum()
                 else:
                     ids = sel.selected_ids
-                    rows = uploads[np.searchsorted(participants, ids)]
+                    rows = models[ids]
                     sigma = exploration_sigma(t, cfg.rounds, cfg.ddpg)
                     action = act(agent, sel.state, sigma, explore_rng)
                 global_params = aggregate(rows, action)
-                del rows  # the kept rows' copy, released before the round trains
+                del rows  # a gathered copy, released before the round trains
                 reward, per_class = evaluate_reward(exp.arch, global_params, exp.val_set)
                 participants = sample_participants(
                     cfg.dataset.num_clients, cfg.participation_ratio, part_rng
                 )
                 _collect_uploads(exp, participants, global_params, t, pool)
-                fairness = evaluate_fairness(exp.clients, exp.arch, exp.local_models, global_params)
-                next_sel = _select(exp, participants, uploads)
+                fairness = evaluate_fairness(exp.clients, exp.arch, models, global_params)
+                next_sel = _select(exp, participants, models)
                 records.append(
                     RoundRecord(
                         round=t,

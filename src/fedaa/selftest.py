@@ -151,20 +151,20 @@ def _check_parallel_training() -> None:
                     epochs=max(2, -(-SPLIT_STEPS // 12)))
     runs = {}
     for processes in (1, 2, 3):
-        rngs = [np.random.default_rng(16 + i) for i in range(len(cohort))]
+        rngs = {c.id: np.random.default_rng(16 + c.id) for c in cohort}
         out = shared_rows(len(cohort), param_count(arch))
         with TrainingPool(cohort, out, processes) as pool:
             with np.errstate(over="ignore", invalid="ignore"):
-                errors = train_lockstep(arch, cohort, broadcast, cfg, rngs, out, pool)
+                errors = train_lockstep(arch, cohort, broadcast, cfg, rngs, pool)
             assert len(pool.children) == processes - 1, (
                 f"a pool of {processes} processes trained on {len(pool.children) + 1}"
             )
         runs[processes] = (
             out.tobytes(),
-            {row: str(exc) for row, exc in errors.items()},
-            [r.bit_generator.state for r in rngs],
+            {cid: str(exc) for cid, exc in errors.items()},
+            [r.bit_generator.state for r in rngs.values()],
         )
-    assert list(runs[1][1]) == [4], "the diverging client must fail by its row"
+    assert list(runs[1][1]) == [4], "the diverging client must fail by its id"
     for processes in (2, 3):
         assert runs[processes] == runs[1], (
             f"training on a pool of {processes} processes differs from training on one"

@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -294,3 +296,49 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# `python -m fedaa.cli run`, then a matmul and the process's thread count
+# and BLAS settings as one JSON line
+RUN_THEN_COUNT_THREADS = """\
+import json, os, runpy, sys
+sys.argv = ["fedaa", "run", "--config", sys.argv[1], "--out", sys.argv[2]]
+try:
+    runpy.run_module("fedaa.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+import numpy as np
+np.ones((256, 256)) @ np.ones((256, 256))
+with open("/proc/self/status") as fh:
+    threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+print(json.dumps({"threads": threads, "env": {k: os.environ.get(k) for k in %r}}))
+""" % (BLAS_VARS,)
+
+
+def run_counting_threads(cfg_path, out, **blas):
+    """The thread count and BLAS settings of a ``fedaa run`` subprocess
+    started with only the ``blas`` variables set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas)
+    src = pathlib.Path(__file__).parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_THEN_COUNT_THREADS, cfg_path, str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_run_pins_one_blas_thread_unless_told_otherwise(cfg_path, tmp_path):
+    got = run_counting_threads(cfg_path, tmp_path / "out")
+    assert got == {"threads": 1, "env": dict.fromkeys(BLAS_VARS, "1")}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_run_keeps_the_blas_thread_count_it_was_given(cfg_path, tmp_path):
+    got = run_counting_threads(cfg_path, tmp_path / "out", OPENBLAS_NUM_THREADS="2")
+    assert got["env"] == dict(dict.fromkeys(BLAS_VARS, "1"), OPENBLAS_NUM_THREADS="2")

@@ -27,12 +27,13 @@ def make_client(cid=0, attack=None, seed=0, n=40):
 
 def update(client, broadcast, cfg, rng, benign_mean=None):
     """One client's round as the round loop runs it: train_lockstep on a
-    cohort of one into its upload row, then local_update on that row.
-    Returns the row."""
-    uploads = np.empty((1, broadcast.size))
-    assert clients.train_lockstep(ARCH, [client], broadcast, cfg, [rng], uploads) == {}
-    clients.local_update(client, uploads[0], rng, benign_mean=benign_mean)
-    return uploads[0]
+    cohort of one, client 0, into its row, then local_update on that
+    row. Returns the row."""
+    models = np.empty((1, broadcast.size))
+    with clients.TrainingPool([client], models, 1) as pool:
+        assert clients.train_lockstep(ARCH, [client], broadcast, cfg, {0: rng}, pool) == {}
+    clients.local_update(client, models[0], rng, benign_mean=benign_mean)
+    return models[0]
 
 
 def direct_sgd(client, broadcast, cfg, rng):
@@ -251,8 +252,8 @@ def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_s
                 rounds=1, kill=None, stacked_as=None):
     """train_lockstep and then local_update for every client, as the round
     loop runs them, on a pool of ``processes`` over ``rounds`` rounds from
-    one broadcast; returns the last round's uploads, the errors by row,
-    and each generator's state afterwards. ``kill``, if given, runs on
+    one broadcast; returns the last round's rows, the errors by client
+    id, and each generator's state afterwards. ``kill``, if given, runs on
     the pool before the last round. With ``stacked_as``, the rounds train
     here, in turn, the stacks that a pool of that many processes splits
     them into."""
@@ -262,20 +263,22 @@ def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_s
         for index in range(rounds):
             if kill is not None and index == rounds - 1:
                 kill(pool)
-            rngs = [stream(4, "local", index, c.id) if clients.draws(c) else None for c in cohort]
+            rngs = {c.id: stream(4, "local", index, c.id) if clients.draws(c) else None
+                    for c in cohort}
             out[:] = -7.0
             with np.errstate(over="ignore", invalid="ignore"):
                 if stacked_as is None:
-                    errors = clients.train_lockstep(ARCH, cohort, broadcast, cfg, rngs, out, pool)
+                    errors = clients.train_lockstep(ARCH, cohort, broadcast, cfg, rngs, pool)
                 else:
                     shares = clients.lockstep_shares(cohort, cfg, broadcast.size, stacked_as)
-                    stacks = [rows for share in shares for rows in share]
+                    stacks = [ids for share in shares for ids in share]
                     errors = clients._train(ARCH, cfg, broadcast, stacks, cohort, rngs, out)
-            for row, client in enumerate(cohort):
-                if row not in errors and client.attack is not None and client.attack.kind != "ipm":
-                    clients.local_update(client, out[row], rngs[row])
-    states = [None if r is None else r.bit_generator.state for r in rngs]
-    return out.copy(), {row: str(exc) for row, exc in errors.items()}, states
+            for client in cohort:
+                c = client.id
+                if c not in errors and client.attack is not None and client.attack.kind != "ipm":
+                    clients.local_update(client, out[c], rngs[c])
+    states = [None if r is None else r.bit_generator.state for r in rngs.values()]
+    return out.copy(), {cid: str(exc) for cid, exc in errors.items()}, states
 
 
 @pytest.fixture
@@ -370,7 +373,7 @@ def test_the_multi_threaded_fork_warning_loses_no_child(monkeypatch, forks):
     assert_no_child_left()
 
 
-def test_a_diverging_client_in_a_child_is_returned_by_row(forks):
+def test_a_diverging_client_in_a_child_is_returned_by_id(forks):
     # the longer stack trains in this process, the shorter in the child
     cohort = cohort_of([100, 50], huge={1})
     out, errors, _ = train_round(cohort, 2)

@@ -121,6 +121,18 @@ def test_cross_validation_errors():
         config.parse_config_text("dataset.total_samples = 2000\n")
 
 
+def test_a_replay_buffer_smaller_than_the_warmup_is_rejected():
+    # such a buffer never holds ddpg.warmup transitions, so the policy
+    # would never take a step
+    with pytest.raises(
+        ConfigError,
+        match=r"^ddpg\.buffer_capacity = 3 is below ddpg\.warmup = 4: the replay buffer never",
+    ):
+        config.parse_config_text("ddpg.buffer_capacity = 3\nddpg.warmup = 4\n")
+    cfg = config.parse_config_text("ddpg.buffer_capacity = 4\nddpg.warmup = 4\n")
+    assert (cfg.ddpg.buffer_capacity, cfg.ddpg.warmup) == (4, 4)
+
+
 def test_fedavg_rejects_and_omits_the_selection_and_policy_keys():
     # fedavg runs no distance selection and no policy, so their keys would
     # be accepted and then ignored

@@ -102,7 +102,9 @@ def test_benchmark_reads_the_built_experiment(monkeypatch):
         samples = workloads.client_samples(exp)
         assert samples == exp.cfg.rounds * exp.cfg.local.epochs * sum(len(c.train) for c in trainers)
         sizes = workloads.computed_bytes(exp)
-        assert sizes["clients.upload_bytes"] == exp.cfg.rounds * exp.local_models.nbytes, name
+        assert sizes["clients.upload_bytes"] == (
+            exp.cfg.rounds * len(exp.clients) * exp.initial_params.nbytes
+        ), name
 
 
 def test_benchmark_workloads_split_only_where_a_pool_pays(monkeypatch):
@@ -119,14 +121,14 @@ def test_benchmark_workloads_split_only_where_a_pool_pays(monkeypatch):
             config.parse_config_text(workloads.config_text(workload, seed=0))
         )
         out = clients.shared_rows(len(exp.clients), exp.initial_params.size)
-        rngs = [np.random.default_rng(c.id) for c in exp.clients]
+        rngs = {c.id: np.random.default_rng(c.id) for c in exp.clients}
         processes = clients.pool_size(exp.clients, exp.cfg.local, exp.initial_params.size)
         with clients.TrainingPool(exp.clients, out, processes) as pool:
             shares[name] = clients.lockstep_shares(
                 exp.clients, exp.cfg.local, exp.initial_params.size, processes
             )
             assert clients.train_lockstep(
-                exp.arch, exp.clients, exp.initial_params, exp.cfg.local, rngs, out, pool
+                exp.arch, exp.clients, exp.initial_params, exp.cfg.local, rngs, pool
             ) == {}
             started[name] = bool(pool.children)
     assert [[len(rows) for rows in share] for share in shares["signflip_logistic"]] == [[10], [10]]

@@ -190,9 +190,6 @@ def test_build_experiment_shapes():
     assert exp.agent.action_dim == m
     assert len(exp.buffer) == 0
     assert all(c.role == "benign" for c in exp.clients)
-    # every client's initial local model matches the broadcast parameters
-    assert exp.local_models.shape == (6, exp.initial_params.size)
-    assert (exp.local_models == exp.initial_params).all()
 
 
 def test_build_experiment_partial_participation_sets_agent_dims():
@@ -377,11 +374,58 @@ def test_selection_measures_each_distinct_upload_once(monkeypatch):
     assert rows == [1] + [benign + 1] * cfg.rounds
 
 
-def collect(exp, participants, global_params, round_index):
-    """``_collect_uploads`` on a pool of one process over a new upload matrix."""
-    out = orchestrator._upload_rows(exp.cfg, len(participants), global_params.size)
-    with clients.TrainingPool(exp.clients, out, 1) as pool:
-        return orchestrator._collect_uploads(exp, participants, global_params, round_index, pool)
+def run_matrix(exp):
+    """The run's parameter matrix as ``run_rounds`` makes it: a row per
+    client, each the initial parameters."""
+    models = orchestrator._client_rows(exp.cfg, exp.initial_params.size)
+    models[:] = exp.initial_params
+    return models
+
+
+def collect(exp, participants, global_params, round_index, models=None):
+    """``_collect_uploads`` on a pool of one process over ``models``, by
+    default a new run matrix; returns the matrix."""
+    models = run_matrix(exp) if models is None else models
+    with clients.TrainingPool(exp.clients, models, 1) as pool:
+        orchestrator._collect_uploads(exp, participants, global_params, round_index, pool)
+    return models
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.5])
+@pytest.mark.parametrize("aggregator", ["fedaa", "fedavg"])
+def test_a_run_makes_one_parameter_matrix_and_reads_it_in_place(monkeypatch, aggregator, ratio):
+    # a row per client, whoever takes part; under full participation,
+    # selection and fedavg's merge read the matrix itself, not a per-round
+    # copy of it, and otherwise a copy of the cohort's rows
+    made, read = [], []
+    shared_rows, select, aggregate = (
+        clients.shared_rows, orchestrator.select_clients, orchestrator.aggregate
+    )
+
+    def recording_shared_rows(*shape):
+        made.append(shared_rows(*shape))
+        return made[-1]
+
+    def recording_select(ids, rows, *args):
+        read.append(rows)
+        return select(ids, rows, *args)
+
+    def recording_aggregate(rows, action):
+        if aggregator == "fedavg":
+            read.append(rows)
+        return aggregate(rows, action)
+
+    monkeypatch.setattr(orchestrator, "shared_rows", recording_shared_rows)
+    monkeypatch.setattr(orchestrator, "select_clients", recording_select)
+    monkeypatch.setattr(orchestrator, "aggregate", recording_aggregate)
+    exp = orchestrator.build_experiment(small_cfg(aggregator=aggregator, participation_ratio=ratio))
+    orchestrator.run_rounds(exp)
+    assert not hasattr(exp, "local_models")
+    assert [m.shape for m in made] == [(6, exp.initial_params.size)]
+    assert len(read) == (exp.cfg.rounds + 1 if aggregator == "fedaa" else exp.cfg.rounds)
+    for rows in read:
+        assert rows.shape == (exp.cohort_size, exp.initial_params.size)
+        assert np.shares_memory(rows, made[0]) == (ratio == 1.0)
 
 
 def test_benign_uploads_become_the_local_models():
@@ -389,16 +433,17 @@ def test_benign_uploads_become_the_local_models():
         small_cfg(malicious_fraction=0.4, attack=clients.AttackSpec("sign_flip"))
     )
     participants = [0, 2, 3, 5]
-    uploads = collect(exp, participants, exp.initial_params, 0)
-    for row, cid in enumerate(participants):
-        want = uploads[row] if exp.clients[cid].role == "benign" else exp.initial_params
-        assert np.array_equal(exp.local_models[cid], want), cid
-    # only participants train; nothing reads an attacker's row
+    models = collect(exp, participants, exp.initial_params, 0)
+    plain = with_local_models(orchestrator.build_experiment(exp.cfg))
+    want = per_client_uploads(plain, participants, exp.initial_params, 0)
+    # a participant's row is its upload, and a benign client's its local model
+    assert models[participants].tobytes() == want.tobytes()
+    benign = [c.id for c in exp.clients if c.role == "benign"]
+    assert models[benign].tobytes() == plain.local_models[benign].tobytes()
+    # only participants write their rows
     for cid in (1, 4):
-        assert np.array_equal(exp.local_models[cid], exp.initial_params)
+        assert np.array_equal(models[cid], exp.initial_params)
     assert {exp.clients[c].role for c in participants} == {"benign", "malicious"}
-    # the local models are copies, independent of the spent upload matrix
-    assert not np.shares_memory(exp.local_models, uploads)
 
 
 def test_local_models_are_written_without_a_second_upload_matrix(monkeypatch):
@@ -411,8 +456,8 @@ def test_local_models_are_written_without_a_second_upload_matrix(monkeypatch):
     exp = orchestrator.build_experiment(cfg)
     monkeypatch.setattr(clients, "STACK_BYTES", exp.initial_params.nbytes)
     participants = list(range(30))
-    uploads = orchestrator._upload_rows(cfg, len(participants), exp.initial_params.size)
-    with clients.TrainingPool(exp.clients, uploads, 1) as pool:
+    models = run_matrix(exp)
+    with clients.TrainingPool(exp.clients, models, 1) as pool:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -420,10 +465,10 @@ def test_local_models_are_written_without_a_second_upload_matrix(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-    assert (exp.local_models == uploads).all()
+    assert not (models == exp.initial_params).all(axis=1).any()
     # one stack's worth of training buffers, and no gathered copy of the
-    # upload matrix's benign rows (all of them)
-    assert peak < 0.5 * uploads.nbytes
+    # matrix's benign rows (all of them)
+    assert peak < 0.5 * models.nbytes
 
 
 def test_ipm_uploads_equal_the_scaled_benign_mean():
@@ -452,7 +497,7 @@ def test_ipm_round_without_benign_uploads_fails():
 
 
 def test_training_errors_are_raised_in_their_clients_turn(monkeypatch):
-    # train_lockstep returns each failed client's error by row; the round
+    # train_lockstep returns each failed client's error by id; the round
     # raises it in the client's turn, benign clients first, naming it
     exp = orchestrator.build_experiment(
         small_cfg(malicious_fraction=0.3, attack=clients.AttackSpec("sign_flip"))
@@ -468,7 +513,7 @@ def test_training_errors_are_raised_in_their_clients_turn(monkeypatch):
 
     def failing_train_lockstep(arch, cohort, *args):
         train_lockstep(arch, cohort, *args)
-        return {row: errors[c.id] for row, c in enumerate(cohort) if c.id in errors}
+        return {c.id: errors[c.id] for c in cohort if c.id in errors}
 
     monkeypatch.setattr(orchestrator, "train_lockstep", failing_train_lockstep)
     with pytest.raises(NumericError) as raised:
@@ -514,6 +559,13 @@ def per_client_uploads(exp, participants, global_params, round_index):
     return np.stack([uploads[c] for c in sorted(uploads)])
 
 
+def with_local_models(exp):
+    """``exp`` with a local-model matrix of its own, which
+    ``per_client_uploads`` copies each benign upload into."""
+    exp.local_models = np.tile(exp.initial_params, (len(exp.clients), 1))
+    return exp
+
+
 def mixed_experiment():
     # equal and distinct train sizes; benign, sign_flip and ipm clients
     cfg = small_cfg(
@@ -543,17 +595,20 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
         return nn.sgd_epoch(arch, params, *args)
 
     monkeypatch.setattr(clients, "sgd_epoch", counting_sgd_epoch)
-    lockstep, plain = mixed_experiment(), mixed_experiment()
+    lockstep, plain = mixed_experiment(), with_local_models(mixed_experiment())
     part_rng = stream(lockstep.cfg.seed, "participation")
     params = lockstep.initial_params
+    models = run_matrix(lockstep)
+    benign = [c.id for c in lockstep.clients if c.role == "benign"]
     kinds = set()
     for t in range(3):
         participants = orchestrator.sample_participants(12, 0.75, part_rng)
-        got = collect(lockstep, participants, params, t)
+        collect(lockstep, participants, params, t, models)
         want = per_client_uploads(plain, participants, params, t)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        assert lockstep.local_models.tobytes() == plain.local_models.tobytes()
+        # a participant's row is its upload, and every benign client's row
+        # its local model, a past round's upload if it sat this one out
+        assert models[participants].tobytes() == want.tobytes()
+        assert models[benign].tobytes() == plain.local_models[benign].tobytes()
         kinds.update(lockstep.clients[c].attack.kind if lockstep.clients[c].attack else None
                      for c in participants)
         params = np.mean(want, axis=0)
@@ -653,7 +708,7 @@ def test_diverging_client_in_a_stack_is_named_as_when_training_alone(
     huge_clients, huge_row, named
 ):
     exp = diverging_experiment(huge_clients, huge_row)
-    plain = diverging_experiment(huge_clients, huge_row)
+    plain = with_local_models(diverging_experiment(huge_clients, huge_row))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError) as alone:
             per_client_uploads(plain, range(6), plain.initial_params, 0)
@@ -702,7 +757,7 @@ def test_a_run_on_a_pool_equals_a_run_on_one_process(monkeypatch, pool_forks, pr
 
 
 def test_a_diverging_client_in_a_child_fails_its_round_by_name(pool_forks):
-    exp, plain = diverging_experiment((5,)), diverging_experiment((5,))
+    exp, plain = diverging_experiment((5,)), with_local_models(diverging_experiment((5,)))
     # the child trains the second share
     assert [5] in clients.lockstep_shares(exp.clients, exp.cfg.local, exp.initial_params.size, 2)[1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -760,7 +815,7 @@ def test_only_a_run_that_can_split_forks(monkeypatch, split_steps, forked):
 
 def small_experiment_pair():
     cfg = small_cfg(malicious_fraction=0.3, attack=clients.AttackSpec("sign_flip"))
-    return orchestrator.build_experiment(cfg), orchestrator.build_experiment(cfg)
+    return orchestrator.build_experiment(cfg), with_local_models(orchestrator.build_experiment(cfg))
 
 
 def test_guard_failing_on_finite_losses_leaves_uploads_unchanged(monkeypatch):
@@ -852,24 +907,9 @@ def run_limited(hidden, margin_mib, body):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_a_population_too_large_for_memory_fails_typed():
-    # 200 clients at model.hidden = 20000 need 2.12 GiB of local models
+    # 200 clients at model.hidden = 20000 need 2.12 GiB of local models,
+    # made when the run starts
     out = run_limited(20000, 1024, """
-        try:
-            orchestrator.build_experiment(cfg)
-        except ConfigError as exc:
-            print(exc)
-    """)
-    assert out.strip() == (
-        "dataset.num_clients = 200 local models of model.hidden = [20000] "
-        "(1420010 parameters each) need 2.12 GiB, more than this process can allocate"
-    )
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_an_upload_matrix_too_large_for_memory_fails_typed():
-    # the 217 MiB of local models fit in the margin, and the run's upload
-    # matrix of the same size, made in run_rounds, does not
-    out = run_limited(2000, 300, """
         exp = orchestrator.build_experiment(cfg)
         try:
             orchestrator.run_rounds(exp)
@@ -877,7 +917,6 @@ def test_an_upload_matrix_too_large_for_memory_fails_typed():
             print(exc)
     """)
     assert out.strip() == (
-        "200 uploads of dataset.num_clients = 200 at participation_ratio = 1.0 of "
-        "model.hidden = [2000] (142010 parameters each) need 0.21 GiB, more than this "
-        "process can allocate"
+        "dataset.num_clients = 200 local models of model.hidden = [20000] "
+        "(1420010 parameters each) need 2.12 GiB, more than this process can allocate"
     )
