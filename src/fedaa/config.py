@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable
 
 from .errors import ConfigError, ParseError
-from .clients import ATTACKS, AttackSpec
+from .clients import ATTACKS, AttackSpec, attacker_count
 from .ddpg import DdpgConfig
 from .nn import SgdConfig
 from .selection import SCOPES
@@ -331,6 +331,12 @@ def build_config(values: dict[str, object]) -> ExperimentConfig:
         raise ConfigError(f"dataset.samples_per_client lists {len(sizes)} sizes for {count} clients")
     if cfg.malicious_fraction != 0.0 and cfg.attack is None:
         raise ConfigError("malicious_fraction > 0 requires an attack")
+    if cfg.attack is not None and attacker_count(count, cfg.malicious_fraction) == 0:
+        raise ConfigError(
+            f"attack = {cfg.attack.kind} with malicious_fraction = {cfg.malicious_fraction} "
+            f"of dataset.num_clients = {count} makes floor({cfg.malicious_fraction} * {count}) "
+            f"= 0 attackers, so no client attacks"
+        )
     if cfg.ddpg.buffer_capacity < cfg.ddpg.warmup:
         raise ConfigError(
             f"ddpg.buffer_capacity = {cfg.ddpg.buffer_capacity} is below ddpg.warmup = "

@@ -294,7 +294,9 @@ def extract_server_pool(
                 f"client train split of {len(train)} cannot spare {upload} uploads"
             )
         pick = np.sort(rng.choice(len(train), size=upload, replace=False))
-        keep = np.setdiff1d(np.arange(len(train)), pick)
+        kept = np.ones(len(train), dtype=bool)
+        kept[pick] = False
+        keep = np.flatnonzero(kept)
         pool_x.append(train.features[pick])
         pool_y.append(train.labels[pick])
         clients.append((train.subset(keep), test))

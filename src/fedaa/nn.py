@@ -143,6 +143,46 @@ def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray
     return forward_cached(arch, params, batch)[0]
 
 
+def forward_stack(arch: ArchSpec, params: np.ndarray, batches: np.ndarray) -> np.ndarray:
+    """Affine outputs of the last layer for k batches of one size, shape
+    (k, n, output_dim).
+
+    ``batches`` is (k, n, input_dim), and ``params`` either k networks'
+    rows, (k, d), batch i going through row i, or one network's (d,)
+    vector that every batch goes through. Each layer is one stacked
+    matmul, ``(k, n, fan_in) @ (k, fan_in, fan_out)``, whose item i is
+    the matmul ``forward`` makes for row i on batch i, on operands laid
+    out as there; so on C-contiguous batches every item is bit-identical
+    to ``forward``, which ``fedaa selftest`` checks on the installed
+    numpy and BLAS.
+    """
+    x = np.asarray(batches, dtype=np.float64)
+    if x.ndim != 3 or x.shape[2] != arch.input_dim:
+        raise ConfigError(
+            f"batch stack shape {x.shape} incompatible with input_dim {arch.input_dim}"
+        )
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim == 1:
+        layers = unflatten(arch, params)
+    elif params.shape == (x.shape[0], param_count(arch)):
+        k = x.shape[0]
+        layers = [
+            (params[:, wsl].reshape(k, fan_in, fan_out), params[:, bsl].reshape(k, 1, fan_out))
+            for (wsl, bsl), (fan_in, fan_out) in zip(layer_slices(arch), arch.layer_dims())
+        ]
+    else:
+        raise ConfigError(
+            f"parameters of shape {params.shape} for {x.shape[0]} batches of "
+            f"({param_count(arch)},)-parameter networks"
+        )
+    h = x
+    for index, (weight, bias) in enumerate(layers):
+        z = h @ weight + bias
+        if index < len(layers) - 1:
+            h = np.maximum(z, 0.0)
+    return z
+
+
 def backward_from_output(
     arch: ArchSpec, params: np.ndarray, cache: _ForwardCache, dout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

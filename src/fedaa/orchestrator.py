@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ConfigError, FedaaError, InternalError, NumericError
 from . import data as datamod
 from .clients import (
+    FAIRNESS_STACK_BYTES,
     ClientRecord,
     TrainingPool,
     assign_roles,
@@ -49,7 +50,7 @@ from .ddpg import (
     update_actor,
     update_critic,
 )
-from .nn import ArchSpec, ce_loss_from_logits, forward, init_params
+from .nn import ArchSpec, forward, forward_stack, init_params, log_softmax
 from .seeding import derive_seed, stream
 from .selection import SelectionResult, select_clients, top_count
 
@@ -134,6 +135,40 @@ def evaluate_reward(
     return float(correct.mean()), per_class
 
 
+def benign_scores(
+    clients: list[ClientRecord],
+    arch: ArchSpec,
+    models: np.ndarray,
+    global_params: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each benign client's test accuracy and loss under its local model,
+    row ``client.id`` of ``models``, and its test accuracy under
+    ``global_params``: three arrays in the order of ``clients``, in
+    stacks as ``evaluate_fairness`` describes. Each value is
+    bit-identical to the client's own ``forward``, ``argmax`` and
+    ``ce_loss_from_logits``; ``fedaa selftest`` checks this.
+    """
+    benign = [c for c in clients if c.role == "benign"]
+    groups: dict[int, list[int]] = {}
+    for pos, client in enumerate(benign):
+        groups.setdefault(len(client.test), []).append(pos)
+    width = max(1, FAIRNESS_STACK_BYTES // (8 * models.shape[1]))
+    accs, losses, global_accs = (np.empty(len(benign)) for _ in range(3))
+    for group in groups.values():
+        for lo in range(0, len(group), width):
+            stack = group[lo : lo + width]
+            x = np.stack([benign[p].test.features for p in stack])
+            y = np.stack([benign[p].test.labels for p in stack])
+            # the gathered rows are a temporary, freed when forward_stack returns
+            logits = forward_stack(arch, models[[benign[p].id for p in stack]], x)
+            accs[stack] = (np.argmax(logits, axis=2) == y).mean(axis=1)
+            picked = log_softmax(logits)[np.arange(len(stack))[:, None], np.arange(y.shape[1]), y]
+            losses[stack] = -picked.mean(axis=1)
+            logits = forward_stack(arch, global_params, x)
+            global_accs[stack] = (np.argmax(logits, axis=2) == y).mean(axis=1)
+    return accs, losses, global_accs
+
+
 def evaluate_fairness(
     clients: list[ClientRecord],
     arch: ArchSpec,
@@ -146,18 +181,20 @@ def evaluate_fairness(
     ``client.id`` of the run's parameter matrix ``models``, on its own
     test split;
     mean_global_acc scores the shared global model, ``global_params``,
-    on the same splits.
+    on the same splits. The per-client values are combined in the order
+    of ``clients``, ascending id in a run.
+
+    The clients are scored in stacks (``benign_scores``): benign clients
+    of equal test size, in the order of ``clients``, split into stacks of
+    at most FAIRNESS_STACK_BYTES of parameter rows (one row if a row is
+    larger), so that a stack's memory does not grow with the population.
+    A stack's rows are gathered once, its test splits stacked, and each
+    layer is one stacked matmul for the local models and one broadcast
+    matmul for the global model (``forward_stack``); the gathered rows
+    are released before the next stack gathers its own.
     """
-    accs, losses, global_accs = [], [], []
-    for client in clients:
-        if client.role != "benign":
-            continue
-        logits = forward(arch, models[client.id], client.test.features)
-        accs.append(float((np.argmax(logits, axis=1) == client.test.labels).mean()))
-        losses.append(ce_loss_from_logits(logits, client.test.labels))
-        g_logits = forward(arch, global_params, client.test.features)
-        global_accs.append(float((np.argmax(g_logits, axis=1) == client.test.labels).mean()))
-    if not accs:
+    accs, losses, global_accs = benign_scores(clients, arch, models, global_params)
+    if not accs.size:
         raise ConfigError("fairness metrics need at least one benign client")
     return FairnessMetrics(
         mean_acc=float(np.mean(accs)),
@@ -346,7 +383,7 @@ def _collect_uploads(
             if benign_mean is None and client.attack is not None and client.attack.kind == "ipm":
                 # every ipm attacker scales the same mean; take it once a
                 # round, when every benign row is written
-                benign_mean = mean_upload(models[[c.id for c in cohort if c.attack is None]])
+                benign_mean = mean_upload(models, [c.id for c in cohort if c.attack is None])
             local_update(client, models[client.id], rngs[client.id], benign_mean=benign_mean)
         except FedaaError as exc:
             raise type(exc)(f"client {client.id} ({client.role}): {exc}") from exc

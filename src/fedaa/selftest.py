@@ -8,17 +8,26 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from . import data as datamod
-from .clients import SPLIT_STEPS, ClientRecord, TrainingPool, shared_rows, train_lockstep
+from .clients import (
+    SPLIT_STEPS,
+    AttackSpec,
+    ClientRecord,
+    TrainingPool,
+    shared_rows,
+    train_lockstep,
+)
 from .ddpg import DdpgConfig, ReplayBuffer, Transition, make_agent, act, soft_update
 from .nn import (
     ArchSpec,
     SgdConfig,
     backward_ce,
+    ce_loss_from_logits,
+    forward,
     init_params,
     param_count,
     sgd_epoch,
 )
-from .orchestrator import aggregate
+from .orchestrator import aggregate, benign_scores
 from .selection import distance_matrix, select_clients
 
 
@@ -133,6 +142,35 @@ def _check_sgd_matches_reference() -> None:
     )
 
 
+def _check_fairness_stacking() -> None:
+    # byte-identical fairness metrics rest on a stack of clients' forwards,
+    # argmaxes and losses doing exactly the arithmetic of each client's own
+    # on this numpy and BLAS: a test split of one row takes matmul's vector
+    # path, and the means over 9 and 130 rows sum pairwise
+    rng = np.random.default_rng(17)
+    arch = ArchSpec(6, (8, 5), 3)
+    clients = []
+    for cid, n in enumerate((9, 1, 130, 9, 1, 5, 130, 9)):
+        split = datamod.LabeledDataset(rng.normal(size=(n, 6)), rng.integers(0, 3, n), 3)
+        # client 5 attacks, so the benign rows the stacks gather are not contiguous
+        clients.append(ClientRecord(cid, AttackSpec("gaussian") if cid == 5 else None, split, split))
+    models = 3.0 * rng.normal(size=(len(clients), param_count(arch)))
+    global_params = init_params(arch, rng)
+    accs, losses, global_accs = benign_scores(clients, arch, models, global_params)
+    benign = [c for c in clients if c.attack is None]
+    for i, client in enumerate(benign):
+        x, y = client.test.features, client.test.labels
+        logits = forward(arch, models[client.id], x)
+        want = (
+            float((np.argmax(logits, axis=1) == y).mean()),
+            ce_loss_from_logits(logits, y),
+            float((np.argmax(forward(arch, global_params, x), axis=1) == y).mean()),
+        )
+        assert (accs[i], losses[i], global_accs[i]) == want, (
+            f"stacked fairness scores differ from client {client.id}'s own"
+        )
+
+
 def _check_parallel_training() -> None:
     # byte-identical results on a training pool rest on a forked child
     # training as this process would on the installed numpy and BLAS
@@ -181,6 +219,7 @@ CHECKS = (
     ("gradient_check", _check_gradient),
     ("sgd_matches_reference", _check_sgd_matches_reference),
     ("parallel_training", _check_parallel_training),
+    ("fairness_stacking", _check_fairness_stacking),
 )
 
 

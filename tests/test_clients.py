@@ -141,18 +141,40 @@ def test_gaussian_message_scale():
 def test_ipm_message_hand_computed():
     # the message is -epsilon times the mean of the benign upload rows
     benign = np.array([np.ones(610), 3.0 * np.ones(610)])
-    assert np.array_equal(clients.mean_upload(benign), np.full(610, 2.0))
+    assert np.array_equal(clients.mean_upload(benign, [0, 1]), np.full(610, 2.0))
     for epsilon, expected in ((0.5, -1.0), (2.0, -4.0)):
         spec = clients.AttackSpec("ipm", ipm_epsilon=epsilon)
         client = make_client(attack=spec)
         upload = np.empty(610)
         clients.local_update(
             client, upload, np.random.default_rng(5),
-            benign_mean=clients.mean_upload(benign),
+            benign_mean=clients.mean_upload(benign, [0, 1]),
         )
         assert np.allclose(upload, expected)
     with pytest.raises(SimulationError):
-        clients.mean_upload(np.empty((0, 610)))
+        clients.mean_upload(np.empty((0, 610)), [])
+
+
+def test_mean_upload_equals_the_mean_of_the_gathered_rows_generated():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.floats(-1e300, 1e300, allow_subnormal=True)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 9))
+    def check(data, n, d):
+        models = np.array(data.draw(st.lists(
+            st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n
+        )))
+        ids = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        want = np.mean(models[ids], axis=0)
+        assert clients.mean_upload(models, ids).tobytes() == want.tobytes()
+
+    check()
+    # the server_heavy shape: 120 benign rows of 14,210 among 200
+    models = np.random.default_rng(6).normal(size=(200, 14_210))
+    ids = sorted(np.random.default_rng(7).choice(200, size=120, replace=False).tolist())
+    assert clients.mean_upload(models, ids).tobytes() == np.mean(models[ids], axis=0).tobytes()
 
 
 # ------------------------------------------------------------ local updates
@@ -216,7 +238,7 @@ def test_ipm_client_uses_benign_uploads():
     benign = np.array([np.ones(610), 3.0 * np.ones(610)])
     upload = np.empty(610)
     clients.local_update(
-        client, upload, np.random.default_rng(14), benign_mean=clients.mean_upload(benign),
+        client, upload, np.random.default_rng(14), benign_mean=clients.mean_upload(benign, [0, 1]),
     )
     assert np.allclose(upload, -1.0)
     with pytest.raises(SimulationError):

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fedaa import config, results
+from fedaa import clients, config, results
 from fedaa.errors import ConfigError, NumericError, ParseError
 from fedaa.orchestrator import RoundRecord
 from fedaa.selection import SCOPES
@@ -131,6 +131,28 @@ def test_a_replay_buffer_smaller_than_the_warmup_is_rejected():
         config.parse_config_text("ddpg.buffer_capacity = 3\nddpg.warmup = 4\n")
     cfg = config.parse_config_text("ddpg.buffer_capacity = 4\nddpg.warmup = 4\n")
     assert (cfg.ddpg.buffer_capacity, cfg.ddpg.warmup) == (4, 4)
+
+
+def test_an_attack_without_an_attacker_is_rejected():
+    # floor(fraction * num_clients) = 0 attackers would run a clean
+    # population under an attack's name
+    with pytest.raises(
+        ConfigError,
+        match=r"^attack = sign_flip with malicious_fraction = 0\.0 of dataset\.num_clients = 100 "
+        r"makes floor\(0\.0 \* 100\) = 0 attackers",
+    ):
+        config.parse_config_text("attack = sign_flip\nattack.tau = 3\n")
+    with pytest.raises(ConfigError, match=r"floor\(0\.04 \* 20\) = 0 attackers"):
+        config.parse_config_text(
+            "dataset.num_clients = 20\nmalicious_fraction = 0.04\nattack = ipm\n"
+        )
+    # one attacker is enough; 0.29 * 100 floats to 28.999999999999996
+    for fraction, count, attackers in (("0.05", 20, 1), ("0.1", 10, 1), ("0.29", 100, 29)):
+        cfg = config.parse_config_text(
+            f"dataset.num_clients = {count}\nmalicious_fraction = {fraction}\nattack = gaussian\n"
+        )
+        assert clients.attacker_count(count, cfg.malicious_fraction) == attackers
+    assert config.parse_config_text("attack = none\n").attack is None
 
 
 def test_fedavg_rejects_and_omits_the_selection_and_policy_keys():
@@ -271,6 +293,10 @@ def _config_values(st):
         sizes = out.get("dataset.samples_per_client")
         if isinstance(sizes, tuple) and len(sizes) >= 2:
             out["dataset.num_clients"] = len(sizes)
+        # an attack needs at least one attacker, floor(fraction * clients)
+        count = out.get("dataset.num_clients", config.DatasetConfig.num_clients)
+        if kinds[1] != "none" and count >= 3 and out.get("malicious_fraction", 0.0) * count < 1.0:
+            out["malicious_fraction"] = draw(st.floats(1.0 / count, 0.49))
         return out
 
     return values()

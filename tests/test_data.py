@@ -261,6 +261,45 @@ def test_extract_server_pool_upload_rule():
     assert total_after + len(pool) == total_before
 
 
+def test_extract_server_pool_keeps_the_setdiff_of_its_picks_generated():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    class Recording:
+        """A generator that records the picks it is asked for."""
+
+        def __init__(self, seed):
+            self.rng, self.picks = np.random.default_rng(seed), []
+
+        def choice(self, *args, **kwargs):
+            self.picks.append(self.rng.choice(*args, **kwargs))
+            return self.picks[-1]
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        sizes=st.lists(st.integers(5, 300), min_size=1, max_size=6), seed=st.integers(0, 2**32)
+    )
+    def check(sizes, seed):
+        rng = np.random.default_rng(seed)
+        part = data.ClientPartition([
+            (data.LabeledDataset(rng.normal(size=(n, 3)), rng.integers(0, 2, n), 2),
+             data.LabeledDataset(rng.normal(size=(2, 3)), np.array([0, 1]), 2))
+            for n in sizes
+        ])
+        recording = Recording(seed)
+        pool, trimmed = data.extract_server_pool(part, recording)
+        assert len(recording.picks) == len(sizes)
+        for (train, test), (kept, kept_test), pick in zip(part.clients, trimmed.clients, recording.picks):
+            keep = np.setdiff1d(np.arange(len(train)), pick)
+            assert kept.features.tobytes() == train.features[keep].tobytes()
+            assert kept.labels.tobytes() == train.labels[keep].tobytes()
+            assert kept_test is test
+        picked = [train.features[np.sort(p)] for (train, _), p in zip(part.clients, recording.picks)]
+        assert pool.features.tobytes() == np.vstack(picked).tobytes()
+
+    check()
+
+
 def test_extract_server_pool_rejects_tiny_trains():
     rng = np.random.default_rng(27)
     ds = data.LabeledDataset(rng.normal(size=(40, 2)), rng.integers(0, 2, 40), 2)

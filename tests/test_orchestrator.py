@@ -145,6 +145,110 @@ def test_fairness_requires_a_benign_client():
         orchestrator.evaluate_fairness([], nn.ArchSpec(1, (), 2), np.zeros((0, 4)), np.zeros(4))
 
 
+def per_client_fairness(population, arch, models, global_params):
+    """The straightforward evaluation: each benign client's two forwards
+    and one loss, on its own, in the order of ``population``; the
+    per-client values and the metrics."""
+    accs, losses, global_accs = [], [], []
+    for client in population:
+        if client.role != "benign":
+            continue
+        x, y = client.test.features, client.test.labels
+        logits = nn.forward(arch, models[client.id], x)
+        accs.append(float((np.argmax(logits, axis=1) == y).mean()))
+        losses.append(nn.ce_loss_from_logits(logits, y))
+        global_accs.append(float((np.argmax(nn.forward(arch, global_params, x), axis=1) == y).mean()))
+    metrics = orchestrator.FairnessMetrics(
+        mean_acc=float(np.mean(accs)),
+        acc_std=float(np.std(accs)),
+        loss_std=float(np.std(losses)),
+        mean_global_acc=float(np.mean(global_accs)),
+    )
+    return (accs, losses, global_accs), metrics
+
+
+def test_stacked_fairness_equals_the_per_client_loop_generated():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    gaussian = clients.AttackSpec("gaussian")
+    # (test size, attacks) per client, in id order
+    population = st.lists(
+        st.tuples(st.one_of(st.sampled_from([1, 7, 8, 9, 129]), st.integers(1, 140)), st.booleans()),
+        min_size=1, max_size=12,
+    )
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    # explicit cases: every hidden depth, the test sizes where matmul and the
+    # sums change paths, attackers between benign ids, and groups wider
+    # than a stack (width: stack rows under a shrunk FAIRNESS_STACK_BYTES)
+    @hypothesis.example(hidden=(), input_dim=3, classes=4, scale=1.0, width=None, seed=0,
+                        specs=[(1, False), (7, True), (8, False), (9, False), (129, False),
+                               (8, False), (1, False)])
+    @hypothesis.example(hidden=(6,), input_dim=5, classes=3, scale=30.0, width=2, seed=1,
+                        specs=[(9, False), (9, True), (9, False), (9, False), (9, False),
+                               (1, False), (1, True), (1, False), (1, False)])
+    @hypothesis.example(hidden=(5, 4), input_dim=2, classes=5, scale=0.1, width=1, seed=2,
+                        specs=[(129, False), (8, True), (129, False), (7, False), (129, False)])
+    @hypothesis.given(
+        hidden=st.lists(st.integers(1, 12), max_size=2).map(tuple),
+        input_dim=st.integers(1, 6),
+        classes=st.integers(2, 5),
+        scale=st.sampled_from([0.1, 1.0, 30.0]),
+        width=st.one_of(st.none(), st.integers(1, 4)),
+        seed=st.integers(0, 2**32),
+        specs=population,
+    )
+    def check(hidden, input_dim, classes, scale, width, seed, specs):
+        hypothesis.assume(not all(attacks for _, attacks in specs))
+        rng = np.random.default_rng(seed)
+        arch = nn.ArchSpec(input_dim, hidden, classes)
+        d = nn.param_count(arch)
+        population = []
+        for cid, (n, attacks) in enumerate(specs):
+            split = LabeledDataset(rng.normal(size=(n, input_dim)), rng.integers(0, classes, n), classes)
+            population.append(ClientRecord(cid, gaussian if attacks else None, split, split))
+        models = scale * rng.normal(size=(len(specs), d))
+        global_params = scale * rng.normal(size=d)
+        want_scores, want = per_client_fairness(population, arch, models, global_params)
+        with pytest.MonkeyPatch.context() as patch:
+            if width is not None:
+                patch.setattr(orchestrator, "FAIRNESS_STACK_BYTES", width * 8 * d)
+            scores = orchestrator.benign_scores(population, arch, models, global_params)
+            got = orchestrator.evaluate_fairness(population, arch, models, global_params)
+        assert [s.tolist() for s in scores] == list(want_scores)
+        assert got == want
+
+    check()
+
+
+def test_fairness_stacks_are_capped_and_score_each_benign_client_once(monkeypatch):
+    arch = nn.ArchSpec(4, (3,), 2)
+    d = nn.param_count(arch)  # 23
+    rng = np.random.default_rng(3)
+    population = [
+        ClientRecord(cid, clients.AttackSpec("ipm") if cid % 5 == 2 else None, split, split)
+        for cid, n in enumerate([3, 5, 3, 3, 5, 3, 3, 3, 5, 3, 3, 3])
+        for split in [LabeledDataset(rng.normal(size=(n, 4)), rng.integers(0, 2, n), 2)]
+    ]
+    models = rng.normal(size=(len(population), d))
+    stacks = []
+    forward_stack = orchestrator.forward_stack
+
+    def recorded(arch, params, batches):
+        if params.ndim == 2:
+            stacks.append((params.nbytes, batches.shape[1], [r.tobytes() for r in params]))
+        return forward_stack(arch, params, batches)
+
+    monkeypatch.setattr(orchestrator, "forward_stack", recorded)
+    monkeypatch.setattr(orchestrator, "FAIRNESS_STACK_BYTES", 3 * 8 * d + 7)
+    orchestrator.evaluate_fairness(population, arch, models, np.zeros(d))
+    # 7 benign clients of 3 test rows in stacks of 3, 3, 1; 3 of 5 rows in one
+    assert [(size // (8 * d), n) for size, n, _ in stacks] == [(3, 3), (3, 3), (1, 3), (3, 5)]
+    benign = [c for c in population if c.role == "benign"]
+    by_size = sorted(benign, key=lambda c: len(c.test))  # stable: ids ascend within a size
+    assert [row for *_, rows in stacks for row in rows] == [models[c.id].tobytes() for c in by_size]
+
+
 def test_sample_participants():
     rng = np.random.default_rng(0)
     assert orchestrator.sample_participants(10, 1.0, rng) == list(range(10))
@@ -549,7 +653,7 @@ def per_client_uploads(exp, participants, global_params, round_index):
                 uploads[cid][:] = trained
             clients.local_update(
                 client, uploads[cid], rng,
-                benign_mean=clients.mean_upload(np.array(benign)) if ipm else None,
+                benign_mean=np.mean(np.array(benign), axis=0) if ipm else None,
             )
         except FedaaError as exc:
             raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc
