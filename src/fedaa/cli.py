@@ -17,7 +17,7 @@ from .config import (
     config_hash,
     emit_config,
     parse_config_values,
-    read_config_text,
+    read_text,
 )
 from .orchestrator import run_experiment, subsystem_seeds
 from .results import (
@@ -71,7 +71,7 @@ def _make_out_dir(path: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    values = parse_config_values(read_config_text(args.config))
+    values = parse_config_values(read_text(args.config, "config"))
     if args.seed is not None:
         try:
             values["seed"] = SCHEMA["seed"](args.seed)
@@ -164,7 +164,7 @@ def _sweep_one(task: tuple[int, int, ExperimentConfig]) -> tuple[int, int, dict]
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1 (got {args.seeds})")
-    base = parse_config_values(read_config_text(args.config))
+    base = parse_config_values(read_text(args.config, "config"))
     axes = _parse_vary(args.vary or [])
     cells = _grid(axes)
     tasks = []
@@ -222,11 +222,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _read_results_csv(path: str) -> list[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as exc:
-        raise ConfigError(f"cannot read results {path}: {exc}") from exc
+    lines = [line for line in read_text(path, "results").split("\n") if line.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty results file")
     header = lines[0].split(",")

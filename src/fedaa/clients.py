@@ -53,15 +53,6 @@ ATTACKS = {
 # lockstep_shares), so that its one stack of 20 becomes two of 10.
 STACK_BYTES = 1 << 19
 
-# Budget for the (k, d) float64 rows of one stack of the fairness
-# evaluation (orchestrator.evaluate_fairness), which makes each layer's
-# forward one stacked matmul over the stack's clients, and so bounds the
-# rows it gathers whatever the population. On a 2-vCPU Xeon, one call on
-# server_heavy's 120 benign clients of 4 test rows (d = 14,210) took 3.7 ms
-# in stacks of 4 MiB (36 clients) against 10.7 ms one client at a time,
-# 4.5 ms at 512 KiB (4 clients) and 3.2-4.0 ms at 8-16 MiB.
-FAIRNESS_STACK_BYTES = 1 << 22
-
 # sgd_epoch steps a round (epochs x the batches per epoch of its unsplit
 # stacks) below which it trains in one process. A split saves per step: on
 # a 2-vCPU Xeon, with the pool already forked, a round of 20 logistic
@@ -243,20 +234,22 @@ class TrainingPool:
     def __enter__(self) -> TrainingPool:
         """Fork the children. A platform without ``os.fork``, and a
         process running other threads, which a fork would not copy, fork
-        none; a fork that fails ends the forking, and rounds split over
-        the processes forked."""
+        none; a pipe or fork that fails ends the forking, and rounds split
+        over the processes forked."""
         if self.processes < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
             return self
         for _ in range(self.processes - 1):
-            tasks, task_end = os.pipe()
-            reply_end, replies = os.pipe()
+            fds: list[int] = []
             try:
+                fds += os.pipe()
+                fds += os.pipe()
                 with quiet_fork():
                     pid = os.fork()
-            except OSError:  # no process to be had: the rest trains here
-                for fd in (tasks, task_end, reply_end, replies):
+            except OSError:  # no pipe or process to be had: the rest trains here
+                for fd in fds:
                     os.close(fd)
                 break
+            tasks, task_end, reply_end, replies = fds
             if pid == 0:
                 inherited = [task_end, reply_end]
                 for _, to_child, from_child in self.children:

@@ -250,17 +250,23 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return build_config(parse_config_values(text))
 
 
-def read_config_text(path: str) -> str:
-    """The text of a config file; ConfigError if it cannot be read."""
+def read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 ``what`` file (a config, results); ConfigError
+    naming the file if it cannot be read, and the byte offset if it is
+    not UTF-8 (read whole, the file decodes in one piece)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"cannot read {what} {path}: byte {exc.start} is not UTF-8 ({exc.reason})"
+        ) from None
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    return parse_config_text(read_config_text(path))
+    return parse_config_text(read_text(path, "config"))
 
 
 def _scope(key: Key) -> tuple[tuple[str, ...], ...]:

@@ -1,12 +1,14 @@
 """Dense feed-forward networks on flat float64 parameter vectors.
 
 A network is its architecture and its row: an ``ArchSpec`` plus one
-flat float64 vector, often a row of a larger matrix. Every entry point
-takes the two as ``(arch, params)``, and no object wraps them;
-``unflatten`` checks that the vector is 1-D and of the arch's size, and
-``sgd_epoch`` takes a (k, d) stack of such rows. The flat layout is
-fixed and relied on by the parameter distance computations elsewhere in
-the package:
+flat float64 (d,) vector, often a row of a larger matrix. Every entry
+point takes the two as ``(arch, params)``, and no object wraps them.
+``unflatten``, ``forward`` and ``forward_cached`` also take a (k, d)
+stack of such rows, one network each, ``ce_loss_from_logits`` a stack's
+(k, n, C) logits, and ``sgd_epoch`` trains a stack; the gradient paths
+(``backward_ce``, ``backward_from_output``) take one network on one 2-D
+batch. The flat layout is fixed and relied on by the parameter distance
+computations elsewhere in the package:
 
     layer 0 weight (fan_in x fan_out, row-major), layer 0 bias,
     layer 1 weight, layer 1 bias, ...
@@ -78,16 +80,24 @@ def init_params(arch: ArchSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def unflatten(arch: ArchSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weight matrix, bias vector) views per layer of one 1-D vector; no copies."""
+    """(weight, bias) views per layer, no copies: of a (d,) vector,
+    (fan_in, fan_out) weights and (fan_out,) biases; of a (k, d) stack of
+    rows, (k, fan_in, fan_out) weights and (k, 1, fan_out) biases, each
+    row's part laid out as in its own vector."""
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1 or params.size != param_count(arch):
-        raise ConfigError(
-            f"parameter vector has shape {params.shape}, arch needs ({param_count(arch)},)"
+    d = param_count(arch)
+    if params.ndim not in (1, 2) or params.shape[-1] != d:
+        raise ConfigError(f"parameters of shape {params.shape}, arch needs ({d},) or (k, {d})")
+    lead = params.shape[:-1]  # () for a vector, (k,) for a stack
+    # a stack's biases take a unit sample axis, to broadcast over its batches
+    samples = (1,) * len(lead)
+    return [
+        (
+            params[..., wsl].reshape(*lead, fan_in, fan_out),
+            params[..., bsl].reshape(*lead, *samples, fan_out),
         )
-    layers = []
-    for (wsl, bsl), (fan_in, fan_out) in zip(layer_slices(arch), arch.layer_dims()):
-        layers.append((params[wsl].reshape(fan_in, fan_out), params[bsl]))
-    return layers
+        for (wsl, bsl), (fan_in, fan_out) in zip(layer_slices(arch), arch.layer_dims())
+    ]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -113,9 +123,10 @@ class _ForwardCache:
         self.pre = pre        # pre[l] is the affine output of layer l
 
 
-def _check_batch(arch: ArchSpec, batch: np.ndarray) -> np.ndarray:
+def _check_batch(arch: ArchSpec, batch: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """The batch as float64: (n, input_dim), or (k, n, input_dim) if ``stacked``."""
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != arch.input_dim:
+    if x.ndim != 2 + stacked or x.shape[-1] != arch.input_dim:
         raise ConfigError(
             f"batch shape {x.shape} incompatible with input_dim {arch.input_dim}"
         )
@@ -125,8 +136,12 @@ def _check_batch(arch: ArchSpec, batch: np.ndarray) -> np.ndarray:
 def forward_cached(
     arch: ArchSpec, params: np.ndarray, batch: np.ndarray
 ) -> tuple[np.ndarray, _ForwardCache]:
-    x = _check_batch(arch, batch)
+    """``forward``'s output and the activations a backward pass needs."""
     layers = unflatten(arch, params)
+    x = _check_batch(arch, batch, stacked=np.ndim(batch) == 3)
+    networks = layers[0][0].shape[:-2]  # () for one network, (k,) for a stack
+    if networks and x.shape[:-2] != networks:
+        raise ConfigError(f"{networks[0]} networks for a batch of shape {x.shape}")
     inputs, pre = [], []
     h = x
     for index, (weight, bias) in enumerate(layers):
@@ -139,48 +154,18 @@ def forward_cached(
 
 
 def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Affine output of the last layer for a 2-D batch, shape (n, output_dim)."""
-    return forward_cached(arch, params, batch)[0]
+    """Affine output of the last layer: (n, output_dim) for an (n,
+    input_dim) batch through one (d,) network, and (k, n, output_dim) for
+    a (k, n, input_dim) stack of batches, all through one (d,) network or
+    batch i through row i of a (k, d) stack.
 
-
-def forward_stack(arch: ArchSpec, params: np.ndarray, batches: np.ndarray) -> np.ndarray:
-    """Affine outputs of the last layer for k batches of one size, shape
-    (k, n, output_dim).
-
-    ``batches`` is (k, n, input_dim), and ``params`` either k networks'
-    rows, (k, d), batch i going through row i, or one network's (d,)
-    vector that every batch goes through. Each layer is one stacked
-    matmul, ``(k, n, fan_in) @ (k, fan_in, fan_out)``, whose item i is
-    the matmul ``forward`` makes for row i on batch i, on operands laid
-    out as there; so on C-contiguous batches every item is bit-identical
-    to ``forward``, which ``fedaa selftest`` checks on the installed
-    numpy and BLAS.
+    A stack runs each layer as one stacked matmul, ``(k, n, fan_in) @
+    (k, fan_in, fan_out)``, whose item i is the matmul that batch i alone
+    makes through its network, on operands laid out as there; so on
+    C-contiguous batches every item is bit-identical to the 2-D forward,
+    which ``fedaa selftest`` checks on the installed numpy and BLAS.
     """
-    x = np.asarray(batches, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != arch.input_dim:
-        raise ConfigError(
-            f"batch stack shape {x.shape} incompatible with input_dim {arch.input_dim}"
-        )
-    params = np.asarray(params, dtype=np.float64)
-    if params.ndim == 1:
-        layers = unflatten(arch, params)
-    elif params.shape == (x.shape[0], param_count(arch)):
-        k = x.shape[0]
-        layers = [
-            (params[:, wsl].reshape(k, fan_in, fan_out), params[:, bsl].reshape(k, 1, fan_out))
-            for (wsl, bsl), (fan_in, fan_out) in zip(layer_slices(arch), arch.layer_dims())
-        ]
-    else:
-        raise ConfigError(
-            f"parameters of shape {params.shape} for {x.shape[0]} batches of "
-            f"({param_count(arch)},)-parameter networks"
-        )
-    h = x
-    for index, (weight, bias) in enumerate(layers):
-        z = h @ weight + bias
-        if index < len(layers) - 1:
-            h = np.maximum(z, 0.0)
-    return z
+    return forward_cached(arch, params, batch)[0]
 
 
 def backward_from_output(
@@ -190,6 +175,8 @@ def backward_from_output(
 
     Returns (flat parameter gradient, gradient w.r.t. the input batch).
     """
+    if np.ndim(params) != 1 or cache.inputs[0].ndim != 2:
+        raise ConfigError("backpropagation takes one (d,) network on one 2-D batch")
     dz = np.asarray(dout, dtype=np.float64)
     if dz.shape != cache.pre[-1].shape:
         raise ConfigError(f"dout shape {dz.shape} != output shape {cache.pre[-1].shape}")
@@ -210,10 +197,13 @@ def backward_from_output(
     return grad, dinput
 
 
-def ce_loss_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of integer labels under the given logits."""
-    logp = log_softmax(logits)
-    return float(-logp[np.arange(labels.size), labels].mean())
+def ce_loss_from_logits(logits: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+    """Mean cross-entropy of integer labels under the given logits, over
+    the sample axis: a float for (n, C) logits and (n,) labels, and one
+    per network, shape (k,), for (k, n, C) logits and (k, n) labels."""
+    picked = np.take_along_axis(log_softmax(logits), labels[..., None], axis=-1)[..., 0]
+    loss = -picked.mean(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def _finite_ce_loss(pre: list[np.ndarray], labels: np.ndarray) -> float:
@@ -247,7 +237,7 @@ def backward_ce(
     the first offending layer if the loss is not finite.
     """
     labels = _ce_labels(arch, labels)
-    logits, cache = forward_cached(arch, params, batch)
+    logits, cache = forward_cached(arch, params, _check_batch(arch, batch))
     if labels.size != logits.shape[0]:
         raise ConfigError(f"{logits.shape[0]} rows but {labels.size} labels")
     loss = _finite_ce_loss(cache.pre, labels)
@@ -330,15 +320,8 @@ def sgd_epoch(
     if any(x.shape[0] != n for x in xs):
         raise ConfigError("the clients of a stack must have one train size")
     ys = [_sgd_labels(arch, y, n) for y in labels]
-    # stacked layer views: weight (k, fan_in, fan_out), bias (k, 1, fan_out),
-    # each client's part laid out as in its own flat vector
     grad = np.empty_like(params)
-    layers, grads = [], []
-    for (wsl, bsl), (fan_in, fan_out) in zip(layer_slices(arch), arch.layer_dims()):
-        layers.append(
-            (params[:, wsl].reshape(k, fan_in, fan_out), params[:, bsl].reshape(k, 1, fan_out))
-        )
-        grads.append((grad[:, wsl].reshape(k, fan_in, fan_out), grad[:, bsl]))
+    layers, grads = unflatten(arch, params), unflatten(arch, grad)
     back = [weight.transpose(0, 2, 1) for weight, _ in layers]
     step = np.empty_like(params)
     targets = [np.eye(arch.output_dim)[y] for y in ys]
@@ -396,7 +379,7 @@ def sgd_epoch(
             for index in range(last, -1, -1):
                 weight_grad, bias_grad = grads[index]
                 np.matmul(inputs[index].transpose(0, 2, 1), dz, out=weight_grad)
-                np.add.reduce(dz, axis=1, out=bias_grad)
+                np.add.reduce(dz, axis=1, keepdims=True, out=bias_grad)
                 if index > 0:
                     dz = dz @ back[index]
                     dz *= pre[index - 1] > 0.0

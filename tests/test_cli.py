@@ -138,6 +138,24 @@ def test_run_missing_config_fails_cleanly(tmp_path, capsys):
     assert "fedaa: error: ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, content, offset",
+    [
+        (["run", "--config"], b"rounds = 3\n# caf\xe9\n", 16),
+        (["sweep", "--config"], b"rounds = 3\n# caf\xe9\n", 16),
+        (["report", "--input"], b"round,reward\n1,0.5\xff\n", 18),
+    ],
+    ids=["run", "sweep", "report"],
+)
+def test_a_file_not_in_utf8_fails_cleanly(tmp_path, capsys, command, content, offset):
+    path = tmp_path / "latin1"
+    path.write_bytes(content)
+    assert cli.main([*command, str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "fedaa: error: ConfigError:" in err
+    assert f"{path}: byte {offset} is not UTF-8" in err
+
+
 def test_run_bad_config_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("rounds = many\n")

@@ -1,5 +1,6 @@
 """Roles, attack messages, and the per-client round step."""
 
+import errno
 import os
 import signal
 import threading
@@ -444,6 +445,28 @@ def test_a_failed_fork_trains_its_share_here(monkeypatch, forks):
     monkeypatch.setattr(clients.os, "fork", no_fork)
     cohort = cohort_of([100, 60, 50], attacks={1: "sign_flip"})
     got, want = train_round(cohort, 3), train_round(cohort)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_pipe_trains_its_share_here(monkeypatch, forks):
+    pipe, made = os.pipe, []
+
+    def fourth_fails():
+        if len(made) == 3:  # the second child's reply pipe
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        made.append(pipe())
+        return made[-1]
+
+    monkeypatch.setattr(clients.os, "pipe", fourth_fails)
+    cohort = cohort_of([100, 60, 50], attacks={1: "sign_flip"})
+    fds = sorted(os.listdir("/proc/self/fd"))
+    got = train_round(cohort, 3)
+    assert len(forks) == 1
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    want = train_round(cohort)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]
     assert_no_child_left()

@@ -72,19 +72,49 @@ def test_init_params_ranges_and_biases():
     assert params.tobytes() == again.tobytes()
 
 
-@pytest.mark.parametrize("shape", [(5,), (9,), (2, 4), (1, 8), (8, 1)])
-def test_params_must_be_one_vector_of_the_arch_size(shape):
+@pytest.mark.parametrize("shape", [(5,), (9,), (2, 4), (8, 1), (1, 1, 8)])
+def test_params_must_be_a_vector_or_a_stack_of_the_arch_size(shape):
     # a 2-D array of the right size would otherwise be sliced by rows
     arch = nn.ArchSpec(3, (), 2)
     assert nn.param_count(arch) == 8
     params, x, y = np.zeros(shape), np.zeros((1, 3)), np.array([0])
-    with pytest.raises(ConfigError, match=r"parameter vector has shape"):
+    with pytest.raises(ConfigError, match=r"parameters of shape"):
         nn.unflatten(arch, params)
-    with pytest.raises(ConfigError, match=r"parameter vector has shape"):
+    with pytest.raises(ConfigError, match=r"parameters of shape"):
         nn.forward(arch, params, x)
-    with pytest.raises(ConfigError, match=r"parameter vector has shape"):
+    with pytest.raises(ConfigError, match=r"parameters of shape"):
         nn.backward_ce(arch, params, x, y)
     assert nn.forward(arch, np.zeros(8), x).shape == (1, 2)
+    # (1, 8) is a stack of one network
+    assert [w.shape for w, _ in nn.unflatten(arch, np.zeros((1, 8)))] == [(1, 3, 2)]
+
+
+def test_a_stack_goes_only_where_a_stack_is_taken():
+    arch = nn.ArchSpec(3, (4,), 2)
+    d = nn.param_count(arch)
+    one, stack = np.zeros(d), np.zeros((2, d))
+    x, xs, y = np.zeros((4, 3)), np.zeros((2, 4, 3)), np.array([0, 1, 0, 1])
+    assert nn.forward(arch, stack, xs).shape == nn.forward(arch, one, xs).shape == (2, 4, 2)
+    # the gradient paths take one network on one 2-D batch
+    batches = r"batch shape \(2, 4, 3\) incompatible with input_dim 3"
+    with pytest.raises(ConfigError, match=batches):
+        nn.backward_ce(arch, one, xs, y)
+    with pytest.raises(ConfigError, match=batches):
+        nn.sgd_epoch(arch, np.zeros((1, d)), [xs], [y], nn.SgdConfig(), [np.random.default_rng(0)])
+    for params in (stack, stack[:1]):
+        with pytest.raises(ConfigError, match="networks for a batch of shape"):
+            nn.forward(arch, params, x)
+        with pytest.raises(ConfigError, match="networks for a batch of shape"):
+            nn.backward_ce(arch, params, x, y)
+    with pytest.raises(ConfigError, match="networks for a batch of shape"):
+        nn.forward(arch, stack, np.zeros((3, 4, 3)))
+    one_on_one = r"one \(d,\) network on one 2-D batch"
+    _, cache = nn.forward_cached(arch, one, x)
+    with pytest.raises(ConfigError, match=one_on_one):
+        nn.backward_from_output(arch, stack, cache, np.zeros((4, 2)))
+    _, cache = nn.forward_cached(arch, stack, xs)
+    with pytest.raises(ConfigError, match=one_on_one):
+        nn.backward_from_output(arch, one, cache, np.zeros((2, 4, 2)))
 
 
 # ---------------------------------------------------------------- forward
@@ -146,6 +176,15 @@ def test_ce_loss_hand_values():
     # p(correct) = 3/4 -> loss = ln(4/3)
     loss = nn.ce_loss_from_logits(np.array([[math.log(3.0), 0.0]]), np.array([0]))
     assert rel_err(loss, math.log(4.0 / 3.0)) < 1e-12
+
+
+def test_ce_loss_of_a_stack_is_each_rows_loss_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for n in (1, 7, 9, 129):  # sums of up to 8 terms, unrolled, pairwise
+        logits, labels = 5.0 * rng.normal(size=(3, n, 4)), rng.integers(0, 4, (3, n))
+        want = [float(-nn.log_softmax(z)[np.arange(n), y].mean()) for z, y in zip(logits, labels)]
+        assert [nn.ce_loss_from_logits(z, y) for z, y in zip(logits, labels)] == want
+        assert nn.ce_loss_from_logits(logits, labels).tolist() == want
 
 
 def test_ce_loss_confident_prediction_tends_to_zero():

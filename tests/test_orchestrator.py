@@ -232,14 +232,14 @@ def test_fairness_stacks_are_capped_and_score_each_benign_client_once(monkeypatc
     ]
     models = rng.normal(size=(len(population), d))
     stacks = []
-    forward_stack = orchestrator.forward_stack
+    forward = orchestrator.forward
 
-    def recorded(arch, params, batches):
+    def recorded(arch, params, batch):
         if params.ndim == 2:
-            stacks.append((params.nbytes, batches.shape[1], [r.tobytes() for r in params]))
-        return forward_stack(arch, params, batches)
+            stacks.append((params.nbytes, batch.shape[1], [r.tobytes() for r in params]))
+        return forward(arch, params, batch)
 
-    monkeypatch.setattr(orchestrator, "forward_stack", recorded)
+    monkeypatch.setattr(orchestrator, "forward", recorded)
     monkeypatch.setattr(orchestrator, "FAIRNESS_STACK_BYTES", 3 * 8 * d + 7)
     orchestrator.evaluate_fairness(population, arch, models, np.zeros(d))
     # 7 benign clients of 3 test rows in stacks of 3, 3, 1; 3 of 5 rows in one
