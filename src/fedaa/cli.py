@@ -187,9 +187,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     workers = int(threads)
     _make_out_dir(args.out)
     if workers > 1 and len(tasks) > 1:
-        # each worker selects on one band and trains in one process by
-        # itself (cpus.usable_cpus); where the workers are forked, they are
-        # forked in this thread, while the map submits its first task
+        # each worker trains in one process by itself (cpus.usable_cpus);
+        # where the workers are forked, they are forked in this thread,
+        # while the map submits its first task
         with quiet_fork(), ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_one, tasks))
     else:

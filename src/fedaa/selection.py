@@ -4,7 +4,8 @@ Selection scores each upload by its summed Euclidean distance to every
 other upload and keeps the lowest-sum clients: outliers sit far from
 the benign cluster, so large row sums flag suspicion. The normalized
 row sums of the retained clients form the observation handed to the
-weight policy.
+weight policy. Small selections measure with scipy's ``pdist``, large
+ones with a centred Gram product on BLAS (``distance_matrix``).
 """
 
 from __future__ import annotations
@@ -12,20 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import pdist, squareform
 
-from .cpus import usable_cpus
 from .errors import ConfigError, SimulationError
 from .data import round_half_up
 from .nn import ArchSpec, layer_slices, param_count
 
 SCOPES = ("all_layers", "last_hidden_layer")
 
-# Pair-columns (pairs i < j times the row width) below which the distance
-# matrix is one band. On a 2-vCPU Xeon two bands took 0.33 ms over 20 rows
-# of 610 (115,900 pair-columns) against 0.09 ms for one, broke even near
-# 3.5e6 and took 24 ms over 121 rows of 14,210 (1.03e8) against 42 ms.
-BAND_WORK = 1 << 22
+# Pair-columns (pairs i < j times the row width) from which the distance
+# matrix is a centred Gram product: 5.4 ms against pdist's 35.4 ms over
+# 121 rows of 14,210 (1.03e8) on a 2-vCPU Xeon. Below it pdist keeps small
+# selections, such as 20 rows of 610 (115,900), exact.
+GRAM_WORK = 1 << 22
+
+# Entries beyond +-LIMIT make an upload unmeasurable: 16 * d * LIMIT**2
+# bounds every term of a squared distance between centred rows of d
+# columns, and stays finite for any d below 2**59.
+LIMIT = 2.0**480
 
 
 @dataclass
@@ -55,50 +60,27 @@ def normalize_state(row_sums: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-def band_count(rows: int, cols: int) -> int:
-    """Bands for the distance matrix of ``rows`` rows of ``cols`` columns:
-    one below BAND_WORK pair-columns, else one per usable CPU
-    (``usable_cpus``, 1 in a worker process)."""
-    if rows * (rows - 1) // 2 * cols < BAND_WORK:
-        return 1
-    return min(usable_cpus(), rows - 1)
+def distance_matrix(y: np.ndarray) -> np.ndarray:
+    """The Euclidean distance matrix of the rows of ``y``, which it may
+    overwrite.
 
-
-def distance_matrix(y: np.ndarray, bands: int) -> np.ndarray:
-    """``squareform(pdist(y))``, bit for bit, computed in row bands.
-
-    The rows split into up to ``bands`` contiguous bands of about equal
-    numbers of pairs ``i < j``. Band ``[lo, hi)`` measures its own pairs
-    with ``pdist(y[lo:hi])`` and its pairs with the later rows with
-    ``cdist(y[lo:hi], y[hi:])``, mirrored below the diagonal; both run
-    scipy's one euclidean kernel on the same operands, so every entry is
-    the one ``pdist(y)`` gives. Band 0 runs on the calling thread and the
-    others on worker threads, as scipy releases the GIL in both kernels.
+    Below GRAM_WORK pair-columns this is ``squareform(pdist(y))``. From
+    there on, the rows are centred in place on their column mean, ``c``,
+    and ``g = c @ c.T`` is one BLAS syrk, exactly symmetric; then
+    ``d_ij = sqrt(max(g_ii + g_jj - 2 g_ij, 0))``, exactly symmetric with
+    a zero diagonal. Away from underflow, each entry lies within
+    ``min(sqrt(e), e / d)`` of the exact distance ``d``, where
+    ``e = (cols + 4) * 2**-52 * (g_ii + g_jj)``.
     """
-    n = len(y)
-    if bands < 2 or n < 2:
+    n, cols = y.shape
+    if n * (n - 1) // 2 * cols < GRAM_WORK:
         return squareform(pdist(y))
-    # imported here, as a run that never bands would pay 0.1 MiB of peak RSS
-    from concurrent.futures import ThreadPoolExecutor
-
-    row = np.arange(n)
-    before = row * (2 * n - 1 - row) // 2  # pairs i < j in the rows above each row
-    cuts = np.unique(np.searchsorted(before, np.arange(bands) * (before[-1] / bands)))
-    d = np.zeros((n, n))
-
-    def fill(lo: int, hi: int) -> None:
-        d[lo:hi, lo:hi] = squareform(pdist(y[lo:hi]))
-        if hi < n:
-            d[lo:hi, hi:] = cdist(y[lo:hi], y[hi:])
-            d[hi:, lo:hi] = d[lo:hi, hi:].T
-
-    spans = list(zip(cuts.tolist(), [*cuts[1:].tolist(), n]))
-    with ThreadPoolExecutor(max_workers=len(spans) - 1) as pool:
-        rest = [pool.submit(fill, lo, hi) for lo, hi in spans[1:]]
-        fill(*spans[0])
-        for band in rest:
-            band.result()
-    return d
+    y -= y.mean(axis=0)
+    g = y @ y.T
+    d = g.diagonal()[:, None] + g.diagonal()
+    g *= 2.0
+    d -= g
+    return np.sqrt(np.maximum(d, 0.0, out=d), out=d)
 
 
 def _scoped_columns(uploads: np.ndarray, scope: str, arch: ArchSpec | None) -> np.ndarray:
@@ -156,18 +138,18 @@ def select_clients(
     """Keep the m_percent of uploads with the smallest summed distances.
 
     ``uploads`` holds one row per client, the clients ``ids`` in strictly
-    ascending order. Clients with non-finite uploads get +inf row sums
-    and are never retained; finite clients' sums are taken over finite
-    peers only. Ties break toward the smaller client id. Raises
-    SimulationError, naming the clients with non-finite uploads, if fewer
-    finite uploads remain than the selection needs.
+    ascending order. A client whose upload is non-finite or beyond
+    +-LIMIT gets a +inf row sum and is never retained; the other clients'
+    sums are taken over these measurable peers only. Ties break toward
+    the smaller client id. Raises SimulationError, naming the clients
+    with unmeasurable uploads, if too few measurable uploads remain.
 
     Byte-equal uploads (round 0's broadcast copies, the clones an IPM
     attack sends) are measured once: ``distance_matrix`` runs over the
-    distinct finite rows, in bands on the usable CPUs when they are many
-    (``band_count``), and the full distance matrix is rebuilt from them,
-    so each row sum adds the same floats in the same order as
-    ``squareform(pdist(x)).sum(axis=1)`` over every finite row.
+    distinct measurable rows and the full matrix is rebuilt from them,
+    so below GRAM_WORK each row sum adds the same floats in the same
+    order as ``squareform(pdist(x)).sum(axis=1)`` over every measurable
+    row.
     """
     ids = np.asarray(ids, dtype=np.int64)
     uploads = np.asarray(uploads, dtype=np.float64)
@@ -179,21 +161,24 @@ def select_clients(
     if n < 2:
         raise ConfigError("selection needs at least 2 uploads")
     x = _scoped_columns(uploads, scope, arch)
-    finite = np.isfinite(x).all(axis=1)
+    # two reductions, where np.abs(x) would copy the uploads; NaN fails both
+    measurable = x.max(axis=1, initial=-np.inf) <= LIMIT
+    measurable &= x.min(axis=1, initial=np.inf) >= -LIMIT
     count = top_count(m_percent, n)
-    good = np.flatnonzero(finite)
+    good = np.flatnonzero(measurable)
     if good.size < count:
-        bad = ", ".join(str(c) for c in ids[~finite])
+        bad = ", ".join(str(c) for c in ids[~measurable])
         raise SimulationError(
-            f"only {good.size} finite uploads for a selection of {count}; "
-            f"non-finite uploads from clients {bad}"
+            f"only {good.size} measurable uploads for a selection of {count}; "
+            f"clients {bad} uploaded values that are non-finite or beyond +-2^480"
         )
     first, inverse = _distinct_rows(x, good)
     sums = np.full(n, np.inf)
     # a single distinct upload gives squareform's [[0.]], a zero sum; x[first]
-    # is the only copy of the rows, since a second one (of x[good]) raised
-    # the peak RSS of a 200-client, d = 14,210 run by 7%
-    d = distance_matrix(x[first], band_count(first.size, x.shape[1]))
+    # is the only copy of the rows, which distance_matrix may centre in
+    # place, since a second one (of x[good]) raised the peak RSS of a
+    # 200-client, d = 14,210 run by 7%
+    d = distance_matrix(x[first])
     sums[good] = d[np.ix_(inverse, inverse)].sum(axis=1)
     # a stable sort on the row sums breaks ties toward the smaller id
     keep = np.sort(np.argsort(sums, kind="stable")[:count])

@@ -71,21 +71,34 @@ def _check_distance_symmetry() -> None:
     rng = np.random.default_rng(10)
     x = rng.normal(size=(7, 20))
     x[6] = x[2]  # a repeated upload, measured once by selection
-    c = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
-    assert np.allclose(c, c.T, atol=1e-12) and np.all(np.diag(c) == 0.0), (
-        "distance matrix must be symmetric with a zero diagonal"
-    )
+    c = squareform(pdist(x))
     res = select_clients(list(range(7)), x, 50.0)
-    assert np.allclose(res.raw_row_sums, c[res.selected_ids].sum(axis=1), rtol=1e-12), (
+    assert res.raw_row_sums.tobytes() == c[res.selected_ids].sum(axis=1).tobytes(), (
         "selection row sums must equal the distance matrix's row sums"
     )
-    # banded selection is exact only while cdist and pdist share one kernel
-    # on the installed scipy
-    want = squareform(pdist(x)).tobytes()
-    for bands in (2, 3, 4):
-        assert distance_matrix(x, bands).tobytes() == want, (
-            f"the distance matrix in {bands} bands differs from squareform(pdist(.))"
-        )
+    # from GRAM_WORK pair-columns the matrix comes from BLAS syrk on the
+    # installed numpy: exactly symmetric, a zero diagonal, and within the
+    # stated bound of pdist (widened by pdist's own rounding); below it,
+    # pdist's bit for bit
+    y = 5.0 + rng.normal(size=(121, 578))  # 7,260 pairs x 578 columns reach GRAM_WORK
+    y[100] = y[7]
+    want = squareform(pdist(y))
+    cent = y - y.mean(axis=0)
+    sq = (cent * cent).sum(axis=1)
+    e = (y.shape[1] + 4) * 2.0**-52 * (sq[:, None] + sq)
+    with np.errstate(divide="ignore"):
+        bound = np.minimum(np.sqrt(e), e / want) + (y.shape[1] + 4) * 2.0**-52 * want
+    d = distance_matrix(y.copy())
+    assert np.array_equal(d, d.T) and not d.diagonal().any(), (
+        "the Gram distance matrix must be exactly symmetric with a zero diagonal"
+    )
+    assert (abs(d.sum(axis=1) - want.sum(axis=1)) <= bound.sum(axis=1)).all(), (
+        "the Gram distance matrix's row sums lie outside its bound of pdist's"
+    )
+    y = y[:, :577]  # one column less falls below GRAM_WORK
+    assert distance_matrix(y.copy()).tobytes() == squareform(pdist(y)).tobytes(), (
+        "below GRAM_WORK the distance matrix must be squareform(pdist(.)) bit for bit"
+    )
 
 
 def _check_aggregate_hull() -> None:

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fedaa import cli, config, cpus, selection
+from fedaa import cli, config, cpus
 
 from conftest import warning_fork
 
@@ -225,16 +225,13 @@ def test_sweep_varied_seed_starts_its_cell(cfg_path, tmp_path):
     assert cells[0][acc] != cells[1][acc]
 
 
-def test_sweep_workers_select_on_one_band(monkeypatch):
+def test_sweep_workers_train_in_one_process(monkeypatch):
     # a worker process shares the CPUs with its siblings already, so it
-    # keeps its selections at one band and its training pool at one
-    # process; the main process spreads both
+    # keeps its training pool at one process (clients.pool_size reads the
+    # usable CPUs); the main process spreads it
     monkeypatch.setattr(cpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert selection.band_count(121, 14_210) == 2
     assert cpus.usable_cpus() == 2
     with cli.ProcessPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(selection.band_count, 121, 14_210).result() == 1
-        # clients.pool_size reads the usable CPUs too
         assert pool.submit(cpus.usable_cpus).result() == 1
 
 

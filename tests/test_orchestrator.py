@@ -421,11 +421,13 @@ def extreme_settings():
     yield ("attack = sign_flip", "attack.tau = 1e308", "aggregator = fedavg")
 
 
-# attacks whose uploads overflow to non-finite values, leaving too few
-# finite uploads for a selection of every participant
+# attacks whose uploads overflow to non-finite values, or to values beyond
+# selection.LIMIT, leaving too few measurable uploads for a selection of
+# every participant
 OVERFLOWING_UPLOADS = {
     ("attack = sign_flip", "attack.tau = 1e200", "m_percent = 100"),
     ("attack = ipm", "attack.ipm_epsilon = 1e200", "m_percent = 100"),
+    ("attack = same_value", "attack.tau = 1e200", "m_percent = 100"),
 }
 
 
@@ -445,8 +447,9 @@ def test_extreme_config_finishes_or_fails_typed_in_its_round(settings):
             # attackers, and only attackers
             assert isinstance(exc, SimulationError)
             named = re.fullmatch(
-                r"round \d+: only \d+ finite uploads for a selection of \d+; "
-                r"non-finite uploads from clients ([\d, ]+)", str(exc)
+                r"round \d+: only \d+ measurable uploads for a selection of \d+; "
+                r"clients ([\d, ]+) uploaded values that are non-finite or beyond \+-2\^480",
+                str(exc),
             )
             assert named, str(exc)
             ids = {int(c) for c in named.group(1).split(", ")}
@@ -476,6 +479,29 @@ def test_selection_measures_each_distinct_upload_once(monkeypatch):
     benign = sum(c.role == "benign" for c in exp.clients)
     assert benign == 4
     assert rows == [1] + [benign + 1] * cfg.rounds
+
+
+def test_the_gram_kernel_measures_each_distinct_upload_once(monkeypatch):
+    # as above, with every selection on the Gram route
+    cfg = small_cfg(
+        malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
+    )
+    exp = orchestrator.build_experiment(cfg)
+    rows = []
+    distance_matrix = selection.distance_matrix
+
+    def counting(y):
+        rows.append(len(y))
+        return distance_matrix(y)
+
+    def no_pdist(y):
+        raise AssertionError("pdist ran on the Gram route")
+
+    monkeypatch.setattr(selection, "GRAM_WORK", 0)
+    monkeypatch.setattr(selection, "distance_matrix", counting)
+    monkeypatch.setattr(selection, "pdist", no_pdist)
+    orchestrator.run_rounds(exp)
+    assert rows == [1] + [4 + 1] * cfg.rounds  # 4 benign uploads and the ipm vector
 
 
 def run_matrix(exp):

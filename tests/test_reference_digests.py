@@ -1,0 +1,43 @@
+"""The benchmark's recorded results.csv digests, checked on two seeds.
+
+A change to the selection kernels (or anything else on the run path)
+that moves a result fails here, not only in the benchmark's own gate.
+The test reads perfbench/workloads.py and perfbench/reference.json and
+writes nothing under perfbench/.
+"""
+
+import hashlib
+import json
+import pathlib
+import sys
+
+import pytest
+
+from fedaa import cli
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads
+
+
+# server_heavy's selections take the Gram route, signflip_logistic's pdist
+@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("name", ["server_heavy", "signflip_logistic"])
+def test_a_run_reproduces_the_recorded_digest(workloads, tmp_path, name, seed):
+    recorded = json.loads((PERFBENCH / "reference.json").read_text())["digests"][name][str(seed)]
+    text = workloads.config_text(workloads.WORKLOADS[name], seed)
+    assert hashlib.sha256(text.encode()).hexdigest() == recorded["config"]
+    cfg_path = tmp_path / "config.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == recorded["results"]

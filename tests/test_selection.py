@@ -1,13 +1,12 @@
 """Distance-based selection: counts, oracles, quarantine, scopes."""
 
 import math
-import threading
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from fedaa import config, cpus, selection
+from fedaa import config, selection
 from fedaa.errors import ConfigError, SimulationError
 from fedaa.nn import ArchSpec, layer_slices, param_count
 
@@ -24,18 +23,18 @@ def pairwise_oracle(vectors):
 
 
 def all_rows_oracle(ids, uploads, m_percent, scope, arch):
-    """The selection with squareform(pdist(.)) over every finite row, as
-    (selected ids, state, raw row sums); None if too few rows are finite."""
+    """The selection with squareform(pdist(.)) over every measurable row, as
+    (selected ids, state, raw row sums); None if too few rows are measurable."""
     x = uploads
     if scope == "last_hidden_layer":
         wsl, bsl = layer_slices(arch)[len(arch.hidden_dims) - 1]
         x = x[:, wsl.start : bsl.stop]
-    finite = np.isfinite(x).all(axis=1)
+    measurable = (abs(x) <= selection.LIMIT).all(axis=1)
     count = selection.top_count(m_percent, len(ids))
-    if finite.sum() < count:
+    if measurable.sum() < count:
         return None
     sums = np.full(len(ids), np.inf)
-    sums[finite] = squareform(pdist(x[finite])).sum(axis=1)
+    sums[measurable] = squareform(pdist(x[measurable])).sum(axis=1)
     keep = np.sort(np.lexsort((ids, sums))[:count])
     return [ids[i] for i in keep], selection.normalize_state(sums[keep]), sums[keep]
 
@@ -96,6 +95,8 @@ def test_identical_uploads_tie_break_by_id():
     res = selection.select_clients([0, 1, 2], np.ones((3, 4)), 67.0)
     assert res.selected_ids == [0, 1]
     assert np.array_equal(res.state, [0.0, 0.0])
+    # rows of no columns are identical too
+    assert selection.select_clients([0, 1, 2], np.ones((3, 0)), 67.0).selected_ids == [0, 1]
 
 
 def test_distance_matrix_matches_oracle():
@@ -159,9 +160,10 @@ def test_selection_equals_the_all_rows_oracle_generated():
     value = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 3e5])
     row = st.one_of(
         st.lists(value, min_size=size, max_size=size).map(np.array),
-        st.sampled_from(["zero", "-zero", "nan", "inf"]).map(
+        st.sampled_from(["zero", "-zero", "nan", "inf", "huge"]).map(
             {"zero": np.zeros(size), "-zero": np.full(size, -0.0),
-             "nan": np.full(size, np.nan), "inf": np.r_[np.inf, np.zeros(size - 1)]}.get
+             "nan": np.full(size, np.nan), "inf": np.r_[np.inf, np.zeros(size - 1)],
+             "huge": np.r_[-1e160, np.zeros(size - 1)]}.get
         ),
     )
     seen = set()
@@ -176,6 +178,8 @@ def test_selection_equals_the_all_rows_oracle_generated():
                         ids=list(range(10)), m_percent=1.0, scope="last_hidden_layer")
     @hypothesis.example(pool=[mixed], swap=True, picks=[0, 1, 0, 1],
                         ids=list(range(10)), m_percent=50.0, scope="all_layers")
+    @hypothesis.example(pool=[mixed, np.full(size, -1e160)], swap=False, picks=[0, 1, 0],
+                        ids=list(range(10)), m_percent=30.0, scope="all_layers")
     @hypothesis.given(
         pool=st.lists(row, min_size=1, max_size=4),
         swap=st.booleans(),
@@ -205,6 +209,8 @@ def test_selection_equals_the_all_rows_oracle_generated():
             seen.add("repeated rows")
         if len(keys) < len(uploads):
             seen.add("non-finite rows")
+        if (uploads == -1e160).any():
+            seen.add("oversized rows")
         if len(keys) == 1:
             seen.add("a single finite row")
         if {np.zeros(size).tobytes(), np.full(size, -0.0).tobytes()} <= set(keys):
@@ -214,7 +220,7 @@ def test_selection_equals_the_all_rows_oracle_generated():
             seen.add("rows of one word sum")
 
     check()
-    assert seen >= {*selection.SCOPES, "repeated rows", "non-finite rows",
+    assert seen >= {*selection.SCOPES, "repeated rows", "non-finite rows", "oversized rows",
                     "a single finite row", "0.0 and -0.0 rows", "rows of one word sum"}
 
 
@@ -272,98 +278,109 @@ def test_permutation_equivariance_with_repeated_rows_generated():
     assert seen == {"repeated rows", "non-finite rows"}
 
 
-# ------------------------------------------------------------ bands
+# ------------------------------------------------------------ kernels
 
 
-def test_banded_distance_matrix_is_pdist_generated():
-    # every band count, over random shapes and repeated rows, gives
-    # squareform(pdist(.)) bit for bit
+def gram_tolerance(y, want):
+    """distance_matrix's stated bound on the Gram route, widened by pdist's
+    own rounding of ``want``: min(sqrt(e), e / d) + (cols + 4) 2^-52 d."""
+    cent = y - y.mean(axis=0)
+    sq = (cent * cent).sum(axis=1)
+    e = (y.shape[1] + 4) * 2.0**-52 * (sq[:, None] + sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = np.fmin(np.sqrt(e), e / want)
+    return near + (y.shape[1] + 4) * 2.0**-52 * want
+
+
+def test_gram_distance_matrix_is_pdist_within_its_bound_generated(monkeypatch):
+    # every shape on the Gram route, over repeated rows and scales from
+    # underflow to 1e140: exactly symmetric, a zero diagonal, and within
+    # the stated bound of squareform(pdist(.))
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    monkeypatch.setattr(selection, "GRAM_WORK", 0)
     seen = set()
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    # every band count over more rows than bands, and repeated rows,
-    # whatever the draws reach
-    @hypothesis.example(shape=(2, 5, 3), bands=1, seed=0, picks=[0, 1] * 7, scale=1.0)
-    @hypothesis.example(shape=(5, 6, 4), bands=2, seed=1, picks=list(range(14)), scale=3e5)
-    @hypothesis.example(shape=(5, 9, 7), bands=3, seed=2, picks=list(range(14)), scale=1e-300)
-    @hypothesis.example(shape=(5, 14, 40), bands=4, seed=3, picks=list(range(14)), scale=1e150)
+    # every scale over repeated rows, whatever the draws reach
+    @hypothesis.example(shape=(2, 5, 3), seed=0, picks=[0, 1] * 7, scale=1.0, offset=0.0)
+    @hypothesis.example(shape=(5, 6, 4), seed=1, picks=[0, 1] * 7, scale=3e5, offset=1e7)
+    @hypothesis.example(shape=(5, 9, 7), seed=2, picks=[0, 1] * 7, scale=1e-300, offset=0.0)
+    @hypothesis.example(shape=(5, 14, 40), seed=3, picks=[0, 1] * 7, scale=1e140, offset=1.0)
     @hypothesis.given(
         shape=st.tuples(st.integers(1, 5), st.integers(1, 14), st.integers(1, 40)),
-        bands=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
         # 60 is a multiple of every distinct count, so p % distinct is uniform
         picks=st.lists(st.integers(0, 59), min_size=14, max_size=14),
-        scale=st.sampled_from([1e-300, 1.0, 3e5, 1e150]),
+        scale=st.sampled_from([1e-300, 1.0, 3e5, 1e140]),
+        # rows far from the origin, which the centring brings back
+        offset=st.sampled_from([0.0, 1.0, 1e7]),
     )
-    def check(shape, bands, seed, picks, scale):
+    def check(shape, seed, picks, scale, offset):
         distinct, n, cols = shape
         pool = np.random.default_rng(seed).normal(scale=scale, size=(distinct, cols))
         picks = [p % distinct for p in picks[:n]]
-        y = pool[picks]
-        got = selection.distance_matrix(y, bands)
-        assert got.tobytes() == squareform(pdist(y)).tobytes()
-        seen.add(bands)
+        y = offset * scale + pool[picks]
+        want = squareform(pdist(y))
+        got = selection.distance_matrix(y.copy())
+        assert np.array_equal(got, got.T)
+        assert not got.diagonal().any()
+        assert (abs(got - want) <= gram_tolerance(y, want)).all()
         if len(set(picks)) < n:
-            seen.add("repeated rows")
-        if n > bands:
-            seen.add(f"{bands} bands over more rows")
+            seen.add(f"repeated rows at {scale}")
 
     check()
-    assert seen >= {1, 2, 3, 4, "repeated rows", *(f"{b} bands over more rows" for b in (2, 3, 4))}
+    assert seen == {f"repeated rows at {scale}" for scale in (1e-300, 1.0, 3e5, 1e140)}
 
 
-def test_bands_split_the_pairs_evenly_on_threads(monkeypatch):
-    # band 0 runs on the calling thread, every other band on a worker
-    calls = []
-    for name in ("pdist", "cdist"):
-        kernel = getattr(selection, name)
-
-        def recording(*rows, kernel=kernel, name=name):
-            calls.append((name, len(rows[0]), threading.get_ident()))
-            return kernel(*rows)
-
-        monkeypatch.setattr(selection, name, recording)
-    y = np.random.default_rng(40).normal(size=(60, 5))
-    assert selection.distance_matrix(y, 3).tobytes() == squareform(pdist(y)).tobytes()
-    tops = sorted((c for c in calls if c[0] == "pdist"), key=lambda c: c[1])
-    # 60 rows hold 1,770 pairs i < j: bands of 11, 15 and 34 rows hold 594, 615 and 561
-    assert [c[1] for c in tops] == [11, 15, 34]
-    assert sum(c[0] == "cdist" for c in calls) == 2
-    main = threading.get_ident()
-    assert [c[1] for c in calls if c[2] == main] == [11, 11]  # band 0: rows 0-10
-
-
-def test_band_count_follows_the_work_and_the_cpus(monkeypatch):
-    monkeypatch.setattr(cpus.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert selection.band_count(20, 610) == 1  # a logistic round: below BAND_WORK
-    assert selection.band_count(121, 14_210) == 4
-    assert selection.band_count(3, 1 << 22) == 2  # at most one band per row with pairs
-    monkeypatch.setattr(cpus.os, "sched_getaffinity", lambda pid: {5})
-    assert selection.band_count(121, 14_210) == 1
-    monkeypatch.delattr(cpus.os, "sched_getaffinity")
-    monkeypatch.setattr(cpus.os, "cpu_count", lambda: 2)
-    assert selection.band_count(121, 14_210) == 2
+def test_below_gram_work_the_distance_matrix_is_pdist_bit_for_bit():
+    # 7,260 pairs of 121 rows times 577 columns fall just short of
+    # GRAM_WORK, and 578 columns reach it
+    assert 121 * 120 // 2 * 577 < selection.GRAM_WORK <= 121 * 120 // 2 * 578
+    rng = np.random.default_rng(42)
+    for shape in [(1, 5), (2, 3), (20, 610), (121, 577)]:
+        y = 5.0 + rng.normal(size=shape)
+        y[-1] = y[0]
+        kept = y.copy()
+        assert selection.distance_matrix(y).tobytes() == squareform(pdist(kept)).tobytes()
+        assert y.tobytes() == kept.tobytes()  # pdist leaves the rows as they were
+    y = 5.0 + rng.normal(size=(121, 578))
+    want = squareform(pdist(y))
+    got = selection.distance_matrix(y.copy())
+    assert got.tobytes() != want.tobytes()  # the Gram route's own rounding
+    assert (abs(got - want) <= gram_tolerance(y, want)).all()
 
 
 @pytest.mark.parametrize("scope", selection.SCOPES)
-def test_selection_is_the_same_in_one_band_and_in_several(monkeypatch, scope):
-    arch = ArchSpec(6, (5,), 3)
-    rng = np.random.default_rng(41)
-    uploads = rng.normal(size=(30, param_count(arch)))
-    uploads[20:26] = uploads[3]  # repeated uploads, measured once
-    uploads[27, 4] = np.nan
-    results = []
-    for bands in (1, 2, 3, 4):
-        monkeypatch.setattr(selection, "band_count", lambda rows, cols, bands=bands: bands)
-        results.append(selection.select_clients(list(range(30)), uploads, 40.0, scope, arch))
-    for res in results[1:]:
-        assert res.selected_ids == results[0].selected_ids
-        assert res.state.tobytes() == results[0].state.tobytes()
-        assert res.raw_row_sums.tobytes() == results[0].raw_row_sums.tobytes()
-    want = all_rows_oracle(list(range(30)), uploads, 40.0, scope, arch)
-    assert results[0].raw_row_sums.tobytes() == want[2].tobytes()
+def test_logistic_rounds_take_pdist_and_server_heavy_rounds_the_gram_kernel(monkeypatch, scope):
+    # signflip_logistic selects over 20 distinct rows of 610 columns, and
+    # server_heavy over 120 benign rows plus the one vector its 80 ipm
+    # attackers send, 121 distinct rows of 14,210 (12,200 in scope)
+    pdists = []
+
+    def recording(y):
+        pdists.append(y.shape)
+        return pdist(y)
+
+    monkeypatch.setattr(selection, "pdist", recording)
+    rng = np.random.default_rng(43)
+    arch = ArchSpec(49, (10,), 10)  # 610 parameters, 500 in the last hidden layer
+    small = rng.normal(size=(20, param_count(arch)))
+    got = selection.select_clients(list(range(20)), small, 30.0, scope, arch)
+    want = all_rows_oracle(list(range(20)), small, 30.0, scope, arch)
+    assert got.raw_row_sums.tobytes() == want[2].tobytes()
+    assert pdists == [(20, 610 if scope == "all_layers" else 500)]
+    pdists.clear()
+    arch = ArchSpec(60, (200,), 10)
+    assert param_count(arch) == 14_210
+    heavy = np.empty((200, 14_210))
+    heavy[:120] = rng.normal(0.0, 0.05, size=(120, 14_210))
+    heavy[120:] = -0.7 * heavy[:120].mean(axis=0)
+    got = selection.select_clients(list(range(200)), heavy, 60.0, scope, arch)
+    assert pdists == []
+    want = all_rows_oracle(list(range(200)), heavy, 60.0, scope, arch)
+    assert got.selected_ids == want[0]
+    assert np.allclose(got.raw_row_sums, want[2], rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------------------ quarantine
@@ -389,13 +406,35 @@ def test_all_nonfinite_uploads_rejected():
         selection.select_clients([0, 1], uploads, 50.0)
 
 
-def test_too_few_finite_uploads_rejected():
-    uploads = np.array([np.zeros(3), np.full(3, np.nan), [1.0, np.inf, 0.0]])
+def test_too_few_measurable_uploads_rejected():
+    uploads = np.array([np.zeros(3), np.full(3, np.nan), [1.0, np.inf, 0.0], [0.0, -1e150, 0.0]])
     with pytest.raises(
         SimulationError,
-        match=r"^only 1 finite uploads for a selection of 2; non-finite uploads from clients 4, 7$",
+        match=r"^only 1 measurable uploads for a selection of 2; "
+        r"clients 4, 7, 9 uploaded values that are non-finite or beyond \+-2\^480$",
     ):
-        selection.select_clients([0, 4, 7], uploads, 67.0)  # needs 2, only 1 finite
+        selection.select_clients([0, 4, 7, 9], uploads, 50.0)  # needs 2, only 1 measurable
+
+
+def test_a_huge_finite_upload_is_never_selected():
+    # 1e160 squared overflows, so every distance to row 3 would be inf and
+    # every row sum would tie at inf
+    rng = np.random.default_rng(38)
+    uploads = rng.normal(size=(10, 50))
+    uploads[3] = 1e160
+    res = selection.select_clients(list(range(10)), uploads, 50.0)
+    assert 3 not in res.selected_ids
+    others = [i for i in range(10) if i != 3]
+    sums = squareform(pdist(uploads[others])).sum(axis=1)
+    assert res.selected_ids == sorted(np.array(others)[np.argsort(sums, kind="stable")[:5]].tolist())
+    # entries of exactly +-LIMIT are measurable, and the next float out is not
+    limit = selection.LIMIT
+    edge = np.zeros((4, 50))
+    edge[0, 7], edge[1, 9] = limit, -limit
+    edge[2, 0], edge[3, 1] = np.nextafter(limit, np.inf), np.nextafter(-limit, -np.inf)
+    res = selection.select_clients([0, 1, 2, 3], edge, 50.0)
+    assert res.selected_ids == [0, 1]
+    assert np.isfinite(res.raw_row_sums).all()
 
 
 # ------------------------------------------------------------ scopes
