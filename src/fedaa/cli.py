@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -239,6 +240,9 @@ def _read_results_csv(path: str) -> list[dict]:
             rows.append({"round": int(cells["round"]), **{c: float(cells[c]) for c in columns}})
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: data row {number}: unreadable cell {exc}") from None
+        for col in columns:
+            if not math.isfinite(rows[-1][col]):
+                raise ConfigError(f"{path}: data row {number}: non-finite {col} {cells[col]!r}")
     return rows
 
 

@@ -3,8 +3,9 @@
 A client is its data and its attack, and its role follows from the
 attack. Row ``c`` of a run's parameter matrix is client ``c``'s latest
 upload, and so a benign client's local model; attack messages are what
-a malicious client writes into its row. Magnitude draws use the
-convention m ~ N(0, tau^2) with tau the attack scale.
+a malicious client writes into its row, drawing from its round's
+stream where it draws. Magnitude draws use the convention
+m ~ N(0, tau^2) with tau the attack scale.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -148,13 +149,6 @@ def trains(client: ClientRecord) -> bool:
     """Whether the client runs local SGD: benign clients, and attackers of a
     kind that trains."""
     return client.attack is None or ATTACKS[client.attack.kind].trains
-
-
-def draws(client: ClientRecord) -> bool:
-    """Whether the client draws from its round's local stream: a client
-    that trains draws its shuffles, and an attack that takes a tau draws
-    its magnitudes from it; ipm draws nothing."""
-    return trains(client) or ATTACKS[client.attack.kind].default_tau is not None
 
 
 def shared_rows(count: int, size: int) -> np.ndarray:
@@ -294,10 +288,10 @@ def _serve(
 ) -> NoReturn:
     """A pool child's whole life: close the parent's pipe ends it
     inherited, then until its task pipe ends, read one share of a round,
-    ``(arch, cfg, broadcast, stacks of client ids, generators by id,
-    numpy error handling)``, train it into ``out`` under that error
-    handling (``np.geterr``) and reply with one pickle, ``("ok", errors
-    by id, generator states by id)`` or ``("raise", exception)``."""
+    ``(arch, cfg, broadcast, stacks of client ids, streams, numpy error
+    handling)``, train it into ``out`` under that error handling
+    (``np.geterr``) and reply with one pickle, ``("ok", errors by id)``
+    or ``("raise", exception)``."""
     code = 1
     try:
         for fd in inherited:
@@ -305,13 +299,12 @@ def _serve(
         with os.fdopen(tasks, "rb") as inbox, os.fdopen(replies, "wb") as outbox:
             while True:
                 try:
-                    arch, cfg, broadcast, share, rngs, err = pickle.load(inbox)
+                    arch, cfg, broadcast, share, streams, err = pickle.load(inbox)
                 except EOFError:
                     break
                 try:
                     with np.errstate(**err):
-                        errors = _train(arch, cfg, broadcast, share, clients, rngs, out)
-                    reply = ("ok", errors, {cid: rng.bit_generator.state for cid, rng in rngs.items()})
+                        reply = ("ok", _train(arch, cfg, broadcast, share, clients, streams, out))
                 except BaseException as exc:  # sent to the parent, which raises it
                     reply = ("raise", exc)
                 pickle.dump(reply, outbox)
@@ -327,11 +320,15 @@ def _train(
     broadcast: np.ndarray,
     share: list[list[int]],
     clients: Sequence[ClientRecord],
-    rngs: dict[int, np.random.Generator | None],
+    streams: Callable[[int], np.random.Generator],
     out: np.ndarray,
 ) -> dict[int, NumericError]:
     """Train each stack of client ids of ``share`` from the broadcast into
-    its clients' rows of ``out``; returns the errors by client id."""
+    its clients' rows of ``out``, a sign flipper's flipped by a magnitude
+    from its stream ``streams(c)``; returns the errors by client id."""
+    # made before the first stack trains, as one made between stacks costs
+    # about a third more
+    rngs = {c: streams(c) for ids in share for c in ids}
     errors: dict[int, NumericError] = {}
     for ids in share:
         stack = np.tile(broadcast, (len(ids), 1))
@@ -343,6 +340,10 @@ def _train(
             cfg,
             [rngs[c] for c in ids],
         )
+        for i, c in enumerate(ids):
+            attack = clients[c].attack
+            if attack is not None and attack.kind == "sign_flip" and i not in failed:
+                stack[i] = attack_sign_flip(stack[i], attack.tau, rngs[c])
         out[ids] = stack
         errors.update((ids[i], exc) for i, exc in failed.items())
     return errors
@@ -353,99 +354,89 @@ def train_lockstep(
     cohort: list[ClientRecord],
     global_params: np.ndarray,
     cfg: SgdConfig,
-    rngs: dict[int, np.random.Generator | None],
+    streams: Callable[[int], np.random.Generator],
     pool: TrainingPool,
 ) -> dict[int, NumericError]:
     """Train the cohort's training clients from the broadcast, in lockstep,
     on ``pool``.
 
-    Client ``c`` of the cohort draws its permutations from ``rngs[c]``
-    and ends with its trained parameters, of architecture ``arch``, in
-    row ``c`` of ``pool.out``; the rows of clients that do not train are
-    left as they are. Clients of equal train size share ``sgd_epoch``
-    stacks of at most STACK_BYTES of parameters. Returns, by client id,
-    the NumericError of each client whose loss turned non-finite, the
-    same as the client would get training alone; the round loop raises
-    it.
+    Client ``c`` of the cohort draws its permutations, and a sign
+    flipper then its magnitude, from ``streams(c)``, made in the process
+    that trains it, and ends with its upload, of architecture ``arch``,
+    in row ``c`` of ``pool.out``; the rows of clients that do not train
+    are left as they are. Clients of equal train size share
+    ``sgd_epoch`` stacks of at most STACK_BYTES of parameters. Returns,
+    by client id, the NumericError of each client whose loss turned
+    non-finite, the same as the client would get training alone; the
+    round loop raises it.
 
     A round of SPLIT_STEPS steps or more trains in shares
     (``lockstep_shares``), one on each of the pool's processes. This
     process trains share 0, and each child one other share: it gets the
-    broadcast, its stacks of client ids, their generators and this
-    process's numpy error handling through its pipe, writes its rows
-    straight into ``pool.out`` and sends back its errors and its
-    generators' states, from which the generators here continue. Every
-    client runs the same ``sgd_epoch`` arithmetic on the same operands
-    in any process, and the rows of a stack never meet, so the rows, the
-    errors and the generators are bit-identical to one process's
-    training the same stacks, and to one process's unsplit round but for
-    a failed client's row and generator: those hold whatever its
-    (narrower) stack left, and nothing reads them. A child's exception
-    is raised here, as it was raised there. On any exception the pool is
-    closed.
+    broadcast, its stacks of client ids, ``streams`` (which must pickle)
+    and this process's numpy error handling through its pipe, writes its
+    rows straight into ``pool.out`` and sends back its errors; no
+    generator and no generator state crosses a pipe. Every client runs
+    the same ``sgd_epoch`` arithmetic on the same operands from the same
+    stream in any process, and the rows of a stack never meet, so the
+    rows and the errors are bit-identical to one process's training the
+    same stacks, and to one process's unsplit round but for a failed
+    client's row: that holds whatever its (narrower) stack left, and
+    nothing reads it. A child's exception is raised here, as it was
+    raised there. On any exception the pool is closed.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
     shares = lockstep_shares(cohort, cfg, global_params.size, 1 + len(pool.children))
     try:
         sent = list(zip(pool.children, shares[1:]))
         for (_, to_child, _), share in sent:
-            task = (arch, cfg, global_params, share,
-                    {c: rngs[c] for ids in share for c in ids}, np.geterr())
+            task = (arch, cfg, global_params, share, streams, np.geterr())
             try:
                 pickle.dump(task, to_child)
                 to_child.flush()
             except BrokenPipeError:
                 raise SimulationError(_LOST) from None
-        errors = _train(arch, cfg, global_params, shares[0], pool.clients, rngs, pool.out)
+        errors = _train(arch, cfg, global_params, shares[0], pool.clients, streams, pool.out)
         for (_, _, from_child), _ in sent:
-            errors.update(_receive(from_child, rngs))
+            errors.update(_receive(from_child))
         return errors
     except BaseException:
         pool.close()
         raise
 
 
-def _receive(
-    from_child: io.BufferedReader, rngs: dict[int, np.random.Generator | None]
-) -> dict[int, NumericError]:
+def _receive(from_child: io.BufferedReader) -> dict[int, NumericError]:
     """A child's reply to its share: raises the child's exception, or
-    sets its trainers' generators to their states and returns its errors
-    by client id."""
+    returns its errors by client id."""
     try:
         reply = pickle.load(from_child)
     except (EOFError, pickle.UnpicklingError):
         raise SimulationError(_LOST) from None
     if reply[0] == "raise":
         raise reply[1]
-    for cid, state in reply[2].items():
-        rngs[cid].bit_generator.state = state
     return reply[1]
 
 
 def local_update(
     client: ClientRecord,
     row: np.ndarray,
-    rng: np.random.Generator | None,
+    streams: Callable[[int], np.random.Generator],
     benign_mean: np.ndarray | None = None,
 ) -> None:
     """One client round: write the client's upload into ``row``, its row
     of the run's parameter matrix.
 
-    A client that trains (see ``trains``; a sign flipper's message needs
-    the honest result) finds its ``train_lockstep`` result from the
-    broadcast and ``rng`` in ``row``; ``rng`` then continues after the
-    permutation draws. A benign client's upload is that result, so its
-    row is left as it is. An ipm client needs ``benign_mean``, the
-    ``mean_upload`` of this round's benign uploads, and no ``rng`` (see
-    ``draws``).
+    A client that trains (see ``trains``) already holds its upload there,
+    written by ``train_lockstep``, so its row is left as it is. A
+    same_value or gaussian client draws its message from
+    ``streams(client.id)``. An ipm client needs ``benign_mean``, the
+    ``mean_upload`` of this round's benign uploads, and draws nothing.
     """
     kind = client.attack.kind if client.attack is not None else None
-    if kind == "sign_flip":
-        row[:] = attack_sign_flip(row, client.attack.tau, rng)
-    elif kind == "same_value":
-        row[:] = attack_same_value(row.size, client.attack.tau, rng)
+    if kind == "same_value":
+        row[:] = attack_same_value(row.size, client.attack.tau, streams(client.id))
     elif kind == "gaussian":
-        row[:] = attack_gaussian(row.size, client.attack.tau, rng)
+        row[:] = attack_gaussian(row.size, client.attack.tau, streams(client.id))
     elif kind == "ipm":
         # all attackers send the same vector, each in a row of its own
         if benign_mean is None:

@@ -24,6 +24,7 @@ from .errors import ConfigError, ParseError
 from .clients import ATTACKS, AttackSpec, attacker_count
 from .ddpg import DdpgConfig
 from .nn import SgdConfig
+from .seeding import SEED_LIMIT
 from .selection import SCOPES
 
 SYNTHETIC_KINDS = ("synthetic00", "synthetic11", "synthetic")
@@ -71,7 +72,7 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def _int(lo: int) -> Callable[[str], int]:
+def _int(lo: int, below: int | None = None) -> Callable[[str], int]:
     def parse(raw: str) -> int:
         try:
             value = int(raw)
@@ -79,6 +80,8 @@ def _int(lo: int) -> Callable[[str], int]:
             raise ValueError(f"not an integer: {raw!r}") from None
         if value < lo:
             raise ValueError(f"must be >= {lo}")
+        if below is not None and value >= below:
+            raise ValueError(f"must be < {below}")
         return value
 
     return parse
@@ -211,7 +214,7 @@ KEYS = (
     # the synthetic kinds build the reward set from client uploads
     Key("validation.per_class", _counts(1), datasets=PARTITIONED_KINDS),
     Key("aggregator", _choice(*AGGREGATORS)),
-    Key("seed", _int(lo=0)),
+    Key("seed", _int(lo=0, below=SEED_LIMIT)),
 )
 SCHEMA: dict[str, Callable[[str], object]] = {key.name: key.parse for key in KEYS}
 # each section of the key paths is an ExperimentConfig field holding a dataclass
@@ -332,6 +335,8 @@ def build_config(values: dict[str, object]) -> ExperimentConfig:
         **by_section.pop("", {}),
         **{section: SECTIONS[section](**kw) for section, kw in by_section.items()},
     )
+    if cfg.seed >= SEED_LIMIT:  # a sweep's seeds past its start skip the key's parser
+        raise ConfigError(f"seed = {cfg.seed} must be < {SEED_LIMIT}")
     sizes, count = cfg.dataset.samples_per_client, cfg.dataset.num_clients
     if isinstance(sizes, tuple) and len(sizes) != count:
         raise ConfigError(f"dataset.samples_per_client lists {len(sizes)} sizes for {count} clients")

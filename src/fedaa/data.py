@@ -390,6 +390,13 @@ def load_csv(path: str) -> LabeledDataset:
     labels = table[:, -1]
     if not np.array_equal(labels, np.floor(labels)):
         raise IngestionError(f"{path}: label column holds non-integer values")
+    # every class up to the largest label needs a row of its own
+    big = np.flatnonzero(labels >= len(labels))
+    if big.size:
+        raise IngestionError(
+            f"{path}: data row {big[0] + 1}: label {labels[big[0]]:.0f} is not below the "
+            f"{len(labels)} data rows, so some class below it has no row"
+        )
     labels = labels.astype(np.int64)
     if labels.min() < 0:
         raise IngestionError(f"{path}: negative label")

@@ -19,7 +19,10 @@ config are bit-identical.
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from .clients import (
     ClientRecord,
     TrainingPool,
     assign_roles,
-    draws,
     local_update,
     mean_upload,
     pool_size,
@@ -49,7 +51,7 @@ from .ddpg import (
     update_actor,
     update_critic,
 )
-from .nn import ArchSpec, ce_loss_from_logits, forward, init_params
+from .nn import ArchSpec, ce_loss_from_logits, forward, init_params, param_count
 from .seeding import derive_seed, stream
 from .selection import SelectionResult, select_clients, top_count
 
@@ -309,7 +311,8 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     num_classes = val_set.num_classes
     input_dim = val_set.features.shape[1]
     arch = ArchSpec(input_dim, tuple(cfg.model_hidden), num_classes)
-    initial = init_params(arch, stream(cfg.seed, "model-init"))
+    with _allocating(f"model.hidden = {list(cfg.model_hidden)}: the model's", param_count(arch)):
+        initial = init_params(arch, stream(cfg.seed, "model-init"))
     malicious = set(assign_roles(cfg.dataset.num_clients, cfg.malicious_fraction, stream(cfg.seed, "roles")))
     clients = [
         ClientRecord(cid, cfg.attack if cid in malicious else None, train, test)
@@ -322,7 +325,11 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         if cohort < 2:
             raise ConfigError("the distance selector needs a cohort of at least 2")
         m_count = top_count(cfg.m_percent, cohort)
-        agent = make_agent(m_count, m_count, cfg.ddpg, stream(cfg.seed, "agent-init"))
+        # the actor and the critic, and a target copy of each
+        networks = 2 * sum(param_count(ArchSpec(state, (cfg.ddpg.hidden,), out))
+                           for state, out in ((m_count, m_count), (2 * m_count, 1)))
+        with _allocating(f"ddpg.hidden = {cfg.ddpg.hidden}: the DDPG networks'", networks):
+            agent = make_agent(m_count, m_count, cfg.ddpg, stream(cfg.seed, "agent-init"))
         buffer = ReplayBuffer(cfg.ddpg.buffer_capacity)
     return Experiment(
         cfg=cfg,
@@ -334,6 +341,19 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         agent=agent,
         buffer=buffer,
     )
+
+
+@contextmanager
+def _allocating(whose: str, size: int) -> Iterator[None]:
+    """Turns a failure to allocate ``size`` float64 parameters in its
+    body into a ConfigError naming ``whose`` they are and the GiB."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:  # numpy's ValueError: past the largest array
+        raise ConfigError(
+            f"{whose} {size} parameters need {size * 8 / 2**30:.2f} GiB, "
+            f"more than this process can allocate"
+        ) from exc
 
 
 def _client_rows(cfg: ExperimentConfig, size: int) -> np.ndarray:
@@ -367,21 +387,19 @@ def _collect_uploads(
     ``pool.out``, the run's parameter matrix; benign clients go first so
     that reference-point attacks can use their uploads.
 
-    Clients that train do so first, in lockstep stacks of equal train
-    size (on the pool's processes when the round is large; see
-    ``train_lockstep``), straight into their rows; each draws its
-    permutations from its own stream, which its ``local_update`` then
-    continues (a sign flipper's magnitude draw); a client that draws
-    nothing (``draws``) gets no stream. A client whose training failed
-    raises its error in its turn, so the error names the first such
-    client in this order. A benign participant's row is then its local
-    model.
+    Client ``c`` draws from ``stream(seed, "local", round_index, c)``,
+    made where it draws. Clients that train make their uploads first, in
+    lockstep stacks of equal train size (on the pool's processes when
+    the round is large; see ``train_lockstep``), straight into their
+    rows; ``local_update`` then writes the other attackers'. A client
+    whose training failed raises its error in its turn, so the error
+    names the first such client in this order. A benign participant's
+    row is then its local model.
     """
     cfg = exp.cfg
     cohort = [exp.clients[c] for c in sorted(participants)]
-    rngs = {c.id: stream(cfg.seed, "local", round_index, c.id) if draws(c) else None
-            for c in cohort}
-    errors = train_lockstep(exp.arch, cohort, global_params, cfg.local, rngs, pool)
+    streams = functools.partial(stream, cfg.seed, "local", round_index)
+    errors = train_lockstep(exp.arch, cohort, global_params, cfg.local, streams, pool)
     models = pool.out
     benign_mean = None
     for client in sorted(cohort, key=lambda c: c.attack is not None):
@@ -392,7 +410,7 @@ def _collect_uploads(
                 # every ipm attacker scales the same mean; take it once a
                 # round, when every benign row is written
                 benign_mean = mean_upload(models, [c.id for c in cohort if c.attack is None])
-            local_update(client, models[client.id], rngs[client.id], benign_mean=benign_mean)
+            local_update(client, models[client.id], streams, benign_mean=benign_mean)
         except FedaaError as exc:
             raise type(exc)(f"client {client.id} ({client.role}): {exc}") from exc
 

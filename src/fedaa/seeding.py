@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+# master seeds lie below SEED_LIMIT, as derive_seed keeps their low 64 bits
+SEED_LIMIT = 1 << 64
+_MASK64 = SEED_LIMIT - 1
 
 
 def splitmix64(x: int) -> int:

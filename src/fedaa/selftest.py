@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -28,6 +29,7 @@ from .nn import (
     sgd_epoch,
 )
 from .orchestrator import aggregate, benign_scores
+from .seeding import stream
 from .selection import distance_matrix, select_clients
 
 
@@ -192,29 +194,27 @@ def _check_parallel_training() -> None:
     rng = np.random.default_rng(15)
     arch = ArchSpec(6, (8, 5), 3)
     cohort = []
-    # four stacks: the two clients of 23 rows share one; client 4 diverges
+    # four stacks in one process, the two clients of 23 rows sharing one;
+    # client 1, which a child trains, flips its signs; client 4 diverges
     for cid, (n, scale) in enumerate(((31, 1.0), (23, 1.0), (23, 1.0), (17, 1.0), (9, 1e200))):
         split = datamod.LabeledDataset(scale * rng.normal(size=(n, 6)), rng.integers(0, 3, n), 3)
-        cohort.append(ClientRecord(cid, None, split, split))
+        attack = AttackSpec("sign_flip") if cid == 1 else None
+        cohort.append(ClientRecord(cid, attack, split, split))
     broadcast = init_params(arch, rng)
     # 12 steps an epoch, and epochs enough for the round to split
     cfg = SgdConfig(learning_rate=0.2, weight_decay=1e-3, batch_size=8,
                     epochs=max(2, -(-SPLIT_STEPS // 12)))
+    streams = functools.partial(stream, 16, "local")
     runs = {}
     for processes in (1, 2, 3):
-        rngs = {c.id: np.random.default_rng(16 + c.id) for c in cohort}
         out = shared_rows(len(cohort), param_count(arch))
         with TrainingPool(cohort, out, processes) as pool:
             with np.errstate(over="ignore", invalid="ignore"):
-                errors = train_lockstep(arch, cohort, broadcast, cfg, rngs, pool)
+                errors = train_lockstep(arch, cohort, broadcast, cfg, streams, pool)
             assert len(pool.children) == processes - 1, (
                 f"a pool of {processes} processes trained on {len(pool.children) + 1}"
             )
-        runs[processes] = (
-            out.tobytes(),
-            {cid: str(exc) for cid, exc in errors.items()},
-            [r.bit_generator.state for r in rngs.values()],
-        )
+        runs[processes] = (out.tobytes(), {cid: str(exc) for cid, exc in errors.items()})
     assert list(runs[1][1]) == [4], "the diverging client must fail by its id"
     for processes in (2, 3):
         assert runs[processes] == runs[1], (

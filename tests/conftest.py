@@ -47,9 +47,8 @@ def max_grad_rel_err(
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Rounds that split at any number of steps, and the pids of the
-    training processes forked."""
+def counted_forks(monkeypatch):
+    """The pids of the training processes forked."""
     made = []
     fork = os.fork
 
@@ -59,9 +58,16 @@ def forks(monkeypatch):
             made.append(pid)
         return pid
 
-    monkeypatch.setattr(clients, "SPLIT_STEPS", 0)
     monkeypatch.setattr(clients.os, "fork", counted)
     return made
+
+
+@pytest.fixture
+def forks(counted_forks, monkeypatch):
+    """Rounds that split at any number of steps, and the pids of the
+    training processes forked."""
+    monkeypatch.setattr(clients, "SPLIT_STEPS", 0)
+    return counted_forks
 
 
 def warning_fork(fork: Callable[[], int]) -> Callable[[], int]:

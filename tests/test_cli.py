@@ -83,6 +83,22 @@ def test_run_rejects_negative_seed(cfg_path, tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "config.txt"))
 
 
+def test_run_and_sweep_reject_a_seed_of_two_to_the_64(cfg_path, tmp_path, capsys):
+    # the seed would alias seed 0, whose results it would write
+    limit = 1 << 64
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--config", cfg_path, "--out", out, "--seed", str(limit)]) == 1
+    assert f"fedaa: error: ConfigError: --seed: must be < {limit}" in capsys.readouterr().err
+    # the sweep's second seed passes no parser
+    args = ["sweep", "--config", cfg_path, "--out", out, "--vary", f"seed={limit - 1}", "--seeds", "2"]
+    assert cli.main(args) == 1
+    assert (
+        f"fedaa: error: ConfigError: sweep cell 0 (seed={limit - 1}): seed = {limit} must be < {limit}"
+        in capsys.readouterr().err
+    )
+    assert not os.path.exists(out)
+
+
 @pytest.fixture
 def taken_out(tmp_path):
     """An --out that names an existing file, so no directory can be made there."""
@@ -304,6 +320,21 @@ def test_report_rejects_unreadable_cell(tmp_path, capsys):
     )
     assert cli.main(["report", "--input", str(path)]) == 1
     assert "data row 1: unreadable cell" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_report_rejects_a_non_finite_cell(tmp_path, capsys, value):
+    # a run never writes one, but a hand-edited file can; no chart is drawn
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "round,reward,mean_benign_acc,acc_std,loss_std,mean_global_acc\n"
+        f"0,0.5,0.6,0.1,0.2,0.3\n1,0.5,0.6,{value},0.2,0.3\n"
+    )
+    rep = tmp_path / "rep"
+    assert cli.main(["report", "--input", str(path), "--out", str(rep)]) == 1
+    err = capsys.readouterr().err
+    assert f"fedaa: error: ConfigError: {path}: data row 2: non-finite acc_std '{value}'" in err
+    assert not list(rep.glob("*.svg"))
 
 
 def test_selftest_passes(capsys):

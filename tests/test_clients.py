@@ -1,7 +1,9 @@
 """Roles, attack messages, and the per-client round step."""
 
 import errno
+import functools
 import os
+import pickle
 import signal
 import threading
 
@@ -26,14 +28,20 @@ def make_client(cid=0, attack=None, seed=0, n=40):
     return clients.ClientRecord(cid, attack, train, test)
 
 
-def update(client, broadcast, cfg, rng, benign_mean=None):
+def seeded(seed):
+    """The streams of a cohort of one: client 0 draws from a generator
+    seeded with ``seed``."""
+    return lambda c: np.random.default_rng(seed)
+
+
+def update(client, broadcast, cfg, streams, benign_mean=None):
     """One client's round as the round loop runs it: train_lockstep on a
     cohort of one, client 0, into its row, then local_update on that
     row. Returns the row."""
     models = np.empty((1, broadcast.size))
     with clients.TrainingPool([client], models, 1) as pool:
-        assert clients.train_lockstep(ARCH, [client], broadcast, cfg, {0: rng}, pool) == {}
-    clients.local_update(client, models[0], rng, benign_mean=benign_mean)
+        assert clients.train_lockstep(ARCH, [client], broadcast, cfg, streams, pool) == {}
+    clients.local_update(client, models[0], streams, benign_mean=benign_mean)
     return models[0]
 
 
@@ -91,10 +99,7 @@ def test_attack_table_drives_spec_config_and_training():
         assert (kind in config.TAU_ATTACKS) == (row.default_tau is not None)
         client = make_client(attack=clients.AttackSpec(kind))
         assert clients.trains(client) == row.trains
-        # only ipm, which takes no tau and trains not, leaves its local stream alone
-        assert clients.draws(client) == (kind != "ipm")
     assert clients.trains(make_client())
-    assert clients.draws(make_client())
 
 
 def test_role_follows_from_the_attack():
@@ -148,8 +153,7 @@ def test_ipm_message_hand_computed():
         client = make_client(attack=spec)
         upload = np.empty(610)
         clients.local_update(
-            client, upload, np.random.default_rng(5),
-            benign_mean=clients.mean_upload(benign, [0, 1]),
+            client, upload, seeded(5), benign_mean=clients.mean_upload(benign, [0, 1]),
         )
         assert np.allclose(upload, expected)
     with pytest.raises(SimulationError):
@@ -185,7 +189,7 @@ def test_benign_update_matches_direct_sgd():
     client = make_client()
     broadcast = np.zeros(610)
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=16, epochs=2)
-    upload = update(client, broadcast, cfg, np.random.default_rng(7))
+    upload = update(client, broadcast, cfg, seeded(7))
     direct = direct_sgd(client, broadcast, cfg, np.random.default_rng(7))
     assert np.array_equal(upload, direct)
 
@@ -194,8 +198,8 @@ def test_identical_clients_produce_identical_uploads():
     a = make_client(seed=9)
     b = make_client(seed=9)
     cfg = nn.SgdConfig(epochs=1, batch_size=8)
-    up_a = update(a, np.zeros(610), cfg, np.random.default_rng(3))
-    up_b = update(b, np.zeros(610), cfg, np.random.default_rng(3))
+    up_a = update(a, np.zeros(610), cfg, seeded(3))
+    up_b = update(b, np.zeros(610), cfg, seeded(3))
     assert up_a.tobytes() == up_b.tobytes()
 
 
@@ -204,7 +208,7 @@ def test_sign_flip_trains_then_flips():
     client = make_client(attack=spec)
     broadcast = np.zeros(610)
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=16, epochs=1)
-    upload = update(client, broadcast, cfg, np.random.default_rng(8))
+    upload = update(client, broadcast, cfg, seeded(8))
     # replay the exact stream: training consumes first, then the magnitude draw
     rng = np.random.default_rng(8)
     honest = direct_sgd(client, broadcast, cfg, rng)
@@ -218,8 +222,8 @@ def test_same_value_client_ignores_data_and_skips_training():
     b = make_client(attack=spec, seed=11)  # different data
     broadcast = np.ones(610) * 0.5
     cfg = nn.SgdConfig(epochs=3)
-    up_a = update(a, broadcast, cfg, np.random.default_rng(12))
-    up_b = update(b, broadcast, cfg, np.random.default_rng(12))
+    up_a = update(a, broadcast, cfg, seeded(12))
+    up_b = update(b, broadcast, cfg, seeded(12))
     assert np.array_equal(up_a, up_b)
     assert np.all(up_a == up_a[0])
 
@@ -228,7 +232,7 @@ def test_gaussian_client_sends_noise_and_skips_training():
     spec = clients.AttackSpec("gaussian", tau=100.0)
     client = make_client(attack=spec)
     broadcast = np.full(610, 0.25)
-    upload = update(client, broadcast, nn.SgdConfig(epochs=1), np.random.default_rng(13))
+    upload = update(client, broadcast, nn.SgdConfig(epochs=1), seeded(13))
     # no permutation draws come before the noise
     assert np.array_equal(upload, clients.attack_gaussian(610, 100.0, np.random.default_rng(13)))
 
@@ -239,17 +243,17 @@ def test_ipm_client_uses_benign_uploads():
     benign = np.array([np.ones(610), 3.0 * np.ones(610)])
     upload = np.empty(610)
     clients.local_update(
-        client, upload, np.random.default_rng(14), benign_mean=clients.mean_upload(benign, [0, 1]),
+        client, upload, seeded(14), benign_mean=clients.mean_upload(benign, [0, 1]),
     )
     assert np.allclose(upload, -1.0)
     with pytest.raises(SimulationError):
-        clients.local_update(client, upload, np.random.default_rng(15))
+        clients.local_update(client, upload, seeded(15))
 
 
 def test_broadcast_dimension_mismatch():
     # a broadcast that does not fit the architecture fails before training
     with pytest.raises(ConfigError):
-        update(make_client(), np.zeros(5), nn.SgdConfig(epochs=1), np.random.default_rng(16))
+        update(make_client(), np.zeros(5), nn.SgdConfig(epochs=1), seeded(16))
 
 
 # ------------------------------------------------------------ shares
@@ -275,8 +279,8 @@ def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_s
                 rounds=1, kill=None, stacked_as=None):
     """train_lockstep and then local_update for every client, as the round
     loop runs them, on a pool of ``processes`` over ``rounds`` rounds from
-    one broadcast; returns the last round's rows, the errors by client
-    id, and each generator's state afterwards. ``kill``, if given, runs on
+    one broadcast; returns the last round's rows and the errors by client
+    id. ``kill``, if given, runs on
     the pool before the last round. With ``stacked_as``, the rounds train
     here, in turn, the stacks that a pool of that many processes splits
     them into."""
@@ -286,22 +290,19 @@ def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_s
         for index in range(rounds):
             if kill is not None and index == rounds - 1:
                 kill(pool)
-            rngs = {c.id: stream(4, "local", index, c.id) if clients.draws(c) else None
-                    for c in cohort}
+            streams = functools.partial(stream, 4, "local", index)
             out[:] = -7.0
             with np.errstate(over="ignore", invalid="ignore"):
                 if stacked_as is None:
-                    errors = clients.train_lockstep(ARCH, cohort, broadcast, cfg, rngs, pool)
+                    errors = clients.train_lockstep(ARCH, cohort, broadcast, cfg, streams, pool)
                 else:
                     shares = clients.lockstep_shares(cohort, cfg, broadcast.size, stacked_as)
                     stacks = [ids for share in shares for ids in share]
-                    errors = clients._train(ARCH, cfg, broadcast, stacks, cohort, rngs, out)
+                    errors = clients._train(ARCH, cfg, broadcast, stacks, cohort, streams, out)
             for client in cohort:
-                c = client.id
-                if c not in errors and client.attack is not None and client.attack.kind != "ipm":
-                    clients.local_update(client, out[c], rngs[c])
-    states = [None if r is None else r.bit_generator.state for r in rngs.values()]
-    return out.copy(), {cid: str(exc) for cid, exc in errors.items()}, states
+                if client.attack is None or client.attack.kind != "ipm":
+                    clients.local_update(client, out[client.id], streams)
+    return out.copy(), {cid: str(exc) for cid, exc in errors.items()}
 
 
 @pytest.fixture
@@ -311,13 +312,13 @@ def forks(forks, monkeypatch):
 
 
 def settled(result):
-    """A train_round result without the rows and generators of the clients
-    that failed: those hold whatever their stack left, and a split round
-    stacks narrower than an unsplit one; nothing reads them, as the round
-    raises the error."""
-    out, errors, states = result
+    """A train_round result without the rows of the clients that failed:
+    those hold whatever their stack left, and a split round stacks
+    narrower than an unsplit one; nothing reads them, as the round raises
+    the error."""
+    out, errors = result
     kept = [row for row in range(len(out)) if row not in errors]
-    return out[kept].tobytes(), errors, [states[row] for row in kept]
+    return out[kept].tobytes(), errors
 
 
 @pytest.mark.parametrize("processes", [1, 2, 3, 4])
@@ -332,10 +333,10 @@ def test_a_pool_trains_byte_for_byte_as_one_process(forks, processes):
     # forked once for the three rounds
     assert len(forks) == processes - 1
     assert set(got[1]) == {3, 10}
-    # every row and generator, the failed clients' too, as its stack
-    # trains in one process; and but for those, as the unsplit round
+    # every row, the failed clients' too, as its stack trains in one
+    # process; and but for those, as the unsplit round
     assert got[0].tobytes() == same_stacks[0].tobytes()
-    assert got[1:] == same_stacks[1:]
+    assert got[1] == same_stacks[1]
     assert settled(got) == settled(unsplit)
     assert_no_child_left()
 
@@ -372,16 +373,75 @@ def test_a_round_of_few_steps_trains_in_one_process(monkeypatch):
     assert [len(s) for s in clients.lockstep_shares(cohort, cfg, ARCH_SIZE, 2)] == [1, 1]
 
 
-def test_a_child_share_of_thousands_of_trainers_comes_back_whole(forks, monkeypatch):
+def holds_a_generator(pickled):
+    """Whether pickle bytes hold a numpy Generator or a bit generator's
+    state (a dict keyed by "bit_generator")."""
+    return b"numpy.random" in pickled or b"bit_generator" in pickled
+
+
+def record_pickles(monkeypatch, log):
+    """Wrap pickle.dump, through which a pool's tasks and replies cross its
+    pipes, so that each dump appends "pid bytes holds_a_generator" to
+    ``log`` from the process that makes it."""
+    dump = pickle.dump
+
+    def recorded(obj, file, *args, **kwargs):
+        pickled = pickle.dumps(obj)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(pickled)} {holds_a_generator(pickled)}\n")
+        return dump(obj, file, *args, **kwargs)
+
+    monkeypatch.setattr(clients.pickle, "dump", recorded)
+
+
+def recorded_pickles(log):
+    """The recorded dumps as (tasks, replies), each a list of (bytes,
+    holds_a_generator): this process writes the tasks, a child the
+    replies."""
+    tasks, replies = [], []
+    for line in log.read_text().splitlines():
+        pid, size, generator = line.split()
+        (tasks if int(pid) == os.getpid() else replies).append((int(size), generator == "True"))
+    return tasks, replies
+
+
+def test_no_generator_or_generator_state_crosses_a_pipe(forks, monkeypatch, tmp_path):
+    # the child trains, and so draws for, sign flipper 1 and diverging
+    # client 3; the gaussian and ipm clients draw here, if at all
+    assert holds_a_generator(pickle.dumps(np.random.default_rng(0)))
+    assert holds_a_generator(pickle.dumps(np.random.default_rng(0).bit_generator.state))
+    cohort = cohort_of([100, 100, 50, 50, 50, 30], huge={3},
+                       attacks={1: "sign_flip", 2: "sign_flip", 4: "gaussian", 5: "ipm"})
+    cfg = nn.SgdConfig(learning_rate=0.5, batch_size=16, epochs=2)  # train_round's
+    assert clients.lockstep_shares(cohort, cfg, ARCH_SIZE, 2)[1] == [[1], [3]]
+    log = tmp_path / "pickles"
+    record_pickles(monkeypatch, log)
+    got = train_round(cohort, 2, rounds=2)
+    assert len(forks) == 1
+    tasks, replies = recorded_pickles(log)
+    assert len(tasks) == len(replies) == 2
+    assert not any(generator for _, generator in tasks + replies)
+    assert list(got[1]) == [3]
+    assert settled(got) == settled(train_round(cohort, rounds=2))
+    assert_no_child_left()
+
+
+def test_a_child_share_of_thousands_of_trainers_comes_back_whole(forks, monkeypatch, tmp_path):
     monkeypatch.setattr(clients, "STACK_BYTES", 1000 * 610 * 8)  # stacks of a thousand
-    # 2000 generators in the child's task and reply pickles, well over
-    # the 64 KiB a pipe holds, so each crosses in several reads
-    cohort = cohort_of([5] * 4000, attacks={3999: "sign_flip"})
+    # the child's 2,000 clients all diverge but its sign flipper, and its
+    # reply of their errors is well over the 64 KiB a pipe holds, so it
+    # crosses in several reads
+    cohort = cohort_of([5] * 4000, attacks={3999: "sign_flip"}, huge=set(range(3999)))
+    log = tmp_path / "pickles"
+    record_pickles(monkeypatch, log)
     got = train_round(cohort, 2)
     assert len(forks) == 1
+    (reply,) = recorded_pickles(log)[1]
+    assert reply[0] > 64 * 1024
+    assert list(got[1]) != [] and 3999 not in got[1]
     want = train_round(cohort)
     assert got[0].tobytes() == want[0].tobytes()
-    assert got[1:] == want[1:]
+    assert got[1] == want[1]
     assert_no_child_left()
 
 
@@ -392,14 +452,14 @@ def test_the_multi_threaded_fork_warning_loses_no_child(monkeypatch, forks):
     assert len(forks) == 1
     want = train_round(cohort)
     assert got[0].tobytes() == want[0].tobytes()
-    assert got[1:] == want[1:]
+    assert got[1] == want[1]
     assert_no_child_left()
 
 
 def test_a_diverging_client_in_a_child_is_returned_by_id(forks):
     # the longer stack trains in this process, the shorter in the child
     cohort = cohort_of([100, 50], huge={1})
-    out, errors, _ = train_round(cohort, 2)
+    out, errors = train_round(cohort, 2)
     assert len(forks) == 1
     assert list(errors) == [1] and errors[1].startswith("non-finite loss")
     assert np.isfinite(out[0]).all()
@@ -446,7 +506,7 @@ def test_a_failed_fork_trains_its_share_here(monkeypatch, forks):
     cohort = cohort_of([100, 60, 50], attacks={1: "sign_flip"})
     got, want = train_round(cohort, 3), train_round(cohort)
     assert got[0].tobytes() == want[0].tobytes()
-    assert got[1:] == want[1:]
+    assert got[1] == want[1]
     assert_no_child_left()
 
 
@@ -468,7 +528,7 @@ def test_a_failed_pipe_trains_its_share_here(monkeypatch, forks):
     assert sorted(os.listdir("/proc/self/fd")) == fds
     want = train_round(cohort)
     assert got[0].tobytes() == want[0].tobytes()
-    assert got[1:] == want[1:]
+    assert got[1] == want[1]
     assert_no_child_left()
 
 

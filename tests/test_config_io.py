@@ -86,6 +86,17 @@ def test_parse_errors_carry_line_numbers():
         config.parse_config_text("m_percent = 0\n")
 
 
+def test_seed_below_two_to_the_64():
+    # derive_seed keeps a seed's low 64 bits, so 2**64 would alias seed 0
+    limit = 1 << 64
+    assert config.parse_config_text(f"seed = {limit - 1}\n").seed == limit - 1
+    with pytest.raises(ParseError, match=f"line 1: seed: must be < {limit}"):
+        config.parse_config_text(f"seed = {limit}\n")
+    # values that skip the key's parser, as a sweep's later seeds do
+    with pytest.raises(ConfigError, match=f"seed = {limit} must be < {limit}"):
+        config.build_config({"seed": limit})
+
+
 @pytest.mark.parametrize("key", ["m_percent", "local.lr"])
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_non_finite_floats_rejected_with_line(key, raw):

@@ -438,3 +438,23 @@ def test_csv_non_finite_feature(tmp_path, value):
     path.write_text(f"f0,f1,label\n0.5,1.5,0\n1.0,{value},1\n")
     with pytest.raises(IngestionError, match=re.escape(f"{path}: data row 2: non-finite feature")):
         data.load_csv(str(path))
+
+
+def test_csv_label_beyond_the_rows(tmp_path):
+    # a label of n or more among n rows leaves some class below it without
+    # a row; a Unix timestamp as a label would ask for 1.7e9 classes
+    rng = np.random.default_rng(0)
+    rows = [f"{x:.3f},{y:.3f},{label}" for x, y, label in
+            zip(rng.normal(size=600), rng.normal(size=600), rng.integers(0, 3, 600))]
+    path = tmp_path / "stamped.csv"
+    path.write_text("\n".join(["f0,f1,label", *rows[:400], "0.1,0.2,1700000000", *rows[400:]]) + "\n")
+    with pytest.raises(IngestionError, match=re.escape(
+        f"{path}: data row 401: label 1700000000 is not below the 601 data rows"
+    )):
+        data.load_csv(str(path))
+    path.write_text("f0,label\n0.5,0\n1.0,2\n0.0,1\n")
+    assert data.load_csv(str(path)).num_classes == 3
+    for label in ("3", "inf"):
+        path.write_text(f"f0,label\n0.5,0\n1.0,{label}\n0.0,1\n")
+        with pytest.raises(IngestionError, match=f"data row 2: label {label} is not below the 3"):
+            data.load_csv(str(path))

@@ -1,5 +1,6 @@
 """Code outside the package that calls into it: the demos and the benchmark."""
 
+import functools
 import importlib
 import importlib.util
 import os
@@ -121,14 +122,14 @@ def test_benchmark_workloads_split_only_where_a_pool_pays(monkeypatch):
             config.parse_config_text(workloads.config_text(workload, seed=0))
         )
         out = clients.shared_rows(len(exp.clients), exp.initial_params.size)
-        rngs = {c.id: np.random.default_rng(c.id) for c in exp.clients}
+        streams = functools.partial(fedaa.stream, 0, "local", 0)
         processes = clients.pool_size(exp.clients, exp.cfg.local, exp.initial_params.size)
         with clients.TrainingPool(exp.clients, out, processes) as pool:
             shares[name] = clients.lockstep_shares(
                 exp.clients, exp.cfg.local, exp.initial_params.size, processes
             )
             assert clients.train_lockstep(
-                exp.arch, exp.clients, exp.initial_params, exp.cfg.local, rngs, pool
+                exp.arch, exp.clients, exp.initial_params, exp.cfg.local, streams, pool
             ) == {}
             started[name] = bool(pool.children)
     assert [[len(rows) for rows in share] for share in shares["signflip_logistic"]] == [[10], [10]]

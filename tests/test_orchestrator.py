@@ -1,5 +1,6 @@
 """Round loop wiring: aggregation, reward, fairness, full small runs."""
 
+import functools
 import os
 import pathlib
 import re
@@ -663,22 +664,26 @@ def train_alone(arch, client, global_params, cfg, rng):
 def per_client_uploads(exp, participants, global_params, round_index):
     """The straightforward round: one local_update per client, benign ones
     first, each training alone from its own stream into an upload of its
-    own, and a benign client's upload copied as its local model; the
+    own (a sign flipper then flipping it with a magnitude from the same
+    stream), and a benign client's upload copied as its local model; the
     uploads stacked in ascending client id."""
+    streams = functools.partial(stream, exp.cfg.seed, "local", round_index)
     uploads, benign = {}, []
     for cid in sorted(participants, key=lambda c: exp.clients[c].role != "benign"):
         client = exp.clients[cid]
         ipm = client.attack is not None and client.attack.kind == "ipm"
-        rng = stream(exp.cfg.seed, "local", round_index, cid)
         uploads[cid] = np.empty(global_params.size)
         try:
             if clients.trains(client):
+                rng = streams(cid)
                 trained = train_alone(exp.arch, client, global_params, exp.cfg.local, rng)
                 if isinstance(trained, NumericError):
                     raise trained
+                if client.attack is not None:  # a sign flipper
+                    trained = clients.attack_sign_flip(trained, client.attack.tau, rng)
                 uploads[cid][:] = trained
             clients.local_update(
-                client, uploads[cid], rng,
+                client, uploads[cid], streams,
                 benign_mean=np.mean(np.array(benign), axis=0) if ipm else None,
             )
         except FedaaError as exc:
@@ -751,10 +756,9 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
 
 
 def test_local_streams_only_for_clients_that_draw(monkeypatch):
-    # ipm attackers draw nothing, so they get no stream; every other
-    # client's stream, and so every upload, stays as it was (see
-    # test_lockstep_uploads_equal_per_client_updates, whose oracle makes a
-    # stream for every participant)
+    # ipm attackers draw nothing, so they make no stream; every other
+    # client makes its stream once, where it draws (see
+    # test_lockstep_uploads_equal_per_client_updates for the uploads)
     exp = mixed_experiment()
     exp.clients[1].attack = clients.AttackSpec("gaussian")
     streamed = []
@@ -768,7 +772,7 @@ def test_local_streams_only_for_clients_that_draw(monkeypatch):
     collect(exp, list(range(12)), exp.initial_params, 0)
     kinds = {c.id: c.attack.kind if c.attack else None for c in exp.clients}
     assert {"ipm", "sign_flip", "gaussian", None} <= set(kinds.values())
-    assert streamed == [c for c in range(12) if kinds[c] != "ipm"]
+    assert sorted(streamed) == [c for c in range(12) if kinds[c] != "ipm"]
 
 
 def test_one_local_update_per_participant_and_stacks_cover_the_trainers(monkeypatch):
@@ -1050,3 +1054,20 @@ def test_a_population_too_large_for_memory_fails_typed():
         "dataset.num_clients = 200 local models of model.hidden = [20000] "
         "(1420010 parameters each) need 2.12 GiB, more than this process can allocate"
     )
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # 60 inputs, 10 classes: 71 x 10**11 + 10 parameters
+    ({"model_hidden": (10**11,)},
+     "model.hidden = [100000000000]: the model's 7100000000010 parameters need 52899.12 GiB"),
+    # a cohort of 6 at m_percent 50 keeps 3: an actor of 7 x 10**11 + 3
+    # and a critic of 8 x 10**11 + 1 parameters, each with its target
+    ({"ddpg": config.DdpgConfig(hidden=10**11, warmup=2, batch_size=4)},
+     "ddpg.hidden = 100000000000: the DDPG networks' 3000000000008 parameters need 22351.74 GiB"),
+    # past the largest array numpy makes
+    ({"model_hidden": (10**17,)}, "the model's 7100000000000000010 parameters need"),
+], ids=["model.hidden", "ddpg.hidden", "model.hidden-past-numpy"])
+def test_a_network_too_wide_for_memory_fails_typed(overrides, message):
+    # widths whose allocation fails at once, on any host
+    with pytest.raises(ConfigError, match=re.escape(message) + ".*, more than this process can allocate"):
+        orchestrator.build_experiment(small_cfg(**overrides))

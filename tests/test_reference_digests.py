@@ -1,7 +1,9 @@
-"""The benchmark's recorded results.csv digests, checked on two seeds.
+"""The benchmark's recorded results.csv digests, checked on two seeds,
+and through a training pool's child.
 
-A change to the selection kernels (or anything else on the run path)
-that moves a result fails here, not only in the benchmark's own gate.
+A change to the selection kernels, the pool (or anything else on the
+run path) that moves a result fails here, not only in the benchmark's
+own gate.
 The test reads perfbench/workloads.py and perfbench/reference.json and
 writes nothing under perfbench/.
 """
@@ -13,7 +15,7 @@ import sys
 
 import pytest
 
-from fedaa import cli
+from fedaa import cli, clients
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,10 +30,9 @@ def workloads():
     return workloads
 
 
-# server_heavy's selections take the Gram route, signflip_logistic's pdist
-@pytest.mark.parametrize("seed", [0, 7919])
-@pytest.mark.parametrize("name", ["server_heavy", "signflip_logistic"])
-def test_a_run_reproduces_the_recorded_digest(workloads, tmp_path, name, seed):
+def run_digest(workloads, tmp_path, name, seed):
+    """The recorded results digest of the workload at ``seed``, and that of
+    a ``fedaa run`` of its config."""
     recorded = json.loads((PERFBENCH / "reference.json").read_text())["digests"][name][str(seed)]
     text = workloads.config_text(workloads.WORKLOADS[name], seed)
     assert hashlib.sha256(text.encode()).hexdigest() == recorded["config"]
@@ -39,5 +40,26 @@ def test_a_run_reproduces_the_recorded_digest(workloads, tmp_path, name, seed):
     cfg_path.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
-    assert digest == recorded["results"]
+    return recorded["results"], hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+
+
+# server_heavy's selections take the Gram route, signflip_logistic's pdist
+@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("name", ["server_heavy", "signflip_logistic"])
+def test_a_run_reproduces_the_recorded_digest(workloads, tmp_path, name, seed):
+    recorded, got = run_digest(workloads, tmp_path, name, seed)
+    assert got == recorded
+
+
+# on two usable CPUs these two workloads train their rounds on a pool of
+# two processes, whatever the host has
+@pytest.mark.parametrize("name, seed", [
+    ("signflip_logistic", 0), ("signflip_logistic", 7919), ("mlp_fedavg_clean", 0),
+])
+def test_a_run_on_a_pool_reproduces_the_recorded_digest(
+    workloads, tmp_path, monkeypatch, counted_forks, name, seed
+):
+    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+    recorded, got = run_digest(workloads, tmp_path, name, seed)
+    assert len(counted_forks) == 1
+    assert got == recorded
