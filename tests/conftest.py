@@ -7,6 +7,8 @@ import os
 import warnings
 from typing import Callable, Iterable
 
+# before numpy, so that the tests run BLAS on one thread, as a fedaa run does
+import fedaa  # noqa: F401
 import numpy as np
 import pytest
 
