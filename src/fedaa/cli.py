@@ -119,6 +119,8 @@ def _parse_vary(specs: list[str]) -> list[tuple[str, list[object]]]:
         key = key.strip()
         if key not in SCHEMA:
             raise ConfigError(f"--vary: unknown key {key!r}")
+        if key in dict(axes):
+            raise ConfigError(f"--vary: key {key!r} given twice; list its values in one --vary")
         # ';' separates values when the values themselves contain commas
         parts = raw.split(";") if ";" in raw else raw.split(",")
         values = []
@@ -140,10 +142,18 @@ def _grid(axes: list[tuple[str, list[object]]]) -> list[dict[str, object]]:
     return cells
 
 
-def _sweep_one(task: tuple[int, int, ExperimentConfig]) -> tuple[int, int, dict]:
-    cell_index, seed, cfg = task
+def _cell_name(index: int, cell: dict[str, object]) -> str:
+    overrides = ", ".join(f"{key}={value}" for key, value in cell.items())
+    return f"sweep cell {index} ({overrides or 'no overrides'})"
+
+
+def _sweep_one(task: tuple[str, int, int, ExperimentConfig]) -> tuple[int, int, dict]:
+    name, cell_index, seed, cfg = task
     t0 = time.perf_counter()
-    records = run_experiment(cfg)
+    try:
+        records = run_experiment(cfg)
+    except FedaaError as exc:
+        raise type(exc)(f"{name}, seed {seed}: {exc}") from exc
     runtime = time.perf_counter() - t0
     final = records[-1]
     row = {
@@ -177,11 +187,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             try:
                 cfg = build_config({**values, "seed": seed})
             except ConfigError as exc:
-                overrides = ", ".join(f"{key}={value}" for key, value in cell.items())
-                raise ConfigError(
-                    f"sweep cell {index} ({overrides or 'no overrides'}): {exc}"
-                ) from exc
-            tasks.append((index, seed, cfg))
+                raise ConfigError(f"{_cell_name(index, cell)}: {exc}") from exc
+            tasks.append((_cell_name(index, cell), index, seed, cfg))
     threads = os.environ.get("FEDAA_THREADS", "1")
     if not threads.isdecimal() or int(threads) < 1:
         raise ConfigError(f"FEDAA_THREADS must be an integer >= 1 (got {threads!r})")

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .cpus import quiet_fork, usable_cpus
+from .cpus import quiet_fork
 from .errors import ConfigError, NumericError, SimulationError
 from .data import LabeledDataset
 from .nn import ArchSpec, SgdConfig, sgd_epoch
@@ -151,13 +151,6 @@ def trains(client: ClientRecord) -> bool:
     return client.attack is None or ATTACKS[client.attack.kind].trains
 
 
-def shared_rows(count: int, size: int) -> np.ndarray:
-    """A zeroed (count, size) float64 matrix in one anonymous ``mmap``.
-    On Unix the mapping is MAP_SHARED, so a process forked after it is
-    made writes into the pages this process reads."""
-    return np.frombuffer(mmap.mmap(-1, count * size * 8), dtype=np.float64).reshape(count, size)
-
-
 def lockstep_shares(
     cohort: Sequence[ClientRecord], cfg: SgdConfig, size: int, processes: int
 ) -> list[list[list[int]]]:
@@ -200,29 +193,37 @@ def lockstep_shares(
     return shares
 
 
-def pool_size(clients: Sequence[ClientRecord], cfg: SgdConfig, size: int) -> int:
-    """Processes for the TrainingPool of a run of ``clients``: the shares
-    of a round of the whole population on the usable CPUs (``usable_cpus``,
-    1 in a worker process). No cohort trains in more steps or stacks than
-    the whole population, so a run whose pool size is 1 splits no round."""
-    return len(lockstep_shares(clients, cfg, size, usable_cpus()))
-
-
 class TrainingPool:
-    """The processes that train a run's rounds with this one.
+    """The processes that train a run's rounds with this one, a process
+    for each share of a round of the whole population on ``cpus`` CPUs
+    (``lockstep_shares``; no cohort splits further), and the run's
+    parameter matrix ``out``, whose row ``c``, ``broadcast`` to begin
+    with, is client ``clients[c]``'s. Entering the pool (``with``) forks
+    ``processes - 1`` children that inherit the clients, ``arch``, the
+    SGD config ``cfg`` and ``out``, and wait on their pipes for a share
+    of a round to train into ``out``; leaving it (or ``close``) stops
+    and reaps them. ``out`` is one anonymous MAP_SHARED ``mmap`` where
+    there are children, whose writes this process then reads, and else
+    this process's own memory."""
 
-    ``clients`` are the run's clients, ``clients[c].id == c``, and
-    ``out`` the run's parameter matrix, made with ``shared_rows``, whose
-    row ``c`` is client ``c``'s. Entering the pool (``with``) forks
-    ``processes - 1`` children that inherit both and then wait on their
-    pipes for a share of a round to train into ``out``; leaving it (or
-    ``close``) stops and reaps them. A pool of one process forks nothing.
-    """
-
-    def __init__(self, clients: Sequence[ClientRecord], out: np.ndarray, processes: int) -> None:
+    def __init__(
+        self,
+        clients: Sequence[ClientRecord],
+        arch: ArchSpec,
+        cfg: SgdConfig,
+        broadcast: np.ndarray,
+        cpus: int,
+    ) -> None:
         self.clients = clients
-        self.out = out
-        self.processes = processes
+        self.arch = arch
+        self.cfg = cfg
+        self.processes = len(lockstep_shares(clients, cfg, broadcast.size, cpus))
+        shape = (len(clients), broadcast.size)
+        if self.processes > 1:
+            self.out = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1])).reshape(shape)
+        else:
+            self.out = np.empty(shape)
+        self.out[:] = broadcast
         self.children: list[tuple[int, io.BufferedWriter, io.BufferedReader]] = []
 
     def __enter__(self) -> TrainingPool:
@@ -248,7 +249,7 @@ class TrainingPool:
                 inherited = [task_end, reply_end]
                 for _, to_child, from_child in self.children:
                     inherited += [to_child.fileno(), from_child.fileno()]
-                _serve(self.clients, self.out, tasks, replies, inherited)
+                _serve(self, tasks, replies, inherited)
             os.close(tasks)
             os.close(replies)
             # buffered, so that a read of n bytes returns n bytes or stops at
@@ -279,19 +280,12 @@ class TrainingPool:
 _LOST = "a training process exited without its results"
 
 
-def _serve(
-    clients: Sequence[ClientRecord],
-    out: np.ndarray,
-    tasks: int,
-    replies: int,
-    inherited: list[int],
-) -> NoReturn:
+def _serve(pool: TrainingPool, tasks: int, replies: int, inherited: list[int]) -> NoReturn:
     """A pool child's whole life: close the parent's pipe ends it
     inherited, then until its task pipe ends, read one share of a round,
-    ``(arch, cfg, broadcast, stacks of client ids, streams, numpy error
-    handling)``, train it into ``out`` under that error handling
-    (``np.geterr``) and reply with one pickle, ``("ok", errors by id)``
-    or ``("raise", exception)``."""
+    ``(broadcast, stacks of client ids, streams, numpy error handling)``,
+    train it under that error handling (``np.geterr``) and reply with one
+    pickle, ``("ok", errors by id)`` or ``("raise", exception)``."""
     code = 1
     try:
         for fd in inherited:
@@ -299,12 +293,12 @@ def _serve(
         with os.fdopen(tasks, "rb") as inbox, os.fdopen(replies, "wb") as outbox:
             while True:
                 try:
-                    arch, cfg, broadcast, share, streams, err = pickle.load(inbox)
+                    broadcast, share, streams, err = pickle.load(inbox)
                 except EOFError:
                     break
                 try:
                     with np.errstate(**err):
-                        reply = ("ok", _train(arch, cfg, broadcast, share, clients, streams, out))
+                        reply = ("ok", _train(pool, broadcast, share, streams))
                 except BaseException as exc:  # sent to the parent, which raises it
                     reply = ("raise", exc)
                 pickle.dump(reply, outbox)
@@ -315,17 +309,15 @@ def _serve(
 
 
 def _train(
-    arch: ArchSpec,
-    cfg: SgdConfig,
+    pool: TrainingPool,
     broadcast: np.ndarray,
     share: list[list[int]],
-    clients: Sequence[ClientRecord],
     streams: Callable[[int], np.random.Generator],
-    out: np.ndarray,
 ) -> dict[int, NumericError]:
     """Train each stack of client ids of ``share`` from the broadcast into
-    its clients' rows of ``out``, a sign flipper's flipped by a magnitude
+    its clients' rows of ``pool.out``, a sign flipper's flipped by a magnitude
     from its stream ``streams(c)``; returns the errors by client id."""
+    clients = pool.clients
     # made before the first stack trains, as one made between stacks costs
     # about a third more
     rngs = {c: streams(c) for ids in share for c in ids}
@@ -333,42 +325,39 @@ def _train(
     for ids in share:
         stack = np.tile(broadcast, (len(ids), 1))
         failed = sgd_epoch(
-            arch,
+            pool.arch,
             stack,
             [clients[c].train.features for c in ids],
             [clients[c].train.labels for c in ids],
-            cfg,
+            pool.cfg,
             [rngs[c] for c in ids],
         )
         for i, c in enumerate(ids):
             attack = clients[c].attack
             if attack is not None and attack.kind == "sign_flip" and i not in failed:
                 stack[i] = attack_sign_flip(stack[i], attack.tau, rngs[c])
-        out[ids] = stack
+        pool.out[ids] = stack
         errors.update((ids[i], exc) for i, exc in failed.items())
     return errors
 
 
 def train_lockstep(
-    arch: ArchSpec,
     cohort: list[ClientRecord],
     global_params: np.ndarray,
-    cfg: SgdConfig,
     streams: Callable[[int], np.random.Generator],
     pool: TrainingPool,
 ) -> dict[int, NumericError]:
     """Train the cohort's training clients from the broadcast, in lockstep,
-    on ``pool``.
+    on ``pool``, with the pool's architecture and SGD config.
 
     Client ``c`` of the cohort draws its permutations, and a sign
     flipper then its magnitude, from ``streams(c)``, made in the process
-    that trains it, and ends with its upload, of architecture ``arch``,
-    in row ``c`` of ``pool.out``; the rows of clients that do not train
-    are left as they are. Clients of equal train size share
-    ``sgd_epoch`` stacks of at most STACK_BYTES of parameters. Returns,
-    by client id, the NumericError of each client whose loss turned
-    non-finite, the same as the client would get training alone; the
-    round loop raises it.
+    that trains it, and ends with its upload in row ``c`` of
+    ``pool.out``; the rows of clients that do not train are left as they
+    are. Clients of equal train size share ``sgd_epoch`` stacks of at
+    most STACK_BYTES of parameters. Returns, by client id, the
+    NumericError of each client whose loss turned non-finite, the same
+    as the client would get training alone; the round loop raises it.
 
     A round of SPLIT_STEPS steps or more trains in shares
     (``lockstep_shares``), one on each of the pool's processes. This
@@ -386,17 +375,16 @@ def train_lockstep(
     raised there. On any exception the pool is closed.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
-    shares = lockstep_shares(cohort, cfg, global_params.size, 1 + len(pool.children))
+    shares = lockstep_shares(cohort, pool.cfg, global_params.size, 1 + len(pool.children))
     try:
         sent = list(zip(pool.children, shares[1:]))
         for (_, to_child, _), share in sent:
-            task = (arch, cfg, global_params, share, streams, np.geterr())
             try:
-                pickle.dump(task, to_child)
+                pickle.dump((global_params, share, streams, np.geterr()), to_child)
                 to_child.flush()
             except BrokenPipeError:
                 raise SimulationError(_LOST) from None
-        errors = _train(arch, cfg, global_params, shares[0], pool.clients, streams, pool.out)
+        errors = _train(pool, global_params, shares[0], streams)
         for (_, _, from_child), _ in sent:
             errors.update(_receive(from_child))
         return errors

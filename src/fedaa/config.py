@@ -205,7 +205,7 @@ KEYS = (
     Key("ddpg.critic_lr", _float(lo=0.0), aggregators=FEDAA),
     Key("ddpg.weight_decay", _float(lo=0.0), aggregators=FEDAA),
     Key("ddpg.hidden", _int(lo=1), aggregators=FEDAA),
-    Key("ddpg.buffer_capacity", _int(lo=1), aggregators=FEDAA),
+    Key("ddpg.buffer_capacity", _int(lo=1, below=2**63), aggregators=FEDAA),
     Key("ddpg.batch_size", _int(lo=1), aggregators=FEDAA),
     Key("ddpg.warmup", _int(lo=1), aggregators=FEDAA),
     Key("ddpg.noise_sigma", _float(lo=0.0), aggregators=FEDAA),

@@ -20,12 +20,13 @@ config are bit-identical.
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 import numpy as np
 
+from .cpus import usable_cpus
 from .errors import ConfigError, FedaaError, InternalError, NumericError
 from . import data as datamod
 from .clients import (
@@ -34,8 +35,6 @@ from .clients import (
     assign_roles,
     local_update,
     mean_upload,
-    pool_size,
-    shared_rows,
     train_lockstep,
 )
 from .config import ExperimentConfig, SYNTHETIC_KINDS
@@ -231,7 +230,8 @@ def sample_participants(
 @dataclass
 class Experiment:
     """Materialized run: clients, validation set, policy, buffers. The
-    clients' parameters are rows of one matrix that ``run_rounds`` makes."""
+    clients' parameters are rows of one matrix, held by the training
+    pool that ``run_rounds`` makes."""
 
     cfg: ExperimentConfig
     clients: list[ClientRecord]
@@ -307,7 +307,16 @@ def _materialize_data(cfg: ExperimentConfig) -> tuple[LabeledDataset, datamod.Cl
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
     """Materialize datasets, roles, models, and the policy for a config."""
-    val_set, partition = _materialize_data(cfg)
+    ds = cfg.dataset
+    guard = nullcontext()  # the csv and idx loaders raise their own errors
+    if ds.kind in SYNTHETIC_KINDS or ds.kind == "synthetic_dirichlet":
+        key, size = (("total_samples", ds.total_samples) if ds.kind == "synthetic_dirichlet"
+                     else ("samples_per_client", ds.samples_per_client))
+        size = list(size) if isinstance(size, tuple) else size
+        guard = _allocating(f"dataset.num_clients = {ds.num_clients} and dataset.{key} = {size}: "
+                            "the synthetic data")
+    with guard:
+        val_set, partition = _materialize_data(cfg)
     num_classes = val_set.num_classes
     input_dim = val_set.features.shape[1]
     arch = ArchSpec(input_dim, tuple(cfg.model_hidden), num_classes)
@@ -344,30 +353,16 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
 
 
 @contextmanager
-def _allocating(whose: str, size: int) -> Iterator[None]:
-    """Turns a failure to allocate ``size`` float64 parameters in its
-    body into a ConfigError naming ``whose`` they are and the GiB."""
+def _allocating(whose: str, size: int | None = None) -> Iterator[None]:
+    """Turns a failure to allocate in its body into a ConfigError naming
+    ``whose`` memory it is and, for ``size`` float64 parameters, the GiB."""
     try:
         yield
-    except (MemoryError, ValueError) as exc:  # numpy's ValueError: past the largest array
-        raise ConfigError(
-            f"{whose} {size} parameters need {size * 8 / 2**30:.2f} GiB, "
-            f"more than this process can allocate"
-        ) from exc
-
-
-def _client_rows(cfg: ExperimentConfig, size: int) -> np.ndarray:
-    """A run's (N, size) parameter matrix, in ``shared_rows``; a
-    ConfigError naming the GiB needed if it cannot be had."""
-    count = cfg.dataset.num_clients
-    try:
-        return shared_rows(count, size)
-    except (MemoryError, OSError) as exc:  # an mmap that fails raises OSError
-        raise ConfigError(
-            f"dataset.num_clients = {count} local models of model.hidden = "
-            f"{list(cfg.model_hidden)} ({size} parameters each) need "
-            f"{count * size * 8 / 2**30:.2f} GiB, more than this process can allocate"
-        ) from exc
+    # numpy's ValueError: past the largest array; an mmap's OSError; a
+    # length past what a C index holds
+    except (MemoryError, ValueError, OSError, OverflowError) as exc:
+        need = "need" if size is None else f"{size} parameters need {size * 8 / 2**30:.2f} GiB,"
+        raise ConfigError(f"{whose} {need} more than this process can allocate") from exc
 
 
 def _cohort_rows(models: np.ndarray, ids: list[int]) -> np.ndarray:
@@ -399,7 +394,7 @@ def _collect_uploads(
     cfg = exp.cfg
     cohort = [exp.clients[c] for c in sorted(participants)]
     streams = functools.partial(stream, cfg.seed, "local", round_index)
-    errors = train_lockstep(exp.arch, cohort, global_params, cfg.local, streams, pool)
+    errors = train_lockstep(cohort, global_params, streams, pool)
     models = pool.out
     benign_mean = None
     for client in sorted(cohort, key=lambda c: c.attack is not None):
@@ -437,12 +432,12 @@ def _select(exp: Experiment, ids: list[int], models: np.ndarray) -> SelectionRes
 def run_rounds(exp: Experiment) -> list[RoundRecord]:
     """The round loop for both aggregators; one record per round.
 
-    The run's parameters are one (N, d) matrix, made here in
-    ``shared_rows`` before the training pool forks, so that the pool's
-    processes write into the pages this process reads. Row ``c`` is
-    client ``c``'s latest upload, the initial parameters until it first
-    takes part, and so a benign client's local model. Every read of a
-    round's rows ends before the next round trains into them.
+    The run's parameters are one (N, d) matrix, the training pool's
+    ``out`` (see ``TrainingPool``), shared with the pool's processes
+    where the pool forks. Row ``c`` is client ``c``'s latest upload, the
+    initial parameters until it first takes part, and so a benign
+    client's local model. Every read of a round's rows ends before the
+    next round trains into them.
 
     fedavg has no agent: it merges every upload with train-size weights
     and learns nothing from the round.
@@ -452,15 +447,17 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
     explore_rng = stream(cfg.seed, "exploration")
     buffer_rng = stream(cfg.seed, "buffer")
     global_params = exp.initial_params.copy()
-    models = _client_rows(cfg, global_params.size)
-    models[:] = global_params
+    count = len(exp.clients)
+    whose = f"dataset.num_clients = {count} and model.hidden = {list(cfg.model_hidden)}:"
+    with _allocating(f"{whose} the local models'", count * global_params.size):
+        pool = TrainingPool(exp.clients, exp.arch, cfg.local, global_params, usable_cpus())
+    models = pool.out
     # round 0 merges unattacked broadcast copies: no training has happened
     # yet, so there is nothing for an attacker to distort
     participants = sample_participants(cfg.dataset.num_clients, cfg.participation_ratio, part_rng)
     sel = _select(exp, participants, models)
     records: list[RoundRecord] = []
-    processes = pool_size(exp.clients, cfg.local, global_params.size)
-    with TrainingPool(exp.clients, models, processes) as pool:
+    with pool:
         for t in range(cfg.rounds):
             try:
                 if agent is None:

@@ -9,14 +9,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from . import data as datamod
-from .clients import (
-    SPLIT_STEPS,
-    AttackSpec,
-    ClientRecord,
-    TrainingPool,
-    shared_rows,
-    train_lockstep,
-)
+from .clients import SPLIT_STEPS, AttackSpec, ClientRecord, TrainingPool, train_lockstep
 from .ddpg import DdpgConfig, ReplayBuffer, Transition, make_agent, act, soft_update
 from .nn import (
     ArchSpec,
@@ -207,14 +200,13 @@ def _check_parallel_training() -> None:
     streams = functools.partial(stream, 16, "local")
     runs = {}
     for processes in (1, 2, 3):
-        out = shared_rows(len(cohort), param_count(arch))
-        with TrainingPool(cohort, out, processes) as pool:
+        with TrainingPool(cohort, arch, cfg, broadcast, processes) as pool:
             with np.errstate(over="ignore", invalid="ignore"):
-                errors = train_lockstep(arch, cohort, broadcast, cfg, streams, pool)
+                errors = train_lockstep(cohort, broadcast, streams, pool)
             assert len(pool.children) == processes - 1, (
                 f"a pool of {processes} processes trained on {len(pool.children) + 1}"
             )
-        runs[processes] = (out.tobytes(), {cid: str(exc) for cid, exc in errors.items()})
+        runs[processes] = (pool.out.tobytes(), {cid: str(exc) for cid, exc in errors.items()})
     assert list(runs[1][1]) == [4], "the diverging client must fail by its id"
     for processes in (2, 3):
         assert runs[processes] == runs[1], (

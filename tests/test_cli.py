@@ -7,6 +7,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from fedaa import cli, config, cpus
@@ -243,8 +244,8 @@ def test_sweep_varied_seed_starts_its_cell(cfg_path, tmp_path):
 
 def test_sweep_workers_train_in_one_process(monkeypatch):
     # a worker process shares the CPUs with its siblings already, so it
-    # keeps its training pool at one process (clients.pool_size reads the
-    # usable CPUs); the main process spreads it
+    # keeps its training pool at one process (run_rounds sizes the pool by
+    # the usable CPUs); the main process spreads it
     monkeypatch.setattr(cpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cpus.usable_cpus() == 2
     with cli.ProcessPoolExecutor(max_workers=1) as pool:
@@ -287,6 +288,39 @@ def test_sweep_names_the_cell_whose_config_fails_before_any_cell_runs(cfg_path, 
         "m_percent applies only to aggregator = fedaa\n"
     )
     assert not os.path.exists(out)
+
+
+def test_sweep_rejects_a_repeated_vary_key(cfg_path, tmp_path, capsys, monkeypatch):
+    # the second --vary would override the first in every cell
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("ran a cell"))
+    out = str(tmp_path / "sweep")
+    args = ["sweep", "--config", cfg_path, "--out", out,
+            "--vary", "rounds=1,2", "--vary", "rounds=3"]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        "fedaa: error: ConfigError: --vary: key 'rounds' given twice; "
+        "list its values in one --vary\n"
+    )
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "workers"])
+def test_a_run_error_in_a_sweep_names_its_cell_and_seed(tmp_path, capsys, monkeypatch, threads):
+    # at a learning rate of 1e300 no upload of round 0 is measurable; with
+    # two workers the error crosses a worker's pipe
+    path = tmp_path / "exp.cfg"
+    path.write_text("dataset.num_clients = 4\ndataset.samples_per_client = 30\n"
+                    "rounds = 2\nlocal.epochs = 1\nseed = 5\n")
+    monkeypatch.setenv("FEDAA_THREADS", threads)
+    args = ["sweep", "--config", str(path), "--out", str(tmp_path / "sweep"),
+            "--vary", "local.lr=0.1,1e300"]
+    with np.errstate(over="ignore"):
+        assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith(
+        "fedaa: error: SimulationError: sweep cell 1 (local.lr=1e+300), seed 5: "
+        "round 0: only 0 measurable uploads for a selection of 1; "
+    )
+    assert not os.path.exists(tmp_path / "sweep" / "sweep.csv")
 
 
 def test_sweep_vary_validation(cfg_path, capsys):

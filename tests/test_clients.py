@@ -2,6 +2,7 @@
 
 import errno
 import functools
+import mmap
 import os
 import pickle
 import signal
@@ -38,11 +39,10 @@ def update(client, broadcast, cfg, streams, benign_mean=None):
     """One client's round as the round loop runs it: train_lockstep on a
     cohort of one, client 0, into its row, then local_update on that
     row. Returns the row."""
-    models = np.empty((1, broadcast.size))
-    with clients.TrainingPool([client], models, 1) as pool:
-        assert clients.train_lockstep(ARCH, [client], broadcast, cfg, streams, pool) == {}
-    clients.local_update(client, models[0], streams, benign_mean=benign_mean)
-    return models[0]
+    with clients.TrainingPool([client], ARCH, cfg, broadcast, 1) as pool:
+        assert clients.train_lockstep([client], broadcast, streams, pool) == {}
+    clients.local_update(client, pool.out[0], streams, benign_mean=benign_mean)
+    return pool.out[0]
 
 
 def direct_sgd(client, broadcast, cfg, rng):
@@ -285,8 +285,8 @@ def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_s
     here, in turn, the stacks that a pool of that many processes splits
     them into."""
     broadcast = nn.init_params(ARCH, np.random.default_rng(99))
-    out = clients.shared_rows(len(cohort), broadcast.size)
-    with clients.TrainingPool(cohort, out, processes) as pool:
+    with clients.TrainingPool(cohort, ARCH, cfg, broadcast, processes) as pool:
+        out = pool.out
         for index in range(rounds):
             if kill is not None and index == rounds - 1:
                 kill(pool)
@@ -294,11 +294,11 @@ def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_s
             out[:] = -7.0
             with np.errstate(over="ignore", invalid="ignore"):
                 if stacked_as is None:
-                    errors = clients.train_lockstep(ARCH, cohort, broadcast, cfg, streams, pool)
+                    errors = clients.train_lockstep(cohort, broadcast, streams, pool)
                 else:
                     shares = clients.lockstep_shares(cohort, cfg, broadcast.size, stacked_as)
                     stacks = [ids for share in shares for ids in share]
-                    errors = clients._train(ARCH, cfg, broadcast, stacks, cohort, streams, out)
+                    errors = clients._train(pool, broadcast, stacks, streams)
             for client in cohort:
                 if client.attack is None or client.attack.kind != "ipm":
                     clients.local_update(client, out[client.id], streams)
@@ -354,14 +354,41 @@ def test_a_split_round_stacks_each_group_over_the_processes(forks):
     assert len(three) == 3
 
 
+def pool_of(cohort, cfg, cpus):
+    """A training pool, not entered, of ``cohort`` on ``cpus`` CPUs."""
+    return clients.TrainingPool(cohort, ARCH, cfg, np.zeros(ARCH_SIZE), cpus)
+
+
 def test_a_pool_has_a_process_per_cpu_where_the_population_splits(monkeypatch):
     monkeypatch.setattr(clients, "SPLIT_STEPS", 4 * 2)  # two epochs of 4 batches
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 3)
     cfg = nn.SgdConfig(batch_size=16, epochs=2)
-    assert clients.pool_size(cohort_of([50] * 4), cfg, ARCH_SIZE) == 1
-    assert clients.pool_size(cohort_of([70] * 6), cfg, ARCH_SIZE) == 3
+    assert pool_of(cohort_of([50] * 4), cfg, 3).processes == 1
+    assert pool_of(cohort_of([70] * 6), cfg, 3).processes == 3
     # no more processes than stacks
-    assert clients.pool_size(cohort_of([70] * 2), cfg, ARCH_SIZE) == 2
+    assert pool_of(cohort_of([70] * 2), cfg, 3).processes == 2
+
+
+def test_the_matrix_is_shared_memory_only_where_the_pool_forks(forks):
+    # train_round's config and broadcast
+    cfg = nn.SgdConfig(learning_rate=0.5, batch_size=16, epochs=2)
+    broadcast = nn.init_params(ARCH, np.random.default_rng(99))
+    alone = clients.TrainingPool(cohort_of([50] * 4), ARCH, cfg, broadcast, 1)
+    assert alone.processes == 1
+    # numpy's own memory, each row the broadcast to begin with
+    assert alone.out.flags.owndata and (alone.out == broadcast).all()
+    cohort = cohort_of([100, 50])
+    pool = clients.TrainingPool(cohort, ARCH, cfg, broadcast, 2)
+    assert pool.processes == 2 and (pool.out == broadcast).all()
+    assert isinstance(pool.out.base.base.obj, mmap.mmap)
+    # the child trains client 1, whose row this process then reads
+    assert clients.lockstep_shares(cohort, cfg, ARCH_SIZE, 2)[1] == [[1]]
+    with pool:
+        assert len(forks) == 1
+        streams = functools.partial(stream, 4, "local", 0)
+        assert clients.train_lockstep(cohort, broadcast, streams, pool) == {}
+    assert not (pool.out[1] == broadcast).any()
+    assert pool.out.tobytes() == train_round(cohort)[0].tobytes()
+    assert_no_child_left()
 
 
 def test_a_round_of_few_steps_trains_in_one_process(monkeypatch):
@@ -379,16 +406,23 @@ def holds_a_generator(pickled):
     return b"numpy.random" in pickled or b"bit_generator" in pickled
 
 
+def holds_inherited_state(pickled):
+    """Whether pickle bytes hold an ArchSpec or an SgdConfig, which a pool
+    child inherits by fork."""
+    return b"ArchSpec" in pickled or b"SgdConfig" in pickled
+
+
 def record_pickles(monkeypatch, log):
     """Wrap pickle.dump, through which a pool's tasks and replies cross its
-    pipes, so that each dump appends "pid bytes holds_a_generator" to
-    ``log`` from the process that makes it."""
+    pipes, so that each dump appends "pid bytes holds_a_generator
+    holds_inherited_state" to ``log`` from the process that makes it."""
     dump = pickle.dump
 
     def recorded(obj, file, *args, **kwargs):
         pickled = pickle.dumps(obj)
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {len(pickled)} {holds_a_generator(pickled)}\n")
+            fh.write(f"{os.getpid()} {len(pickled)} {holds_a_generator(pickled)} "
+                     f"{holds_inherited_state(pickled)}\n")
         return dump(obj, file, *args, **kwargs)
 
     monkeypatch.setattr(clients.pickle, "dump", recorded)
@@ -396,12 +430,13 @@ def record_pickles(monkeypatch, log):
 
 def recorded_pickles(log):
     """The recorded dumps as (tasks, replies), each a list of (bytes,
-    holds_a_generator): this process writes the tasks, a child the
-    replies."""
+    holds_a_generator, holds_inherited_state): this process writes the
+    tasks, a child the replies."""
     tasks, replies = [], []
     for line in log.read_text().splitlines():
-        pid, size, generator = line.split()
-        (tasks if int(pid) == os.getpid() else replies).append((int(size), generator == "True"))
+        pid, size, generator, inherited = line.split()
+        dump = (int(size), generator == "True", inherited == "True")
+        (tasks if int(pid) == os.getpid() else replies).append(dump)
     return tasks, replies
 
 
@@ -410,6 +445,8 @@ def test_no_generator_or_generator_state_crosses_a_pipe(forks, monkeypatch, tmp_
     # client 3; the gaussian and ipm clients draw here, if at all
     assert holds_a_generator(pickle.dumps(np.random.default_rng(0)))
     assert holds_a_generator(pickle.dumps(np.random.default_rng(0).bit_generator.state))
+    assert holds_inherited_state(pickle.dumps(ARCH))
+    assert holds_inherited_state(pickle.dumps(nn.SgdConfig()))
     cohort = cohort_of([100, 100, 50, 50, 50, 30], huge={3},
                        attacks={1: "sign_flip", 2: "sign_flip", 4: "gaussian", 5: "ipm"})
     cfg = nn.SgdConfig(learning_rate=0.5, batch_size=16, epochs=2)  # train_round's
@@ -420,7 +457,9 @@ def test_no_generator_or_generator_state_crosses_a_pipe(forks, monkeypatch, tmp_
     assert len(forks) == 1
     tasks, replies = recorded_pickles(log)
     assert len(tasks) == len(replies) == 2
-    assert not any(generator for _, generator in tasks + replies)
+    assert not any(generator for _, generator, _ in tasks + replies)
+    # nor the architecture or the SGD config, which the child inherited
+    assert not any(inherited for _, _, inherited in tasks)
     assert list(got[1]) == [3]
     assert settled(got) == settled(train_round(cohort, rounds=2))
     assert_no_child_left()
@@ -533,21 +572,23 @@ def test_a_failed_pipe_trains_its_share_here(monkeypatch, forks):
 
 
 def test_a_pool_forks_only_with_processes_fork_and_no_other_threads(monkeypatch, forks):
-    out = clients.shared_rows(1, 1)
-    with clients.TrainingPool([], out, 1) as pool:
+    # 8 clients in 4 stacks of two
+    cohort, cfg = cohort_of([50] * 8), nn.SgdConfig(batch_size=16, epochs=2)
+    assert pool_of(cohort, cfg, 4).processes == 4
+    with pool_of(cohort, cfg, 1) as pool:
         assert not pool.children
     # a fork copies only the calling thread
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        with clients.TrainingPool([], out, 4) as pool:
+        with pool_of(cohort, cfg, 4) as pool:
             assert not pool.children
     finally:
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
     monkeypatch.delattr(clients.os, "fork")
-    with clients.TrainingPool([], out, 4) as pool:
+    with pool_of(cohort, cfg, 4) as pool:
         assert not pool.children
     assert not forks

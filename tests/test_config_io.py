@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fedaa import clients, config, results
+from fedaa.ddpg import ReplayBuffer
 from fedaa.errors import ConfigError, NumericError, ParseError
 from fedaa.orchestrator import RoundRecord
 from fedaa.selection import SCOPES
@@ -95,6 +96,15 @@ def test_seed_below_two_to_the_64():
     # values that skip the key's parser, as a sweep's later seeds do
     with pytest.raises(ConfigError, match=f"seed = {limit} must be < {limit}"):
         config.build_config({"seed": limit})
+
+
+def test_buffer_capacity_below_two_to_the_63():
+    # the replay buffer's deque holds at most 2**63 - 1
+    limit = 1 << 63
+    cfg = config.parse_config_text(f"ddpg.buffer_capacity = {limit - 1}\n")
+    assert len(ReplayBuffer(cfg.ddpg.buffer_capacity)) == 0
+    with pytest.raises(ParseError, match=f"line 2: ddpg.buffer_capacity: must be < {limit}"):
+        config.parse_config_text(f"rounds = 3\nddpg.buffer_capacity = {limit}\n")
 
 
 @pytest.mark.parametrize("key", ["m_percent", "local.lr"])

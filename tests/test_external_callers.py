@@ -113,7 +113,6 @@ def test_benchmark_workloads_split_only_where_a_pool_pays(monkeypatch):
     # mlp_fedavg_clean's 3,500 steps split too; server_heavy's 30 steps a
     # round would pay more for a pool than a second CPU saves it
     workloads = load_perfbench("workloads", monkeypatch)
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
     # the split, not the training, is under test
     monkeypatch.setattr(clients, "sgd_epoch", lambda *args: {})
     shares, started = {}, {}
@@ -121,16 +120,13 @@ def test_benchmark_workloads_split_only_where_a_pool_pays(monkeypatch):
         exp = orchestrator.build_experiment(
             config.parse_config_text(workloads.config_text(workload, seed=0))
         )
-        out = clients.shared_rows(len(exp.clients), exp.initial_params.size)
         streams = functools.partial(fedaa.stream, 0, "local", 0)
-        processes = clients.pool_size(exp.clients, exp.cfg.local, exp.initial_params.size)
-        with clients.TrainingPool(exp.clients, out, processes) as pool:
+        pool = clients.TrainingPool(exp.clients, exp.arch, exp.cfg.local, exp.initial_params, 2)
+        with pool:
             shares[name] = clients.lockstep_shares(
-                exp.clients, exp.cfg.local, exp.initial_params.size, processes
+                exp.clients, exp.cfg.local, exp.initial_params.size, pool.processes
             )
-            assert clients.train_lockstep(
-                exp.arch, exp.clients, exp.initial_params, exp.cfg.local, streams, pool
-            ) == {}
+            assert clients.train_lockstep(exp.clients, exp.initial_params, streams, pool) == {}
             started[name] = bool(pool.children)
     assert [[len(rows) for rows in share] for share in shares["signflip_logistic"]] == [[10], [10]]
     assert len(shares["mlp_fedavg_clean"]) == 2

@@ -505,21 +505,19 @@ def test_the_gram_kernel_measures_each_distinct_upload_once(monkeypatch):
     assert rows == [1] + [4 + 1] * cfg.rounds  # 4 benign uploads and the ipm vector
 
 
-def run_matrix(exp):
-    """The run's parameter matrix as ``run_rounds`` makes it: a row per
-    client, each the initial parameters."""
-    models = orchestrator._client_rows(exp.cfg, exp.initial_params.size)
-    models[:] = exp.initial_params
-    return models
+def one_process_pool(exp):
+    """The run's training pool as ``run_rounds`` makes it, on one CPU: its
+    parameter matrix has a row per client, each the initial parameters."""
+    return clients.TrainingPool(exp.clients, exp.arch, exp.cfg.local, exp.initial_params, 1)
 
 
-def collect(exp, participants, global_params, round_index, models=None):
-    """``_collect_uploads`` on a pool of one process over ``models``, by
-    default a new run matrix; returns the matrix."""
-    models = run_matrix(exp) if models is None else models
-    with clients.TrainingPool(exp.clients, models, 1) as pool:
+def collect(exp, participants, global_params, round_index, pool=None):
+    """``_collect_uploads`` on ``pool``, by default a new pool of one
+    process; returns its parameter matrix."""
+    pool = one_process_pool(exp) if pool is None else pool
+    with pool:
         orchestrator._collect_uploads(exp, participants, global_params, round_index, pool)
-    return models
+    return pool.out
 
 
 @pytest.mark.parametrize("ratio", [1.0, 0.5])
@@ -529,12 +527,12 @@ def test_a_run_makes_one_parameter_matrix_and_reads_it_in_place(monkeypatch, agg
     # selection and fedavg's merge read the matrix itself, not a per-round
     # copy of it, and otherwise a copy of the cohort's rows
     made, read = [], []
-    shared_rows, select, aggregate = (
-        clients.shared_rows, orchestrator.select_clients, orchestrator.aggregate
+    pool, select, aggregate = (
+        orchestrator.TrainingPool, orchestrator.select_clients, orchestrator.aggregate
     )
 
-    def recording_shared_rows(*shape):
-        made.append(shared_rows(*shape))
+    def recording_pool(*args):
+        made.append(pool(*args))
         return made[-1]
 
     def recording_select(ids, rows, *args):
@@ -546,17 +544,17 @@ def test_a_run_makes_one_parameter_matrix_and_reads_it_in_place(monkeypatch, agg
             read.append(rows)
         return aggregate(rows, action)
 
-    monkeypatch.setattr(orchestrator, "shared_rows", recording_shared_rows)
+    monkeypatch.setattr(orchestrator, "TrainingPool", recording_pool)
     monkeypatch.setattr(orchestrator, "select_clients", recording_select)
     monkeypatch.setattr(orchestrator, "aggregate", recording_aggregate)
     exp = orchestrator.build_experiment(small_cfg(aggregator=aggregator, participation_ratio=ratio))
     orchestrator.run_rounds(exp)
     assert not hasattr(exp, "local_models")
-    assert [m.shape for m in made] == [(6, exp.initial_params.size)]
+    assert [p.out.shape for p in made] == [(6, exp.initial_params.size)]
     assert len(read) == (exp.cfg.rounds + 1 if aggregator == "fedaa" else exp.cfg.rounds)
     for rows in read:
         assert rows.shape == (exp.cohort_size, exp.initial_params.size)
-        assert np.shares_memory(rows, made[0]) == (ratio == 1.0)
+        assert np.shares_memory(rows, made[0].out) == (ratio == 1.0)
 
 
 def test_benign_uploads_become_the_local_models():
@@ -587,8 +585,8 @@ def test_local_models_are_written_without_a_second_upload_matrix(monkeypatch):
     exp = orchestrator.build_experiment(cfg)
     monkeypatch.setattr(clients, "STACK_BYTES", exp.initial_params.nbytes)
     participants = list(range(30))
-    models = run_matrix(exp)
-    with clients.TrainingPool(exp.clients, models, 1) as pool:
+    with one_process_pool(exp) as pool:
+        models = pool.out
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -642,8 +640,8 @@ def test_training_errors_are_raised_in_their_clients_turn(monkeypatch):
     }
     train_lockstep = clients.train_lockstep
 
-    def failing_train_lockstep(arch, cohort, *args):
-        train_lockstep(arch, cohort, *args)
+    def failing_train_lockstep(cohort, *args):
+        train_lockstep(cohort, *args)
         return {c.id: errors[c.id] for c in cohort if c.id in errors}
 
     monkeypatch.setattr(orchestrator, "train_lockstep", failing_train_lockstep)
@@ -733,12 +731,13 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
     lockstep, plain = mixed_experiment(), with_local_models(mixed_experiment())
     part_rng = stream(lockstep.cfg.seed, "participation")
     params = lockstep.initial_params
-    models = run_matrix(lockstep)
+    pool = one_process_pool(lockstep)
+    models = pool.out
     benign = [c.id for c in lockstep.clients if c.role == "benign"]
     kinds = set()
     for t in range(3):
         participants = orchestrator.sample_participants(12, 0.75, part_rng)
-        collect(lockstep, participants, params, t, models)
+        collect(lockstep, participants, params, t, pool)
         want = per_client_uploads(plain, participants, params, t)
         # a participant's row is its upload, and every benign client's row
         # its local model, a past round's upload if it sat this one out
@@ -862,7 +861,7 @@ def test_diverging_client_in_a_stack_is_named_as_when_training_alone(
 @pytest.fixture
 def pool_forks(forks, monkeypatch):
     """Runs that train every round on a pool of two processes."""
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(orchestrator, "usable_cpus", lambda: 2)
     return forks
 
 
@@ -880,10 +879,10 @@ def test_a_run_on_a_pool_equals_a_run_on_one_process(monkeypatch, pool_forks, pr
         local=nn.SgdConfig(learning_rate=0.05, batch_size=8, epochs=2),
         aggregator=aggregator,
     )
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(orchestrator, "usable_cpus", lambda: 1)
     want = orchestrator.run_experiment(cfg)
     assert not pool_forks
-    monkeypatch.setattr(clients, "usable_cpus", lambda: processes)
+    monkeypatch.setattr(orchestrator, "usable_cpus", lambda: processes)
     assert orchestrator.run_experiment(cfg) == want
     # forked once for the run's three rounds
     assert len(pool_forks) == processes - 1
@@ -934,7 +933,7 @@ def test_a_child_killed_mid_run_fails_the_next_round_typed(monkeypatch, pool_for
 
 @pytest.mark.parametrize("split_steps, forked", [(None, False), (0, True)])
 def test_only_a_run_that_can_split_forks(monkeypatch, split_steps, forked):
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(orchestrator, "usable_cpus", lambda: 2)
     if split_steps is not None:
         monkeypatch.setattr(clients, "SPLIT_STEPS", split_steps)
     made = []
@@ -1051,8 +1050,8 @@ def test_a_population_too_large_for_memory_fails_typed():
             print(exc)
     """)
     assert out.strip() == (
-        "dataset.num_clients = 200 local models of model.hidden = [20000] "
-        "(1420010 parameters each) need 2.12 GiB, more than this process can allocate"
+        "dataset.num_clients = 200 and model.hidden = [20000]: the local models' "
+        "284002000 parameters need 2.12 GiB, more than this process can allocate"
     )
 
 
@@ -1071,3 +1070,25 @@ def test_a_network_too_wide_for_memory_fails_typed(overrides, message):
     # widths whose allocation fails at once, on any host
     with pytest.raises(ConfigError, match=re.escape(message) + ".*, more than this process can allocate"):
         orchestrator.build_experiment(small_cfg(**overrides))
+
+
+@pytest.mark.parametrize("dataset, keys", [
+    # the lognormal sizes' own draw, then the list of sizes, then the
+    # samples: each past what numpy or Python can allocate
+    ({"num_clients": 10**20}, f"num_clients = {10**20} and dataset.samples_per_client = lognormal"),
+    ({"num_clients": 10**20, "samples_per_client": 20},
+     f"num_clients = {10**20} and dataset.samples_per_client = 20"),
+    ({"samples_per_client": 10**13}, f"num_clients = 6 and dataset.samples_per_client = {10**13}"),
+    ({"kind": "synthetic_dirichlet", "total_samples": 10**20},
+     f"num_clients = 6 and dataset.total_samples = {10**20}"),
+], ids=["lognormal", "samples_per_client", "samples", "total_samples"])
+def test_synthetic_data_too_large_for_memory_fails_typed(dataset, keys):
+    # sizes whose allocation fails at once, on any host
+    dataset = config.DatasetConfig(
+        **{"kind": "synthetic00", "num_clients": 6, "samples_per_client": "lognormal", **dataset}
+    )
+    with pytest.raises(ConfigError) as raised:
+        orchestrator.build_experiment(small_cfg(dataset=dataset))
+    assert str(raised.value) == (
+        f"dataset.{keys}: the synthetic data need more than this process can allocate"
+    )

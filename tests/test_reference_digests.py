@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from fedaa import cli, clients
+from fedaa import cli, orchestrator
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,7 +59,7 @@ def test_a_run_reproduces_the_recorded_digest(workloads, tmp_path, name, seed):
 def test_a_run_on_a_pool_reproduces_the_recorded_digest(
     workloads, tmp_path, monkeypatch, counted_forks, name, seed
 ):
-    monkeypatch.setattr(clients, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(orchestrator, "usable_cpus", lambda: 2)
     recorded, got = run_digest(workloads, tmp_path, name, seed)
     assert len(counted_forks) == 1
     assert got == recorded
