@@ -10,14 +10,13 @@ m ~ N(0, tau^2) with tau the attack scale.
 
 from __future__ import annotations
 
-import io
 import math
 import mmap
 import os
-import pickle
 import signal
 import threading
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, Pipe
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -200,11 +199,12 @@ class TrainingPool:
     parameter matrix ``out``, whose row ``c``, ``broadcast`` to begin
     with, is client ``clients[c]``'s. Entering the pool (``with``) forks
     ``processes - 1`` children that inherit the clients, ``arch``, the
-    SGD config ``cfg`` and ``out``, and wait on their pipes for a share
-    of a round to train into ``out``; leaving it (or ``close``) stops
-    and reaps them. ``out`` is one anonymous MAP_SHARED ``mmap`` where
-    there are children, whose writes this process then reads, and else
-    this process's own memory."""
+    SGD config ``cfg`` and ``out``; each child waits on its end of one
+    duplex ``multiprocessing`` connection for a share of a round to
+    train into ``out``. Leaving the pool (or ``close``) stops and reaps
+    them. ``out`` is one anonymous MAP_SHARED ``mmap`` where there are
+    children, whose writes this process then reads, and else this
+    process's own memory."""
 
     def __init__(
         self,
@@ -224,38 +224,30 @@ class TrainingPool:
         else:
             self.out = np.empty(shape)
         self.out[:] = broadcast
-        self.children: list[tuple[int, io.BufferedWriter, io.BufferedReader]] = []
+        self.children: list[tuple[int, Connection]] = []
 
     def __enter__(self) -> TrainingPool:
         """Fork the children. A platform without ``os.fork``, and a
         process running other threads, which a fork would not copy, fork
-        none; a pipe or fork that fails ends the forking, and rounds split
-        over the processes forked."""
+        none; a connection or fork that fails ends the forking, and
+        rounds split over the processes forked."""
         if self.processes < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
             return self
         for _ in range(self.processes - 1):
-            fds: list[int] = []
+            ends: list[Connection] = []
             try:
-                fds += os.pipe()
-                fds += os.pipe()
+                ends += Pipe()
                 with quiet_fork():
                     pid = os.fork()
-            except OSError:  # no pipe or process to be had: the rest trains here
-                for fd in fds:
-                    os.close(fd)
+            except OSError:  # no connection or process to be had: the rest trains here
+                for end in ends:
+                    end.close()
                 break
-            tasks, task_end, reply_end, replies = fds
+            here, there = ends
             if pid == 0:
-                inherited = [task_end, reply_end]
-                for _, to_child, from_child in self.children:
-                    inherited += [to_child.fileno(), from_child.fileno()]
-                _serve(self, tasks, replies, inherited)
-            os.close(tasks)
-            os.close(replies)
-            # buffered, so that a read of n bytes returns n bytes or stops at
-            # the end: a raw pipe returns at most what it holds (64 KiB),
-            # which pickle.load takes for a truncated frame
-            self.children.append((pid, os.fdopen(task_end, "wb"), os.fdopen(reply_end, "rb")))
+                _serve(self, here, there)
+            there.close()
+            self.children.append((pid, here))
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -264,45 +256,41 @@ class TrainingPool:
     def close(self) -> None:
         """Stop and reap the children; later rounds train here."""
         children, self.children = self.children, []
-        # an idle child waits on its pipe, and one still training when this
-        # process raised is stopped, as its rows are no longer wanted
-        for pid, to_child, from_child in children:
+        # an idle child waits on its connection, and one still training when
+        # this process raised is stopped, as its rows are no longer wanted
+        for pid, here in children:
             os.kill(pid, signal.SIGKILL)
-            from_child.close()
-            try:
-                to_child.close()
-            except BrokenPipeError:  # a task left half written
-                pass
-        for pid, _, _ in children:
+            here.close()
+        for pid, _ in children:
             os.waitpid(pid, 0)
 
 
 _LOST = "a training process exited without its results"
 
 
-def _serve(pool: TrainingPool, tasks: int, replies: int, inherited: list[int]) -> NoReturn:
-    """A pool child's whole life: close the parent's pipe ends it
-    inherited, then until its task pipe ends, read one share of a round,
-    ``(broadcast, stacks of client ids, streams, numpy error handling)``,
-    train it under that error handling (``np.geterr``) and reply with one
-    pickle, ``("ok", errors by id)`` or ``("raise", exception)``."""
+def _serve(pool: TrainingPool, here: Connection, there: Connection) -> NoReturn:
+    """A pool child's whole life. It closes the parent's end of each
+    connection that it inherited, its own ``here`` and every earlier
+    child's, so that the parent's exit ends it. Then, until ``there``
+    ends, it receives one share of a round, ``(broadcast, stacks of
+    client ids, streams, numpy error handling)``, trains it under that
+    error handling (``np.geterr``) and sends back one message: the
+    errors by client id, or the exception it raised."""
     code = 1
     try:
-        for fd in inherited:
-            os.close(fd)
-        with os.fdopen(tasks, "rb") as inbox, os.fdopen(replies, "wb") as outbox:
-            while True:
-                try:
-                    broadcast, share, streams, err = pickle.load(inbox)
-                except EOFError:
-                    break
-                try:
-                    with np.errstate(**err):
-                        reply = ("ok", _train(pool, broadcast, share, streams))
-                except BaseException as exc:  # sent to the parent, which raises it
-                    reply = ("raise", exc)
-                pickle.dump(reply, outbox)
-                outbox.flush()
+        for end in [here] + [child for _, child in pool.children]:
+            end.close()
+        while True:
+            try:
+                broadcast, share, streams, err = there.recv()
+            except EOFError:
+                break
+            try:
+                with np.errstate(**err):
+                    reply = _train(pool, broadcast, share, streams)
+            except BaseException as exc:  # sent to the parent, which raises it
+                reply = exc
+            there.send(reply)
         code = 0
     finally:
         os._exit(code)
@@ -361,48 +349,42 @@ def train_lockstep(
 
     A round of SPLIT_STEPS steps or more trains in shares
     (``lockstep_shares``), one on each of the pool's processes. This
-    process trains share 0, and each child one other share: it gets the
-    broadcast, its stacks of client ids, ``streams`` (which must pickle)
-    and this process's numpy error handling through its pipe, writes its
-    rows straight into ``pool.out`` and sends back its errors; no
-    generator and no generator state crosses a pipe. Every client runs
-    the same ``sgd_epoch`` arithmetic on the same operands from the same
-    stream in any process, and the rows of a stack never meet, so the
-    rows and the errors are bit-identical to one process's training the
-    same stacks, and to one process's unsplit round but for a failed
-    client's row: that holds whatever its (narrower) stack left, and
-    nothing reads it. A child's exception is raised here, as it was
-    raised there. On any exception the pool is closed.
+    process trains share 0, and each child one other share: one message
+    on its connection carries the broadcast, its stacks of client ids,
+    ``streams`` (which must pickle) and this process's numpy error
+    handling; the child writes its rows straight into ``pool.out`` and
+    sends back its errors. No generator and no generator state crosses
+    a connection. Every client runs the same ``sgd_epoch`` arithmetic
+    on the same operands from the same stream in any process, and the
+    rows of a stack never meet, so the rows and the errors are
+    bit-identical to one process's training the same stacks, and to one
+    process's unsplit round but for a failed client's row: that holds
+    whatever its (narrower) stack left, and nothing reads it. A child's
+    exception is raised here, as it was raised there. On any exception
+    the pool is closed.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
     shares = lockstep_shares(cohort, pool.cfg, global_params.size, 1 + len(pool.children))
     try:
         sent = list(zip(pool.children, shares[1:]))
-        for (_, to_child, _), share in sent:
+        for (_, here), share in sent:
             try:
-                pickle.dump((global_params, share, streams, np.geterr()), to_child)
-                to_child.flush()
-            except BrokenPipeError:
+                here.send((global_params, share, streams, np.geterr()))
+            except OSError:
                 raise SimulationError(_LOST) from None
         errors = _train(pool, global_params, shares[0], streams)
-        for (_, _, from_child), _ in sent:
-            errors.update(_receive(from_child))
+        for (_, here), _ in sent:
+            try:
+                reply = here.recv()
+            except (EOFError, OSError):
+                raise SimulationError(_LOST) from None
+            if isinstance(reply, BaseException):
+                raise reply
+            errors.update(reply)
         return errors
     except BaseException:
         pool.close()
         raise
-
-
-def _receive(from_child: io.BufferedReader) -> dict[int, NumericError]:
-    """A child's reply to its share: raises the child's exception, or
-    returns its errors by client id."""
-    try:
-        reply = pickle.load(from_child)
-    except (EOFError, pickle.UnpicklingError):
-        raise SimulationError(_LOST) from None
-    if reply[0] == "raise":
-        raise reply[1]
-    return reply[1]
 
 
 def local_update(

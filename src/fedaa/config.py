@@ -5,8 +5,9 @@ and lines starting with ``#`` are skipped. Dotted prefixes group keys
 (``ddpg.gamma = 0.95``). Unknown and duplicate keys are rejected with
 the offending line number, as are values outside their documented
 ranges. ``emit_config`` renders a config back to canonical text (sorted
-keys, every applicable key present), and ``parse . emit`` is the
-identity; the canonical text is also what the run manifest hashes.
+keys, every applicable key present but an unset ``validation.per_class``,
+which means 100 rows per class), and ``parse . emit`` is the identity;
+the canonical text is also what the run manifest hashes.
 
 ``KEYS`` is the one table of keys; README.md lists them with their
 defaults and ranges, and a test keeps the two in step.
@@ -378,7 +379,10 @@ def _value(cfg: ExperimentConfig, path: str) -> object:
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
-    """Canonical text: sorted keys, every applicable key spelled out."""
+    """Canonical text: sorted keys, every applicable key spelled out but
+    one left unset. That is ``validation.per_class`` of a ``csv``, ``idx``
+    or ``synthetic_dirichlet`` run, whose absence means 100 validation
+    rows per class."""
     kinds = cfg.dataset.kind, _value(cfg, "attack.kind"), cfg.aggregator
     pairs = {key.name: _value(cfg, key.field or key.name) for key in KEYS if _applies(key, kinds)}
     return "".join(

@@ -221,7 +221,8 @@ def _finite_ce_loss(pre: list[np.ndarray], labels: np.ndarray) -> float:
 def _ce_labels(arch: ArchSpec, labels: np.ndarray) -> np.ndarray:
     """Labels for a cross-entropy objective, checked against the output."""
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
+    # the labels index rows, where a boolean array would be a mask
+    if labels.ndim != 1 or labels.size == 0 or not np.issubdtype(labels.dtype, np.integer):
         raise ConfigError("labels must be a non-empty 1-D integer array")
     if labels.min() < 0 or labels.max() >= arch.output_dim:
         raise ConfigError("label out of range for the output dimension")
@@ -394,7 +395,4 @@ def _sgd_labels(arch: ArchSpec, labels: np.ndarray, n: int) -> np.ndarray:
     labels = _ce_labels(arch, labels)
     if labels.size != n:
         raise ConfigError(f"{n} rows but {labels.size} labels")
-    # the labels index one-hot rows, where a boolean array would be a mask
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ConfigError("labels must be a non-empty 1-D integer array")
     return labels

@@ -332,7 +332,11 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     buffer = None
     if cfg.aggregator == "fedaa":
         if cohort < 2:
-            raise ConfigError("the distance selector needs a cohort of at least 2")
+            raise ConfigError(
+                f"participation_ratio = {cfg.participation_ratio} with dataset.num_clients = "
+                f"{cfg.dataset.num_clients} yields a cohort of {cohort}; the distance "
+                "selector needs at least 2"
+            )
         m_count = top_count(cfg.m_percent, cohort)
         # the actor and the critic, and a target copy of each
         networks = 2 * sum(param_count(ArchSpec(state, (cfg.ddpg.hidden,), out))

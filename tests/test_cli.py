@@ -7,7 +7,6 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 from fedaa import cli, config, cpus
@@ -314,13 +313,41 @@ def test_a_run_error_in_a_sweep_names_its_cell_and_seed(tmp_path, capsys, monkey
     monkeypatch.setenv("FEDAA_THREADS", threads)
     args = ["sweep", "--config", str(path), "--out", str(tmp_path / "sweep"),
             "--vary", "local.lr=0.1,1e300"]
-    with np.errstate(over="ignore"):
-        assert cli.main(args) == 1
+    assert cli.main(args) == 1
     assert capsys.readouterr().err.startswith(
         "fedaa: error: SimulationError: sweep cell 1 (local.lr=1e+300), seed 5: "
         "round 0: only 0 measurable uploads for a selection of 1; "
     )
     assert not os.path.exists(tmp_path / "sweep" / "sweep.csv")
+
+
+EXTREME_BASE = ("dataset.num_clients = 6\ndataset.samples_per_client = 30\n"
+                "rounds = 6\nlocal.epochs = 1\n")
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ("local.lr = 1e300\naggregator = fedavg\n",
+     "NumericError: round 0: non-finite value in field 'loss_std'"),
+    ("ddpg.critic_lr = 1e300\nddpg.warmup = 1\n",
+     "NumericError: round 0: actor objective is not finite"),
+    ("ddpg.gamma = 0.999999\nddpg.critic_lr = 1e150\nddpg.warmup = 1\n",
+     "NumericError: round 1: critic loss is not finite"),
+], ids=["fairness spread", "actor objective", "critic loss"])
+def test_an_extreme_run_fails_typed_with_warnings_as_errors(tmp_path, overrides, error):
+    # numpy overflows on the way to each non-finite value; the run reports
+    # the value, typed, and no warning comes first or takes its place
+    path = tmp_path / "exp.cfg"
+    path.write_text(EXTREME_BASE + overrides)
+    src = pathlib.Path(__file__).parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fedaa.cli", "run", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"fedaa: error: {error}"]
 
 
 def test_sweep_vary_validation(cfg_path, capsys):

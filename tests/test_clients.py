@@ -7,6 +7,7 @@ import os
 import pickle
 import signal
 import threading
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -413,24 +414,25 @@ def holds_inherited_state(pickled):
 
 
 def record_pickles(monkeypatch, log):
-    """Wrap pickle.dump, through which a pool's tasks and replies cross its
-    pipes, so that each dump appends "pid bytes holds_a_generator
-    holds_inherited_state" to ``log`` from the process that makes it."""
-    dump = pickle.dump
+    """Wrap Connection.send, through which a pool's tasks and replies cross
+    its connections, so that each message appends "pid bytes
+    holds_a_generator holds_inherited_state" to ``log`` from the process
+    that sends it."""
+    send = clients.Connection.send
 
-    def recorded(obj, file, *args, **kwargs):
-        pickled = pickle.dumps(obj)
+    def recorded(self, obj):
+        pickled = bytes(ForkingPickler.dumps(obj))
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {len(pickled)} {holds_a_generator(pickled)} "
                      f"{holds_inherited_state(pickled)}\n")
-        return dump(obj, file, *args, **kwargs)
+        return send(self, obj)
 
-    monkeypatch.setattr(clients.pickle, "dump", recorded)
+    monkeypatch.setattr(clients.Connection, "send", recorded)
 
 
 def recorded_pickles(log):
-    """The recorded dumps as (tasks, replies), each a list of (bytes,
-    holds_a_generator, holds_inherited_state): this process writes the
+    """The recorded messages as (tasks, replies), each a list of (bytes,
+    holds_a_generator, holds_inherited_state): this process sends the
     tasks, a child the replies."""
     tasks, replies = [], []
     for line in log.read_text().splitlines():
@@ -468,8 +470,8 @@ def test_no_generator_or_generator_state_crosses_a_pipe(forks, monkeypatch, tmp_
 def test_a_child_share_of_thousands_of_trainers_comes_back_whole(forks, monkeypatch, tmp_path):
     monkeypatch.setattr(clients, "STACK_BYTES", 1000 * 610 * 8)  # stacks of a thousand
     # the child's 2,000 clients all diverge but its sign flipper, and its
-    # reply of their errors is well over the 64 KiB a pipe holds, so it
-    # crosses in several reads
+    # reply of their errors, well over the 64 KiB a pipe holds, comes back
+    # as one whole message
     cohort = cohort_of([5] * 4000, attacks={3999: "sign_flip"}, huge=set(range(3999)))
     log = tmp_path / "pickles"
     record_pickles(monkeypatch, log)
@@ -528,7 +530,7 @@ def test_a_child_that_dies_fails_the_round_typed(monkeypatch, forks):
 def test_a_child_killed_between_rounds_fails_the_round_typed(forks):
     def kill(pool):
         # from outside, as the pool reaps its own children
-        for pid, _, _ in pool.children:
+        for pid, _ in pool.children:
             os.kill(pid, signal.SIGKILL)
 
     with pytest.raises(SimulationError, match="a training process exited without its results"):
@@ -551,15 +553,15 @@ def test_a_failed_fork_trains_its_share_here(monkeypatch, forks):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_a_failed_pipe_trains_its_share_here(monkeypatch, forks):
-    pipe, made = os.pipe, []
+    pipe, made = clients.Pipe, []
 
-    def fourth_fails():
-        if len(made) == 3:  # the second child's reply pipe
+    def second_fails():
+        if len(made) == 1:  # the second child's connection
             raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
         made.append(pipe())
         return made[-1]
 
-    monkeypatch.setattr(clients.os, "pipe", fourth_fails)
+    monkeypatch.setattr(clients, "Pipe", second_fails)
     cohort = cohort_of([100, 60, 50], attacks={1: "sign_flip"})
     fds = sorted(os.listdir("/proc/self/fd"))
     got = train_round(cohort, 3)
@@ -568,6 +570,18 @@ def test_a_failed_pipe_trains_its_share_here(monkeypatch, forks):
     want = train_round(cohort)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1] == want[1]
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_pool_holds_one_descriptor_per_child(forks):
+    cohort, cfg = cohort_of([50] * 6), nn.SgdConfig(batch_size=16, epochs=2)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pool_of(cohort, cfg, 3) as pool:
+        assert len(forks) == 2
+        # the child's end of each connection is closed here
+        assert len(os.listdir("/proc/self/fd")) == fds + len(pool.children) == fds + 2
+    assert len(os.listdir("/proc/self/fd")) == fds
     assert_no_child_left()
 
 

@@ -201,6 +201,11 @@ def test_backward_ce_label_validation():
         nn.backward_ce(arch, params, x, np.array([], dtype=int))
     with pytest.raises(ConfigError):
         nn.backward_ce(arch, params, x, np.array([0]))  # row count mismatch
+    # labels index the rows of the probabilities, so they are integers, as
+    # sgd_epoch asks
+    for labels in (np.array([1.0, 0.0]), np.array([True, False])):
+        with pytest.raises(ConfigError, match="labels must be a non-empty 1-D integer array"):
+            nn.backward_ce(arch, params, x, labels)
 
 
 def test_backward_ce_nonfinite_params_raise():

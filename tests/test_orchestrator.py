@@ -309,6 +309,68 @@ def test_build_experiment_fedavg_skips_agent():
     assert exp.agent is None and exp.buffer is None
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dataset = synthetic_dirichlet\ndataset.num_clients = 50\ndataset.total_samples = 200\n",
+     "synthetic_dirichlet needs total_samples >= 5 * num_clients"),
+    ("dataset.num_clients = 10\nparticipation_ratio = 0.1\n",
+     "participation_ratio = 0.1 with dataset.num_clients = 10 yields a cohort of 1; "
+     "the distance selector needs at least 2"),
+    ("dataset.num_clients = 10\nparticipation_ratio = 0.01\naggregator = fedavg\n",
+     "participation ratio 0.01 yields an empty cohort of 10"),
+], ids=["dirichlet samples", "fedaa cohort", "fedavg cohort"])
+def test_a_config_too_small_for_its_run_fails_typed(text, message):
+    with pytest.raises(ConfigError) as caught:
+        orchestrator.run_experiment(config.parse_config_text(text))
+    assert str(caught.value) == message
+
+
+def write_idx(images_path, labels_path, images, labels):
+    """An IDX pair: unsigned-byte images of shape (count, rows, cols) and
+    their labels."""
+    count, rows, cols = images.shape
+    header = np.array([2051, count, rows, cols], dtype=">u4").tobytes()
+    images_path.write_bytes(header + images.astype(np.uint8).tobytes())
+    labels_path.write_bytes(np.array([2049, count], dtype=">u4").tobytes()
+                            + labels.astype(np.uint8).tobytes())
+
+
+def loaded_configs(tmp_path):
+    """A 900-row CSV of 5 features and a 900-image 4 x 4 IDX pair, each of
+    3 classes of 300 rows, and a config text that runs each."""
+    rng = np.random.default_rng(11)
+    labels = np.arange(900) % 3
+    table = np.column_stack([rng.normal(size=(900, 5)) + labels[:, None], labels])
+    csv = tmp_path / "table.csv"
+    np.savetxt(csv, table, delimiter=",", header="a,b,c,d,e,label", comments="")
+    write_idx(tmp_path / "images.idx", tmp_path / "labels.idx",
+              rng.integers(0, 256, size=(900, 4, 4)), labels)
+    base = "dataset.num_clients = 10\nrounds = 3\nlocal.epochs = 2\n"
+    return {
+        "csv": f"dataset = csv\ndataset.csv_path = {csv}\n" + base,
+        "idx": (f"dataset = idx\ndataset.idx_images = {tmp_path / 'images.idx'}\n"
+                f"dataset.idx_labels = {tmp_path / 'labels.idx'}\n" + base
+                + "malicious_fraction = 0.2\nattack = gaussian\n"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["csv", "idx"])
+def test_a_loaded_dataset_runs_byte_identically_with_100_validation_rows_per_class(
+    tmp_path, kind
+):
+    cfg = config.parse_config_text(loaded_configs(tmp_path)[kind])
+    assert cfg.validation.per_class is None
+    exp = orchestrator.build_experiment(cfg)
+    assert np.bincount(exp.val_set.labels).tolist() == [100, 100, 100]
+    assert sum(len(c.train) + len(c.test) for c in exp.clients) == 600
+    written = []
+    for rerun in ("a", "b"):
+        path = tmp_path / f"results-{rerun}.csv"
+        results.emit_results(orchestrator.run_experiment(cfg), str(path), "csv")
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 1 + cfg.rounds
+
+
 def test_run_records_well_formed():
     cfg = small_cfg(rounds=4)
     records = orchestrator.run_experiment(cfg)
