@@ -29,11 +29,10 @@ from .results import (
     emit_sweep_table,
     records_to_rows,
     render_curves_svg,
-    sig6,
+    sweep_row,
     utc_now,
     write_manifest,
 )
-from .selftest import run_selftest
 
 
 # (file, title, y label, ((legend, results column), ...)): the charts that
@@ -139,8 +138,6 @@ def _parse_vary(specs: list[str]) -> list[tuple[str, list[object]]]:
                 values.append(SCHEMA[key](part.strip()))
             except ValueError as exc:
                 raise ConfigError(f"--vary {key}: {exc}") from None
-        if not values:
-            raise ConfigError(f"--vary {key}: no values given")
         axes.append((key, values))
     return axes
 
@@ -157,29 +154,14 @@ def _cell_name(index: int, cell: dict[str, object]) -> str:
     return f"sweep cell {index} ({overrides or 'no overrides'})"
 
 
-def _sweep_one(task: tuple[str, int, int, ExperimentConfig]) -> tuple[int, int, dict]:
-    name, cell_index, seed, cfg = task
+def _sweep_one(task: tuple[str, ExperimentConfig]) -> dict:
+    name, cfg = task
     t0 = time.perf_counter()
     try:
         records = _run(cfg)
     except FedaaError as exc:
-        raise type(exc)(f"{name}, seed {seed}: {exc}") from exc
-    runtime = time.perf_counter() - t0
-    final = records[-1]
-    row = {
-        "method": cfg.aggregator,
-        "dataset": cfg.dataset.kind,
-        "attack": cfg.attack.kind if cfg.attack else "none",
-        "malicious_pct": sig6(100.0 * cfg.malicious_fraction),
-        "m_pct": sig6(cfg.m_percent),
-        "c_pct": sig6(100.0 * cfg.participation_ratio),
-        "seed": seed,
-        "mean_acc": sig6(final.mean_benign_acc),
-        "acc_std": sig6(final.acc_std),
-        "acc_var": sig6(final.acc_var),
-        "runtime_seconds": sig6(runtime),
-    }
-    return cell_index, seed, row
+        raise type(exc)(f"{name}, seed {cfg.seed}: {exc}") from exc
+    return sweep_row(cfg, records[-1], time.perf_counter() - t0)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -188,6 +170,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = parse_config_values(read_text(args.config, "config"))
     axes = _parse_vary(args.vary or [])
     cells = _grid(axes)
+    # cell by cell, then seed by seed: the order of the table's rows
     tasks = []
     for index, cell in enumerate(cells):
         values = {**base, **cell}
@@ -198,7 +181,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 cfg = build_config({**values, "seed": seed})
             except ConfigError as exc:
                 raise ConfigError(f"{_cell_name(index, cell)}: {exc}") from exc
-            tasks.append((_cell_name(index, cell), index, seed, cfg))
+            tasks.append((_cell_name(index, cell), cfg))
     threads = os.environ.get("FEDAA_THREADS", "1")
     if not threads.isdecimal() or int(threads) < 1:
         raise ConfigError(f"FEDAA_THREADS must be an integer >= 1 (got {threads!r})")
@@ -209,24 +192,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # where the workers are forked, they are forked in this thread,
         # while the map submits its first task
         with quiet_fork(), ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_one, tasks))
+            rows = list(pool.map(_sweep_one, tasks))
     else:
-        outcomes = [_sweep_one(task) for task in tasks]
-    by_cell: dict[int, list[dict]] = {}
-    for cell_index, _, row in sorted(outcomes, key=lambda o: (o[0], o[1])):
-        by_cell.setdefault(cell_index, []).append(row)
-    rows: list[dict] = []
-    for cell_index in sorted(by_cell):
-        group = by_cell[cell_index]
-        rows.extend(group)
-        if len(group) > 1:
-            mean_row = dict(group[0])
-            mean_row["seed"] = "mean"
-            for col in ("mean_acc", "acc_std", "acc_var", "runtime_seconds"):
-                mean_row[col] = sig6(sum(r[col] for r in group) / len(group))
-            rows.append(mean_row)
+        rows = [_sweep_one(task) for task in tasks]
     table_path = os.path.join(args.out, "sweep.csv")
-    emit_sweep_table(rows, table_path)
+    emit_sweep_table([rows[lo : lo + args.seeds] for lo in range(0, len(rows), args.seeds)],
+                     table_path)
     print(f"swept {len(cells)} cells x {args.seeds} seeds -> {table_path}")
     return 0
 
@@ -264,6 +235,8 @@ def _read_results_csv(path: str) -> list[dict]:
 
 
 def _cmd_selftest(_: argparse.Namespace) -> int:
+    from .selftest import run_selftest  # loads scipy, which no other command needs
+
     failures = 0
     for name, passed, detail in run_selftest():
         if passed:

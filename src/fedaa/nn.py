@@ -183,7 +183,6 @@ def backward_from_output(
     grad = np.empty(param_count(arch))
     slices = layer_slices(arch)
     layers = unflatten(arch, params)
-    dinput = np.zeros_like(cache.inputs[0])
     for index in range(len(layers) - 1, -1, -1):
         weight, _ = layers[index]
         wsl, bsl = slices[index]
@@ -192,9 +191,7 @@ def backward_from_output(
         dh = dz @ weight.T
         if index > 0:
             dz = dh * (cache.pre[index - 1] > 0.0)
-        else:
-            dinput = dh
-    return grad, dinput
+    return grad, dh
 
 
 def ce_loss_from_logits(logits: np.ndarray, labels: np.ndarray) -> float | np.ndarray:

@@ -99,14 +99,6 @@ class RoundRecord:
                 raise NumericError(f"non-finite value in field {f.name!r}")
 
 
-@dataclass
-class FairnessMetrics:
-    mean_acc: float
-    acc_std: float
-    loss_std: float
-    mean_global_acc: float
-
-
 def aggregate(rows: np.ndarray, action: np.ndarray) -> np.ndarray:
     """Convex combination of upload rows under simplex weights."""
     rows = np.asarray(rows, dtype=np.float64)
@@ -183,8 +175,9 @@ def evaluate_fairness(
     arch: ArchSpec,
     models: np.ndarray,
     global_params: np.ndarray,
-) -> FairnessMetrics:
-    """Population spread of benign clients' local test performance.
+) -> dict[str, float]:
+    """Population spread of benign clients' local test performance, as
+    the five ``RoundRecord`` cells it fills.
 
     Accuracy/loss come from each benign client's own local model, row
     ``client.id`` of the run's parameter matrix ``models``, on its own
@@ -205,12 +198,14 @@ def evaluate_fairness(
     accs, losses, global_accs = benign_scores(clients, arch, models, global_params)
     if not accs.size:
         raise ConfigError("fairness metrics need at least one benign client")
-    return FairnessMetrics(
-        mean_acc=float(np.mean(accs)),
-        acc_std=float(np.std(accs)),
-        loss_std=float(np.std(losses)),
-        mean_global_acc=float(np.mean(global_accs)),
-    )
+    acc_std = float(np.std(accs))
+    return {
+        "mean_benign_acc": float(np.mean(accs)),
+        "acc_std": acc_std,
+        "acc_var": acc_std**2,
+        "loss_std": float(np.std(losses)),
+        "mean_global_acc": float(np.mean(global_accs)),
+    }
 
 
 def sample_participants(
@@ -307,6 +302,15 @@ def _materialize_data(cfg: ExperimentConfig) -> tuple[LabeledDataset, datamod.Cl
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
     """Materialize datasets, roles, models, and the policy for a config."""
+    if cfg.aggregator == "fedaa":
+        # round 0's selection measures one distinct upload, so every fedaa
+        # run takes scipy's pdist (selection.distance_matrix). Loaded first,
+        # before the data is allocated. Loaded at that selection, perfbench
+        # server_heavy's peak RSS rose from 115.8 to 123.2 MiB; loaded after
+        # the data, it read 114.8 in one process and 124.5 in the next, by
+        # hash seed (2-vCPU Xeon). Here it reads 115.6 to 116.0.
+        import scipy.spatial.distance  # noqa: F401
+
     ds = cfg.dataset
     guard = nullcontext()  # the csv and idx loaders raise their own errors
     if ds.kind in SYNTHETIC_KINDS or ds.kind == "synthetic_dirichlet":
@@ -486,11 +490,7 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
                     RoundRecord(
                         round=t,
                         reward=reward,
-                        mean_benign_acc=fairness.mean_acc,
-                        acc_std=fairness.acc_std,
-                        acc_var=fairness.acc_std**2,
-                        loss_std=fairness.loss_std,
-                        mean_global_acc=fairness.mean_global_acc,
+                        **fairness,
                         selected_ids=ids,
                         action=[float(a) for a in action],
                         per_class_val_acc=[float(a) for a in per_class],

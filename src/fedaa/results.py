@@ -12,25 +12,12 @@ from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from typing import get_args, get_origin, get_type_hints
 
+from .config import ExperimentConfig
 from .errors import ConfigError
 from .orchestrator import RoundRecord
 
 ROUND_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 _COLUMN_TYPES = get_type_hints(RoundRecord)
-
-SWEEP_COLUMNS = (
-    "method",
-    "dataset",
-    "attack",
-    "malicious_pct",
-    "m_pct",
-    "c_pct",
-    "seed",
-    "mean_acc",
-    "acc_std",
-    "acc_var",
-    "runtime_seconds",
-)
 
 
 def sig6(x: float) -> float:
@@ -65,16 +52,18 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
+    lines = [",".join(columns)]
+    lines.extend(",".join(_cell(row[col]) for col in columns) for row in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def emit_results(records: list[RoundRecord], path: str, fmt: str = "csv") -> None:
     """Write per-round results as CSV (header + one line per round) or JSON."""
     rows = records_to_rows(records)
     if fmt == "csv":
-        lines = [",".join(ROUND_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_cell(row[col]) for col in ROUND_COLUMNS))
-        text = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_csv(path, ROUND_COLUMNS, rows)
     elif fmt == "json":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(rows, fh, indent=2)
@@ -83,13 +72,35 @@ def emit_results(records: list[RoundRecord], path: str, fmt: str = "csv") -> Non
         raise ConfigError(f"unknown results format: {fmt!r}")
 
 
-def emit_sweep_table(rows: list[dict], path: str) -> None:
-    """Sweep summary CSV; one row per grid cell per seed, plus seed-mean rows."""
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_cell(row[col]) for col in SWEEP_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def sweep_row(cfg: ExperimentConfig, final: RoundRecord, runtime: float) -> dict:
+    """One ``sweep.csv`` row: a run's config, its final round and its
+    runtime in seconds. The only definition of the sweep's columns."""
+    return {
+        "method": cfg.aggregator,
+        "dataset": cfg.dataset.kind,
+        "attack": cfg.attack.kind if cfg.attack else "none",
+        "malicious_pct": sig6(100.0 * cfg.malicious_fraction),
+        "m_pct": sig6(cfg.m_percent),
+        "c_pct": sig6(100.0 * cfg.participation_ratio),
+        "seed": cfg.seed,
+        "mean_acc": sig6(final.mean_benign_acc),
+        "acc_std": sig6(final.acc_std),
+        "acc_var": sig6(final.acc_var),
+        "runtime_seconds": sig6(runtime),
+    }
+
+
+def emit_sweep_table(cells: list[list[dict]], path: str) -> None:
+    """Sweep summary CSV: each grid cell's ``sweep_row``s, one per seed,
+    and after a cell of more than one seed its seed-mean row."""
+    rows = []
+    for cell in cells:
+        rows.extend(cell)
+        if len(cell) > 1:
+            mean = {col: sig6(sum(row[col] for row in cell) / len(cell))
+                    for col in ("mean_acc", "acc_std", "acc_var", "runtime_seconds")}
+            rows.append({**cell[0], "seed": "mean", **mean})
+    _write_csv(path, tuple(rows[0]), rows)
 
 
 @dataclass
@@ -117,8 +128,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

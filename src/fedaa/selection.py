@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import ConfigError, SimulationError
 from .data import round_half_up
@@ -74,6 +73,8 @@ def distance_matrix(y: np.ndarray) -> np.ndarray:
     """
     n, cols = y.shape
     if n * (n - 1) // 2 * cols < GRAM_WORK:
+        from scipy.spatial.distance import pdist, squareform
+
         return squareform(pdist(y))
     y -= y.mean(axis=0)
     g = y @ y.T

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from fedaa import cli, config, cpus
@@ -449,3 +450,78 @@ def test_a_run_pins_one_blas_thread_unless_told_otherwise(cfg_path, tmp_path):
 def test_a_run_keeps_the_blas_thread_count_it_was_given(cfg_path, tmp_path):
     got = run_counting_threads(cfg_path, tmp_path / "out", OPENBLAS_NUM_THREADS="2")
     assert got["env"] == dict(dict.fromkeys(BLAS_VARS, "1"), OPENBLAS_NUM_THREADS="2")
+
+
+# `python -m fedaa.cli` with the given arguments, then the scipy.spatial
+# modules the process loaded as one JSON line
+RUN_THEN_LIST_SCIPY_SPATIAL = """\
+import json, runpy, sys
+sys.argv = ["fedaa", *sys.argv[1:]]
+try:
+    runpy.run_module("fedaa.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.spatial"))))
+"""
+
+
+def scipy_spatial_modules(*argv):
+    src = pathlib.Path(__file__).parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_THEN_LIST_SCIPY_SPATIAL, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_fedavg_runs_and_reports_load_no_scipy_spatial(cfg_path, tmp_path):
+    # only distance selection measures with scipy, and fedavg selects nothing
+    fedavg = tmp_path / "fedavg.cfg"
+    fedavg.write_text("aggregator = fedavg\ndataset.num_clients = 6\n"
+                      "dataset.samples_per_client = 20\nrounds = 2\nlocal.epochs = 1\n")
+    out = tmp_path / "out"
+    assert scipy_spatial_modules("run", "--config", str(fedavg), "--out", str(out)) == []
+    assert scipy_spatial_modules(
+        "report", "--input", str(out / "results.csv"), "--out", str(tmp_path / "rep")
+    ) == []
+    # the control: a fedaa run loads it
+    assert "scipy.spatial.distance" in scipy_spatial_modules(
+        "run", "--config", cfg_path, "--out", str(tmp_path / "fedaa")
+    )
+
+
+IDX_CONFIG = "dataset = idx\ndataset.idx_images = {images}\ndataset.idx_labels = {labels}\n"
+THREE_IMAGES = np.array([2051, 3, 2, 2], dtype=">u4").tobytes() + bytes(12)
+
+
+# (files by name, arguments, error); "{name}" stands for the file's path
+@pytest.mark.parametrize("files, argv, error", [
+    ({"results": b""}, ["report", "--input", "{results}"],
+     "ConfigError: {results}: empty results file"),
+    ({"results": "round,reward,mean_benign_acc,mean_global_acc,acc_std,loss_std\n"},
+     ["report", "--input", "{results}"], "ConfigError: {results}: no data rows"),
+    ({"config": "rounds = 2\n"}, ["sweep", "--config", "{config}", "--vary", "local.lr=abc"],
+     "ConfigError: --vary local.lr: not a number: 'abc'"),
+    ({"table": "f0,label\n1.0,0\n2.0,-1\n0.5,1\n",
+      "config": "dataset = csv\ndataset.csv_path = {table}\n"},
+     ["run", "--config", "{config}"], "IngestionError: {table}: negative label"),
+    ({"images": bytes(6), "labels": np.array([2049, 3], dtype=">u4").tobytes() + bytes(3),
+      "config": IDX_CONFIG},
+     ["run", "--config", "{config}"], "IngestionError: {images}: truncated at byte 6 (needed 16)"),
+    ({"images": THREE_IMAGES, "labels": np.array([2049, 3], dtype=">u4").tobytes() + bytes(1),
+      "config": IDX_CONFIG},
+     ["run", "--config", "{config}"], "IngestionError: {labels}: truncated at byte 9 (needed 11)"),
+], ids=["empty results", "header-only results", "vary not a number", "negative csv label",
+        "truncated idx images", "truncated idx labels"])
+def test_an_unusable_input_fails_typed(tmp_path, capsys, files, argv, error):
+    paths = {name: str(tmp_path / name) for name in files}
+    for name, content in files.items():
+        if isinstance(content, str):
+            content = content.format(**paths).encode()
+        pathlib.Path(paths[name]).write_bytes(content)
+    args = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"fedaa: error: {error.format(**paths)}\n"

@@ -421,7 +421,8 @@ def test_readme_results_schema_lists_every_column():
     section = readme.split("## Results schema", 1)[1].split("\n## ", 1)[0]
     blocks = section.split("```")[1::2]
     listed = [tuple(re.findall(r"[a-z_]+", block)) for block in blocks]
-    assert listed == [results.ROUND_COLUMNS, results.SWEEP_COLUMNS]
+    sweep_columns = tuple(results.sweep_row(config.parse_config_text(""), make_record(), 1.0))
+    assert listed == [results.ROUND_COLUMNS, sweep_columns]
 
 
 def test_round_columns_are_the_record_fields():
@@ -490,24 +491,29 @@ def test_sig6_examples():
 
 
 def test_sweep_table_layout(tmp_path):
-    row = {
-        "method": "fedaa",
-        "dataset": "synthetic00",
-        "attack": "none",
-        "malicious_pct": 0.0,
-        "m_pct": 30.0,
-        "c_pct": 100.0,
-        "seed": 0,
-        "mean_acc": 0.8123456,
-        "acc_std": 0.05,
-        "acc_var": 0.0025,
-        "runtime_seconds": 1.25,
-    }
+    cfg = config.parse_config_text("")
+    row = results.sweep_row(
+        cfg, make_record(mean_benign_acc=0.8123456, acc_std=0.05, acc_var=0.0025), 1.25
+    )
     path = str(tmp_path / "sweep.csv")
-    results.emit_sweep_table([row], path)
+    results.emit_sweep_table([[row]], path)
     lines = pathlib.Path(path).read_text().splitlines()
-    assert lines[0] == ",".join(results.SWEEP_COLUMNS)
-    assert lines[1].startswith("fedaa,synthetic00,none,0,30,100,0,0.812346")
+    assert lines == [
+        "method,dataset,attack,malicious_pct,m_pct,c_pct,seed,mean_acc,acc_std,acc_var,"
+        "runtime_seconds",
+        "fedaa,synthetic00,none,0,30,100,0,0.812346,0.05,0.0025,1.25",
+    ]
+    # a cell of two seeds: its rows, then their mean over the measured cells
+    second = results.sweep_row(
+        config.parse_config_text("seed = 1\n"), make_record(mean_benign_acc=0.7), 0.5
+    )
+    results.emit_sweep_table([[row, second], [row]], path)
+    assert pathlib.Path(path).read_text().splitlines()[1:] == [
+        "fedaa,synthetic00,none,0,30,100,0,0.812346,0.05,0.0025,1.25",
+        "fedaa,synthetic00,none,0,30,100,1,0.7,0.1,0.01,0.5",
+        "fedaa,synthetic00,none,0,30,100,mean,0.756173,0.075,0.00625,0.875",
+        "fedaa,synthetic00,none,0,30,100,0,0.812346,0.05,0.0025,1.25",
+    ]
 
 
 def test_manifest_round_trip(tmp_path):

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 
 from fedaa import clients, config, nn, orchestrator, results, selection
 from fedaa.data import LabeledDataset
@@ -128,17 +129,18 @@ def test_evaluate_fairness_hand_oracle():
     metrics = orchestrator.evaluate_fairness(
         [c0, c1], arch, np.tile(always_one, (2, 1)), always_one
     )
-    assert abs(metrics.mean_acc - 0.9) < 1e-12
-    assert abs(metrics.acc_std - 0.1) < 1e-12  # population std of {0.8, 1.0}
-    assert abs(metrics.mean_global_acc - 0.9) < 1e-12
-    assert metrics.loss_std > 0.0
+    assert abs(metrics["mean_benign_acc"] - 0.9) < 1e-12
+    assert abs(metrics["acc_std"] - 0.1) < 1e-12  # population std of {0.8, 1.0}
+    assert metrics["acc_var"] == metrics["acc_std"] ** 2
+    assert abs(metrics["mean_global_acc"] - 0.9) < 1e-12
+    assert metrics["loss_std"] > 0.0
     # client c is scored with row c: client 1's local model predicts class 0
     always_zero = np.array([0.0, 0.0, 1.0, 0.0])
     metrics = orchestrator.evaluate_fairness(
         [c0, c1], arch, np.stack([always_one, always_zero]), always_one
     )
-    assert abs(metrics.mean_acc - 0.4) < 1e-12  # mean of {0.8, 0.0}
-    assert abs(metrics.mean_global_acc - 0.9) < 1e-12
+    assert abs(metrics["mean_benign_acc"] - 0.4) < 1e-12  # mean of {0.8, 0.0}
+    assert abs(metrics["mean_global_acc"] - 0.9) < 1e-12
 
 
 def test_fairness_requires_a_benign_client():
@@ -159,12 +161,13 @@ def per_client_fairness(population, arch, models, global_params):
         accs.append(float((np.argmax(logits, axis=1) == y).mean()))
         losses.append(nn.ce_loss_from_logits(logits, y))
         global_accs.append(float((np.argmax(nn.forward(arch, global_params, x), axis=1) == y).mean()))
-    metrics = orchestrator.FairnessMetrics(
-        mean_acc=float(np.mean(accs)),
-        acc_std=float(np.std(accs)),
-        loss_std=float(np.std(losses)),
-        mean_global_acc=float(np.mean(global_accs)),
-    )
+    metrics = {
+        "mean_benign_acc": float(np.mean(accs)),
+        "acc_std": float(np.std(accs)),
+        "acc_var": float(np.std(accs)) ** 2,
+        "loss_std": float(np.std(losses)),
+        "mean_global_acc": float(np.mean(global_accs)),
+    }
     return (accs, losses, global_accs), metrics
 
 
@@ -531,13 +534,13 @@ def test_selection_measures_each_distinct_upload_once(monkeypatch):
     )
     exp = orchestrator.build_experiment(cfg)
     rows = []
-    pdist = selection.pdist
+    pdist = scipy.spatial.distance.pdist
 
     def counting_pdist(x):
         rows.append(len(x))
         return pdist(x)
 
-    monkeypatch.setattr(selection, "pdist", counting_pdist)
+    monkeypatch.setattr(scipy.spatial.distance, "pdist", counting_pdist)
     orchestrator.run_rounds(exp)
     benign = sum(c.role == "benign" for c in exp.clients)
     assert benign == 4
@@ -562,7 +565,7 @@ def test_the_gram_kernel_measures_each_distinct_upload_once(monkeypatch):
 
     monkeypatch.setattr(selection, "GRAM_WORK", 0)
     monkeypatch.setattr(selection, "distance_matrix", counting)
-    monkeypatch.setattr(selection, "pdist", no_pdist)
+    monkeypatch.setattr(scipy.spatial.distance, "pdist", no_pdist)
     orchestrator.run_rounds(exp)
     assert rows == [1] + [4 + 1] * cfg.rounds  # 4 benign uploads and the ipm vector
 

@@ -1,5 +1,6 @@
 """The benchmark's recorded results.csv digests, checked on two seeds,
-and through a training pool's child.
+and through a training pool's child; ``pytest -m digests`` checks every
+recorded seed.
 
 A change to the selection kernels, the pool (or anything else on the
 run path) that moves a result fails here, not only in the benchmark's
@@ -41,6 +42,20 @@ def run_digest(workloads, tmp_path, name, seed):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     return recorded["results"], hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+
+
+def recorded_runs():
+    digests = json.loads((PERFBENCH / "reference.json").read_text())["digests"]
+    return [(name, int(seed)) for name, seeds in digests.items() for seed in seeds]
+
+
+# every recorded (workload, seed); deselected by default (pyproject.toml),
+# as it takes about a minute
+@pytest.mark.digests
+@pytest.mark.parametrize("name, seed", recorded_runs())
+def test_every_recorded_digest_reproduces(workloads, tmp_path, name, seed):
+    recorded, got = run_digest(workloads, tmp_path, name, seed)
+    assert got == recorded
 
 
 # server_heavy's selections take the Gram route, signflip_logistic's pdist

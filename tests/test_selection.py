@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 from scipy.spatial.distance import pdist, squareform
 
 from fedaa import config, selection
@@ -362,7 +363,7 @@ def test_logistic_rounds_take_pdist_and_server_heavy_rounds_the_gram_kernel(monk
         pdists.append(y.shape)
         return pdist(y)
 
-    monkeypatch.setattr(selection, "pdist", recording)
+    monkeypatch.setattr(scipy.spatial.distance, "pdist", recording)
     rng = np.random.default_rng(43)
     arch = ArchSpec(49, (10,), 10)  # 610 parameters, 500 in the last hidden layer
     small = rng.normal(size=(20, param_count(arch)))
