@@ -12,12 +12,9 @@ from fedaa import data
 from fedaa.seeding import stream
 
 for alpha, beta in ((0.0, 0.0), (1.0, 1.0)):
-    spec = data.SyntheticSpec(
-        alpha=alpha, beta=beta, num_clients=8, samples_per_client=[100] * 8
-    )
-    partition = data.generate_synthetic(spec, stream(0, "data"))
+    clients = data.generate_synthetic(alpha, beta, [100] * 8, stream(0, "data"))
     print(f"SYNTHETIC({alpha:g}, {beta:g})")
-    for cid, (train, test) in enumerate(partition.clients):
+    for cid, (train, test) in enumerate(clients):
         counts = np.bincount(train.labels, minlength=10)
         top = int(np.argmax(counts))
         print(
@@ -29,10 +26,9 @@ for alpha, beta in ((0.0, 0.0), (1.0, 1.0)):
 
 # the held-out reward set is a seeded mixture of every client's data,
 # with the contributed samples removed from the train splits
-spec = data.SyntheticSpec(alpha=0.0, beta=0.0, num_clients=8, samples_per_client=[100] * 8)
-partition = data.generate_synthetic(spec, stream(0, "data"))
-pool, trimmed = data.extract_server_pool(partition, stream(0, "server-pool"))
-total_before = sum(len(tr) for tr, _ in partition.clients)
-total_after = sum(len(tr) for tr, _ in trimmed.clients)
+clients = data.generate_synthetic(0.0, 0.0, [100] * 8, stream(0, "data"))
+pool, trimmed = data.extract_server_pool(clients, stream(0, "server-pool"))
+total_before = sum(len(tr) for tr, _ in clients)
+total_after = sum(len(tr) for tr, _ in trimmed)
 print(f"server pool holds {len(pool)} samples "
       f"({total_before} client samples before, {total_after} after)")

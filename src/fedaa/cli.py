@@ -154,14 +154,14 @@ def _cell_name(index: int, cell: dict[str, object]) -> str:
     return f"sweep cell {index} ({overrides or 'no overrides'})"
 
 
-def _sweep_one(task: tuple[str, ExperimentConfig]) -> dict:
-    name, cfg = task
+def _sweep_one(task: tuple[str, ExperimentConfig, dict[str, object]]) -> dict:
+    name, cfg, cell = task
     t0 = time.perf_counter()
     try:
         records = _run(cfg)
     except FedaaError as exc:
         raise type(exc)(f"{name}, seed {cfg.seed}: {exc}") from exc
-    return sweep_row(cfg, records[-1], time.perf_counter() - t0)
+    return sweep_row(cfg, records[-1], time.perf_counter() - t0, cell)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -181,7 +181,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 cfg = build_config({**values, "seed": seed})
             except ConfigError as exc:
                 raise ConfigError(f"{_cell_name(index, cell)}: {exc}") from exc
-            tasks.append((_cell_name(index, cell), cfg))
+            tasks.append((_cell_name(index, cell), cfg, cell))
     threads = os.environ.get("FEDAA_THREADS", "1")
     if not threads.isdecimal() or int(threads) < 1:
         raise ConfigError(f"FEDAA_THREADS must be an integer >= 1 (got {threads!r})")

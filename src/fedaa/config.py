@@ -23,6 +23,7 @@ from typing import Callable
 
 from .errors import ConfigError, ParseError
 from .clients import ATTACKS, AttackSpec, attacker_count
+from .data import round_half_up
 from .ddpg import DdpgConfig
 from .nn import SgdConfig
 from .seeding import SEED_LIMIT
@@ -356,6 +357,18 @@ def build_config(values: dict[str, object]) -> ExperimentConfig:
         )
     if cfg.distance_scope == "last_hidden_layer" and not cfg.model_hidden:
         raise ConfigError("distance_scope = last_hidden_layer requires a hidden layer in model.hidden")
+    cohort = round_half_up(cfg.participation_ratio * count)
+    yields = f"participation_ratio = {cfg.participation_ratio} with dataset.num_clients = {count} yields"
+    if cfg.aggregator == "fedaa" and cohort < 2:
+        raise ConfigError(f"{yields} a cohort of {cohort}; the distance selector needs at least 2")
+    if cohort < 1:
+        raise ConfigError(f"{yields} an empty cohort")
+    total = cfg.dataset.total_samples
+    if cfg.dataset.kind == "synthetic_dirichlet" and total // count < 5:
+        raise ConfigError(
+            f"dataset.total_samples = {total} with dataset.num_clients = {count} leaves "
+            f"{total // count} samples a client; synthetic_dirichlet needs at least 5"
+        )
     return cfg
 
 

@@ -1,8 +1,8 @@
 """Datasets: synthetic generator, non-IID partitioning, file loaders.
 
 All features are float64 matrices of shape (n, dim); labels are integer
-vectors with every value in [0, num_classes). Partitions keep one
-(train, test) pair per client. Second arguments to normal draws below
+vectors with every value in [0, num_classes). A population of clients
+is a list of (train, test) pairs. Second arguments to normal draws below
 are variances, matching the generative recipes they implement.
 """
 
@@ -12,7 +12,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,55 +54,14 @@ class LabeledDataset:
         return LabeledDataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
-@dataclass
-class ClientPartition:
-    """One (train, test) dataset pair per client.
+# one (train, test) pair per client, in client order
+Clients = list[tuple[LabeledDataset, LabeledDataset]]
 
-    source_indices, when present, maps each client's rows back into the
-    source dataset the partition was carved from (used to audit
-    completeness and disjointness).
-    """
-
-    clients: list[tuple[LabeledDataset, LabeledDataset]]
-    source_indices: list[tuple[np.ndarray, np.ndarray]] | None = None
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.clients)
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Heterogeneity knobs for the synthetic classification source.
-
-    alpha scales the variance of each client's model-mean draw, beta the
-    variance of its feature-center mean. Both zero means every client
-    shares the same generative centers (models still differ through the
-    unit-variance draws around them).
-    """
-
-    alpha: float
-    beta: float
-    num_clients: int
-    samples_per_client: Sequence[int]
-    input_dim: int = 60
-    num_classes: int = 10
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be non-negative")
-        if self.num_clients < 1:
-            raise ConfigError("num_clients must be >= 1")
-        sizes = tuple(int(n) for n in self.samples_per_client)
-        if len(sizes) != self.num_clients:
-            raise ConfigError(
-                f"{len(sizes)} client sizes given for {self.num_clients} clients"
-            )
-        if any(n < 5 for n in sizes):
-            raise ConfigError("every client needs at least 5 samples")
-        object.__setattr__(self, "samples_per_client", sizes)
-        if self.input_dim < 1 or self.num_classes < 2:
-            raise ConfigError("input_dim must be >= 1 and num_classes >= 2")
+# the synthetic source's feature count and classes
+SYNTHETIC_DIM = 60
+SYNTHETIC_CLASSES = 10
+# the share of a client's samples held out as its test split
+TEST_FRACTION = 0.2
 
 
 @dataclass
@@ -115,15 +74,20 @@ class SyntheticGenerator:
 
 
 def draw_synthetic_generators(
-    spec: SyntheticSpec, rng: np.random.Generator
+    alpha: float, beta: float, count: int, rng: np.random.Generator
 ) -> list[SyntheticGenerator]:
-    """Draw each client's generator; alpha/beta are variances of the means."""
+    """Draw ``count`` clients' generators. alpha scales the variance of
+    each client's model-mean draw, beta that of its feature-center mean;
+    both zero, every client shares the same generative centers (the
+    models still differ through the unit-variance draws around them)."""
+    if alpha < 0 or beta < 0:
+        raise ConfigError("alpha and beta must be non-negative")
     out = []
-    for _ in range(spec.num_clients):
-        u = float(rng.normal(0.0, math.sqrt(spec.alpha)))
-        weight = rng.normal(u, 1.0, size=(spec.num_classes, spec.input_dim))
-        bias = rng.normal(u, 1.0, size=spec.num_classes)
-        mu = float(rng.normal(0.0, math.sqrt(spec.beta)))
+    for _ in range(count):
+        u = float(rng.normal(0.0, math.sqrt(alpha)))
+        weight = rng.normal(u, 1.0, size=(SYNTHETIC_CLASSES, SYNTHETIC_DIM))
+        bias = rng.normal(u, 1.0, size=SYNTHETIC_CLASSES)
+        mu = float(rng.normal(0.0, math.sqrt(beta)))
         v = float(rng.normal(mu, 1.0))
         out.append(SyntheticGenerator(weight, bias, v))
     return out
@@ -147,20 +111,31 @@ def sample_from_generator(
     return x, y.astype(np.int64)
 
 
-def split_train_test(
-    n: int, rng: np.random.Generator, test_fraction: float = 0.2
-) -> tuple[np.ndarray, np.ndarray]:
+def synthetic_samples(
+    alpha: float, beta: float, sizes: Sequence[int], rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each client's (features, labels), ``sizes[k]`` rows for client k.
+
+    Every generator is drawn first; then each client's sample is drawn
+    as it is asked for, so draws the caller makes between two clients
+    come after the first one's sample and before the next one's.
+    """
+    if any(n < 5 for n in sizes):
+        raise ConfigError("every client needs at least 5 samples")
+    for gen, n in zip(draw_synthetic_generators(alpha, beta, len(sizes), rng), sizes):
+        yield sample_from_generator(gen, n, rng)
+
+
+def split_train_test(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Shuffled (train, test) index split; both sides non-empty for n >= 2."""
     if n < 2:
         raise ConfigError("need at least 2 samples to split")
     perm = rng.permutation(n)
-    n_test = min(max(1, round_half_up(test_fraction * n)), n - 1)
+    n_test = min(max(1, round_half_up(TEST_FRACTION * n)), n - 1)
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-def stratified_split(
-    labels: np.ndarray, rng: np.random.Generator, test_fraction: float = 0.2
-) -> tuple[np.ndarray, np.ndarray]:
+def stratified_split(labels: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Per-class split where class counts allow; both sides non-empty."""
     labels = np.asarray(labels)
     n = labels.size
@@ -169,7 +144,7 @@ def stratified_split(
     test: list[int] = []
     for c in np.unique(labels):
         idx = rng.permutation(np.flatnonzero(labels == c))
-        k = round_half_up(test_fraction * idx.size)
+        k = round_half_up(TEST_FRACTION * idx.size)
         test.extend(idx[:k].tolist())
     mask = np.zeros(n, dtype=bool)
     mask[test] = True
@@ -180,19 +155,20 @@ def stratified_split(
     return np.flatnonzero(~mask), np.flatnonzero(mask)
 
 
-def generate_synthetic(spec: SyntheticSpec, rng: np.random.Generator) -> ClientPartition:
+def generate_synthetic(
+    alpha: float, beta: float, sizes: Sequence[int], rng: np.random.Generator
+) -> Clients:
     """Per-client synthetic datasets, each split 80/20 into train/test."""
     clients = []
-    for gen, n in zip(draw_synthetic_generators(spec, rng), spec.samples_per_client):
-        x, y = sample_from_generator(gen, n, rng)
-        train_idx, test_idx = split_train_test(n, rng)
+    for x, y in synthetic_samples(alpha, beta, sizes, rng):
+        train_idx, test_idx = split_train_test(y.size, rng)
         clients.append(
             (
-                LabeledDataset(x[train_idx], y[train_idx], spec.num_classes),
-                LabeledDataset(x[test_idx], y[test_idx], spec.num_classes),
+                LabeledDataset(x[train_idx], y[train_idx], SYNTHETIC_CLASSES),
+                LabeledDataset(x[test_idx], y[test_idx], SYNTHETIC_CLASSES),
             )
         )
-    return ClientPartition(clients)
+    return clients
 
 
 def dirichlet_partition(
@@ -200,7 +176,7 @@ def dirichlet_partition(
     num_clients: int,
     concentration: float,
     rng: np.random.Generator,
-) -> ClientPartition:
+) -> Clients:
     """Label-skewed partition: per class, client shares ~ Dirichlet(concentration).
 
     Every source sample lands on exactly one client. Clients left with
@@ -231,14 +207,12 @@ def dirichlet_partition(
             if donor == k or len(owned[donor]) < 3:
                 raise ConfigError("not enough samples to give every client 2")
             owned[k].append(owned[donor].pop())
-    clients, indices = [], []
+    clients = []
     for k in range(num_clients):
         idx = np.sort(np.asarray(owned[k], dtype=np.int64))
-        labels = source.labels[idx]
-        train_pos, test_pos = stratified_split(labels, rng)
+        train_pos, test_pos = stratified_split(source.labels[idx], rng)
         clients.append((source.subset(idx[train_pos]), source.subset(idx[test_pos])))
-        indices.append((idx[train_pos], idx[test_pos]))
-    return ClientPartition(clients, indices)
+    return clients
 
 
 def build_validation_set(
@@ -275,20 +249,19 @@ def build_validation_set(
 
 
 def extract_server_pool(
-    partition: ClientPartition, rng: np.random.Generator
-) -> tuple[LabeledDataset, ClientPartition]:
+    clients: Clients, rng: np.random.Generator
+) -> tuple[LabeledDataset, Clients]:
     """Server-side validation pool via the client upload rule.
 
     With n the smallest client sample count, every client moves
     max(1, round(0.1 * n)) seeded train samples into the pool; moved
     samples leave the client's train set, keeping the pool disjoint.
     """
-    totals = [len(train) + len(test) for train, test in partition.clients]
+    totals = [len(train) + len(test) for train, test in clients]
     upload = max(1, round_half_up(0.1 * min(totals)))
     pool_x, pool_y = [], []
-    clients = []
-    num_classes = partition.clients[0][0].num_classes
-    for train, test in partition.clients:
+    trimmed = []
+    for train, test in clients:
         if len(train) - upload < 1:
             raise ConfigError(
                 f"client train split of {len(train)} cannot spare {upload} uploads"
@@ -299,9 +272,9 @@ def extract_server_pool(
         keep = np.flatnonzero(kept)
         pool_x.append(train.features[pick])
         pool_y.append(train.labels[pick])
-        clients.append((train.subset(keep), test))
-    pool = LabeledDataset(np.vstack(pool_x), np.concatenate(pool_y), num_classes)
-    return pool, ClientPartition(clients)
+        trimmed.append((train.subset(keep), test))
+    pool = LabeledDataset(np.vstack(pool_x), np.concatenate(pool_y), clients[0][0].num_classes)
+    return pool, trimmed
 
 
 def lognormal_sizes(

@@ -239,65 +239,50 @@ class Experiment:
 
 
 def _client_sizes(cfg: ExperimentConfig) -> list[int]:
-    sizes = cfg.dataset.samples_per_client
-    n = cfg.dataset.num_clients
-    if sizes == "lognormal":
-        return datamod.lognormal_sizes(n, stream(cfg.seed, "sizes"))
-    if isinstance(sizes, int):
-        return [sizes] * n
-    return list(sizes)
+    """Each client's sample count: a synthetic kind's configured sizes, or
+    synthetic_dirichlet's even split of its total."""
+    ds = cfg.dataset
+    if ds.kind == "synthetic_dirichlet":
+        base, extra = divmod(ds.total_samples, ds.num_clients)
+        return [base + (1 if i < extra else 0) for i in range(ds.num_clients)]
+    if ds.samples_per_client == "lognormal":
+        return datamod.lognormal_sizes(ds.num_clients, stream(cfg.seed, "sizes"))
+    if isinstance(ds.samples_per_client, int):
+        return [ds.samples_per_client] * ds.num_clients
+    return list(ds.samples_per_client)
 
 
-def _materialize_data(cfg: ExperimentConfig) -> tuple[LabeledDataset, datamod.ClientPartition]:
-    """Build (validation set, client partition) for the configured dataset."""
+def _materialize_data(cfg: ExperimentConfig) -> tuple[LabeledDataset, datamod.Clients]:
+    """Build (validation set, clients) for the configured dataset."""
     ds = cfg.dataset
     data_rng = stream(cfg.seed, "data")
     if ds.kind in SYNTHETIC_KINDS:
-        spec = datamod.SyntheticSpec(
-            alpha=ds.alpha,
-            beta=ds.beta,
-            num_clients=ds.num_clients,
-            samples_per_client=_client_sizes(cfg),
-        )
-        partition = datamod.generate_synthetic(spec, data_rng)
-        return datamod.extract_server_pool(partition, stream(cfg.seed, "server-pool"))
+        clients = datamod.generate_synthetic(ds.alpha, ds.beta, _client_sizes(cfg), data_rng)
+        return datamod.extract_server_pool(clients, stream(cfg.seed, "server-pool"))
     if ds.kind == "synthetic_dirichlet":
         # pool one generator per client so all classes appear in the source;
         # a single random linear labeler leaves entire classes empty
-        base, extra = divmod(ds.total_samples, ds.num_clients)
-        if base < 5:
-            raise ConfigError(
-                "synthetic_dirichlet needs total_samples >= 5 * num_clients"
-            )
-        sizes = [base + (1 if i < extra else 0) for i in range(ds.num_clients)]
-        spec = datamod.SyntheticSpec(
-            alpha=ds.alpha, beta=ds.beta, num_clients=ds.num_clients,
-            samples_per_client=sizes,
-        )
-        xs, ys = [], []
-        for gen, size in zip(datamod.draw_synthetic_generators(spec, data_rng), sizes):
-            x, y = datamod.sample_from_generator(gen, size, data_rng)
-            xs.append(x)
-            ys.append(y)
-        source = LabeledDataset(
-            np.concatenate(xs), np.concatenate(ys), spec.num_classes
-        )
+        xs, ys = zip(*datamod.synthetic_samples(ds.alpha, ds.beta, _client_sizes(cfg), data_rng))
+        source = LabeledDataset(np.concatenate(xs), np.concatenate(ys), datamod.SYNTHETIC_CLASSES)
     elif ds.kind == "csv":
         source = datamod.load_csv(ds.csv_path)
     else:
         source = datamod.load_idx(ds.idx_images, ds.idx_labels)
     counts = cfg.validation.per_class
     if counts is None:
-        counts = 100
+        counts, text = 100, "100 (unset)"
+    else:
+        text = ",".join(map(str, counts)) if isinstance(counts, tuple) else str(counts)
     if isinstance(counts, int):
         counts = (counts,) * source.num_classes
-    val_set, remainder = datamod.build_validation_set(
-        source, counts, stream(cfg.seed, "validation")
-    )
-    partition = datamod.dirichlet_partition(
-        remainder, ds.num_clients, ds.dirichlet_concentration, stream(cfg.seed, "partition")
-    )
-    return val_set, partition
+    with _naming(f"validation.per_class = {text}"):
+        val_set, remainder = datamod.build_validation_set(
+            source, counts, stream(cfg.seed, "validation")
+        )
+    with _naming(f"dataset.num_clients = {ds.num_clients}"):
+        return val_set, datamod.dirichlet_partition(
+            remainder, ds.num_clients, ds.dirichlet_concentration, stream(cfg.seed, "partition")
+        )
 
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
@@ -329,18 +314,12 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     malicious = set(assign_roles(cfg.dataset.num_clients, cfg.malicious_fraction, stream(cfg.seed, "roles")))
     clients = [
         ClientRecord(cid, cfg.attack if cid in malicious else None, train, test)
-        for cid, (train, test) in enumerate(partition.clients)
+        for cid, (train, test) in enumerate(partition)
     ]
     cohort = round_half_up(cfg.participation_ratio * cfg.dataset.num_clients)
     agent = None
     buffer = None
     if cfg.aggregator == "fedaa":
-        if cohort < 2:
-            raise ConfigError(
-                f"participation_ratio = {cfg.participation_ratio} with dataset.num_clients = "
-                f"{cfg.dataset.num_clients} yields a cohort of {cohort}; the distance "
-                "selector needs at least 2"
-            )
         m_count = top_count(cfg.m_percent, cohort)
         # the actor and the critic, and a target copy of each
         networks = 2 * sum(param_count(ArchSpec(state, (cfg.ddpg.hidden,), out))
@@ -358,6 +337,16 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         agent=agent,
         buffer=buffer,
     )
+
+
+@contextmanager
+def _naming(key: str) -> Iterator[None]:
+    """Prefixes a ConfigError raised in its body with ``key``, the config
+    key and value it comes from."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 @contextmanager

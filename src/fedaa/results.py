@@ -72,9 +72,20 @@ def emit_results(records: list[RoundRecord], path: str, fmt: str = "csv") -> Non
         raise ConfigError(f"unknown results format: {fmt!r}")
 
 
-def sweep_row(cfg: ExperimentConfig, final: RoundRecord, runtime: float) -> dict:
+# the config keys that sweep_row's own columns report
+SWEEP_KEYS = ("aggregator", "dataset", "attack", "malicious_fraction", "m_percent",
+              "participation_ratio", "seed")
+
+
+def sweep_row(
+    cfg: ExperimentConfig, final: RoundRecord, runtime: float, varied: dict[str, object]
+) -> dict:
     """One ``sweep.csv`` row: a run's config, its final round and its
-    runtime in seconds. The only definition of the sweep's columns."""
+    runtime in seconds. The only definition of the sweep's columns.
+
+    ``varied`` maps the sweep's ``--vary`` keys, in order, to this cell's
+    parsed values; each key outside SWEEP_KEYS is a column of its own
+    after ``c_pct``, a list value joined with '|'."""
     return {
         "method": cfg.aggregator,
         "dataset": cfg.dataset.kind,
@@ -82,6 +93,8 @@ def sweep_row(cfg: ExperimentConfig, final: RoundRecord, runtime: float) -> dict
         "malicious_pct": sig6(100.0 * cfg.malicious_fraction),
         "m_pct": sig6(cfg.m_percent),
         "c_pct": sig6(100.0 * cfg.participation_ratio),
+        **{key: list(value) if isinstance(value, tuple) else value
+           for key, value in varied.items() if key not in SWEEP_KEYS},
         "seed": cfg.seed,
         "mean_acc": sig6(final.mean_benign_acc),
         "acc_std": sig6(final.acc_std),

@@ -55,11 +55,12 @@ def _check_buffer_fifo() -> None:
 def _check_partition_complete() -> None:
     rng = np.random.default_rng(9)
     source = datamod.LabeledDataset(rng.normal(size=(300, 4)), rng.integers(0, 3, 300), 3)
-    part = datamod.dirichlet_partition(source, 5, 0.5, rng)
-    seen = np.concatenate(
-        [np.concatenate([tr, te]) for tr, te in part.source_indices]
+    clients = datamod.dirichlet_partition(source, 5, 0.5, rng)
+    # the source rows are distinct draws, so each must appear exactly once
+    seen = [row.tobytes() for pair in clients for split in pair for row in split.features]
+    assert sorted(seen) == sorted(row.tobytes() for row in source.features), (
+        "partition must cover the source exactly once"
     )
-    assert sorted(seen.tolist()) == list(range(300)), "partition must cover the source"
 
 
 def _check_distance_symmetry() -> None:

@@ -290,6 +290,76 @@ def test_sweep_names_the_cell_whose_config_fails_before_any_cell_runs(cfg_path, 
     assert not os.path.exists(out)
 
 
+def test_a_cell_too_small_for_its_run_fails_the_sweep_before_any_cell_runs(
+    cfg_path, tmp_path, capsys, monkeypatch
+):
+    # cell 1's cohort is round(0.2 * 6) = 1 client, too few for selection;
+    # the check belongs to the config, so cell 0 does not run either
+    calls = []
+    run = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: calls.append(cfg) or run(cfg))
+    out = str(tmp_path / "sweep")
+    args = ["sweep", "--config", cfg_path, "--out", out, "--vary", "participation_ratio=1.0,0.2"]
+    assert cli.main(args) == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "fedaa: error: ConfigError: sweep cell 1 (participation_ratio=0.2): participation_ratio "
+        "= 0.2 with dataset.num_clients = 6 yields a cohort of 1; the distance selector needs "
+        "at least 2\n"
+    )
+    assert not os.path.exists(os.path.join(out, "sweep.csv"))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "workers"])
+def test_sweep_gives_each_varied_key_its_columns_leave_out_a_column(
+    cfg_path, tmp_path, monkeypatch, threads
+):
+    monkeypatch.setenv("FEDAA_THREADS", threads)
+
+    def table(name, *vary):
+        """sweep.csv of two seeds a cell, less its runtime column."""
+        out = tmp_path / name
+        args = ["sweep", "--config", cfg_path, "--out", str(out), "--seeds", "2"]
+        assert cli.main(args + [arg for axis in vary for arg in ("--vary", axis)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0].endswith(",runtime_seconds")
+        return [line.rpartition(",")[0] for line in lines]
+
+    # local.lr and rounds have no column of their own: each gets one, in
+    # --vary order after c_pct, and a mean row carries its cell's values
+    assert table("varied", "local.lr=0.1,0.01", "rounds=1,2") == [
+        "method,dataset,attack,malicious_pct,m_pct,c_pct,local.lr,rounds,seed,mean_acc,acc_std,acc_var",
+        "fedaa,synthetic00,none,0,50,100,0.1,1,0,0.416667,0.372678,0.138889",
+        "fedaa,synthetic00,none,0,50,100,0.1,1,1,0.458333,0.393083,0.154514",
+        "fedaa,synthetic00,none,0,50,100,0.1,1,mean,0.4375,0.382881,0.146702",
+        "fedaa,synthetic00,none,0,50,100,0.1,2,0,0.458333,0.335927,0.112847",
+        "fedaa,synthetic00,none,0,50,100,0.1,2,1,0.458333,0.393083,0.154514",
+        "fedaa,synthetic00,none,0,50,100,0.1,2,mean,0.458333,0.364505,0.133681",
+        "fedaa,synthetic00,none,0,50,100,0.01,1,0,0.125,0.190941,0.0364583",
+        "fedaa,synthetic00,none,0,50,100,0.01,1,1,0.166667,0.372678,0.138889",
+        "fedaa,synthetic00,none,0,50,100,0.01,1,mean,0.145834,0.281809,0.0876737",
+        "fedaa,synthetic00,none,0,50,100,0.01,2,0,0.125,0.190941,0.0364583",
+        "fedaa,synthetic00,none,0,50,100,0.01,2,1,0.166667,0.372678,0.138889",
+        "fedaa,synthetic00,none,0,50,100,0.01,2,mean,0.145834,0.281809,0.0876737",
+    ]
+    # m_percent and seed have columns already: the table has no other
+    assert table("covered", "m_percent=50,80", "seed=0,1") == [
+        "method,dataset,attack,malicious_pct,m_pct,c_pct,seed,mean_acc,acc_std,acc_var",
+        "fedaa,synthetic00,none,0,50,100,0,0.375,0.375,0.140625",
+        "fedaa,synthetic00,none,0,50,100,1,0.375,0.401819,0.161458",
+        "fedaa,synthetic00,none,0,50,100,mean,0.375,0.388409,0.151041",
+        "fedaa,synthetic00,none,0,50,100,1,0.375,0.401819,0.161458",
+        "fedaa,synthetic00,none,0,50,100,2,0.708333,0.266797,0.0711806",
+        "fedaa,synthetic00,none,0,50,100,mean,0.541667,0.334308,0.116319",
+        "fedaa,synthetic00,none,0,80,100,0,0.375,0.375,0.140625",
+        "fedaa,synthetic00,none,0,80,100,1,0.416667,0.424918,0.180556",
+        "fedaa,synthetic00,none,0,80,100,mean,0.395834,0.399959,0.16059",
+        "fedaa,synthetic00,none,0,80,100,1,0.416667,0.424918,0.180556",
+        "fedaa,synthetic00,none,0,80,100,2,0.75,0.288675,0.0833333",
+        "fedaa,synthetic00,none,0,80,100,mean,0.583333,0.356797,0.131945",
+    ]
+
+
 def test_sweep_rejects_a_repeated_vary_key(cfg_path, tmp_path, capsys, monkeypatch):
     # the second --vary would override the first in every cell
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("ran a cell"))

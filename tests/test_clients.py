@@ -25,8 +25,7 @@ ARCH_SIZE = nn.param_count(ARCH)
 
 def make_client(cid=0, attack=None, seed=0, n=40):
     rng = np.random.default_rng(seed)
-    spec = data.SyntheticSpec(0.0, 0.0, 1, (n,))
-    train, test = data.generate_synthetic(spec, rng).clients[0]
+    ((train, test),) = data.generate_synthetic(0.0, 0.0, (n,), rng)
     return clients.ClientRecord(cid, attack, train, test)
 
 
@@ -264,11 +263,10 @@ def cohort_of(sizes, attacks=(), huge=(), seed=0):
     """Clients of the given train-plus-test sizes; ``attacks`` maps ids to
     attack kinds, and the clients in ``huge`` have features scaled to
     overflow, so their training diverges."""
-    spec = data.SyntheticSpec(0.0, 0.0, len(sizes), tuple(sizes))
-    part = data.generate_synthetic(spec, np.random.default_rng(seed))
+    part = data.generate_synthetic(0.0, 0.0, sizes, np.random.default_rng(seed))
     kinds = dict(attacks)
     cohort = []
-    for cid, (train, test) in enumerate(part.clients):
+    for cid, (train, test) in enumerate(part):
         if cid in huge:
             train = data.LabeledDataset(train.features * 1e200, train.labels, train.num_classes)
         attack = clients.AttackSpec(kinds[cid]) if cid in kinds else None

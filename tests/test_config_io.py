@@ -421,7 +421,7 @@ def test_readme_results_schema_lists_every_column():
     section = readme.split("## Results schema", 1)[1].split("\n## ", 1)[0]
     blocks = section.split("```")[1::2]
     listed = [tuple(re.findall(r"[a-z_]+", block)) for block in blocks]
-    sweep_columns = tuple(results.sweep_row(config.parse_config_text(""), make_record(), 1.0))
+    sweep_columns = tuple(results.sweep_row(config.parse_config_text(""), make_record(), 1.0, {}))
     assert listed == [results.ROUND_COLUMNS, sweep_columns]
 
 
@@ -493,7 +493,7 @@ def test_sig6_examples():
 def test_sweep_table_layout(tmp_path):
     cfg = config.parse_config_text("")
     row = results.sweep_row(
-        cfg, make_record(mean_benign_acc=0.8123456, acc_std=0.05, acc_var=0.0025), 1.25
+        cfg, make_record(mean_benign_acc=0.8123456, acc_std=0.05, acc_var=0.0025), 1.25, {}
     )
     path = str(tmp_path / "sweep.csv")
     results.emit_sweep_table([[row]], path)
@@ -505,7 +505,7 @@ def test_sweep_table_layout(tmp_path):
     ]
     # a cell of two seeds: its rows, then their mean over the measured cells
     second = results.sweep_row(
-        config.parse_config_text("seed = 1\n"), make_record(mean_benign_acc=0.7), 0.5
+        config.parse_config_text("seed = 1\n"), make_record(mean_benign_acc=0.7), 0.5, {"seed": 1}
     )
     results.emit_sweep_table([[row, second], [row]], path)
     assert pathlib.Path(path).read_text().splitlines()[1:] == [
@@ -513,6 +513,24 @@ def test_sweep_table_layout(tmp_path):
         "fedaa,synthetic00,none,0,30,100,1,0.7,0.1,0.01,0.5",
         "fedaa,synthetic00,none,0,30,100,mean,0.756173,0.075,0.00625,0.875",
         "fedaa,synthetic00,none,0,30,100,0,0.812346,0.05,0.0025,1.25",
+    ]
+    # a varied key without a column of its own gets one after c_pct, in
+    # --vary order; a list joins with '|', and the mean row keeps the cell's
+    cell = {"model.hidden": (8, 4), "seed": 0, "local.lr": 0.05, "m_percent": 30.0}
+    rows = [
+        results.sweep_row(
+            config.parse_config_text(f"model.hidden = 8,4\nlocal.lr = 0.05\nseed = {seed}\n"),
+            make_record(mean_benign_acc=acc), 1.0, cell,
+        )
+        for seed, acc in ((0, 0.5), (1, 0.7))
+    ]
+    results.emit_sweep_table([rows], path)
+    assert pathlib.Path(path).read_text().splitlines() == [
+        "method,dataset,attack,malicious_pct,m_pct,c_pct,model.hidden,local.lr,seed,mean_acc,"
+        "acc_std,acc_var,runtime_seconds",
+        "fedaa,synthetic00,none,0,30,100,8|4,0.05,0,0.5,0.1,0.01,1",
+        "fedaa,synthetic00,none,0,30,100,8|4,0.05,1,0.7,0.1,0.01,1",
+        "fedaa,synthetic00,none,0,30,100,8|4,0.05,mean,0.6,0.1,0.01,1",
     ]
 
 

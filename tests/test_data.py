@@ -12,10 +12,6 @@ from fedaa import data
 from fedaa.errors import ConfigError, IngestionError
 
 
-def spec(alpha=0.0, beta=0.0, clients=4, size=30):
-    return data.SyntheticSpec(alpha, beta, clients, (size,) * clients)
-
-
 def balanced_source(per_class=60, num_classes=5, dim=8, seed=0):
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(num_classes), per_class)
@@ -36,20 +32,21 @@ def test_labeled_dataset_validation():
         data.LabeledDataset(np.full((2, 3), np.nan), np.array([0, 1]), 2)
 
 
-def test_synthetic_spec_validation():
-    with pytest.raises(ConfigError):
-        data.SyntheticSpec(0.0, 0.0, 3, (30, 30))  # wrong length
-    with pytest.raises(ConfigError):
-        data.SyntheticSpec(0.0, 0.0, 2, (30, 4))  # below sample floor
-    with pytest.raises(ConfigError):
-        data.SyntheticSpec(-1.0, 0.0, 1, (30,))
+def test_synthetic_draws_validate_their_arguments():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match="^every client needs at least 5 samples$"):
+        list(data.synthetic_samples(0.0, 0.0, (30, 4), rng))  # below sample floor
+    with pytest.raises(ConfigError, match="^alpha and beta must be non-negative$"):
+        data.draw_synthetic_generators(-1.0, 0.0, 1, rng)
+    with pytest.raises(ConfigError, match="^alpha and beta must be non-negative$"):
+        data.generate_synthetic(0.0, -1.0, (30,), rng)
 
 
 # ------------------------------------------------------------ generator
 
 
 def test_degenerate_means_are_exactly_zero():
-    gens = data.draw_synthetic_generators(spec(0.0, 0.0, clients=6), np.random.default_rng(1))
+    gens = data.draw_synthetic_generators(0.0, 0.0, 6, np.random.default_rng(1))
     # zero-variance means are exactly 0.0, so the weights, biases and
     # centers are the unit normal draws themselves
     replay = np.random.default_rng(1)
@@ -66,9 +63,7 @@ def test_degenerate_means_are_exactly_zero():
 
 def test_alpha_beta_are_variances():
     # sample many generators and check the empirical variance of the means
-    n = 3000
-    big = data.SyntheticSpec(4.0, 9.0, n, (5,) * n)
-    gens = data.draw_synthetic_generators(big, np.random.default_rng(2))
+    gens = data.draw_synthetic_generators(4.0, 9.0, 3000, np.random.default_rng(2))
     # u_k draws every weight and bias at unit variance around it, and
     # mu_k the center: their spreads add alpha and beta to that noise
     draws = [np.concatenate([g.weight.ravel(), g.bias]) for g in gens]
@@ -90,7 +85,7 @@ def test_feature_scales_follow_power_law():
 
 
 def test_feature_variance_monte_carlo():
-    gens = data.draw_synthetic_generators(spec(clients=1), np.random.default_rng(3))
+    gens = data.draw_synthetic_generators(0.0, 0.0, 1, np.random.default_rng(3))
     x, _ = data.sample_from_generator(gens[0], 20000, np.random.default_rng(4))
     emp = np.var(x, axis=0)
     for j in (1, 10, 60):
@@ -101,7 +96,7 @@ def test_feature_variance_monte_carlo():
 
 
 def test_labels_are_argmax_of_softmax_scores():
-    gens = data.draw_synthetic_generators(spec(1.0, 1.0, clients=1), np.random.default_rng(5))
+    gens = data.draw_synthetic_generators(1.0, 1.0, 1, np.random.default_rng(5))
     x, y = data.sample_from_generator(gens[0], 500, np.random.default_rng(6))
     # independent route: scipy softmax over the affine scores
     probs = scipy_softmax(x @ gens[0].weight.T + gens[0].bias, axis=1)
@@ -111,25 +106,22 @@ def test_labels_are_argmax_of_softmax_scores():
 
 def test_generate_synthetic_sizes_and_split():
     sizes = (30, 50, 100)
-    part = data.generate_synthetic(
-        data.SyntheticSpec(0.0, 0.0, 3, sizes), np.random.default_rng(7)
-    )
-    assert part.num_clients == 3
-    for (train, test), n in zip(part.clients, sizes):
+    clients = data.generate_synthetic(0.0, 0.0, sizes, np.random.default_rng(7))
+    assert len(clients) == 3
+    for (train, test), n in zip(clients, sizes):
         assert len(train) + len(test) == n
         assert len(test) == round(0.2 * n)
         assert train.num_classes == 10
+        assert train.features.shape[1] == 60
     # 80/20 of 5: 4 train, 1 test
-    tiny = data.generate_synthetic(
-        data.SyntheticSpec(0.0, 0.0, 1, (5,)), np.random.default_rng(8)
-    )
-    assert (len(tiny.clients[0][0]), len(tiny.clients[0][1])) == (4, 1)
+    ((train, test),) = data.generate_synthetic(0.0, 0.0, (5,), np.random.default_rng(8))
+    assert (len(train), len(test)) == (4, 1)
 
 
 def test_generate_synthetic_deterministic():
-    a = data.generate_synthetic(spec(1.0, 1.0), np.random.default_rng(9))
-    b = data.generate_synthetic(spec(1.0, 1.0), np.random.default_rng(9))
-    for (ta, _), (tb, _) in zip(a.clients, b.clients):
+    a = data.generate_synthetic(1.0, 1.0, (30,) * 4, np.random.default_rng(9))
+    b = data.generate_synthetic(1.0, 1.0, (30,) * 4, np.random.default_rng(9))
+    for (ta, _), (tb, _) in zip(a, b):
         assert ta.features.tobytes() == tb.features.tobytes()
 
 
@@ -165,24 +157,26 @@ def test_stratified_split_never_empties_a_side():
 
 def test_dirichlet_partition_covers_source_exactly_once():
     source = balanced_source()
-    part = data.dirichlet_partition(source, 6, 0.5, np.random.default_rng(15))
-    seen = np.concatenate([np.concatenate(pair) for pair in part.source_indices])
-    assert sorted(seen.tolist()) == list(range(len(source)))
-    for train, test in part.clients:
+    clients = data.dirichlet_partition(source, 6, 0.5, np.random.default_rng(15))
+    # the source rows are distinct normal draws, so comparing rows by their
+    # bytes finds each source row's place
+    seen = [row.tobytes() for pair in clients for split in pair for row in split.features]
+    assert sorted(seen) == sorted(row.tobytes() for row in source.features)
+    for train, test in clients:
         assert len(train) >= 1 and len(test) >= 1
 
 
 def test_dirichlet_partition_minimum_two_samples():
     source = balanced_source(per_class=30, num_classes=2)
-    part = data.dirichlet_partition(source, 6, 0.05, np.random.default_rng(16))
-    for train, test in part.clients:
+    clients = data.dirichlet_partition(source, 6, 0.05, np.random.default_rng(16))
+    for train, test in clients:
         assert len(train) + len(test) >= 2
 
 
 def test_dirichlet_high_concentration_is_near_uniform():
     source = balanced_source(per_class=600, num_classes=5, dim=3)
-    part = data.dirichlet_partition(source, 5, 1e6, np.random.default_rng(17))
-    for train, test in part.clients:
+    clients = data.dirichlet_partition(source, 5, 1e6, np.random.default_rng(17))
+    for train, test in clients:
         labels = np.concatenate([train.labels, test.labels])
         shares = np.bincount(labels, minlength=5) / labels.size
         assert np.all(np.abs(shares - 0.2) < 0.05)
@@ -190,9 +184,9 @@ def test_dirichlet_high_concentration_is_near_uniform():
 
 def test_dirichlet_low_concentration_skews_labels():
     source = balanced_source(per_class=500, num_classes=10, dim=3)
-    part = data.dirichlet_partition(source, 100, 0.1, np.random.default_rng(18))
+    clients = data.dirichlet_partition(source, 100, 0.1, np.random.default_rng(18))
     top_shares = []
-    for train, test in part.clients:
+    for train, test in clients:
         labels = np.concatenate([train.labels, test.labels])
         top_shares.append(np.bincount(labels, minlength=10).max() / labels.size)
     assert np.mean(top_shares) > 0.5
@@ -249,15 +243,14 @@ def test_extract_server_pool_upload_rule():
         ds = data.LabeledDataset(rng.normal(size=(total, 4)), labels, 3)
         train, test = data.split_train_test(total, rng)
         clients.append((ds.subset(train), ds.subset(test)))
-    part = data.ClientPartition(clients)
-    pool, trimmed = data.extract_server_pool(part, np.random.default_rng(26))
+    pool, trimmed = data.extract_server_pool(clients, np.random.default_rng(26))
     # smallest client holds 50 samples: every client uploads round(5.0) = 5
     assert len(pool) == 15
-    for (before, _), (after, _) in zip(part.clients, trimmed.clients):
+    for (before, _), (after, _) in zip(clients, trimmed):
         assert len(after) == len(before) - 5
     # pool plus trimmed trains reassemble the original trains
-    total_before = sum(len(tr) for tr, _ in part.clients)
-    total_after = sum(len(tr) for tr, _ in trimmed.clients)
+    total_before = sum(len(tr) for tr, _ in clients)
+    total_after = sum(len(tr) for tr, _ in trimmed)
     assert total_after + len(pool) == total_before
 
 
@@ -281,20 +274,20 @@ def test_extract_server_pool_keeps_the_setdiff_of_its_picks_generated():
     )
     def check(sizes, seed):
         rng = np.random.default_rng(seed)
-        part = data.ClientPartition([
+        clients = [
             (data.LabeledDataset(rng.normal(size=(n, 3)), rng.integers(0, 2, n), 2),
              data.LabeledDataset(rng.normal(size=(2, 3)), np.array([0, 1]), 2))
             for n in sizes
-        ])
+        ]
         recording = Recording(seed)
-        pool, trimmed = data.extract_server_pool(part, recording)
+        pool, trimmed = data.extract_server_pool(clients, recording)
         assert len(recording.picks) == len(sizes)
-        for (train, test), (kept, kept_test), pick in zip(part.clients, trimmed.clients, recording.picks):
+        for (train, test), (kept, kept_test), pick in zip(clients, trimmed, recording.picks):
             keep = np.setdiff1d(np.arange(len(train)), pick)
             assert kept.features.tobytes() == train.features[keep].tobytes()
             assert kept.labels.tobytes() == train.labels[keep].tobytes()
             assert kept_test is test
-        picked = [train.features[np.sort(p)] for (train, _), p in zip(part.clients, recording.picks)]
+        picked = [train.features[np.sort(p)] for (train, _), p in zip(clients, recording.picks)]
         assert pool.features.tobytes() == np.vstack(picked).tobytes()
 
     check()
@@ -304,9 +297,9 @@ def test_extract_server_pool_rejects_tiny_trains():
     rng = np.random.default_rng(27)
     ds = data.LabeledDataset(rng.normal(size=(40, 2)), rng.integers(0, 2, 40), 2)
     # train split of 2 cannot spare round(0.1*40)=4 uploads
-    part = data.ClientPartition([(ds.subset(np.arange(2)), ds.subset(np.arange(2, 40)))])
+    clients = [(ds.subset(np.arange(2)), ds.subset(np.arange(2, 40)))]
     with pytest.raises(ConfigError):
-        data.extract_server_pool(part, np.random.default_rng(28))
+        data.extract_server_pool(clients, np.random.default_rng(28))
 
 
 def test_lognormal_sizes_bounds():

@@ -314,16 +314,18 @@ def test_build_experiment_fedavg_skips_agent():
 
 @pytest.mark.parametrize("text, message", [
     ("dataset = synthetic_dirichlet\ndataset.num_clients = 50\ndataset.total_samples = 200\n",
-     "synthetic_dirichlet needs total_samples >= 5 * num_clients"),
+     "dataset.total_samples = 200 with dataset.num_clients = 50 leaves 4 samples a client; "
+     "synthetic_dirichlet needs at least 5"),
     ("dataset.num_clients = 10\nparticipation_ratio = 0.1\n",
      "participation_ratio = 0.1 with dataset.num_clients = 10 yields a cohort of 1; "
      "the distance selector needs at least 2"),
     ("dataset.num_clients = 10\nparticipation_ratio = 0.01\naggregator = fedavg\n",
-     "participation ratio 0.01 yields an empty cohort of 10"),
+     "participation_ratio = 0.01 with dataset.num_clients = 10 yields an empty cohort"),
 ], ids=["dirichlet samples", "fedaa cohort", "fedavg cohort"])
 def test_a_config_too_small_for_its_run_fails_typed(text, message):
+    # checked when the config is built, so a sweep checks it before any cell runs
     with pytest.raises(ConfigError) as caught:
-        orchestrator.run_experiment(config.parse_config_text(text))
+        config.parse_config_text(text)
     assert str(caught.value) == message
 
 
@@ -354,6 +356,23 @@ def loaded_configs(tmp_path):
                 f"dataset.idx_labels = {tmp_path / 'labels.idx'}\n" + base
                 + "malicious_fraction = 0.2\nattack = gaussian\n"),
     }
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("csv", "validation.per_class = 1,2\n",
+     "validation.per_class = 1,2: 2 class counts given for 3 classes"),
+    ("csv", "validation.per_class = 301\n",
+     "validation.per_class = 301: class 0: need 301 samples, source has 300"),
+    ("csv", "dataset.num_clients = 61\n",
+     "dataset.num_clients = 61: source has 600 samples, need >= 610"),
+    (None, "dataset = synthetic_dirichlet\ndataset.num_clients = 10\n",
+     "validation.per_class = 100 (unset): class 7: need 100 samples, source has 89"),
+], ids=["count list length", "count above the source", "csv clients", "dirichlet short"])
+def test_a_data_error_names_its_config_key(tmp_path, kind, text, message):
+    base = loaded_configs(tmp_path)[kind].replace("dataset.num_clients = 10\n", "") if kind else ""
+    with pytest.raises(ConfigError) as caught:
+        orchestrator.build_experiment(config.parse_config_text(base + text))
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("kind", ["csv", "idx"])
