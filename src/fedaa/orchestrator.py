@@ -287,15 +287,6 @@ def _materialize_data(cfg: ExperimentConfig) -> tuple[LabeledDataset, datamod.Cl
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
     """Materialize datasets, roles, models, and the policy for a config."""
-    if cfg.aggregator == "fedaa":
-        # round 0's selection measures one distinct upload, so every fedaa
-        # run takes scipy's pdist (selection.distance_matrix). Loaded first,
-        # before the data is allocated. Loaded at that selection, perfbench
-        # server_heavy's peak RSS rose from 115.8 to 123.2 MiB; loaded after
-        # the data, it read 114.8 in one process and 124.5 in the next, by
-        # hash seed (2-vCPU Xeon). Here it reads 115.6 to 116.0.
-        import scipy.spatial.distance  # noqa: F401
-
     ds = cfg.dataset
     guard = nullcontext()  # the csv and idx loaders raise their own errors
     if ds.kind in SYNTHETIC_KINDS or ds.kind == "synthetic_dirichlet":

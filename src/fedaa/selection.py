@@ -4,8 +4,9 @@ Selection scores each upload by its summed Euclidean distance to every
 other upload and keeps the lowest-sum clients: outliers sit far from
 the benign cluster, so large row sums flag suspicion. The normalized
 row sums of the retained clients form the observation handed to the
-weight policy. Small selections measure with scipy's ``pdist``, large
-ones with a centred Gram product on BLAS (``distance_matrix``).
+weight policy. ``distance_matrix`` measures small selections on numpy
+alone, bit for bit as scipy's ``pdist`` would, and large ones with a
+centred Gram product on BLAS, so selection never loads scipy.
 """
 
 from __future__ import annotations
@@ -22,14 +23,21 @@ SCOPES = ("all_layers", "last_hidden_layer")
 
 # Pair-columns (pairs i < j times the row width) from which the distance
 # matrix is a centred Gram product: 5.4 ms against pdist's 35.4 ms over
-# 121 rows of 14,210 (1.03e8) on a 2-vCPU Xeon. Below it pdist keeps small
-# selections, such as 20 rows of 610 (115,900), exact.
+# 121 rows of 14,210 (1.03e8) on a 2-vCPU Xeon. Below it, numpy builds the
+# exact matrix, such as 20 rows of 610 (115,900) in 0.37 ms, where pdist
+# takes 0.05 ms but importing scipy.spatial adds 37 MiB of peak RSS and
+# 0.16 s to a run.
 GRAM_WORK = 1 << 22
 
 # Entries beyond +-LIMIT make an upload unmeasurable: 16 * d * LIMIT**2
 # bounds every term of a squared distance between centred rows of d
 # columns, and stays finite for any d below 2**59.
 LIMIT = 2.0**480
+
+# _distinct_rows keys each row by the sum of about KEY_WORDS of its words:
+# a key pass over every word took 0.66 ms of its 1.2-1.8 ms on 200 uploads
+# of 14,210, 2-vCPU Xeon
+KEY_WORDS = 64
 
 
 @dataclass
@@ -63,9 +71,13 @@ def distance_matrix(y: np.ndarray) -> np.ndarray:
     """The Euclidean distance matrix of the rows of ``y``, which it may
     overwrite.
 
-    Below GRAM_WORK pair-columns this is ``squareform(pdist(y))``. From
-    there on, the rows are centred in place on their column mean, ``c``,
-    and ``g = c @ c.T`` is one BLAS syrk, exactly symmetric; then
+    Below GRAM_WORK pair-columns it is built on numpy alone: for each row
+    ``i``, the squared differences ``(y[j] - y[i])**2`` of the later rows
+    are summed left to right by ``np.add.accumulate``, the order in which
+    scipy's ``pdist`` sums them, so the matrix is ``squareform(pdist(y))``
+    bit for bit and ``y`` is left as it was. From GRAM_WORK, the rows are
+    centred in place on their column mean, ``c``, and ``g = c @ c.T`` is
+    one BLAS syrk, exactly symmetric; then
     ``d_ij = sqrt(max(g_ii + g_jj - 2 g_ij, 0))``, exactly symmetric with
     a zero diagonal. Away from underflow, each entry lies within
     ``min(sqrt(e), e / d)`` of the exact distance ``d``, where
@@ -73,9 +85,12 @@ def distance_matrix(y: np.ndarray) -> np.ndarray:
     """
     n, cols = y.shape
     if n * (n - 1) // 2 * cols < GRAM_WORK:
-        from scipy.spatial.distance import pdist, squareform
-
-        return squareform(pdist(y))
+        d = np.zeros((n, n))
+        for i in range(n - 1):
+            diff = y[i + 1 :] - y[i]
+            diff *= diff
+            d[i, i + 1 :] = np.sqrt(np.add.accumulate(diff, axis=1, out=diff)[:, -1])
+        return d + d.T
     y -= y.mean(axis=0)
     g = y @ y.T
     d = g.diagonal()[:, None] + g.diagonal()
@@ -107,12 +122,13 @@ def _distinct_rows(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     Returns ``first``, the row of x that stands for each distinct row,
     and ``inverse``, the position in ``first`` of each given row's equal,
     so ``x[first][inverse]`` equals ``x[rows]`` byte for byte. Rows are
-    bucketed by the wrapping sum of their 64-bit words, and every match
-    in a bucket is confirmed by comparing all its words, so rows that
-    differ anywhere (``0.0`` and ``-0.0`` included) are never merged.
+    bucketed by the wrapping sum of about KEY_WORDS of their 64-bit
+    words, evenly spaced, and every match in a bucket is confirmed by
+    comparing all its words, so rows that differ anywhere (``0.0`` and
+    ``-0.0`` included) are never merged.
     """
     words = x.view(np.uint64)
-    keys = np.add.reduce(words, axis=1).tolist()
+    keys = np.add.reduce(words[:, :: max(1, words.shape[1] // KEY_WORDS)], axis=1).tolist()
     first: list[int] = []
     inverse = np.empty(rows.size, dtype=np.intp)
     buckets: dict[int, list[int]] = {}
@@ -162,9 +178,15 @@ def select_clients(
     if n < 2:
         raise ConfigError("selection needs at least 2 uploads")
     x = _scoped_columns(uploads, scope, arch)
-    # two reductions, where np.abs(x) would copy the uploads; NaN fails both
-    measurable = x.max(axis=1, initial=-np.inf) <= LIMIT
-    measurable &= x.min(axis=1, initial=np.inf) >= -LIMIT
+    # one read of the uploads, where np.abs(x) would copy them: a row whose
+    # sum of squares stays below LIMIT**2 holds no entry beyond +-LIMIT, as
+    # no rounding of a sum of non-negative terms falls below a term; NaN
+    # and overflow fail the test, and only the rows that fail it are read
+    # again, entry by entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        measurable = np.einsum("ij,ij->i", x, x) < LIMIT * LIMIT
+    for row in np.flatnonzero(~measurable).tolist():
+        measurable[row] = -LIMIT <= x[row].min() and x[row].max() <= LIMIT
     count = top_count(m_percent, n)
     good = np.flatnonzero(measurable)
     if good.size < count:
@@ -175,10 +197,10 @@ def select_clients(
         )
     first, inverse = _distinct_rows(x, good)
     sums = np.full(n, np.inf)
-    # a single distinct upload gives squareform's [[0.]], a zero sum; x[first]
-    # is the only copy of the rows, which distance_matrix may centre in
-    # place, since a second one (of x[good]) raised the peak RSS of a
-    # 200-client, d = 14,210 run by 7%
+    # a single distinct upload gives [[0.]], a zero sum; x[first] is the
+    # only copy of the rows, which distance_matrix may centre in place,
+    # since a second one (of x[good]) raised the peak RSS of a 200-client,
+    # d = 14,210 run by 7%
     d = distance_matrix(x[first])
     sums[good] = d[np.ix_(inverse, inverse)].sum(axis=1)
     # a stable sort on the row sums breaks ties toward the smaller id

@@ -75,7 +75,7 @@ def _check_distance_symmetry() -> None:
     # from GRAM_WORK pair-columns the matrix comes from BLAS syrk on the
     # installed numpy: exactly symmetric, a zero diagonal, and within the
     # stated bound of pdist (widened by pdist's own rounding); below it,
-    # pdist's bit for bit
+    # built on numpy alone, pdist's bit for bit
     y = 5.0 + rng.normal(size=(121, 578))  # 7,260 pairs x 578 columns reach GRAM_WORK
     y[100] = y[7]
     want = squareform(pdist(y))
@@ -91,7 +91,7 @@ def _check_distance_symmetry() -> None:
     assert (abs(d.sum(axis=1) - want.sum(axis=1)) <= bound.sum(axis=1)).all(), (
         "the Gram distance matrix's row sums lie outside its bound of pdist's"
     )
-    y = y[:, :577]  # one column less falls below GRAM_WORK
+    y = y[:, :577]  # one column less falls below GRAM_WORK, onto numpy
     assert distance_matrix(y.copy()).tobytes() == squareform(pdist(y)).tobytes(), (
         "below GRAM_WORK the distance matrix must be squareform(pdist(.)) bit for bit"
     )

@@ -522,45 +522,49 @@ def test_a_run_keeps_the_blas_thread_count_it_was_given(cfg_path, tmp_path):
     assert got["env"] == dict(dict.fromkeys(BLAS_VARS, "1"), OPENBLAS_NUM_THREADS="2")
 
 
-# `python -m fedaa.cli` with the given arguments, then the scipy.spatial
-# modules the process loaded as one JSON line
-RUN_THEN_LIST_SCIPY_SPATIAL = """\
+# `python -m fedaa.cli` with the given arguments, then the scipy modules
+# the process loaded as one JSON line
+RUN_THEN_LIST_SCIPY = """\
 import json, runpy, sys
 sys.argv = ["fedaa", *sys.argv[1:]]
 try:
     runpy.run_module("fedaa.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert not exc.code, exc.code
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.spatial"))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def scipy_spatial_modules(*argv):
+def scipy_modules(*argv):
     src = pathlib.Path(__file__).parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_THEN_LIST_SCIPY_SPATIAL, *argv],
+        [sys.executable, "-c", RUN_THEN_LIST_SCIPY, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_fedavg_runs_and_reports_load_no_scipy_spatial(cfg_path, tmp_path):
-    # only distance selection measures with scipy, and fedavg selects nothing
+def test_fedavg_runs_and_reports_load_no_scipy_spatial(tmp_path):
+    # neither runs nor reports load scipy: fedavg selects nothing, and fedaa
+    # measures its selections on numpy
     fedavg = tmp_path / "fedavg.cfg"
     fedavg.write_text("aggregator = fedavg\ndataset.num_clients = 6\n"
                       "dataset.samples_per_client = 20\nrounds = 2\nlocal.epochs = 1\n")
     out = tmp_path / "out"
-    assert scipy_spatial_modules("run", "--config", str(fedavg), "--out", str(out)) == []
-    assert scipy_spatial_modules(
+    assert scipy_modules("run", "--config", str(fedavg), "--out", str(out)) == []
+    assert scipy_modules(
         "report", "--input", str(out / "results.csv"), "--out", str(tmp_path / "rep")
     ) == []
-    # the control: a fedaa run loads it
-    assert "scipy.spatial.distance" in scipy_spatial_modules(
-        "run", "--config", cfg_path, "--out", str(tmp_path / "fedaa")
-    )
+    # fedaa selects over 20 uploads of 610 parameters
+    fedaa = tmp_path / "fedaa.cfg"
+    fedaa.write_text("dataset.num_clients = 20\ndataset.samples_per_client = 20\n"
+                     "rounds = 2\nlocal.epochs = 1\n")
+    assert scipy_modules("run", "--config", str(fedaa), "--out", str(tmp_path / "fedaa")) == []
+    # the control: selftest checks selection against scipy's pdist
+    assert "scipy.spatial.distance" in scipy_modules("selftest")
 
 
 IDX_CONFIG = "dataset = idx\ndataset.idx_images = {images}\ndataset.idx_labels = {labels}\n"

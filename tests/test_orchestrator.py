@@ -547,19 +547,29 @@ def test_extreme_config_finishes_or_fails_typed_in_its_round(settings):
 
 def test_selection_measures_each_distinct_upload_once(monkeypatch):
     # round 0 selects over broadcast copies of one vector, and every later
-    # round over the benign uploads plus the one vector all ipm attackers send
+    # round over the benign uploads plus the one vector all ipm attackers
+    # send; 5 rows of 610 take the numpy route, squareform(pdist(.)) bit
+    # for bit, and scipy's pdist never runs
     cfg = small_cfg(
         malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
     )
     exp = orchestrator.build_experiment(cfg)
     rows = []
-    pdist = scipy.spatial.distance.pdist
+    pdist, squareform = scipy.spatial.distance.pdist, scipy.spatial.distance.squareform
+    distance_matrix = selection.distance_matrix
 
-    def counting_pdist(x):
-        rows.append(len(x))
-        return pdist(x)
+    def counting(y):
+        rows.append(len(y))
+        want = squareform(pdist(y))
+        got = distance_matrix(y)
+        assert got.tobytes() == want.tobytes()
+        return got
 
-    monkeypatch.setattr(scipy.spatial.distance, "pdist", counting_pdist)
+    def no_pdist(y):
+        raise AssertionError("pdist ran on the numpy route")
+
+    monkeypatch.setattr(selection, "distance_matrix", counting)
+    monkeypatch.setattr(scipy.spatial.distance, "pdist", no_pdist)
     orchestrator.run_rounds(exp)
     benign = sum(c.role == "benign" for c in exp.clients)
     assert benign == 4

@@ -63,7 +63,7 @@ def test_every_recorded_digest_reproduces(workloads, tmp_path, name, seed):
     assert got == recorded
 
 
-# server_heavy's selections take the Gram route, signflip_logistic's pdist
+# server_heavy's selections take the Gram route, signflip_logistic's the numpy one
 @pytest.mark.parametrize("seed", [0, 7919])
 @pytest.mark.parametrize("name", ["server_heavy", "signflip_logistic"])
 def test_a_run_reproduces_the_recorded_digest(workloads, tmp_path, name, seed):

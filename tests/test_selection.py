@@ -225,6 +225,62 @@ def test_selection_equals_the_all_rows_oracle_generated():
                     "a single finite row", "0.0 and -0.0 rows", "rows of one word sum"}
 
 
+def test_distinct_rows_merges_exactly_the_byte_equal_rows_generated(monkeypatch):
+    # rows that share a key but differ in bytes: a word off the key's
+    # sample, two words swapped (one wrapping sum), 0.0 against -0.0, under
+    # few and many key words. The oracle keys each row by its bytes, in the
+    # order of first appearance
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    # each kind of collision, whatever the draws reach
+    @hypothesis.example(cols=8, edits=[(0, 1, 1.0), (1, 1, 1.0)], picks=[0, 1, 2, 1, 0, 2],
+                        drop=[], key_words=4)
+    @hypothesis.example(cols=5, edits=[(0, 0, 0.0), (1, 0, -0.0)], picks=[0, 1, 0, 1],
+                        drop=[1], key_words=64)
+    @hypothesis.example(cols=6, edits=[(0, 0, -1.0)], picks=[2, 0, 1, 0, 1, 2],
+                        drop=[], key_words=1)
+    @hypothesis.given(
+        cols=st.integers(1, 40),
+        # (variant, column, value): set one entry of a variant of the base row
+        edits=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 39),
+                                 st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])), max_size=6),
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+        drop=st.lists(st.integers(0, 11), max_size=4),
+        key_words=st.sampled_from([1, 4, 64]),
+    )
+    def check(cols, edits, picks, drop, key_words):
+        monkeypatch.setattr(selection, "KEY_WORDS", key_words)
+        base = np.linspace(-1.0, 1.0, cols)
+        variants = [base.copy() for _ in range(4)] + [base[::-1].copy()]  # 4: swapped words
+        for variant, col, value in edits:
+            variants[variant][col % cols] = value
+        x = np.array([variants[p] for p in picks])
+        rows = np.array([r for r in range(len(picks)) if r not in drop], dtype=np.intp)
+        if rows.size == 0:
+            return
+        first, inverse = selection._distinct_rows(x, rows)
+        order = list(dict.fromkeys(x[r].tobytes() for r in rows))
+        assert [x[r].tobytes() for r in first] == order
+        assert inverse.tolist() == [order.index(x[r].tobytes()) for r in rows]
+        words = x.view(np.uint64)
+        for a in rows:
+            for b in rows:
+                if x[a].tobytes() != x[b].tobytes():
+                    if words[a].sum() == words[b].sum():
+                        seen.add("a shared word sum")
+                    if np.array_equal(x[a], x[b]):
+                        seen.add("0.0 and -0.0")
+                    step = max(1, cols // key_words)
+                    if words[a, ::step].sum() == words[b, ::step].sum():
+                        seen.add("a shared key")
+
+    check()
+    assert seen == {"a shared word sum", "a shared key", "0.0 and -0.0"}
+
+
 def test_permutation_equivariance_with_repeated_rows_generated():
     # rows on one axis at integer points have exact distances, so every row
     # sum is exact in any summation order; relabelling the clients then
@@ -344,7 +400,7 @@ def test_below_gram_work_the_distance_matrix_is_pdist_bit_for_bit():
         y[-1] = y[0]
         kept = y.copy()
         assert selection.distance_matrix(y).tobytes() == squareform(pdist(kept)).tobytes()
-        assert y.tobytes() == kept.tobytes()  # pdist leaves the rows as they were
+        assert y.tobytes() == kept.tobytes()  # the numpy route leaves the rows as they were
     y = 5.0 + rng.normal(size=(121, 578))
     want = squareform(pdist(y))
     got = selection.distance_matrix(y.copy())
@@ -352,11 +408,54 @@ def test_below_gram_work_the_distance_matrix_is_pdist_bit_for_bit():
     assert (abs(got - want) <= gram_tolerance(y, want)).all()
 
 
+def test_the_numpy_distance_matrix_is_pdist_bit_for_bit_generated():
+    # the numpy route on 1-40 rows of 1-700 columns: squareform(pdist(.))
+    # bit for bit over repeated rows and every scale, the rows unchanged
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scales = (0.0, -0.0, 5e-324, 1e-310, 1.0, 1e150)
+    seen = set()
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    # each scale over repeated rows, whatever the draws reach
+    @hypothesis.example(shape=(1, 1, 1), seed=0, picks=[0] * 40, scale=1.0, signs=False)
+    @hypothesis.example(shape=(3, 20, 610), seed=1, picks=[0, 1, 2] * 14, scale=0.0, signs=True)
+    @hypothesis.example(shape=(2, 4, 9), seed=2, picks=[0, 1] * 20, scale=-0.0, signs=False)
+    @hypothesis.example(shape=(4, 9, 33), seed=3, picks=[0, 1, 2, 3] * 10, scale=5e-324, signs=True)
+    @hypothesis.example(shape=(5, 12, 70), seed=4, picks=list(range(5)) * 8, scale=1e-310, signs=False)
+    @hypothesis.example(shape=(40, 40, 700), seed=5, picks=[0, 0, *range(38)], scale=1e150, signs=True)
+    @hypothesis.example(shape=(30, 31, 700), seed=6, picks=[*range(30), 0, *range(9)], scale=1.0, signs=False)
+    @hypothesis.given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 700)),
+        seed=st.integers(0, 2**32 - 1),
+        picks=st.lists(st.integers(0, 39), min_size=40, max_size=40),
+        scale=st.sampled_from(scales),
+        signs=st.booleans(),  # negate a random half of the entries
+    )
+    def check(shape, seed, picks, scale, signs):
+        distinct, n, cols = shape
+        rng = np.random.default_rng(seed)
+        pool = scale * rng.normal(size=(distinct, cols))
+        if signs:
+            pool[rng.random(pool.shape) < 0.5] *= -1.0
+        y = pool[[p % distinct for p in picks[:n]]]
+        kept = y.copy()
+        want = squareform(pdist(y))
+        assert selection.distance_matrix(y).tobytes() == want.tobytes()
+        assert y.tobytes() == kept.tobytes()
+        if len({row.tobytes() for row in y}) < n:
+            seen.add(f"repeated rows at {scale!r}")
+
+    check()
+    assert seen == {f"repeated rows at {s!r}" for s in scales}
+
+
 @pytest.mark.parametrize("scope", selection.SCOPES)
-def test_logistic_rounds_take_pdist_and_server_heavy_rounds_the_gram_kernel(monkeypatch, scope):
-    # signflip_logistic selects over 20 distinct rows of 610 columns, and
-    # server_heavy over 120 benign rows plus the one vector its 80 ipm
-    # attackers send, 121 distinct rows of 14,210 (12,200 in scope)
+def test_logistic_rounds_take_numpy_and_server_heavy_rounds_the_gram_kernel(monkeypatch, scope):
+    # signflip_logistic selects over 20 distinct rows of 610 columns, on
+    # numpy, and server_heavy over 120 benign rows plus the one vector its
+    # 80 ipm attackers send, 121 distinct rows of 14,210 (12,200 in scope),
+    # on the Gram kernel: neither calls pdist
     pdists = []
 
     def recording(y):
@@ -368,10 +467,9 @@ def test_logistic_rounds_take_pdist_and_server_heavy_rounds_the_gram_kernel(monk
     arch = ArchSpec(49, (10,), 10)  # 610 parameters, 500 in the last hidden layer
     small = rng.normal(size=(20, param_count(arch)))
     got = selection.select_clients(list(range(20)), small, 30.0, scope, arch)
+    assert pdists == []
     want = all_rows_oracle(list(range(20)), small, 30.0, scope, arch)
     assert got.raw_row_sums.tobytes() == want[2].tobytes()
-    assert pdists == [(20, 610 if scope == "all_layers" else 500)]
-    pdists.clear()
     arch = ArchSpec(60, (200,), 10)
     assert param_count(arch) == 14_210
     heavy = np.empty((200, 14_210))
