@@ -8,6 +8,8 @@ plus the learned weights keep the attackers out.
 Takes a minute or two: both methods train 20 clients for 30 rounds.
 """
 
+from dataclasses import replace
+
 from fedaa import config, nn, orchestrator
 from fedaa.clients import AttackSpec
 
@@ -27,7 +29,7 @@ cfg = config.ExperimentConfig(
 print("running the learned aggregator...")
 ours = orchestrator.run_experiment(cfg)
 print("running the size-weighted baseline...")
-baseline = orchestrator.run_fedavg_baseline(cfg)
+baseline = orchestrator.run_experiment(replace(cfg, aggregator="fedavg"))
 
 print("\nround   ours (benign acc)   baseline (benign acc)")
 for t in range(0, cfg.rounds, 5):

@@ -1,7 +1,8 @@
 """Client records, Byzantine upload attacks, and the local update step.
 
 A client is its data and its attack, and its role follows from the
-attack. Row ``c`` of a run's parameter matrix is client ``c``'s latest
+attack. Client ``c``'s row of a run's parameter matrix, row
+``rows[c]`` of the matrix's row index (``row_index``), holds its latest
 upload, and so a benign client's local model; attack messages are what
 a malicious client writes into its row, drawing from its round's
 stream where it draws. Magnitude draws use the convention
@@ -130,17 +131,17 @@ def attack_gaussian(dim: int, tau: float, rng: np.random.Generator) -> np.ndarra
     return rng.normal(0.0, tau, size=dim)
 
 
-def mean_upload(models: np.ndarray, ids: Sequence[int]) -> np.ndarray:
-    """Mean of the rows ``ids`` of ``models``, this round's benign uploads:
+def mean_upload(models: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Mean of the rows ``rows`` of ``models``, this round's benign uploads:
     the ipm reference point. The rows are added one by one in the order
-    of ``ids``, which is how ``np.mean(models[ids], axis=0)`` adds them,
+    of ``rows``, which is how ``np.mean(models[rows], axis=0)`` adds them,
     so the mean is bit-identical to it without gathering the rows."""
-    if len(ids) == 0:
+    if len(rows) == 0:
         raise SimulationError("ipm attack requires at least one benign upload")
-    total = models[ids[0]].copy()
-    for row in ids[1:]:
+    total = models[rows[0]].copy()
+    for row in rows[1:]:
         total += models[row]
-    total /= len(ids)
+    total /= len(rows)
     return total
 
 
@@ -192,19 +193,41 @@ def lockstep_shares(
     return shares
 
 
+def row_index(clients: Sequence[ClientRecord], aggregator: str) -> np.ndarray:
+    """Each client's row of a run's parameter matrix, by client id.
+
+    Under fedaa, ipm attackers of equal AttackSpec share one row, as
+    they send the same vector: fedaa's server reads a cohort's rows only
+    in selection, which measures each distinct upload once, and in the
+    merge, which gathers the kept rows anyway. Every other client, and
+    every client under fedavg, whose merge of a whole population reads
+    the matrix in place, has a row of its own. Rows are numbered in
+    ascending id of the first client that holds them.
+    """
+    first: dict[object, int] = {}  # row by holder: an AttackSpec if shared, else a client id
+    rows = []
+    for client in clients:
+        attack = client.attack
+        shared = aggregator == "fedaa" and attack is not None and attack.kind == "ipm"
+        rows.append(first.setdefault(attack if shared else client.id, len(first)))
+    return np.array(rows, dtype=np.intp)
+
+
 class TrainingPool:
     """The processes that train a run's rounds with this one, a process
     for each share of a round of the whole population on ``cpus`` CPUs
     (``lockstep_shares``; no cohort splits further), and the run's
-    parameter matrix ``out``, whose row ``c``, ``broadcast`` to begin
-    with, is client ``clients[c]``'s. Entering the pool (``with``) forks
+    parameter matrix ``out`` with its row index ``rows``: client
+    ``clients[c]``'s row of ``out``, ``broadcast`` to begin with, is
+    ``out[rows[c]]``, where ``rows`` is the run's ``row_index`` or, by
+    default, a row per client. Entering the pool (``with``) forks
     ``processes - 1`` children that inherit the clients, ``arch``, the
-    SGD config ``cfg`` and ``out``; each child waits on its end of one
-    duplex ``multiprocessing`` connection for a share of a round to
-    train into ``out``. Leaving the pool (or ``close``) stops and reaps
-    them. ``out`` is one anonymous MAP_SHARED ``mmap`` where there are
-    children, whose writes this process then reads, and else this
-    process's own memory."""
+    SGD config ``cfg``, ``out`` and ``rows``; each child waits on its
+    end of one duplex ``multiprocessing`` connection for a share of a
+    round to train into ``out``. Leaving the pool (or ``close``) stops
+    and reaps them. ``out`` is one anonymous MAP_SHARED ``mmap`` where
+    there are children, whose writes this process then reads, and else
+    this process's own memory."""
 
     def __init__(
         self,
@@ -213,12 +236,14 @@ class TrainingPool:
         cfg: SgdConfig,
         broadcast: np.ndarray,
         cpus: int,
+        rows: np.ndarray | None = None,
     ) -> None:
         self.clients = clients
         self.arch = arch
         self.cfg = cfg
         self.processes = len(lockstep_shares(clients, cfg, broadcast.size, cpus))
-        shape = (len(clients), broadcast.size)
+        self.rows = np.arange(len(clients)) if rows is None else rows
+        shape = (int(self.rows.max(initial=-1)) + 1, broadcast.size)
         if self.processes > 1:
             self.out = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1])).reshape(shape)
         else:
@@ -303,8 +328,9 @@ def _train(
     streams: Callable[[int], np.random.Generator],
 ) -> dict[int, NumericError]:
     """Train each stack of client ids of ``share`` from the broadcast into
-    its clients' rows of ``pool.out``, a sign flipper's flipped by a magnitude
-    from its stream ``streams(c)``; returns the errors by client id."""
+    its clients' rows of ``pool.out`` (``pool.rows[ids]``), a sign
+    flipper's flipped by a magnitude from its stream ``streams(c)``;
+    returns the errors by client id."""
     clients = pool.clients
     # made before the first stack trains, as one made between stacks costs
     # about a third more
@@ -324,7 +350,7 @@ def _train(
             attack = clients[c].attack
             if attack is not None and attack.kind == "sign_flip" and i not in failed:
                 stack[i] = attack_sign_flip(stack[i], attack.tau, rngs[c])
-        pool.out[ids] = stack
+        pool.out[pool.rows[ids]] = stack
         errors.update((ids[i], exc) for i, exc in failed.items())
     return errors
 
@@ -340,9 +366,9 @@ def train_lockstep(
 
     Client ``c`` of the cohort draws its permutations, and a sign
     flipper then its magnitude, from ``streams(c)``, made in the process
-    that trains it, and ends with its upload in row ``c`` of
-    ``pool.out``; the rows of clients that do not train are left as they
-    are. Clients of equal train size share ``sgd_epoch`` stacks of at
+    that trains it, and ends with its upload in its row of ``pool.out``,
+    ``pool.rows[c]``; the rows of clients that do not train are left as
+    they are. Clients of equal train size share ``sgd_epoch`` stacks of at
     most STACK_BYTES of parameters. Returns, by client id, the
     NumericError of each client whose loss turned non-finite, the same
     as the client would get training alone; the round loop raises it.
@@ -392,6 +418,7 @@ def local_update(
     row: np.ndarray,
     streams: Callable[[int], np.random.Generator],
     benign_mean: np.ndarray | None = None,
+    written: bool = False,
 ) -> None:
     """One client round: write the client's upload into ``row``, its row
     of the run's parameter matrix.
@@ -400,7 +427,9 @@ def local_update(
     written by ``train_lockstep``, so its row is left as it is. A
     same_value or gaussian client draws its message from
     ``streams(client.id)``. An ipm client needs ``benign_mean``, the
-    ``mean_upload`` of this round's benign uploads, and draws nothing.
+    ``mean_upload`` of this round's benign uploads, and draws nothing;
+    where its row is ``written`` this round already, by an ipm attacker
+    that shares it (``row_index``), the row is left as it is.
     """
     kind = client.attack.kind if client.attack is not None else None
     if kind == "same_value":
@@ -408,7 +437,7 @@ def local_update(
     elif kind == "gaussian":
         row[:] = attack_gaussian(row.size, client.attack.tau, streams(client.id))
     elif kind == "ipm":
-        # all attackers send the same vector, each in a row of its own
         if benign_mean is None:
             raise SimulationError("ipm attack needs this round's benign mean upload")
-        np.multiply(benign_mean, -client.attack.ipm_epsilon, out=row)
+        if not written:
+            np.multiply(benign_mean, -client.attack.ipm_epsilon, out=row)

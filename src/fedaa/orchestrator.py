@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -35,6 +35,7 @@ from .clients import (
     assign_roles,
     local_update,
     mean_upload,
+    row_index,
     train_lockstep,
 )
 from .config import ExperimentConfig, SYNTHETIC_KINDS
@@ -142,14 +143,17 @@ def benign_scores(
     arch: ArchSpec,
     models: np.ndarray,
     global_params: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each benign client's test accuracy and loss under its local model,
-    row ``client.id`` of ``models``, and its test accuracy under
-    ``global_params``: three arrays in the order of ``clients``, in
-    stacks as ``evaluate_fairness`` describes. Each value is
-    bit-identical to the client's own ``forward``, ``argmax`` and
-    ``ce_loss_from_logits``; ``fedaa selftest`` checks this.
+    row ``rows[client.id]`` of ``models`` (row ``client.id`` by default),
+    and its test accuracy under ``global_params``: three arrays in the
+    order of ``clients``, in stacks as ``evaluate_fairness`` describes.
+    Each value is bit-identical to the client's own ``forward``,
+    ``argmax`` and ``ce_loss_from_logits``; ``fedaa selftest`` checks
+    this.
     """
+    rows = np.arange(len(models)) if rows is None else rows
     benign = [c for c in clients if c.role == "benign"]
     groups: dict[int, list[int]] = {}
     for pos, client in enumerate(benign):
@@ -162,7 +166,7 @@ def benign_scores(
             x = np.stack([benign[p].test.features for p in stack])
             y = np.stack([benign[p].test.labels for p in stack])
             # the gathered rows are a temporary, freed when forward returns
-            logits = forward(arch, models[[benign[p].id for p in stack]], x)
+            logits = forward(arch, models[rows[[benign[p].id for p in stack]]], x)
             accs[stack] = (np.argmax(logits, axis=2) == y).mean(axis=1)
             losses[stack] = ce_loss_from_logits(logits, y)
             logits = forward(arch, global_params, x)
@@ -175,13 +179,14 @@ def evaluate_fairness(
     arch: ArchSpec,
     models: np.ndarray,
     global_params: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Population spread of benign clients' local test performance, as
     the five ``RoundRecord`` cells it fills.
 
     Accuracy/loss come from each benign client's own local model, row
-    ``client.id`` of the run's parameter matrix ``models``, on its own
-    test split;
+    ``rows[client.id]`` of the run's parameter matrix ``models`` (row
+    ``client.id`` by default), on its own test split;
     mean_global_acc scores the shared global model, ``global_params``,
     on the same splits. The per-client values are combined in the order
     of ``clients``, ascending id in a run.
@@ -195,7 +200,7 @@ def evaluate_fairness(
     matmul for the global model (a ``forward`` of the stacked splits);
     the gathered rows are released before the next stack gathers its own.
     """
-    accs, losses, global_accs = benign_scores(clients, arch, models, global_params)
+    accs, losses, global_accs = benign_scores(clients, arch, models, global_params, rows)
     if not accs.size:
         raise ConfigError("fairness metrics need at least one benign client")
     acc_std = float(np.std(accs))
@@ -353,10 +358,10 @@ def _allocating(whose: str, size: int | None = None) -> Iterator[None]:
         raise ConfigError(f"{whose} {need} more than this process can allocate") from exc
 
 
-def _cohort_rows(models: np.ndarray, ids: list[int]) -> np.ndarray:
-    """The rows of the clients ``ids``, ascending: the matrix itself when
-    every client takes part, else a gathered copy."""
-    return models if len(ids) == len(models) else models[ids]
+def _cohort_rows(models: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows ``rows`` of ``models``: the matrix itself when they are
+    all its rows in order, else a gathered copy."""
+    return models if np.array_equal(rows, np.arange(len(models))) else models[rows]
 
 
 def _collect_uploads(
@@ -367,33 +372,40 @@ def _collect_uploads(
     pool: TrainingPool,
 ) -> None:
     """Run local updates for a cohort into its clients' rows of
-    ``pool.out``, the run's parameter matrix; benign clients go first so
-    that reference-point attacks can use their uploads.
+    ``pool.out``, the run's parameter matrix, found through its row index
+    ``pool.rows``; benign clients go first so that reference-point
+    attacks can use their uploads.
 
     Client ``c`` draws from ``stream(seed, "local", round_index, c)``,
     made where it draws. Clients that train make their uploads first, in
     lockstep stacks of equal train size (on the pool's processes when
     the round is large; see ``train_lockstep``), straight into their
-    rows; ``local_update`` then writes the other attackers'. A client
-    whose training failed raises its error in its turn, so the error
-    names the first such client in this order. A benign participant's
-    row is then its local model.
+    rows; ``local_update`` then writes the other attackers', once a
+    round for a row that ipm attackers share. A client whose training
+    failed raises its error in its turn, so the error names the first
+    such client in this order. A benign participant's row is then its
+    local model.
     """
     cfg = exp.cfg
     cohort = [exp.clients[c] for c in sorted(participants)]
     streams = functools.partial(stream, cfg.seed, "local", round_index)
     errors = train_lockstep(cohort, global_params, streams, pool)
-    models = pool.out
+    models, rows = pool.out, pool.rows
     benign_mean = None
+    written: set[int] = set()
     for client in sorted(cohort, key=lambda c: c.attack is not None):
+        row = int(rows[client.id])
         try:
             if client.id in errors:
                 raise errors[client.id]
             if benign_mean is None and client.attack is not None and client.attack.kind == "ipm":
                 # every ipm attacker scales the same mean; take it once a
                 # round, when every benign row is written
-                benign_mean = mean_upload(models, [c.id for c in cohort if c.attack is None])
-            local_update(client, models[client.id], streams, benign_mean=benign_mean)
+                benign_mean = mean_upload(models, rows[[c.id for c in cohort if c.attack is None]])
+            local_update(
+                client, models[row], streams, benign_mean=benign_mean, written=row in written
+            )
+            written.add(row)
         except FedaaError as exc:
             raise type(exc)(f"client {client.id} ({client.role}): {exc}") from exc
 
@@ -403,29 +415,28 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundRecord]:
     return run_rounds(build_experiment(cfg))
 
 
-def run_fedavg_baseline(cfg: ExperimentConfig) -> list[RoundRecord]:
-    """Same environment, size-weighted averaging instead of the policy."""
-    return run_experiment(replace(cfg, aggregator="fedavg"))
-
-
-def _select(exp: Experiment, ids: list[int], models: np.ndarray) -> SelectionResult | None:
-    """Distance selection over the rows of the clients ``ids`` under
-    fedaa; fedavg keeps every upload."""
+def _select(exp: Experiment, ids: list[int], pool: TrainingPool) -> SelectionResult | None:
+    """Distance selection over the rows of the clients ``ids``, read
+    through the pool's row index, under fedaa; fedavg keeps every upload."""
     if exp.agent is None:
         return None
-    rows = _cohort_rows(models, ids)
-    return select_clients(ids, rows, exp.cfg.m_percent, exp.cfg.distance_scope, exp.arch)
+    cfg = exp.cfg
+    return select_clients(
+        ids, pool.out, cfg.m_percent, cfg.distance_scope, exp.arch, rows=pool.rows[ids]
+    )
 
 
 def run_rounds(exp: Experiment) -> list[RoundRecord]:
     """The round loop for both aggregators; one record per round.
 
-    The run's parameters are one (N, d) matrix, the training pool's
-    ``out`` (see ``TrainingPool``), shared with the pool's processes
-    where the pool forks. Row ``c`` is client ``c``'s latest upload, the
-    initial parameters until it first takes part, and so a benign
-    client's local model. Every read of a round's rows ends before the
-    next round trains into them.
+    The run's parameters are one matrix, the training pool's ``out``
+    (see ``TrainingPool``), shared with the pool's processes where the
+    pool forks, and every read and write goes through its row index
+    ``rows`` (``row_index``): a row per client, but one that every ipm
+    attacker shares under fedaa. Row ``rows[c]`` is client ``c``'s latest
+    upload, the initial parameters until it first takes part, and so a
+    benign client's local model. Every read of a round's rows ends
+    before the next round trains into them.
 
     fedavg has no agent: it merges every upload with train-size weights
     and learns nothing from the round.
@@ -435,37 +446,39 @@ def run_rounds(exp: Experiment) -> list[RoundRecord]:
     explore_rng = stream(cfg.seed, "exploration")
     buffer_rng = stream(cfg.seed, "buffer")
     global_params = exp.initial_params.copy()
-    count = len(exp.clients)
-    whose = f"dataset.num_clients = {count} and model.hidden = {list(cfg.model_hidden)}:"
-    with _allocating(f"{whose} the local models'", count * global_params.size):
-        pool = TrainingPool(exp.clients, exp.arch, cfg.local, global_params, usable_cpus())
+    rows = row_index(exp.clients, cfg.aggregator)
+    whose = f"dataset.num_clients = {len(exp.clients)} and model.hidden = {list(cfg.model_hidden)}:"
+    size = (int(rows.max()) + 1) * global_params.size
+    with _allocating(f"{whose} the local models'", size):
+        pool = TrainingPool(exp.clients, exp.arch, cfg.local, global_params, usable_cpus(), rows)
     models = pool.out
     # round 0 merges unattacked broadcast copies: no training has happened
     # yet, so there is nothing for an attacker to distort
     participants = sample_participants(cfg.dataset.num_clients, cfg.participation_ratio, part_rng)
-    sel = _select(exp, participants, models)
+    sel = _select(exp, participants, pool)
     records: list[RoundRecord] = []
     with pool:
         for t in range(cfg.rounds):
             try:
                 if agent is None:
-                    ids, rows = participants, _cohort_rows(models, participants)
+                    ids = participants
+                    merged = _cohort_rows(models, rows[ids])
                     sizes = np.asarray([len(exp.clients[c].train) for c in ids], dtype=np.float64)
                     action = sizes / sizes.sum()
                 else:
                     ids = sel.selected_ids
-                    rows = models[ids]
+                    merged = models[rows[ids]]
                     sigma = exploration_sigma(t, cfg.rounds, cfg.ddpg)
                     action = act(agent, sel.state, sigma, explore_rng)
-                global_params = aggregate(rows, action)
-                del rows  # a gathered copy, released before the round trains
+                global_params = aggregate(merged, action)
+                del merged  # a gathered copy, released before the round trains
                 reward, per_class = evaluate_reward(exp.arch, global_params, exp.val_set)
                 participants = sample_participants(
                     cfg.dataset.num_clients, cfg.participation_ratio, part_rng
                 )
                 _collect_uploads(exp, participants, global_params, t, pool)
-                fairness = evaluate_fairness(exp.clients, exp.arch, models, global_params)
-                next_sel = _select(exp, participants, models)
+                fairness = evaluate_fairness(exp.clients, exp.arch, models, global_params, rows)
+                next_sel = _select(exp, participants, pool)
                 records.append(
                     RoundRecord(
                         round=t,

@@ -116,32 +116,49 @@ def _scoped_columns(uploads: np.ndarray, scope: str, arch: ArchSpec | None) -> n
     return uploads
 
 
+def _measurable(row: np.ndarray) -> bool:
+    """Whether no entry of ``row`` is non-finite or beyond +-LIMIT.
+
+    One read of the row, where np.abs(row) would copy it: a row whose sum
+    of squares, added in any order, stays below LIMIT**2 holds no entry
+    beyond +-LIMIT, as no rounding of a sum of non-negative terms falls
+    below a term; NaN and overflow fail the test, and only a row that
+    fails it is read again, entry by entry. Call it with numpy's overflow
+    and invalid-value errors ignored.
+    """
+    return bool(np.dot(row, row) < LIMIT * LIMIT or (-LIMIT <= row.min() and row.max() <= LIMIT))
+
+
 def _distinct_rows(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The given rows of x, merged when their bytes are equal.
 
-    Returns ``first``, the row of x that stands for each distinct row,
-    and ``inverse``, the position in ``first`` of each given row's equal,
-    so ``x[first][inverse]`` equals ``x[rows]`` byte for byte. Rows are
-    bucketed by the wrapping sum of about KEY_WORDS of their 64-bit
-    words, evenly spaced, and every match in a bucket is confirmed by
-    comparing all its words, so rows that differ anywhere (``0.0`` and
-    ``-0.0`` included) are never merged.
+    Returns ``first``, the row of x that stands for each distinct row, in
+    the order of first occurrence in ``rows``, and ``inverse``, the
+    position in ``first`` of each given row's equal, so
+    ``x[first][inverse]`` equals ``x[rows]`` byte for byte. Only the
+    rows given are read, each once: a row given twice is one upload.
+    Rows are bucketed by the wrapping sum of about KEY_WORDS of their
+    64-bit words, evenly spaced, and every match in a bucket is
+    confirmed by comparing all its words, so different rows that differ
+    anywhere (``0.0`` and ``-0.0`` included) are never merged.
     """
     words = x.view(np.uint64)
-    keys = np.add.reduce(words[:, :: max(1, words.shape[1] // KEY_WORDS)], axis=1).tolist()
+    given = list(dict.fromkeys(rows.tolist()))
+    keys = np.add.reduce(words[given, :: max(1, words.shape[1] // KEY_WORDS)], axis=1)
     first: list[int] = []
-    inverse = np.empty(rows.size, dtype=np.intp)
+    slots: dict[int, int] = {}  # each given row's position in first
     buckets: dict[int, list[int]] = {}
-    for pos, row in enumerate(rows.tolist()):
-        bucket = buckets.setdefault(keys[row], [])
+    for row, key in zip(given, keys.tolist()):
+        bucket = buckets.setdefault(key, [])
         for slot in bucket:
             if np.array_equal(words[row], words[first[slot]]):
-                inverse[pos] = slot
                 break
         else:
-            inverse[pos] = len(first)
-            bucket.append(len(first))
+            slot = len(first)
+            bucket.append(slot)
             first.append(row)
+        slots[row] = slot
+    inverse = np.asarray([slots[row] for row in rows.tolist()], dtype=np.intp)
     return np.asarray(first, dtype=np.intp), inverse
 
 
@@ -151,42 +168,54 @@ def select_clients(
     m_percent: float,
     scope: str = "all_layers",
     arch: ArchSpec | None = None,
+    rows: np.ndarray | None = None,
 ) -> SelectionResult:
     """Keep the m_percent of uploads with the smallest summed distances.
 
-    ``uploads`` holds one row per client, the clients ``ids`` in strictly
-    ascending order. A client whose upload is non-finite or beyond
-    +-LIMIT gets a +inf row sum and is never retained; the other clients'
-    sums are taken over these measurable peers only. Ties break toward
-    the smaller client id. Raises SimulationError, naming the clients
-    with unmeasurable uploads, if too few measurable uploads remain.
+    The clients ``ids``, in strictly ascending order, uploaded the rows
+    ``rows`` of ``uploads``, which default to one row per client, in
+    order. Clients may share a row, and rows no client references are
+    never read. A client whose upload is non-finite or beyond +-LIMIT
+    gets a +inf row sum and is never retained; the other clients' sums
+    are taken over these measurable peers only. Ties break toward the
+    smaller client id. Raises SimulationError, naming every client with
+    an unmeasurable upload, if too few measurable uploads remain.
 
-    Byte-equal uploads (round 0's broadcast copies, the clones an IPM
-    attack sends) are measured once: ``distance_matrix`` runs over the
-    distinct measurable rows and the full matrix is rebuilt from them,
-    so below GRAM_WORK each row sum adds the same floats in the same
-    order as ``squareform(pdist(x)).sum(axis=1)`` over every measurable
-    row.
+    Each referenced row is read in place, with no gathered copy of the
+    cohort's rows, and byte-equal uploads (a row that clients share,
+    round 0's broadcast copies, the clones an IPM attack sends) are
+    measured once: ``distance_matrix`` runs over the distinct measurable
+    rows, in the order in which ascending ids first reach them, and the
+    full matrix is rebuilt from them, so the result is bit-identical to
+    ``select_clients(ids, uploads[rows], ...)``, and below GRAM_WORK each
+    row sum adds the same floats in the same order as
+    ``squareform(pdist(x)).sum(axis=1)`` over every measurable upload.
     """
     ids = np.asarray(ids, dtype=np.int64)
     uploads = np.asarray(uploads, dtype=np.float64)
-    if uploads.ndim != 2 or ids.shape != uploads.shape[:1]:
-        raise ConfigError(f"{ids.size} client ids for uploads of shape {uploads.shape}")
+    if rows is None:
+        rows = np.arange(len(uploads) if uploads.ndim else 0)  # a row per id
+    rows = np.asarray(rows, dtype=np.intp)
+    if (
+        uploads.ndim != 2
+        or ids.ndim != 1
+        or rows.shape != ids.shape
+        or not ((0 <= rows) & (rows < len(uploads))).all()
+    ):
+        raise ConfigError(
+            f"{ids.size} client ids for rows {rows.tolist()} of uploads of shape {uploads.shape}"
+        )
     if (np.diff(ids) <= 0).any():
         raise ConfigError("client ids must be strictly ascending")
     n = ids.size
     if n < 2:
         raise ConfigError("selection needs at least 2 uploads")
     x = _scoped_columns(uploads, scope, arch)
-    # one read of the uploads, where np.abs(x) would copy them: a row whose
-    # sum of squares stays below LIMIT**2 holds no entry beyond +-LIMIT, as
-    # no rounding of a sum of non-negative terms falls below a term; NaN
-    # and overflow fail the test, and only the rows that fail it are read
-    # again, entry by entry
+    # each referenced row measured once, as clients that share a row share
+    # its upload
     with np.errstate(over="ignore", invalid="ignore"):
-        measurable = np.einsum("ij,ij->i", x, x) < LIMIT * LIMIT
-    for row in np.flatnonzero(~measurable).tolist():
-        measurable[row] = -LIMIT <= x[row].min() and x[row].max() <= LIMIT
+        verdicts = {row: _measurable(x[row]) for row in dict.fromkeys(rows.tolist())}
+    measurable = np.array([verdicts[row] for row in rows.tolist()], dtype=bool)
     count = top_count(m_percent, n)
     good = np.flatnonzero(measurable)
     if good.size < count:
@@ -195,7 +224,7 @@ def select_clients(
             f"only {good.size} measurable uploads for a selection of {count}; "
             f"clients {bad} uploaded values that are non-finite or beyond +-2^480"
         )
-    first, inverse = _distinct_rows(x, good)
+    first, inverse = _distinct_rows(x, rows[good])
     sums = np.full(n, np.inf)
     # a single distinct upload gives [[0.]], a zero sum; x[first] is the
     # only copy of the rows, which distance_matrix may centre in place,

@@ -10,6 +10,7 @@ inline next to each assertion.
 import os
 import pathlib
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -147,7 +148,8 @@ def test_sign_flip_robustness_beats_plain_averaging():
     for seed in (0, 1, 2):
         cfg = trend_config(seed, malicious=0.3, attack=AttackSpec("sign_flip"))
         ours.append(final_benign_acc(orchestrator.run_experiment(cfg)))
-        baseline.append(final_benign_acc(orchestrator.run_fedavg_baseline(cfg)))
+        fedavg = replace(cfg, aggregator="fedavg")
+        baseline.append(final_benign_acc(orchestrator.run_experiment(fedavg)))
     ours_mean = float(np.mean(ours))
     base_mean = float(np.mean(baseline))
     assert ours_mean >= 0.75, (ours, baseline)
@@ -163,7 +165,8 @@ def test_clean_runs_match_plain_averaging():
     for seed in (0, 1, 2):
         cfg = trend_config(seed)
         ours.append(final_benign_acc(orchestrator.run_experiment(cfg)))
-        baseline.append(final_benign_acc(orchestrator.run_fedavg_baseline(cfg)))
+        fedavg = replace(cfg, aggregator="fedavg")
+        baseline.append(final_benign_acc(orchestrator.run_experiment(fedavg)))
     gap = abs(float(np.mean(ours)) - float(np.mean(baseline)))
     assert gap <= 0.05, (ours, baseline)
     assert time.perf_counter() - t0 < 600.0

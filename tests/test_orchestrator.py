@@ -601,8 +601,10 @@ def test_the_gram_kernel_measures_each_distinct_upload_once(monkeypatch):
 
 def one_process_pool(exp):
     """The run's training pool as ``run_rounds`` makes it, on one CPU: its
-    parameter matrix has a row per client, each the initial parameters."""
-    return clients.TrainingPool(exp.clients, exp.arch, exp.cfg.local, exp.initial_params, 1)
+    parameter matrix has a row per client, but one that every ipm
+    attacker shares under fedaa, each the initial parameters."""
+    rows = clients.row_index(exp.clients, exp.cfg.aggregator)
+    return clients.TrainingPool(exp.clients, exp.arch, exp.cfg.local, exp.initial_params, 1, rows)
 
 
 def collect(exp, participants, global_params, round_index, pool=None):
@@ -617,9 +619,10 @@ def collect(exp, participants, global_params, round_index, pool=None):
 @pytest.mark.parametrize("ratio", [1.0, 0.5])
 @pytest.mark.parametrize("aggregator", ["fedaa", "fedavg"])
 def test_a_run_makes_one_parameter_matrix_and_reads_it_in_place(monkeypatch, aggregator, ratio):
-    # a row per client, whoever takes part; under full participation,
-    # selection and fedavg's merge read the matrix itself, not a per-round
-    # copy of it, and otherwise a copy of the cohort's rows
+    # a row per client, whoever takes part; selection reads the matrix
+    # itself through the cohort's rows, and fedavg's merge the matrix
+    # itself under full participation, not a per-round copy of it, and
+    # otherwise a copy of the cohort's rows
     made, read = [], []
     pool, select, aggregate = (
         orchestrator.TrainingPool, orchestrator.select_clients, orchestrator.aggregate
@@ -629,9 +632,11 @@ def test_a_run_makes_one_parameter_matrix_and_reads_it_in_place(monkeypatch, agg
         made.append(pool(*args))
         return made[-1]
 
-    def recording_select(ids, rows, *args):
-        read.append(rows)
-        return select(ids, rows, *args)
+    def recording_select(ids, uploads, *args, rows):
+        assert uploads is made[0].out
+        assert rows.tolist() == made[0].rows[ids].tolist()
+        read.append(uploads[rows])
+        return select(ids, uploads, *args, rows=rows)
 
     def recording_aggregate(rows, action):
         if aggregator == "fedavg":
@@ -648,7 +653,8 @@ def test_a_run_makes_one_parameter_matrix_and_reads_it_in_place(monkeypatch, agg
     assert len(read) == (exp.cfg.rounds + 1 if aggregator == "fedaa" else exp.cfg.rounds)
     for rows in read:
         assert rows.shape == (exp.cohort_size, exp.initial_params.size)
-        assert np.shares_memory(rows, made[0].out) == (ratio == 1.0)
+        if aggregator == "fedavg":
+            assert np.shares_memory(rows, made[0].out) == (ratio == 1.0)
 
 
 def test_benign_uploads_become_the_local_models():
@@ -699,16 +705,19 @@ def test_ipm_uploads_equal_the_scaled_benign_mean():
         malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
     )
     exp = orchestrator.build_experiment(cfg)
-    uploads = collect(exp, list(range(6)), exp.initial_params, 0)
-    assert uploads.shape == (6, exp.initial_params.size)
-    benign = [uploads[c.id] for c in exp.clients if c.role == "benign"]
-    attackers = [uploads[c.id] for c in exp.clients if c.role == "malicious"]
+    pool = one_process_pool(exp)
+    uploads = collect(exp, list(range(6)), exp.initial_params, 0, pool)
+    # 4 benign rows and one that both attackers share
+    assert uploads.shape == (5, exp.initial_params.size)
+    benign = [uploads[pool.rows[c.id]] for c in exp.clients if c.role == "benign"]
+    attackers = [uploads[pool.rows[c.id]] for c in exp.clients if c.role == "malicious"]
     assert len(attackers) == 2
     expected = -0.7 * np.mean(np.stack(benign), axis=0)
     for upload in attackers:
         assert np.array_equal(upload, expected)
-    # each attacker holds a row of its own
-    assert not np.shares_memory(attackers[0], attackers[1])
+    # the attackers share one row, which no benign client holds
+    assert np.shares_memory(attackers[0], attackers[1])
+    assert not any(np.shares_memory(attackers[0], upload) for upload in benign)
 
 
 def test_ipm_round_without_benign_uploads_fails():
@@ -717,6 +726,116 @@ def test_ipm_round_without_benign_uploads_fails():
     attackers = [c.id for c in exp.clients if c.role == "malicious"]
     with pytest.raises(SimulationError, match=r"client \d+ \(malicious\): ipm attack requires"):
         collect(exp, attackers, exp.initial_params, 0)
+
+
+def ipm_cfg(**overrides):
+    """small_cfg with 4 ipm attackers among 10 clients."""
+    base = dict(
+        dataset=config.DatasetConfig(kind="synthetic00", num_clients=10, samples_per_client=20),
+        model_hidden=(8,),
+        malicious_fraction=0.4,
+        attack=clients.AttackSpec("ipm", ipm_epsilon=0.7),
+    )
+    return small_cfg(**{**base, **overrides})
+
+
+def recorded_pools(monkeypatch):
+    """The training pools that runs make from here on."""
+    made, pool = [], orchestrator.TrainingPool
+
+    def recording_pool(*args):
+        made.append(pool(*args))
+        return made[-1]
+
+    monkeypatch.setattr(orchestrator, "TrainingPool", recording_pool)
+    return made
+
+
+@pytest.mark.parametrize("aggregator", ["fedaa", "fedavg"])
+def test_ipm_attackers_share_a_row_only_under_fedaa(monkeypatch, aggregator):
+    made = recorded_pools(monkeypatch)
+    exp = orchestrator.build_experiment(ipm_cfg(aggregator=aggregator))
+    orchestrator.run_rounds(exp)
+    (pool,) = made
+    attackers = [c.id for c in exp.clients if c.role == "malicious"]
+    benign = [c.id for c in exp.clients if c.role == "benign"]
+    assert len(attackers) == 4
+    if aggregator == "fedaa":
+        # N - k + 1 rows: one for each benign client and one for all 4 attackers
+        assert pool.out.shape == (10 - 4 + 1, exp.initial_params.size)
+        assert len(set(pool.rows[attackers].tolist())) == 1
+    else:
+        assert pool.out.shape == (10, exp.initial_params.size)
+        assert pool.rows.tolist() == list(range(10))
+    # every row is held, numbered in ascending id of its first holder, and
+    # a benign client's row is its own
+    assert list(dict.fromkeys(pool.rows.tolist())) == list(range(len(pool.out)))
+    assert len(set(pool.rows[benign].tolist()) - set(pool.rows[attackers].tolist())) == len(benign)
+
+
+@pytest.mark.parametrize("scope", selection.SCOPES)
+@pytest.mark.parametrize("processes", [1, 2])
+@pytest.mark.parametrize("ratio", [1.0, 0.5])
+def test_a_shared_ipm_row_gives_the_results_of_a_row_per_client(
+    monkeypatch, tmp_path, forks, ratio, processes, scope
+):
+    # the same run with the index patched to a row per client is the
+    # oracle: its results.csv must be the same bytes
+    monkeypatch.setattr(orchestrator, "usable_cpus", lambda: processes)
+    made = recorded_pools(monkeypatch)
+    cfg = ipm_cfg(participation_ratio=ratio, distance_scope=scope, rounds=4)
+    written = []
+    for oracle in (False, True):
+        if oracle:
+            monkeypatch.setattr(orchestrator, "row_index", lambda clients, _: np.arange(len(clients)))
+        path = tmp_path / f"results-{oracle}.csv"
+        results.emit_results(orchestrator.run_experiment(cfg), str(path), "csv")
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 1 + cfg.rounds
+    assert [len(pool.out) for pool in made] == [7, 10]
+    # each run forked its one child where it had two CPUs
+    assert len(forks) == 2 * (processes - 1)
+    assert_no_child_left()
+
+
+def test_a_shared_ipm_row_keeps_the_run_below_a_row_per_client_in_memory():
+    # 64 clients of d = 7,110, 28 of them ipm attackers: with a row per
+    # client, selection alone holds the (64, d) matrix and a copy of its 37
+    # distinct uploads (36 benign, one ipm); sharing the attackers' row, the
+    # matrix is 37 rows and the whole run peaks below that
+    cfg = ipm_cfg(
+        dataset=config.DatasetConfig(kind="synthetic00", num_clients=64, samples_per_client=20),
+        model_hidden=(100,),
+        malicious_fraction=0.45,
+    )
+    exp = orchestrator.build_experiment(cfg)
+    d = exp.initial_params.size
+    assert d == 7110 and sum(c.role == "malicious" for c in exp.clients) == 28
+    # selection takes the Gram route, as server_heavy's does
+    assert 37 * 36 // 2 * d >= selection.GRAM_WORK
+    tracemalloc.start()
+    try:
+        orchestrator.run_rounds(exp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (64 + 37) * d * 8
+
+
+def test_the_local_models_allocation_error_names_the_rows_made(monkeypatch):
+    def failing_pool(clients, arch, cfg, broadcast, cpus, rows):
+        raise MemoryError
+
+    monkeypatch.setattr(orchestrator, "TrainingPool", failing_pool)
+    exp = orchestrator.build_experiment(ipm_cfg())
+    d = exp.initial_params.size
+    with pytest.raises(ConfigError) as raised:
+        orchestrator.run_rounds(exp)
+    # 6 benign rows and the one the 4 attackers share
+    assert str(raised.value).startswith(
+        f"dataset.num_clients = 10 and model.hidden = [8]: the local models' {7 * d} parameters"
+    )
 
 
 def test_training_errors_are_raised_in_their_clients_turn(monkeypatch):
@@ -826,7 +945,8 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
     part_rng = stream(lockstep.cfg.seed, "participation")
     params = lockstep.initial_params
     pool = one_process_pool(lockstep)
-    models = pool.out
+    models, rows = pool.out, pool.rows
+    assert len(models) < 12  # the ipm attackers share a row
     benign = [c.id for c in lockstep.clients if c.role == "benign"]
     kinds = set()
     for t in range(3):
@@ -835,8 +955,8 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
         want = per_client_uploads(plain, participants, params, t)
         # a participant's row is its upload, and every benign client's row
         # its local model, a past round's upload if it sat this one out
-        assert models[participants].tobytes() == want.tobytes()
-        assert models[benign].tobytes() == plain.local_models[benign].tobytes()
+        assert models[rows[participants]].tobytes() == want.tobytes()
+        assert models[rows[benign]].tobytes() == plain.local_models[benign].tobytes()
         kinds.update(lockstep.clients[c].attack.kind if lockstep.clients[c].attack else None
                      for c in participants)
         params = np.mean(want, axis=0)
@@ -1080,18 +1200,6 @@ def test_malicious_roles_materialized():
     assert all(exp.clients[c].attack.kind == "same_value" for c in bad)
     good = [c for c in exp.clients if c.role == "benign"]
     assert all(c.attack is None for c in good)
-
-
-def test_run_fedavg_baseline_uses_same_environment():
-    cfg = small_cfg(rounds=2)
-    direct = orchestrator.run_experiment(
-        config.ExperimentConfig(
-            **{**cfg.__dict__, "aggregator": "fedavg"}
-        )
-    )
-    helper = orchestrator.run_fedavg_baseline(cfg)
-    for ra, rb in zip(direct, helper):
-        assert ra == rb
 
 
 # The child limits its own address space to its size after the imports

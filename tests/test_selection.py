@@ -281,6 +281,104 @@ def test_distinct_rows_merges_exactly_the_byte_equal_rows_generated(monkeypatch)
     assert seen == {"a shared word sum", "a shared key", "0.0 and -0.0"}
 
 
+def test_selection_through_a_row_index_equals_the_gathered_rows_generated():
+    # select_clients(ids, uploads, rows=rows) reads the referenced rows in
+    # place, each once; it must equal select_clients(ids, uploads[rows]) bit
+    # for bit, error text included, on either distance route, and on the
+    # exact route the all-rows oracle too
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    arch = ArchSpec(2, (2,), 2)  # 12 parameters; the scoped block is 6 of them
+    size = param_count(arch)
+    value = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 3e5])
+    special = {"zero": np.zeros(size), "-zero": np.full(size, -0.0),
+               "nan": np.full(size, np.nan), "inf": np.r_[np.zeros(size - 1), np.inf],
+               "-inf": np.r_[-np.inf, np.zeros(size - 1)],
+               "huge": np.r_[np.zeros(6), 2.0**481, np.zeros(size - 7)],
+               "-huge": np.r_[-(2.0**481), np.zeros(size - 1)]}
+    row = st.one_of(st.lists(value, min_size=size, max_size=size).map(np.array),
+                    st.sampled_from(sorted(special)).map(special.get))
+    mixed = np.array([1.0, -2.5, 0.1, 3e5, 1e-300, 0.0, 1.0, -2.5, 0.1, 3e5, 1e-300, 0.0])
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    # each category the coverage assertion asks for, whatever the draws reach
+    @hypothesis.example(pool=[special["zero"], special["-zero"], mixed], swap=False,
+                        picks=[0, 1, 0, 2, 1], m_percent=50.0, scope="all_layers", gram=False)
+    @hypothesis.example(pool=[mixed, special["nan"], special["huge"]], swap=False,
+                        picks=[0, 1, 1, 2, 0, 1], m_percent=100.0, scope="all_layers", gram=True)
+    @hypothesis.example(pool=[mixed, special["inf"], special["-huge"], special["-inf"]],
+                        swap=True, picks=[4, 0, 1, 4, 4], m_percent=30.0,
+                        scope="last_hidden_layer", gram=False)
+    @hypothesis.example(pool=[mixed, mixed.copy(), special["zero"]], swap=False,
+                        picks=[1, 0, 1], m_percent=50.0, scope="last_hidden_layer", gram=True)
+    @hypothesis.given(
+        pool=st.lists(row, min_size=1, max_size=5),
+        swap=st.booleans(),
+        picks=st.lists(st.integers(0, 5), min_size=2, max_size=10),
+        m_percent=st.sampled_from([1.0, 30.0, 50.0, 100.0]),
+        scope=st.sampled_from(selection.SCOPES),
+        gram=st.booleans(),
+    )
+    def check(pool, swap, picks, m_percent, scope, gram):
+        if swap:
+            # two words swapped: the same wrapping word sum, other bytes
+            pool = [*pool, pool[0][[1, 0, *range(2, size)]]]
+        uploads = np.array(pool)
+        rows = np.array([p % len(pool) for p in picks])
+        ids = [3 * i + 1 for i in range(len(rows))]
+        wsl, bsl = layer_slices(arch)[0]
+        x = uploads if scope == "all_layers" else uploads[:, wsl.start : bsl.stop]
+        ok = (abs(x) <= selection.LIMIT).all(axis=1)  # each row of the matrix
+        bad = [r for r in rows.tolist() if not ok[r]]
+        if len(set(bad)) < len(bad):
+            seen.add("a shared unmeasurable row")
+        if any(bad.count(r) == 1 for r in bad):
+            seen.add("an unmeasurable row once")
+        with pytest.MonkeyPatch.context() as patch:
+            if gram:
+                patch.setattr(selection, "GRAM_WORK", 0)
+            try:
+                want = selection.select_clients(ids, uploads[rows], m_percent, scope, arch)
+            except SimulationError as exc:
+                with pytest.raises(SimulationError) as raised:
+                    selection.select_clients(ids, uploads, m_percent, scope, arch, rows=rows)
+                assert str(raised.value) == str(exc)
+                named = ", ".join(str(c) for c, r in zip(ids, rows) if not ok[r])
+                assert str(exc).endswith(
+                    f"clients {named} uploaded values that are non-finite or beyond +-2^480"
+                )
+                seen.add("an error")
+                return
+            got = selection.select_clients(ids, uploads, m_percent, scope, arch, rows=rows)
+        assert got.selected_ids == want.selected_ids
+        assert got.state.tobytes() == want.state.tobytes()
+        assert got.raw_row_sums.tobytes() == want.raw_row_sums.tobytes()
+        if not gram:
+            exact = all_rows_oracle(ids, uploads[rows], m_percent, scope, arch)
+            assert got.selected_ids == exact[0]
+            assert got.raw_row_sums.tobytes() == exact[2].tobytes()
+        seen.update([scope, "gram" if gram else "exact"])
+        measurable = {r for r in rows.tolist() if ok[r]}
+        if len(set(rows.tolist())) < len(rows):
+            seen.add("a shared row")
+        if len(set(rows.tolist())) < len(pool):
+            seen.add("part of the matrix")
+        keys = [x[r].tobytes() for r in measurable]
+        if len(set(keys)) < len(keys):
+            seen.add("byte-equal rows at different indices")
+        if {np.zeros(x.shape[1]).tobytes(), np.full(x.shape[1], -0.0).tobytes()} <= set(keys):
+            seen.add("0.0 and -0.0 rows")
+        if swap and pool[0].tobytes() != pool[-1].tobytes() and {0, len(pool) - 1} <= measurable:
+            seen.add("rows of one word sum")
+
+    check()
+    assert seen == {*selection.SCOPES, "gram", "exact", "an error", "a shared row",
+                    "part of the matrix", "a shared unmeasurable row",
+                    "an unmeasurable row once", "byte-equal rows at different indices",
+                    "0.0 and -0.0 rows", "rows of one word sum"}
+
+
 def test_permutation_equivariance_with_repeated_rows_generated():
     # rows on one axis at integer points have exact distances, so every row
     # sum is exact in any summation order; relabelling the clients then
