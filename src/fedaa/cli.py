@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .cpus import quiet_fork
+from .cpus import quiet_fork, usable_cpus
 from .errors import ConfigError, FedaaError
 from .config import (
     ExperimentConfig,
@@ -182,13 +182,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"{_cell_name(index, cell)}: {exc}") from exc
             tasks.append((_cell_name(index, cell), cfg, cell))
-    threads = os.environ.get("FEDAA_THREADS", "1")
-    if not threads.isdecimal() or int(threads) < 1:
-        raise ConfigError(f"FEDAA_THREADS must be an integer >= 1 (got {threads!r})")
-    workers = int(threads)
+    # a worker process per CPU where the runs fill every CPU (cpus.usable_cpus)
+    cpus = usable_cpus()
+    workers = cpus if len(tasks) >= cpus > 1 else 1
     _make_out_dir(args.out)
-    if workers > 1 and len(tasks) > 1:
-        # each worker trains in one process by itself (cpus.usable_cpus);
+    if workers > 1:
         # where the workers are forked, they are forked in this thread,
         # while the map submits its first task
         with quiet_fork(), ProcessPoolExecutor(max_workers=workers) as pool:
@@ -198,7 +196,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     table_path = os.path.join(args.out, "sweep.csv")
     emit_sweep_table([rows[lo : lo + args.seeds] for lo in range(0, len(rows), args.seeds)],
                      table_path)
-    print(f"swept {len(cells)} cells x {args.seeds} seeds -> {table_path}")
+    processes = f"{workers} processes" if workers > 1 else "1 process"
+    print(f"swept {len(cells)} cells x {args.seeds} seeds on {processes} -> {table_path}")
     return 0
 
 

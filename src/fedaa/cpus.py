@@ -11,10 +11,10 @@ from typing import Iterator
 
 
 def usable_cpus() -> int:
-    """The CPUs in this process's affinity mask, or ``os.cpu_count()``
-    where the platform has no affinity masks. A worker process (a
-    ``fedaa sweep`` worker) shares the CPUs with its siblings already,
-    so it gets 1."""
+    """The CPUs in this process's affinity mask (``taskset`` narrows it),
+    or ``os.cpu_count()`` where the platform has none: a run's training
+    pool, or ``fedaa sweep``'s worker processes where its runs fill them
+    all, spread over them. A worker process shares them, so it gets 1."""
     if multiprocessing.parent_process() is not None:
         return 1
     try:

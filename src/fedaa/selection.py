@@ -90,6 +90,7 @@ def distance_matrix(y: np.ndarray) -> np.ndarray:
             diff = y[i + 1 :] - y[i]
             diff *= diff
             d[i, i + 1 :] = np.sqrt(np.add.accumulate(diff, axis=1, out=diff)[:, -1])
+            del diff  # before the next block is allocated
         return d + d.T
     y -= y.mean(axis=0)
     g = y @ y.T

@@ -1,10 +1,12 @@
 """Command line behavior, artifact layout, and reproducibility."""
 
+import contextlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from fedaa import cli, config, cpus
 
-from conftest import warning_fork
+from conftest import assert_no_child_left, warning_fork
 
 SMALL_CONFIG = """\
 dataset = synthetic00
@@ -27,6 +29,11 @@ ddpg.hidden = 16
 ddpg.warmup = 2
 ddpg.batch_size = 4
 """
+
+
+def pin_cpus(monkeypatch, count):
+    """An affinity mask of ``count`` CPUs, which the sweep sizes its workers by."""
+    monkeypatch.setattr(cpus.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 @pytest.fixture
@@ -121,6 +128,7 @@ def test_run_rejects_an_unusable_out_before_running(cfg_path, taken_out, capsys,
 
 
 def test_sweep_rejects_an_unusable_out_before_any_cell(cfg_path, taken_out, capsys, monkeypatch):
+    pin_cpus(monkeypatch, 1)  # a run in a worker process would not reach the patch
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("ran a cell"))
     fails_on_out(["sweep", "--config", cfg_path, "--vary", "m_percent=40,60",
                   "--out", taken_out], capsys)
@@ -211,16 +219,17 @@ def test_sweep_single_seed_has_no_mean_row(cfg_path, tmp_path):
     assert "mean" not in lines[1]
 
 
-def test_sweep_parallel_matches_serial(cfg_path, tmp_path):
+def test_sweep_parallel_matches_serial(cfg_path, tmp_path, capsys, monkeypatch):
     serial = str(tmp_path / "serial")
     parallel = str(tmp_path / "parallel")
     args = ["sweep", "--config", cfg_path, "--vary", "seed=0,1"]
+    pin_cpus(monkeypatch, 1)
     assert cli.main(args + ["--out", serial]) == 0
-    os.environ["FEDAA_THREADS"] = "2"
-    try:
-        assert cli.main(args + ["--out", parallel]) == 0
-    finally:
-        del os.environ["FEDAA_THREADS"]
+    assert " on 1 process -> " in capsys.readouterr().out
+    pin_cpus(monkeypatch, 2)
+    assert cli.main(args + ["--out", parallel]) == 0
+    assert " on 2 processes -> " in capsys.readouterr().out
+    assert_no_child_left()
 
     def strip_runtime(path):
         rows = [line.split(",") for line in pathlib.Path(path).read_text().splitlines()]
@@ -254,20 +263,35 @@ def test_sweep_workers_train_in_one_process(monkeypatch):
 
 def test_sweep_workers_fork_without_the_multi_threaded_warning(cfg_path, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", warning_fork(os.fork))
-    monkeypatch.setenv("FEDAA_THREADS", "2")
+    pin_cpus(monkeypatch, 2)
     out = str(tmp_path / "sweep")
     assert cli.main(["sweep", "--config", cfg_path, "--out", out, "--vary", "seed=0,1"]) == 0
     assert len(pathlib.Path(out, "sweep.csv").read_text().splitlines()) == 3
 
 
-@pytest.mark.parametrize("threads", ["abc", "", "1.5", "0", "-1"])
-def test_sweep_rejects_a_bad_thread_count(cfg_path, tmp_path, capsys, monkeypatch, threads):
-    monkeypatch.setenv("FEDAA_THREADS", threads)
+@pytest.mark.parametrize("count, runs, workers", [(1, 3, None), (2, 1, None), (2, 2, 2),
+                                                  (2, 5, 2), (4, 3, None)])
+def test_sweep_picks_its_processes_from_the_cpus(cfg_path, tmp_path, capsys, monkeypatch,
+                                                 count, runs, workers):
+    # a worker per CPU where the runs fill every CPU; else the runs go in
+    # this process, one at a time
+    sizes = []
+
+    @contextlib.contextmanager
+    def recorded_pool(max_workers):  # maps in this process
+        sizes.append(max_workers)
+        yield types.SimpleNamespace(map=map)
+
+    pin_cpus(monkeypatch, count)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recorded_pool)
     out = str(tmp_path / "sweep")
-    assert cli.main(["sweep", "--config", cfg_path, "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert "fedaa: error: ConfigError: FEDAA_THREADS must be an integer >= 1" in err
-    assert not os.path.exists(os.path.join(out, "sweep.csv"))
+    assert cli.main(["sweep", "--config", cfg_path, "--out", out, "--seeds", str(runs)]) == 0
+    assert sizes == ([workers] if workers else [])
+    processes = f"{workers} processes" if workers else "1 process"
+    assert capsys.readouterr().out == (
+        f"swept 1 cells x {runs} seeds on {processes} -> {os.path.join(out, 'sweep.csv')}\n"
+    )
+    assert len(pathlib.Path(out, "sweep.csv").read_text().splitlines()) == 1 + runs + (runs > 1)
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
@@ -295,6 +319,7 @@ def test_a_cell_too_small_for_its_run_fails_the_sweep_before_any_cell_runs(
 ):
     # cell 1's cohort is round(0.2 * 6) = 1 client, too few for selection;
     # the check belongs to the config, so cell 0 does not run either
+    pin_cpus(monkeypatch, 1)  # a run in a worker process would not reach the count
     calls = []
     run = cli.run_experiment
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: calls.append(cfg) or run(cfg))
@@ -310,11 +335,11 @@ def test_a_cell_too_small_for_its_run_fails_the_sweep_before_any_cell_runs(
     assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
 
-@pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "workers"])
+@pytest.mark.parametrize("count", [1, 2], ids=["serial", "workers"])
 def test_sweep_gives_each_varied_key_its_columns_leave_out_a_column(
-    cfg_path, tmp_path, monkeypatch, threads
+    cfg_path, tmp_path, monkeypatch, count
 ):
-    monkeypatch.setenv("FEDAA_THREADS", threads)
+    pin_cpus(monkeypatch, count)
 
     def table(name, *vary):
         """sweep.csv of two seeds a cell, less its runtime column."""
@@ -362,6 +387,7 @@ def test_sweep_gives_each_varied_key_its_columns_leave_out_a_column(
 
 def test_sweep_rejects_a_repeated_vary_key(cfg_path, tmp_path, capsys, monkeypatch):
     # the second --vary would override the first in every cell
+    pin_cpus(monkeypatch, 1)
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("ran a cell"))
     out = str(tmp_path / "sweep")
     args = ["sweep", "--config", cfg_path, "--out", out,
@@ -374,14 +400,14 @@ def test_sweep_rejects_a_repeated_vary_key(cfg_path, tmp_path, capsys, monkeypat
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "workers"])
-def test_a_run_error_in_a_sweep_names_its_cell_and_seed(tmp_path, capsys, monkeypatch, threads):
+@pytest.mark.parametrize("count", [1, 2], ids=["serial", "workers"])
+def test_a_run_error_in_a_sweep_names_its_cell_and_seed(tmp_path, capsys, monkeypatch, count):
     # at a learning rate of 1e300 no upload of round 0 is measurable; with
     # two workers the error crosses a worker's pipe
     path = tmp_path / "exp.cfg"
     path.write_text("dataset.num_clients = 4\ndataset.samples_per_client = 30\n"
                     "rounds = 2\nlocal.epochs = 1\nseed = 5\n")
-    monkeypatch.setenv("FEDAA_THREADS", threads)
+    pin_cpus(monkeypatch, count)
     args = ["sweep", "--config", str(path), "--out", str(tmp_path / "sweep"),
             "--vary", "local.lr=0.1,1e300"]
     assert cli.main(args) == 1

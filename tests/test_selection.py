@@ -1,6 +1,7 @@
 """Distance-based selection: counts, oracles, quarantine, scopes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -504,6 +505,21 @@ def test_below_gram_work_the_distance_matrix_is_pdist_bit_for_bit():
     got = selection.distance_matrix(y.copy())
     assert got.tobytes() != want.tobytes()  # the Gram route's own rounding
     assert (abs(got - want) <= gram_tolerance(y, want)).all()
+
+
+def test_the_numpy_distance_matrix_holds_one_difference_block_at_a_time():
+    # 23 rows of 7,110 (below GRAM_WORK): the first block of differences
+    # is 22 rows, and each block is released before the next is made
+    y = np.random.default_rng(0).normal(size=(23, 7_110))
+    want = squareform(pdist(y))
+    tracemalloc.start()
+    try:
+        got = selection.distance_matrix(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 1.5 * 22 * y[0].nbytes
 
 
 def test_the_numpy_distance_matrix_is_pdist_bit_for_bit_generated():
