@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import math
 import os
 import sys
@@ -143,10 +145,9 @@ def _parse_vary(specs: list[str]) -> list[tuple[str, list[object]]]:
 
 
 def _grid(axes: list[tuple[str, list[object]]]) -> list[dict[str, object]]:
-    cells: list[dict[str, object]] = [{}]
-    for key, values in axes:
-        cells = [{**cell, key: value} for cell in cells for value in values]
-    return cells
+    """The cells of the axes' cross product, the first axis outermost."""
+    keys = [key for key, _ in axes]
+    return [dict(zip(keys, point)) for point in itertools.product(*(v for _, v in axes))]
 
 
 def _cell_name(index: int, cell: dict[str, object]) -> str:
@@ -211,21 +212,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _read_results_csv(path: str) -> list[dict]:
     lines = [line for line in read_text(path, "results").split("\n") if line.strip()]
-    if not lines:
+    reader = csv.DictReader(lines, restval="")  # a short row's missing cells are unreadable
+    try:
+        table = list(reader)
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
+        raise ConfigError(f"{path}: unreadable table: {exc}") from None
+    if reader.fieldnames is None:
         raise ConfigError(f"{path}: empty results file")
-    header = lines[0].split(",")
     columns = [col for *_, curves in CHARTS for _, col in curves]
-    missing = {"round", *columns} - set(header)
+    missing = {"round", *columns} - set(reader.fieldnames)
     if missing:
         raise ConfigError(f"{path}: missing columns {sorted(missing)}")
-    if len(lines) == 1:
+    if not table:
         raise ConfigError(f"{path}: no data rows")
     rows = []
-    for number, line in enumerate(lines[1:], start=1):
-        cells = dict(zip(header, line.split(",")))
+    for number, cells in enumerate(table, start=1):
         try:
             rows.append({"round": int(cells["round"]), **{c: float(cells[c]) for c in columns}})
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: data row {number}: unreadable cell {exc}") from None
         for col in columns:
             if not math.isfinite(rows[-1][col]):

@@ -113,16 +113,6 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
 
 
-class _ForwardCache:
-    """Activations kept for one backward pass."""
-
-    __slots__ = ("inputs", "pre")
-
-    def __init__(self, inputs: list[np.ndarray], pre: list[np.ndarray]):
-        self.inputs = inputs  # inputs[l] feeds affine layer l
-        self.pre = pre        # pre[l] is the affine output of layer l
-
-
 def _check_batch(arch: ArchSpec, batch: np.ndarray, stacked: bool = False) -> np.ndarray:
     """The batch as float64: (n, input_dim), or (k, n, input_dim) if ``stacked``."""
     x = np.asarray(batch, dtype=np.float64)
@@ -135,8 +125,9 @@ def _check_batch(arch: ArchSpec, batch: np.ndarray, stacked: bool = False) -> np
 
 def forward_cached(
     arch: ArchSpec, params: np.ndarray, batch: np.ndarray
-) -> tuple[np.ndarray, _ForwardCache]:
-    """``forward``'s output and the activations a backward pass needs."""
+) -> tuple[np.ndarray, tuple[list, list]]:
+    """``forward``'s output and the activations a backward pass needs:
+    ``(inputs, pre)``, ``inputs[l]`` feeding layer l, ``pre[l]`` its affine output."""
     layers = unflatten(arch, params)
     x = _check_batch(arch, batch, stacked=np.ndim(batch) == 3)
     networks = layers[0][0].shape[:-2]  # () for one network, (k,) for a stack
@@ -150,7 +141,7 @@ def forward_cached(
         pre.append(z)
         if index < len(layers) - 1:
             h = np.maximum(z, 0.0)
-    return pre[-1], _ForwardCache(inputs, pre)
+    return pre[-1], (inputs, pre)
 
 
 def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -169,28 +160,29 @@ def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray
 
 
 def backward_from_output(
-    arch: ArchSpec, params: np.ndarray, cache: _ForwardCache, dout: np.ndarray
+    arch: ArchSpec, params: np.ndarray, cache: tuple[list, list], dout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backpropagate d(objective)/d(network output).
+    """Backpropagate d(objective)/d(network output) through ``forward_cached``'s cache.
 
     Returns (flat parameter gradient, gradient w.r.t. the input batch).
     """
-    if np.ndim(params) != 1 or cache.inputs[0].ndim != 2:
+    inputs, pre = cache
+    if np.ndim(params) != 1 or inputs[0].ndim != 2:
         raise ConfigError("backpropagation takes one (d,) network on one 2-D batch")
     dz = np.asarray(dout, dtype=np.float64)
-    if dz.shape != cache.pre[-1].shape:
-        raise ConfigError(f"dout shape {dz.shape} != output shape {cache.pre[-1].shape}")
+    if dz.shape != pre[-1].shape:
+        raise ConfigError(f"dout shape {dz.shape} != output shape {pre[-1].shape}")
     grad = np.empty(param_count(arch))
     slices = layer_slices(arch)
     layers = unflatten(arch, params)
     for index in range(len(layers) - 1, -1, -1):
         weight, _ = layers[index]
         wsl, bsl = slices[index]
-        grad[wsl] = (cache.inputs[index].T @ dz).ravel()
+        grad[wsl] = (inputs[index].T @ dz).ravel()
         grad[bsl] = dz.sum(axis=0)
         dh = dz @ weight.T
         if index > 0:
-            dz = dh * (cache.pre[index - 1] > 0.0)
+            dz = dh * (pre[index - 1] > 0.0)
     return grad, dh
 
 
@@ -235,15 +227,15 @@ def backward_ce(
     the first offending layer if the loss is not finite.
     """
     labels = _ce_labels(arch, labels)
-    logits, cache = forward_cached(arch, params, _check_batch(arch, batch))
+    logits, (inputs, pre) = forward_cached(arch, params, _check_batch(arch, batch))
     if labels.size != logits.shape[0]:
         raise ConfigError(f"{logits.shape[0]} rows but {labels.size} labels")
-    loss = _finite_ce_loss(cache.pre, labels)
+    loss = _finite_ce_loss(pre, labels)
     probs = softmax(logits)
     dz = probs.copy()
     dz[np.arange(labels.size), labels] -= 1.0
     dz /= labels.size
-    grad, _ = backward_from_output(arch, params, cache, dz)
+    grad, _ = backward_from_output(arch, params, (inputs, pre), dz)
     return loss, grad
 
 

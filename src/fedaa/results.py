@@ -3,10 +3,13 @@
 Float cells are rounded to 6 significant digits before writing, so a
 rerun under the same config and seed reproduces the files byte for
 byte. List-valued cells join with '|' in CSV and stay lists in JSON.
+CSV is RFC 4180 with LF line ends (the ``csv`` module): a cell is quoted
+only if it holds a comma, a double quote or a line break.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
@@ -53,10 +56,10 @@ def _cell(value) -> str:
 
 
 def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_cell(row[col]) for col in columns) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(row[col]) for col in columns] for row in rows)
 
 
 def emit_results(records: list[RoundRecord], path: str, fmt: str = "csv") -> None:

@@ -1,5 +1,5 @@
-"""Shared test helpers: independent finite-difference oracles, and the
-forks of training pools."""
+"""Shared test helpers: independent finite-difference and SGD oracles,
+and the forks of training pools."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import fedaa  # noqa: F401
 import numpy as np
 import pytest
 
-from fedaa import clients
+from fedaa import clients, nn
+from fedaa.errors import NumericError
 
 
 def central_diff(
@@ -46,6 +47,23 @@ def max_grad_rel_err(
 ) -> float:
     fd = central_diff(fn, params, coords, h)
     return max(rel_err(fd[k], grad[k]) for k in fd)
+
+
+def replay_backward_ce(arch, start, x, y, cfg, rng):
+    """The straightforward SGD loop from a copy of ``start``, one
+    ``nn.backward_ce`` call per minibatch: the oracle of ``nn.sgd_epoch``.
+    Returns the params, or the NumericError of a non-finite loss."""
+    params = start.copy()
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        for lo in range(0, len(y), cfg.batch_size):
+            take = order[lo : lo + cfg.batch_size]
+            try:
+                _, grad = nn.backward_ce(arch, params, x[take], y[take])
+            except NumericError as exc:
+                return exc
+            params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
+    return params
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Command line behavior, artifact layout, and reproducibility."""
 
 import contextlib
+import csv
 import json
 import os
 import pathlib
@@ -29,6 +30,12 @@ ddpg.hidden = 16
 ddpg.warmup = 2
 ddpg.batch_size = 4
 """
+
+
+def read_table(path):
+    """The rows of a CSV file, header first."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
 
 
 def pin_cpus(monkeypatch, count):
@@ -200,13 +207,11 @@ def test_sweep_grid_layout(cfg_path, tmp_path):
         ]
     )
     assert code == 0
-    lines = pathlib.Path(out, "sweep.csv").read_text().splitlines()
-    # header + 2 cells x (2 seed rows + 1 mean row)
-    assert len(lines) == 1 + 2 * 3
-    header = lines[0].split(",")
+    header, *cells = read_table(os.path.join(out, "sweep.csv"))
+    # 2 cells x (2 seed rows + 1 mean row)
+    assert len(cells) == 2 * 3
     m_col = header.index("m_pct")
     seed_col = header.index("seed")
-    cells = [line.split(",") for line in lines[1:]]
     assert [c[m_col] for c in cells] == ["50", "50", "50", "80", "80", "80"]
     assert [c[seed_col] for c in cells] == ["0", "1", "mean"] * 2
 
@@ -232,7 +237,7 @@ def test_sweep_parallel_matches_serial(cfg_path, tmp_path, capsys, monkeypatch):
     assert_no_child_left()
 
     def strip_runtime(path):
-        rows = [line.split(",") for line in pathlib.Path(path).read_text().splitlines()]
+        rows = read_table(path)
         col = rows[0].index("runtime_seconds")
         return [row[:col] + row[col + 1:] for row in rows]
 
@@ -244,11 +249,30 @@ def test_sweep_parallel_matches_serial(cfg_path, tmp_path, capsys, monkeypatch):
 def test_sweep_varied_seed_starts_its_cell(cfg_path, tmp_path):
     out = str(tmp_path / "sweep")
     assert cli.main(["sweep", "--config", cfg_path, "--out", out, "--vary", "seed=3,7"]) == 0
-    rows = [line.split(",") for line in pathlib.Path(out, "sweep.csv").read_text().splitlines()]
-    header, cells = rows[0], rows[1:]
+    header, *cells = read_table(os.path.join(out, "sweep.csv"))
     assert [cell[header.index("seed")] for cell in cells] == ["3", "7"]
     acc = header.index("mean_acc")
     assert cells[0][acc] != cells[1][acc]
+
+
+def test_a_sweep_over_a_path_with_a_comma_keeps_one_cell(tmp_path, monkeypatch):
+    # a varied value holding a comma is one quoted cell, not two
+    pin_cpus(monkeypatch, 1)
+    labels = np.arange(60) % 2
+    sources = [tmp_path / "a,b.csv", tmp_path / "c.csv"]
+    for shift, source in enumerate(sources):
+        table = np.column_stack([np.linspace(0.0, 1.0, 60) + labels + shift, labels])
+        np.savetxt(source, table, delimiter=",", header="f0,label", comments="")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset = csv\ndataset.num_clients = 4\nvalidation.per_class = 5\n"
+                   "rounds = 1\nlocal.epochs = 1\n")
+    out = tmp_path / "sweep"
+    vary = "dataset.csv_path=" + ";".join(str(source) for source in sources)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--vary", vary]) == 0
+    header, *cells = read_table(out / "sweep.csv")
+    assert [len(cell) for cell in cells] == [len(header)] * 2
+    assert [cell[header.index("dataset.csv_path")] for cell in cells] == [str(s) for s in sources]
+    assert [cell[header.index("dataset")] for cell in cells] == ["csv", "csv"]
 
 
 def test_sweep_workers_train_in_one_process(monkeypatch):
@@ -495,6 +519,23 @@ def test_report_rejects_a_non_finite_cell(tmp_path, capsys, value):
     assert not list(rep.glob("*.svg"))
 
 
+def test_report_reads_quoted_cells_and_crlf(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_bytes(
+        b'"round","reward","mean_benign_acc","mean_global_acc","acc_std","loss_std"\r\n'
+        b'0,0.5,0.6,0.3,0.1,0.2\r\n\r\n1,"0.55",0.65,0.35,0.15,0.25\r\n'
+    )
+    assert cli._read_results_csv(str(path)) == [
+        {"round": 0, "reward": 0.5, "mean_benign_acc": 0.6, "mean_global_acc": 0.3,
+         "acc_std": 0.1, "loss_std": 0.2},
+        {"round": 1, "reward": 0.55, "mean_benign_acc": 0.65, "mean_global_acc": 0.35,
+         "acc_std": 0.15, "loss_std": 0.25},
+    ]
+    rep = tmp_path / "rep"
+    assert cli.main(["report", "--input", str(path), "--out", str(rep)]) == 0
+    assert sorted(p.name for p in rep.iterdir()) == ["curves.svg", "spread.svg"]
+
+
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
     out = capsys.readouterr().out
@@ -603,6 +644,8 @@ THREE_IMAGES = np.array([2051, 3, 2, 2], dtype=">u4").tobytes() + bytes(12)
      "ConfigError: {results}: empty results file"),
     ({"results": "round,reward,mean_benign_acc,mean_global_acc,acc_std,loss_std\n"},
      ["report", "--input", "{results}"], "ConfigError: {results}: no data rows"),
+    ({"results": "round," + "9" * 131073 + "\n"}, ["report", "--input", "{results}"],
+     "ConfigError: {results}: unreadable table: field larger than field limit (131072)"),
     ({"config": "rounds = 2\n"}, ["sweep", "--config", "{config}", "--vary", "local.lr=abc"],
      "ConfigError: --vary local.lr: not a number: 'abc'"),
     ({"table": "f0,label\n1.0,0\n2.0,-1\n0.5,1\n",
@@ -614,8 +657,8 @@ THREE_IMAGES = np.array([2051, 3, 2, 2], dtype=">u4").tobytes() + bytes(12)
     ({"images": THREE_IMAGES, "labels": np.array([2049, 3], dtype=">u4").tobytes() + bytes(1),
       "config": IDX_CONFIG},
      ["run", "--config", "{config}"], "IngestionError: {labels}: truncated at byte 9 (needed 11)"),
-], ids=["empty results", "header-only results", "vary not a number", "negative csv label",
-        "truncated idx images", "truncated idx labels"])
+], ids=["empty results", "header-only results", "oversized results cell", "vary not a number",
+        "negative csv label", "truncated idx images", "truncated idx labels"])
 def test_an_unusable_input_fails_typed(tmp_path, capsys, files, argv, error):
     paths = {name: str(tmp_path / name) for name in files}
     for name, content in files.items():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_diff, max_grad_rel_err, rel_err
+from conftest import central_diff, max_grad_rel_err, rel_err, replay_backward_ce
 from fedaa import nn
 from fedaa.errors import ConfigError, NumericError
 
@@ -325,23 +325,6 @@ def test_sgd_short_final_batch_used():
         _, grad = nn.backward_ce(arch, params, x[take], y[take])
         params -= 0.1 * (grad + 0.0 * params)
     assert np.array_equal(trained, params)
-
-
-def replay_backward_ce(arch, start, x, y, cfg, rng):
-    """The straightforward SGD loop from a copy of ``start``: one
-    backward_ce call per minibatch. Returns the params, or the
-    NumericError of a non-finite loss."""
-    params = start.copy()
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(y))
-        for lo in range(0, len(y), cfg.batch_size):
-            take = order[lo : lo + cfg.batch_size]
-            try:
-                _, grad = nn.backward_ce(arch, params, x[take], y[take])
-            except NumericError as exc:
-                return exc
-            params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
-    return params
 
 
 def test_sgd_matches_backward_ce_replay_generated():

@@ -21,7 +21,7 @@ from fedaa.errors import ConfigError, FedaaError, InternalError, NumericError, S
 from fedaa.seeding import stream
 from fedaa.selection import top_count
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, replay_backward_ce
 
 
 def small_cfg(**overrides):
@@ -864,20 +864,12 @@ def test_training_errors_are_raised_in_their_clients_turn(monkeypatch):
     assert raised.value.__cause__ is errors[last_benign]
 
 
-def train_alone(arch, client, global_params, cfg, rng):
-    """The client's training as a stack of one: its parameters or its error."""
-    params = np.tile(global_params, (1, 1))
-    errors = nn.sgd_epoch(arch, params, [client.train.features],
-                          [client.train.labels], cfg, [rng])
-    return errors.get(0, params[0])
-
-
 def per_client_uploads(exp, participants, global_params, round_index):
     """The straightforward round: one local_update per client, benign ones
-    first, each training alone from its own stream into an upload of its
-    own (a sign flipper then flipping it with a magnitude from the same
-    stream), and a benign client's upload copied as its local model; the
-    uploads stacked in ascending client id."""
+    first, each training by the plain ``backward_ce`` loop from its own
+    stream into an upload of its own (a sign flipper then flipping it with
+    a magnitude from the same stream), and a benign client's upload copied
+    as its local model; the uploads stacked in ascending client id."""
     streams = functools.partial(stream, exp.cfg.seed, "local", round_index)
     uploads, benign = {}, []
     for cid in sorted(participants, key=lambda c: exp.clients[c].role != "benign"):
@@ -887,7 +879,8 @@ def per_client_uploads(exp, participants, global_params, round_index):
         try:
             if clients.trains(client):
                 rng = streams(cid)
-                trained = train_alone(exp.arch, client, global_params, exp.cfg.local, rng)
+                trained = replay_backward_ce(exp.arch, global_params, client.train.features,
+                                             client.train.labels, exp.cfg.local, rng)
                 if isinstance(trained, NumericError):
                     raise trained
                 if client.attack is not None:  # a sign flipper
@@ -1065,7 +1058,9 @@ def test_diverging_client_in_a_stack_is_named_as_when_training_alone(
             # the precondition: client 3 diverges under its next shuffle
             rng = stream(exp.cfg.seed, "local", 0, 3)
             rng.permutation(22)
-            trained = train_alone(exp.arch, exp.clients[3], exp.initial_params, exp.cfg.local, rng)
+            train = exp.clients[3].train
+            trained = replay_backward_ce(exp.arch, exp.initial_params, train.features,
+                                         train.labels, exp.cfg.local, rng)
             assert isinstance(trained, NumericError)
     prefix = f"client {named} (benign): non-finite loss; first non-finite activations at layer"
     assert str(alone.value).startswith(prefix)
