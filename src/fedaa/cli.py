@@ -11,8 +11,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from .cpus import quiet_fork, usable_cpus
 from .errors import ConfigError, FedaaError
 from .config import (
@@ -24,7 +22,7 @@ from .config import (
     parse_config_values,
     read_text,
 )
-from .orchestrator import RoundRecord, run_experiment, subsystem_seeds
+from .orchestrator import run_experiment, subsystem_seeds
 from .results import (
     RunManifest,
     emit_results,
@@ -34,6 +32,7 @@ from .results import (
     sweep_row,
     utc_now,
     write_manifest,
+    write_text,
 )
 
 
@@ -54,14 +53,6 @@ CHARTS = (
 )
 
 
-def _run(cfg: ExperimentConfig) -> list[RoundRecord]:
-    """``run_experiment`` without numpy's overflow and invalid-value
-    warnings: the run's typed checks report a value gone non-finite, and
-    under ``-W error`` a warning would be raised in their place."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return run_experiment(cfg)
-
-
 def _plot_records(rows: list[dict], out_dir: str) -> list[str]:
     rounds = [float(r["round"]) for r in rows]
     paths = []
@@ -75,7 +66,7 @@ def _plot_records(rows: list[dict], out_dir: str) -> list[str]:
 
 def _make_out_dir(path: str) -> None:
     """Create the output directory; each command calls this before its
-    work, so an unusable --out fails at once and costs none."""
+    work, so an --out that cannot be a directory fails before any run."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
@@ -92,12 +83,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = build_config(values)
     _make_out_dir(args.out)
     started = utc_now()
-    records = _run(cfg)
+    records = run_experiment(cfg)
     results_path = os.path.join(args.out, f"results.{args.format}")
     emit_results(records, results_path, args.format)
     config_path = os.path.join(args.out, "config.txt")
-    with open(config_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(emit_config(cfg))
+    write_text(config_path, emit_config(cfg))
     artifacts = [results_path, config_path]
     if args.plot:
         artifacts.extend(_plot_records(records_to_rows(records), args.out))
@@ -159,7 +149,7 @@ def _sweep_one(task: tuple[str, ExperimentConfig, dict[str, object]]) -> dict:
     name, cfg, cell = task
     t0 = time.perf_counter()
     try:
-        records = _run(cfg)
+        records = run_experiment(cfg)
     except FedaaError as exc:
         raise type(exc)(f"{name}, seed {cfg.seed}: {exc}") from exc
     return sweep_row(cfg, records[-1], time.perf_counter() - t0, cell)

@@ -222,10 +222,11 @@ class TrainingPool:
     ``out[rows[c]]``, where ``rows`` is the run's ``row_index`` or, by
     default, a row per client. Entering the pool (``with``) forks
     ``processes - 1`` children that inherit the clients, ``arch``, the
-    SGD config ``cfg``, ``out`` and ``rows``; each child waits on its
-    end of one duplex ``multiprocessing`` connection for a share of a
-    round to train into ``out``. Leaving the pool (or ``close``) stops
-    and reaps them. ``out`` is one anonymous MAP_SHARED ``mmap`` where
+    SGD config ``cfg``, ``out``, ``rows`` and the numpy error handling
+    in force, which they train under; each child waits on its end of
+    one duplex ``multiprocessing`` connection for a share of a round to
+    train into ``out``. Leaving the pool (or ``close``) stops and reaps
+    them. ``out`` is one anonymous MAP_SHARED ``mmap`` where
     there are children, whose writes this process then reads, and else
     this process's own memory."""
 
@@ -298,21 +299,20 @@ def _serve(pool: TrainingPool, here: Connection, there: Connection) -> NoReturn:
     connection that it inherited, its own ``here`` and every earlier
     child's, so that the parent's exit ends it. Then, until ``there``
     ends, it receives one share of a round, ``(broadcast, stacks of
-    client ids, streams, numpy error handling)``, trains it under that
-    error handling (``np.geterr``) and sends back one message: the
-    errors by client id, or the exception it raised."""
+    client ids, streams)``, trains it under the numpy error handling it
+    inherited at the fork, and sends back one message: the errors by
+    client id, or the exception it raised."""
     code = 1
     try:
         for end in [here] + [child for _, child in pool.children]:
             end.close()
         while True:
             try:
-                broadcast, share, streams, err = there.recv()
+                broadcast, share, streams = there.recv()
             except EOFError:
                 break
             try:
-                with np.errstate(**err):
-                    reply = _train(pool, broadcast, share, streams)
+                reply = _train(pool, broadcast, share, streams)
             except BaseException as exc:  # sent to the parent, which raises it
                 reply = exc
             there.send(reply)
@@ -376,18 +376,18 @@ def train_lockstep(
     A round of SPLIT_STEPS steps or more trains in shares
     (``lockstep_shares``), one on each of the pool's processes. This
     process trains share 0, and each child one other share: one message
-    on its connection carries the broadcast, its stacks of client ids,
-    ``streams`` (which must pickle) and this process's numpy error
-    handling; the child writes its rows straight into ``pool.out`` and
-    sends back its errors. No generator and no generator state crosses
-    a connection. Every client runs the same ``sgd_epoch`` arithmetic
-    on the same operands from the same stream in any process, and the
-    rows of a stack never meet, so the rows and the errors are
-    bit-identical to one process's training the same stacks, and to one
-    process's unsplit round but for a failed client's row: that holds
-    whatever its (narrower) stack left, and nothing reads it. A child's
-    exception is raised here, as it was raised there. On any exception
-    the pool is closed.
+    on its connection carries the broadcast, its stacks of client ids
+    and ``streams`` (which must pickle); the child trains under the
+    numpy error handling it inherited at the fork, writes its rows
+    straight into ``pool.out`` and sends back its errors. No generator
+    and no generator state crosses a connection. Every client runs the
+    same ``sgd_epoch`` arithmetic on the same operands from the same
+    stream in any process, and the rows of a stack never meet, so the
+    rows and the errors are bit-identical to one process's training the
+    same stacks, and to one process's unsplit round but for a failed
+    client's row: that holds whatever its (narrower) stack left, and
+    nothing reads it. A child's exception is raised here, as it was
+    raised there. On any exception the pool is closed.
     """
     global_params = np.asarray(global_params, dtype=np.float64)
     shares = lockstep_shares(cohort, pool.cfg, global_params.size, 1 + len(pool.children))
@@ -395,7 +395,7 @@ def train_lockstep(
         sent = list(zip(pool.children, shares[1:]))
         for (_, here), share in sent:
             try:
-                here.send((global_params, share, streams, np.geterr()))
+                here.send((global_params, share, streams))
             except OSError:
                 raise SimulationError(_LOST) from None
         errors = _train(pool, global_params, shares[0], streams)

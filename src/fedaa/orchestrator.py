@@ -120,11 +120,9 @@ def evaluate_reward(
     """
     logits = forward(arch, params, val_set.features)
     correct = np.argmax(logits, axis=1) == val_set.labels
-    per_class = np.zeros(val_set.num_classes)
-    for c in range(val_set.num_classes):
-        mask = val_set.labels == c
-        if mask.any():
-            per_class[c] = float(correct[mask].mean())
+    counts = np.bincount(val_set.labels, minlength=val_set.num_classes)
+    hits = np.bincount(val_set.labels, weights=correct, minlength=val_set.num_classes)
+    per_class = np.divide(hits, counts, out=np.zeros(len(counts)), where=counts > 0)
     return float(correct.mean()), per_class
 
 
@@ -426,8 +424,13 @@ def _select(exp: Experiment, ids: list[int], pool: TrainingPool) -> SelectionRes
     )
 
 
+@np.errstate(divide="warn", over="ignore", under="ignore", invalid="ignore")
 def run_rounds(exp: Experiment) -> list[RoundRecord]:
     """The round loop for both aggregators; one record per round.
+
+    A run finishes or fails with a typed FedaaError whatever the
+    caller's numpy error handling: it keeps its own, which its pool's
+    children inherit at the fork, as its checks report a non-finite value.
 
     The run's parameters are one matrix, the training pool's ``out``
     (see ``TrainingPool``), shared with the pool's processes where the

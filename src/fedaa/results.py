@@ -10,6 +10,7 @@ only if it holds a comma, a double quote or a line break.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
@@ -55,11 +56,21 @@ def _cell(value) -> str:
     return str(value)
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; ConfigError naming the file if it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_cell(row[col]) for col in columns] for row in rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row[col]) for col in columns] for row in rows)
+    write_text(path, text.getvalue())
 
 
 def emit_results(records: list[RoundRecord], path: str, fmt: str = "csv") -> None:
@@ -68,9 +79,7 @@ def emit_results(records: list[RoundRecord], path: str, fmt: str = "csv") -> Non
     if fmt == "csv":
         _write_csv(path, ROUND_COLUMNS, rows)
     elif fmt == "json":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        write_text(path, json.dumps(rows, indent=2) + "\n")
     else:
         raise ConfigError(f"unknown results format: {fmt!r}")
 
@@ -135,9 +144,7 @@ def utc_now() -> str:
 
 
 def write_manifest(manifest: RunManifest, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(asdict(manifest), indent=2) + "\n")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -237,5 +244,4 @@ def render_curves_svg(
             f'font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")

@@ -180,6 +180,7 @@ def _check_fairness_stacking() -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the pools' children inherit it at the fork
 def _check_parallel_training() -> None:
     # byte-identical results on a training pool rest on a forked child
     # training as this process would on the installed numpy and BLAS
@@ -202,8 +203,7 @@ def _check_parallel_training() -> None:
     runs = {}
     for processes in (1, 2, 3):
         with TrainingPool(cohort, arch, cfg, broadcast, processes) as pool:
-            with np.errstate(over="ignore", invalid="ignore"):
-                errors = train_lockstep(cohort, broadcast, streams, pool)
+            errors = train_lockstep(cohort, broadcast, streams, pool)
             assert len(pool.children) == processes - 1, (
                 f"a pool of {processes} processes trained on {len(pool.children) + 1}"
             )

@@ -148,6 +148,24 @@ def test_report_rejects_an_unusable_out(cfg_path, tmp_path, taken_out, capsys):
                   "--out", taken_out], capsys)
 
 
+@pytest.mark.parametrize("command, artifact", [
+    ("run", "results.csv"), ("sweep", "sweep.csv"), ("report", "curves.svg"),
+])
+def test_a_directory_in_the_way_of_an_artifact_fails_typed(cfg_path, tmp_path, capsys, command,
+                                                           artifact):
+    argv = [command, "--config", cfg_path]
+    if command == "report":
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+        argv = [command, "--input", str(tmp_path / "run" / "results.csv")]
+    blocked = tmp_path / "out" / artifact
+    blocked.mkdir(parents=True)
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"fedaa: error: ConfigError: cannot write {blocked}: ")
+
+
 def test_run_json_format(cfg_path, tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["run", "--config", cfg_path, "--out", out, "--format", "json"]) == 0

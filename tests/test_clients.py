@@ -274,6 +274,7 @@ def cohort_of(sizes, attacks=(), huge=(), seed=0):
     return cohort
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the pool's children inherit it at the fork
 def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_size=16, epochs=2),
                 rounds=1, kill=None, stacked_as=None):
     """train_lockstep and then local_update for every client, as the round
@@ -291,13 +292,12 @@ def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_s
                 kill(pool)
             streams = functools.partial(stream, 4, "local", index)
             out[:] = -7.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                if stacked_as is None:
-                    errors = clients.train_lockstep(cohort, broadcast, streams, pool)
-                else:
-                    shares = clients.lockstep_shares(cohort, cfg, broadcast.size, stacked_as)
-                    stacks = [ids for share in shares for ids in share]
-                    errors = clients._train(pool, broadcast, stacks, streams)
+            if stacked_as is None:
+                errors = clients.train_lockstep(cohort, broadcast, streams, pool)
+            else:
+                shares = clients.lockstep_shares(cohort, cfg, broadcast.size, stacked_as)
+                stacks = [ids for share in shares for ids in share]
+                errors = clients._train(pool, broadcast, stacks, streams)
             for client in cohort:
                 if client.attack is None or client.attack.kind != "ipm":
                     clients.local_update(client, out[client.id], streams)

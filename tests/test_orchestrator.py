@@ -275,6 +275,28 @@ def test_subsystem_seeds_cover_labels():
     assert seeds == orchestrator.subsystem_seeds(7)
 
 
+def test_the_manifest_names_every_top_level_stream_a_run_draws(monkeypatch):
+    drawn = set()
+
+    def recording(master, label, *parts):
+        drawn.add(label)
+        return stream(master, label, *parts)
+
+    monkeypatch.setattr(orchestrator, "stream", recording)
+    monkeypatch.setattr(orchestrator, "usable_cpus", lambda: 1)  # the streams stay here
+    # a lognormal synthetic run draws sizes and a server pool, a
+    # synthetic_dirichlet run a validation set and a partition
+    for dataset in (
+        config.DatasetConfig(kind="synthetic00", num_clients=6, samples_per_client="lognormal"),
+        config.DatasetConfig(kind="synthetic_dirichlet", num_clients=6, total_samples=600),
+    ):
+        orchestrator.run_experiment(
+            small_cfg(dataset=dataset, validation=config.ValidationConfig(per_class=5))
+        )
+    assert "local" in drawn
+    assert drawn - {"local"} == set(orchestrator.SUBSYSTEM_LABELS)
+
+
 def test_round_record_validates_weight_count():
     with pytest.raises(InternalError):
         orchestrator.RoundRecord(
@@ -475,15 +497,66 @@ def test_agent_updates_after_warmup(monkeypatch):
     assert batch_sizes == [3, 4, 4]
 
 
+# a huge rate with a hidden layer overflows activations within a round
+OVERFLOWING = dict(model_hidden=(4,), local=nn.SgdConfig(learning_rate=1e200, batch_size=8, epochs=2))
+
+
 def test_errors_carry_round_prefix():
-    # a huge rate with a hidden layer overflows activations within a round
-    cfg = small_cfg(
-        model_hidden=(4,),
-        local=nn.SgdConfig(learning_rate=1e200, batch_size=8, epochs=2),
-    )
-    with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NumericError, match=r"^round 0: client \d+ \(benign\): non-finite loss"):
-            orchestrator.run_experiment(cfg)
+    with pytest.raises(NumericError, match=r"^round 0: client \d+ \(benign\): non-finite loss"):
+        orchestrator.run_experiment(small_cfg(**OVERFLOWING))
+
+
+# the numpy error handling a run keeps whatever the caller's: its checks
+# report a value gone non-finite, typed
+RUN_ERRSTATE = {"divide": "warn", "over": "ignore", "under": "ignore", "invalid": "ignore"}
+
+
+def test_a_run_restores_the_callers_error_handling(monkeypatch):
+    seen = []
+    evaluate_reward = orchestrator.evaluate_reward
+
+    def recording(*args):
+        seen.append(np.geterr())
+        return evaluate_reward(*args)
+
+    monkeypatch.setattr(orchestrator, "evaluate_reward", recording)
+    with np.errstate(divide="raise", over="print", under="warn", invalid="raise"):
+        callers = np.geterr()
+        orchestrator.run_experiment(small_cfg())
+        assert np.geterr() == callers
+        with pytest.raises(NumericError):
+            orchestrator.run_experiment(small_cfg(**OVERFLOWING))
+        assert np.geterr() == callers
+    assert len(seen) == 4 and all(state == RUN_ERRSTATE for state in seen)
+
+
+def run_outcome(cfg, path):
+    """The results.csv bytes of a run of ``cfg``, or its error's type and
+    message."""
+    try:
+        records = orchestrator.run_experiment(cfg)
+    except FedaaError as exc:
+        return type(exc), str(exc)
+    results.emit_results(records, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("overflows", [False, True], ids=["finishes", "overflows"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_run_ignores_the_callers_error_handling(monkeypatch, forks, tmp_path, cpus, overflows):
+    # on two CPUs a forked child trains half of every round, under the
+    # handling that it inherits from the run
+    monkeypatch.setattr(orchestrator, "usable_cpus", lambda: cpus)
+    cfg = small_cfg(**(OVERFLOWING if overflows else {}))
+    want = run_outcome(cfg, tmp_path / "want.csv")
+    with np.errstate(all="raise"):
+        got = run_outcome(cfg, tmp_path / "got.csv")
+    assert got == want
+    assert isinstance(want, tuple) == overflows
+    if overflows:
+        assert want[0] is NumericError and want[1].startswith("round 0: client ")
+    assert len(forks) == 2 * (cpus - 1)
+    assert_no_child_left()
 
 
 EXTREME_BASE = """\
@@ -522,8 +595,7 @@ def test_extreme_config_finishes_or_fails_typed_in_its_round(settings):
     policy = () if "aggregator = fedavg" in settings else ("ddpg.warmup = 2",)
     cfg = config.parse_config_text(EXTREME_BASE + "\n".join(settings + policy) + "\n")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            records = orchestrator.run_experiment(cfg)
+        records = orchestrator.run_experiment(cfg)
     except FedaaError as exc:
         assert type(exc) is not FedaaError
         assert str(exc).startswith("round ")
