@@ -5,8 +5,9 @@ attack. Client ``c``'s row of a run's parameter matrix, row
 ``rows[c]`` of the matrix's row index (``row_index``), holds its latest
 upload, and so a benign client's local model; attack messages are what
 a malicious client writes into its row, drawing from its round's
-stream where it draws. Magnitude draws use the convention
-m ~ N(0, tau^2) with tau the attack scale.
+stream where it draws. Each attack has one scale (``AttackSpec``):
+the standard deviation of a drawn magnitude, m ~ N(0, scale^2), or for
+ipm the factor of the benign mean it negates.
 """
 
 from __future__ import annotations
@@ -29,16 +30,17 @@ from .nn import ArchSpec, SgdConfig, sgd_epoch
 
 
 class AttackKind(NamedTuple):
-    default_tau: float | None  # None: the kind takes no tau
+    default_scale: float  # the scale of an AttackSpec that names none
     trains: bool  # trains from the broadcast before building its message
+    scales_benign_mean: bool  # sends -scale times the round's benign mean upload
 
 
-# the one table of attack kinds; ipm scales the benign mean by its epsilon
+# the one table of attack kinds
 ATTACKS = {
-    "same_value": AttackKind(default_tau=100.0, trains=False),
-    "sign_flip": AttackKind(default_tau=10.0, trains=True),
-    "gaussian": AttackKind(default_tau=100.0, trains=False),
-    "ipm": AttackKind(default_tau=None, trains=False),
+    "same_value": AttackKind(default_scale=100.0, trains=False, scales_benign_mean=False),
+    "sign_flip": AttackKind(default_scale=10.0, trains=True, scales_benign_mean=False),
+    "gaussian": AttackKind(default_scale=100.0, trains=False, scales_benign_mean=False),
+    "ipm": AttackKind(default_scale=0.5, trains=False, scales_benign_mean=True),
 }
 
 # Budget for the (k, d) float64 parameters of one lockstep stack. A stack
@@ -69,25 +71,18 @@ SPLIT_STEPS = 1 << 6
 
 @dataclass(frozen=True)
 class AttackSpec:
+    """A kind of ``ATTACKS`` and its scale (> 0; None: the kind's default)."""
+
     kind: str
-    tau: float | None = None
-    ipm_epsilon: float = 0.5
+    scale: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACKS:
             raise ConfigError(f"unknown attack kind: {self.kind!r}")
-        default = ATTACKS[self.kind].default_tau
-        if default is None:
-            if self.tau is not None:
-                raise ConfigError(
-                    f"the {self.kind} attack takes no tau; ipm_epsilon sets its scale"
-                )
-        elif self.tau is None:
-            object.__setattr__(self, "tau", default)
-        elif self.tau <= 0:
-            raise ConfigError("attack tau must be positive")
-        if self.ipm_epsilon <= 0:
-            raise ConfigError("ipm epsilon must be positive")
+        if self.scale is None:
+            object.__setattr__(self, "scale", ATTACKS[self.kind].default_scale)
+        elif not self.scale > 0:
+            raise ConfigError(f"attack scale must be positive (got {self.scale!r})")
 
 
 @dataclass
@@ -119,16 +114,16 @@ def assign_roles(
     return sorted(int(i) for i in rng.choice(num_clients, size=count, replace=False))
 
 
-def attack_same_value(dim: int, tau: float, rng: np.random.Generator) -> np.ndarray:
-    return np.full(dim, float(rng.normal(0.0, tau)))
+def attack_same_value(dim: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+    return np.full(dim, float(rng.normal(0.0, scale)))
 
 
-def attack_sign_flip(honest: np.ndarray, tau: float, rng: np.random.Generator) -> np.ndarray:
-    return -abs(float(rng.normal(0.0, tau))) * np.asarray(honest, dtype=np.float64)
+def attack_sign_flip(honest: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
+    return -abs(float(rng.normal(0.0, scale))) * np.asarray(honest, dtype=np.float64)
 
 
-def attack_gaussian(dim: int, tau: float, rng: np.random.Generator) -> np.ndarray:
-    return rng.normal(0.0, tau, size=dim)
+def attack_gaussian(dim: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(0.0, scale, size=dim)
 
 
 def mean_upload(models: np.ndarray, rows: Sequence[int]) -> np.ndarray:
@@ -196,8 +191,8 @@ def lockstep_shares(
 def row_index(clients: Sequence[ClientRecord], aggregator: str) -> np.ndarray:
     """Each client's row of a run's parameter matrix, by client id.
 
-    Under fedaa, ipm attackers of equal AttackSpec share one row, as
-    they send the same vector: fedaa's server reads a cohort's rows only
+    Under fedaa, attackers of equal AttackSpec whose kind scales the
+    benign mean (ipm) share one row, as they send the same vector: fedaa's server reads a cohort's rows only
     in selection, which measures each distinct upload once, and in the
     merge, which gathers the kept rows anyway. Every other client, and
     every client under fedavg, whose merge of a whole population reads
@@ -208,7 +203,7 @@ def row_index(clients: Sequence[ClientRecord], aggregator: str) -> np.ndarray:
     rows = []
     for client in clients:
         attack = client.attack
-        shared = aggregator == "fedaa" and attack is not None and attack.kind == "ipm"
+        shared = aggregator == "fedaa" and attack is not None and ATTACKS[attack.kind].scales_benign_mean
         rows.append(first.setdefault(attack if shared else client.id, len(first)))
     return np.array(rows, dtype=np.intp)
 
@@ -349,7 +344,7 @@ def _train(
         for i, c in enumerate(ids):
             attack = clients[c].attack
             if attack is not None and attack.kind == "sign_flip" and i not in failed:
-                stack[i] = attack_sign_flip(stack[i], attack.tau, rngs[c])
+                stack[i] = attack_sign_flip(stack[i], attack.scale, rngs[c])
         pool.out[pool.rows[ids]] = stack
         errors.update((ids[i], exc) for i, exc in failed.items())
     return errors
@@ -433,11 +428,11 @@ def local_update(
     """
     kind = client.attack.kind if client.attack is not None else None
     if kind == "same_value":
-        row[:] = attack_same_value(row.size, client.attack.tau, streams(client.id))
+        row[:] = attack_same_value(row.size, client.attack.scale, streams(client.id))
     elif kind == "gaussian":
-        row[:] = attack_gaussian(row.size, client.attack.tau, streams(client.id))
+        row[:] = attack_gaussian(row.size, client.attack.scale, streams(client.id))
     elif kind == "ipm":
         if benign_mean is None:
             raise SimulationError("ipm attack needs this round's benign mean upload")
         if not written:
-            np.multiply(benign_mean, -client.attack.ipm_epsilon, out=row)
+            np.multiply(benign_mean, -client.attack.scale, out=row)

@@ -155,7 +155,8 @@ def _counts(min_value: int, *words: str) -> Callable[[str], int | tuple[int, ...
 _string = str  # paths and other free text are taken verbatim
 
 ALL_ATTACKS = ("none", *ATTACKS)
-TAU_ATTACKS = tuple(kind for kind, row in ATTACKS.items() if row.default_tau is not None)
+TAU_ATTACKS = tuple(kind for kind, row in ATTACKS.items() if not row.scales_benign_mean)
+IPM_ATTACKS = tuple(kind for kind, row in ATTACKS.items() if row.scales_benign_mean)
 # synthetic00 and synthetic11 fix both spread parameters to one value
 PINNED_SPREAD = {"synthetic00": 0.0, "synthetic11": 1.0}
 
@@ -192,8 +193,8 @@ KEYS = (
     Key("model.hidden", _intlist(1), field="model_hidden"),
     Key("malicious_fraction", _float(lo=0.0, hi=0.5, hi_open=True)),
     Key("attack", _choice(*ALL_ATTACKS), field="attack.kind"),
-    Key("attack.tau", _float(lo=0.0, lo_open=True), attacks=TAU_ATTACKS),
-    Key("attack.ipm_epsilon", _float(lo=0.0, lo_open=True), attacks=("ipm",)),
+    Key("attack.tau", _float(lo=0.0, lo_open=True), attacks=TAU_ATTACKS, field="attack.scale"),
+    Key("attack.ipm_epsilon", _float(lo=0.0, lo_open=True), attacks=IPM_ATTACKS, field="attack.scale"),
     Key("m_percent", _float(lo=0.0, hi=100.0, lo_open=True), aggregators=FEDAA),
     Key("participation_ratio", _float(lo=0.0, hi=1.0, lo_open=True)),
     Key("rounds", _int(lo=1)),

@@ -30,6 +30,7 @@ from .cpus import usable_cpus
 from .errors import ConfigError, FedaaError, InternalError, NumericError
 from . import data as datamod
 from .clients import (
+    ATTACKS,
     ClientRecord,
     TrainingPool,
     assign_roles,
@@ -396,7 +397,8 @@ def _collect_uploads(
         try:
             if client.id in errors:
                 raise errors[client.id]
-            if benign_mean is None and client.attack is not None and client.attack.kind == "ipm":
+            attack = client.attack
+            if benign_mean is None and attack is not None and ATTACKS[attack.kind].scales_benign_mean:
                 # every ipm attacker scales the same mean; take it once a
                 # round, when every benign row is written
                 benign_mean = mean_upload(models, rows[[c.id for c in cohort if c.attack is None]])

@@ -1,5 +1,6 @@
 """Roles, attack messages, and the per-client round step."""
 
+import dataclasses
 import errno
 import functools
 import mmap
@@ -75,28 +76,32 @@ def test_assign_roles_bounds_and_determinism():
 
 
 def test_attack_spec_defaults():
-    assert clients.AttackSpec("same_value").tau == 100.0
-    assert clients.AttackSpec("sign_flip").tau == 10.0
-    assert clients.AttackSpec("gaussian").tau == 100.0
-    assert clients.AttackSpec("gaussian", tau=7.0).tau == 7.0
+    assert [f.name for f in dataclasses.fields(clients.AttackSpec)] == ["kind", "scale"]
+    assert clients.AttackSpec("same_value").scale == 100.0
+    assert clients.AttackSpec("sign_flip").scale == 10.0
+    assert clients.AttackSpec("gaussian").scale == 100.0
+    assert clients.AttackSpec("ipm").scale == 0.5
+    assert clients.AttackSpec("gaussian", scale=7.0).scale == 7.0
+    assert clients.AttackSpec("gaussian", scale=100.0) == clients.AttackSpec("gaussian")
     with pytest.raises(ConfigError):
         clients.AttackSpec("krum")
-    with pytest.raises(ConfigError):
-        clients.AttackSpec("gaussian", tau=0.0)
-    with pytest.raises(ConfigError):
-        clients.AttackSpec("ipm", ipm_epsilon=-1.0)
-    # ipm scales by its epsilon; a tau would be silently ignored
-    assert clients.AttackSpec("ipm").tau is None
-    with pytest.raises(ConfigError, match="ipm"):
-        clients.AttackSpec("ipm", tau=5.0)
+    for kind in clients.ATTACKS:
+        for scale in (0.0, -1.0, float("nan"), -float("inf")):
+            with pytest.raises(ConfigError, match="scale"):
+                clients.AttackSpec(kind, scale=scale)
+    # one scale a kind: no second scale to accept and then ignore
+    with pytest.raises(TypeError):
+        clients.AttackSpec("gaussian", ipm_epsilon=7.0)
 
 
 def test_attack_table_drives_spec_config_and_training():
     assert tuple(clients.ATTACKS) == ("same_value", "sign_flip", "gaussian", "ipm")
     assert config.ALL_ATTACKS == ("none", *clients.ATTACKS)
     for kind, row in clients.ATTACKS.items():
-        assert clients.AttackSpec(kind).tau == row.default_tau
-        assert (kind in config.TAU_ATTACKS) == (row.default_tau is not None)
+        assert clients.AttackSpec(kind).scale == row.default_scale
+        # attack.tau and attack.ipm_epsilon split the kinds by the flag
+        assert (kind in config.TAU_ATTACKS) == (not row.scales_benign_mean)
+        assert (kind in config.IPM_ATTACKS) == row.scales_benign_mean
         client = make_client(attack=clients.AttackSpec(kind))
         assert clients.trains(client) == row.trains
     assert clients.trains(make_client())
@@ -149,7 +154,7 @@ def test_ipm_message_hand_computed():
     benign = np.array([np.ones(610), 3.0 * np.ones(610)])
     assert np.array_equal(clients.mean_upload(benign, [0, 1]), np.full(610, 2.0))
     for epsilon, expected in ((0.5, -1.0), (2.0, -4.0)):
-        spec = clients.AttackSpec("ipm", ipm_epsilon=epsilon)
+        spec = clients.AttackSpec("ipm", scale=epsilon)
         client = make_client(attack=spec)
         upload = np.empty(610)
         clients.local_update(
@@ -204,7 +209,7 @@ def test_identical_clients_produce_identical_uploads():
 
 
 def test_sign_flip_trains_then_flips():
-    spec = clients.AttackSpec("sign_flip", tau=10.0)
+    spec = clients.AttackSpec("sign_flip", scale=10.0)
     client = make_client(attack=spec)
     broadcast = np.zeros(610)
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=16, epochs=1)
@@ -217,7 +222,7 @@ def test_sign_flip_trains_then_flips():
 
 
 def test_same_value_client_ignores_data_and_skips_training():
-    spec = clients.AttackSpec("same_value", tau=100.0)
+    spec = clients.AttackSpec("same_value", scale=100.0)
     a = make_client(attack=spec, seed=10)
     b = make_client(attack=spec, seed=11)  # different data
     broadcast = np.ones(610) * 0.5
@@ -229,7 +234,7 @@ def test_same_value_client_ignores_data_and_skips_training():
 
 
 def test_gaussian_client_sends_noise_and_skips_training():
-    spec = clients.AttackSpec("gaussian", tau=100.0)
+    spec = clients.AttackSpec("gaussian", scale=100.0)
     client = make_client(attack=spec)
     broadcast = np.full(610, 0.25)
     upload = update(client, broadcast, nn.SgdConfig(epochs=1), seeded(13))
@@ -238,7 +243,7 @@ def test_gaussian_client_sends_noise_and_skips_training():
 
 
 def test_ipm_client_uses_benign_uploads():
-    spec = clients.AttackSpec("ipm", ipm_epsilon=0.5)
+    spec = clients.AttackSpec("ipm", scale=0.5)
     client = make_client(attack=spec)
     benign = np.array([np.ones(610), 3.0 * np.ones(610)])
     upload = np.empty(610)

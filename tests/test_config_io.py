@@ -210,15 +210,15 @@ def test_synthetic_kind_pins_alpha_beta():
 def test_attack_defaults_and_overrides():
     cfg = config.parse_config_text("malicious_fraction = 0.3\nattack = sign_flip\n")
     assert cfg.attack.kind == "sign_flip"
-    assert cfg.attack.tau == 10.0
+    assert cfg.attack.scale == 10.0
     cfg = config.parse_config_text(
         "malicious_fraction = 0.3\nattack = same_value\nattack.tau = 50\n"
     )
-    assert cfg.attack.tau == 50.0
+    assert cfg.attack.scale == 50.0
     cfg = config.parse_config_text(
         "malicious_fraction = 0.1\nattack = ipm\nattack.ipm_epsilon = 0.7\n"
     )
-    assert cfg.attack.ipm_epsilon == 0.7
+    assert cfg.attack.scale == 0.7
 
 
 def test_sizes_value_forms():

@@ -623,7 +623,7 @@ def test_selection_measures_each_distinct_upload_once(monkeypatch):
     # send; 5 rows of 610 take the numpy route, squareform(pdist(.)) bit
     # for bit, and scipy's pdist never runs
     cfg = small_cfg(
-        malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
+        malicious_fraction=0.4, attack=clients.AttackSpec("ipm", scale=0.7)
     )
     exp = orchestrator.build_experiment(cfg)
     rows = []
@@ -651,7 +651,7 @@ def test_selection_measures_each_distinct_upload_once(monkeypatch):
 def test_the_gram_kernel_measures_each_distinct_upload_once(monkeypatch):
     # as above, with every selection on the Gram route
     cfg = small_cfg(
-        malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
+        malicious_fraction=0.4, attack=clients.AttackSpec("ipm", scale=0.7)
     )
     exp = orchestrator.build_experiment(cfg)
     rows = []
@@ -774,7 +774,7 @@ def test_local_models_are_written_without_a_second_upload_matrix(monkeypatch):
 
 def test_ipm_uploads_equal_the_scaled_benign_mean():
     cfg = small_cfg(
-        malicious_fraction=0.4, attack=clients.AttackSpec("ipm", ipm_epsilon=0.7)
+        malicious_fraction=0.4, attack=clients.AttackSpec("ipm", scale=0.7)
     )
     exp = orchestrator.build_experiment(cfg)
     pool = one_process_pool(exp)
@@ -806,7 +806,7 @@ def ipm_cfg(**overrides):
         dataset=config.DatasetConfig(kind="synthetic00", num_clients=10, samples_per_client=20),
         model_hidden=(8,),
         malicious_fraction=0.4,
-        attack=clients.AttackSpec("ipm", ipm_epsilon=0.7),
+        attack=clients.AttackSpec("ipm", scale=0.7),
     )
     return small_cfg(**{**base, **overrides})
 
@@ -956,7 +956,7 @@ def per_client_uploads(exp, participants, global_params, round_index):
                 if isinstance(trained, NumericError):
                     raise trained
                 if client.attack is not None:  # a sign flipper
-                    trained = clients.attack_sign_flip(trained, client.attack.tau, rng)
+                    trained = clients.attack_sign_flip(trained, client.attack.scale, rng)
                 uploads[cid][:] = trained
             clients.local_update(
                 client, uploads[cid], streams,
