@@ -64,13 +64,20 @@ def _plot_records(rows: list[dict], out_dir: str) -> list[str]:
     return paths
 
 
-def _make_out_dir(path: str) -> None:
-    """Create the output directory; each command calls this before its
-    work, so an --out that cannot be a directory fails before any run."""
+def _make_out_dir(path: str, *names: str) -> list[str]:
+    """Create the output directory and return the paths of the files
+    ``names`` in it; each command calls this before its work, so an --out
+    that cannot be a directory, or a file path in it that is one, fails
+    before any run. Other write failures surface as the file is written."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {path}: {exc}") from None
+    paths = [os.path.join(path, name) for name in names]
+    for file_path in paths:
+        if os.path.isdir(file_path):
+            raise ConfigError(f"cannot write {file_path}: is a directory")
+    return paths
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -81,12 +88,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from None
     cfg = build_config(values)
-    _make_out_dir(args.out)
+    charts = [chart[0] for chart in CHARTS] if args.plot else []
+    results_path, config_path, manifest_path, *_ = _make_out_dir(
+        args.out, f"results.{args.format}", "config.txt", "manifest.json", *charts
+    )
     started = utc_now()
     records = run_experiment(cfg)
-    results_path = os.path.join(args.out, f"results.{args.format}")
     emit_results(records, results_path, args.format)
-    config_path = os.path.join(args.out, "config.txt")
     write_text(config_path, emit_config(cfg))
     artifacts = [results_path, config_path]
     if args.plot:
@@ -100,7 +108,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         artifacts=sorted(artifacts),
         version=__import__("fedaa").__version__,
     )
-    manifest_path = os.path.join(args.out, "manifest.json")
     write_manifest(manifest, manifest_path)
     final = records[-1]
     print(
@@ -176,7 +183,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # a worker process per CPU where the runs fill every CPU (cpus.usable_cpus)
     cpus = usable_cpus()
     workers = cpus if len(tasks) >= cpus > 1 else 1
-    _make_out_dir(args.out)
+    (table_path,) = _make_out_dir(args.out, "sweep.csv")
     if workers > 1:
         # where the workers are forked, they are forked in this thread,
         # while the map submits its first task
@@ -184,7 +191,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             rows = list(pool.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(task) for task in tasks]
-    table_path = os.path.join(args.out, "sweep.csv")
     emit_sweep_table([rows[lo : lo + args.seeds] for lo in range(0, len(rows), args.seeds)],
                      table_path)
     processes = f"{workers} processes" if workers > 1 else "1 process"
@@ -194,7 +200,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     rows = _read_results_csv(args.input)
-    _make_out_dir(args.out)
+    _make_out_dir(args.out, *(chart[0] for chart in CHARTS))
     for path in _plot_records(rows, args.out):
         print(f"wrote {path}")
     return 0

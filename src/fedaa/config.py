@@ -39,8 +39,9 @@ AGGREGATORS = ("fedaa", "fedavg")
 class DatasetConfig:
     kind: str = "synthetic00"
     num_clients: int = 100
-    alpha: float = 0.0
-    beta: float = 0.0
+    # None: the kind's PINNED_SPREAD, or 0.0 for a kind that pins none
+    alpha: float | None = None
+    beta: float | None = None
     # int applies to every client; "lognormal" draws seeded sizes in [20, 1000]
     samples_per_client: int | tuple[int, ...] | str = "lognormal"
     total_samples: int = 5000
@@ -48,6 +49,15 @@ class DatasetConfig:
     csv_path: str = ""
     idx_images: str = ""
     idx_labels: str = ""
+
+    def __post_init__(self) -> None:
+        pinned = PINNED_SPREAD.get(self.kind)
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if value is None:
+                object.__setattr__(self, name, 0.0 if pinned is None else pinned)
+            elif pinned is not None and value != pinned:
+                raise ConfigError(f"dataset = {self.kind} pins dataset.{name} to {pinned} (got {value})")
 
 
 @dataclass(frozen=True)
@@ -157,8 +167,8 @@ _string = str  # paths and other free text are taken verbatim
 ALL_ATTACKS = ("none", *ATTACKS)
 TAU_ATTACKS = tuple(kind for kind, row in ATTACKS.items() if not row.scales_benign_mean)
 IPM_ATTACKS = tuple(kind for kind, row in ATTACKS.items() if row.scales_benign_mean)
-# synthetic00 and synthetic11 fix both spread parameters to one value
-PINNED_SPREAD = {"synthetic00": 0.0, "synthetic11": 1.0}
+# the generated kinds but synthetic fix both spread parameters to one value
+PINNED_SPREAD = {"synthetic00": 0.0, "synthetic11": 1.0, "synthetic_dirichlet": 0.0}
 
 
 @dataclass(frozen=True)
@@ -322,9 +332,6 @@ def build_config(values: dict[str, object]) -> ExperimentConfig:
     for key in KEYS:
         if key.name in values and not _applies(key, kinds):
             raise ConfigError(_scope_error(key, kinds))
-    if kinds[0] in PINNED_SPREAD:
-        spread = PINNED_SPREAD[kinds[0]]
-        by_section["dataset"].update(alpha=spread, beta=spread)
     # a file-backed kind needs every path key that belongs to it alone
     missing = [
         key.name

@@ -149,6 +149,30 @@ def test_report_rejects_an_unusable_out(cfg_path, tmp_path, taken_out, capsys):
 
 
 @pytest.mark.parametrize("command, artifact", [
+    (["run"], "results.csv"),
+    (["run", "--format", "json"], "results.json"),
+    (["run"], "config.txt"),
+    (["run"], "manifest.json"),
+    (["run", "--plot"], "curves.svg"),
+    (["run", "--plot"], "spread.svg"),
+    (["sweep", "--seeds", "3"], "sweep.csv"),
+], ids=lambda part: part if isinstance(part, str) else " ".join(part))
+def test_an_artifact_path_that_is_a_directory_fails_before_any_run(
+    command, artifact, cfg_path, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)  # a sweep's runs stay in this process
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: calls.append(cfg))
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert cli.main([*command, "--config", cfg_path, "--out", str(out)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"fedaa: error: ConfigError: cannot write {out / artifact}: is a directory\n"
+    )
+
+
+@pytest.mark.parametrize("command, artifact", [
     ("run", "results.csv"), ("sweep", "sweep.csv"), ("report", "curves.svg"),
 ])
 def test_a_directory_in_the_way_of_an_artifact_fails_typed(cfg_path, tmp_path, capsys, command,

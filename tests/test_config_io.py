@@ -205,6 +205,14 @@ def test_synthetic_kind_pins_alpha_beta():
         "dataset = synthetic\ndataset.alpha = 2.5\ndataset.beta = 0.5\n"
     )
     assert cfg.dataset.alpha == 2.5 and cfg.dataset.beta == 0.5
+    # the pin holds for a config built in code too
+    for kind, spread in config.PINNED_SPREAD.items():
+        dataset = config.DatasetConfig(kind=kind)
+        assert dataset.alpha == dataset.beta == spread
+        assert config.DatasetConfig(kind=kind, alpha=spread, beta=spread) == dataset
+        with pytest.raises(ConfigError, match=f"dataset = {kind} pins dataset.beta"):
+            config.DatasetConfig(kind=kind, beta=spread + 0.5)
+    assert config.DatasetConfig(kind="synthetic").alpha == 0.0
 
 
 def test_attack_defaults_and_overrides():
@@ -397,6 +405,13 @@ def test_readme_config_table_lists_every_key():
     for row_keys, default in rows:
         for key in row_keys if default else ():
             assert emitted[key] == default.group(1), key
+    # attack.tau's per-kind defaults name its kinds in table order
+    tau_row = next(line for line in section.splitlines() if line.startswith("| `attack.tau`"))
+    named, defaults = re.search(r"for ((?:`\w+`(?: / )?)+), defaults ([\d. /]+):", tau_row).groups()
+    assert tuple(re.findall(r"`(\w+)`", named)) == config.TAU_ATTACKS
+    assert [float(d) for d in defaults.split(" / ")] == [
+        clients.ATTACKS[kind].default_scale for kind in config.TAU_ATTACKS
+    ]
     # the rows whose default is a path, a word or a rule, not a value
     assert {key for row_keys, default in rows if not default for key in row_keys} == {
         "dataset.csv_path", "dataset.idx_images", "dataset.idx_labels",
