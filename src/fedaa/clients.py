@@ -192,9 +192,10 @@ def row_index(clients: Sequence[ClientRecord], aggregator: str) -> np.ndarray:
     """Each client's row of a run's parameter matrix, by client id.
 
     Under fedaa, attackers of equal AttackSpec whose kind scales the
-    benign mean (ipm) share one row, as they send the same vector: fedaa's server reads a cohort's rows only
-    in selection, which measures each distinct upload once, and in the
-    merge, which gathers the kept rows anyway. Every other client, and
+    benign mean (ipm) share one row, as they send the same vector:
+    fedaa's server reads a cohort's rows only in selection, which
+    measures each distinct upload once, and in the merge, which gathers
+    the kept rows anyway. Every other client, and
     every client under fedavg, whose merge of a whole population reads
     the matrix in place, has a row of its own. Rows are numbered in
     ascending id of the first client that holds them.

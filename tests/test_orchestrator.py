@@ -351,11 +351,12 @@ def test_code_built_config_and_its_canonical_text_build_the_same_experiment_gene
     # its config hash) leaves out
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    datasets = config.SYNTHETIC_KINDS + ("synthetic_dirichlet",)
     seen = set()
 
     @st.composite
     def configs(draw):
-        kind = draw(st.sampled_from(config.SYNTHETIC_KINDS + ("synthetic_dirichlet",)))
+        kind = draw(st.sampled_from(datasets))
         count = draw(st.integers(2, 12))
         pinned = config.PINNED_SPREAD.get(kind)
         # a pinned kind's spread is left out or passed as its pin
@@ -399,20 +400,20 @@ def test_code_built_config_and_its_canonical_text_build_the_same_experiment_gene
         assert _experiment_bytes(orchestrator.build_experiment(cfg)) == _experiment_bytes(from_text)
         seen.update((cfg.dataset.kind, cfg.attack and cfg.attack.kind, cfg.aggregator))
 
-    # one example of each dataset kind, attack kind and aggregator
-    for dataset, attack, aggregator in zip(
-        config.SYNTHETIC_KINDS + ("synthetic_dirichlet",), clients.ATTACKS, config.AGGREGATORS * 2
-    ):
+    # one example of each dataset kind, attack kind and aggregator, as
+    # hypothesis draws differently with the modules loaded
+    for index, attack in enumerate((None, *clients.ATTACKS)):
         check = hypothesis.example(config.ExperimentConfig(
-            dataset=config.DatasetConfig(kind=dataset, num_clients=10, samples_per_client=20,
-                                         total_samples=400),
-            malicious_fraction=0.3, attack=clients.AttackSpec(attack), aggregator=aggregator,
+            dataset=config.DatasetConfig(kind=datasets[index % len(datasets)], num_clients=10,
+                                         samples_per_client=20, total_samples=400),
+            malicious_fraction=0.0 if attack is None else 0.3,
+            attack=attack and clients.AttackSpec(attack),
+            aggregator=config.AGGREGATORS[index % 2],
             validation=config.ValidationConfig(per_class=2), m_percent=50.0,
             ddpg=config.DdpgConfig(hidden=4),
         ))(check)
     check()
-    assert seen == set(config.SYNTHETIC_KINDS + ("synthetic_dirichlet",) + tuple(clients.ATTACKS)
-                       + config.AGGREGATORS + (None,))
+    assert seen == {*datasets, *clients.ATTACKS, *config.AGGREGATORS, None}
 
 
 @pytest.mark.parametrize("text, message", [
