@@ -64,19 +64,23 @@ def _plot_records(rows: list[dict], out_dir: str) -> list[str]:
     return paths
 
 
-def _make_out_dir(path: str, *names: str) -> list[str]:
-    """Create the output directory and return the paths of the files
-    ``names`` in it; each command calls this before its work, so an --out
-    that cannot be a directory, or a file path in it that is one, fails
-    before any run. Other write failures surface as the file is written."""
+def _make_out_dir(path: str) -> None:
+    """Create the output directory; each command calls this before its
+    work, so an --out that cannot be a directory fails before any run."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {path}: {exc}") from None
-    paths = [os.path.join(path, name) for name in names]
-    for file_path in paths:
-        if os.path.isdir(file_path):
-            raise ConfigError(f"cannot write {file_path}: is a directory")
+
+
+def _artifact_paths(out_dir: str, *names: str) -> list[str]:
+    """The paths of the files ``names`` in ``out_dir``, checked before
+    any run: one that is a directory fails now. Other write failures
+    surface as the file is written."""
+    paths = [os.path.join(out_dir, name) for name in names]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: is a directory")
     return paths
 
 
@@ -88,8 +92,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from None
     cfg = build_config(values)
+    _make_out_dir(args.out)
     charts = [chart[0] for chart in CHARTS] if args.plot else []
-    results_path, config_path, manifest_path, *_ = _make_out_dir(
+    results_path, config_path, manifest_path, *_ = _artifact_paths(
         args.out, f"results.{args.format}", "config.txt", "manifest.json", *charts
     )
     started = utc_now()
@@ -183,7 +188,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # a worker process per CPU where the runs fill every CPU (cpus.usable_cpus)
     cpus = usable_cpus()
     workers = cpus if len(tasks) >= cpus > 1 else 1
-    (table_path,) = _make_out_dir(args.out, "sweep.csv")
+    _make_out_dir(args.out)
+    (table_path,) = _artifact_paths(args.out, "sweep.csv")
     if workers > 1:
         # where the workers are forked, they are forked in this thread,
         # while the map submits its first task
@@ -200,7 +206,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     rows = _read_results_csv(args.input)
-    _make_out_dir(args.out, *(chart[0] for chart in CHARTS))
+    _make_out_dir(args.out)
     for path in _plot_records(rows, args.out):
         print(f"wrote {path}")
     return 0
