@@ -118,6 +118,7 @@ def _float(
             raise ValueError(f"must be {'<' if hi_open else '<='} {hi}")
         return value
 
+    parse.emits_float = True  # emit_config writes the key's value as a float
     return parse
 
 
@@ -380,9 +381,11 @@ def build_config(values: dict[str, object]) -> ExperimentConfig:
     return cfg
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
+def _fmt(value: object, key: Key) -> str:
+    """``value`` as ``key``'s text: a float key's value as the float its
+    parser reads (an int or a numpy float built in code included)."""
+    if getattr(key.parse, "emits_float", False):
+        return repr(float(value))
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
@@ -405,9 +408,10 @@ def emit_config(cfg: ExperimentConfig) -> str:
     or ``synthetic_dirichlet`` run, whose absence means 100 validation
     rows per class."""
     kinds = cfg.dataset.kind, _value(cfg, "attack.kind"), cfg.aggregator
-    pairs = {key.name: _value(cfg, key.field or key.name) for key in KEYS if _applies(key, kinds)}
+    pairs = {key.name: (key, _value(cfg, key.field or key.name)) for key in KEYS if _applies(key, kinds)}
     return "".join(
-        f"{name} = {_fmt(pairs[name])}\n" for name in sorted(pairs) if pairs[name] is not None
+        f"{name} = {_fmt(value, key)}\n" for name, (key, value) in sorted(pairs.items())
+        if value is not None
     )
 
 

@@ -2,17 +2,26 @@
 
 All features are float64 matrices of shape (n, dim); labels are integer
 vectors with every value in [0, num_classes). A population of clients
-is a list of (train, test) pairs. Second arguments to normal draws below
-are variances, matching the generative recipes they implement.
+is a sequence of (train, test) pairs. Second arguments to normal draws
+below are variances, matching the generative recipes they implement.
+
+A synthetic population is built as whole arrays: only the random draws
+are made client by client, in the order a client-by-client build makes
+them, and the scaling, labelling, checks, splits and the server pool's
+gathers each run once over all clients' rows. The population is checked
+once, as one ``LabeledDataset``; each client's sets are row views of
+one train set and one test set, and a row subset of a checked set is
+not checked again.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,12 +59,20 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.labels.size
 
-    def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(self.features[indices], self.labels[indices], self.num_classes)
+    def subset(self, indices: np.ndarray | slice) -> "LabeledDataset":
+        """The rows ``indices`` (an index array, a row mask, or a slice,
+        which gives views). A row subset of a checked set is not checked
+        again; only that it holds a row."""
+        out = object.__new__(LabeledDataset)
+        out.features, out.labels = self.features[indices], self.labels[indices]
+        out.num_classes = self.num_classes
+        if out.labels.size == 0:
+            raise ConfigError("dataset must hold at least one sample")
+        return out
 
 
 # one (train, test) pair per client, in client order
-Clients = list[tuple[LabeledDataset, LabeledDataset]]
+Clients = Sequence[tuple[LabeledDataset, LabeledDataset]]
 
 # the synthetic source's feature count and classes
 SYNTHETIC_DIM = 60
@@ -64,33 +81,59 @@ SYNTHETIC_CLASSES = 10
 TEST_FRACTION = 0.2
 
 
-@dataclass
-class SyntheticGenerator:
-    """Per-client generative model: softmax classifier plus feature center."""
+class Population(tuple):
+    """A synthetic population: its clients' (train, test) pairs, which
+    cannot change, and ``train``, the one set whose consecutive row
+    slices are their train sets, in client order."""
 
-    weight: np.ndarray  # (num_classes, input_dim)
-    bias: np.ndarray    # (num_classes,)
-    center: float       # v_k, shared mean of every feature coordinate
+    train: LabeledDataset
+
+    def __new__(cls, pairs: Iterable[tuple[LabeledDataset, LabeledDataset]],
+                train: LabeledDataset) -> "Population":
+        self = super().__new__(cls, pairs)
+        self.train = train
+        return self
+
+
+def _row_slices(whole: LabeledDataset, counts: Sequence[int]) -> list[LabeledDataset]:
+    """``whole`` cut into consecutive row views of ``counts`` rows each."""
+    ends = np.cumsum(counts).tolist()
+    return [whole.subset(slice(end - n, end)) for n, end in zip(counts, ends)]
+
+
+@dataclass
+class SyntheticGenerators:
+    """Per-client generative models, client k's at index k: a softmax
+    classifier plus a feature center."""
+
+    weight: np.ndarray  # (clients, num_classes, input_dim)
+    bias: np.ndarray    # (clients, num_classes)
+    center: np.ndarray  # (clients,): v_k, shared mean of every feature coordinate
 
 
 def draw_synthetic_generators(
     alpha: float, beta: float, count: int, rng: np.random.Generator
-) -> list[SyntheticGenerator]:
+) -> SyntheticGenerators:
     """Draw ``count`` clients' generators. alpha scales the variance of
     each client's model-mean draw, beta that of its feature-center mean;
     both zero, every client shares the same generative centers (the
-    models still differ through the unit-variance draws around them)."""
+    models still differ through the unit-variance draws around them).
+
+    Client after client, the draws are u_k ~ N(0, alpha), its weights
+    and biases ~ N(u_k, 1), mu_k ~ N(0, beta) and v_k ~ N(mu_k, 1): one
+    block of standard normals z, each value formed as ``rng.normal(loc,
+    scale)`` forms it, loc + scale * z. The weights, biases and centers
+    are views of the block, shifted in place, so the generators make no
+    second array of their size.
+    """
     if alpha < 0 or beta < 0:
         raise ConfigError("alpha and beta must be non-negative")
-    out = []
-    for _ in range(count):
-        u = float(rng.normal(0.0, math.sqrt(alpha)))
-        weight = rng.normal(u, 1.0, size=(SYNTHETIC_CLASSES, SYNTHETIC_DIM))
-        bias = rng.normal(u, 1.0, size=SYNTHETIC_CLASSES)
-        mu = float(rng.normal(0.0, math.sqrt(beta)))
-        v = float(rng.normal(mu, 1.0))
-        out.append(SyntheticGenerator(weight, bias, v))
-    return out
+    size = SYNTHETIC_CLASSES * SYNTHETIC_DIM
+    z = rng.standard_normal((count, size + SYNTHETIC_CLASSES + 3))
+    z[:, 1:-2] += 0.0 + math.sqrt(alpha) * z[:, :1]  # weights and biases around u_k
+    z[:, -1] += 0.0 + math.sqrt(beta) * z[:, -2]  # v_k around mu_k
+    weight = z[:, 1 : size + 1].reshape(count, SYNTHETIC_CLASSES, SYNTHETIC_DIM)
+    return SyntheticGenerators(weight, z[:, size + 1 : -2], z[:, -1])
 
 
 def feature_scales(input_dim: int) -> np.ndarray:
@@ -99,40 +142,68 @@ def feature_scales(input_dim: int) -> np.ndarray:
     return np.sqrt(1.0 / j**1.2)
 
 
-def sample_from_generator(
-    gen: SyntheticGenerator, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """n feature rows around the client center, labeled by its classifier."""
-    if n < 1:
-        raise ConfigError("sample count must be >= 1")
-    dim = gen.weight.shape[1]
-    x = gen.center + rng.standard_normal((n, dim)) * feature_scales(dim)
-    y = np.argmax(x @ gen.weight.T + gen.bias, axis=1)
-    return x, y.astype(np.int64)
+def synthetic_population(
+    alpha: float, beta: float, sizes: Sequence[int], rng: np.random.Generator,
+    permute: bool = False,
+) -> tuple[LabeledDataset, np.ndarray | None]:
+    """Every client's rows, client after client, as one checked set:
+    ``sizes[k]`` rows for client k, around its center and labeled by its
+    classifier; and with ``permute``, each client's permutation of its
+    own rows (``rng.permutation(sizes[k])``), one after the other.
 
-
-def synthetic_samples(
-    alpha: float, beta: float, sizes: Sequence[int], rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each client's (features, labels), ``sizes[k]`` rows for client k.
-
-    Every generator is drawn first; then each client's sample is drawn
-    as it is asked for, so draws the caller makes between two clients
-    come after the first one's sample and before the next one's.
+    Every generator is drawn first; then each client's (n, dim) block of
+    standard normals, and with ``permute`` its permutation after it. The
+    blocks are scaled and centred in place, and the bias add and argmax
+    run once over all rows; the affine scores take one matmul per client,
+    on its own rows, because BLAS may round a row by the rows beside it.
     """
     if any(n < 5 for n in sizes):
         raise ConfigError("every client needs at least 5 samples")
-    for gen, n in zip(draw_synthetic_generators(alpha, beta, len(sizes), rng), sizes):
-        yield sample_from_generator(gen, n, rng)
+    gens = draw_synthetic_generators(alpha, beta, len(sizes), rng)
+    bounds = list(zip(np.cumsum(sizes).tolist(), sizes))
+    # the build's largest temporary: in its own mapping, its pages go back
+    # to the system when the build drops it, where the allocator's heap
+    # would keep them and add them to the peak RSS of the run that follows
+    rows = sum(sizes)
+    x = np.frombuffer(mmap.mmap(-1, 8 * SYNTHETIC_DIM * max(rows, 1)))[: rows * SYNTHETIC_DIM]
+    x = x.reshape(rows, SYNTHETIC_DIM)
+    perms = np.empty(rows, dtype=np.int64) if permute else None
+    for end, n in bounds:
+        rng.standard_normal(out=x[end - n : end])
+        if permute:
+            perms[end - n : end] = rng.permutation(n)
+    x *= feature_scales(SYNTHETIC_DIM)
+    x += np.repeat(gens.center, sizes)[:, None]
+    scores = np.empty((rows, SYNTHETIC_CLASSES))
+    for weight, (end, n) in zip(gens.weight, bounds):
+        np.matmul(x[end - n : end], weight.T, out=scores[end - n : end])
+    scores += np.repeat(gens.bias, sizes, axis=0)
+    return LabeledDataset(x, np.argmax(scores, axis=1), SYNTHETIC_CLASSES), perms
 
 
-def split_train_test(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Shuffled (train, test) index split; both sides non-empty for n >= 2."""
-    if n < 2:
-        raise ConfigError("need at least 2 samples to split")
-    perm = rng.permutation(n)
-    n_test = min(max(1, round_half_up(TEST_FRACTION * n)), n - 1)
-    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+def generate_synthetic(
+    alpha: float, beta: float, sizes: Sequence[int], rng: np.random.Generator
+) -> Population:
+    """Per-client synthetic datasets, each split 80/20 into train/test.
+
+    Client k's test rows are the first round(0.2 * n) entries of its
+    permutation, in row order, and its train rows the rest; n >= 5 puts
+    rows on both sides. All train rows are gathered into one set and all
+    test rows into another, and each client's sets are row views of
+    those two.
+    """
+    population, perms = synthetic_population(alpha, beta, sizes, rng, permute=True)
+    n_test = [round_half_up(TEST_FRACTION * n) for n in sizes]
+    # each row's client's first row; ``first`` marks the first n_test
+    # places of each client's permutation, whose entries are its test rows
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    first = np.arange(len(perms)) - starts < np.repeat(n_test, sizes)
+    is_test = np.zeros(len(perms), dtype=bool)
+    is_test[starts[first] + perms[first]] = True
+    train = population.subset(~is_test)
+    tests = _row_slices(population.subset(is_test), n_test)
+    trains = _row_slices(train, [n - t for n, t in zip(sizes, n_test)])
+    return Population(zip(trains, tests), train)
 
 
 def stratified_split(labels: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -153,22 +224,6 @@ def stratified_split(labels: np.ndarray, rng: np.random.Generator) -> tuple[np.n
     if not mask.any():
         mask[n - 1] = True
     return np.flatnonzero(~mask), np.flatnonzero(mask)
-
-
-def generate_synthetic(
-    alpha: float, beta: float, sizes: Sequence[int], rng: np.random.Generator
-) -> Clients:
-    """Per-client synthetic datasets, each split 80/20 into train/test."""
-    clients = []
-    for x, y in synthetic_samples(alpha, beta, sizes, rng):
-        train_idx, test_idx = split_train_test(y.size, rng)
-        clients.append(
-            (
-                LabeledDataset(x[train_idx], y[train_idx], SYNTHETIC_CLASSES),
-                LabeledDataset(x[test_idx], y[test_idx], SYNTHETIC_CLASSES),
-            )
-        )
-    return clients
 
 
 def dirichlet_partition(
@@ -256,25 +311,32 @@ def extract_server_pool(
     With n the smallest client sample count, every client moves
     max(1, round(0.1 * n)) seeded train samples into the pool; moved
     samples leave the client's train set, keeping the pool disjoint.
+
+    The picks are drawn client after client (``rng.choice``). The pool
+    and the kept train rows are then each gathered once from all train
+    rows, client after client: a Population's ``train``, else the
+    concatenation of the train sets, which share one class count. The
+    trimmed train sets are row views of the kept rows.
     """
-    totals = [len(train) + len(test) for train, test in clients]
-    upload = max(1, round_half_up(0.1 * min(totals)))
-    pool_x, pool_y = [], []
-    trimmed = []
-    for train, test in clients:
-        if len(train) - upload < 1:
-            raise ConfigError(
-                f"client train split of {len(train)} cannot spare {upload} uploads"
-            )
-        pick = np.sort(rng.choice(len(train), size=upload, replace=False))
-        kept = np.ones(len(train), dtype=bool)
-        kept[pick] = False
-        keep = np.flatnonzero(kept)
-        pool_x.append(train.features[pick])
-        pool_y.append(train.labels[pick])
-        trimmed.append((train.subset(keep), test))
-    pool = LabeledDataset(np.vstack(pool_x), np.concatenate(pool_y), clients[0][0].num_classes)
-    return pool, trimmed
+    sizes = [len(train) for train, _ in clients]
+    upload = max(1, round_half_up(0.1 * min(n + len(test) for n, (_, test) in zip(sizes, clients))))
+    picks = np.empty((len(clients), upload), dtype=np.int64)
+    for k, n in enumerate(sizes):
+        if n - upload < 1:
+            raise ConfigError(f"client train split of {n} cannot spare {upload} uploads")
+        picks[k] = rng.choice(n, size=upload, replace=False)
+    if isinstance(clients, Population):
+        whole = clients.train
+    else:
+        whole = LabeledDataset(
+            np.concatenate([train.features for train, _ in clients]),
+            np.concatenate([train.labels for train, _ in clients]),
+            clients[0][0].num_classes,
+        )
+    picked = np.zeros(len(whole), dtype=bool)
+    picked[picks + (np.cumsum(sizes) - sizes)[:, None]] = True
+    trains = _row_slices(whole.subset(~picked), [n - upload for n in sizes])
+    return whole.subset(picked), list(zip(trains, (test for _, test in clients)))
 
 
 def lognormal_sizes(

@@ -266,8 +266,7 @@ def _materialize_data(cfg: ExperimentConfig) -> tuple[LabeledDataset, datamod.Cl
     if ds.kind == "synthetic_dirichlet":
         # pool one generator per client so all classes appear in the source;
         # a single random linear labeler leaves entire classes empty
-        xs, ys = zip(*datamod.synthetic_samples(ds.alpha, ds.beta, _client_sizes(cfg), data_rng))
-        source = LabeledDataset(np.concatenate(xs), np.concatenate(ys), datamod.SYNTHETIC_CLASSES)
+        source, _ = datamod.synthetic_population(ds.alpha, ds.beta, _client_sizes(cfg), data_rng)
     elif ds.kind == "csv":
         source = datamod.load_csv(ds.csv_path)
     else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import os
 
 import numpy as np
@@ -180,6 +181,31 @@ def _check_fairness_stacking() -> None:
         )
 
 
+def _check_synthetic_population() -> None:
+    # byte-identical synthetic data rests on the whole-array build doing
+    # exactly the arithmetic of a client-by-client build on this numpy and
+    # BLAS: one standard-normal draw of every generator against rng.normal
+    # calls, one matmul per client into a shared array, and in-place
+    # scaling and centring
+    sizes, alpha, beta = (5, 61, 20, 7, 130, 5), 1.0, 0.5
+    clients = datamod.generate_synthetic(alpha, beta, sizes, np.random.default_rng(18))
+    rng = np.random.default_rng(18)
+    models = []
+    for _ in sizes:
+        u = rng.normal(0.0, math.sqrt(alpha))
+        weight, bias = rng.normal(u, 1.0, size=(10, 60)), rng.normal(u, 1.0, size=10)
+        models.append((weight, bias, rng.normal(rng.normal(0.0, math.sqrt(beta)), 1.0)))
+    for cid, ((train, test), (weight, bias, center), n) in enumerate(zip(clients, models, sizes)):
+        x = center + rng.standard_normal((n, 60)) * datamod.feature_scales(60)
+        y = np.argmax(x @ weight.T + bias, axis=1)
+        perm = rng.permutation(n)
+        n_test = datamod.round_half_up(0.2 * n)
+        for split, rows in ((train, np.sort(perm[n_test:])), (test, np.sort(perm[:n_test]))):
+            assert (split.features.tobytes(), split.labels.tobytes()) == (
+                x[rows].tobytes(), y[rows].tobytes()
+            ), f"the whole-array build differs from client {cid}'s own"
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the pools' children inherit it at the fork
 def _check_parallel_training() -> None:
     # byte-identical results on a training pool rest on a forked child
@@ -226,6 +252,7 @@ CHECKS = (
     ("sgd_matches_reference", _check_sgd_matches_reference),
     ("parallel_training", _check_parallel_training),
     ("fairness_stacking", _check_fairness_stacking),
+    ("synthetic_population", _check_synthetic_population),
 )
 
 

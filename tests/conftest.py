@@ -1,11 +1,12 @@
-"""Shared test helpers: independent finite-difference and SGD oracles,
-and the forks of training pools."""
+"""Shared test helpers: independent finite-difference, SGD and
+synthetic-data oracles, and the forks of training pools."""
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 # before numpy, so that the tests run BLAS on one thread, as a fedaa run does
 import fedaa  # noqa: F401
@@ -13,7 +14,15 @@ import numpy as np
 import pytest
 
 from fedaa import clients, nn
-from fedaa.errors import NumericError
+from fedaa.data import (
+    SYNTHETIC_CLASSES,
+    SYNTHETIC_DIM,
+    TEST_FRACTION,
+    LabeledDataset,
+    feature_scales,
+    round_half_up,
+)
+from fedaa.errors import ConfigError, NumericError
 
 
 def central_diff(
@@ -64,6 +73,66 @@ def replay_backward_ce(arch, start, x, y, cfg, rng):
                 return exc
             params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
     return params
+
+
+def synthetic_samples(
+    alpha: float, beta: float, sizes: Sequence[int], rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The client-by-client synthetic sampler, the oracle of
+    ``data.synthetic_population``: each client's (features, labels).
+
+    Every generator is drawn first, client after client, one
+    ``rng.normal`` call per value or array; then each client's sample as
+    it is asked for, so draws the caller makes between two clients come
+    after the first one's sample and before the next one's.
+    """
+    if any(n < 5 for n in sizes):
+        raise ConfigError("every client needs at least 5 samples")
+    if alpha < 0 or beta < 0:
+        raise ConfigError("alpha and beta must be non-negative")
+    gens = []
+    for _ in sizes:
+        u = float(rng.normal(0.0, math.sqrt(alpha)))
+        weight = rng.normal(u, 1.0, size=(SYNTHETIC_CLASSES, SYNTHETIC_DIM))
+        bias = rng.normal(u, 1.0, size=SYNTHETIC_CLASSES)
+        mu = float(rng.normal(0.0, math.sqrt(beta)))
+        gens.append((weight, bias, float(rng.normal(mu, 1.0))))
+    for (weight, bias, center), n in zip(gens, sizes):
+        x = center + rng.standard_normal((n, SYNTHETIC_DIM)) * feature_scales(SYNTHETIC_DIM)
+        yield x, np.argmax(x @ weight.T + bias, axis=1).astype(np.int64)
+
+
+def generate_synthetic(alpha, beta, sizes, rng):
+    """The client-by-client 80/20 split, the oracle of
+    ``data.generate_synthetic``: after each client's sample, its
+    permutation; its first round(0.2 * n) entries (at least 1, at most
+    n - 1), sorted, are the test rows. Each split is a checked set."""
+    out = []
+    for x, y in synthetic_samples(alpha, beta, sizes, rng):
+        perm = rng.permutation(y.size)
+        n_test = min(max(1, round_half_up(TEST_FRACTION * y.size)), y.size - 1)
+        train, test = np.sort(perm[n_test:]), np.sort(perm[:n_test])
+        out.append((LabeledDataset(x[train], y[train], SYNTHETIC_CLASSES),
+                    LabeledDataset(x[test], y[test], SYNTHETIC_CLASSES)))
+    return out
+
+
+def extract_server_pool(clients, rng):
+    """The client-by-client upload rule, the oracle of
+    ``data.extract_server_pool``: each client's sorted picks go to the
+    pool, its other train rows stay, each client's trimmed set checked."""
+    upload = max(1, round_half_up(0.1 * min(len(train) + len(test) for train, test in clients)))
+    pool_x, pool_y, trimmed = [], [], []
+    for train, test in clients:
+        if len(train) - upload < 1:
+            raise ConfigError(f"client train split of {len(train)} cannot spare {upload} uploads")
+        pick = np.sort(rng.choice(len(train), size=upload, replace=False))
+        keep = np.setdiff1d(np.arange(len(train)), pick)
+        pool_x.append(train.features[pick])
+        pool_y.append(train.labels[pick])
+        trimmed.append((LabeledDataset(train.features[keep], train.labels[keep], train.num_classes), test))
+    pool = LabeledDataset(np.vstack(pool_x), np.concatenate(pool_y), clients[0][0].num_classes)
+    return pool, trimmed
 
 
 @pytest.fixture

@@ -282,6 +282,7 @@ def test_invariant_suite_green():
         "distance_symmetry",
         "aggregation_convex_hull",
         "parallel_training",
+        "synthetic_population",
     )
     for name in needed:
         assert name in outcomes, f"missing invariant check {name}"

@@ -428,6 +428,43 @@ def test_config_hash_tracks_content():
     assert len(config.config_hash(base)) == 64
 
 
+# Code-built values of every float key, as ints and numpy floats: two
+# configs whose scopes hold every float key between them.
+CODE_BUILT_FLOATS = (
+    {"dataset": "synthetic", "dataset.alpha": 2, "dataset.beta": np.float64(0.5),
+     "attack": "gaussian", "attack.tau": 7, "malicious_fraction": np.float64(0.3),
+     "m_percent": 50, "participation_ratio": 1, "local.lr": np.float64(0.05),
+     "local.weight_decay": 0, "ddpg.gamma": 1, "ddpg.epsilon_soft": np.float64(0.1),
+     "ddpg.actor_lr": np.float64(1e-3), "ddpg.critic_lr": 0, "ddpg.weight_decay": np.float32(0.25),
+     "ddpg.noise_sigma": 1, "ddpg.noise_sigma_end": np.float64(0.0)},
+    {"dataset": "synthetic_dirichlet", "dataset.dirichlet_concentration": 1,
+     "attack": "ipm", "attack.ipm_epsilon": np.float64(2.0), "malicious_fraction": np.float64(0.4),
+     "m_percent": np.float64(60.0), "aggregator": "fedaa"},
+)
+
+
+@pytest.mark.parametrize("values", CODE_BUILT_FLOATS, ids=["synthetic", "synthetic_dirichlet"])
+def test_a_code_built_config_emits_text_that_reads_back_to_itself(values):
+    cfg = config.build_config(values)
+    canonical = config.emit_config(cfg)
+    again = config.parse_config_text(canonical)
+    assert config.emit_config(again) == canonical
+    assert config.config_hash(again) == config.config_hash(cfg)
+    # every float key given is written as the float it holds
+    lines = dict(line.split(" = ") for line in canonical.splitlines())
+    for name, value in values.items():
+        if not isinstance(value, str):
+            assert lines[name] == repr(float(value)), name
+    # a numpy float, and an int beside an int attack scale
+    for cfg in (config.ExperimentConfig(m_percent=np.float64(50.0)),
+                config.ExperimentConfig(m_percent=50, malicious_fraction=0.3,
+                                        attack=clients.AttackSpec("gaussian", scale=7))):
+        canonical = config.emit_config(cfg)
+        assert "m_percent = 50.0\n" in canonical
+        again = config.parse_config_text(canonical)
+        assert config.config_hash(again) == config.config_hash(cfg)
+
+
 # ------------------------------------------------------------ results
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import softmax as scipy_softmax
 
+import conftest
 from fedaa import data
 from fedaa.errors import ConfigError, IngestionError
 
@@ -35,7 +36,7 @@ def test_labeled_dataset_validation():
 def test_synthetic_draws_validate_their_arguments():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match="^every client needs at least 5 samples$"):
-        list(data.synthetic_samples(0.0, 0.0, (30, 4), rng))  # below sample floor
+        data.synthetic_population(0.0, 0.0, (30, 4), rng)  # below sample floor
     with pytest.raises(ConfigError, match="^alpha and beta must be non-negative$"):
         data.draw_synthetic_generators(-1.0, 0.0, 1, rng)
     with pytest.raises(ConfigError, match="^alpha and beta must be non-negative$"):
@@ -47,18 +48,18 @@ def test_synthetic_draws_validate_their_arguments():
 
 def test_degenerate_means_are_exactly_zero():
     gens = data.draw_synthetic_generators(0.0, 0.0, 6, np.random.default_rng(1))
+    assert gens.weight.shape == (6, 10, 60) and gens.bias.shape == (6, 10)
     # zero-variance means are exactly 0.0, so the weights, biases and
     # centers are the unit normal draws themselves
     replay = np.random.default_rng(1)
-    for g in gens:
+    for k in range(6):
         replay.normal()  # u_k
-        assert np.array_equal(g.weight, replay.normal(0.0, 1.0, size=g.weight.shape))
-        assert np.array_equal(g.bias, replay.normal(0.0, 1.0, size=g.bias.shape))
+        assert np.array_equal(gens.weight[k], replay.normal(0.0, 1.0, size=(10, 60)))
+        assert np.array_equal(gens.bias[k], replay.normal(0.0, 1.0, size=10))
         replay.normal()  # mu_k
-        assert g.center == replay.normal(0.0, 1.0)
+        assert gens.center[k] == replay.normal(0.0, 1.0)
     # centers still vary with unit variance around the zero mean
-    centers = [g.center for g in gens]
-    assert np.std(centers) > 0.0
+    assert np.std(gens.center) > 0.0
 
 
 def test_alpha_beta_are_variances():
@@ -66,14 +67,13 @@ def test_alpha_beta_are_variances():
     gens = data.draw_synthetic_generators(4.0, 9.0, 3000, np.random.default_rng(2))
     # u_k draws every weight and bias at unit variance around it, and
     # mu_k the center: their spreads add alpha and beta to that noise
-    draws = [np.concatenate([g.weight.ravel(), g.bias]) for g in gens]
-    u_hat = np.array([d.mean() for d in draws])
-    centers = np.array([g.center for g in gens])
-    expected_u = 4.0 + 1.0 / draws[0].size
+    draws = np.concatenate([gens.weight.reshape(3000, -1), gens.bias], axis=1)
+    u_hat = draws.mean(axis=1)
+    expected_u = 4.0 + 1.0 / draws.shape[1]
     assert abs(np.var(u_hat) - expected_u) / expected_u < 0.15
-    assert abs(np.var(centers) - 10.0) / 10.0 < 0.15
+    assert abs(np.var(gens.center) - 10.0) / 10.0 < 0.15
     # weight entries sit at unit variance around u_k
-    assert abs(np.var(gens[0].weight) - 1.0) < 0.15
+    assert abs(np.var(gens.weight[0]) - 1.0) < 0.15
 
 
 def test_feature_scales_follow_power_law():
@@ -85,23 +85,28 @@ def test_feature_scales_follow_power_law():
 
 
 def test_feature_variance_monte_carlo():
+    # the population draws its generators first, so the same seed replays them
     gens = data.draw_synthetic_generators(0.0, 0.0, 1, np.random.default_rng(3))
-    x, _ = data.sample_from_generator(gens[0], 20000, np.random.default_rng(4))
+    population, perms = data.synthetic_population(0.0, 0.0, (20000,), np.random.default_rng(3))
+    assert perms is None
+    x = population.features
     emp = np.var(x, axis=0)
     for j in (1, 10, 60):
         want = 1.0 / j**1.2
         assert abs(emp[j - 1] - want) / want < 0.1
     # every coordinate is centered on the client's center value
-    assert abs(x.mean() - gens[0].center) < 0.05
+    assert abs(x.mean() - gens.center[0]) < 0.05
 
 
 def test_labels_are_argmax_of_softmax_scores():
-    gens = data.draw_synthetic_generators(1.0, 1.0, 1, np.random.default_rng(5))
-    x, y = data.sample_from_generator(gens[0], 500, np.random.default_rng(6))
-    # independent route: scipy softmax over the affine scores
-    probs = scipy_softmax(x @ gens[0].weight.T + gens[0].bias, axis=1)
-    assert np.array_equal(y, np.argmax(probs, axis=1))
-    assert y.min() >= 0 and y.max() < 10
+    gens = data.draw_synthetic_generators(1.0, 1.0, 3, np.random.default_rng(5))
+    population, _ = data.synthetic_population(1.0, 1.0, (500, 7, 120), np.random.default_rng(5))
+    # independent route: scipy softmax over each client's affine scores
+    for k, rows in enumerate((slice(0, 500), slice(500, 507), slice(507, 627))):
+        x, y = population.features[rows], population.labels[rows]
+        probs = scipy_softmax(x @ gens.weight[k].T + gens.bias[k], axis=1)
+        assert np.array_equal(y, np.argmax(probs, axis=1))
+    assert population.labels.min() >= 0 and population.labels.max() < 10
 
 
 def test_generate_synthetic_sizes_and_split():
@@ -125,17 +130,140 @@ def test_generate_synthetic_deterministic():
         assert ta.features.tobytes() == tb.features.tobytes()
 
 
+# the spreads the generator tests draw at
+SPREADS = (0.0, 0.5, 1.0, 1e3)
+
+
+def test_synthetic_generators_are_drawn_as_rng_normal_draws_them():
+    # each client's u_k, weights, biases, mu_k and v_k, one rng.normal call
+    # per value or array
+    for spread in SPREADS:
+        rng, replay = np.random.default_rng(11), np.random.default_rng(11)
+        gens = data.draw_synthetic_generators(spread, 3 * spread, 4, rng)
+        for k in range(4):
+            u = replay.normal(0.0, np.sqrt(spread))
+            assert gens.weight[k].tobytes() == replay.normal(u, 1.0, size=(10, 60)).tobytes()
+            assert gens.bias[k].tobytes() == replay.normal(u, 1.0, size=10).tobytes()
+            center = replay.normal(replay.normal(0.0, np.sqrt(3 * spread)), 1.0)
+            assert gens.center[k].tobytes() == np.float64(center).tobytes()
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
+# ------------------------------------------------------------ the per-client oracle
+
+
+def _set_bytes(ds):
+    return (ds.num_classes, ds.features.dtype.str, ds.features.shape, ds.features.tobytes(),
+            ds.labels.dtype.str, ds.labels.tobytes())
+
+
+def _synthetic_build(module, alpha, beta, sizes, seed):
+    """A synthetic build through ``module``'s functions, from three streams
+    of ``seed``: every client's sets, the server pool, the trimmed clients'
+    sets and the pooled synthetic_dirichlet source, as bytes (or the
+    ConfigError's text); and the three streams' states after it."""
+    rngs = [np.random.default_rng([seed, i]) for i in range(3)]
+    try:
+        clients = module.generate_synthetic(alpha, beta, sizes, rngs[0])
+        pool, trimmed = module.extract_server_pool(clients, rngs[1])
+        if module is data:
+            source, _ = data.synthetic_population(alpha, beta, sizes, rngs[2])
+        else:
+            xs, ys = zip(*conftest.synthetic_samples(alpha, beta, sizes, rngs[2]))
+            source = data.LabeledDataset(np.concatenate(xs), np.concatenate(ys), 10)
+        sets = [split for pair in (*clients, *trimmed) for split in pair] + [pool, source]
+        out = [_set_bytes(split) for split in sets]
+    except ConfigError as exc:
+        out = str(exc)
+    return out, [rng.bit_generator.state for rng in rngs]
+
+
+def test_the_whole_array_build_is_the_per_client_build_generated():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lognormal = st.tuples(st.integers(1, 6), st.integers(0, 2**32)).map(
+        lambda a: data.lognormal_sizes(a[0], np.random.default_rng(a[1])))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        alpha=st.sampled_from(SPREADS),
+        beta=st.sampled_from(SPREADS),
+        # a 4 is below the sample floor: both builds fail before any draw
+        sizes=st.one_of(st.lists(st.integers(4, 60), min_size=1, max_size=10), lognormal),
+        seed=st.integers(0, 2**32),
+    )
+    @hypothesis.example(alpha=0.0, beta=0.0, sizes=[5], seed=0)
+    @hypothesis.example(alpha=0.5, beta=1e3, sizes=[60], seed=1)
+    @hypothesis.example(alpha=1.0, beta=0.5, sizes=[5, 60, 13, 5, 7], seed=2)
+    @hypothesis.example(alpha=1e3, beta=1.0, sizes=[5] * 9, seed=3)
+    @hypothesis.example(alpha=1.0, beta=1.0, sizes=data.lognormal_sizes(5, np.random.default_rng(4)), seed=4)
+    @hypothesis.example(alpha=0.0, beta=0.5, sizes=[30, 4, 30], seed=5)
+    def check(alpha, beta, sizes, seed):
+        got = _synthetic_build(data, alpha, beta, sizes, seed)
+        want = _synthetic_build(conftest, alpha, beta, sizes, seed)
+        assert got == want
+
+    check()
+
+
+def _starved_clients():
+    """Three clients whose second train set of 3 rows cannot spare the 3
+    uploads that the smallest client's 32 rows ask of each."""
+    rng = np.random.default_rng(30)
+    sets = [data.LabeledDataset(rng.normal(size=(n, 4)), rng.integers(0, 3, n), 3) for n in (30, 3, 40)]
+    tests = [data.LabeledDataset(rng.normal(size=(n, 4)), rng.integers(0, 3, n), 3) for n in (2, 40, 9)]
+    return list(zip(sets, tests))
+
+
+def test_a_starved_client_fails_the_pool_after_the_picks_before_it():
+    clients = _starved_clients()
+    whole = data.LabeledDataset(np.concatenate([t.features for t, _ in clients]),
+                                np.concatenate([t.labels for t, _ in clients]), 3)
+    for given in (clients, data.Population(clients, whole)):
+        rng, oracle_rng = np.random.default_rng(31), np.random.default_rng(31)
+        with pytest.raises(ConfigError, match="^client train split of 3 cannot spare 3 uploads$"):
+            data.extract_server_pool(given, rng)
+        with pytest.raises(ConfigError, match="^client train split of 3 cannot spare 3 uploads$"):
+            conftest.extract_server_pool(clients, oracle_rng)
+        # the first client's picks were drawn, as the oracle draws them
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert rng.bit_generator.state != np.random.default_rng(31).bit_generator.state
+
+
+def test_generated_clients_are_row_views_of_one_train_and_one_test_set():
+    clients = data.generate_synthetic(1.0, 1.0, (5, 40, 17), np.random.default_rng(32))
+    assert isinstance(clients, data.Population)
+    tests = [test for _, test in clients]
+    for train, test in clients:
+        assert train.features.base is clients.train.features
+        assert train.labels.base is clients.train.labels
+        assert test.features.base is tests[0].features.base
+    assert sum(len(train) for train, _ in clients) == len(clients.train)
+    pool, trimmed = data.extract_server_pool(clients, np.random.default_rng(33))
+    kept = trimmed[0][0].features.base
+    assert all(train.features.base is kept for train, _ in trimmed)
+    assert not np.shares_memory(kept, clients.train.features)
+
+
 # ------------------------------------------------------------ splits
 
 
-def test_split_train_test_fractions():
-    train, test = data.split_train_test(100, np.random.default_rng(10))
-    assert (train.size, test.size) == (80, 20)
-    assert sorted(np.concatenate([train, test]).tolist()) == list(range(100))
-    train, test = data.split_train_test(2, np.random.default_rng(11))
-    assert train.size == 1 and test.size == 1
-    with pytest.raises(ConfigError):
-        data.split_train_test(1, np.random.default_rng(12))
+def test_synthetic_splits_cover_each_client_once():
+    sizes = (100, 5, 6, 7, 8, 12, 13)
+    clients = data.generate_synthetic(0.0, 0.0, sizes, np.random.default_rng(10))
+    population, _ = data.synthetic_population(
+        0.0, 0.0, sizes, np.random.default_rng(10), permute=True
+    )
+    # the rows are distinct normal draws: each client's train and test rows
+    # are its own population rows, each once, each side in row order
+    lo = 0
+    for (train, test), n, n_test in zip(clients, sizes, (20, 1, 1, 1, 2, 2, 3)):
+        assert (len(train), len(test)) == (n - n_test, n_test)
+        rows = {row.tobytes(): i for i, row in enumerate(population.features[lo : lo + n])}
+        places = [[rows[row.tobytes()] for row in split.features] for split in (train, test)]
+        assert sorted(places[0] + places[1]) == list(range(n))
+        assert places[0] == sorted(places[0]) and places[1] == sorted(places[1])
+        lo += n
 
 
 def test_stratified_split_balances_classes():
@@ -241,8 +369,8 @@ def test_extract_server_pool_upload_rule():
     for total in (50, 100, 200):
         labels = rng.integers(0, 3, size=total)
         ds = data.LabeledDataset(rng.normal(size=(total, 4)), labels, 3)
-        train, test = data.split_train_test(total, rng)
-        clients.append((ds.subset(train), ds.subset(test)))
+        cut = total - total // 5
+        clients.append((ds.subset(slice(0, cut)), ds.subset(slice(cut, total))))
     pool, trimmed = data.extract_server_pool(clients, np.random.default_rng(26))
     # smallest client holds 50 samples: every client uploads round(5.0) = 5
     assert len(pool) == 15

@@ -334,6 +334,33 @@ def test_build_experiment_fedavg_skips_agent():
     assert exp.agent is None and exp.buffer is None
 
 
+@pytest.mark.parametrize("kind", ["synthetic11", "synthetic_dirichlet"])
+def test_a_synthetic_build_checks_as_many_sets_at_any_population(monkeypatch, kind):
+    # the population is checked as a whole and its clients' sets are row
+    # views of it, so the checks do not grow with the clients
+    made = []
+    check = LabeledDataset.__post_init__
+
+    def counted(self):
+        made.append(len(self))
+        check(self)
+
+    monkeypatch.setattr(LabeledDataset, "__post_init__", counted)
+    counts = []
+    for num_clients in (10, 200):
+        dataset = config.DatasetConfig(kind=kind, num_clients=num_clients, samples_per_client=20,
+                                       total_samples=20 * num_clients)
+        # synthetic_dirichlet's validation rows come from its pooled source
+        per_class = 2 if kind == "synthetic_dirichlet" else None
+        exp = orchestrator.build_experiment(
+            small_cfg(dataset=dataset, validation=config.ValidationConfig(per_class=per_class))
+        )
+        assert len(exp.clients) == num_clients
+        counts.append(len(made))
+        made.clear()
+    assert counts[0] == counts[1] == 1
+
+
 def _experiment_bytes(exp):
     """Everything a built experiment holds that a run reads, as bytes."""
     out = [exp.val_set.features.tobytes(), exp.val_set.labels.tobytes(), exp.initial_params.tobytes()]
