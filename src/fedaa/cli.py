@@ -240,7 +240,7 @@ def _read_results_csv(path: str) -> list[dict]:
 
 
 def _cmd_selftest(_: argparse.Namespace) -> int:
-    from .selftest import run_selftest  # loads scipy, which no other command needs
+    from .selftest import run_selftest  # loads fedaa.reference, which no other command needs
 
     failures = 0
     for name, passed, detail in run_selftest():

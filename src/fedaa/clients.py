@@ -215,16 +215,15 @@ class TrainingPool:
     (``lockstep_shares``; no cohort splits further), and the run's
     parameter matrix ``out`` with its row index ``rows``: client
     ``clients[c]``'s row of ``out``, ``broadcast`` to begin with, is
-    ``out[rows[c]]``, where ``rows`` is the run's ``row_index`` or, by
-    default, a row per client. Entering the pool (``with``) forks
-    ``processes - 1`` children that inherit the clients, ``arch``, the
-    SGD config ``cfg``, ``out``, ``rows`` and the numpy error handling
-    in force, which they train under; each child waits on its end of
-    one duplex ``multiprocessing`` connection for a share of a round to
-    train into ``out``. Leaving the pool (or ``close``) stops and reaps
-    them. ``out`` is one anonymous MAP_SHARED ``mmap`` where
-    there are children, whose writes this process then reads, and else
-    this process's own memory."""
+    ``out[rows[c]]``, where ``rows`` is the run's ``row_index``.
+    Entering the pool (``with``) forks ``processes - 1`` children that
+    inherit the clients, ``arch``, the SGD config ``cfg``, ``out``,
+    ``rows`` and the numpy error handling in force, which they train
+    under; each child waits on its end of one duplex ``multiprocessing``
+    connection for a share of a round to train into ``out``. Leaving the
+    pool (or ``close``) stops and reaps them. ``out`` is one anonymous
+    MAP_SHARED ``mmap`` where there are children, whose writes this
+    process then reads, and else this process's own memory."""
 
     def __init__(
         self,
@@ -233,13 +232,13 @@ class TrainingPool:
         cfg: SgdConfig,
         broadcast: np.ndarray,
         cpus: int,
-        rows: np.ndarray | None = None,
+        rows: np.ndarray,
     ) -> None:
         self.clients = clients
         self.arch = arch
         self.cfg = cfg
         self.processes = len(lockstep_shares(clients, cfg, broadcast.size, cpus))
-        self.rows = np.arange(len(clients)) if rows is None else rows
+        self.rows = rows
         shape = (int(self.rows.max(initial=-1)) + 1, broadcast.size)
         if self.processes > 1:
             self.out = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1])).reshape(shape)

@@ -142,17 +142,16 @@ def benign_scores(
     arch: ArchSpec,
     models: np.ndarray,
     global_params: np.ndarray,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each benign client's test accuracy and loss under its local model,
-    row ``rows[client.id]`` of ``models`` (row ``client.id`` by default),
-    and its test accuracy under ``global_params``: three arrays in the
-    order of ``clients``, in stacks as ``evaluate_fairness`` describes.
+    row ``rows[client.id]`` of ``models``, and its test accuracy under
+    ``global_params``: three arrays in the order of ``clients``, in
+    stacks as ``evaluate_fairness`` describes.
     Each value is bit-identical to the client's own ``forward``,
     ``argmax`` and ``ce_loss_from_logits``; ``fedaa selftest`` checks
     this.
     """
-    rows = np.arange(len(models)) if rows is None else rows
     benign = [c for c in clients if c.role == "benign"]
     groups: dict[int, list[int]] = {}
     for pos, client in enumerate(benign):
@@ -178,17 +177,16 @@ def evaluate_fairness(
     arch: ArchSpec,
     models: np.ndarray,
     global_params: np.ndarray,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray,
 ) -> dict[str, float]:
     """Population spread of benign clients' local test performance, as
     the five ``RoundRecord`` cells it fills.
 
     Accuracy/loss come from each benign client's own local model, row
-    ``rows[client.id]`` of the run's parameter matrix ``models`` (row
-    ``client.id`` by default), on its own test split;
-    mean_global_acc scores the shared global model, ``global_params``,
-    on the same splits. The per-client values are combined in the order
-    of ``clients``, ascending id in a run.
+    ``rows[client.id]`` of the run's parameter matrix ``models``, on its
+    own test split; mean_global_acc scores the shared global model,
+    ``global_params``, on the same splits. The per-client values are
+    combined in the order of ``clients``, ascending id in a run.
 
     The clients are scored in stacks (``benign_scores``): benign clients
     of equal test size, in the order of ``clients``, split into stacks of

@@ -1,27 +1,21 @@
-"""Fast internal consistency checks behind the selftest subcommand."""
+"""Fast internal consistency checks behind the selftest subcommand.
+
+Each check of a fast path against its straightforward path takes that
+path from ``fedaa.reference``, the copy the tests use, and runs both on
+the installed numpy, scipy and BLAS."""
 
 from __future__ import annotations
 
 import functools
-import math
 import os
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from . import data as datamod
+from . import reference
 from .clients import SPLIT_STEPS, AttackSpec, ClientRecord, TrainingPool, train_lockstep
 from .ddpg import DdpgConfig, ReplayBuffer, Transition, make_agent, act, soft_update
-from .nn import (
-    ArchSpec,
-    SgdConfig,
-    backward_ce,
-    ce_loss_from_logits,
-    forward,
-    init_params,
-    param_count,
-    sgd_epoch,
-)
+from .nn import ArchSpec, SgdConfig, backward_ce, init_params, param_count, sgd_epoch
 from .orchestrator import aggregate, benign_scores
 from .seeding import stream
 from .selection import distance_matrix, select_clients
@@ -68,9 +62,9 @@ def _check_distance_symmetry() -> None:
     rng = np.random.default_rng(10)
     x = rng.normal(size=(7, 20))
     x[6] = x[2]  # a repeated upload, measured once by selection
-    c = squareform(pdist(x))
     res = select_clients(list(range(7)), x, 50.0)
-    assert res.raw_row_sums.tobytes() == c[res.selected_ids].sum(axis=1).tobytes(), (
+    ids, _, sums = reference.all_rows_selection(list(range(7)), x, 50.0, "all_layers", None)
+    assert (res.selected_ids, res.raw_row_sums.tobytes()) == (ids, sums.tobytes()), (
         "selection row sums must equal the distance matrix's row sums"
     )
     # from GRAM_WORK pair-columns the matrix comes from BLAS syrk on the
@@ -79,12 +73,8 @@ def _check_distance_symmetry() -> None:
     # built on numpy alone, pdist's bit for bit
     y = 5.0 + rng.normal(size=(121, 578))  # 7,260 pairs x 578 columns reach GRAM_WORK
     y[100] = y[7]
-    want = squareform(pdist(y))
-    cent = y - y.mean(axis=0)
-    sq = (cent * cent).sum(axis=1)
-    e = (y.shape[1] + 4) * 2.0**-52 * (sq[:, None] + sq)
-    with np.errstate(divide="ignore"):
-        bound = np.minimum(np.sqrt(e), e / want) + (y.shape[1] + 4) * 2.0**-52 * want
+    want = reference.pdist_matrix(y)
+    bound = reference.gram_bound(y, want)
     d = distance_matrix(y.copy())
     assert np.array_equal(d, d.T) and not d.diagonal().any(), (
         "the Gram distance matrix must be exactly symmetric with a zero diagonal"
@@ -93,7 +83,7 @@ def _check_distance_symmetry() -> None:
         "the Gram distance matrix's row sums lie outside its bound of pdist's"
     )
     y = y[:, :577]  # one column less falls below GRAM_WORK, onto numpy
-    assert distance_matrix(y.copy()).tobytes() == squareform(pdist(y)).tobytes(), (
+    assert distance_matrix(y.copy()).tobytes() == reference.pdist_matrix(y).tobytes(), (
         "below GRAM_WORK the distance matrix must be squareform(pdist(.)) bit for bit"
     )
 
@@ -110,15 +100,10 @@ def _check_gradient() -> None:
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, 2, 6)
     _, grad = backward_ce(arch, params, x, y)
-    h = 1e-6
-    for k in (0, 7, param_count(arch) - 1):
-        probe = params.copy()
-        probe[k] += h
-        up, _ = backward_ce(arch, probe, x, y)
-        probe[k] -= 2 * h
-        down, _ = backward_ce(arch, probe, x, y)
-        fd = (up - down) / (2 * h)
-        assert abs(fd - grad[k]) <= 1e-4 * max(abs(fd), abs(grad[k]), 1e-8), (
+    coords = (0, 7, param_count(arch) - 1)
+    fd = reference.central_diff(lambda p: backward_ce(arch, p, x, y)[0], params, coords)
+    for k in coords:
+        assert abs(fd[k] - grad[k]) <= 1e-4 * max(abs(fd[k]), abs(grad[k]), 1e-8), (
             f"gradient check failed at coordinate {k}"
         )
 
@@ -135,15 +120,8 @@ def _check_sgd_matches_reference() -> None:
     alone, stacked = starts[:1].copy(), starts.copy()
     sgd_epoch(arch, alone, xs[:1], ys[:1], cfg, [np.random.default_rng(14)])
     sgd_epoch(arch, stacked, xs, ys, cfg, [np.random.default_rng(14 + i) for i in range(3)])
-    for i, (params, x, y, trained) in enumerate(zip(starts, xs, ys, [alone[0], *stacked[1:]])):
-        params = params.copy()
-        order_rng = np.random.default_rng(14 + i)
-        for _ in range(cfg.epochs):
-            order = order_rng.permutation(len(y))
-            for lo in range(0, len(y), cfg.batch_size):
-                take = order[lo : lo + cfg.batch_size]
-                _, grad = backward_ce(arch, params, x[take], y[take])
-                params -= cfg.learning_rate * (grad + cfg.weight_decay * params)
+    for i, (start, x, y, trained) in enumerate(zip(starts, xs, ys, [alone[0], *stacked[1:]])):
+        params = reference.replay_backward_ce(arch, start, x, y, cfg, np.random.default_rng(14 + i))
         assert np.array_equal(trained, params), (
             f"sgd_epoch differs from a replay of backward_ce steps (client {i})"
         )
@@ -166,17 +144,11 @@ def _check_fairness_stacking() -> None:
         clients.append(ClientRecord(cid, AttackSpec("gaussian") if cid == 5 else None, split, split))
     models = 3.0 * rng.normal(size=(len(clients), param_count(arch)))
     global_params = init_params(arch, rng)
-    accs, losses, global_accs = benign_scores(clients, arch, models, global_params)
+    got = benign_scores(clients, arch, models, global_params, np.arange(len(clients)))
+    want, _ = reference.per_client_fairness(clients, arch, models, global_params)
     benign = [c for c in clients if c.attack is None]
     for i, client in enumerate(benign):
-        x, y = client.test.features, client.test.labels
-        logits = forward(arch, models[client.id], x)
-        want = (
-            float((np.argmax(logits, axis=1) == y).mean()),
-            ce_loss_from_logits(logits, y),
-            float((np.argmax(forward(arch, global_params, x), axis=1) == y).mean()),
-        )
-        assert (accs[i], losses[i], global_accs[i]) == want, (
+        assert [s[i] for s in got] == [w[i] for w in want], (
             f"stacked fairness scores differ from client {client.id}'s own"
         )
 
@@ -189,20 +161,11 @@ def _check_synthetic_population() -> None:
     # scaling and centring
     sizes, alpha, beta = (5, 61, 20, 7, 130, 5), 1.0, 0.5
     clients = datamod.generate_synthetic(alpha, beta, sizes, np.random.default_rng(18))
-    rng = np.random.default_rng(18)
-    models = []
-    for _ in sizes:
-        u = rng.normal(0.0, math.sqrt(alpha))
-        weight, bias = rng.normal(u, 1.0, size=(10, 60)), rng.normal(u, 1.0, size=10)
-        models.append((weight, bias, rng.normal(rng.normal(0.0, math.sqrt(beta)), 1.0)))
-    for cid, ((train, test), (weight, bias, center), n) in enumerate(zip(clients, models, sizes)):
-        x = center + rng.standard_normal((n, 60)) * datamod.feature_scales(60)
-        y = np.argmax(x @ weight.T + bias, axis=1)
-        perm = rng.permutation(n)
-        n_test = datamod.round_half_up(0.2 * n)
-        for split, rows in ((train, np.sort(perm[n_test:])), (test, np.sort(perm[:n_test]))):
+    want = reference.generate_synthetic(alpha, beta, sizes, np.random.default_rng(18))
+    for cid, (pair, own) in enumerate(zip(clients, want)):
+        for split, own_split in zip(pair, own):
             assert (split.features.tobytes(), split.labels.tobytes()) == (
-                x[rows].tobytes(), y[rows].tobytes()
+                own_split.features.tobytes(), own_split.labels.tobytes()
             ), f"the whole-array build differs from client {cid}'s own"
 
 
@@ -228,7 +191,7 @@ def _check_parallel_training() -> None:
     streams = functools.partial(stream, 16, "local")
     runs = {}
     for processes in (1, 2, 3):
-        with TrainingPool(cohort, arch, cfg, broadcast, processes) as pool:
+        with TrainingPool(cohort, arch, cfg, broadcast, processes, np.arange(len(cohort))) as pool:
             errors = train_lockstep(cohort, broadcast, streams, pool)
             assert len(pool.children) == processes - 1, (
                 f"a pool of {processes} processes trained on {len(pool.children) + 1}"

@@ -14,9 +14,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import central_diff, rel_err
+from conftest import rel_err
 from fedaa import cli, config, ddpg, nn, orchestrator, selection
 from fedaa.clients import AttackSpec, attack_same_value
+from fedaa.reference import central_diff
 from fedaa.seeding import stream
 from fedaa.selftest import run_selftest
 

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fedaa import cli, config, cpus
+from fedaa import cli, config, cpus, selftest
 
 from conftest import assert_no_child_left, warning_fork
 
@@ -581,8 +581,8 @@ def test_report_reads_quoted_cells_and_crlf(tmp_path):
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 6
+    assert len(selftest.CHECKS) == 11
+    assert out.splitlines() == [f"PASS {name}" for name, _ in selftest.CHECKS]
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -632,24 +632,25 @@ def test_a_run_keeps_the_blas_thread_count_it_was_given(cfg_path, tmp_path):
 
 
 # `python -m fedaa.cli` with the given arguments, then the scipy modules
-# the process loaded as one JSON line
-RUN_THEN_LIST_SCIPY = """\
+# the process loaded, and fedaa.reference if it did, as one JSON line
+RUN_THEN_LIST_ORACLES = """\
 import json, runpy, sys
 sys.argv = ["fedaa", *sys.argv[1:]]
 try:
     runpy.run_module("fedaa.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert not exc.code, exc.code
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m == "fedaa.reference")))
 """
 
 
-def scipy_modules(*argv):
+def oracle_modules(*argv):
     src = pathlib.Path(__file__).parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_THEN_LIST_SCIPY, *argv],
+        [sys.executable, "-c", RUN_THEN_LIST_ORACLES, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -657,23 +658,23 @@ def scipy_modules(*argv):
 
 
 def test_fedavg_runs_and_reports_load_no_scipy_spatial(tmp_path):
-    # neither runs nor reports load scipy: fedavg selects nothing, and fedaa
-    # measures its selections on numpy
+    # neither runs nor reports load scipy or fedaa.reference: fedavg
+    # selects nothing, and fedaa measures its selections on numpy
     fedavg = tmp_path / "fedavg.cfg"
     fedavg.write_text("aggregator = fedavg\ndataset.num_clients = 6\n"
                       "dataset.samples_per_client = 20\nrounds = 2\nlocal.epochs = 1\n")
     out = tmp_path / "out"
-    assert scipy_modules("run", "--config", str(fedavg), "--out", str(out)) == []
-    assert scipy_modules(
+    assert oracle_modules("run", "--config", str(fedavg), "--out", str(out)) == []
+    assert oracle_modules(
         "report", "--input", str(out / "results.csv"), "--out", str(tmp_path / "rep")
     ) == []
     # fedaa selects over 20 uploads of 610 parameters
     fedaa = tmp_path / "fedaa.cfg"
     fedaa.write_text("dataset.num_clients = 20\ndataset.samples_per_client = 20\n"
                      "rounds = 2\nlocal.epochs = 1\n")
-    assert scipy_modules("run", "--config", str(fedaa), "--out", str(tmp_path / "fedaa")) == []
-    # the control: selftest checks selection against scipy's pdist
-    assert "scipy.spatial.distance" in scipy_modules("selftest")
+    assert oracle_modules("run", "--config", str(fedaa), "--out", str(tmp_path / "fedaa")) == []
+    # the control: selftest checks selection against fedaa.reference's pdist
+    assert {"fedaa.reference", "scipy.spatial.distance"} <= set(oracle_modules("selftest"))
 
 
 IDX_CONFIG = "dataset = idx\ndataset.idx_images = {images}\ndataset.idx_labels = {labels}\n"

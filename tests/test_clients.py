@@ -40,7 +40,7 @@ def update(client, broadcast, cfg, streams, benign_mean=None):
     """One client's round as the round loop runs it: train_lockstep on a
     cohort of one, client 0, into its row, then local_update on that
     row. Returns the row."""
-    with clients.TrainingPool([client], ARCH, cfg, broadcast, 1) as pool:
+    with clients.TrainingPool([client], ARCH, cfg, broadcast, 1, np.arange(1)) as pool:
         assert clients.train_lockstep([client], broadcast, streams, pool) == {}
     clients.local_update(client, pool.out[0], streams, benign_mean=benign_mean)
     return pool.out[0]
@@ -290,7 +290,7 @@ def train_round(cohort, processes=1, cfg=nn.SgdConfig(learning_rate=0.5, batch_s
     here, in turn, the stacks that a pool of that many processes splits
     them into."""
     broadcast = nn.init_params(ARCH, np.random.default_rng(99))
-    with clients.TrainingPool(cohort, ARCH, cfg, broadcast, processes) as pool:
+    with clients.TrainingPool(cohort, ARCH, cfg, broadcast, processes, np.arange(len(cohort))) as pool:
         out = pool.out
         for index in range(rounds):
             if kill is not None and index == rounds - 1:
@@ -360,7 +360,7 @@ def test_a_split_round_stacks_each_group_over_the_processes(forks):
 
 def pool_of(cohort, cfg, cpus):
     """A training pool, not entered, of ``cohort`` on ``cpus`` CPUs."""
-    return clients.TrainingPool(cohort, ARCH, cfg, np.zeros(ARCH_SIZE), cpus)
+    return clients.TrainingPool(cohort, ARCH, cfg, np.zeros(ARCH_SIZE), cpus, np.arange(len(cohort)))
 
 
 def test_a_pool_has_a_process_per_cpu_where_the_population_splits(monkeypatch):
@@ -376,12 +376,12 @@ def test_the_matrix_is_shared_memory_only_where_the_pool_forks(forks):
     # train_round's config and broadcast
     cfg = nn.SgdConfig(learning_rate=0.5, batch_size=16, epochs=2)
     broadcast = nn.init_params(ARCH, np.random.default_rng(99))
-    alone = clients.TrainingPool(cohort_of([50] * 4), ARCH, cfg, broadcast, 1)
+    alone = clients.TrainingPool(cohort_of([50] * 4), ARCH, cfg, broadcast, 1, np.arange(4))
     assert alone.processes == 1
     # numpy's own memory, each row the broadcast to begin with
     assert alone.out.flags.owndata and (alone.out == broadcast).all()
     cohort = cohort_of([100, 50])
-    pool = clients.TrainingPool(cohort, ARCH, cfg, broadcast, 2)
+    pool = clients.TrainingPool(cohort, ARCH, cfg, broadcast, 2, np.arange(2))
     assert pool.processes == 2 and (pool.out == broadcast).all()
     assert isinstance(pool.out.base.base.obj, mmap.mmap)
     # the child trains client 1, whose row this process then reads

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import softmax as scipy_softmax
 
-import conftest
-from fedaa import data
+from fedaa import data, reference
 from fedaa.errors import ConfigError, IngestionError
 
 
@@ -169,7 +168,7 @@ def _synthetic_build(module, alpha, beta, sizes, seed):
         if module is data:
             source, _ = data.synthetic_population(alpha, beta, sizes, rngs[2])
         else:
-            xs, ys = zip(*conftest.synthetic_samples(alpha, beta, sizes, rngs[2]))
+            xs, ys = zip(*reference.synthetic_samples(alpha, beta, sizes, rngs[2]))
             source = data.LabeledDataset(np.concatenate(xs), np.concatenate(ys), 10)
         sets = [split for pair in (*clients, *trimmed) for split in pair] + [pool, source]
         out = [_set_bytes(split) for split in sets]
@@ -200,7 +199,7 @@ def test_the_whole_array_build_is_the_per_client_build_generated():
     @hypothesis.example(alpha=0.0, beta=0.5, sizes=[30, 4, 30], seed=5)
     def check(alpha, beta, sizes, seed):
         got = _synthetic_build(data, alpha, beta, sizes, seed)
-        want = _synthetic_build(conftest, alpha, beta, sizes, seed)
+        want = _synthetic_build(reference, alpha, beta, sizes, seed)
         assert got == want
 
     check()
@@ -224,7 +223,7 @@ def test_a_starved_client_fails_the_pool_after_the_picks_before_it():
         with pytest.raises(ConfigError, match="^client train split of 3 cannot spare 3 uploads$"):
             data.extract_server_pool(given, rng)
         with pytest.raises(ConfigError, match="^client train split of 3 cannot spare 3 uploads$"):
-            conftest.extract_server_pool(clients, oracle_rng)
+            reference.extract_server_pool(clients, oracle_rng)
         # the first client's picks were drawn, as the oracle draws them
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert rng.bit_generator.state != np.random.default_rng(31).bit_generator.state

@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import central_diff, rel_err
+from conftest import rel_err
 from fedaa import ddpg, nn
 from fedaa.errors import ConfigError, InternalError
+from fedaa.reference import central_diff
 
 
 def tiny_agent(state_dim=2, action_dim=2, hidden=4, seed=0, **hyper):

@@ -121,7 +121,8 @@ def test_benchmark_workloads_split_only_where_a_pool_pays(monkeypatch):
             config.parse_config_text(workloads.config_text(workload, seed=0))
         )
         streams = functools.partial(fedaa.stream, 0, "local", 0)
-        pool = clients.TrainingPool(exp.clients, exp.arch, exp.cfg.local, exp.initial_params, 2)
+        rows = np.arange(len(exp.clients))
+        pool = clients.TrainingPool(exp.clients, exp.arch, exp.cfg.local, exp.initial_params, 2, rows)
         with pool:
             shares[name] = clients.lockstep_shares(
                 exp.clients, exp.cfg.local, exp.initial_params.size, pool.processes

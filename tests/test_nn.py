@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_diff, max_grad_rel_err, rel_err, replay_backward_ce
+from conftest import max_grad_rel_err, rel_err
 from fedaa import nn
 from fedaa.errors import ConfigError, NumericError
+from fedaa.reference import central_diff, replay_backward_ce
 
 
 def small_model(seed=0, arch=None):
@@ -309,7 +310,7 @@ def test_sgd_zero_lr_leaves_params_unchanged():
 
 def test_sgd_short_final_batch_used():
     # 5 samples, batch 4: the 1-sample tail must contribute an update.
-    # With lr tuned tiny, compare against an explicit two-step replay.
+    # Compare against the two-step replay of backward_ce.
     arch = nn.ArchSpec(2, (), 2)
     rng_data = np.random.default_rng(2)
     x = rng_data.normal(size=(5, 2))
@@ -317,13 +318,8 @@ def test_sgd_short_final_batch_used():
     cfg = nn.SgdConfig(learning_rate=0.1, batch_size=4, epochs=1)
     start = nn.init_params(arch, np.random.default_rng(3))
     trained = sgd_alone(arch, start, x, y, cfg, np.random.default_rng(9))
-    # replay: same shuffle stream, the update sgd_epoch makes
-    order = np.random.default_rng(9).permutation(5)
-    params = start.copy()
-    for lo in (0, 4):
-        take = order[lo : lo + 4]
-        _, grad = nn.backward_ce(arch, params, x[take], y[take])
-        params -= 0.1 * (grad + 0.0 * params)
+    # replay: same shuffle stream, batches of rows 0-3 and 4
+    params = replay_backward_ce(arch, start, x, y, cfg, np.random.default_rng(9))
     assert np.array_equal(trained, params)
 
 

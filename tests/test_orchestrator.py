@@ -1,6 +1,5 @@
 """Round loop wiring: aggregation, reward, fairness, full small runs."""
 
-import functools
 import os
 import pathlib
 import re
@@ -14,14 +13,14 @@ import numpy as np
 import pytest
 import scipy.spatial.distance
 
-from fedaa import clients, config, nn, orchestrator, results, selection
+from fedaa import clients, config, nn, orchestrator, reference, results, selection
 from fedaa.data import LabeledDataset
 from fedaa.clients import ClientRecord
 from fedaa.errors import ConfigError, FedaaError, InternalError, NumericError, SimulationError
 from fedaa.seeding import stream
 from fedaa.selection import top_count
 
-from conftest import assert_no_child_left, replay_backward_ce
+from conftest import assert_no_child_left
 
 
 def small_cfg(**overrides):
@@ -127,7 +126,7 @@ def test_evaluate_fairness_hand_oracle():
         LabeledDataset(feats, np.ones(5, dtype=int), 2),
     )
     metrics = orchestrator.evaluate_fairness(
-        [c0, c1], arch, np.tile(always_one, (2, 1)), always_one
+        [c0, c1], arch, np.tile(always_one, (2, 1)), always_one, np.arange(2)
     )
     assert abs(metrics["mean_benign_acc"] - 0.9) < 1e-12
     assert abs(metrics["acc_std"] - 0.1) < 1e-12  # population std of {0.8, 1.0}
@@ -137,7 +136,7 @@ def test_evaluate_fairness_hand_oracle():
     # client c is scored with row c: client 1's local model predicts class 0
     always_zero = np.array([0.0, 0.0, 1.0, 0.0])
     metrics = orchestrator.evaluate_fairness(
-        [c0, c1], arch, np.stack([always_one, always_zero]), always_one
+        [c0, c1], arch, np.stack([always_one, always_zero]), always_one, np.arange(2)
     )
     assert abs(metrics["mean_benign_acc"] - 0.4) < 1e-12  # mean of {0.8, 0.0}
     assert abs(metrics["mean_global_acc"] - 0.9) < 1e-12
@@ -145,30 +144,8 @@ def test_evaluate_fairness_hand_oracle():
 
 def test_fairness_requires_a_benign_client():
     with pytest.raises(ConfigError, match="benign"):
-        orchestrator.evaluate_fairness([], nn.ArchSpec(1, (), 2), np.zeros((0, 4)), np.zeros(4))
-
-
-def per_client_fairness(population, arch, models, global_params):
-    """The straightforward evaluation: each benign client's two forwards
-    and one loss, on its own, in the order of ``population``; the
-    per-client values and the metrics."""
-    accs, losses, global_accs = [], [], []
-    for client in population:
-        if client.role != "benign":
-            continue
-        x, y = client.test.features, client.test.labels
-        logits = nn.forward(arch, models[client.id], x)
-        accs.append(float((np.argmax(logits, axis=1) == y).mean()))
-        losses.append(nn.ce_loss_from_logits(logits, y))
-        global_accs.append(float((np.argmax(nn.forward(arch, global_params, x), axis=1) == y).mean()))
-    metrics = {
-        "mean_benign_acc": float(np.mean(accs)),
-        "acc_std": float(np.std(accs)),
-        "acc_var": float(np.std(accs)) ** 2,
-        "loss_std": float(np.std(losses)),
-        "mean_global_acc": float(np.mean(global_accs)),
-    }
-    return (accs, losses, global_accs), metrics
+        orchestrator.evaluate_fairness([], nn.ArchSpec(1, (), 2), np.zeros((0, 4)), np.zeros(4),
+                                       np.arange(0))
 
 
 def test_stacked_fairness_equals_the_per_client_loop_generated():
@@ -213,12 +190,13 @@ def test_stacked_fairness_equals_the_per_client_loop_generated():
             population.append(ClientRecord(cid, gaussian if attacks else None, split, split))
         models = scale * rng.normal(size=(len(specs), d))
         global_params = scale * rng.normal(size=d)
-        want_scores, want = per_client_fairness(population, arch, models, global_params)
+        want_scores, want = reference.per_client_fairness(population, arch, models, global_params)
         with pytest.MonkeyPatch.context() as patch:
             if width is not None:
                 patch.setattr(orchestrator, "FAIRNESS_STACK_BYTES", width * 8 * d)
-            scores = orchestrator.benign_scores(population, arch, models, global_params)
-            got = orchestrator.evaluate_fairness(population, arch, models, global_params)
+            rows = np.arange(len(specs))
+            scores = orchestrator.benign_scores(population, arch, models, global_params, rows)
+            got = orchestrator.evaluate_fairness(population, arch, models, global_params, rows)
         assert [s.tolist() for s in scores] == list(want_scores)
         assert got == want
 
@@ -245,7 +223,7 @@ def test_fairness_stacks_are_capped_and_score_each_benign_client_once(monkeypatc
 
     monkeypatch.setattr(orchestrator, "forward", recorded)
     monkeypatch.setattr(orchestrator, "FAIRNESS_STACK_BYTES", 3 * 8 * d + 7)
-    orchestrator.evaluate_fairness(population, arch, models, np.zeros(d))
+    orchestrator.evaluate_fairness(population, arch, models, np.zeros(d), np.arange(len(population)))
     # 7 benign clients of 3 test rows in stacks of 3, 3, 1; 3 of 5 rows in one
     assert [(size // (8 * d), n) for size, n, _ in stacks] == [(3, 3), (3, 3), (1, 3), (3, 5)]
     benign = [c for c in population if c.role == "benign"]
@@ -844,12 +822,13 @@ def test_benign_uploads_become_the_local_models():
     )
     participants = [0, 2, 3, 5]
     models = collect(exp, participants, exp.initial_params, 0)
-    plain = with_local_models(orchestrator.build_experiment(exp.cfg))
-    want = per_client_uploads(plain, participants, exp.initial_params, 0)
+    plain = orchestrator.build_experiment(exp.cfg)
+    local_models = initial_models(plain)
+    want = reference.per_client_uploads(plain, participants, exp.initial_params, 0, local_models)
     # a participant's row is its upload, and a benign client's its local model
     assert models[participants].tobytes() == want.tobytes()
     benign = [c.id for c in exp.clients if c.role == "benign"]
-    assert models[benign].tobytes() == plain.local_models[benign].tobytes()
+    assert models[benign].tobytes() == local_models[benign].tobytes()
     # only participants write their rows
     for cid in (1, 4):
         assert np.array_equal(models[cid], exp.initial_params)
@@ -1045,45 +1024,11 @@ def test_training_errors_are_raised_in_their_clients_turn(monkeypatch):
     assert raised.value.__cause__ is errors[last_benign]
 
 
-def per_client_uploads(exp, participants, global_params, round_index):
-    """The straightforward round: one local_update per client, benign ones
-    first, each training by the plain ``backward_ce`` loop from its own
-    stream into an upload of its own (a sign flipper then flipping it with
-    a magnitude from the same stream), and a benign client's upload copied
-    as its local model; the uploads stacked in ascending client id."""
-    streams = functools.partial(stream, exp.cfg.seed, "local", round_index)
-    uploads, benign = {}, []
-    for cid in sorted(participants, key=lambda c: exp.clients[c].role != "benign"):
-        client = exp.clients[cid]
-        ipm = client.attack is not None and client.attack.kind == "ipm"
-        uploads[cid] = np.empty(global_params.size)
-        try:
-            if clients.trains(client):
-                rng = streams(cid)
-                trained = replay_backward_ce(exp.arch, global_params, client.train.features,
-                                             client.train.labels, exp.cfg.local, rng)
-                if isinstance(trained, NumericError):
-                    raise trained
-                if client.attack is not None:  # a sign flipper
-                    trained = clients.attack_sign_flip(trained, client.attack.scale, rng)
-                uploads[cid][:] = trained
-            clients.local_update(
-                client, uploads[cid], streams,
-                benign_mean=np.mean(np.array(benign), axis=0) if ipm else None,
-            )
-        except FedaaError as exc:
-            raise type(exc)(f"client {cid} ({client.role}): {exc}") from exc
-        if client.role == "benign":
-            benign.append(uploads[cid])
-            exp.local_models[cid] = uploads[cid]
-    return np.stack([uploads[c] for c in sorted(uploads)])
-
-
-def with_local_models(exp):
-    """``exp`` with a local-model matrix of its own, which
-    ``per_client_uploads`` copies each benign upload into."""
-    exp.local_models = np.tile(exp.initial_params, (len(exp.clients), 1))
-    return exp
+def initial_models(exp):
+    """A local-model matrix for ``exp``, each client's row its initial
+    parameters, for ``reference.per_client_uploads`` to copy benign
+    uploads into."""
+    return np.tile(exp.initial_params, (len(exp.clients), 1))
 
 
 def mixed_experiment():
@@ -1115,7 +1060,8 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
         return nn.sgd_epoch(arch, params, *args)
 
     monkeypatch.setattr(clients, "sgd_epoch", counting_sgd_epoch)
-    lockstep, plain = mixed_experiment(), with_local_models(mixed_experiment())
+    lockstep, plain = mixed_experiment(), mixed_experiment()
+    local_models = initial_models(plain)
     part_rng = stream(lockstep.cfg.seed, "participation")
     params = lockstep.initial_params
     pool = one_process_pool(lockstep)
@@ -1126,11 +1072,11 @@ def test_lockstep_uploads_equal_per_client_updates(monkeypatch, stack_bytes):
     for t in range(3):
         participants = orchestrator.sample_participants(12, 0.75, part_rng)
         collect(lockstep, participants, params, t, pool)
-        want = per_client_uploads(plain, participants, params, t)
+        want = reference.per_client_uploads(plain, participants, params, t, local_models)
         # a participant's row is its upload, and every benign client's row
         # its local model, a past round's upload if it sat this one out
         assert models[rows[participants]].tobytes() == want.tobytes()
-        assert models[rows[benign]].tobytes() == plain.local_models[benign].tobytes()
+        assert models[rows[benign]].tobytes() == local_models[benign].tobytes()
         kinds.update(lockstep.clients[c].attack.kind if lockstep.clients[c].attack else None
                      for c in participants)
         params = np.mean(want, axis=0)
@@ -1229,10 +1175,10 @@ def test_diverging_client_in_a_stack_is_named_as_when_training_alone(
     huge_clients, huge_row, named
 ):
     exp = diverging_experiment(huge_clients, huge_row)
-    plain = with_local_models(diverging_experiment(huge_clients, huge_row))
+    plain = diverging_experiment(huge_clients, huge_row)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError) as alone:
-            per_client_uploads(plain, range(6), plain.initial_params, 0)
+            reference.per_client_uploads(plain, range(6), plain.initial_params, 0, initial_models(plain))
         with pytest.raises(NumericError) as stacked:
             orchestrator.run_rounds(exp)
         if huge_row is not None:
@@ -1240,8 +1186,8 @@ def test_diverging_client_in_a_stack_is_named_as_when_training_alone(
             rng = stream(exp.cfg.seed, "local", 0, 3)
             rng.permutation(22)
             train = exp.clients[3].train
-            trained = replay_backward_ce(exp.arch, exp.initial_params, train.features,
-                                         train.labels, exp.cfg.local, rng)
+            trained = reference.replay_backward_ce(exp.arch, exp.initial_params, train.features,
+                                                   train.labels, exp.cfg.local, rng)
             assert isinstance(trained, NumericError)
     prefix = f"client {named} (benign): non-finite loss; first non-finite activations at layer"
     assert str(alone.value).startswith(prefix)
@@ -1280,12 +1226,12 @@ def test_a_run_on_a_pool_equals_a_run_on_one_process(monkeypatch, pool_forks, pr
 
 
 def test_a_diverging_client_in_a_child_fails_its_round_by_name(pool_forks):
-    exp, plain = diverging_experiment((5,)), with_local_models(diverging_experiment((5,)))
+    exp, plain = diverging_experiment((5,)), diverging_experiment((5,))
     # the child trains the second share
     assert [5] in clients.lockstep_shares(exp.clients, exp.cfg.local, exp.initial_params.size, 2)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError) as alone:
-            per_client_uploads(plain, range(6), plain.initial_params, 0)
+            reference.per_client_uploads(plain, range(6), plain.initial_params, 0, initial_models(plain))
         with pytest.raises(NumericError) as split:
             orchestrator.run_rounds(exp)
     assert str(alone.value).startswith("client 5 (benign): non-finite loss")
@@ -1338,7 +1284,7 @@ def test_only_a_run_that_can_split_forks(monkeypatch, split_steps, forked):
 
 def small_experiment_pair():
     cfg = small_cfg(malicious_fraction=0.3, attack=clients.AttackSpec("sign_flip"))
-    return orchestrator.build_experiment(cfg), with_local_models(orchestrator.build_experiment(cfg))
+    return orchestrator.build_experiment(cfg), orchestrator.build_experiment(cfg)
 
 
 def test_guard_failing_on_finite_losses_leaves_uploads_unchanged(monkeypatch):
@@ -1353,7 +1299,7 @@ def test_guard_failing_on_finite_losses_leaves_uploads_unchanged(monkeypatch):
     exp, plain = small_experiment_pair()
     params = exp.initial_params.copy()
     params[nn.layer_slices(exp.arch)[-1][1].stop - 1] = -1e306
-    want = per_client_uploads(plain, range(6), params, 0)
+    want = reference.per_client_uploads(plain, range(6), params, 0, initial_models(plain))
     monkeypatch.setattr(nn, "_finite_ce_loss", counting_loss)
     got = collect(exp, list(range(6)), params, 0)
     assert calls

@@ -9,6 +9,7 @@ import scipy.spatial.distance
 from scipy.spatial.distance import pdist, squareform
 
 from fedaa import config, selection
+from fedaa.reference import all_rows_selection, gram_bound
 from fedaa.errors import ConfigError, SimulationError
 from fedaa.nn import ArchSpec, layer_slices, param_count
 
@@ -22,23 +23,6 @@ def pairwise_oracle(vectors):
             if i != j:
                 out[i, j] = math.sqrt(float(np.sum((vectors[i] - vectors[j]) ** 2)))
     return out
-
-
-def all_rows_oracle(ids, uploads, m_percent, scope, arch):
-    """The selection with squareform(pdist(.)) over every measurable row, as
-    (selected ids, state, raw row sums); None if too few rows are measurable."""
-    x = uploads
-    if scope == "last_hidden_layer":
-        wsl, bsl = layer_slices(arch)[len(arch.hidden_dims) - 1]
-        x = x[:, wsl.start : bsl.stop]
-    measurable = (abs(x) <= selection.LIMIT).all(axis=1)
-    count = selection.top_count(m_percent, len(ids))
-    if measurable.sum() < count:
-        return None
-    sums = np.full(len(ids), np.inf)
-    sums[measurable] = squareform(pdist(x[measurable])).sum(axis=1)
-    keep = np.sort(np.lexsort((ids, sums))[:count])
-    return [ids[i] for i in keep], selection.normalize_state(sums[keep]), sums[keep]
 
 
 # ------------------------------------------------------------ counts
@@ -196,7 +180,7 @@ def test_selection_equals_the_all_rows_oracle_generated():
             pool = [*pool, pool[0][[1, 0, *range(2, size)]]]
         ids = sorted(ids[: len(picks)])
         uploads = np.array([pool[p % len(pool)] for p in picks])
-        want = all_rows_oracle(ids, uploads, m_percent, scope, arch)
+        want = all_rows_selection(ids, uploads, m_percent, scope, arch)
         if want is None:
             with pytest.raises(SimulationError):
                 selection.select_clients(ids, uploads, m_percent, scope, arch)
@@ -356,7 +340,7 @@ def test_selection_through_a_row_index_equals_the_gathered_rows_generated():
         assert got.state.tobytes() == want.state.tobytes()
         assert got.raw_row_sums.tobytes() == want.raw_row_sums.tobytes()
         if not gram:
-            exact = all_rows_oracle(ids, uploads[rows], m_percent, scope, arch)
+            exact = all_rows_selection(ids, uploads[rows], m_percent, scope, arch)
             assert got.selected_ids == exact[0]
             assert got.raw_row_sums.tobytes() == exact[2].tobytes()
         seen.update([scope, "gram" if gram else "exact"])
@@ -437,17 +421,6 @@ def test_permutation_equivariance_with_repeated_rows_generated():
 # ------------------------------------------------------------ kernels
 
 
-def gram_tolerance(y, want):
-    """distance_matrix's stated bound on the Gram route, widened by pdist's
-    own rounding of ``want``: min(sqrt(e), e / d) + (cols + 4) 2^-52 d."""
-    cent = y - y.mean(axis=0)
-    sq = (cent * cent).sum(axis=1)
-    e = (y.shape[1] + 4) * 2.0**-52 * (sq[:, None] + sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near = np.fmin(np.sqrt(e), e / want)
-    return near + (y.shape[1] + 4) * 2.0**-52 * want
-
-
 def test_gram_distance_matrix_is_pdist_within_its_bound_generated(monkeypatch):
     # every shape on the Gram route, over repeated rows and scales from
     # underflow to 1e140: exactly symmetric, a zero diagonal, and within
@@ -481,7 +454,7 @@ def test_gram_distance_matrix_is_pdist_within_its_bound_generated(monkeypatch):
         got = selection.distance_matrix(y.copy())
         assert np.array_equal(got, got.T)
         assert not got.diagonal().any()
-        assert (abs(got - want) <= gram_tolerance(y, want)).all()
+        assert (abs(got - want) <= gram_bound(y, want)).all()
         if len(set(picks)) < n:
             seen.add(f"repeated rows at {scale}")
 
@@ -504,7 +477,7 @@ def test_below_gram_work_the_distance_matrix_is_pdist_bit_for_bit():
     want = squareform(pdist(y))
     got = selection.distance_matrix(y.copy())
     assert got.tobytes() != want.tobytes()  # the Gram route's own rounding
-    assert (abs(got - want) <= gram_tolerance(y, want)).all()
+    assert (abs(got - want) <= gram_bound(y, want)).all()
 
 
 def test_the_numpy_distance_matrix_holds_one_difference_block_at_a_time():
@@ -569,7 +542,17 @@ def test_logistic_rounds_take_numpy_and_server_heavy_rounds_the_gram_kernel(monk
     # signflip_logistic selects over 20 distinct rows of 610 columns, on
     # numpy, and server_heavy over 120 benign rows plus the one vector its
     # 80 ipm attackers send, 121 distinct rows of 14,210 (12,200 in scope),
-    # on the Gram kernel: neither calls pdist
+    # on the Gram kernel: neither calls pdist (the oracles, which do, run first)
+    rng = np.random.default_rng(43)
+    small_arch = ArchSpec(49, (10,), 10)  # 610 parameters, 500 in the last hidden layer
+    small = rng.normal(size=(20, param_count(small_arch)))
+    arch = ArchSpec(60, (200,), 10)
+    assert param_count(arch) == 14_210
+    heavy = np.empty((200, 14_210))
+    heavy[:120] = rng.normal(0.0, 0.05, size=(120, 14_210))
+    heavy[120:] = -0.7 * heavy[:120].mean(axis=0)
+    want_small = all_rows_selection(list(range(20)), small, 30.0, scope, small_arch)
+    want = all_rows_selection(list(range(200)), heavy, 60.0, scope, arch)
     pdists = []
 
     def recording(y):
@@ -577,21 +560,11 @@ def test_logistic_rounds_take_numpy_and_server_heavy_rounds_the_gram_kernel(monk
         return pdist(y)
 
     monkeypatch.setattr(scipy.spatial.distance, "pdist", recording)
-    rng = np.random.default_rng(43)
-    arch = ArchSpec(49, (10,), 10)  # 610 parameters, 500 in the last hidden layer
-    small = rng.normal(size=(20, param_count(arch)))
-    got = selection.select_clients(list(range(20)), small, 30.0, scope, arch)
+    got = selection.select_clients(list(range(20)), small, 30.0, scope, small_arch)
     assert pdists == []
-    want = all_rows_oracle(list(range(20)), small, 30.0, scope, arch)
-    assert got.raw_row_sums.tobytes() == want[2].tobytes()
-    arch = ArchSpec(60, (200,), 10)
-    assert param_count(arch) == 14_210
-    heavy = np.empty((200, 14_210))
-    heavy[:120] = rng.normal(0.0, 0.05, size=(120, 14_210))
-    heavy[120:] = -0.7 * heavy[:120].mean(axis=0)
+    assert got.raw_row_sums.tobytes() == want_small[2].tobytes()
     got = selection.select_clients(list(range(200)), heavy, 60.0, scope, arch)
     assert pdists == []
-    want = all_rows_oracle(list(range(200)), heavy, 60.0, scope, arch)
     assert got.selected_ids == want[0]
     assert np.allclose(got.raw_row_sums, want[2], rtol=1e-12, atol=0.0)
 
